@@ -85,7 +85,7 @@
 //!                                # construction; CI smoke uses a loose
 //!                                # bound — debug builds skip with a note,
 //!                                # their encoder costs are distorted)
-//! expt pool [--out FILE] [--ops N] [--budget BYTES] [--theta F]
+//! expt pool [--out FILE] [--ops N] [--budget BYTES] [--theta F] [--seed N]
 //!           [--merge N] [--durable] [--min-pool-throughput F]
 //!                                # multi-index transactional memory pool
 //!                                # (crates/pool) under a zipf(θ)-skewed
@@ -94,7 +94,9 @@
 //!                                # sender purges, duplicate resubmissions.
 //!                                # --ops overrides the scale default
 //!                                # (20k/200k/1M); --budget sets the pool's
-//!                                # live-byte budget; --merge N adds a
+//!                                # live-byte budget; --seed picks the op
+//!                                # streams (pre-drawn before the clock
+//!                                # starts; default 1); --merge N adds a
 //!                                # txn_batch arm; --durable adds a redo-log
 //!                                # arm. Markdown to stdout, BENCH_pool.json
 //!                                # with --out. --min-pool-throughput gates
@@ -116,8 +118,8 @@ fn usage() -> ! {
          [--scale test|small|full] [--threads N] [--runs K] [--out FILE] [--max-ratio F] \
          [--max-typed-ratio F] [--max-ranged-ratio F] [--min-speedup F] [--benchmarks a,b] \
          [--max-nursery-ratio F] [--merge N] [--min-merge-speedup F] [--max-durability-tax F] \
-         [--min-adaptive-speedup F] [--ops N] [--budget BYTES] [--theta F] [--durable] \
-         [--min-pool-throughput F]"
+         [--min-adaptive-speedup F] [--ops N] [--budget BYTES] [--theta F] [--seed N] \
+         [--durable] [--min-pool-throughput F]"
     );
     std::process::exit(2);
 }
@@ -148,6 +150,7 @@ fn main() {
     let mut pool_ops: Option<u64> = None;
     let mut pool_budget: Option<u64> = None;
     let mut pool_theta: Option<f64> = None;
+    let mut pool_seed: Option<u64> = None;
     let mut pool_durable = false;
     let mut min_pool_throughput: Option<f64> = None;
     let mut i = 1;
@@ -256,6 +259,14 @@ fn main() {
                 pool_theta = Some(
                     args.get(i)
                         .and_then(|s| s.parse::<f64>().ok())
+                        .unwrap_or_else(|| usage()),
+                );
+            }
+            "--seed" => {
+                i += 1;
+                pool_seed = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse::<u64>().ok())
                         .unwrap_or_else(|| usage()),
                 );
             }
@@ -599,6 +610,9 @@ fn main() {
             }
             if let Some(n) = merge_factor {
                 popts.merge = n;
+            }
+            if let Some(seed) = pool_seed {
+                popts.seed = seed;
             }
             popts.durable = pool_durable;
             let rows = bench::pool::pool_rows(&opts, &popts);

@@ -22,6 +22,10 @@
 //! - `durable` — one transaction per op with the redo-log commit mode on
 //!   (`--durable`, group flush batch 8), reporting the log footprint.
 //!
+//! Every op is drawn from `--seed` *before* the clock starts (per-thread
+//! streams, generated up front), so the reported ops/s times the pool and
+//! the STM only — not the generator — and the inputs can be varied.
+//!
 //! Every arm ends with [`pool::TxPool::seq_check`] (index
 //! cross-consistency, exact live-byte accounting, budget bound) and an
 //! exact reconciliation of the header telemetry against per-thread
@@ -59,6 +63,8 @@ pub struct PoolOpts {
     pub durable: bool,
     /// Max payload words per item.
     pub payload_max: u64,
+    /// Workload seed (`--seed`): every thread's op stream derives from it.
+    pub seed: u64,
 }
 
 impl Default for PoolOpts {
@@ -70,6 +76,7 @@ impl Default for PoolOpts {
             merge: 1,
             durable: false,
             payload_max: 8,
+            seed: 1,
         }
     }
 }
@@ -198,9 +205,12 @@ struct OpGen<'a> {
 }
 
 impl<'a> OpGen<'a> {
-    fn new(thread: usize, zipf: &'a Zipf, payload_max: u64) -> OpGen<'a> {
+    fn new(seed: u64, thread: usize, zipf: &'a Zipf, payload_max: u64) -> OpGen<'a> {
+        // Odd multiplier, then `| 1`: distinct per (seed, thread), never
+        // the all-zero state xorshift cannot leave.
+        let state = (seed.wrapping_mul(0x9E3779B97F4A7C15) ^ ((thread as u64 + 1) << 32)) | 1;
         OpGen {
-            rng: Rng::new(0x9E3779B97F4A7C15 ^ (thread as u64 + 1)),
+            rng: Rng::new(state),
             zipf,
             thread: thread as u64 + 1,
             next_seq: 0,
@@ -234,6 +244,11 @@ impl<'a> OpGen<'a> {
         }
         let i = self.rng.below(self.issued.len() as u64) as usize;
         Some(self.issued[i])
+    }
+
+    /// The first `n` ops of this thread's stream.
+    fn stream(mut self, n: usize) -> Vec<OpDesc> {
+        (0..n).map(|_| self.next_op()).collect()
     }
 
     /// Draw the next op. Mix: 55% fresh insert, 15% pop-best, 10% remove,
@@ -434,24 +449,28 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
     } else {
         1
     };
+    // Pre-draw every thread's ops (whole merge windows) before the clock
+    // starts: the timed loop below only applies them.
+    let streams: Vec<Vec<OpDesc>> = (0..threads)
+        .map(|t| {
+            OpGen::new(popts.seed, t, &zipf, popts.payload_max)
+                .stream(per_thread.next_multiple_of(factor))
+        })
+        .collect();
     rt.reset_stats();
     let total = std::sync::Mutex::new(Tally::default());
     let start = std::time::Instant::now();
     std::thread::scope(|s| {
-        for t in 0..threads {
+        for stream in &streams {
             let rt = &rt;
-            let zipf = &zipf;
             let total = &total;
-            let payload_max = popts.payload_max;
             s.spawn(move || {
                 let mut w = rt.spawn_worker();
-                let mut g = OpGen::new(t, zipf, payload_max);
                 let mut tally = Tally::default();
                 if factor > 1 {
-                    for _ in 0..per_thread.div_ceil(factor) {
-                        // Pre-draw the window so salvage retries replay
-                        // the identical ops at the same logical indices.
-                        let descs: Vec<OpDesc> = (0..factor).map(|_| g.next_op()).collect();
+                    // Salvage retries replay a window's identical ops at
+                    // the same logical indices.
+                    for descs in stream.chunks(factor) {
                         let mut outs: Vec<Tally> = vec![Tally::default(); factor];
                         let run = w.txn_batch(factor, |b| {
                             let i = b.logical_index() as usize;
@@ -464,9 +483,8 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
                         }
                     }
                 } else {
-                    for _ in 0..per_thread {
-                        let desc = g.next_op();
-                        let t = w.txn(|tx| apply(&pool, tx, &desc));
+                    for desc in stream {
+                        let t = w.txn(|tx| apply(&pool, tx, desc));
                         tally.add(&t);
                     }
                 }
@@ -566,6 +584,11 @@ pub fn pool_json(opts: &ExptOpts, popts: &PoolOpts, rows: &[PoolRow]) -> String 
     out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
     out.push_str(&format!("  \"threads\": {},\n", opts.threads.max(1)));
     out.push_str(&format!(
+        "  \"seed\": {},\n  \"machine\": {},\n",
+        popts.seed,
+        crate::report::machine_json()
+    ));
+    out.push_str(&format!(
         "  \"budget_bytes\": {},\n  \"bloom_words\": {},\n  \"theta\": {:.3},\n  \"senders\": {},\n",
         popts.budget,
         bloom_words_for(popts.budget),
@@ -661,7 +684,7 @@ pub fn render_markdown(opts: &ExptOpts, popts: &PoolOpts, rows: &[PoolRow]) -> S
              | header | `PoolHdr::BYTES` | {} |\n\
              | id index | `capacity * 8` = {cap} * 8 | {} |\n\
              | sender index | `capacity * 8` = {cap} * 8 | {} |\n\
-             | skiplist heads | `MAX_LEVEL * 8` | {} |\n\
+             | skiplist heads + tail | `(MAX_LEVEL + 1) * 8` | {} |\n\
              | bloom filter | `bloom_words * 8` | {} |\n\
              | live items | `Σ (Item::BYTES + 8·payload)` | {} |\n\
              | sim-heap live total | allocator telemetry | {} |\n\n",
@@ -669,7 +692,7 @@ pub fn render_markdown(opts: &ExptOpts, popts: &PoolOpts, rows: &[PoolRow]) -> S
             pool::PoolHdr::BYTES,
             cap * 8,
             cap * 8,
-            pool::MAX_LEVEL as u64 * 8,
+            (pool::MAX_LEVEL as u64 + 1) * 8,
             bloom_words_for(popts.budget) * 8,
             r.counters.live_bytes,
             r.heap_bytes,
@@ -746,6 +769,7 @@ mod tests {
         let json = pool_json(&opts, &popts, &rows);
         assert!(json.contains("\"schema\": \"bench_pool/v1\""));
         assert!(json.contains("\"arm\": \"plain\""));
+        assert!(json.contains("\"seed\": 1") && json.contains("\"available_parallelism\":"));
         assert!(json.contains("\"evicted\":"));
         let balance = |open: char, close: char| {
             json.chars().filter(|&c| c == open).count()

@@ -16,6 +16,29 @@ pub(crate) fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// The machine fingerprint a timing row is only comparable under, as a
+/// JSON object: core count, CPU model and compiler (ROADMAP aim 1 — "a
+/// number without a machine fingerprint is an anecdote").
+pub(crate) fn machine_json() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown", str::trim);
+    let rustc = std::process::Command::new("rustc").arg("-V").output();
+    let rustc = rustc.map_or_else(
+        |_| "unknown".to_string(),
+        |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+    );
+    format!(
+        "{{\"available_parallelism\": {}, \"cpu_model\": \"{}\", \"rustc\": \"{}\"}}",
+        crate::scaling::available_parallelism(),
+        esc(cpu),
+        esc(&rustc)
+    )
+}
+
 pub(crate) fn scale_name(s: Scale) -> &'static str {
     match s {
         Scale::Test => "test",

@@ -6,6 +6,7 @@
 use crate::index::KeyKind;
 use crate::{mix, Item, PoolEntry, PoolHdr, TxPool, MAX_LEVEL};
 use stm::{TxBuf, TxObject, TxPtr, WorkerCtx};
+use txmem::{small_block_total, HEADER_BYTES};
 
 /// A snapshot of the pool header's telemetry words, for comparison with
 /// the sequential model's bookkeeping.
@@ -50,7 +51,7 @@ impl TxPool {
                 prio: w.load_as(cur.field(Item::prio)),
                 payload_words: w.load_as(cur.field(Item::payload_words)),
             });
-            cur = w.load_as(cur.field(Item::fwd0));
+            cur = w.load_as(cur.field(Item::fwd(0)));
         }
         out.sort();
         out
@@ -80,8 +81,10 @@ impl TxPool {
     /// * both hash tables are valid open-addressing states (every entry is
     ///   reachable from its home slot with no empty slot in between) and
     ///   the primary table holds exactly the live items;
-    /// * the skiplist's level-0 chain is strictly `(prio, id)`-sorted and
-    ///   each upper level is exactly the sub-chain of taller items;
+    /// * the skiplist's level-0 chain is strictly `(prio, id)`-sorted,
+    ///   each upper level is exactly the sub-chain of taller items, every
+    ///   back link mirrors its forward link, the tail word is the level-0
+    ///   maximum, and each item's block is exactly its tower's size;
     /// * each sender chain is strictly `(nonce, id)`-sorted, homogeneous
     ///   in sender, and the chains partition the live items;
     /// * `live_bytes` is the exact sum of per-item accounted bytes, each
@@ -115,6 +118,11 @@ impl TxPool {
                 Item::BYTES + 8 * payload_words,
                 "item {id}: accounted bytes disagree with payload length"
             );
+            assert_eq!(
+                Some(w.runtime().heap().usable_size(cur.addr()) + HEADER_BYTES),
+                small_block_total(8 * Item::alloc_words(level)),
+                "item {id}: block is not sized to its level-{level} tower"
+            );
             let payload: TxBuf<u64> = w.load_as(cur.field(Item::payload));
             if payload_words == 0 {
                 assert!(payload.is_null(), "item {id}: empty payload not null");
@@ -136,26 +144,35 @@ impl TxPool {
             prev_key = Some(key);
             bytes_sum += bytes;
             live.push((id, cur));
-            cur = w.load_as(cur.field(Item::fwd0));
+            cur = w.load_as(cur.field(Item::fwd(0)));
         }
-        // Upper levels are exactly the taller-item sub-chains, in order.
-        for l in 1..MAX_LEVEL {
+        // Every level is exactly the taller-item sub-chain, in order, and
+        // its back links mirror its forward links.
+        for l in 0..MAX_LEVEL {
             let mut expect = live
                 .iter()
                 .filter(|&&(id, _)| crate::level_of(id) > l as u64)
                 .map(|&(_, p)| p);
+            let mut prev = TxPtr::<Item>::NULL;
             let mut cur: TxPtr<Item> = w.load_as(self.heads.elem(l as u64));
             while !cur.is_null() {
                 let want = expect.next().unwrap_or_else(|| {
                     panic!("skiplist level {l} longer than the taller-item set")
                 });
-                assert_eq!(cur.raw(), want.raw(), "skiplist level {l} chain mismatch");
+                assert_eq!(cur, want, "skiplist level {l} chain mismatch");
+                let back: TxPtr<Item> = w.load_as(cur.field(Item::back(l)));
+                assert_eq!(back, prev, "skiplist level {l}: back link is no mirror");
+                prev = cur;
                 cur = w.load_as(cur.field(Item::fwd(l)));
             }
             assert!(
                 expect.next().is_none(),
                 "skiplist level {l} shorter than the taller-item set"
             );
+            if l == 0 {
+                let tail: TxPtr<Item> = w.load_as(self.heads.elem(MAX_LEVEL as u64));
+                assert_eq!(tail, prev, "tail word is not the level-0 maximum");
+            }
         }
         // --- header accounting -------------------------------------------
         let c = self.seq_counters(w);

@@ -18,14 +18,49 @@
 //! step bound so a zombie-visible cycle becomes a retry, not a hang. Real
 //! corruption is still caught — by `seq_check` at quiesce, where reads are
 //! non-transactional and consistent, and by the differential oracle.
+//!
+//! Items are level-sized, so an item's block can come back as a payload
+//! buffer (or a shorter item) and a link word read from it can be
+//! arbitrary bits. Table slots only ever hold item addresses, but every
+//! address derived from a *link* — skiplist forward and back links, the
+//! sender chain — passes [`TxPool::at`] on its way into a barrier, which
+//! turns an unaligned or out-of-heap address into `Abort::Conflict`. A back link is additionally trusted only if the
+//! node it names points forward at the item being unlinked.
+
+use std::cmp::Ordering;
 
 use txmem::Addr;
 
 use crate::{
-    level_of, mix, Item, TxPool, MAX_LEVEL, S_BLOOM_R, S_BLOOM_W, S_ITEM_R, S_SKIP_R, S_SKIP_W,
-    S_SLOT_R, S_SLOT_W,
+    mix, Item, PoolEntry, TxPool, MAX_LEVEL, S_BLOOM_R, S_BLOOM_W, S_INIT_W, S_ITEM_R, S_LINK_W,
+    S_SKIP_R, S_SKIP_W, S_SLOT_R, S_SLOT_W,
 };
-use stm::{Abort, Tx, TxBuf, TxPtr, TxResult};
+use stm::{Abort, Field, Tx, TxBuf, TxPtr, TxResult, TxWord};
+
+/// One live item's words, read once ([`TxPool::load`]) and then consulted
+/// locally: the nine-word header and the `level`-pair tower.
+pub(crate) struct Node([u64; Item::alloc_words(MAX_LEVEL as u64) as usize]);
+
+impl Node {
+    pub(crate) fn get<V: TxWord>(&self, f: Field<Item, V>) -> V {
+        V::from_word(self.0[f.word() as usize])
+    }
+
+    /// The stored skiplist height, validated by `load`.
+    pub(crate) fn level(&self) -> usize {
+        self.get(Item::level) as usize
+    }
+
+    pub(crate) fn entry(&self) -> PoolEntry {
+        PoolEntry {
+            id: self.get(Item::id),
+            sender: self.get(Item::sender),
+            nonce: self.get(Item::nonce),
+            prio: self.get(Item::prio),
+            payload_words: self.get(Item::payload_words),
+        }
+    }
+}
 
 /// Which key a table is organized by — resolves the field the
 /// backward-shift relocation reads to recompute an entry's home slot.
@@ -183,97 +218,153 @@ impl TxPool {
         Ok(())
     }
 
-    // --- skiplist ----------------------------------------------------------
+    // --- checked access to link-derived addresses -------------------------------
 
-    /// The skiplist key of a live item.
-    pub(crate) fn skip_key_of(&self, tx: &mut Tx<'_, '_>, p: TxPtr<Item>) -> TxResult<(u64, u64)> {
-        Ok((
-            tx.read_field(&S_ITEM_R, p, Item::prio)?,
-            tx.read_field(&S_ITEM_R, p, Item::id)?,
-        ))
+    /// `a`, provided `[a, a + words)` is a word-aligned span of the heap;
+    /// `Abort::Conflict` otherwise (see the module note: only a zombie can
+    /// fail this).
+    fn span(&self, a: Addr, words: usize) -> TxResult<Addr> {
+        let (lo, hi) = self.heap;
+        let ok = a.raw().is_multiple_of(8) && a.raw() >= lo && a.raw() <= hi - 8 * words as u64;
+        ok.then_some(a).ok_or(Abort::Conflict)
     }
 
-    /// Search for `key`: per level, the address of the forward word whose
-    /// successor is the first node with key `>= key` (the "update" array
-    /// of the textbook algorithm), plus that level-0 successor.
-    fn skip_search(
+    /// [`TxPool::span`] of one word: the check every link-derived address
+    /// passes on its way into a barrier.
+    pub(crate) fn at(&self, a: Addr) -> TxResult<Addr> {
+        self.span(a, 1)
+    }
+
+    /// Read item `p` once: the header plus the level-0 pair every item has
+    /// in one ranged barrier, the rest of a taller tower in a second. A
+    /// stored level outside `1..=MAX_LEVEL` is a zombie's view of a
+    /// recycled block.
+    pub(crate) fn load(&self, tx: &mut Tx<'_, '_>, p: TxPtr<Item>) -> TxResult<Node> {
+        let mut n = Node([0; Item::alloc_words(MAX_LEVEL as u64) as usize]);
+        let base = Item::alloc_words(1) as usize;
+        tx.read_range(&S_ITEM_R, self.span(p.addr(), base)?, &mut n.0[..base])?;
+        let lvl = n.get(Item::level);
+        if !(1..=MAX_LEVEL as u64).contains(&lvl) {
+            return Err(Abort::Conflict);
+        }
+        if lvl > 1 {
+            let rest = &mut n.0[base..Item::alloc_words(lvl) as usize];
+            let from = self.span(p.field(Item::fwd(1)), rest.len())?;
+            tx.read_range(&S_SKIP_R, from, rest)?;
+        }
+        Ok(n)
+    }
+
+    // --- skiplist ----------------------------------------------------------
+
+    /// The (checked) word holding the level-`l` forward link out of `pred`
+    /// (null = the list head).
+    fn fwd_link(&self, pred: TxPtr<Item>, l: usize) -> TxResult<Addr> {
+        if pred.is_null() {
+            Ok(self.heads.elem(l as u64))
+        } else {
+            self.at(pred.field(Item::fwd(l)))
+        }
+    }
+
+    /// Point the level-`l` back link into `succ` at `to`; past the end of
+    /// the list that link is the tail word at level 0 and nothing above it.
+    fn set_back(
         &self,
         tx: &mut Tx<'_, '_>,
+        succ: TxPtr<Item>,
+        l: usize,
+        to: TxPtr<Item>,
+    ) -> TxResult<()> {
+        if !succ.is_null() {
+            tx.write_as(&S_SKIP_W, self.at(succ.field(Item::back(l)))?, to)
+        } else if l == 0 {
+            tx.write_as(&S_SKIP_W, self.heads.elem(MAX_LEVEL as u64), to)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Order `key` against `p`'s `(major, id)` key. The id is read only to
+    /// break a tie on the major word (after the priority it is the next
+    /// word, under the same orec): one barrier per comparison, not two.
+    pub(crate) fn cmp_key(
+        &self,
+        tx: &mut Tx<'_, '_>,
+        p: TxPtr<Item>,
+        major: Field<Item, u64>,
         key: (u64, u64),
-    ) -> TxResult<([Addr; MAX_LEVEL], TxPtr<Item>)> {
-        let mut update = [txmem::NULL; MAX_LEVEL];
+    ) -> TxResult<Ordering> {
+        let m: u64 = tx.read_as(&S_ITEM_R, self.at(p.field(major))?)?;
+        Ok(match key.0.cmp(&m) {
+            Ordering::Equal => key
+                .1
+                .cmp(&tx.read_as(&S_ITEM_R, self.at(p.field(Item::id))?)?),
+            o => o,
+        })
+    }
+
+    /// Search for `key` and splice `p` (height `lvl`, key fields already
+    /// written) in front of the first node `>= key` at each of its levels.
+    /// The descent remembers the node that stopped it one level up: met
+    /// again it is known `>= key` without another comparison. For a fresh
+    /// item the stores into `p`'s own tower are captured and elide; only
+    /// the neighbours' words take full barriers.
+    pub(crate) fn skip_insert(
+        &self,
+        tx: &mut Tx<'_, '_>,
+        p: TxPtr<Item>,
+        key: (u64, u64),
+        lvl: usize,
+    ) -> TxResult<()> {
         let mut pred = TxPtr::<Item>::NULL;
+        let mut stop = TxPtr::<Item>::NULL;
         let mut steps = self.walk_bound();
         for l in (0..MAX_LEVEL).rev() {
-            let mut link = if pred.is_null() {
-                self.heads.elem(l as u64)
-            } else {
-                pred.field(Item::fwd(l))
-            };
-            loop {
+            let link = loop {
+                let link = self.fwd_link(pred, l)?;
                 let nxt: TxPtr<Item> = tx.read_as(&S_SKIP_R, link)?;
-                if nxt.is_null() || self.skip_key_of(tx, nxt)? >= key {
-                    break;
+                if nxt.is_null() || nxt == stop || self.cmp_key(tx, nxt, Item::prio, key)?.is_le() {
+                    stop = nxt;
+                    break link;
                 }
                 steps -= 1;
                 if steps == 0 {
                     return Err(Abort::Conflict);
                 }
                 pred = nxt;
-                link = nxt.field(Item::fwd(l));
+            };
+            if l < lvl {
+                if stop == p {
+                    // Already linked: impossible in a consistent snapshot.
+                    return Err(Abort::Conflict);
+                }
+                tx.write_as(&S_SKIP_W, self.at(p.field(Item::fwd(l)))?, stop)?;
+                tx.write_as(&S_SKIP_W, self.at(p.field(Item::back(l)))?, pred)?;
+                tx.write_as(&S_SKIP_W, link, p)?;
+                self.set_back(tx, stop, l, p)?;
             }
-            update[l] = link;
-        }
-        let succ: TxPtr<Item> = tx.read_as(&S_SKIP_R, update[0])?;
-        Ok((update, succ))
-    }
-
-    /// Link a fresh item (its key fields already initialized) into the
-    /// by-priority index. The forward-pointer stores into `p` are init
-    /// writes of captured memory; only the predecessors' words take full
-    /// barriers.
-    pub(crate) fn skip_insert(
-        &self,
-        tx: &mut Tx<'_, '_>,
-        p: TxPtr<Item>,
-        key: (u64, u64),
-    ) -> TxResult<()> {
-        let lvl = level_of(key.1);
-        let (update, succ) = self.skip_search(tx, key)?;
-        if !succ.is_null() && succ.raw() == p.raw() {
-            // Already linked: impossible in a consistent snapshot.
-            return Err(Abort::Conflict);
-        }
-        for (l, link) in update.iter().enumerate().take(lvl as usize) {
-            let nxt: TxPtr<Item> = tx.read_as(&S_SKIP_R, *link)?;
-            tx.write_field(&crate::S_INIT_W, p, Item::fwd(l), nxt)?;
-            tx.write_as(&S_SKIP_W, *link, p)?;
         }
         Ok(())
     }
 
-    /// Unlink `p` (which must be live under `key`) from the by-priority
-    /// index.
-    pub(crate) fn skip_remove(
+    /// Unlink `p` (loaded as `n`) from every level of its tower through
+    /// its own back links: no search, no key comparison. Each back link is
+    /// followed only to a word that points forward at `p`.
+    pub(crate) fn skip_unlink(
         &self,
         tx: &mut Tx<'_, '_>,
         p: TxPtr<Item>,
-        key: (u64, u64),
+        n: &Node,
     ) -> TxResult<()> {
-        let (update, succ) = self.skip_search(tx, key)?;
-        if succ.raw() != p.raw() {
-            // A search that misses an item the same transaction proved
-            // live means the snapshot is already doomed.
-            return Err(Abort::Conflict);
-        }
-        let lvl = tx.read_field(&S_ITEM_R, p, Item::level)?;
-        for (l, link) in update.iter().enumerate().take(lvl as usize) {
-            let at: TxPtr<Item> = tx.read_as(&S_SKIP_R, *link)?;
-            if at.raw() != p.raw() {
+        for l in 0..n.level() {
+            let (nxt, prv) = (n.get(Item::fwd(l)), n.get(Item::back(l)));
+            let link = self.fwd_link(prv, l)?;
+            if tx.read_as::<TxPtr<Item>>(&S_SKIP_R, link)? != p {
                 return Err(Abort::Conflict);
             }
-            let nxt = tx.read_field(&S_ITEM_R, p, Item::fwd(l))?;
-            tx.write_as(&S_SKIP_W, *link, nxt)?;
+            tx.write_as(&S_SKIP_W, link, nxt)?;
+            self.set_back(tx, nxt, l, prv)?;
         }
         Ok(())
     }
@@ -283,31 +374,9 @@ impl TxPool {
         tx.read_as(&S_SKIP_R, self.heads.elem(0))
     }
 
-    /// The highest-key live item (what `pop_best` takes), or null: walk
-    /// right at each level, descending at the nulls.
+    /// The highest-key live item (what `pop_best` takes), or null.
     pub(crate) fn skip_max(&self, tx: &mut Tx<'_, '_>) -> TxResult<TxPtr<Item>> {
-        let mut pred = TxPtr::<Item>::NULL;
-        let mut steps = self.walk_bound();
-        for l in (0..MAX_LEVEL).rev() {
-            let mut link = if pred.is_null() {
-                self.heads.elem(l as u64)
-            } else {
-                pred.field(Item::fwd(l))
-            };
-            loop {
-                let nxt: TxPtr<Item> = tx.read_as(&S_SKIP_R, link)?;
-                if nxt.is_null() {
-                    break;
-                }
-                steps -= 1;
-                if steps == 0 {
-                    return Err(Abort::Conflict);
-                }
-                pred = nxt;
-                link = nxt.field(Item::fwd(l));
-            }
-        }
-        Ok(pred)
+        tx.read_as(&S_SKIP_R, self.heads.elem(MAX_LEVEL as u64))
     }
 
     // --- sender chains ------------------------------------------------------
@@ -319,79 +388,62 @@ impl TxPool {
         tx: &mut Tx<'_, '_>,
         p: TxPtr<Item>,
         sender: u64,
-        nonce: u64,
-        id: u64,
+        key: (u64, u64),
     ) -> TxResult<()> {
-        let key = (nonce, id);
-        match self.table_find(tx, self.senders, KeyKind::Sender, sender)? {
-            None => self.table_insert(tx, self.senders, sender, p),
-            Some((slot, head)) => {
-                let hk = (
-                    tx.read_field(&S_ITEM_R, head, Item::nonce)?,
-                    tx.read_field(&S_ITEM_R, head, Item::id)?,
-                );
-                if key < hk {
-                    tx.write_field(&crate::S_INIT_W, p, Item::snext, head)?;
-                    return tx.write_as(&S_SLOT_W, self.senders.elem(slot), p);
-                }
-                let mut prev = head;
-                let mut steps = self.walk_bound();
-                loop {
-                    let nx: TxPtr<Item> = tx.read_field(&S_ITEM_R, prev, Item::snext)?;
-                    let insert_here = if nx.is_null() {
-                        true
-                    } else {
-                        key < (
-                            tx.read_field(&S_ITEM_R, nx, Item::nonce)?,
-                            tx.read_field(&S_ITEM_R, nx, Item::id)?,
-                        )
-                    };
-                    if insert_here {
-                        tx.write_field(&crate::S_INIT_W, p, Item::snext, nx)?;
-                        return tx.write_field(&crate::S_LINK_W, prev, Item::snext, p);
-                    }
-                    steps -= 1;
-                    if steps == 0 {
-                        return Err(Abort::Conflict);
-                    }
-                    prev = nx;
-                }
+        let Some((slot, head)) = self.table_find(tx, self.senders, KeyKind::Sender, sender)? else {
+            return self.table_insert(tx, self.senders, sender, p);
+        };
+        if self.cmp_key(tx, head, Item::nonce, key)?.is_lt() {
+            tx.write_field(&S_INIT_W, p, Item::snext, head)?;
+            return tx.write_as(&S_SLOT_W, self.senders.elem(slot), p);
+        }
+        let mut prev = head;
+        let mut steps = self.walk_bound();
+        loop {
+            let link = self.at(prev.field(Item::snext))?;
+            let nx: TxPtr<Item> = tx.read_as(&S_ITEM_R, link)?;
+            if nx.is_null() || self.cmp_key(tx, nx, Item::nonce, key)?.is_lt() {
+                tx.write_field(&S_INIT_W, p, Item::snext, nx)?;
+                return tx.write_as(&S_LINK_W, link, p);
             }
+            steps -= 1;
+            if steps == 0 {
+                return Err(Abort::Conflict);
+            }
+            prev = nx;
         }
     }
 
-    /// Unlink a live item from its sender chain, dropping the sender's
-    /// table entry when the chain empties.
+    /// Unlink live item `p` — whose chain successor `snext` the caller
+    /// already holds — from `sender`'s chain, dropping the sender's table
+    /// entry when the chain empties.
     pub(crate) fn sender_unlink(
         &self,
         tx: &mut Tx<'_, '_>,
         p: TxPtr<Item>,
         sender: u64,
+        snext: TxPtr<Item>,
     ) -> TxResult<()> {
         let Some((slot, head)) = self.table_find(tx, self.senders, KeyKind::Sender, sender)? else {
             // A live item without a sender chain: doomed snapshot.
             return Err(Abort::Conflict);
         };
-        if head.raw() == p.raw() {
-            let nxt: TxPtr<Item> = tx.read_field(&S_ITEM_R, p, Item::snext)?;
-            if nxt.is_null() {
+        if head == p {
+            if snext.is_null() {
                 return self.table_remove_at(tx, self.senders, KeyKind::Sender, slot);
             }
-            return tx.write_as(&S_SLOT_W, self.senders.elem(slot), nxt);
+            return tx.write_as(&S_SLOT_W, self.senders.elem(slot), snext);
         }
         let mut prev = head;
         let mut steps = self.walk_bound();
         loop {
-            let nx: TxPtr<Item> = tx.read_field(&S_ITEM_R, prev, Item::snext)?;
-            if nx.is_null() {
-                return Err(Abort::Conflict);
-            }
-            if nx.raw() == p.raw() {
-                let after: TxPtr<Item> = tx.read_field(&S_ITEM_R, p, Item::snext)?;
-                return tx.write_field(&crate::S_LINK_W, prev, Item::snext, after);
+            let link = self.at(prev.field(Item::snext))?;
+            let nx: TxPtr<Item> = tx.read_as(&S_ITEM_R, link)?;
+            if nx == p {
+                return tx.write_as(&S_LINK_W, link, snext);
             }
             steps -= 1;
-            if steps == 0 {
+            if nx.is_null() || steps == 0 {
                 return Err(Abort::Conflict);
             }
             prev = nx;

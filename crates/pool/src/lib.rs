@@ -10,11 +10,12 @@
 //! * **Primary index** — an open-addressing hash table keyed by item id
 //!   (linear probing, backward-shift deletion, so no tombstones and no
 //!   rehash; the configured byte budget bounds the load factor at 1/2).
-//! * **By-priority index** — an intrusive skiplist ordered by
-//!   `(priority, id)` ascending. The head is the eviction victim, the tail
-//!   is what [`TxPool::pop_best`] takes. Levels are a deterministic
-//!   function of the id, so every run (and every oracle arm) builds the
-//!   identical structure.
+//! * **By-priority index** — an intrusive, doubly-linked skiplist ordered
+//!   by `(priority, id)` ascending. The head is the eviction victim, the
+//!   tail word is what [`TxPool::pop_best`] takes, and every removal
+//!   unlinks through the item's own back links — only insertion searches.
+//!   Levels are a deterministic function of the id, so every run (and
+//!   every oracle arm) builds the identical structure.
 //! * **By-sender index** — a second open-addressing table keyed by sender,
 //!   each slot heading an intrusive chain sorted by `(nonce, id)`.
 //! * **Duplicate filter** — a monotone bloom filter in front of the exact
@@ -49,64 +50,73 @@ pub use ops::InsertOutcome;
 /// any budget this pool is configured with.
 pub const MAX_LEVEL: usize = 12;
 
-tx_object! {
-    /// One pool item. The indices are intrusive: the sender chain link
-    /// and the skiplist forward pointers live in the item itself, so
-    /// every index mutation is a handful of word barriers.
-    pub struct Item {
-        /// Unique item id (non-zero); the primary-index key.
-        pub id: u64,
-        /// Sender id; the by-sender index key.
-        pub sender: u64,
-        /// Per-sender sequence number; orders the sender chain.
-        pub nonce: u64,
-        /// Priority (larger = better); orders the skiplist.
-        pub prio: u64,
-        /// Accounted bytes: `Item::BYTES + 8 * payload_words`.
-        pub bytes: u64,
-        /// Payload buffer (null when `payload_words == 0`).
-        pub payload: TxBuf<u64>,
-        /// Payload length in words.
-        pub payload_words: u64,
-        /// Next item in this sender's `(nonce, id)`-ordered chain.
-        pub snext: TxPtr<Item>,
-        /// This item's skiplist height (1..=[`MAX_LEVEL`]).
-        pub level: u64,
-        /// Skiplist forward pointer, level 0. Levels 1.. are the
-        /// contiguous fields below, reached as `Item::fwd(l)` via the
-        /// computed projection `Item::fwd0.index(l)`.
-        pub fwd0: TxPtr<Item>,
-        /// Skiplist forward pointer, level 1.
-        pub fwd1: TxPtr<Item>,
-        /// Skiplist forward pointer, level 2.
-        pub fwd2: TxPtr<Item>,
-        /// Skiplist forward pointer, level 3.
-        pub fwd3: TxPtr<Item>,
-        /// Skiplist forward pointer, level 4.
-        pub fwd4: TxPtr<Item>,
-        /// Skiplist forward pointer, level 5.
-        pub fwd5: TxPtr<Item>,
-        /// Skiplist forward pointer, level 6.
-        pub fwd6: TxPtr<Item>,
-        /// Skiplist forward pointer, level 7.
-        pub fwd7: TxPtr<Item>,
-        /// Skiplist forward pointer, level 8.
-        pub fwd8: TxPtr<Item>,
-        /// Skiplist forward pointer, level 9.
-        pub fwd9: TxPtr<Item>,
-        /// Skiplist forward pointer, level 10.
-        pub fwd10: TxPtr<Item>,
-        /// Skiplist forward pointer, level 11.
-        pub fwd11: TxPtr<Item>,
-    }
+/// One pool item: a nine-word header followed by a skiplist tower of
+/// exactly `level` forward/back link pairs, allocated as one block of
+/// [`Item::alloc_words`]`(level)` words. The indices are intrusive — the
+/// sender chain link and the tower live in the item itself — so every
+/// index mutation is a handful of word barriers, and every removal
+/// unlinks from the item's own back links without searching.
+///
+/// The header order serves the two hot reads: `(prio, id)` — the
+/// skiplist key — and `(id, nonce, snext)` — one sender-chain step — are
+/// each one ranged barrier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Item;
+
+impl TxObject for Item {
+    /// The *accounted* footprint — header plus a nominal [`MAX_LEVEL`]
+    /// link words, 168 bytes — which is the unit budgets are written in
+    /// (`PoolEntry::bytes`, `PoolConfig::capacity`). It is a policy
+    /// constant, not a malloc size: the block an item occupies is
+    /// [`Item::alloc_words`] of its level (13 words on average).
+    const WORDS: u64 = Item::HDR_WORDS + MAX_LEVEL as u64;
 }
 
+#[allow(non_upper_case_globals)]
 impl Item {
-    /// Computed projection of the level-`l` skiplist forward pointer.
+    /// Priority (larger = better); with `id`, the skiplist key.
+    pub const prio: Field<Item, u64> = Field::at(0);
+    /// Unique item id (non-zero); the primary-index key.
+    pub const id: Field<Item, u64> = Field::at(1);
+    /// Per-sender sequence number; with `id`, orders the sender chain.
+    pub const nonce: Field<Item, u64> = Field::at(2);
+    /// Next item in this sender's `(nonce, id)`-ordered chain.
+    pub const snext: Field<Item, TxPtr<Item>> = Field::at(3);
+    /// Sender id; the by-sender index key.
+    pub const sender: Field<Item, u64> = Field::at(4);
+    /// Accounted bytes: `Item::BYTES + 8 * payload_words`.
+    pub const bytes: Field<Item, u64> = Field::at(5);
+    /// Payload buffer (null when `payload_words == 0`).
+    pub const payload: Field<Item, TxBuf<u64>> = Field::at(6);
+    /// Payload length in words.
+    pub const payload_words: Field<Item, u64> = Field::at(7);
+    /// This item's skiplist height (1..=[`MAX_LEVEL`]) — the tower length.
+    pub const level: Field<Item, u64> = Field::at(8);
+    /// First tower word; level `l` keeps its forward link at
+    /// `tower.index(2 * l)` and its back link right after it.
+    pub const tower: Field<Item, TxPtr<Item>> = Field::at(Item::HDR_WORDS);
+
+    /// Words before the tower.
+    pub const HDR_WORDS: u64 = 9;
+
+    /// Block size in words of an item of skiplist height `level`.
+    #[inline]
+    pub const fn alloc_words(level: u64) -> u64 {
+        Item::HDR_WORDS + 2 * level
+    }
+
+    /// Level-`l` forward link (towards larger keys; null = last).
     #[inline]
     pub fn fwd(l: usize) -> Field<Item, TxPtr<Item>> {
         debug_assert!(l < MAX_LEVEL, "skiplist level {l} out of range");
-        Item::fwd0.index(l as u64)
+        Item::tower.index(2 * l as u64)
+    }
+
+    /// Level-`l` back link (towards smaller keys; null = first, i.e. the
+    /// predecessor's forward word is `heads[l]`).
+    #[inline]
+    pub fn back(l: usize) -> Field<Item, TxPtr<Item>> {
+        Item::fwd(l).index(1)
     }
 }
 
@@ -245,8 +255,12 @@ pub struct TxPool {
     pub(crate) hdr: TxPtr<PoolHdr>,
     pub(crate) slots: TxBuf<TxPtr<Item>>,
     pub(crate) senders: TxBuf<TxPtr<Item>>,
+    /// Skiplist anchors: `heads[0..MAX_LEVEL]`, then the level-0 tail.
     pub(crate) heads: TxBuf<TxPtr<Item>>,
     pub(crate) bloom: TxBuf<u64>,
+    /// `[start, end)` of the simulated heap: every address derived from
+    /// a transactionally-read link is checked against it (`index.rs`).
+    pub(crate) heap: (u64, u64),
     /// `capacity - 1` for both tables.
     pub(crate) mask: u64,
     /// `64 * bloom_words - 1`.
@@ -266,7 +280,7 @@ impl TxPool {
         let hdr = TxPtr::<PoolHdr>::from_addr(rt.alloc_global(PoolHdr::BYTES));
         let slots = TxBuf::<TxPtr<Item>>::from_addr(rt.alloc_global(cap * 8));
         let senders = TxBuf::<TxPtr<Item>>::from_addr(rt.alloc_global(cap * 8));
-        let heads = TxBuf::<TxPtr<Item>>::from_addr(rt.alloc_global(MAX_LEVEL as u64 * 8));
+        let heads = TxBuf::<TxPtr<Item>>::from_addr(rt.alloc_global((MAX_LEVEL as u64 + 1) * 8));
         let bloom = TxBuf::<u64>::from_addr(rt.alloc_global(cfg.bloom_words * 8));
         for w in 0..PoolHdr::WORDS {
             rt.mem().store(hdr.addr().word(w), 0);
@@ -275,7 +289,7 @@ impl TxPool {
             rt.mem().store(slots.elem(i), 0);
             rt.mem().store(senders.elem(i), 0);
         }
-        for l in 0..MAX_LEVEL as u64 {
+        for l in 0..=MAX_LEVEL as u64 {
             rt.mem().store(heads.elem(l), 0);
         }
         for i in 0..cfg.bloom_words {
@@ -287,6 +301,7 @@ impl TxPool {
             senders,
             heads,
             bloom,
+            heap: (rt.mem().layout().heap_start, rt.mem().layout().heap_end),
             mask: cap - 1,
             bloom_mask: 64 * cfg.bloom_words - 1,
             budget: cfg.budget_bytes,
@@ -318,30 +333,37 @@ impl TxPool {
         tx.read_field(&S_HDR_R, self.hdr, PoolHdr::live_bytes)
     }
 
-    /// Read-and-add on one header counter.
-    pub(crate) fn bump(
-        &self,
-        tx: &mut Tx<'_, '_>,
-        f: Field<PoolHdr, u64>,
-        delta: u64,
-    ) -> TxResult<()> {
-        let v = tx.read_field(&S_HDR_R, self.hdr, f)?;
-        tx.write_field(&S_HDR_W, self.hdr, f, v.wrapping_add(delta))
+    /// Apply one operation's header deltas: each changed counter is read
+    /// once and written once, and a counter whose deltas cancelled (an
+    /// evicting insert's `count`) is not touched at all.
+    pub(crate) fn settle(&self, tx: &mut Tx<'_, '_>, d: HdrDelta) -> TxResult<()> {
+        for (w, &delta) in d.0.iter().enumerate() {
+            if delta != 0 {
+                let f = Field::<PoolHdr, u64>::at(w as u64);
+                let v = tx.read_field(&S_HDR_R, self.hdr, f)?;
+                tx.write_field(&S_HDR_W, self.hdr, f, v.wrapping_add(delta))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The header deltas of one operation, accumulated locally and applied by
+/// [`TxPool::settle`] when the operation ends. Wrapping, no underflow
+/// assert: a delta may come from a doomed reader's garbage `bytes` field
+/// (see the note in `index.rs`); the wrapped write rolls back with the
+/// inevitable abort, and `seq_check` audits the true totals at quiesce.
+#[derive(Default)]
+pub(crate) struct HdrDelta([u64; PoolHdr::WORDS as usize]);
+
+impl HdrDelta {
+    pub(crate) fn add(&mut self, f: Field<PoolHdr, u64>, delta: u64) {
+        let w = &mut self.0[f.word() as usize];
+        *w = w.wrapping_add(delta);
     }
 
-    /// Read-and-subtract on one header counter.
-    pub(crate) fn debit(
-        &self,
-        tx: &mut Tx<'_, '_>,
-        f: Field<PoolHdr, u64>,
-        delta: u64,
-    ) -> TxResult<()> {
-        // Wrapping, no underflow assert: `delta` may come from a doomed
-        // reader's garbage `bytes` field (see the note in `index.rs`);
-        // the wrapped write rolls back with the inevitable abort, and
-        // `seq_check` audits the true totals at quiesce.
-        let v = tx.read_field(&S_HDR_R, self.hdr, f)?;
-        tx.write_field(&S_HDR_W, self.hdr, f, v.wrapping_sub(delta))
+    pub(crate) fn sub(&mut self, f: Field<PoolHdr, u64>, delta: u64) {
+        self.add(f, delta.wrapping_neg());
     }
 }
 
@@ -417,12 +439,17 @@ mod tests {
     }
 
     #[test]
-    fn item_layout_matches_the_fwd_run() {
-        assert_eq!(Item::WORDS, 9 + MAX_LEVEL as u64);
+    fn item_layout_keeps_the_budget_unit_and_pairs_the_tower() {
+        assert_eq!(Item::BYTES, 168, "the accounting unit is frozen");
+        assert_eq!(Item::alloc_words(1), 11);
+        assert_eq!(Item::alloc_words(MAX_LEVEL as u64), 33);
+        // The two ranged reads the hot paths rely on.
+        assert_eq!(Item::id.word(), Item::prio.word() + 1);
+        assert_eq!(Item::nonce.word(), Item::id.word() + 1);
+        assert_eq!(Item::snext.word(), Item::nonce.word() + 1);
         for l in 0..MAX_LEVEL {
-            assert_eq!(Item::fwd(l).word(), Item::fwd0.word() + l as u64);
+            assert_eq!(Item::fwd(l).word(), Item::HDR_WORDS + 2 * l as u64);
+            assert_eq!(Item::back(l).word(), Item::fwd(l).word() + 1);
         }
-        assert_eq!(Item::fwd(1).word(), Item::fwd1.word());
-        assert_eq!(Item::fwd(11).word(), Item::fwd11.word());
     }
 }

@@ -3,9 +3,9 @@
 //! the driver wraps each call in one transaction, making every mutation
 //! atomic and every telemetry counter roll back with its transaction.
 
-use crate::index::KeyKind;
-use crate::{Item, PoolEntry, PoolHdr, TxPool, S_HDR_R, S_INIT_W, S_ITEM_R};
-use stm::{Abort, Tx, TxBuf, TxObject, TxPtr, TxResult};
+use crate::index::{KeyKind, Node};
+use crate::{HdrDelta, Item, PoolEntry, PoolHdr, TxPool, S_HDR_R, S_INIT_W, S_ITEM_R, S_LINK_W};
+use stm::{Abort, Field, Tx, TxBuf, TxPtr, TxResult};
 
 /// What [`TxPool::insert`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,94 +41,110 @@ impl TxPool {
         payload_words: u64,
     ) -> TxResult<InsertOutcome> {
         assert_ne!(id, 0, "item ids are non-zero");
-        let need = Item::BYTES + 8 * payload_words;
+        let e = PoolEntry {
+            id,
+            sender,
+            nonce,
+            prio,
+            payload_words,
+        };
+        let mut d = HdrDelta::default();
+        let out = self.admit(tx, &mut d, e)?;
+        self.settle(tx, d)?;
+        Ok(out)
+    }
+
+    /// The body of [`TxPool::insert`], accumulating its header deltas in
+    /// `d` so every exit settles them with one touch per counter.
+    fn admit(
+        &self,
+        tx: &mut Tx<'_, '_>,
+        d: &mut HdrDelta,
+        e: PoolEntry,
+    ) -> TxResult<InsertOutcome> {
+        let (id, payload_words, need) = (e.id, e.payload_words, e.bytes());
         if need > self.budget {
-            self.bump(tx, PoolHdr::rejected, 1)?;
+            d.add(PoolHdr::rejected, 1);
             return Ok(InsertOutcome::Rejected);
         }
         // Duplicate filter: a bloom negative proves the id was never
         // inserted, so the exact probe is skipped outright.
         let maybe_seen = self.bloom_might_contain(tx, id)?;
         if maybe_seen && self.table_find(tx, self.slots, KeyKind::Id, id)?.is_some() {
-            self.bump(tx, PoolHdr::dup_hits, 1)?;
+            d.add(PoolHdr::dup_hits, 1);
             return Ok(InsertOutcome::Duplicate);
         }
         // Budget plan: walk the strictly-worse skiplist prefix read-only
         // first — eviction must be all-or-nothing with the admission
         // decision (a rejected insert may not have evicted anybody).
         let live = tx.read_field(&S_HDR_R, self.hdr, PoolHdr::live_bytes)?;
-        let key = (prio, id);
+        let key = (e.prio, id);
         let mut freed = 0u64;
         let mut victims = 0u64;
         if live.saturating_add(need) > self.budget {
             // Saturating arithmetic and a walk bound: a doomed reader can
-            // see garbage `bytes` fields and recycled `fwd0` links here
+            // see garbage `bytes` fields and recycled forward links here
             // (see the module note in `index.rs`), and must degrade to an
             // abort, never underflow or spin.
             let mut cur = self.skip_min(tx)?;
             while live.saturating_sub(freed).saturating_add(need) > self.budget {
-                if cur.is_null() || self.skip_key_of(tx, cur)? >= key {
-                    self.bump(tx, PoolHdr::rejected, 1)?;
+                if cur.is_null() || self.cmp_key(tx, cur, Item::prio, key)?.is_le() {
+                    d.add(PoolHdr::rejected, 1);
                     return Ok(InsertOutcome::Rejected);
                 }
-                freed = freed.saturating_add(tx.read_field(&S_ITEM_R, cur, Item::bytes)?);
+                let bytes: u64 = tx.read_as(&S_ITEM_R, self.at(cur.field(Item::bytes))?)?;
+                freed = freed.saturating_add(bytes);
                 victims += 1;
                 if victims > self.walk_bound() {
                     return Err(Abort::Conflict);
                 }
-                cur = tx.read_field(&S_ITEM_R, cur, Item::fwd0)?;
+                cur = tx.read_as(&S_ITEM_R, self.at(cur.field(Item::fwd(0)))?)?;
             }
             for _ in 0..victims {
-                self.evict_min(tx)?;
+                self.evict_min(tx, d)?;
             }
         }
-        // Allocate and initialize the item (captured: these stores elide).
-        let p = tx.alloc_obj::<Item>()?;
+        // Allocate the item at exactly its tower's size and initialize the
+        // header (captured: these stores elide; fresh blocks are zeroed,
+        // so `snext` and the tower start out null).
+        let lvl = crate::level_of(id);
+        let p = TxPtr::<Item>::from_addr(tx.alloc(8 * Item::alloc_words(lvl))?);
+        tx.write_field(&S_INIT_W, p, Item::prio, e.prio)?;
         tx.write_field(&S_INIT_W, p, Item::id, id)?;
-        tx.write_field(&S_INIT_W, p, Item::sender, sender)?;
-        tx.write_field(&S_INIT_W, p, Item::nonce, nonce)?;
-        tx.write_field(&S_INIT_W, p, Item::prio, prio)?;
+        tx.write_field(&S_INIT_W, p, Item::nonce, e.nonce)?;
+        tx.write_field(&S_INIT_W, p, Item::sender, e.sender)?;
         tx.write_field(&S_INIT_W, p, Item::bytes, need)?;
         tx.write_field(&S_INIT_W, p, Item::payload_words, payload_words)?;
-        tx.write_field(&S_INIT_W, p, Item::snext, TxPtr::NULL)?;
-        tx.write_field(&S_INIT_W, p, Item::level, crate::level_of(id))?;
-        for l in 0..crate::MAX_LEVEL {
-            tx.write_field(&S_INIT_W, p, Item::fwd(l), TxPtr::NULL)?;
-        }
-        let payload = if payload_words > 0 {
+        tx.write_field(&S_INIT_W, p, Item::level, lvl)?;
+        if payload_words > 0 {
             let buf: TxBuf<u64> = tx.alloc_buf(payload_words)?;
             for w in 0..payload_words {
                 tx.write_as(&S_INIT_W, buf.elem(w), payload_word(id, w))?;
             }
-            buf
-        } else {
-            TxBuf::NULL
-        };
-        tx.write_field(&S_INIT_W, p, Item::payload, payload)?;
+            tx.write_field(&S_INIT_W, p, Item::payload, buf)?;
+        }
         // Link into all three indices; a bloom negative also lets the
         // primary insert probe skip occupant compares (it only did).
         self.table_insert(tx, self.slots, id, p)?;
-        self.skip_insert(tx, p, key)?;
-        self.sender_insert(tx, p, sender, nonce, id)?;
-        self.bloom_add(tx, id)?;
-        self.bump(tx, PoolHdr::count, 1)?;
-        self.bump(tx, PoolHdr::live_bytes, need)?;
-        self.bump(tx, PoolHdr::inserted, 1)?;
+        self.skip_insert(tx, p, key, lvl as usize)?;
+        self.sender_insert(tx, p, e.sender, (e.nonce, id))?;
         if !maybe_seen {
-            self.bump(tx, PoolHdr::dup_skips, 1)?;
+            // (A positive already has both bits set.)
+            self.bloom_add(tx, id)?;
+            d.add(PoolHdr::dup_skips, 1);
         }
+        d.add(PoolHdr::count, 1);
+        d.add(PoolHdr::live_bytes, need);
+        d.add(PoolHdr::inserted, 1);
         Ok(InsertOutcome::Inserted { evicted: victims })
     }
 
     /// Remove the item with `id`; returns its entry if it was live.
     pub fn remove(&self, tx: &mut Tx<'_, '_>, id: u64) -> TxResult<Option<PoolEntry>> {
-        let Some((_, p)) = self.table_find(tx, self.slots, KeyKind::Id, id)? else {
+        let Some((slot, p)) = self.table_find(tx, self.slots, KeyKind::Id, id)? else {
             return Ok(None);
         };
-        let entry = self.entry_of(tx, p)?;
-        self.unlink_item(tx, p)?;
-        self.bump(tx, PoolHdr::removed, 1)?;
-        Ok(Some(entry))
+        self.take(tx, p, Some(slot), PoolHdr::removed).map(Some)
     }
 
     /// Remove and return the best item — the highest `(priority, id)`.
@@ -137,10 +153,7 @@ impl TxPool {
         if p.is_null() {
             return Ok(None);
         }
-        let entry = self.entry_of(tx, p)?;
-        self.unlink_item(tx, p)?;
-        self.bump(tx, PoolHdr::popped, 1)?;
-        Ok(Some(entry))
+        self.take(tx, p, None, PoolHdr::popped).map(Some)
     }
 
     /// Change the priority of the item with `id` (up or down),
@@ -150,29 +163,43 @@ impl TxPool {
         let Some((_, p)) = self.table_find(tx, self.slots, KeyKind::Id, id)? else {
             return Ok(false);
         };
-        let old = tx.read_field(&S_ITEM_R, p, Item::prio)?;
-        if old != new_prio {
-            self.skip_remove(tx, p, (old, id))?;
-            tx.write_field(&crate::S_LINK_W, p, Item::prio, new_prio)?;
-            self.skip_insert(tx, p, (new_prio, id))?;
+        let n = self.load(tx, p)?;
+        if n.get(Item::prio) != new_prio {
+            self.skip_unlink(tx, p, &n)?;
+            tx.write_field(&S_LINK_W, p, Item::prio, new_prio)?;
+            self.skip_insert(tx, p, (new_prio, id), n.level())?;
         }
-        self.bump(tx, PoolHdr::promoted, 1)?;
+        let mut d = HdrDelta::default();
+        d.add(PoolHdr::promoted, 1);
+        self.settle(tx, d)?;
         Ok(true)
     }
 
-    /// Remove every live item of `sender`; returns how many went.
+    /// Remove every live item of `sender`; returns how many went. The
+    /// chain is walked once and the sender's table entry vacated once —
+    /// no per-item chain surgery.
     pub fn remove_sender(&self, tx: &mut Tx<'_, '_>, sender: u64) -> TxResult<u64> {
+        let Some((slot, mut cur)) = self.table_find(tx, self.senders, KeyKind::Sender, sender)?
+        else {
+            return Ok(0);
+        };
+        let mut d = HdrDelta::default();
         let mut n = 0u64;
-        while let Some((_, head)) = self.table_find(tx, self.senders, KeyKind::Sender, sender)? {
-            self.unlink_item(tx, head)?;
+        while !cur.is_null() {
+            let node = self.load(tx, cur)?;
             n += 1;
-            if n > self.walk_bound() {
-                // More unlinks than any consistent chain can hold: a
-                // zombie re-finding recycled heads. Abort and retry.
+            if node.get(Item::sender) != sender || n > self.walk_bound() {
+                // A foreign item on the chain, or more items than any
+                // consistent chain can hold: a zombie following recycled
+                // links. Abort and retry.
                 return Err(Abort::Conflict);
             }
+            self.unlink_item(tx, &mut d, cur, &node, None)?;
+            cur = node.get(Item::snext);
         }
-        self.bump(tx, PoolHdr::purged, n)?;
+        self.table_remove_at(tx, self.senders, KeyKind::Sender, slot)?;
+        d.add(PoolHdr::purged, n);
+        self.settle(tx, d)?;
         Ok(n)
     }
 
@@ -181,56 +208,69 @@ impl TxPool {
         Ok(self.table_find(tx, self.slots, KeyKind::Id, id)?.is_some())
     }
 
+    /// Remove live item `p` (at primary slot `slot`, if the caller knows
+    /// it) for `cause`, as a whole operation: load, unlink, settle.
+    fn take(
+        &self,
+        tx: &mut Tx<'_, '_>,
+        p: TxPtr<Item>,
+        slot: Option<u64>,
+        cause: Field<PoolHdr, u64>,
+    ) -> TxResult<PoolEntry> {
+        let n = self.load(tx, p)?;
+        let mut d = HdrDelta::default();
+        self.sender_unlink(tx, p, n.get(Item::sender), n.get(Item::snext))?;
+        self.unlink_item(tx, &mut d, p, &n, slot)?;
+        d.add(cause, 1);
+        self.settle(tx, d)?;
+        Ok(n.entry())
+    }
+
     /// Evict the skiplist minimum (the strictly-worst live item); the
     /// caller has established the pool is non-empty.
-    fn evict_min(&self, tx: &mut Tx<'_, '_>) -> TxResult<()> {
+    fn evict_min(&self, tx: &mut Tx<'_, '_>, d: &mut HdrDelta) -> TxResult<()> {
         let p = self.skip_min(tx)?;
         if p.is_null() {
             // The caller's plan proved the pool non-empty; an empty
             // skiplist now means the snapshot is doomed.
             return Err(Abort::Conflict);
         }
-        let bytes = tx.read_field(&S_ITEM_R, p, Item::bytes)?;
-        self.unlink_item(tx, p)?;
-        self.bump(tx, PoolHdr::evicted, 1)?;
-        self.bump(tx, PoolHdr::evicted_bytes, bytes)
+        let n = self.load(tx, p)?;
+        self.sender_unlink(tx, p, n.get(Item::sender), n.get(Item::snext))?;
+        self.unlink_item(tx, d, p, &n, None)?;
+        d.add(PoolHdr::evicted, 1);
+        d.add(PoolHdr::evicted_bytes, n.get(Item::bytes));
+        Ok(())
     }
 
-    /// Read an item's observable entry.
-    fn entry_of(&self, tx: &mut Tx<'_, '_>, p: TxPtr<Item>) -> TxResult<PoolEntry> {
-        Ok(PoolEntry {
-            id: tx.read_field(&S_ITEM_R, p, Item::id)?,
-            sender: tx.read_field(&S_ITEM_R, p, Item::sender)?,
-            nonce: tx.read_field(&S_ITEM_R, p, Item::nonce)?,
-            prio: tx.read_field(&S_ITEM_R, p, Item::prio)?,
-            payload_words: tx.read_field(&S_ITEM_R, p, Item::payload_words)?,
-        })
-    }
-
-    /// Unlink a live item from all three indices, free its memory, and
-    /// settle the live accounting. Callers add their own telemetry.
-    fn unlink_item(&self, tx: &mut Tx<'_, '_>, p: TxPtr<Item>) -> TxResult<()> {
-        let id = tx.read_field(&S_ITEM_R, p, Item::id)?;
-        let sender = tx.read_field(&S_ITEM_R, p, Item::sender)?;
-        let prio = tx.read_field(&S_ITEM_R, p, Item::prio)?;
-        let bytes = tx.read_field(&S_ITEM_R, p, Item::bytes)?;
-        let payload_words = tx.read_field(&S_ITEM_R, p, Item::payload_words)?;
-        self.skip_remove(tx, p, (prio, id))?;
-        let Some((slot, q)) = self.table_find(tx, self.slots, KeyKind::Id, id)? else {
-            return Err(Abort::Conflict);
+    /// Unlink a live, loaded item from the by-priority and primary
+    /// indices, free its memory, and account it gone. The sender chain is
+    /// the caller's (`remove_sender` retires a whole chain at once), and
+    /// so is the telemetry.
+    fn unlink_item(
+        &self,
+        tx: &mut Tx<'_, '_>,
+        d: &mut HdrDelta,
+        p: TxPtr<Item>,
+        n: &Node,
+        slot: Option<u64>,
+    ) -> TxResult<()> {
+        self.skip_unlink(tx, p, n)?;
+        let slot = match slot {
+            Some(slot) => slot,
+            None => match self.table_find(tx, self.slots, KeyKind::Id, n.get(Item::id))? {
+                Some((slot, q)) if q == p => slot,
+                _ => return Err(Abort::Conflict),
+            },
         };
-        if q.raw() != p.raw() {
-            return Err(Abort::Conflict);
-        }
         self.table_remove_at(tx, self.slots, KeyKind::Id, slot)?;
-        self.sender_unlink(tx, p, sender)?;
-        if payload_words > 0 {
-            let payload: TxBuf<u64> = tx.read_field(&S_ITEM_R, p, Item::payload)?;
-            tx.free_buf(payload);
+        if n.get(Item::payload_words) > 0 {
+            tx.free_buf(n.get(Item::payload));
         }
         tx.free_obj(p);
-        self.debit(tx, PoolHdr::count, 1)?;
-        self.debit(tx, PoolHdr::live_bytes, bytes)
+        d.sub(PoolHdr::count, 1);
+        d.sub(PoolHdr::live_bytes, n.get(Item::bytes));
+        Ok(())
     }
 }
 
@@ -244,7 +284,7 @@ pub(crate) fn payload_word(id: u64, w: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::PoolConfig;
-    use stm::{StmRuntime, TxConfig};
+    use stm::{StmRuntime, TxConfig, TxObject};
     use txmem::MemConfig;
 
     fn rt() -> StmRuntime {

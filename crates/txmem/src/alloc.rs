@@ -49,6 +49,18 @@ const BATCH: usize = 16;
 /// concurrently-refilling threads would exhaust the frontier with almost
 /// all of the carved memory sitting idle in per-thread lists.
 const BATCH_BYTES_MAX: u64 = 8192;
+/// Largest block a thread keeps *recycled* copies of privately. A private
+/// list is invisible to every other thread until it outgrows
+/// [`SPILL_AT`], so what it holds is stranded: harmless for the small,
+/// hot classes the cache exists for, but a class that sees few requests
+/// never reaches the spill threshold, and on an exhausted frontier its
+/// blocks sit in the freeing threads' caches while the allocating thread
+/// finds none (a pool whose items are level-sized asks for 256- and
+/// 384-byte blocks once in 128 and 2048 inserts). Bigger blocks are
+/// therefore freed straight to the home shard and taken back one at a
+/// time — an uncontended lock per call on the classes where calls are
+/// rare and hoarding costs most (one region-class block is 8 KiB).
+const CACHED_BLOCK_MAX: u64 = 128;
 /// A thread free list longer than this spills half back to its home shard.
 const SPILL_AT: usize = 64;
 /// Recycled-block pool shards (power of two). Threads stripe over shards by
@@ -75,6 +87,11 @@ impl std::error::Error for AllocError {}
 
 fn size_to_class(total: u64) -> Option<usize> {
     SIZE_CLASSES.iter().position(|&c| c >= total)
+}
+
+/// Does a thread keep recycled blocks of `class` in its private cache?
+fn cached(class: usize) -> bool {
+    SIZE_CLASSES[class] <= CACHED_BLOCK_MAX
 }
 
 /// One stripe of the recycled-block pool: per-class free lists behind its
@@ -157,6 +174,14 @@ pub struct TxHeap {
     end: u64,
     /// Recycled size-class blocks, striped by thread id.
     shards: Box<[CachePadded<Mutex<Shard>>]>,
+    /// Blocks per class currently held by all shards together, moved
+    /// under the owning shard's lock with every push and drain — so a
+    /// refill of a class no shard holds is one load, not [`NSHARDS`]
+    /// lock round-trips (the nursery retries its region carve on every
+    /// allocation once the frontier is gone). The `Release` updates pair
+    /// with the `Acquire` load in [`TxHeap::pooled`]: a thread that
+    /// learns of a push by any synchronizing route also sees the count.
+    pooled: [AtomicU64; NCLASSES],
     /// Free large blocks: (block start, total bytes). Rare path, one lock.
     large_free: Mutex<Vec<(u64, u64)>>,
     /// Total bytes handed out (telemetry; relaxed).
@@ -173,6 +198,7 @@ impl TxHeap {
             shards: (0..NSHARDS)
                 .map(|_| CachePadded::new(Mutex::new(Shard::new())))
                 .collect(),
+            pooled: std::array::from_fn(|_| AtomicU64::new(0)),
             large_free: Mutex::new(Vec::new()),
             bytes_allocated: CachePadded::new(AtomicU64::new(0)),
         }
@@ -233,25 +259,36 @@ impl TxHeap {
         Ok(payload)
     }
 
-    /// Drain up to [`BATCH`] recycled blocks of `class` from `shard` into
-    /// the thread cache; returns one of them if the shard had any.
+    /// Drain up to [`BATCH`] recycled blocks of `class` (just one of an
+    /// uncached class) from `shard` into the thread cache; returns one of
+    /// them if the shard had any.
     fn take_batch(&self, ta: &mut ThreadAlloc, shard: usize, class: usize) -> Option<u64> {
         let mut s = self.shards[shard].lock().unwrap();
-        let take = s.free[class].len().min(BATCH);
+        let want = if cached(class) { BATCH } else { 1 };
+        let take = s.free[class].len().min(want);
         if take == 0 {
             return None;
         }
         let at = s.free[class].len() - take;
         ta.free[class].extend(s.free[class].drain(at..));
+        self.pooled[class].fetch_sub(take as u64, Ordering::Release);
         ta.free[class].pop()
+    }
+
+    /// Does any shard hold a recycled block of `class`?
+    #[inline]
+    fn pooled(&self, class: usize) -> bool {
+        self.pooled[class].load(Ordering::Acquire) > 0
     }
 
     fn refill(&self, ta: &mut ThreadAlloc, class: usize) -> Option<u64> {
         let cls_total = SIZE_CLASSES[class];
         // Prefer recycled blocks from the home shard.
         let home = ta.stripe;
-        if let Some(b) = self.take_batch(ta, home, class) {
-            return Some(b);
+        if self.pooled(class) {
+            if let Some(b) = self.take_batch(ta, home, class) {
+                return Some(b);
+            }
         }
         // Carve a fresh batch from the bump frontier — one CAS, no lock,
         // byte-capped so large classes refill a block or two at a time.
@@ -262,7 +299,11 @@ impl TxHeap {
             }
             return ta.free[class].pop();
         }
-        // Frontier exhausted: steal recycled blocks from the other shards.
+        // Frontier exhausted: steal recycled blocks from the other shards,
+        // if any shard has one.
+        if !self.pooled(class) {
+            return None;
+        }
         (1..NSHARDS).find_map(|d| self.take_batch(ta, (home + d) % NSHARDS, class))
     }
 
@@ -300,13 +341,17 @@ impl TxHeap {
     }
 
     /// Return a class-sized block to the thread's free list, spilling half
-    /// to the home shard when the list grows past [`SPILL_AT`].
+    /// to the home shard when the list grows past [`SPILL_AT`] — or all of
+    /// it at once for a class too big to cache ([`CACHED_BLOCK_MAX`]).
     fn push_block(&self, ta: &mut ThreadAlloc, class: usize, block: u64) {
         ta.free[class].push(block);
-        if ta.free[class].len() > SPILL_AT {
-            let spill_at = ta.free[class].len() / 2;
+        let keep = cached(class);
+        if !keep || ta.free[class].len() > SPILL_AT {
+            let spill_at = if keep { ta.free[class].len() / 2 } else { 0 };
             let mut s = self.shards[ta.stripe].lock().unwrap();
-            s.free[class].extend(ta.free[class].drain(spill_at..));
+            let spilled = ta.free[class].drain(spill_at..);
+            self.pooled[class].fetch_add(spilled.len() as u64, Ordering::Release);
+            s.free[class].extend(spilled);
         }
     }
 
@@ -412,6 +457,7 @@ impl TxHeap {
         }
         let mut s = self.shards[ta.stripe].lock().unwrap();
         for (class, list) in ta.free.iter_mut().enumerate() {
+            self.pooled[class].fetch_add(list.len() as u64, Ordering::Release);
             s.free[class].append(list);
         }
     }
@@ -641,6 +687,45 @@ mod tests {
             blocks.contains(&x),
             "steal must return one of the blocks thread 1 recycled"
         );
+    }
+
+    #[test]
+    fn failed_region_carve_succeeds_as_soon_as_a_region_is_recycled() {
+        let (_, heap, mut ta1) = mk();
+        // Hold every region the frontier can supply.
+        let mut held = Vec::new();
+        while let Some(r) = heap.carve_region(&mut ta1) {
+            held.push(r);
+        }
+        // A second thread on another stripe finds nothing — and keeps
+        // finding nothing, without the empty answer going stale.
+        let mut ta2 = ThreadAlloc::with_stripe(ta1.stripe() + 1);
+        assert_eq!(heap.carve_region(&mut ta2), None);
+        assert_eq!(heap.carve_region(&mut ta2), None);
+        // Thread 1 recycles one region (to its home shard — regions are
+        // too big to cache): the very next carve anywhere must see it.
+        let region = held.pop().unwrap();
+        assert_eq!(
+            heap.recycle_region_range(&mut ta1, region, NURSERY_REGION_BYTES),
+            NURSERY_REGION_BYTES
+        );
+        assert_eq!(heap.carve_region(&mut ta2), Some(region));
+        assert_eq!(heap.carve_region(&mut ta2), None, "and the count drains");
+    }
+
+    #[test]
+    fn big_blocks_are_never_stranded_in_a_private_cache() {
+        let (_, heap, mut ta1) = mk();
+        // Thread 1 owns every 200-byte block there will ever be (its
+        // frontier batch); the frontier is then burnt.
+        let a = heap.alloc(&mut ta1, 200).unwrap();
+        while heap.alloc(&mut ta1, 8).is_ok() {}
+        let mut ta2 = ThreadAlloc::with_stripe(ta1.stripe() + 1);
+        assert!(heap.alloc(&mut ta2, 200).is_err(), "nothing to serve it");
+        // Thread 1 frees one block — far below any spill threshold — and
+        // thread 2 can have it at once.
+        heap.free(&mut ta1, a);
+        assert_eq!(heap.alloc(&mut ta2, 200), Ok(a));
     }
 
     #[test]
