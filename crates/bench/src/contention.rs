@@ -356,6 +356,10 @@ pub fn contention_json(opts: &ExptOpts, rows: &[ContentionRow]) -> String {
     out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
     out.push_str(&format!("  \"threads\": {},\n", opts.threads.max(2)));
     out.push_str(&format!(
+        "  \"machine\": {},\n",
+        crate::report::machine_json()
+    ));
+    out.push_str(&format!(
         "  \"serialize_threshold\": {SERIALIZE_THRESHOLD},\n"
     ));
     out.push_str("  \"rows\": [\n");

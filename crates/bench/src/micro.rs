@@ -340,6 +340,36 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
         }
     }
 
+    // --- transaction fixed cost: begin + commit around 0 / 1 / 2 barriers ---
+    // The layer the rows above amortize away. Same loops as the
+    // benchmark's `stm.worker.{empty,ro1,rw1}_txn_ns` (nursery preset, one
+    // shared word); reported in ns per *transaction*, a batch per `run` so
+    // the sample timer stays a small term.
+    const TXN_BATCH: u64 = 64;
+    for (name, barriers) in [("txn_empty", 0), ("txn_ro1", 1), ("txn_rw1", 2)] {
+        let (rt, mut w) = spawn(nursery_cfg(false));
+        let buf = rt.alloc_global(8);
+        rows.push(Row {
+            name: name.into(),
+            run: Box::new(move || {
+                for _ in 0..TXN_BATCH {
+                    std::hint::black_box(w.txn(|tx| {
+                        if barriers == 0 {
+                            return Ok(0);
+                        }
+                        let x = tx.read(&S_SHARED, buf)?;
+                        if barriers == 2 {
+                            tx.write(&S_SHARED, buf, x.wrapping_add(1))?;
+                        }
+                        Ok(x)
+                    }));
+                }
+            }),
+            accesses: TXN_BATCH,
+            samples: Vec::new(),
+        });
+    }
+
     // Display order == declaration order; interleaving only affects when
     // each row's batches execute.
     measure_interleaved(opts, rows)
@@ -387,6 +417,15 @@ pub fn ranged_ratio(results: &[MicroResult]) -> Option<f64> {
     }
 }
 
+/// Transaction fixed cost in units of the shared slow path: the
+/// `txn_empty` row (ns per transaction) over the `full barrier (shared)`
+/// row (ns per access) — how many full barriers one begin + commit costs.
+pub fn txn_fixed_ratio(results: &[MicroResult]) -> Option<f64> {
+    let find = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.ns_per_op);
+    let full = find("full barrier (shared)")?;
+    (full > 0.0).then_some(find("txn_empty")? / full)
+}
+
 fn ratio_of(results: &[MicroResult], name: &str) -> Option<f64> {
     let find = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.ns_per_op);
     let direct = find("direct (load+store, no barrier)")?;
@@ -412,6 +451,7 @@ pub fn render_markdown(results: &[MicroResult], opts: &MicroOpts) -> String {
         "{} words per txn, one write + one read each; median of {} samples x {} txns.\n\n",
         WORDS, opts.samples, opts.txns_per_sample
     ));
+    out.push_str("`txn_*` rows are ns per whole transaction (begin + commit included).\n\n");
     out.push_str("| path | ns/access |\n|---|---:|\n");
     for r in results {
         out.push_str(&format!("| {} | {:.2} |\n", r.name, r.ns_per_op));
@@ -436,6 +476,11 @@ pub fn render_markdown(results: &[MicroResult], opts: &MicroOpts) -> String {
             "ranged captured span 64 vs per-word (tree captured hit): {ratio:.2}x per word\n"
         ));
     }
+    if let Some(ratio) = txn_fixed_ratio(results) {
+        out.push_str(&format!(
+            "transaction fixed cost (txn_empty) vs one full barrier (shared): {ratio:.2}x\n"
+        ));
+    }
     out
 }
 
@@ -446,7 +491,7 @@ mod tests {
     #[test]
     fn smoke_run_measures_every_path() {
         let results = barrier_dispatch(&MicroOpts::smoke());
-        assert_eq!(results.len(), 18);
+        assert_eq!(results.len(), 21);
         assert!(results.iter().all(|r| r.ns_per_op > 0.0));
         let ratio = fastpath_ratio(&results).expect("both pin measurements present");
         assert!(ratio.is_finite() && ratio > 0.0);
@@ -456,6 +501,8 @@ mod tests {
         assert!(tratio.is_finite() && tratio > 0.0);
         let rratio = ranged_ratio(&results).expect("ranged pin present");
         assert!(rratio.is_finite() && rratio > 0.0);
+        let fratio = txn_fixed_ratio(&results).expect("fixed-cost rows present");
+        assert!(fratio.is_finite() && fratio > 0.0);
         // No timing assertion here: debug builds and CI noise make absolute
         // ratios meaningless outside `--release` runs.
     }

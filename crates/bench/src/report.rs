@@ -8,7 +8,8 @@ use stamp::{Benchmark, Scale};
 use stm::{CheckScope, LogKind, Mode, TxConfig};
 
 use crate::micro::{
-    barrier_dispatch, fastpath_ratio, nursery_ratio, ranged_ratio, typed_ratio, MicroOpts,
+    barrier_dispatch, fastpath_ratio, nursery_ratio, ranged_ratio, txn_fixed_ratio, typed_ratio,
+    MicroOpts,
 };
 use crate::ExptOpts;
 
@@ -131,6 +132,7 @@ pub fn bench_json_from(
         opts.threads
     ));
     out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
+    out.push_str(&format!("  \"machine\": {},\n", machine_json()));
 
     out.push_str("  \"barrier_dispatch\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -159,6 +161,10 @@ pub fn bench_json_from(
     match ranged_ratio(results) {
         Some(r) => out.push_str(&format!("  \"ranged_span64_vs_per_word_ratio\": {r:.3},\n")),
         None => out.push_str("  \"ranged_span64_vs_per_word_ratio\": null,\n"),
+    }
+    match txn_fixed_ratio(results) {
+        Some(r) => out.push_str(&format!("  \"txn_empty_vs_full_barrier_ratio\": {r:.3},\n")),
+        None => out.push_str("  \"txn_empty_vs_full_barrier_ratio\": null,\n"),
     }
 
     out.push_str("  \"stamp\": [\n");

@@ -52,7 +52,7 @@ use crate::policy::{Capture, CapturePolicy};
 /// the classification scheme; the owning transaction descriptor drives the
 /// region lifecycle (carve / extend / chain / trim / recycle) because only
 /// it can talk to the allocator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NurseryLog {
     /// Lowest address still classified by the scalar range (raised past
     /// holes punched by in-transaction frees).
@@ -74,8 +74,21 @@ pub struct NurseryLog {
     regions: Vec<(u64, u64)>,
 }
 
+impl Default for NurseryLog {
+    fn default() -> NurseryLog {
+        NurseryLog {
+            lo: 0,
+            bump: 0,
+            hi: 0,
+            inner: 0,
+            marks: vec![0],
+            regions: Vec::new(),
+        }
+    }
+}
+
 impl NurseryLog {
-    /// An empty nursery (no region, no levels).
+    /// An empty nursery: no region, nesting level 1 open.
     pub fn new() -> NurseryLog {
         NurseryLog::default()
     }
@@ -127,20 +140,17 @@ impl NurseryLog {
         &self.regions
     }
 
-    /// Transaction begin: forget everything and open nesting level 1.
-    pub fn begin(&mut self) {
-        self.reset();
-        self.marks.push(0);
-    }
-
-    /// Forget all state (transaction end; the caller has already recycled
-    /// or published the regions).
+    /// Forget all state and reopen nesting level 1 (transaction end; the
+    /// caller has already recycled or published the regions). The next
+    /// transaction starts from exactly this state, so its begin does no
+    /// nursery work at all.
     pub fn reset(&mut self) {
         self.lo = 0;
         self.bump = 0;
         self.hi = 0;
         self.inner = 0;
         self.marks.clear();
+        self.marks.push(0);
         self.regions.clear();
     }
 
@@ -292,8 +302,7 @@ mod tests {
 
     #[test]
     fn empty_nursery_captures_nothing() {
-        let mut n = NurseryLog::new();
-        n.begin();
+        let n = NurseryLog::new();
         assert_eq!(n.classify(0), Capture::No);
         assert_eq!(n.classify(4096), Capture::No);
         assert!(!n.has_region());
@@ -302,7 +311,6 @@ mod tests {
     #[test]
     fn bump_allocations_classify_at_their_level() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
         assert_eq!(a, 4096);
@@ -330,7 +338,6 @@ mod tests {
     #[test]
     fn abort_level_reclaims_child_blocks() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
         n.push_level();
@@ -344,7 +351,6 @@ mod tests {
     #[test]
     fn lifo_free_bumps_back() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
         let b = n.try_alloc(32).unwrap();
@@ -357,7 +363,6 @@ mod tests {
     #[test]
     fn hole_punch_keeps_the_upper_half_scalar() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
         let freed = n.try_alloc(64).unwrap();
@@ -380,7 +385,6 @@ mod tests {
     fn composition_falls_back_to_the_paper_log() {
         let mut n = NurseryLog::new();
         let mut tree = RangeTree::new();
-        n.begin();
         n.switch_region(4096, 256);
         let a = n.try_alloc(64).unwrap();
         let f = n.try_alloc(64).unwrap();
@@ -400,7 +404,6 @@ mod tests {
     #[test]
     fn retire_and_switch_regions() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 256);
         n.try_alloc(64).unwrap();
         n.push_level();
@@ -420,7 +423,6 @@ mod tests {
     #[test]
     fn extend_active_grows_in_place() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 64);
         n.try_alloc(64).unwrap();
         assert_eq!(n.try_alloc(16), None);
@@ -434,7 +436,6 @@ mod tests {
     #[test]
     fn clear_active_empties_the_scalar_range() {
         let mut n = NurseryLog::new();
-        n.begin();
         n.switch_region(4096, 256);
         let a = n.try_alloc(64).unwrap();
         n.push_level();

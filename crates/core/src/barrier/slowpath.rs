@@ -97,6 +97,7 @@ impl WorkerCtx<'_> {
                 self.stats.conflict_validation += 1;
                 return Err(Abort::Conflict);
             }
+            self.cm_announce()?;
             match orec.compare_exchange_weak(v, lock_value(me), Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
@@ -246,6 +247,7 @@ impl WorkerCtx<'_> {
                 self.stats.conflict_validation += 1;
                 return Err(Abort::Conflict);
             }
+            self.cm_announce()?;
             match orec.compare_exchange_weak(v, lock_value(me), Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {

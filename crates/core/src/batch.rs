@@ -168,7 +168,7 @@ impl<'rt> WorkerCtx<'rt> {
         // transaction — "the conflicting remainder retries unmerged" —
         // then full-width merging resumes.
         let mut degraded = false;
-        let mut t0 = std::time::Instant::now();
+        let mut t0 = self.stats.latency_sample_start();
         while total < n {
             let quota = if degraded { 1 } else { n - total };
             self.batch_base = total;
@@ -176,11 +176,11 @@ impl<'rt> WorkerCtx<'rt> {
             total += committed;
             if committed > 0 {
                 // Forward progress: de-escalate the contention ladder and
-                // book the committed window's wall-clock latency (retried
-                // attempts since the last committed window included).
+                // book the committed window's latency if it was sampled
+                // (retried attempts since the last committed window included).
                 self.cm_reset();
-                self.stats.record_latency_ns(t0.elapsed().as_nanos() as u64);
-                t0 = std::time::Instant::now();
+                self.stats.latency_sample_end(t0);
+                t0 = self.stats.latency_sample_start();
             }
             match end {
                 WindowEnd::Stopped => {

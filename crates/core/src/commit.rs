@@ -14,6 +14,7 @@ use txmem::{Addr, HEADER_BYTES, WORD_BYTES};
 use crate::durable::RecordEncoder;
 use crate::nursery::NurseryCp;
 use crate::orec::{is_locked, owner_of};
+use crate::stats::TxnDelta;
 use crate::worker::{AllocHome, Tx, TxResult, WorkerCtx};
 
 /// Snapshot of the log positions at nested-transaction begin; partial abort
@@ -52,11 +53,7 @@ impl<'rt> WorkerCtx<'rt> {
                 && self.frees.is_empty(),
             "stale transaction logs at begin"
         );
-        // Contention-manager gate first: a serialization-token holder must
-        // be able to drain workers parked here, including ones that would
-        // otherwise sit in the durable quiesce gate below with their
-        // active flag raised.
-        self.cm_enter();
+        self.cm_enter(); // before the quiesce gate, see its docs
         if self.durable_on {
             // Join the checkpointer's quiesce protocol *before* sampling
             // the clock: the snapshot clock must bound every transaction
@@ -65,7 +62,7 @@ impl<'rt> WorkerCtx<'rt> {
         }
         self.rv = self.rt.clock.read();
         self.depth = 1;
-        self.sp_marks.clear();
+        debug_assert!(self.sp_marks.is_empty(), "stale sp marks at begin");
         let sp = self.stack.sp();
         self.sp_marks.push(sp);
         self.sp_outer = sp;
@@ -73,41 +70,24 @@ impl<'rt> WorkerCtx<'rt> {
         debug_assert_eq!(self.cap_len, 0, "stale capture cache at begin");
         debug_assert_eq!(self.nursery_live, 0, "stale nursery bytes at begin");
         debug_assert!(self.nursery_reclaim.is_empty(), "stale reclaims at begin");
-        self.nursery_begin();
+        // The nursery and its inline window were reset at transaction end.
+        debug_assert!(self.nur.region_count() == 0 && (self.nur_rlen | self.nur_wlen) == 0);
     }
 
     /// Validate the whole read set against the *current* record versions.
-    /// A record we have since locked ourselves is consistent iff its
-    /// pre-lock version equals the version we observed at read time.
     pub(crate) fn validate(&self) -> bool {
-        for r in &self.reads {
-            let cur = self.rt.orecs.at(r.idx).load(Ordering::Acquire);
-            if cur == r.version {
-                continue;
-            }
-            if is_locked(cur) && owner_of(cur) == self.tid() as u64 {
-                let prev = self
-                    .locks
-                    .iter()
-                    .find(|l| l.idx == r.idx)
-                    .map(|l| l.prev)
-                    .unwrap_or(u64::MAX);
-                if prev == r.version {
-                    continue;
-                }
-            }
-            return false;
-        }
-        true
+        self.first_invalid_read().is_none()
     }
 
     /// Position of the first read-set entry that no longer validates, or
-    /// `None` when the whole read set is consistent. The watermark-aware
-    /// batch commit uses the position to find the earliest logical
-    /// transaction touched by a conflict: everything before it is a clean
-    /// prefix that can be salvaged. Scan order is append order, which is
-    /// execution order — so "first invalid entry" and "earliest dirty
-    /// logical transaction" coincide.
+    /// `None` when the whole read set is consistent. A record we have since
+    /// locked ourselves is consistent iff its pre-lock version equals the
+    /// version we observed at read time. The watermark-aware batch commit
+    /// uses the position to find the earliest logical transaction touched
+    /// by a conflict: everything before it is a clean prefix that can be
+    /// salvaged. Scan order is append order, which is execution order — so
+    /// "first invalid entry" and "earliest dirty logical transaction"
+    /// coincide.
     pub(crate) fn first_invalid_read(&self) -> Option<usize> {
         for (i, r) in self.reads.iter().enumerate() {
             let cur = self.rt.orecs.at(r.idx).load(Ordering::Acquire);
@@ -197,25 +177,27 @@ impl<'rt> WorkerCtx<'rt> {
         self.stats.tx_frees += n_frees as u64;
         // Publish the nursery as ordinary heap memory: trim the unused
         // region tail back to the shards, flush deferred hole reclaims.
-        if self.nursery_on {
-            self.nursery_commit();
-        }
+        self.nursery_commit();
         // Allocations survive; the allocation log empties at transaction
         // end (paper §3.1.3: "allocation log gets emptied on every
-        // transaction end").
-        self.allocs.clear();
-        (self.table.reset)(&mut self.logs);
-        self.clear_capture_cache();
-        if let Some(t) = self.classify_log.as_mut() {
-            t.reset();
+        // transaction end"). Entries live and die with their `allocs` record.
+        if !self.allocs.is_empty() {
+            self.allocs.clear();
+            (self.table.reset)(&mut self.logs);
+            self.clear_capture_cache();
+            if let Some(t) = self.classify_log.as_mut() {
+                t.reset();
+            }
         }
         self.reads.clear();
         self.undo.clear();
         self.depth = 0;
         self.sp_marks.clear();
         self.stats.commits += 1;
-        let delta = std::mem::take(&mut self.pending);
-        self.stats.absorb(&delta);
+        if self.pending != TxnDelta::default() {
+            let delta = std::mem::take(&mut self.pending);
+            self.stats.absorb(&delta);
+        }
         if self.durable_on {
             self.durable_flush(false);
             self.rt.durable.as_ref().unwrap().exit_active();
@@ -272,9 +254,7 @@ impl<'rt> WorkerCtx<'rt> {
         }
         self.allocs = allocs;
         self.allocs.clear();
-        if self.nursery_on {
-            self.nursery_abort();
-        }
+        self.nursery_abort();
         (self.table.reset)(&mut self.logs);
         self.clear_capture_cache();
         if let Some(t) = self.classify_log.as_mut() {

@@ -17,8 +17,9 @@
 //! 3. **Serialization token** — past [`TxConfig::serialize_threshold`]
 //!    attempts (or the [`TxConfig::cm_time_budget_ms`] wall-clock budget),
 //!    the transaction takes a global token, drains every in-flight
-//!    transaction, and runs *solo*. A solo transaction encounters no
-//!    foreign locks and no read invalidations, so it cannot conflict-abort:
+//!    *writer*, and runs solo among lock holders (invisible readers carry
+//!    on beside it). It encounters no foreign locks and no read
+//!    invalidations, so it cannot conflict-abort:
 //!    its next attempt commits. That is the forward-progress guarantee that
 //!    replaces the `max_attempts` panic under
 //!    [`ContentionPolicy::Adaptive`].
@@ -43,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use txmem::CachePadded;
 
-use crate::worker::WorkerCtx;
+use crate::worker::{Abort, TxResult, WorkerCtx};
 
 /// Which contention manager runs the abort/retry path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -168,14 +169,15 @@ impl ChaosPlan {
 /// and the per-thread active flags its drain protocol scans.
 ///
 /// `token` holds `0` when free and `tid + 1` while thread `tid` serializes.
-/// `active[t]` is set while thread `t` is inside a (non-token) physical
-/// transaction. Both sides of the entry/acquire race use `SeqCst` so the
-/// classic Dekker argument applies: an enterer stores its flag *then* loads
-/// the token, an acquirer CASes the token *then* scans the flags — in the
-/// single total order one of them must see the other.
+/// `active[t]` is set from thread `t`'s first orec lock acquisition to the
+/// end of that (non-token) physical transaction; readers and captured-only
+/// writers never raise it. Both sides of the announce/acquire race use
+/// `SeqCst` so the classic Dekker argument applies: a writer stores its
+/// flag *then* loads the token, an acquirer CASes the token *then* scans
+/// the flags — in the single total order one of them must see the other.
 ///
-/// Per-thread cache-padded flags (not a shared counter) keep transaction
-/// begin/end from bouncing one global cache line across every worker.
+/// Per-thread cache-padded flags (not a shared counter) keep writers from
+/// bouncing one global cache line across every worker.
 pub(crate) struct ContentionState {
     token: CachePadded<AtomicU64>,
     active: Box<[CachePadded<AtomicBool>]>,
@@ -193,43 +195,56 @@ impl ContentionState {
 }
 
 impl WorkerCtx<'_> {
-    /// Contention-manager gate at top-level transaction begin: announce
-    /// this worker as active, and stand down while a serialization-token
-    /// holder runs solo. Called before the durable quiesce gate — a token
-    /// holder must be able to drain workers parked *at* transaction entry.
+    /// Contention-manager gate at top-level transaction begin: stand down
+    /// while a serialization-token holder runs solo (never, under the
+    /// backoff policy). A plain load, nothing announced — an invisible
+    /// reader holds no orec lock and bumps no version, so the holder need
+    /// not drain it; the wait only spares a writer the abort `cm_announce`
+    /// would hand it. Called before the durable quiesce gate, which the
+    /// holder may itself be waiting at.
+    #[inline]
     pub(crate) fn cm_enter(&mut self) {
-        if !self.cm_adaptive || self.holds_token {
-            // Backoff policy keeps the legacy free-for-all; a token holder
-            // needs no active flag — the token itself excludes everyone.
-            return;
-        }
-        let cm = &self.rt.cm;
-        let me = self.tid();
-        cm.active[me].store(true, Ordering::SeqCst);
-        while cm.token.load(Ordering::SeqCst) != 0 {
-            // A chronic aborter is serializing: retract the flag so it can
-            // finish draining, wait for its (guaranteed) commit, re-gate.
-            cm.active[me].store(false, Ordering::SeqCst);
-            while cm.token.load(Ordering::Acquire) != 0 {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-            cm.active[me].store(true, Ordering::SeqCst);
+        while self.rt.cm.token.load(Ordering::Acquire) != 0 && !self.holds_token {
+            std::thread::yield_now();
         }
     }
 
-    /// Contention-manager exit at the end of every physical transaction
-    /// (commit *and* rollback): release the serialization token if held,
-    /// clear the active flag.
-    pub(crate) fn cm_exit(&mut self) {
-        if !self.cm_adaptive {
-            return;
+    /// Raise the active flag ahead of the transaction's *first* orec lock —
+    /// the enterer's half of the Dekker pair (flag store, then token load).
+    /// A writer that finds the token taken holds no lock yet: it retracts
+    /// the flag and conflict-aborts, to park at its next `cm_enter`. The
+    /// backoff policy keeps the legacy free-for-all, and a token holder
+    /// needs no flag — the token itself excludes every other writer.
+    #[inline]
+    pub(crate) fn cm_announce(&mut self) -> TxResult<()> {
+        if self.cm_announced || !self.cm_adaptive || self.holds_token {
+            return Ok(());
         }
+        let cm = &self.rt.cm;
+        cm.active[self.tid()].store(true, Ordering::SeqCst);
+        if cm.token.load(Ordering::SeqCst) != 0 {
+            cm.active[self.tid()].store(false, Ordering::Release);
+            self.stats.conflict_write_locked += 1;
+            return Err(Abort::Conflict);
+        }
+        self.cm_announced = true;
+        Ok(())
+    }
+
+    /// Contention-manager exit at every physical transaction end (commit,
+    /// rollback, worker drop): release the token if held, lower the active
+    /// flag if raised. `Release` pairs with the drain scan's load (a lowered
+    /// flag shows every lock release); nothing after needs store→load order.
+    #[inline]
+    pub(crate) fn cm_exit(&mut self) {
         if self.holds_token {
             self.holds_token = false;
             self.rt.cm.token.store(0, Ordering::SeqCst);
         }
-        self.rt.cm.active[self.tid()].store(false, Ordering::SeqCst);
+        if self.cm_announced {
+            self.cm_announced = false;
+            self.rt.cm.active[self.tid()].store(false, Ordering::Release);
+        }
     }
 
     /// Reset the per-transaction escalation state (new logical transaction
@@ -265,13 +280,15 @@ impl WorkerCtx<'_> {
             // (DESIGN.md §12). Retry immediately, keeping the token.
             return;
         }
-        if self.attempts == 1 {
-            self.cm_deadline =
-                Some(Instant::now() + Duration::from_millis(self.cfg.cm_time_budget_ms));
-        }
-        let over_time = self.cm_deadline.is_some_and(|d| Instant::now() >= d);
+        // One clock read per abort, none on the first: the second arms the
+        // budget (it cannot have passed that instant), later ones compare.
+        let over_time = self.attempts >= 2 && {
+            let now = Instant::now();
+            let budget = Duration::from_millis(self.cfg.cm_time_budget_ms);
+            now >= *self.cm_deadline.get_or_insert(now + budget)
+        };
         if (self.attempts >= self.cfg.serialize_threshold || over_time) && self.cm_acquire_token() {
-            // Token held and every other transaction drained: retry
+            // Token held and every other lock holder drained: retry
             // immediately — it cannot fail.
             return;
         }
@@ -289,7 +306,8 @@ impl WorkerCtx<'_> {
     }
 
     /// Try to take the global serialization token; on success, drain every
-    /// other in-flight transaction so the next attempt runs solo. Fails
+    /// other announced (lock-holding) transaction so the next attempt runs
+    /// solo among writers. Fails
     /// (without waiting) when another thread is already serializing — the
     /// caller backs off and stands down at its next `cm_enter`.
     fn cm_acquire_token(&mut self) -> bool {
@@ -304,9 +322,9 @@ impl WorkerCtx<'_> {
         }
         self.holds_token = true;
         self.stats.cm_serializations += 1;
-        // Drain: every active transaction either commits or aborts in
+        // Drain: every announced transaction either commits or aborts in
         // bounded time (lock holders progress, spinners exhaust their
-        // budget), and the token keeps new ones from entering.
+        // budget), and the token keeps new ones from taking a first lock.
         for (t, flag) in cm.active.iter().enumerate() {
             if t == me {
                 continue;
@@ -461,6 +479,46 @@ mod tests {
         // A second acquisition works (the token round-trips).
         assert!(w.cm_acquire_token());
         w.cm_exit();
+        assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn only_lock_holders_announce() {
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
+        let a = rt.alloc_global(64);
+        let flag = || rt.cm.active[0].load(Ordering::SeqCst);
+        static S: crate::Site = crate::Site::shared("announce");
+        let mut w = rt.spawn_worker();
+        // Reads and captured stores stay invisible; the first lock announces.
+        w.txn(|tx| {
+            tx.read(&S, a)?;
+            let p = tx.alloc(16)?;
+            tx.write(&S, p, 1)?;
+            assert!(tx.0.locks.is_empty() && !flag());
+            tx.write(&S, a, 2)?;
+            assert!(flag());
+            Ok(())
+        });
+        assert!(!flag(), "commit must lower the flag");
+        let r = w.txn_result(|tx| {
+            tx.write(&S, a, 3)?;
+            assert!(flag());
+            Err::<(), _>(tx.abort(7))
+        });
+        assert!(r == Err(7) && !flag(), "rollback must lower the flag");
+        // A closure that panics after its first write: `WorkerCtx::drop`
+        // must lower the lazily raised flag.
+        let panicked = std::thread::scope(|s| {
+            let job = s.spawn(|| {
+                rt.spawn_worker().txn(|tx| -> TxResult<()> {
+                    tx.write(&S, a.word(1), 4)?;
+                    assert!(rt.cm.active[tx.tid()].load(Ordering::SeqCst));
+                    panic!("closure panics holding a lock");
+                })
+            });
+            job.join().is_err()
+        });
+        assert!(panicked && rt.cm.active.iter().all(|f| !f.load(Ordering::SeqCst)));
         assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
     }
 }

@@ -65,12 +65,6 @@ impl WorkerCtx<'_> {
         };
     }
 
-    /// Transaction begin: reset the nursery and open level 1.
-    pub(crate) fn nursery_begin(&mut self) {
-        self.nur.begin();
-        self.refresh_nursery_window();
-    }
-
     /// Nested-transaction entry: snapshot the bump as the watermark.
     pub(crate) fn nursery_push_level(&mut self) {
         self.nur.push_level();
@@ -211,6 +205,9 @@ impl WorkerCtx<'_> {
     /// the shards and flushing the deferred hole reclaims to the thread's
     /// class free lists.
     pub(crate) fn nursery_commit(&mut self) {
+        if self.nur.region_count() == 0 {
+            return; // nothing carved (or its level partially aborted): still reset
+        }
         if self.nur.has_region() {
             let (tail, tail_len) = self.nur.retire_active();
             if tail_len > 0 {

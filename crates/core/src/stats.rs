@@ -11,7 +11,7 @@
 /// There is no `total` field: every barrier lands in exactly one of these
 /// counters, so the total is derived at absorb time — one counter bump per
 /// access instead of two.
-#[derive(Default, Clone, Copy, Debug)]
+#[derive(Default, Clone, Copy, Debug, PartialEq)]
 pub(crate) struct BarrierDelta {
     pub elided_stack: u64,
     pub elided_heap: u64,
@@ -33,7 +33,7 @@ pub(crate) struct BarrierDelta {
 /// ranged barrier still bumps the matching [`BarrierDelta`] counter by the
 /// run's word count, so the legacy stats stay bit-identical to a per-word
 /// loop and these counters only describe *how* the words were processed.
-#[derive(Default, Clone, Copy, Debug)]
+#[derive(Default, Clone, Copy, Debug, PartialEq)]
 pub(crate) struct RangedDelta {
     /// Ranged read operations entered (one per `read_range` call).
     pub reads: u64,
@@ -54,7 +54,7 @@ pub(crate) struct RangedDelta {
 /// machinery inherits the once-per-physical-transaction absorption
 /// contract: logical boundaries never flush stats, only a physical commit
 /// or rollback does.
-#[derive(Default, Clone, Copy, Debug)]
+#[derive(Default, Clone, Copy, Debug, PartialEq)]
 pub(crate) struct MergeDelta {
     /// Logical transactions committed inside a physical transaction that
     /// carried at least two of them.
@@ -71,7 +71,7 @@ pub(crate) struct MergeDelta {
 /// Both directions of [`BarrierDelta`] plus the ranged-op telemetry; lives
 /// on the worker and is taken (reset to zero) when flushed at commit or
 /// rollback.
-#[derive(Default, Clone, Copy, Debug)]
+#[derive(Default, Clone, Copy, Debug, PartialEq)]
 pub(crate) struct TxnDelta {
     pub reads: BarrierDelta,
     pub writes: BarrierDelta,
@@ -287,6 +287,10 @@ pub struct TxStats {
     /// Log2 histogram of top-level commit latencies in nanoseconds
     /// (wall-clock from retry-loop entry to commit, aborted attempts
     /// included); see [`LATENCY_BUCKETS`] and [`TxStats::latency_pct_ns`].
+    /// A deterministic 1-in-64 sample, first transaction included: of each
+    /// block of 64 commits only the transaction (or `txn_batch` window)
+    /// starting at offset `block % 64` reads the clock, so percentiles are
+    /// those of a sample that cannot lock onto a periodic workload.
     pub latency_hist: [u64; LATENCY_BUCKETS],
     /// Durable mode: words actually appended to the redo log — one per
     /// distinct shared-write address plus the coalesced final contents
@@ -379,6 +383,21 @@ impl TxStats {
     pub(crate) fn record_latency_ns(&mut self, ns: u64) {
         let log2 = (63 - (ns | 1).leading_zeros()) as usize;
         self.latency_hist[log2.saturating_sub(7).min(LATENCY_BUCKETS - 1)] += 1;
+    }
+
+    /// Start the latency clock iff the transaction (or `txn_batch` window)
+    /// about to run is a sampled one; see [`TxStats::latency_hist`].
+    #[inline]
+    pub(crate) fn latency_sample_start(&self) -> Option<std::time::Instant> {
+        (self.commits & 63 == (self.commits >> 6) & 63).then(std::time::Instant::now)
+    }
+
+    /// Book a sampled transaction's latency at its commit.
+    #[inline]
+    pub(crate) fn latency_sample_end(&mut self, t0: Option<std::time::Instant>) {
+        if let Some(t0) = t0 {
+            self.record_latency_ns(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Estimate the `p`-quantile (`0.0..=1.0`) of the commit-latency
@@ -509,6 +528,25 @@ mod tests {
         assert_eq!(s.latency_hist[0], 2);
         assert_eq!(s.latency_hist[1], 1);
         assert_eq!(s.latency_hist[LATENCY_BUCKETS - 1], 1);
+    }
+
+    #[test]
+    fn latency_is_a_one_in_64_sample_first_transaction_included() {
+        let cfg = crate::TxConfig::builder().merge_max(4).build().unwrap();
+        let rt = crate::StmRuntime::new(txmem::MemConfig::small(), cfg);
+        let mut w = rt.spawn_worker();
+        let sampled = |w: &crate::WorkerCtx<'_>| w.stats.latency_hist.iter().sum::<u64>();
+        w.txn(|_| Ok(()));
+        assert_eq!(sampled(&w), 1);
+        for _ in 1..6400 {
+            w.txn(|_| Ok(()));
+        }
+        assert_eq!((w.stats.commits, sampled(&w)), (6400, 100));
+        // Batch windows too: block 100 samples the one starting at offset 36.
+        for _ in 0..16 {
+            w.txn_batch(4, |_| Ok(true));
+        }
+        assert_eq!((w.stats.commits, sampled(&w)), (6464, 101));
     }
 
     #[test]

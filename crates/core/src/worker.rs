@@ -217,18 +217,21 @@ pub struct WorkerCtx<'rt> {
     /// Previous decorrelated-jitter backoff spin count (the `prev` of
     /// `sleep = rand(base, prev * 3)`); reset with `attempts`.
     pub(crate) backoff_prev: u64,
-    /// `cfg.contention_policy == Adaptive`, hoisted for the begin/end
-    /// gates (see `stm::contention`).
+    /// `cfg.contention_policy == Adaptive`, hoisted for the announce gate
+    /// and the abort ladder (see `stm::contention`).
     pub(crate) cm_adaptive: bool,
     /// This worker holds the global serialization token and is running (or
     /// about to run) solo.
     pub(crate) holds_token: bool,
+    /// This worker's active flag is raised (`cm_announce`, at the running
+    /// transaction's first lock acquisition); `cm_exit` lowers it.
+    pub(crate) cm_announced: bool,
     /// Live lock-spin budget for the slow-path barriers: `cfg.spin_tries`
     /// normally, escalated by the adaptive ladder's karma tier while a
     /// transaction keeps aborting (reset with `attempts`).
     pub(crate) spin_budget: u32,
     /// Wall-clock deadline of the retried transaction's contention-manager
-    /// time budget (`cfg.cm_time_budget_ms`, armed at its first abort):
+    /// time budget (`cfg.cm_time_budget_ms`, armed at its second abort):
     /// past it, the adaptive ladder serializes regardless of the attempt
     /// count.
     pub(crate) cm_deadline: Option<std::time::Instant>,
@@ -320,6 +323,7 @@ impl<'rt> WorkerCtx<'rt> {
             backoff_prev: 0,
             cm_adaptive: cfg.contention_policy == crate::contention::ContentionPolicy::Adaptive,
             holds_token: false,
+            cm_announced: false,
             spin_budget: cfg.spin_tries,
             cm_deadline: None,
             chaos_on: cfg.chaos.is_some(),
@@ -558,7 +562,7 @@ impl<'rt> WorkerCtx<'rt> {
     ) -> Result<T, u64> {
         debug_assert_eq!(self.depth, 0, "txn() cannot nest; use Tx::nested");
         self.cm_reset();
-        let t0 = std::time::Instant::now();
+        let t0 = self.stats.latency_sample_start();
         loop {
             self.begin_top();
             let result = {
@@ -568,7 +572,7 @@ impl<'rt> WorkerCtx<'rt> {
             match result {
                 Ok(v) => {
                     if self.try_commit() {
-                        self.stats.record_latency_ns(t0.elapsed().as_nanos() as u64);
+                        self.stats.latency_sample_end(t0);
                         return Ok(v);
                     }
                     self.cm_after_abort();

@@ -215,8 +215,116 @@ fn run_long_reader(cfg: &TxConfig, threads: usize, scans: usize) -> stm::TxStats
     rt.collect_stats()
 }
 
+/// Spin (yielding) until `ready()`; a yield budget rather than a wall-clock
+/// one, so a protocol that parks the party being waited for fails the test
+/// instead of hanging it.
+fn wait_for(what: &str, ready: impl Fn() -> bool) {
+    let mut yields = 0u64;
+    while !ready() {
+        yields += 1;
+        assert!(yields < 20_000_000, "stalled waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Readers beside a serializing writer. Every `episode` the writer (worker
+/// 0) first waits until each of the `readers` scanners is *inside* a
+/// read-only transaction, half-way through the table and holding there;
+/// then drives itself to the serialization tier (its closure returns
+/// `Abort::Conflict` before writing anything, `serialize_threshold` times),
+/// so its next invocation is the solo attempt, token in hand. The scanners
+/// only move on once that attempt has committed: a token holder that had to
+/// drain in-flight readers would wait for them forever. Every committed
+/// scan must sum to the conserved total, and the holder must commit on its
+/// first solo attempt.
+fn run_readers_beside_token(cfg: &TxConfig, readers: usize, episodes: u64) -> stm::TxStats {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const ACCOUNTS: u64 = 16;
+    const SEED_BALANCE: u64 = 1_000;
+    let rt = StmRuntime::new(mem_cfg(readers + 1), *cfg);
+    let base = rt.alloc_global(ACCOUNTS * 8);
+    for i in 0..ACCOUNTS {
+        rt.mem().store(base.word(i), SEED_BALANCE);
+    }
+    // `committed` counts the writer's finished episodes; `holding[r]` is the
+    // episode (+1) reader `r` is holding mid-scan for.
+    let committed = AtomicU64::new(0);
+    let holding: Vec<AtomicU64> = (0..readers).map(|_| AtomicU64::new(0)).collect();
+    std::thread::scope(|s| {
+        for mine in &holding {
+            let (rt, committed) = (&rt, &committed);
+            s.spawn(move || {
+                let mut w = rt.spawn_worker();
+                while committed.load(Ordering::Acquire) < episodes {
+                    // Hold once per scan, not per retry: a scan the writer's
+                    // commit invalidated re-runs straight through.
+                    let mut held = false;
+                    let sum = w.txn(|tx| {
+                        let mut acc = 0u64;
+                        for i in 0..ACCOUNTS {
+                            if i == ACCOUNTS / 2 && !std::mem::replace(&mut held, true) {
+                                let e = committed.load(Ordering::Acquire);
+                                mine.store(e + 1, Ordering::Release);
+                                wait_for("the token holder's commit", || {
+                                    committed.load(Ordering::Acquire) > e
+                                });
+                            }
+                            acc += tx.read(&S_ACCT, base.word(i))?;
+                        }
+                        Ok(acc)
+                    });
+                    assert_eq!(sum, ACCOUNTS * SEED_BALANCE, "scan saw a torn snapshot");
+                }
+            });
+        }
+        let mut w = rt.spawn_worker();
+        let mut rng = Rng(0x2B99_4D7A_93F1_6E05);
+        for e in 0..episodes {
+            wait_for("every reader to be mid-scan", || {
+                holding.iter().all(|h| h.load(Ordering::Acquire) == e + 1)
+            });
+            let (from, to) = (rng.next() % ACCOUNTS, rng.next() % ACCOUNTS);
+            let mut invocation = 0u64;
+            w.txn(|tx| {
+                invocation += 1;
+                let f = tx.read(&S_ACCT, base.word(from))?;
+                if invocation <= cfg.serialize_threshold {
+                    return Err(Abort::Conflict); // climb the ladder, lock-free
+                }
+                tx.write(&S_ACCT, base.word(from), f.wrapping_sub(1))?;
+                let v = tx.read(&S_ACCT, base.word(to))?;
+                tx.write(&S_ACCT, base.word(to), v.wrapping_add(1))
+            });
+            assert_eq!(
+                invocation,
+                cfg.serialize_threshold + 1,
+                "the token holder must commit on its first solo attempt"
+            );
+            committed.store(e + 1, Ordering::Release);
+        }
+    });
+    let total: u64 = (0..ACCOUNTS).map(|i| rt.mem().load(base.word(i))).sum();
+    assert_eq!(total, ACCOUNTS * SEED_BALANCE, "transfers lost money");
+    rt.collect_stats()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Reader-heavy arm: three scanners sit mid-transaction through every
+    // one of a writer's token episodes, under chaos; the episode never
+    // waits for them and their snapshots stay consistent.
+    #[test]
+    fn chaotic_readers_run_beside_the_token_holder(seed in 1u64..u64::MAX, period in 2u64..6) {
+        let cfg = adaptive_cfg(Some(ChaosPlan::all(seed, period)));
+        let stats = run_readers_beside_token(&cfg, 3, 12);
+        prop_assert_eq!(stats.cm_serializations, 12, "one token episode each: {:?}", stats);
+        prop_assert!(
+            stats.attempts_max <= attempt_bound(&cfg, 4),
+            "retry chain exceeded the liveness bound: {stats:?}"
+        );
+        prop_assert!(stats.commits_ro >= 3 * 12, "scans must commit read-only: {stats:?}");
+    }
 
     // Hot words under chaos: random seeds and injection periods, exact
     // sums, and a worst-case retry chain bounded by the ladder argument.
