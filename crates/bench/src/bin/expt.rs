@@ -80,7 +80,8 @@
 //!                                # --max-durability-tax gates the captured
 //!                                # driver's strict row against its own
 //!                                # transient row (release acceptance bar
-//!                                # 12.0 — transient captured commits are
+//!                                # 4.0, the row measures 2.0 at 2 threads
+//!                                # — transient captured commits are
 //!                                # nearly free, so the ratio is large by
 //!                                # construction; CI smoke uses a loose
 //!                                # bound — debug builds skip with a note,

@@ -288,6 +288,10 @@ pub fn durability_json(opts: &ExptOpts, rows: &[DurabilityRow]) -> String {
     out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
     out.push_str(&format!("  \"threads\": {},\n", opts.threads.max(1)));
     out.push_str(&format!(
+        "  \"machine\": {},\n",
+        crate::report::machine_json()
+    ));
+    out.push_str(&format!(
         "  \"modes\": [{}],\n",
         MODES
             .iter()
@@ -428,6 +432,7 @@ mod tests {
         let rows = vec![fake_row("shared", "off", 1.0)];
         let json = durability_json(&opts, &rows);
         assert!(json.contains("\"schema\": \"bench_durability/v1\""));
+        assert!(json.contains("\"machine\": {\"available_parallelism\": "));
         assert!(json.contains("\"modes\": [\"off\", \"strict\", \"group8\"]"));
         assert!(json.contains("\"skip_ratio\": 0.5000"));
         let balance = |open: char, close: char| {

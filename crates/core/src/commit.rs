@@ -409,10 +409,13 @@ impl<'rt> WorkerCtx<'rt> {
             + w.elided_static_interproc
             + w.elided_annotation
             + w.parent_captured;
+        if self.undo.is_empty() && self.allocs.is_empty() {
+            return; // read-only: nothing to gather, the count rides the next record
+        }
         // Surviving allocations → coalesced content ranges. The header
         // word rides along so recovery restores allocator metadata too.
-        // (`dur_ranges`/`dur_puts` are worker-owned scratch: this runs on
-        // every durable commit, so it must not allocate.)
+        // (`dur_ranges`/`dur_puts`/`dur_words` are worker-owned scratch:
+        // this runs on every durable commit, so it must not allocate.)
         let mut ranges = std::mem::take(&mut self.dur_ranges);
         ranges.clear();
         for rec in &self.allocs {
@@ -459,21 +462,22 @@ impl<'rt> WorkerCtx<'rt> {
                 t.wv
             }
         };
-        let seq = ds.next_seq(self.tid());
-        let mut enc = RecordEncoder::new(seq, wv, self.rt.heap.frontier(), total);
-        let mut words = 0u64;
+        // Encoded where it is flushed from: straight into `dur_buf`, behind
+        // any records group commit is still holding there.
+        let head = [ds.next_seq(self.tid()), wv, self.rt.heap.frontier(), total];
+        let mut enc = RecordEncoder::new(&mut self.dur_buf, head);
+        let mut words = puts.len() as u64;
         for &a in &puts {
             enc.put(a, self.mem.load_private(Addr(a)));
-            words += 1;
         }
         for &(start, n) in &ranges {
-            enc.begin_range(start, n as u32);
-            for i in 0..n {
-                enc.word(self.mem.load_private(Addr(start + i * WORD_BYTES)));
-            }
+            self.dur_words.resize(n as usize, 0);
+            self.mem
+                .load_range_private(Addr(start), &mut self.dur_words);
+            enc.range(start, &self.dur_words);
             words += n;
         }
-        enc.finish(&mut self.dur_buf);
+        enc.finish();
         self.dur_ranges = ranges;
         self.dur_puts = puts;
         self.dur_records += 1;
@@ -496,7 +500,7 @@ impl<'rt> WorkerCtx<'rt> {
             return;
         }
         let ds = self.rt.durable.as_ref().unwrap();
-        ds.disk.append(&self.dur_log_name, &self.dur_buf);
+        ds.disk.append_log(self.tid(), &self.dur_buf);
         self.dur_buf.clear();
         self.dur_records = 0;
         self.stats.durable_flushes += 1;

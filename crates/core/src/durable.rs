@@ -54,9 +54,11 @@ use txmem::{Addr, MemConfig};
 use crate::config::TxConfig;
 use crate::runtime::StmRuntime;
 
-/// CRC-32 (IEEE) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE) slicing-by-8 tables, built at compile time: `[0]` is the
+/// classic bytewise table, `[k][b]` the CRC of byte `b` followed by `k`
+/// zero bytes — so eight table reads retire eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -69,16 +71,39 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let p = t[k - 1][i];
+            t[k][i] = (p >> 8) ^ t[0][(p & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    const T: &[[u32; 256]; 8] = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        c = T[7][(lo & 0xFF) as usize]
+            ^ T[6][((lo >> 8) & 0xFF) as usize]
+            ^ T[5][((lo >> 16) & 0xFF) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][ch[4] as usize]
+            ^ T[2][ch[5] as usize]
+            ^ T[1][ch[6] as usize]
+            ^ T[0][ch[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -134,27 +159,49 @@ pub struct FaultPlan {
     pub torn_keep: u32,
 }
 
-/// Append without the per-call key allocation `HashMap::entry` would
-/// force — this runs under the disk lock on every flushed commit.
-fn append_to(files: &mut HashMap<String, Vec<u8>>, name: &str, bytes: &[u8]) {
-    match files.get_mut(name) {
-        Some(f) => f.extend_from_slice(bytes),
-        None => {
-            files.insert(name.to_string(), bytes.to_vec());
+/// Index of the redo log a file name denotes (`"log-N"` → `N`).
+fn log_index(name: &str) -> Option<usize> {
+    name.strip_prefix("log-")?.parse().ok()
+}
+
+/// Everything behind the disk lock.
+#[derive(Default)]
+struct DiskState {
+    /// Redo logs by worker tid (`"log-N"` is `logs[N]`; absent = empty):
+    /// the append path indexes, it never hashes a name.
+    logs: Vec<Vec<u8>>,
+    /// Every other file (manifest, snapshots) by name.
+    named: HashMap<String, Vec<u8>>,
+    /// The armed fault plan: an append consults it under the lock it holds.
+    plan: Option<FaultPlan>,
+}
+
+impl DiskState {
+    fn file(&mut self, name: &str) -> Option<&mut Vec<u8>> {
+        match log_index(name) {
+            Some(i) => self.logs.get_mut(i),
+            None => self.named.get_mut(name),
         }
+    }
+
+    fn log_mut(&mut self, log: usize) -> &mut Vec<u8> {
+        if log >= self.logs.len() {
+            self.logs.resize_with(log + 1, Vec::new);
+        }
+        &mut self.logs[log]
     }
 }
 
-/// The simulated persistent medium behind a durable runtime: a map of
-/// named append-only files, shared by workers, checkpointer, and — after
-/// a simulated kill — the recovery path. All mutations are serialized;
-/// a kill ([`FaultPlan`]) atomically turns every later mutation into a
-/// no-op, which models a machine that stops mid-pipeline without
-/// unwinding anything.
+/// The simulated persistent medium behind a durable runtime: a set of
+/// append-only redo logs plus named files, shared by workers,
+/// checkpointer, and — after a simulated kill — the recovery path. All
+/// mutations are serialized by one lock; a kill ([`FaultPlan`])
+/// atomically turns every later mutation into a no-op, which models a
+/// machine that stops mid-pipeline without unwinding anything.
 pub struct SimDisk {
-    files: Mutex<HashMap<String, Vec<u8>>>,
+    state: Mutex<DiskState>,
     dead: AtomicBool,
-    plan: Mutex<Option<FaultPlan>>,
+    /// Written only under the `state` lock (load + store, no RMW).
     appends: AtomicU64,
 }
 
@@ -162,16 +209,15 @@ impl SimDisk {
     /// A fresh, empty, live disk.
     pub fn new() -> Arc<SimDisk> {
         Arc::new(SimDisk {
-            files: Mutex::new(HashMap::new()),
+            state: Mutex::default(),
             dead: AtomicBool::new(false),
-            plan: Mutex::new(None),
             appends: AtomicU64::new(0),
         })
     }
 
     /// Arm a one-shot fault plan. Replaces any previously armed plan.
     pub fn arm(&self, plan: FaultPlan) {
-        *self.plan.lock().unwrap() = Some(plan);
+        self.state.lock().unwrap().plan = Some(plan);
     }
 
     /// Has a fault plan fired? The workload harness polls this to stop
@@ -183,7 +229,7 @@ impl SimDisk {
     /// Bring the disk back to life (recovery does this): mutations work
     /// again, and any armed plan is cleared.
     pub fn revive(&self) {
-        *self.plan.lock().unwrap() = None;
+        self.state.lock().unwrap().plan = None;
         self.dead.store(false, Ordering::Release);
     }
 
@@ -191,82 +237,66 @@ impl SimDisk {
         self.dead.store(true, Ordering::Release);
     }
 
-    /// Append `bytes` to `name`, honoring an armed flush-phase fault plan.
-    /// Returns false if the disk was (or just became) dead and the bytes
-    /// did not fully land.
-    pub(crate) fn append(&self, name: &str, bytes: &[u8]) -> bool {
-        let mut files = self.files.lock().unwrap();
+    /// Append `bytes` to redo log `log` (the worker's tid), honoring an
+    /// armed flush-phase fault plan. Returns false if the disk was (or just
+    /// became) dead and the bytes did not fully land.
+    pub(crate) fn append_log(&self, log: usize, bytes: &[u8]) -> bool {
+        let mut st = self.state.lock().unwrap();
         if self.is_killed() {
             return false;
         }
-        let idx = self.appends.fetch_add(1, Ordering::AcqRel);
-        let fired = {
-            let plan = self.plan.lock().unwrap();
-            match *plan {
-                Some(p)
-                    if p.at == idx
-                        && matches!(
-                            p.phase,
-                            FaultPhase::PreFlush | FaultPhase::TornFlush | FaultPhase::PostFlush
-                        ) =>
-                {
-                    Some(p)
-                }
-                _ => None,
-            }
-        };
-        match fired {
-            Some(p) if p.phase == FaultPhase::PreFlush => {
-                self.kill();
-                false
-            }
+        let idx = self.appends.load(Ordering::Relaxed);
+        self.appends.store(idx + 1, Ordering::Release);
+        let (keep, dies) = match st.plan.filter(|p| p.at == idx) {
+            Some(p) if p.phase == FaultPhase::PreFlush => (0, true),
             Some(p) if p.phase == FaultPhase::TornFlush => {
-                let keep = (p.torn_keep as usize).min(bytes.len());
-                append_to(&mut files, name, &bytes[..keep]);
-                self.kill();
-                false
+                ((p.torn_keep as usize).min(bytes.len()), true)
             }
-            fired => {
-                append_to(&mut files, name, bytes);
-                if fired.is_some() {
-                    // PostFlush: the record landed, then the machine died.
-                    self.kill();
-                    false
-                } else {
-                    true
-                }
-            }
+            // PostFlush: the record landed, then the machine died.
+            Some(p) if p.phase == FaultPhase::PostFlush => (bytes.len(), true),
+            // No plan, or a checkpoint-phase plan: not this path's fault.
+            _ => (bytes.len(), false),
+        };
+        st.log_mut(log).extend_from_slice(&bytes[..keep]);
+        if dies {
+            self.kill();
         }
+        !dies
     }
 
     /// Atomically replace `name`'s contents (shadow-paging model: whole
     /// files are written out of place and swapped in one step).
     pub(crate) fn write_file(&self, name: &str, bytes: &[u8]) {
-        let mut files = self.files.lock().unwrap();
+        let mut st = self.state.lock().unwrap();
         if self.is_killed() {
             return;
         }
-        files.insert(name.to_string(), bytes.to_vec());
+        match log_index(name) {
+            Some(i) => *st.log_mut(i) = bytes.to_vec(),
+            None => drop(st.named.insert(name.to_string(), bytes.to_vec())),
+        }
     }
 
     pub(crate) fn read_file(&self, name: &str) -> Option<Vec<u8>> {
-        self.files.lock().unwrap().get(name).cloned()
+        self.state.lock().unwrap().file(name).cloned()
     }
 
     pub(crate) fn remove(&self, name: &str) {
-        let mut files = self.files.lock().unwrap();
+        let mut st = self.state.lock().unwrap();
         if self.is_killed() {
             return;
         }
-        files.remove(name);
+        match log_index(name) {
+            Some(i) => st.log_mut(i).clear(),
+            None => drop(st.named.remove(name)),
+        }
     }
 
     /// Fire a checkpoint-phase fault if the armed plan targets occurrence
     /// `idx` of `phase`.
     pub(crate) fn checkpoint_fault(&self, phase: FaultPhase, idx: u64) {
-        let fired = matches!(*self.plan.lock().unwrap(),
-            Some(p) if p.phase == phase && p.at == idx);
-        if fired {
+        let plan = self.state.lock().unwrap().plan;
+        if matches!(plan, Some(p) if p.phase == phase && p.at == idx) {
             self.kill();
         }
     }
@@ -274,15 +304,14 @@ impl SimDisk {
     /// Current length of `name` in bytes (0 if absent). Test seam for the
     /// torn-tail sweep.
     pub fn file_len(&self, name: &str) -> usize {
-        self.files.lock().unwrap().get(name).map_or(0, Vec::len)
+        self.state.lock().unwrap().file(name).map_or(0, |f| f.len())
     }
 
     /// Truncate `name` to `len` bytes, ignoring the dead flag — this is
     /// the *test harness* mutilating the medium to model a torn write,
-    /// not the runtime writing through it. Recovery also uses it to chop
-    /// a detected torn tail so later appends stay parseable.
+    /// not the runtime writing through it.
     pub fn truncate_file(&self, name: &str, len: usize) {
-        if let Some(f) = self.files.lock().unwrap().get_mut(name) {
+        if let Some(f) = self.state.lock().unwrap().file(name) {
             f.truncate(len);
         }
     }
@@ -290,22 +319,17 @@ impl SimDisk {
     /// Flip one byte of `name` (test seam: models media corruption of the
     /// final record for the torn-tail sweep).
     pub fn corrupt_byte(&self, name: &str, offset: usize) {
-        if let Some(f) = self.files.lock().unwrap().get_mut(name) {
-            if let Some(b) = f.get_mut(offset) {
-                *b ^= 0xA5;
-            }
+        let mut st = self.state.lock().unwrap();
+        if let Some(b) = st.file(name).and_then(|f| f.get_mut(offset)) {
+            *b ^= 0xA5;
         }
     }
 
     /// Total bytes across all redo-log files (the background
     /// checkpointer's compaction trigger).
     pub fn log_bytes(&self) -> u64 {
-        let files = self.files.lock().unwrap();
-        files
-            .iter()
-            .filter(|(k, _)| k.starts_with("log-"))
-            .map(|(_, v)| v.len() as u64)
-            .sum()
+        let st = self.state.lock().unwrap();
+        st.logs.iter().map(|l| l.len() as u64).sum()
     }
 
     /// Number of appends performed so far (flush-phase fault plans index
@@ -368,14 +392,21 @@ impl DurableState {
         self.active.fetch_sub(1, Ordering::AcqRel);
     }
 
+    /// Take tid's next record sequence number. Only the owning worker
+    /// writes a `seqs`/`logicals` slot between recoveries, so load + store
+    /// suffices; the checkpointer reads `logicals` behind the quiesce gate.
     pub(crate) fn next_seq(&self, tid: usize) -> u64 {
-        self.seqs[tid].fetch_add(1, Ordering::AcqRel)
+        let seq = self.seqs[tid].load(Ordering::Relaxed);
+        self.seqs[tid].store(seq + 1, Ordering::Release);
+        seq
     }
 
     /// Advance tid's cumulative logical-commit counter by `n`, returning
     /// the new total (stamped into the record being prepared).
     pub(crate) fn add_logical(&self, tid: usize, n: u64) -> u64 {
-        self.logicals[tid].fetch_add(n, Ordering::AcqRel) + n
+        let total = self.logicals[tid].load(Ordering::Relaxed) + n;
+        self.logicals[tid].store(total, Ordering::Release);
+        total
     }
 }
 
@@ -391,12 +422,25 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Bytes of the `[len][crc]` frame header.
+const FRAME_HDR: usize = 8;
+
+/// Stamp length and checksum into the reserved header of the frame
+/// occupying `frame` — shared by [`frame`] and [`RecordEncoder::finish`].
+fn seal_frame(frame: &mut [u8]) {
+    let (hdr, payload) = frame.split_at_mut(FRAME_HDR);
+    let len = u32::try_from(payload.len())
+        .expect("frame payload exceeds the format's u32 length field (4 GiB - 1)");
+    hdr[..4].copy_from_slice(&len.to_le_bytes());
+    hdr[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
 /// Wrap a payload in the `[len][crc][payload]` frame.
 fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(payload));
+    let mut out = Vec::with_capacity(FRAME_HDR + payload.len());
+    out.extend_from_slice(&[0; FRAME_HDR]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
 }
 
@@ -411,46 +455,54 @@ impl<'a> Reader<'a> {
         Reader { bytes, off: 0 }
     }
 
-    fn u32(&mut self) -> Result<u32, ()> {
-        let end = self.off.checked_add(4).ok_or(())?;
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ()> {
+        let end = self.off.checked_add(n).ok_or(())?;
         let b = self.bytes.get(self.off..end).ok_or(())?;
         self.off = end;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> Result<u32, ()> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn u64(&mut self) -> Result<u64, ()> {
-        let end = self.off.checked_add(8).ok_or(())?;
-        let b = self.bytes.get(self.off..end).ok_or(())?;
-        self.off = end;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
-/// Fixed offsets of the record-payload header fields.
-const REC_NPUTS_OFF: usize = 32;
-const REC_NRANGES_OFF: usize = 36;
-const REC_BODY_OFF: usize = 40;
+/// The four words every record payload opens with:
+/// `[seq, wv, frontier, logical_total]`.
+pub(crate) type RecordHead = [u64; 4];
 
-/// Incremental builder for one record payload; the commit path fills it
-/// while still holding its locks, then [`RecordEncoder::finish`] frames
-/// it into the worker's flush buffer.
-pub(crate) struct RecordEncoder {
-    payload: Vec<u8>,
+/// Offset of `n_puts | n_ranges` in a record payload.
+const REC_NPUTS_OFF: usize = 32;
+
+/// Incremental builder for one framed record, written where it will be
+/// flushed from: it borrows the worker's flush buffer, reserves the frame
+/// header, appends the payload behind it, and [`RecordEncoder::finish`]
+/// patches counts, length and checksum in place. Records already in the
+/// buffer (group commit) are left untouched.
+pub(crate) struct RecordEncoder<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Offset of this record's frame header in `buf`.
+    start: usize,
     n_puts: u32,
     n_ranges: u32,
 }
 
-impl RecordEncoder {
-    pub(crate) fn new(seq: u64, wv: u64, frontier: u64, logical_total: u64) -> RecordEncoder {
-        let mut payload = Vec::with_capacity(REC_BODY_OFF + 64);
-        put_u64(&mut payload, seq);
-        put_u64(&mut payload, wv);
-        put_u64(&mut payload, frontier);
-        put_u64(&mut payload, logical_total);
-        put_u32(&mut payload, 0); // n_puts, patched in finish()
-        put_u32(&mut payload, 0); // n_ranges
+impl<'a> RecordEncoder<'a> {
+    /// Open a record behind whatever `buf` holds.
+    pub(crate) fn new(buf: &'a mut Vec<u8>, head: RecordHead) -> RecordEncoder<'a> {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; FRAME_HDR]);
+        for v in head {
+            put_u64(buf, v);
+        }
+        put_u64(buf, 0); // n_puts | n_ranges, patched in finish()
         RecordEncoder {
-            payload,
+            buf,
+            start,
             n_puts: 0,
             n_ranges: 0,
         }
@@ -460,80 +512,67 @@ impl RecordEncoder {
     /// ranges (the decoder reads puts first).
     pub(crate) fn put(&mut self, addr: u64, val: u64) {
         debug_assert_eq!(self.n_ranges, 0, "puts must precede ranges");
-        put_u64(&mut self.payload, addr);
-        put_u64(&mut self.payload, val);
+        put_u64(self.buf, addr);
+        put_u64(self.buf, val);
         self.n_puts += 1;
     }
 
-    /// Open a coalesced content range of `words` words starting at
-    /// `start`; follow with exactly `words` [`RecordEncoder::word`] calls.
-    pub(crate) fn begin_range(&mut self, start: u64, words: u32) {
-        put_u64(&mut self.payload, start);
-        put_u32(&mut self.payload, words);
+    /// One coalesced content range: `content` is the words at `start`.
+    pub(crate) fn range(&mut self, start: u64, content: &[u64]) {
+        put_u64(self.buf, start);
+        // A count that wrapped here would make a payload `finish` rejects.
+        put_u32(self.buf, content.len() as u32);
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * content.len(), 0);
+        for (dst, w) in self.buf[at..].chunks_exact_mut(8).zip(content) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
         self.n_ranges += 1;
     }
 
-    pub(crate) fn word(&mut self, w: u64) {
-        put_u64(&mut self.payload, w);
-    }
-
-    /// Patch the counts, frame the payload, and append it to `out`
-    /// (framed in place — this sits on the commit path, so it must not
-    /// allocate an intermediate buffer per record).
-    pub(crate) fn finish(mut self, out: &mut Vec<u8>) {
-        self.payload[REC_NPUTS_OFF..REC_NPUTS_OFF + 4].copy_from_slice(&self.n_puts.to_le_bytes());
-        self.payload[REC_NRANGES_OFF..REC_NRANGES_OFF + 4]
-            .copy_from_slice(&self.n_ranges.to_le_bytes());
-        out.reserve(self.payload.len() + 8);
-        put_u32(out, self.payload.len() as u32);
-        put_u32(out, crc32(&self.payload));
-        out.extend_from_slice(&self.payload);
+    /// Patch the counts and seal the frame.
+    pub(crate) fn finish(self) {
+        let frame = &mut self.buf[self.start..];
+        let counts = FRAME_HDR + REC_NPUTS_OFF;
+        frame[counts..counts + 4].copy_from_slice(&self.n_puts.to_le_bytes());
+        frame[counts + 4..counts + 8].copy_from_slice(&self.n_ranges.to_le_bytes());
+        seal_frame(frame);
     }
 }
 
-/// One decoded redo record.
-struct Record {
-    seq: u64,
-    wv: u64,
-    frontier: u64,
-    logical_total: u64,
-    puts: Vec<(u64, u64)>,
-    ranges: Vec<(u64, Vec<u64>)>,
-}
-
-fn decode_record(payload: &[u8]) -> Result<Record, ()> {
+/// Decode one record payload in place, in log order: `put(addr, val)` per
+/// shared write, then `range(start, le_words)` per content range — no-op
+/// closures validate, storing closures replay. `Err` on a malformed
+/// payload (overrun, or trailing garbage inside the frame).
+fn decode_record<'a>(
+    payload: &'a [u8],
+    mut put: impl FnMut(u64, u64),
+    mut range: impl FnMut(u64, &'a [u8]),
+) -> Result<RecordHead, ()> {
     let mut r = Reader::new(payload);
-    let seq = r.u64()?;
-    let wv = r.u64()?;
-    let frontier = r.u64()?;
-    let logical_total = r.u64()?;
-    let n_puts = r.u32()?;
-    let n_ranges = r.u32()?;
-    let mut puts = Vec::with_capacity(n_puts as usize);
+    let head = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let (n_puts, n_ranges) = (r.u32()?, r.u32()?);
     for _ in 0..n_puts {
-        puts.push((r.u64()?, r.u64()?));
+        put(r.u64()?, r.u64()?);
     }
-    let mut ranges = Vec::with_capacity(n_ranges as usize);
     for _ in 0..n_ranges {
         let start = r.u64()?;
-        let words = r.u32()?;
-        let mut content = Vec::with_capacity(words as usize);
-        for _ in 0..words {
-            content.push(r.u64()?);
-        }
-        ranges.push((start, content));
+        let words = r.u32()? as usize;
+        range(start, r.take(words * 8)?);
     }
     if r.off != payload.len() {
-        return Err(()); // trailing garbage inside a framed payload
+        return Err(());
     }
-    Ok(Record {
-        seq,
-        wv,
-        frontier,
-        logical_total,
-        puts,
-        ranges,
-    })
+    Ok(head)
+}
+
+/// Split the frame starting at `off`: its stored CRC, its payload, and
+/// the offset one past it. Bounds only — the caller checks the CRC.
+fn split_frame(bytes: &[u8], off: usize) -> Result<(u32, &[u8], usize), ()> {
+    let mut r = Reader::new(bytes.get(off..).ok_or(())?);
+    let len = r.u32()? as usize;
+    let crc = r.u32()?;
+    Ok((crc, r.take(len)?, off + FRAME_HDR + len))
 }
 
 // ---------------------------------------------------------------------------
@@ -566,11 +605,8 @@ fn read_manifest(disk: &SimDisk) -> Option<Manifest> {
 
 /// Validate a single whole-file frame and return its payload.
 fn unframe(bytes: &[u8]) -> Result<&[u8], ()> {
-    let mut r = Reader::new(bytes);
-    let len = r.u32()? as usize;
-    let crc = r.u32()?;
-    let payload = bytes.get(8..8 + len).ok_or(())?;
-    if bytes.len() != 8 + len || crc32(payload) != crc {
+    let (crc, payload, end) = split_frame(bytes, 0)?;
+    if end != bytes.len() || crc32(payload) != crc {
         return Err(());
     }
     Ok(payload)
@@ -724,70 +760,63 @@ pub fn recover(
         }
     }
 
-    // Parse every log up to its torn tail (if any), chopping the tail so
-    // post-recovery appends keep the file parseable.
-    let mut records: Vec<Record> = Vec::new();
-    for (tid, logical) in logicals.iter_mut().enumerate() {
-        let name = log_file_name(tid);
-        let Some(bytes) = disk.read_file(&name) else {
-            continue;
-        };
+    // The logs are borrowed under the disk lock, not copied out: parse each
+    // up to its torn tail (if any), chopping the tail so post-recovery
+    // appends keep the file parseable, and index — not decode — every
+    // valid record.
+    let mut state = disk.state.lock().unwrap();
+    let mut index: Vec<(u64, usize, usize)> = Vec::new(); // (wv, log, offset)
+    for (tid, (bytes, logical)) in state.logs.iter_mut().zip(&mut logicals).enumerate() {
         let mut off = 0usize;
         let mut prev_seq: Option<u64> = None;
-        let mut torn = false;
         while off < bytes.len() {
-            let parsed = (|| -> Result<(Record, usize), ()> {
-                let mut hdr = Reader::new(&bytes[off..]);
-                let len = hdr.u32()? as usize;
-                let crc = hdr.u32()?;
-                let end = off.checked_add(8 + len).ok_or(())?;
-                let payload = bytes.get(off + 8..end).ok_or(())?;
+            let parsed = split_frame(bytes, off).and_then(|(crc, payload, end)| {
                 if crc32(payload) != crc {
                     return Err(());
                 }
-                let rec = decode_record(payload)?;
-                Ok((rec, end))
-            })();
+                Ok((decode_record(payload, |_, _| (), |_, _| ())?, end))
+            });
             match parsed {
-                Ok((rec, end)) if prev_seq.is_none_or(|p| rec.seq == p + 1) => {
-                    prev_seq = Some(rec.seq);
-                    *logical = (*logical).max(rec.logical_total);
-                    records.push(rec);
+                Ok(([seq, wv, _, logical_total], end)) if prev_seq.is_none_or(|p| seq == p + 1) => {
+                    prev_seq = Some(seq);
+                    *logical = (*logical).max(logical_total);
+                    index.push((wv, tid, off));
                     off = end;
                 }
                 _ => {
-                    torn = true;
+                    report.torn_tails += 1;
+                    bytes.truncate(off);
                     break;
                 }
             }
         }
-        if torn {
-            report.torn_tails += 1;
-            disk.truncate_file(&name, off);
-        }
         ds.seqs[tid].store(prev_seq.map_or(0, |s| s + 1), Ordering::Release);
     }
 
-    // Replay in commit order. Equal wvs (GV4 adoption) have disjoint
-    // write sets, so the stable file-order tiebreak is arbitrary but
-    // harmless.
-    records.sort_by_key(|r| r.wv);
+    // Replay in commit order, straight from the validated payloads. Equal
+    // wvs (GV4 adoption) have disjoint write sets, so the stable
+    // file-order tiebreak is arbitrary but harmless.
+    index.sort_by_key(|e| e.0);
     let mut max_wv = 0u64;
-    for rec in &records {
-        if rec.wv <= report.snapshot_clock {
+    for &(wv, tid, off) in &index {
+        if wv <= report.snapshot_clock {
             report.stale_skipped += 1;
             continue;
         }
-        for &(addr, val) in &rec.puts {
-            rt.mem.store_private(Addr(addr), val);
-        }
-        for (start, content) in &rec.ranges {
-            rt.mem.store_range_private(Addr(*start), content);
-        }
-        frontier = frontier.max(rec.frontier);
-        max_wv = max_wv.max(rec.wv);
+        let (_, payload, _) = split_frame(&state.logs[tid], off).expect("indexed frame");
+        let put = |addr, val| rt.mem.store_private(Addr(addr), val);
+        let [_, _, rec_frontier, _] = decode_record(payload, put, |start, content| {
+            for (i, w) in content.chunks_exact(8).enumerate() {
+                let w = u64::from_le_bytes(w.try_into().unwrap());
+                rt.mem.store_private(Addr(start).word(i as u64), w);
+            }
+        })
+        .expect("indexed record");
+        frontier = frontier.max(rec_frontier);
+        max_wv = wv;
         report.records_applied += 1;
     }
+    drop(state);
 
     rt.heap.restore_frontier(frontier);
     rt.clock.advance_to(report.snapshot_clock.max(max_wv));
@@ -803,11 +832,34 @@ pub fn recover(
 mod tests {
     use super::*;
 
+    impl SimDisk {
+        /// By-name append, as the fault-phase tests spell it.
+        fn append(&self, name: &str, bytes: &[u8]) -> bool {
+            self.append_log(log_index(name).expect("a log-N name"), bytes)
+        }
+    }
+
+    /// The bytewise table CRC the sliced [`crc32`] replaced, kept as the
+    /// reference it is diffed against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let step = |c: u32, &b: &u8| CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        bytes.iter().fold(0xFFFF_FFFF, step) ^ 0xFFFF_FFFF
+    }
+
     #[test]
-    fn crc32_matches_known_vectors() {
+    fn crc32_matches_known_vectors_and_the_bytewise_reference() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        let buf: Vec<u8> = (0..308u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -822,25 +874,59 @@ mod tests {
         assert!(unframe(&f[..f.len() - 1]).is_err(), "truncation caught");
     }
 
-    #[test]
-    fn record_codec_roundtrip() {
-        let mut enc = RecordEncoder::new(7, 42, 0x1000, 13);
-        enc.put(0x100, 0xdead);
+    /// Encode the fixed test record `k` behind whatever `buf` holds, and
+    /// return its frame built the old way: the payload spelled out as
+    /// little-endian u32 halves (every u64 here fits its low half), then
+    /// `[len][crc]` (bytewise) in front.
+    fn encode_fixture(buf: &mut Vec<u8>, k: u32) -> Vec<u8> {
+        let k64 = k as u64;
+        let mut enc = RecordEncoder::new(buf, [7 + k64, 42 + k64, 0x1000, 13 + k64]);
+        enc.put(0x100, 0xdead + k64);
         enc.put(0x108, 0xbeef);
-        enc.begin_range(0x200, 3);
-        enc.word(1);
-        enc.word(2);
-        enc.word(3);
+        enc.range(0x200, &[1, 2, 3 + k64]);
+        enc.range(0x300, &[]);
+        enc.finish();
+        #[rustfmt::skip]
+        let halves = [
+            7 + k, 0, 42 + k, 0, 0x1000, 0, 13 + k, 0, /* n_puts, n_ranges */ 2, 2,
+            0x100, 0, 0xdead + k, 0, 0x108, 0, 0xbeef, 0,
+            0x200, 0, /* words */ 3, 1, 0, 2, 0, 3 + k, 0, 0x300, 0, /* words */ 0,
+        ];
+        let payload: Vec<u8> = halves.iter().flat_map(|h| h.to_le_bytes()).collect();
+        let mut old = (payload.len() as u32).to_le_bytes().to_vec();
+        old.extend_from_slice(&crc32_bytewise(&payload).to_le_bytes());
+        old.extend_from_slice(&payload);
+        assert_eq!(frame(&payload), old);
+        old
+    }
+
+    #[test]
+    fn in_place_encoder_emits_the_golden_bytes() {
+        // Into an empty buffer (strict) and behind a buffered record
+        // (group commit): the bytes are the old two-step framing's.
         let mut buf = Vec::new();
-        enc.finish(&mut buf);
-        let payload = unframe(&buf).unwrap();
-        let rec = decode_record(payload).unwrap();
-        assert_eq!(rec.seq, 7);
-        assert_eq!(rec.wv, 42);
-        assert_eq!(rec.frontier, 0x1000);
-        assert_eq!(rec.logical_total, 13);
-        assert_eq!(rec.puts, vec![(0x100, 0xdead), (0x108, 0xbeef)]);
-        assert_eq!(rec.ranges, vec![(0x200, vec![1, 2, 3])]);
+        let first = encode_fixture(&mut buf, 0);
+        assert_eq!(buf, first);
+        let second = encode_fixture(&mut buf, 5);
+        assert_eq!(buf, [first.clone(), second].concat());
+        // The header the pre-rewrite encoder wrote for this record.
+        assert_eq!(&first[..8], [0x78, 0, 0, 0, 0x42, 0xed, 0x63, 0xb3]);
+
+        // Both records split and decode back to the originals.
+        let mut off = 0;
+        for k in [0u64, 5] {
+            let (_, payload, end) = split_frame(&buf, off).unwrap();
+            assert_eq!(unframe(&buf[off..end]).unwrap(), payload);
+            let (mut puts, mut ranges) = (Vec::new(), Vec::new());
+            let put = |a, v| puts.push((a, v));
+            let head = decode_record(payload, put, |s, c| ranges.push((s, c.to_vec()))).unwrap();
+            assert_eq!(head, [7 + k, 42 + k, 0x1000, 13 + k]);
+            assert_eq!(puts, [(0x100, 0xdead + k), (0x108, 0xbeef)]);
+            let content: Vec<u8> = [1, 2, 3 + k].iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(ranges, [(0x200, content), (0x300, vec![])]);
+            off = end;
+        }
+        assert_eq!(off, buf.len());
     }
 
     #[test]
@@ -999,6 +1085,28 @@ mod tests {
             b2.raw() >= blk.raw() + 64 || b2.raw() + 64 <= blk.raw(),
             "fresh allocation {b2:?} collides with recovered {blk:?}"
         );
+    }
+
+    #[test]
+    fn group_commit_counts_a_read_only_txn_into_the_next_record() {
+        static S: crate::Site = crate::Site::shared("durable.logical");
+        let cfg = TxConfig::builder().durable(true).durable_flush_batch(8);
+        let disk = SimDisk::new();
+        let rt = StmRuntime::new_durable(MemConfig::small(), cfg.build().unwrap(), disk.clone());
+        let cell = rt.alloc_global(8);
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| tx.write(&S, cell, 1));
+        w.txn(|tx| tx.read(&S, cell).map(drop)); // counted, never logged
+        w.txn(|tx| tx.write(&S, cell, 2));
+        drop(w);
+        assert_eq!(disk.append_count(), 1, "both records flushed at drop");
+        let log = disk.read_file("log-0").unwrap();
+        let (_, first, mid) = split_frame(&log, 0).unwrap();
+        let (_, second, end) = split_frame(&log, mid).unwrap();
+        assert_eq!(end, log.len(), "exactly two records");
+        let heads = [first, second].map(|p| decode_record(p, |_, _| (), |_, _| ()).unwrap());
+        let stamped = heads.map(|[seq, _, _, total]| (seq, total));
+        assert_eq!(stamped, [(0, 1), (1, 3)]);
     }
 
     #[test]

@@ -261,9 +261,9 @@ pub struct WorkerCtx<'rt> {
     pub(crate) dur_buf: Vec<u8>,
     /// Records currently buffered in `dur_buf`.
     pub(crate) dur_records: u32,
-    /// This worker's redo-log file name, cached so the per-commit flush
-    /// path never allocates it.
-    pub(crate) dur_log_name: String,
+    /// Scratch for `durable_prepare`'s bulk copy of one content range out
+    /// of simulated memory, reused across ranges and commits.
+    pub(crate) dur_words: Vec<u64>,
     /// Scratch for `durable_prepare`'s shared-write address list, reused
     /// across commits.
     pub(crate) dur_puts: Vec<u64>,
@@ -335,7 +335,7 @@ impl<'rt> WorkerCtx<'rt> {
             durable_on: rt.durable.is_some(),
             dur_buf: Vec::new(),
             dur_records: 0,
-            dur_log_name: crate::durable::log_file_name(tid),
+            dur_words: Vec::new(),
             dur_puts: Vec::new(),
             dur_ranges: Vec::new(),
             rng: 0x9E3779B97F4A7C15 ^ (tid as u64 + 1).wrapping_mul(0xA24BAED4963EE407),
