@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use crate::median;
 
+use stamp::SplitMix64;
 use stm::{CheckScope, LogKind, Mode, Site, StmRuntime, TxConfig};
 use txmem::MemConfig;
 
@@ -25,6 +26,18 @@ const WORDS: u64 = 256;
 /// Every measured loop body performs one write and one read per word, so
 /// per-access numbers divide by twice the word count.
 const ACCESSES_PER_TXN: u64 = WORDS * 2;
+
+/// Reads per transaction in the `full read, scattered` rows.
+const SCATTER_READS: u64 = 64;
+
+/// Address space for the scattered rows: 8 MiB of heap, so the 4 MiB
+/// working set fits with room for the allocator's metadata.
+fn scatter_mem() -> MemConfig {
+    MemConfig {
+        heap_words: 1 << 20,
+        ..MemConfig::small()
+    }
+}
 
 /// One measured barrier path.
 #[derive(Clone, Debug)]
@@ -285,6 +298,53 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
         });
     }
 
+    // --- the working-set axis: full reads scattered over many lines ---
+    // The row above loops over 256 hot words, so it prices the barrier's
+    // instructions and nothing of its metadata's cache footprint. These two
+    // read-only rows do `SCATTER_READS` line-granular random reads per
+    // transaction over 64 KiB and 4 MiB of shared memory, in ns per read.
+    // The order is pre-drawn into the memory itself — one random cycle
+    // through every line, each line's first word naming the next — so the
+    // reads are dependent, like a walk over a linked index: every read
+    // waits for its data line *and* for its record line.
+    for (label, lines) in [("64 KiB", 1u64 << 10), ("4 MiB", 1u64 << 16)] {
+        let rt: &'static StmRuntime = Box::leak(Box::new(StmRuntime::new(
+            scatter_mem(),
+            TxConfig::default(),
+        )));
+        let mut w = rt.spawn_worker();
+        let buf = rt.alloc_global(lines * 64);
+        let mut order: Vec<u64> = (0..lines).collect();
+        let mut rng = SplitMix64::new(lines);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        for (i, &line) in order.iter().enumerate() {
+            let next = order[(i + 1) % order.len()];
+            rt.mem().store(buf.offset(line * 64), next);
+        }
+        let mut at = 0u64;
+        let mut run = move || {
+            at = w.txn(|tx| {
+                let mut line = at;
+                for _ in 0..SCATTER_READS {
+                    line = tx.read(&S_SHARED, buf.offset(line * 64))?;
+                }
+                Ok(line)
+            });
+        };
+        // Walk the whole cycle once: the shared warm-up below covers only
+        // a 4096-read prefix, and a first touch prices the page, not the
+        // read.
+        (0..lines / SCATTER_READS).for_each(|_| run());
+        rows.push(Row {
+            name: format!("full read, scattered {label}"),
+            run: Box::new(run),
+            accesses: SCATTER_READS,
+            samples: Vec::new(),
+        });
+    }
+
     // --- ranged barriers: classify once per span instead of per word ---
     // Captured rows pin the bulk-copy lowering (the tentpole's headline
     // number, gated vs the per-word tree row by `--max-ranged-ratio`);
@@ -451,7 +511,11 @@ pub fn render_markdown(results: &[MicroResult], opts: &MicroOpts) -> String {
         "{} words per txn, one write + one read each; median of {} samples x {} txns.\n\n",
         WORDS, opts.samples, opts.txns_per_sample
     ));
-    out.push_str("`txn_*` rows are ns per whole transaction (begin + commit included).\n\n");
+    out.push_str("`txn_*` rows are ns per whole transaction (begin + commit included).\n");
+    out.push_str(&format!(
+        "`full read, scattered` rows are ns per read: {SCATTER_READS} dependent random \
+         line-granular reads per read-only transaction over that much shared memory.\n\n"
+    ));
     out.push_str("| path | ns/access |\n|---|---:|\n");
     for r in results {
         out.push_str(&format!("| {} | {:.2} |\n", r.name, r.ns_per_op));
@@ -491,7 +555,7 @@ mod tests {
     #[test]
     fn smoke_run_measures_every_path() {
         let results = barrier_dispatch(&MicroOpts::smoke());
-        assert_eq!(results.len(), 21);
+        assert_eq!(results.len(), 23);
         assert!(results.iter().all(|r| r.ns_per_op > 0.0));
         let ratio = fastpath_ratio(&results).expect("both pin measurements present");
         assert!(ratio.is_finite() && ratio > 0.0);

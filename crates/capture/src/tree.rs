@@ -17,6 +17,13 @@ use crate::log::{AllocLog, LogKind};
 pub struct RangeTree {
     root: Option<Box<Node>>,
     len: usize,
+    /// Nodes unlinked by `remove`/`clear`, reused by `insert`: the log is
+    /// emptied at every transaction end, so without this each transactional
+    /// allocation is also a `malloc` and a `free`. Grows to the largest
+    /// transaction's node count, like the worker's other logs. Boxed on
+    /// purpose: these *are* the tree's nodes, parked without a copy.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Node>>,
 }
 
 struct Node {
@@ -33,8 +40,8 @@ struct Node {
 }
 
 impl Node {
-    fn new(start: u64, end: u64, level: u32) -> Box<Node> {
-        Box::new(Node {
+    fn leaf(start: u64, end: u64, level: u32) -> Node {
+        Node {
             start,
             end,
             level,
@@ -43,7 +50,7 @@ impl Node {
             max_end: end,
             left: None,
             right: None,
-        })
+        }
     }
 
     fn update(&mut self) {
@@ -128,9 +135,10 @@ fn take_min(mut n: Box<Node>) -> (Option<Box<Node>>, Box<Node>) {
     }
 }
 
-fn remove_node(n: Option<Box<Node>>, start: u64) -> (Option<Box<Node>>, bool) {
+/// Unlink the node starting at `start`; returns (rest, removed).
+fn remove_node(n: Option<Box<Node>>, start: u64) -> (Option<Box<Node>>, Option<Box<Node>>) {
     match n {
-        None => (None, false),
+        None => (None, None),
         Some(mut n) => {
             if start < n.start {
                 let (l, removed) = remove_node(n.left.take(), start);
@@ -141,16 +149,17 @@ fn remove_node(n: Option<Box<Node>>, start: u64) -> (Option<Box<Node>>, bool) {
                 n.right = r;
                 (Some(rebalance(n)), removed)
             } else {
-                match (n.left.take(), n.right.take()) {
-                    (None, r) => (r, true),
-                    (l, None) => (l, true),
+                let rest = match (n.left.take(), n.right.take()) {
+                    (None, r) => r,
+                    (l, None) => l,
                     (l, Some(r)) => {
                         let (rest, mut succ) = take_min(r);
                         succ.left = l;
                         succ.right = rest;
-                        (Some(rebalance(succ)), true)
+                        Some(rebalance(succ))
                     }
-                }
+                };
+                (rest, Some(n))
             }
         }
     }
@@ -159,7 +168,11 @@ fn remove_node(n: Option<Box<Node>>, start: u64) -> (Option<Box<Node>>, bool) {
 impl RangeTree {
     /// An empty tree.
     pub fn new() -> RangeTree {
-        RangeTree { root: None, len: 0 }
+        RangeTree {
+            root: None,
+            len: 0,
+            spare: Vec::new(),
+        }
     }
 
     /// Height of the tree (diagnostics; O(1)).
@@ -242,18 +255,24 @@ impl Default for RangeTree {
 impl AllocLog for RangeTree {
     fn insert(&mut self, start: u64, len: u64, level: u32) {
         debug_assert!(len > 0);
-        self.root = Some(insert_node(
-            self.root.take(),
-            Node::new(start, start + len, level),
-        ));
+        let leaf = Node::leaf(start, start + len, level);
+        let node = match self.spare.pop() {
+            Some(mut n) => {
+                *n = leaf;
+                n
+            }
+            None => Box::new(leaf),
+        };
+        self.root = Some(insert_node(self.root.take(), node));
         self.len += 1;
     }
 
     fn remove(&mut self, start: u64, _len: u64) {
         let (root, removed) = remove_node(self.root.take(), start);
         self.root = root;
-        if removed {
+        if let Some(n) = removed {
             self.len -= 1;
+            self.spare.push(n);
         }
     }
 
@@ -263,7 +282,15 @@ impl AllocLog for RangeTree {
     }
 
     fn clear(&mut self) {
-        self.root = None;
+        // Flatten the tree into the spare list, breadth first, using the
+        // list's own tail as the queue.
+        let mut i = self.spare.len();
+        self.spare.extend(self.root.take());
+        while let Some(n) = self.spare.get_mut(i) {
+            let (l, r) = (n.left.take(), n.right.take());
+            self.spare.extend(l.into_iter().chain(r));
+            i += 1;
+        }
         self.len = 0;
     }
 
@@ -375,6 +402,17 @@ mod tests {
         t.clear();
         assert_eq!(t.entries(), 0);
         assert_eq!(t.query(64), None);
+        // Unlinked nodes are parked and reused: a steady-state transaction
+        // allocates no node.
+        assert_eq!(t.spare.len(), 32);
+        for i in 0..32u64 {
+            t.insert(i * 64, 64, 2);
+        }
+        assert!(t.spare.is_empty());
+        t.check_invariants();
+        assert_eq!(t.query(64), Some(2));
+        t.remove(64, 64);
+        assert_eq!((t.spare.len(), t.query(64)), (1, None));
     }
 
     #[test]

@@ -13,9 +13,12 @@ use crate::worker::{Abort, LockEntry, ReadEntry, TxResult, UndoEntry, WorkerCtx}
 impl WorkerCtx<'_> {
     /// Full optimistic read: versioned-read loop with snapshot extension
     /// (gives opacity, so transactions never act on inconsistent state).
+    /// `inline(always)`, like [`WorkerCtx::write_full`]: the body lands in
+    /// each monomorphized table entry, so a shared access is one call.
+    #[inline(always)]
     pub(crate) fn read_full(&mut self, addr: Addr) -> TxResult<u64> {
         self.chaos(crate::contention::ChaosPoint::Barrier);
-        let (idx, orec) = self.rt.orecs.of(addr);
+        let (idx, orec) = self.orec_of(addr);
         let me = self.tid() as u64;
         let mut spins = 0u32;
         loop {
@@ -39,7 +42,7 @@ impl WorkerCtx<'_> {
             if v1 != v2 {
                 spins += 1;
                 if spins > self.spin_budget {
-                    self.stats.conflict_read_locked += 1;
+                    self.stats.conflict_validation += 1;
                     return Err(Abort::Conflict);
                 }
                 continue;
@@ -66,9 +69,10 @@ impl WorkerCtx<'_> {
 
     /// Full write: encounter-time lock acquisition, undo log, in-place
     /// update.
+    #[inline(always)]
     pub(crate) fn write_full(&mut self, addr: Addr, val: u64) -> TxResult<()> {
         self.chaos(crate::contention::ChaosPoint::Barrier);
-        let (idx, orec) = self.rt.orecs.of(addr);
+        let (idx, orec) = self.orec_of(addr);
         let me = self.tid() as u64;
         let mut spins = 0u32;
         loop {
@@ -153,7 +157,7 @@ impl WorkerCtx<'_> {
     }
 
     fn read_full_stripe(&mut self, addr: Addr, dst: &mut [u64]) -> TxResult<()> {
-        let (idx, orec) = self.rt.orecs.of(addr);
+        let (idx, orec) = self.orec_of(addr);
         let me = self.tid() as u64;
         let mut spins = 0u32;
         loop {
@@ -180,7 +184,7 @@ impl WorkerCtx<'_> {
             if v1 != v2 {
                 spins += 1;
                 if spins > self.spin_budget {
-                    self.stats.conflict_read_locked += 1;
+                    self.stats.conflict_validation += 1;
                     return Err(Abort::Conflict);
                 }
                 continue;
@@ -225,7 +229,7 @@ impl WorkerCtx<'_> {
     }
 
     fn write_full_stripe(&mut self, addr: Addr, src: &[u64]) -> TxResult<()> {
-        let (idx, orec) = self.rt.orecs.of(addr);
+        let (idx, orec) = self.orec_of(addr);
         let me = self.tid() as u64;
         let mut spins = 0u32;
         loop {

@@ -384,10 +384,7 @@ impl<'rt> WorkerCtx<'rt> {
         // version.
         let wv = ticket.wv;
         for l in &self.locks {
-            self.rt
-                .orecs
-                .at(l.idx)
-                .store(wv, std::sync::atomic::Ordering::Release);
+            self.orecs[l.idx as usize].store(wv, std::sync::atomic::Ordering::Release);
         }
         self.locks.clear();
         self.finish_window_commit(logical, split, false)

@@ -90,7 +90,7 @@ impl<'rt> WorkerCtx<'rt> {
     /// coincide.
     pub(crate) fn first_invalid_read(&self) -> Option<usize> {
         for (i, r) in self.reads.iter().enumerate() {
-            let cur = self.rt.orecs.at(r.idx).load(Ordering::Acquire);
+            let cur = self.orecs[r.idx as usize].load(Ordering::Acquire);
             if cur == r.version {
                 continue;
             }
@@ -159,7 +159,7 @@ impl<'rt> WorkerCtx<'rt> {
         // Publish: release every lock at the new version. Undo values are
         // already in place (in-place update STM).
         for l in &self.locks {
-            self.rt.orecs.at(l.idx).store(ticket.wv, Ordering::Release);
+            self.orecs[l.idx as usize].store(ticket.wv, Ordering::Release);
         }
         self.locks.clear();
         self.finish_commit();
@@ -238,7 +238,7 @@ impl<'rt> WorkerCtx<'rt> {
         if !self.locks.is_empty() {
             let wv = self.abort_release_wv();
             for l in self.locks.drain(..) {
-                self.rt.orecs.at(l.idx).store(wv, Ordering::Release);
+                self.orecs[l.idx as usize].store(wv, Ordering::Release);
             }
         }
         self.reads.clear();
@@ -533,7 +533,7 @@ impl<'rt> WorkerCtx<'rt> {
                 .collect();
             self.locks.truncate(cp.locks);
             for (idx, _) in &released {
-                self.rt.orecs.at(*idx).store(wv, Ordering::Release);
+                self.orecs[*idx as usize].store(wv, Ordering::Release);
             }
             for r in &mut self.reads {
                 if released.contains(&(r.idx, r.version)) {

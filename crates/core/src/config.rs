@@ -137,7 +137,11 @@ pub struct TxConfig {
     /// the configured allocation log. Only meaningful in `Mode::Runtime`;
     /// ignored elsewhere (the other modes keep no runtime capture state).
     pub nursery: bool,
-    /// log2 of the transaction-record table size.
+    /// log2 of the transaction-record table size — an upper bound: the
+    /// table never exceeds the address space's lines (one record per
+    /// 64-byte line, rounded up to a power of two), which an address-bits
+    /// map could not reach anyway. Turned down, lines `2^orec_log2 × 64`
+    /// bytes apart share a record (the paper's false-conflict ablation).
     pub orec_log2: u32,
     /// How many times a barrier re-examines a locked record before the
     /// contention manager aborts the transaction.
@@ -254,8 +258,8 @@ pub enum ConfigError {
     /// blocks), so it *requires* a backing allocation log to demote to —
     /// and only [`Mode::Runtime`] carries one.
     NurseryWithoutBackingLog,
-    /// `orec_log2` outside the supported 4..=26 range (the table is
-    /// `2^orec_log2` words; below 16 entries every address collides,
+    /// `orec_log2` outside the supported 4..=26 range (the table is at
+    /// most `2^orec_log2` words; below 16 entries every address collides,
     /// above 2^26 the table dwarfs the simulated memory it guards).
     OrecLog2OutOfRange(u32),
     /// `spin_tries` of zero: a barrier must re-examine a locked record at

@@ -6,7 +6,8 @@
 //! (McRT-STM family):
 //!
 //! * a global **transaction record** (orec) table at cache-line (64-byte)
-//!   granularity, addresses hashed to records;
+//!   granularity, indexed by address bits (record `i` guards line `i`
+//!   modulo the table size, as in the Intel STM, TL2 and TinySTM);
 //! * **eager (encounter-time) locking** of records on write;
 //! * **in-place updates** with an **undo log** for rollback;
 //! * **optimistic (invisible) readers** with timestamp-based validation and

@@ -28,14 +28,31 @@ pub fn owner_of(v: u64) -> u64 {
 /// one validation entry covers the whole stripe sub-span.
 pub const STRIPE_BYTES: u64 = 64;
 
+/// The one address-to-record map: the line number's low bits. Shared by
+/// [`OrecTable::index_of`] and the worker's direct copy of the table.
+#[inline(always)]
+pub(crate) fn line_index(addr: Addr, mask: u64) -> u32 {
+    ((addr.raw() >> 6) & mask) as u32
+}
+
 /// The system-wide transaction-record table (paper §2.1): each entry tracks
-/// ownership of the memory locations hashing to it. Our mapping is
-/// cache-line-based like the Intel C++ STM: all eight words of a 64-byte
-/// line share one record, and distinct lines may collide in the table —
-/// both effects produce the *false conflicts* the paper discusses, which
-/// barrier elision reduces (Table 1).
+/// ownership of the memory locations mapping to it. The map is address
+/// bits, as in the Intel C++ STM, TL2 and TinySTM: all eight words of a
+/// 64-byte line share one record, and record `i` guards line `i` modulo the
+/// table size — so eight neighbouring lines' records share one (aligned)
+/// cache line of the table, and a transaction's metadata is as clustered
+/// as its data. Coverage rule: a table of `n` records is alias-free over
+/// any `n × 64` bytes; beyond that, addresses exactly that far apart
+/// collide. Both effects — words of a line, and lines a table-span apart —
+/// are the *false conflicts* the paper discusses, which barrier elision
+/// reduces (Table 1).
 pub struct OrecTable {
+    /// The allocation: seven records more than the table, so that the
+    /// table proper can start on a cache line wherever the allocator put
+    /// it (a large `malloc` lands 16 bytes past a page).
     orecs: Box<[AtomicU64]>,
+    /// Index of the first 64-byte-aligned record — record 0 of the table.
+    base: usize,
     mask: u64,
 }
 
@@ -44,52 +61,63 @@ impl OrecTable {
     /// version 0.
     pub fn new(log2: u32) -> OrecTable {
         let n = 1usize << log2;
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || AtomicU64::new(0));
+        let mut v = Vec::with_capacity(n + 7);
+        v.resize_with(n + 7, || AtomicU64::new(0));
+        let orecs = v.into_boxed_slice();
         OrecTable {
-            orecs: v.into_boxed_slice(),
+            base: (orecs.as_ptr() as usize).wrapping_neg() % 64 / 8,
+            orecs,
             mask: (n - 1) as u64,
         }
     }
 
-    /// Map an address to its record index (cache-line granularity, then a
-    /// Fibonacci hash to spread lines over the table).
+    /// The table for an address space of `space_bytes`: one record per
+    /// line, rounded up to a power of two, capped at `2^cap_log2`. Under
+    /// the direct map records beyond the space's lines are unreachable, so
+    /// the clamp changes no verdict.
+    pub fn covering(space_bytes: u64, cap_log2: u32) -> OrecTable {
+        let lines = space_bytes.div_ceil(STRIPE_BYTES).next_power_of_two();
+        OrecTable::new(cap_log2.min(lines.trailing_zeros()))
+    }
+
+    /// Map an address to its record index; see [`line_index`].
     #[inline]
     pub fn index_of(&self, addr: Addr) -> u32 {
-        let line = addr.raw() >> 6;
-        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask) as u32
+        line_index(addr, self.mask)
+    }
+
+    /// The records, for the worker's direct copy (the slow path indexes
+    /// the slice itself instead of chasing the runtime; the index mask is
+    /// its length minus one).
+    pub(crate) fn records(&self) -> &[AtomicU64] {
+        &self.orecs[self.base..][..=self.mask as usize]
     }
 
     #[inline]
     /// The record at `idx` (for re-examining a lock already hashed).
     pub fn at(&self, idx: u32) -> &AtomicU64 {
-        &self.orecs[idx as usize]
-    }
-
-    /// The record guarding `addr` and its index (addresses hash to
-    /// records at cache-line granularity).
-    #[inline]
-    pub fn of(&self, addr: Addr) -> (u32, &AtomicU64) {
-        let idx = self.index_of(addr);
-        (idx, &self.orecs[idx as usize])
+        &self.records()[idx as usize]
     }
 
     /// Number of records in the table.
     pub fn len(&self) -> usize {
-        self.orecs.len()
+        self.mask as usize + 1
     }
 
     /// True if the table has no records (never the case for a table
     /// built by [`OrecTable::new`]).
     pub fn is_empty(&self) -> bool {
-        self.orecs.is_empty()
+        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{StmRuntime, TxConfig};
+    use std::collections::HashSet;
     use std::sync::atomic::Ordering;
+    use txmem::MemConfig;
 
     #[test]
     fn lock_encoding_roundtrips() {
@@ -104,26 +132,46 @@ mod tests {
     }
 
     #[test]
-    fn same_cache_line_shares_record() {
+    fn neighbouring_lines_pack_into_contiguous_records() {
         let t = OrecTable::new(16);
         let base = Addr(0x4000);
         for w in 1..8 {
             assert_eq!(t.index_of(base), t.index_of(base.word(w)));
         }
-        // The next line (usually) maps elsewhere.
-        assert_ne!(t.index_of(base), t.index_of(base.offset(64)));
+        // Eight consecutive lines: eight consecutive records inside one
+        // 64-byte line of the table.
+        let i0 = t.index_of(base);
+        assert_eq!(i0 % 8, 0);
+        assert_eq!(t.at(0) as *const AtomicU64 as usize % 64, 0);
+        for l in 0..8 {
+            assert_eq!(t.index_of(base.offset(l * 64)), i0 + l as u32);
+        }
+        // 512 consecutive lines touch 64 table lines (a hashed map: ~512).
+        let touched: HashSet<u32> = (0..512)
+            .map(|l| t.index_of(base.offset(l * 64)) / 8)
+            .collect();
+        assert!(touched.len() <= 64, "{} table lines", touched.len());
     }
 
     #[test]
-    fn table_collisions_exist_with_small_table() {
-        // With a 4-entry table, >4 distinct lines must collide somewhere —
-        // the false-conflict mechanism from the paper.
-        let t = OrecTable::new(2);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..64u64 {
-            seen.insert(t.index_of(Addr(i * 64)));
-        }
-        assert!(seen.len() <= 4);
+    fn covered_space_is_alias_free_and_a_small_cap_still_aliases() {
+        let rt = |log2| {
+            let cfg = TxConfig::builder().orec_log2(log2).build().unwrap();
+            StmRuntime::new(MemConfig::small(), cfg)
+        };
+        // Sized to the space's lines (576 KiB -> 2^14), not to the 2^20 cap.
+        let t = &rt(20).orecs;
+        assert_eq!(t.len(), 1 << 14);
+        assert_eq!(rt(12).orecs.len(), 1 << 12, "a lower cap still binds");
+        let lines = 576 * 1024 / STRIPE_BYTES;
+        let seen: HashSet<u32> = (0..lines).map(|l| t.index_of(Addr(l * 64))).collect();
+        assert_eq!(seen.len() as u64, lines, "two lines of the space alias");
+        // The ablation's mechanism: a 16-record table aliases lines exactly
+        // 16 x 64 bytes apart, and nothing closer.
+        let t = &rt(4).orecs;
+        let a = Addr(0x4000);
+        assert_eq!(t.index_of(a), t.index_of(a.offset(16 * 64)));
+        assert!((1..16).all(|l| t.index_of(a) != t.index_of(a.offset(l * 64))));
     }
 
     #[test]

@@ -16,14 +16,15 @@ use crate::worker::WorkerCtx;
 /// transaction-record table, global version clock, configuration, the
 /// resolved barrier pipeline, and aggregated statistics.
 ///
-/// The three members every thread touches — the commit clock, the orec
-/// table, and the merged statistics — are cache-line-padded so a clock CAS
-/// never invalidates the line a reader needs for an orec lookup, and a
-/// worker draining its stats never stalls committers.
+/// The commit clock and the merged statistics are cache-line-padded so a
+/// clock CAS never invalidates a neighbour's line and a worker draining
+/// its stats never stalls committers. The orec table's header needs no
+/// padding: workers take its record slice and mask at spawn
+/// ([`WorkerCtx`]) and never read it again.
 pub struct StmRuntime {
     pub(crate) mem: Arc<SharedMem>,
     pub(crate) heap: TxHeap,
-    pub(crate) orecs: CachePadded<OrecTable>,
+    pub(crate) orecs: OrecTable,
     /// Global version clock (GV4 pass-on-failure tickets; see
     /// [`CommitClock`]). Even values only — bit 0 is the orec lock bit.
     pub(crate) clock: CachePadded<CommitClock>,
@@ -82,9 +83,9 @@ impl StmRuntime {
         let mem = Arc::new(SharedMem::new(mem_cfg));
         let heap = TxHeap::new(mem.clone());
         StmRuntime {
+            orecs: OrecTable::covering(mem.size_bytes(), config.orec_log2),
             mem,
             heap,
-            orecs: CachePadded::new(OrecTable::new(config.orec_log2)),
             clock: CachePadded::new(CommitClock::new()),
             table: DispatchTable::select(&config),
             config,

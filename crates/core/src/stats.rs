@@ -254,7 +254,7 @@ pub struct TxStats {
     /// decorrelated-jitter spin/yield episode in the retry loops.
     pub backoff_waits: u64,
     /// Conflict aborts raised by a *read* barrier that exhausted its spin
-    /// budget against a foreign-locked (or version-churning) record. Part
+    /// budget against a record *locked by another owner*. Part
     /// of the abort-cause breakdown: `conflict_read_locked +
     /// conflict_write_locked + conflict_validation` covers every
     /// runtime-raised conflict.
@@ -263,9 +263,10 @@ pub struct TxStats {
     /// budget against a foreign-locked record.
     pub conflict_write_locked: u64,
     /// Conflict aborts raised by snapshot validation: a failed timestamp
-    /// extension in a barrier, or commit-time read-set validation finding
-    /// an invalidated entry (each batch-commit salvage iteration counts
-    /// one).
+    /// extension in a barrier, a read whose version sandwich kept tearing
+    /// (the record *changed* under the read; nobody holds it), or
+    /// commit-time read-set validation finding an invalidated entry (each
+    /// batch-commit salvage iteration counts one).
     pub conflict_validation: u64,
     /// Adaptive contention manager: transactions that escalated into the
     /// karma tier (spin-budget growth past `TxConfig::karma_threshold`

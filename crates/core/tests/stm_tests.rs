@@ -534,6 +534,25 @@ fn abort_to_commit_ratio_counts_conflicts() {
     assert_eq!(w.load(hot), 2000);
 }
 
+/// The records of neighbouring lines share a cache line of the orec table,
+/// not a record: while A holds the lock on line X, B — run to commit on
+/// the same thread, inside A's closure — writes line X+1 first try.
+#[test]
+fn neighbouring_lines_do_not_conflict() {
+    let rt = rt_with(Mode::Baseline);
+    let x = txmem::Addr((rt.alloc_global(192).raw() + 63) & !63);
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    a.txn(|tx| {
+        tx.write(&S, x, 1)?;
+        b.txn(|tb| tb.write(&S, x.offset(64), 2));
+        Ok(())
+    });
+    assert_eq!((b.stats.commits, b.stats.aborts), (1, 0));
+    assert_eq!((a.stats.commits, a.stats.aborts), (1, 0));
+    assert_eq!((a.load(x), a.load(x.offset(64))), (1, 2));
+}
+
 #[test]
 fn stats_flush_on_drop_merges_into_runtime() {
     let rt = rt_with(Mode::Baseline);
