@@ -67,11 +67,14 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Full write: encounter-time lock acquisition, undo log, in-place
-    /// update.
+    /// Own the record guarding `addr`: encounter-time lock acquisition,
+    /// one [`LockEntry`] when newly taken, nothing when already ours (the
+    /// write-after-write check the paper notes already catches redundant
+    /// write barriers in the baseline, yada discussion §4.2). Changes no
+    /// data and logs no undo: the full writes do that once it returns, and
+    /// `tx_free` takes it bare to order a block's reuse.
     #[inline(always)]
-    pub(crate) fn write_full(&mut self, addr: Addr, val: u64) -> TxResult<()> {
-        self.chaos(crate::contention::ChaosPoint::Barrier);
+    pub(crate) fn acquire(&mut self, addr: Addr) -> TxResult<()> {
         let (idx, orec) = self.orec_of(addr);
         let me = self.tid() as u64;
         let mut spins = 0u32;
@@ -79,14 +82,6 @@ impl WorkerCtx<'_> {
             let v = orec.load(Ordering::Acquire);
             if is_locked(v) {
                 if owner_of(v) == me {
-                    // Write-after-write to an owned record: the cheap check
-                    // the paper notes already catches redundant write
-                    // barriers in the baseline (yada discussion, §4.2).
-                    self.undo.push(UndoEntry {
-                        addr,
-                        old: self.mem.load(addr),
-                    });
-                    self.mem.store(addr, val);
                     return Ok(());
                 }
                 spins += 1;
@@ -106,11 +101,6 @@ impl WorkerCtx<'_> {
             {
                 Ok(_) => {
                     self.locks.push(LockEntry { idx, prev: v });
-                    self.undo.push(UndoEntry {
-                        addr,
-                        old: self.mem.load(addr),
-                    });
-                    self.mem.store(addr, val);
                     return Ok(());
                 }
                 Err(_) => {
@@ -122,6 +112,20 @@ impl WorkerCtx<'_> {
                 }
             }
         }
+    }
+
+    /// Full write: encounter-time lock acquisition, undo log, in-place
+    /// update.
+    #[inline(always)]
+    pub(crate) fn write_full(&mut self, addr: Addr, val: u64) -> TxResult<()> {
+        self.chaos(crate::contention::ChaosPoint::Barrier);
+        self.acquire(addr)?;
+        self.undo.push(UndoEntry {
+            addr,
+            old: self.mem.load(addr),
+        });
+        self.mem.store(addr, val);
+        Ok(())
     }
 
     /// Stripe-batched full read of `dst.len()` words starting at `addr`.
@@ -228,51 +232,9 @@ impl WorkerCtx<'_> {
         Ok(done)
     }
 
+    /// Acquire the stripe's record, then undo-log and store the sub-span.
     fn write_full_stripe(&mut self, addr: Addr, src: &[u64]) -> TxResult<()> {
-        let (idx, orec) = self.orec_of(addr);
-        let me = self.tid() as u64;
-        let mut spins = 0u32;
-        loop {
-            let v = orec.load(Ordering::Acquire);
-            if is_locked(v) {
-                if owner_of(v) == me {
-                    self.store_stripe_owned(addr, src);
-                    return Ok(());
-                }
-                spins += 1;
-                if spins > self.spin_budget {
-                    self.stats.conflict_write_locked += 1;
-                    return Err(Abort::Conflict);
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            if v > self.rv && !self.extend() {
-                self.stats.conflict_validation += 1;
-                return Err(Abort::Conflict);
-            }
-            self.cm_announce()?;
-            match orec.compare_exchange_weak(v, lock_value(me), Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    self.locks.push(LockEntry { idx, prev: v });
-                    self.store_stripe_owned(addr, src);
-                    return Ok(());
-                }
-                Err(_) => {
-                    spins += 1;
-                    if spins > self.spin_budget {
-                        self.stats.conflict_write_locked += 1;
-                        return Err(Abort::Conflict);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Undo-log and store a stripe sub-span whose orec this transaction
-    /// already owns.
-    fn store_stripe_owned(&mut self, addr: Addr, src: &[u64]) {
+        self.acquire(addr)?;
         for (k, &val) in src.iter().enumerate() {
             let a = addr.word(k as u64);
             self.undo.push(UndoEntry {
@@ -281,5 +243,6 @@ impl WorkerCtx<'_> {
             });
             self.mem.store(a, val);
         }
+        Ok(())
     }
 }

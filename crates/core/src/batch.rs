@@ -328,6 +328,14 @@ impl<'rt> WorkerCtx<'rt> {
         debug_assert_eq!(self.depth as u64, logical, "levels out of sync");
         let mut logical = logical;
         let mut split = had_split;
+        if self.free_conflict {
+            // A free lost its block's lines (`tx_free`); which logical
+            // transaction issued it is not recorded, so none commits.
+            self.stats.aborts += logical - 1; // + rollback_top's 1
+            self.rollback_top();
+            self.cm_after_abort();
+            return 0;
+        }
         if self.locks.is_empty() {
             // Read-only physical batch: incremental validation holds the
             // snapshot invariant, the commit is clock-silent.

@@ -128,6 +128,10 @@ impl<'rt> WorkerCtx<'rt> {
     /// the transaction is rolled back and `false` returned (caller retries).
     pub(crate) fn try_commit(&mut self) -> bool {
         debug_assert_eq!(self.depth, 1, "commit with open nested transaction");
+        if self.free_conflict {
+            self.rollback_top();
+            return false;
+        }
         if self.locks.is_empty() {
             // Read-only (or fully-elided) transaction: incremental
             // validation already guaranteed a consistent snapshot at `rv`;
@@ -261,6 +265,7 @@ impl<'rt> WorkerCtx<'rt> {
             t.reset();
         }
         self.frees.clear(); // deferred frees are cancelled
+        self.free_conflict = false;
         self.stack.reset_to(self.sp_marks[0]);
         self.sp_marks.clear();
         self.depth = 0;

@@ -1,8 +1,23 @@
 //! Transactional allocation and free (paper §3.1.2): every transactional
 //! allocation is reported to the active capture policy (through the
 //! spawn-time-resolved dispatch table) so heap capture analysis can find
-//! it; aborts undo allocations; frees of non-captured blocks are deferred
-//! to commit so concurrent readers never observe recycled memory.
+//! it; aborts undo allocations.
+//!
+//! This module also decides when recycled memory may be observed. A block
+//! the transaction allocated itself is captured — nobody else can reach
+//! it — so its free is immediate (or deferred to commit, for an ancestor
+//! level's block) and takes no lock. Freeing any other block is a write:
+//! `tx_free` acquires the record of every 64-byte line the block covers,
+//! header word included, changing no data and logging no undo, and the
+//! heap gets the block back only in `finish_commit`, after the commit
+//! released those lines at its `wv` (a rollback releases them like any
+//! lock). A transaction whose snapshot predates the free then fails its
+//! version check on the first word of the block it touches and cannot
+//! extend past it, because the freer rewrote every path to the block; a
+//! transaction already holding one of the lines makes the freer conflict
+//! instead. So the next owner's captured, orec-free initialization is
+//! invisible to every older snapshot, and readers pay nothing (DESIGN.md
+//! §13.6).
 //!
 //! With [`crate::TxConfig::nursery`] active, small allocations are instead
 //! bump-allocated in the transaction's nursery (see `crate::nursery`) and
@@ -13,6 +28,7 @@
 use capture::CapturePolicy;
 use txmem::{small_block_total, Addr, HEADER_BYTES, NURSERY_MAX_BLOCK_BYTES};
 
+use crate::orec::STRIPE_BYTES;
 use crate::worker::{AllocHome, AllocRec, TxResult, WorkerCtx};
 
 impl WorkerCtx<'_> {
@@ -92,10 +108,93 @@ impl WorkerCtx<'_> {
                 return;
             }
             // Allocated by an ancestor level: a partial abort of the
-            // current level must keep it alive, so defer like a shared
-            // block. It stays in the allocation log — it is still captured
-            // (unreachable by other transactions until we commit).
+            // current level must keep it alive, so defer to commit. It
+            // stays in the allocation log — still captured (unreachable by
+            // other transactions until we commit), so it takes no lock.
+        } else if self.lock_block(addr).is_err() {
+            // `Tx::free` reports nothing to its caller: the lost line
+            // surfaces as a failed commit (see `free_conflict`).
+            self.free_conflict = true;
         }
         self.frees.push(addr);
+    }
+
+    /// Acquire the record of every line of the shared block at `addr`,
+    /// header line first: once that one is ours no other transaction can
+    /// free the block, so the size read after it is the block's own.
+    fn lock_block(&mut self, addr: Addr) -> TxResult<()> {
+        let first = (addr.raw() - HEADER_BYTES) & !(STRIPE_BYTES - 1);
+        self.acquire(Addr(first))?;
+        let end = addr.raw() + self.rt.heap.usable_size(addr);
+        for line in (first + STRIPE_BYTES..end).step_by(STRIPE_BYTES as usize) {
+            self.acquire(Addr(line))?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+
+    use txmem::{Addr, MemConfig, HEADER_BYTES};
+
+    use crate::orec::STRIPE_BYTES;
+    use crate::{StmRuntime, TxConfig};
+
+    /// A free of a block the transaction did not allocate locks every line
+    /// the block covers, header included, and its commit leaves each of
+    /// them at the commit's version; a free of the transaction's own block
+    /// takes no lock at all.
+    #[test]
+    fn a_shared_free_stamps_every_line_and_an_own_free_locks_nothing() {
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_full());
+        let mut w = rt.spawn_worker();
+        let x = w.alloc_raw(200);
+        let first = (x.raw() - HEADER_BYTES) & !(STRIPE_BYTES - 1);
+        let end = x.raw() + rt.heap().usable_size(x);
+        let lines: Vec<u64> = (first..end).step_by(STRIPE_BYTES as usize).collect();
+        assert!(lines.len() >= 4, "a 200-byte block spans four lines");
+        w.txn(|tx| {
+            let own = tx.alloc(200)?;
+            tx.free(own);
+            assert!(
+                tx.0.locks.is_empty(),
+                "freeing a captured block took a lock"
+            );
+            tx.free(x);
+            assert_eq!(tx.0.locks.len(), lines.len());
+            Ok(())
+        });
+        let wv = rt.clock.read();
+        for l in lines {
+            let orec = rt.orecs.at(rt.orecs.index_of(Addr(l)));
+            assert_eq!(orec.load(Ordering::Relaxed), wv, "line {l:#x}");
+        }
+    }
+
+    /// A transaction already holding one of the block's lines makes the
+    /// freer conflict: the free marks its transaction so it cannot commit,
+    /// a rollback clears the mark, and the block stays allocated.
+    #[test]
+    fn a_free_of_a_held_line_marks_the_freer() {
+        static S: crate::Site = crate::Site::shared("txalloc.test");
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_full());
+        let mut a = rt.spawn_worker();
+        let mut b = rt.spawn_worker();
+        let x = a.alloc_raw(64);
+        let live = rt.heap().bytes_allocated();
+        a.txn(|ta| {
+            ta.write(&S, x, 1)?;
+            let r = b.txn_result(|tb| {
+                tb.free(x);
+                assert!(tb.0.free_conflict, "the held line did not conflict");
+                Err::<(), _>(tb.abort(9))
+            });
+            assert_eq!(r, Err(9));
+            Ok(())
+        });
+        assert!(!b.free_conflict);
+        assert_eq!(rt.heap().bytes_allocated(), live, "the block was freed");
     }
 }

@@ -728,23 +728,13 @@ macro_rules! tx_object {
 ///
 /// assert_eq!(Color::Red.to_word(), 1);
 /// assert_eq!(Color::from_word(0), Color::Black);
-/// // Undeclared bits decode to the first variant — never a panic.
-/// assert_eq!(Color::from_word(7), Color::Black);
 /// ```
 ///
-/// `from_word` is **total**: a word matching no declared discriminant
-/// decodes to the *first* declared variant. It must not panic, because
-/// an optimistic reader can transiently observe arbitrary bits that
-/// pass validation: a committed transaction's freed block may be
-/// reallocated and initialized by another thread's *captured* (barrier-
-/// elided) writes, which by design bump no orec version. Such a reader
-/// is doomed — its next validation aborts it — and the word-level API
-/// has always tolerated the garbage in the meantime (a `u64` compare
-/// just mis-branches); the typed codec must degrade identically rather
-/// than turn a to-be-aborted transaction into a process crash. Genuine
-/// codec bugs are caught where zombies cannot occur: the
-/// single-threaded `typed_oracle` differential test compares decoded
-/// round-trips bit-for-bit.
+/// `from_word` panics, naming the enum, on a word that is no declared
+/// discriminant. Every transactional read sees a consistent snapshot —
+/// a freed block is reused only after the freeing commit stamped its
+/// lines (DESIGN.md §13.6) — so such a word is a codec bug or
+/// corruption, never a transient view.
 #[macro_export]
 macro_rules! tx_word_enum {
     (
@@ -770,11 +760,9 @@ macro_rules! tx_word_enum {
             #[inline(always)]
             fn from_word(w: u64) -> Self {
                 match w {
+                    $val0 => $name::$variant0,
                     $( $val => $name::$variant, )*
-                    // The first variant's own discriminant and any
-                    // zombie-observed garbage land here; see the macro
-                    // docs for why this must be total.
-                    _ => $name::$variant0,
+                    _ => panic!(concat!("{:#x} is no ", stringify!($name), " discriminant"), w),
                 }
             }
         }
@@ -1102,13 +1090,9 @@ mod tests {
     }
 
     #[test]
-    fn enum_codec_is_total_over_zombie_bits() {
-        // A doomed optimistic reader can observe arbitrary words that
-        // pass validation (recycled captured memory); decoding must
-        // tolerate them like the raw u64 compares always did — fall to
-        // the first variant, never panic.
-        assert_eq!(Color::from_word(7), Color::Black);
-        assert_eq!(Color::from_word(u64::MAX), Color::Black);
+    #[should_panic(expected = "0x7 is no Color discriminant")]
+    fn enum_codec_rejects_undeclared_bits() {
+        Color::from_word(7);
     }
 
     #[test]

@@ -161,6 +161,12 @@ pub struct WorkerCtx<'rt> {
     pub(crate) undo: Vec<UndoEntry>,
     pub(crate) allocs: Vec<AllocRec>,
     pub(crate) frees: Vec<Addr>,
+    /// A free of a block this transaction did not allocate lost one of the
+    /// block's lines (`tx_free`): the free cannot be ordered, so the
+    /// transaction must not commit. [`Tx::free`] returns nothing, so the
+    /// commit rolls back and retries instead. Only a full rollback clears
+    /// it: a partial one leaves it set, and the whole transaction retries.
+    pub(crate) free_conflict: bool,
     /// Read-snapshot version.
     pub(crate) rv: u64,
     /// Nesting depth; 0 = no transaction active.
@@ -315,6 +321,7 @@ impl<'rt> WorkerCtx<'rt> {
             undo: Vec::with_capacity(64),
             allocs: Vec::with_capacity(32),
             frees: Vec::with_capacity(32),
+            free_conflict: false,
             rv: 0,
             depth: 0,
             sp_marks: Vec::with_capacity(4),
@@ -727,6 +734,12 @@ impl Drop for WorkerCtx<'_> {
             self.depth == 0 || std::thread::panicking(),
             "worker dropped inside a transaction"
         );
+        // Unwinding out of a transaction is a rollback: the undo log is
+        // restored and the orec locks released before the tid — and with
+        // it lock ownership — can go to another worker.
+        if self.depth > 0 {
+            self.rollback_top();
+        }
         // Flush any group-commit-buffered redo records before the tid
         // (and with it the log file) can be reused by another worker.
         self.durable_flush(true);
@@ -870,8 +883,10 @@ impl<'a, 'rt> Tx<'a, 'rt> {
         self.0.tx_alloc(size)
     }
 
-    /// Transactional free: deferred to commit for non-captured blocks,
-    /// immediate for blocks this transaction allocated.
+    /// Transactional free: immediate for blocks this transaction
+    /// allocated. Any other block is a write — its lines are locked now
+    /// and the heap gets it back at commit — and a lock lost here makes
+    /// the commit fail and the transaction retry.
     pub fn free(&mut self, addr: Addr) {
         self.0.tx_free(addr)
     }

@@ -3,7 +3,7 @@
 //! compiler mode.
 
 use stm::{Abort, CheckScope, LogKind, Mode, Site, StmRuntime, TxConfig};
-use txmem::MemConfig;
+use txmem::{Addr, MemConfig};
 
 static S: Site = Site::shared("test.shared");
 static S_CAP: Site = Site::captured_local("test.captured_local");
@@ -551,6 +551,132 @@ fn neighbouring_lines_do_not_conflict() {
     assert_eq!((b.stats.commits, b.stats.aborts), (1, 0));
     assert_eq!((a.stats.commits, a.stats.aborts), (1, 0));
     assert_eq!((a.load(x), a.load(x.offset(64))), (1, 2));
+}
+
+/// `head → X`, X a 64-byte block whose first word is 5 and which sits in
+/// `b`'s heap cache shape, so that once `b` frees it, `b`'s next 64-byte
+/// allocation hands it back (LIFO).
+fn published_block(rt: &StmRuntime, b: &mut stm::WorkerCtx<'_>) -> (Addr, Addr) {
+    let head = rt.alloc_global(8);
+    let x = b.alloc_raw(64);
+    b.store(x, 5);
+    b.store_as(head, x);
+    (head, x)
+}
+
+/// A transaction that followed a link to X must not write X after X was
+/// freed and recycled, or its abort would restore a stale pre-image over
+/// the new owner's data. `a` reads `head → X`; `b` — run on the same
+/// thread inside `a`'s closure — unlinks and frees X; `a` writes `X[0]`;
+/// `b` reallocates X and initializes `X[0]` with a captured store; `a`
+/// then fails validation. `b`'s value must survive.
+#[test]
+fn stale_writer_cannot_restore_over_a_recycled_block() {
+    let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_full());
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    let (head, x) = published_block(&rt, &mut b);
+    let mut first = true;
+    a.txn(|ta| {
+        let p = ta.read_addr(&S, head)?;
+        if std::mem::take(&mut first) {
+            b.txn(|tb| {
+                tb.write_addr(&S, head, Addr(0))?;
+                tb.free(p);
+                Ok(())
+            });
+            let stale = ta.write(&S, p, 111);
+            b.txn(|tb| {
+                let y = tb.alloc(64)?;
+                assert_eq!(y, p, "the freed block comes back LIFO");
+                tb.write(&S_ESC, y, 222)?;
+                tb.write_addr(&S, head, y)
+            });
+            stale?;
+        }
+        Ok(())
+    });
+    assert_eq!(
+        a.load(x),
+        222,
+        "a stale undo was restored over a recycled block"
+    );
+}
+
+/// A read-only commit does not validate, so a read-only transaction must
+/// never read a recycled block at all. `a` reads `head → X`; `b` unlinks
+/// and frees X, reallocates it, initializes `X[0]` to 999 and parks it
+/// elsewhere; `a` reads `X[0]` and commits. No serial order has `head ==
+/// X` with `X[0] == 999`.
+#[test]
+fn read_only_commit_never_returns_a_recycled_block() {
+    let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_full());
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    let (head, x) = published_block(&rt, &mut b);
+    let parked = rt.alloc_global(8);
+    let mut first = true;
+    let seen = a.txn(|ta| {
+        let p = ta.read_addr(&S, head)?;
+        if std::mem::take(&mut first) {
+            b.txn(|tb| {
+                tb.write_addr(&S, head, Addr(0))?;
+                tb.free(p);
+                Ok(())
+            });
+            b.txn(|tb| {
+                let y = tb.alloc(64)?;
+                assert_eq!(y, p, "the freed block comes back LIFO");
+                tb.write(&S_ESC, y, 999)?;
+                tb.write_addr(&S, parked, y)
+            });
+        }
+        if p.is_null() {
+            return Ok((p, 0));
+        }
+        Ok((p, ta.read(&S, p)?))
+    });
+    assert_ne!(seen, (x, 999), "read-only commit saw the recycled block");
+    assert_eq!(seen, (Addr(0), 0));
+}
+
+/// A closure that panics inside a transaction unwinds through
+/// `WorkerCtx::drop`, which rolls the transaction back: the next writer of
+/// the word — whichever thread id it draws — commits on its first attempt
+/// and sees the pre-image. Bounded by a timeout, since a lock stranded by
+/// the dead transaction would make that writer spin forever.
+#[test]
+fn unwinding_out_of_a_transaction_rolls_it_back() {
+    let rt = std::sync::Arc::new(rt_with(Mode::Baseline));
+    let a = rt.alloc_global(8);
+    rt.spawn_worker().store(a, 7);
+    let panicked = std::thread::scope(|s| {
+        s.spawn(|| {
+            rt.spawn_worker().txn(|tx| -> stm::TxResult<()> {
+                tx.write(&S, a, 99)?;
+                panic!("closure panics holding a lock");
+            })
+        })
+        .join()
+        .is_err()
+    });
+    assert!(panicked);
+    let (done, result) = std::sync::mpsc::channel();
+    let rt2 = rt.clone();
+    std::thread::spawn(move || {
+        let mut w = rt2.spawn_worker();
+        let seen = w.txn(|tx| {
+            let v = tx.read(&S, a)?;
+            tx.write(&S, a, v + 1)?;
+            Ok(v)
+        });
+        let _ = done.send((seen, w.stats.aborts));
+    });
+    let (seen, aborts) = result
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("the next writer is stuck behind the dead transaction's lock");
+    assert_eq!((seen, aborts), (7, 0));
+    assert_eq!(rt.spawn_worker().load(a), 8);
 }
 
 #[test]

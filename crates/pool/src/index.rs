@@ -3,29 +3,14 @@
 //! skiplist. Everything here is `pub(crate)` plumbing for the public
 //! operations in `ops.rs`.
 //!
-//! # Doomed readers never panic
-//!
-//! Under the capture-optimized runtime an optimistic reader can follow a
-//! pointer into a block that a concurrent transaction has since freed and
-//! a third has recycled — and the recycler's *captured* init stores bump
-//! no orec, so the stale words pass per-read validation (DESIGN.md §8).
-//! Such a zombie is guaranteed to abort at commit (it reached the block
-//! through a link whose orec *did* advance), but until then it can observe
-//! states no consistent snapshot allows: "full" tables, skiplist searches
-//! that miss a live key, broken sender chains. Every invariant check on
-//! transactionally-read state therefore degrades to `Err(Abort::Conflict)`
-//! instead of panicking, and every pointer walk carries a capacity-derived
-//! step bound so a zombie-visible cycle becomes a retry, not a hang. Real
-//! corruption is still caught — by `seq_check` at quiesce, where reads are
-//! non-transactional and consistent, and by the differential oracle.
-//!
-//! Items are level-sized, so an item's block can come back as a payload
-//! buffer (or a shorter item) and a link word read from it can be
-//! arbitrary bits. Table slots only ever hold item addresses, but every
-//! address derived from a *link* — skiplist forward and back links, the
-//! sender chain — passes [`TxPool::at`] on its way into a barrier, which
-//! turns an unaligned or out-of-heap address into `Abort::Conflict`. A back link is additionally trusted only if the
-//! node it names points forward at the item being unlinked.
+//! Every transactional read here sees a consistent snapshot: freeing an
+//! item locks the lines of its block like a write, so the block is reused
+//! only after the freeing commit stamped them, and a transaction that could
+//! still follow a stale link to it fails validation before it reads a
+//! recycled word (DESIGN.md §13.6). Walks therefore carry no step bounds
+//! and link-derived addresses no range checks; an index invariant that
+//! fails inside a transaction is corruption and panics with the item's
+//! address.
 
 use std::cmp::Ordering;
 
@@ -35,7 +20,7 @@ use crate::{
     mix, Item, PoolEntry, TxPool, MAX_LEVEL, S_BLOOM_R, S_BLOOM_W, S_INIT_W, S_ITEM_R, S_LINK_W,
     S_SKIP_R, S_SKIP_W, S_SLOT_R, S_SLOT_W,
 };
-use stm::{Abort, Field, Tx, TxBuf, TxPtr, TxResult, TxWord};
+use stm::{Field, Tx, TxBuf, TxPtr, TxResult, TxWord};
 
 /// One live item's words, read once ([`TxPool::load`]) and then consulted
 /// locally: the nine-word header and the `level`-pair tower.
@@ -46,7 +31,7 @@ impl Node {
         V::from_word(self.0[f.word() as usize])
     }
 
-    /// The stored skiplist height, validated by `load`.
+    /// The stored skiplist height.
     pub(crate) fn level(&self) -> usize {
         self.get(Item::level) as usize
     }
@@ -74,14 +59,6 @@ pub(crate) enum KeyKind {
 }
 
 impl TxPool {
-    /// Step allowance for any pointer walk: generous against any
-    /// consistent state (live items never exceed half the table), so
-    /// exhausting it proves the walker is a zombie chasing recycled
-    /// links — possibly around a cycle.
-    pub(crate) fn walk_bound(&self) -> u64 {
-        4 * (self.mask + 2)
-    }
-
     fn key_of(&self, tx: &mut Tx<'_, '_>, p: TxPtr<Item>, kind: KeyKind) -> TxResult<u64> {
         match kind {
             KeyKind::Id => tx.read_field(&S_ITEM_R, p, Item::id),
@@ -92,7 +69,8 @@ impl TxPool {
     /// Probe for `key` starting at its home slot. Returns the slot index
     /// and entry, or `None` at the first empty slot (linear probing with
     /// backward-shift deletion leaves no holes inside a cluster, so an
-    /// empty slot proves absence).
+    /// empty slot proves absence; at load factor ≤ 1/2 there always is
+    /// one).
     pub(crate) fn table_find(
         &self,
         tx: &mut Tx<'_, '_>,
@@ -101,7 +79,6 @@ impl TxPool {
         key: u64,
     ) -> TxResult<Option<(u64, TxPtr<Item>)>> {
         let mut i = mix(key) & self.mask;
-        let mut probes = 0u64;
         loop {
             let p: TxPtr<Item> = tx.read_as(&S_SLOT_R, table.elem(i))?;
             if p.is_null() {
@@ -111,13 +88,6 @@ impl TxPool {
                 return Ok(Some((i, p)));
             }
             i = (i + 1) & self.mask;
-            probes += 1;
-            if probes > self.mask {
-                // Capacity is 2x the worst-case item count, so a full
-                // table is impossible in a consistent snapshot — only a
-                // zombie can see one. Abort and let the retry see truth.
-                return Err(Abort::Conflict);
-            }
         }
     }
 
@@ -132,17 +102,12 @@ impl TxPool {
         p: TxPtr<Item>,
     ) -> TxResult<()> {
         let mut i = mix(key) & self.mask;
-        let mut probes = 0u64;
         loop {
             let q: TxPtr<Item> = tx.read_as(&S_SLOT_R, table.elem(i))?;
             if q.is_null() {
                 return tx.write_as(&S_SLOT_W, table.elem(i), p);
             }
             i = (i + 1) & self.mask;
-            probes += 1;
-            if probes > self.mask {
-                return Err(Abort::Conflict);
-            }
         }
     }
 
@@ -160,7 +125,6 @@ impl TxPool {
     ) -> TxResult<()> {
         tx.write_as(&S_SLOT_W, table.elem(i), TxPtr::<Item>::NULL)?;
         let mut j = i;
-        let mut probes = 0u64;
         loop {
             j = (j + 1) & self.mask;
             let p: TxPtr<Item> = tx.read_as(&S_SLOT_R, table.elem(j))?;
@@ -172,10 +136,6 @@ impl TxPool {
                 tx.write_as(&S_SLOT_W, table.elem(i), p)?;
                 tx.write_as(&S_SLOT_W, table.elem(j), TxPtr::<Item>::NULL)?;
                 i = j;
-            }
-            probes += 1;
-            if probes > self.mask {
-                return Err(Abort::Conflict);
             }
         }
     }
@@ -218,52 +178,29 @@ impl TxPool {
         Ok(())
     }
 
-    // --- checked access to link-derived addresses -------------------------------
-
-    /// `a`, provided `[a, a + words)` is a word-aligned span of the heap;
-    /// `Abort::Conflict` otherwise (see the module note: only a zombie can
-    /// fail this).
-    fn span(&self, a: Addr, words: usize) -> TxResult<Addr> {
-        let (lo, hi) = self.heap;
-        let ok = a.raw().is_multiple_of(8) && a.raw() >= lo && a.raw() <= hi - 8 * words as u64;
-        ok.then_some(a).ok_or(Abort::Conflict)
-    }
-
-    /// [`TxPool::span`] of one word: the check every link-derived address
-    /// passes on its way into a barrier.
-    pub(crate) fn at(&self, a: Addr) -> TxResult<Addr> {
-        self.span(a, 1)
-    }
-
     /// Read item `p` once: the header plus the level-0 pair every item has
-    /// in one ranged barrier, the rest of a taller tower in a second. A
-    /// stored level outside `1..=MAX_LEVEL` is a zombie's view of a
-    /// recycled block.
+    /// in one ranged barrier, the rest of a taller tower in a second.
     pub(crate) fn load(&self, tx: &mut Tx<'_, '_>, p: TxPtr<Item>) -> TxResult<Node> {
         let mut n = Node([0; Item::alloc_words(MAX_LEVEL as u64) as usize]);
         let base = Item::alloc_words(1) as usize;
-        tx.read_range(&S_ITEM_R, self.span(p.addr(), base)?, &mut n.0[..base])?;
+        tx.read_range(&S_ITEM_R, p.addr(), &mut n.0[..base])?;
         let lvl = n.get(Item::level);
-        if !(1..=MAX_LEVEL as u64).contains(&lvl) {
-            return Err(Abort::Conflict);
-        }
         if lvl > 1 {
             let rest = &mut n.0[base..Item::alloc_words(lvl) as usize];
-            let from = self.span(p.field(Item::fwd(1)), rest.len())?;
-            tx.read_range(&S_SKIP_R, from, rest)?;
+            tx.read_range(&S_SKIP_R, p.field(Item::fwd(1)), rest)?;
         }
         Ok(n)
     }
 
     // --- skiplist ----------------------------------------------------------
 
-    /// The (checked) word holding the level-`l` forward link out of `pred`
-    /// (null = the list head).
-    fn fwd_link(&self, pred: TxPtr<Item>, l: usize) -> TxResult<Addr> {
+    /// The word holding the level-`l` forward link out of `pred` (null =
+    /// the list head).
+    fn fwd_link(&self, pred: TxPtr<Item>, l: usize) -> Addr {
         if pred.is_null() {
-            Ok(self.heads.elem(l as u64))
+            self.heads.elem(l as u64)
         } else {
-            self.at(pred.field(Item::fwd(l)))
+            pred.field(Item::fwd(l))
         }
     }
 
@@ -277,7 +214,7 @@ impl TxPool {
         to: TxPtr<Item>,
     ) -> TxResult<()> {
         if !succ.is_null() {
-            tx.write_as(&S_SKIP_W, self.at(succ.field(Item::back(l)))?, to)
+            tx.write_field(&S_SKIP_W, succ, Item::back(l), to)
         } else if l == 0 {
             tx.write_as(&S_SKIP_W, self.heads.elem(MAX_LEVEL as u64), to)
         } else {
@@ -295,11 +232,9 @@ impl TxPool {
         major: Field<Item, u64>,
         key: (u64, u64),
     ) -> TxResult<Ordering> {
-        let m: u64 = tx.read_as(&S_ITEM_R, self.at(p.field(major))?)?;
+        let m = tx.read_field(&S_ITEM_R, p, major)?;
         Ok(match key.0.cmp(&m) {
-            Ordering::Equal => key
-                .1
-                .cmp(&tx.read_as(&S_ITEM_R, self.at(p.field(Item::id))?)?),
+            Ordering::Equal => key.1.cmp(&tx.read_field(&S_ITEM_R, p, Item::id)?),
             o => o,
         })
     }
@@ -319,28 +254,19 @@ impl TxPool {
     ) -> TxResult<()> {
         let mut pred = TxPtr::<Item>::NULL;
         let mut stop = TxPtr::<Item>::NULL;
-        let mut steps = self.walk_bound();
         for l in (0..MAX_LEVEL).rev() {
             let link = loop {
-                let link = self.fwd_link(pred, l)?;
+                let link = self.fwd_link(pred, l);
                 let nxt: TxPtr<Item> = tx.read_as(&S_SKIP_R, link)?;
                 if nxt.is_null() || nxt == stop || self.cmp_key(tx, nxt, Item::prio, key)?.is_le() {
                     stop = nxt;
                     break link;
                 }
-                steps -= 1;
-                if steps == 0 {
-                    return Err(Abort::Conflict);
-                }
                 pred = nxt;
             };
             if l < lvl {
-                if stop == p {
-                    // Already linked: impossible in a consistent snapshot.
-                    return Err(Abort::Conflict);
-                }
-                tx.write_as(&S_SKIP_W, self.at(p.field(Item::fwd(l)))?, stop)?;
-                tx.write_as(&S_SKIP_W, self.at(p.field(Item::back(l)))?, pred)?;
+                tx.write_field(&S_SKIP_W, p, Item::fwd(l), stop)?;
+                tx.write_field(&S_SKIP_W, p, Item::back(l), pred)?;
                 tx.write_as(&S_SKIP_W, link, p)?;
                 self.set_back(tx, stop, l, p)?;
             }
@@ -348,22 +274,14 @@ impl TxPool {
         Ok(())
     }
 
-    /// Unlink `p` (loaded as `n`) from every level of its tower through
-    /// its own back links: no search, no key comparison. Each back link is
-    /// followed only to a word that points forward at `p`.
-    pub(crate) fn skip_unlink(
-        &self,
-        tx: &mut Tx<'_, '_>,
-        p: TxPtr<Item>,
-        n: &Node,
-    ) -> TxResult<()> {
+    /// Unlink the item loaded as `n` from every level of its tower through
+    /// its own back links: no search, no key comparison, no read. In the
+    /// snapshot `n` comes from, the node a back link names points forward
+    /// at the item, and commit validates that snapshot.
+    pub(crate) fn skip_unlink(&self, tx: &mut Tx<'_, '_>, n: &Node) -> TxResult<()> {
         for l in 0..n.level() {
             let (nxt, prv) = (n.get(Item::fwd(l)), n.get(Item::back(l)));
-            let link = self.fwd_link(prv, l)?;
-            if tx.read_as::<TxPtr<Item>>(&S_SKIP_R, link)? != p {
-                return Err(Abort::Conflict);
-            }
-            tx.write_as(&S_SKIP_W, link, nxt)?;
+            tx.write_as(&S_SKIP_W, self.fwd_link(prv, l), nxt)?;
             self.set_back(tx, nxt, l, prv)?;
         }
         Ok(())
@@ -398,17 +316,12 @@ impl TxPool {
             return tx.write_as(&S_SLOT_W, self.senders.elem(slot), p);
         }
         let mut prev = head;
-        let mut steps = self.walk_bound();
         loop {
-            let link = self.at(prev.field(Item::snext))?;
+            let link = prev.field(Item::snext);
             let nx: TxPtr<Item> = tx.read_as(&S_ITEM_R, link)?;
             if nx.is_null() || self.cmp_key(tx, nx, Item::nonce, key)?.is_lt() {
                 tx.write_field(&S_INIT_W, p, Item::snext, nx)?;
                 return tx.write_as(&S_LINK_W, link, p);
-            }
-            steps -= 1;
-            if steps == 0 {
-                return Err(Abort::Conflict);
             }
             prev = nx;
         }
@@ -424,10 +337,9 @@ impl TxPool {
         sender: u64,
         snext: TxPtr<Item>,
     ) -> TxResult<()> {
-        let Some((slot, head)) = self.table_find(tx, self.senders, KeyKind::Sender, sender)? else {
-            // A live item without a sender chain: doomed snapshot.
-            return Err(Abort::Conflict);
-        };
+        let (slot, head) = self
+            .table_find(tx, self.senders, KeyKind::Sender, sender)?
+            .unwrap_or_else(|| panic!("live item {} has no chain for sender {sender}", p.addr()));
         if head == p {
             if snext.is_null() {
                 return self.table_remove_at(tx, self.senders, KeyKind::Sender, slot);
@@ -435,17 +347,17 @@ impl TxPool {
             return tx.write_as(&S_SLOT_W, self.senders.elem(slot), snext);
         }
         let mut prev = head;
-        let mut steps = self.walk_bound();
         loop {
-            let link = self.at(prev.field(Item::snext))?;
+            let link = prev.field(Item::snext);
             let nx: TxPtr<Item> = tx.read_as(&S_ITEM_R, link)?;
             if nx == p {
                 return tx.write_as(&S_LINK_W, link, snext);
             }
-            steps -= 1;
-            if nx.is_null() || steps == 0 {
-                return Err(Abort::Conflict);
-            }
+            assert!(
+                !nx.is_null(),
+                "live item {} missing from sender {sender}'s chain",
+                p.addr()
+            );
             prev = nx;
         }
     }

@@ -258,9 +258,6 @@ pub struct TxPool {
     /// Skiplist anchors: `heads[0..MAX_LEVEL]`, then the level-0 tail.
     pub(crate) heads: TxBuf<TxPtr<Item>>,
     pub(crate) bloom: TxBuf<u64>,
-    /// `[start, end)` of the simulated heap: every address derived from
-    /// a transactionally-read link is checked against it (`index.rs`).
-    pub(crate) heap: (u64, u64),
     /// `capacity - 1` for both tables.
     pub(crate) mask: u64,
     /// `64 * bloom_words - 1`.
@@ -301,7 +298,6 @@ impl TxPool {
             senders,
             heads,
             bloom,
-            heap: (rt.mem().layout().heap_start, rt.mem().layout().heap_end),
             mask: cap - 1,
             bloom_mask: 64 * cfg.bloom_words - 1,
             budget: cfg.budget_bytes,
@@ -349,10 +345,8 @@ impl TxPool {
 }
 
 /// The header deltas of one operation, accumulated locally and applied by
-/// [`TxPool::settle`] when the operation ends. Wrapping, no underflow
-/// assert: a delta may come from a doomed reader's garbage `bytes` field
-/// (see the note in `index.rs`); the wrapped write rolls back with the
-/// inevitable abort, and `seq_check` audits the true totals at quiesce.
+/// [`TxPool::settle`] when the operation ends. Each counter holds one
+/// two's-complement delta, so a removal's `sub` is a wrapping add.
 #[derive(Default)]
 pub(crate) struct HdrDelta([u64; PoolHdr::WORDS as usize]);
 

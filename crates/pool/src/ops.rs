@@ -5,7 +5,7 @@
 
 use crate::index::{KeyKind, Node};
 use crate::{HdrDelta, Item, PoolEntry, PoolHdr, TxPool, S_HDR_R, S_INIT_W, S_ITEM_R, S_LINK_W};
-use stm::{Abort, Field, Tx, TxBuf, TxPtr, TxResult};
+use stm::{Field, Tx, TxBuf, TxPtr, TxResult};
 
 /// What [`TxPool::insert`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,24 +81,16 @@ impl TxPool {
         let key = (e.prio, id);
         let mut freed = 0u64;
         let mut victims = 0u64;
-        if live.saturating_add(need) > self.budget {
-            // Saturating arithmetic and a walk bound: a doomed reader can
-            // see garbage `bytes` fields and recycled forward links here
-            // (see the module note in `index.rs`), and must degrade to an
-            // abort, never underflow or spin.
+        if live + need > self.budget {
             let mut cur = self.skip_min(tx)?;
-            while live.saturating_sub(freed).saturating_add(need) > self.budget {
+            while live - freed + need > self.budget {
                 if cur.is_null() || self.cmp_key(tx, cur, Item::prio, key)?.is_le() {
                     d.add(PoolHdr::rejected, 1);
                     return Ok(InsertOutcome::Rejected);
                 }
-                let bytes: u64 = tx.read_as(&S_ITEM_R, self.at(cur.field(Item::bytes))?)?;
-                freed = freed.saturating_add(bytes);
+                freed += tx.read_field(&S_ITEM_R, cur, Item::bytes)?;
                 victims += 1;
-                if victims > self.walk_bound() {
-                    return Err(Abort::Conflict);
-                }
-                cur = tx.read_as(&S_ITEM_R, self.at(cur.field(Item::fwd(0)))?)?;
+                cur = tx.read_field(&S_ITEM_R, cur, Item::fwd(0))?;
             }
             for _ in 0..victims {
                 self.evict_min(tx, d)?;
@@ -165,7 +157,7 @@ impl TxPool {
         };
         let n = self.load(tx, p)?;
         if n.get(Item::prio) != new_prio {
-            self.skip_unlink(tx, p, &n)?;
+            self.skip_unlink(tx, &n)?;
             tx.write_field(&S_LINK_W, p, Item::prio, new_prio)?;
             self.skip_insert(tx, p, (new_prio, id), n.level())?;
         }
@@ -188,12 +180,6 @@ impl TxPool {
         while !cur.is_null() {
             let node = self.load(tx, cur)?;
             n += 1;
-            if node.get(Item::sender) != sender || n > self.walk_bound() {
-                // A foreign item on the chain, or more items than any
-                // consistent chain can hold: a zombie following recycled
-                // links. Abort and retry.
-                return Err(Abort::Conflict);
-            }
             self.unlink_item(tx, &mut d, cur, &node, None)?;
             cur = node.get(Item::snext);
         }
@@ -230,11 +216,7 @@ impl TxPool {
     /// caller has established the pool is non-empty.
     fn evict_min(&self, tx: &mut Tx<'_, '_>, d: &mut HdrDelta) -> TxResult<()> {
         let p = self.skip_min(tx)?;
-        if p.is_null() {
-            // The caller's plan proved the pool non-empty; an empty
-            // skiplist now means the snapshot is doomed.
-            return Err(Abort::Conflict);
-        }
+        assert!(!p.is_null(), "eviction planned on an empty skiplist");
         let n = self.load(tx, p)?;
         self.sender_unlink(tx, p, n.get(Item::sender), n.get(Item::snext))?;
         self.unlink_item(tx, d, p, &n, None)?;
@@ -255,12 +237,12 @@ impl TxPool {
         n: &Node,
         slot: Option<u64>,
     ) -> TxResult<()> {
-        self.skip_unlink(tx, p, n)?;
+        self.skip_unlink(tx, n)?;
         let slot = match slot {
             Some(slot) => slot,
             None => match self.table_find(tx, self.slots, KeyKind::Id, n.get(Item::id))? {
                 Some((slot, q)) if q == p => slot,
-                _ => return Err(Abort::Conflict),
+                _ => panic!("live item {} is not in the primary index", p.addr()),
             },
         };
         self.table_remove_at(tx, self.slots, KeyKind::Id, slot)?;

@@ -22,19 +22,19 @@ use txmem::MemConfig;
 const LIVE: u64 = 4096;
 /// Mean full barriers one removal of a live item may cost. Before the
 /// back links a `pop_best` or `remove` at this size cost ~110 (a 12-level
-/// search, two for `pop_best`); now it is ~40 at the mean height of 2, of
-/// which the tower costs 10: the item is read once (13), the two hash
+/// search, two for `pop_best`); now it is ~38 at the mean height of 2, of
+/// which the tower costs 8: the item is read once (13), the two hash
 /// tables at load factor 1/2 take ~9, the sender chain ~3, the header 6.
 const REMOVAL_GATE: u64 = 45;
-/// The same for the tallest tower: the unlink is O(level), ~5 barriers
+/// The same for the tallest tower: the unlink is O(level), ~4 barriers
 /// per level, so even a full-height item stays under the old mean.
 const TALLEST_GATE: u64 = 90;
 /// Allowance for the search an insert still runs (~14 comparisons and ~26
 /// link reads at this size) plus its own linking and accounting.
 const INSERT_SEARCH: u64 = 80;
-/// Whole-script full barriers per op. The script measures ~45 on its
+/// Whole-script full barriers per op. The script measures ~44 on its
 /// 256 KiB pool; the bound is the one the benchmark's 1 MiB `pool-mixed`
-/// is held to (60 measured there, 118 before the back links).
+/// is held to (59 measured there, 118 before the back links).
 const SCRIPT_GATE: f64 = 85.0;
 
 fn next(x: &mut u64) -> u64 {

@@ -204,6 +204,22 @@ fn churn_under_merge_exercises_windows_and_splits() {
     );
 }
 
+/// Static-elision arm: under `Mode::Compiler` the pool's `S_INIT_W` stores
+/// elide at compile time, so a recycled block is initialized with no
+/// barrier at all while older snapshots run beside it — the mode in which
+/// reuse races surfaced (`vacation.rs`'s `expect("still present")`).
+#[test]
+fn churn_under_compiler_mode_and_chaos_keeps_indices_consistent() {
+    let cfg = TxConfig::builder()
+        .mode(Mode::Compiler)
+        .chaos(ChaosPlan::all(0x5747, 11))
+        .build()
+        .expect("static churn config");
+    let s = churn(cfg, 1, 0x5747);
+    assert!(s.commits >= THREADS * ROUNDS as u64);
+    assert!(s.writes.elided_static > 0, "no static elision: {s:?}");
+}
+
 /// Chaos arm without merging: scheduling faults at every seam may cost
 /// retries but never consistency.
 #[test]
