@@ -57,20 +57,6 @@
 //!                                # --merge is given; release acceptance
 //!                                # bar 1.5 — debug builds skip with a
 //!                                # note, their fixed costs are distorted)
-//! expt contention [--out FILE] [--min-adaptive-speedup F]
-//!                                # contention-management experiment: backoff
-//!                                # vs adaptive-ladder policy under identical
-//!                                # deterministic chaos over the hot-word,
-//!                                # transfer-skew, and long-reader drivers;
-//!                                # Markdown to stdout, BENCH_contention.json
-//!                                # with --out. The starvation gate (adaptive
-//!                                # attempts_max within the ladder's liveness
-//!                                # bound) always runs; --min-adaptive-speedup
-//!                                # additionally gates the hot-word driver's
-//!                                # adaptive/backoff throughput ratio (release
-//!                                # acceptance bar 0.7 — the claim is "no
-//!                                # collapse", not "always faster"; debug
-//!                                # builds skip it with a note)
 //! expt durability [--out FILE] [--max-durability-tax F]
 //!                                # durable redo-log commit tax: shared-heavy
 //!                                # vs captured-heavy drivers at durability
@@ -115,12 +101,12 @@ use stm::TxObject;
 fn usage() -> ! {
     eprintln!(
         "usage: expt <fig8|fig9|fig10|fig11a|fig11b|table1|table2|annotations|orec|check|\
-         barriers|bench-json|scaling|merge|elision|nursery|durability|contention|pool|all> \
+         barriers|bench-json|scaling|merge|elision|nursery|durability|pool|all> \
          [--scale test|small|full] [--threads N] [--runs K] [--out FILE] [--max-ratio F] \
          [--max-typed-ratio F] [--max-ranged-ratio F] [--min-speedup F] [--benchmarks a,b] \
          [--max-nursery-ratio F] [--merge N] [--min-merge-speedup F] [--max-durability-tax F] \
-         [--min-adaptive-speedup F] [--ops N] [--budget BYTES] [--theta F] [--seed N] \
-         [--durable] [--min-pool-throughput F]"
+         [--ops N] [--budget BYTES] [--theta F] [--seed N] [--durable] \
+         [--min-pool-throughput F]"
     );
     std::process::exit(2);
 }
@@ -146,7 +132,6 @@ fn main() {
     let mut merge_factor: Option<usize> = None;
     let mut min_merge_speedup: Option<f64> = None;
     let mut max_durability_tax: Option<f64> = None;
-    let mut min_adaptive_speedup: Option<f64> = None;
     let mut benchmarks: Option<Vec<stamp::Benchmark>> = None;
     let mut pool_ops: Option<u64> = None;
     let mut pool_budget: Option<u64> = None;
@@ -226,14 +211,6 @@ fn main() {
             "--max-durability-tax" => {
                 i += 1;
                 max_durability_tax = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--min-adaptive-speedup" => {
-                i += 1;
-                min_adaptive_speedup = Some(
                     args.get(i)
                         .and_then(|s| s.parse::<f64>().ok())
                         .unwrap_or_else(|| usage()),
@@ -547,49 +524,6 @@ fn main() {
                 } else {
                     match bench::durability::durability_tax_gate(&rows, "captured", "strict", max) {
                         Ok(t) => eprintln!("# captured strict durability tax {t:.2}x <= {max:.2}x"),
-                        Err(msg) => {
-                            eprintln!("# FAIL: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        }
-        "contention" => {
-            let rows = bench::contention::contention_rows(&opts);
-            print!("{}", bench::contention::render_markdown(&opts, &rows));
-            if let Some(path) = out_path.as_deref() {
-                let json = bench::contention::contention_json(&opts, &rows);
-                std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("# wrote {path}");
-            }
-            // Liveness gate (ISSUE 9): the adaptive ladder's whole point is
-            // a bounded worst case — no transaction may exceed the
-            // serialize-threshold-plus-drain attempt bound. This is a
-            // correctness property of the schedule, not a timing, so it
-            // runs unconditionally (debug builds included).
-            match bench::contention::starvation_gate(&rows) {
-                Ok(worst) => eprintln!(
-                    "# adaptive attempts_max {worst} within the liveness bound {}",
-                    bench::contention::SERIALIZE_THRESHOLD + 8 * opts.threads.max(2) as u64
-                ),
-                Err(msg) => {
-                    eprintln!("# FAIL: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            if let Some(min) = min_adaptive_speedup {
-                // Release gate (ISSUE 9): serializing chronic aborters must
-                // not collapse throughput — the adaptive arm of the densest
-                // driver has to hold `min` of its backoff arm. Debug
-                // timings are meaningless; skip with a note there.
-                if cfg!(debug_assertions) {
-                    eprintln!("# adaptive speedup gate skipped: debug build");
-                } else {
-                    match bench::contention::adaptive_speedup_gate(&rows, "hot-word", min) {
-                        Ok(s) => {
-                            eprintln!("# hot-word adaptive/backoff throughput {s:.2}x >= {min:.2}x")
-                        }
                         Err(msg) => {
                             eprintln!("# FAIL: {msg}");
                             std::process::exit(1);

@@ -6,7 +6,6 @@
 //! rows/series; the `expt` binary prints them, and EXPERIMENTS.md archives a
 //! captured run with paper-vs-measured commentary.
 
-pub mod contention;
 pub mod durability;
 pub mod elision;
 pub mod merge;

@@ -1,8 +1,7 @@
 //! Shared deterministic randomness for the experiment drivers: the
 //! xorshift64* generator every driver seeds per-thread (previously
-//! copy-pasted into each of them), the min-of-two skew trick the
-//! contention driver uses, and a proper Zipf sampler for the pool
-//! workload's sender distribution.
+//! copy-pasted into each of them), a cheap min-of-two skew, and a
+//! proper Zipf sampler for the pool workload's sender distribution.
 
 /// xorshift64*: fast, deterministic, and good enough for workload
 /// shaping. Seed must be non-zero (every driver seeds with a constant

@@ -33,15 +33,15 @@
 //!
 //! # Split and salvage
 //!
-//! On a conflict mid-batch ([`MergeSplitPolicy::Salvage`]) the batch
-//! truncates to the last clean *invocation* boundary: the in-flight
-//! closure invocation partially rolls back (checkpoint unwind), the
-//! committed-so-far logical transactions are salvaged by committing the
-//! physical transaction early, and the conflicting remainder retries
-//! unmerged (a quota-1 window) before merging resumes. Commit-time
-//! validation failures are handled watermark-aware: the first invalid
-//! read-set entry locates the earliest dirty logical transaction, and only
-//! it and its successors roll back.
+//! On a conflict mid-batch the batch truncates to the last clean
+//! *invocation* boundary: the in-flight closure invocation partially
+//! rolls back (checkpoint unwind), the committed-so-far logical
+//! transactions are salvaged by committing the physical transaction
+//! early, and the conflicting remainder retries unmerged (a quota-1
+//! window) before merging resumes. Commit-time validation failures are
+//! handled watermark-aware: the first invalid read-set entry locates the
+//! earliest dirty logical transaction, and only it and its successors
+//! roll back.
 //!
 //! Publishing a salvaged prefix's locks is sound because the logs are
 //! append-ordered by execution time: every lock acquired *after* a
@@ -51,7 +51,6 @@
 //! (rolled back newest-first) before the prefix publishes.
 
 use crate::commit::BatchMark;
-use crate::config::MergeSplitPolicy;
 use crate::worker::{Abort, Tx, TxResult, WorkerCtx};
 
 /// Outcome of one [`WorkerCtx::txn_batch`] call.
@@ -248,37 +247,22 @@ impl<'rt> WorkerCtx<'rt> {
                         break;
                     }
                 }
-                Err(Abort::Conflict) => match self.cfg.merge_split_policy {
-                    MergeSplitPolicy::Restart => {
+                Err(Abort::Conflict) => {
+                    if inv_logical == 0 {
+                        // Nothing to salvage: the window's first
+                        // invocation conflicted.
                         self.in_batch = false;
-                        if quota > 1 {
-                            self.pending.merge.splits += 1;
-                        }
-                        // Completed logical transactions roll back and
-                        // will re-execute: one abort each, plus the
-                        // in-flight invocation counted by rollback_top.
-                        self.stats.aborts += self.batch_logical;
                         self.rollback_top();
                         self.cm_after_abort();
                         return (0, WindowEnd::Aborted);
                     }
-                    MergeSplitPolicy::Salvage => {
-                        if inv_logical == 0 {
-                            // Nothing to salvage: the window's first
-                            // invocation conflicted.
-                            self.in_batch = false;
-                            self.rollback_top();
-                            self.cm_after_abort();
-                            return (0, WindowEnd::Aborted);
-                        }
-                        self.batch_unwind_to(inv_mark);
-                        self.batch_logical = inv_logical;
-                        self.stats.aborts += 1; // the conflicting invocation
-                        self.pending.merge.splits += 1;
-                        had_split = true;
-                        break;
-                    }
-                },
+                    self.batch_unwind_to(inv_mark);
+                    self.batch_logical = inv_logical;
+                    self.stats.aborts += 1; // the conflicting invocation
+                    self.pending.merge.splits += 1;
+                    had_split = true;
+                    break;
+                }
                 Err(Abort::User(code)) => {
                     self.stats.user_aborts += 1;
                     user = Some(code);

@@ -1,6 +1,6 @@
 use capture::LogKind;
 
-use crate::contention::{ChaosPlan, ContentionPolicy};
+use crate::contention::ChaosPlan;
 
 /// Which barriers perform runtime capture checks, and for which kinds of
 /// captured memory. These correspond to the configurations measured in the
@@ -98,21 +98,6 @@ impl Mode {
     }
 }
 
-/// How `WorkerCtx::txn_batch` reacts when a merged physical transaction
-/// hits a conflict partway through its logical transactions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MergeSplitPolicy {
-    /// Truncate the logs to the last clean logical boundary, commit the
-    /// salvaged prefix, and retry only the conflicting remainder unmerged
-    /// (the default; keeps committed work under contention).
-    #[default]
-    Salvage,
-    /// Discard the whole merged window (full rollback) and retry its first
-    /// logical transaction unmerged before resuming merging. Simpler
-    /// recovery, more wasted work under contention.
-    Restart,
-}
-
 /// Full runtime configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxConfig {
@@ -146,12 +131,6 @@ pub struct TxConfig {
     /// How many times a barrier re-examines a locked record before the
     /// contention manager aborts the transaction.
     pub spin_tries: u32,
-    /// Cap for the exponential backoff shift (paper: simple exponential
-    /// backoff contention manager).
-    pub backoff_shift_max: u32,
-    /// Panic after this many consecutive aborts of one transaction (safety
-    /// valve against livelock bugs; not a paper mechanism).
-    pub max_attempts: u64,
     /// Route every barrier through the **enum-dispatch reference
     /// pipeline** — a per-access `match` on [`Mode`] and an enum-dispatched
     /// allocation log — instead of the monomorphized dispatch table
@@ -164,10 +143,9 @@ pub struct TxConfig {
     /// logical (application) transactions may execute inside one physical
     /// transaction. `1` (the default) disables merging — `txn_batch(1, ..)`
     /// still works but every logical transaction is its own physical
-    /// transaction. Must be in `1..=MERGE_MAX_LIMIT`.
+    /// transaction. Must be in `1..=MERGE_MAX_LIMIT`. A conflict partway
+    /// through a batch salvages the committed prefix (`stm::batch`).
     pub merge_max: u32,
-    /// Conflict recovery for merged transactions; see [`MergeSplitPolicy`].
-    pub merge_split_policy: MergeSplitPolicy,
     /// Durable commit mode: every physical commit appends its write set to
     /// a per-worker append-only redo log on the runtime's simulated disk
     /// (see `stm::SimDisk`), from which [`crate::recover`] can rebuild the
@@ -186,28 +164,18 @@ pub struct TxConfig {
     /// operations (relaxed durability; recovery still yields a consistent
     /// committed prefix). Must be in `1..=DURABLE_FLUSH_BATCH_LIMIT`.
     pub durable_flush_batch: u32,
-    /// Which contention manager runs the abort/retry path (see
-    /// [`ContentionPolicy`] and `stm::contention`). The default,
-    /// [`ContentionPolicy::Adaptive`], escalates backoff → karma patience →
-    /// a global serialization token and guarantees forward progress;
-    /// [`ContentionPolicy::Backoff`] is the paper's fixed policy with the
-    /// `max_attempts` panic as the only livelock answer.
-    pub contention_policy: ContentionPolicy,
-    /// Consecutive aborts after which the adaptive ladder enters its karma
-    /// tier: the transaction's lock-spin budget starts growing with its
-    /// attempt count, so chronic aborters out-wait fresh transactions in
-    /// mutual-wait cycles. Must be `1..serialize_threshold`.
+    /// Consecutive aborts after which the contention ladder (backoff →
+    /// karma patience → a global serialization token; see
+    /// `stm::contention`) enters its karma tier: the transaction's
+    /// lock-spin budget starts growing with its attempt count, so chronic
+    /// aborters out-wait fresh transactions in mutual-wait cycles. Must be
+    /// `1..serialize_threshold`.
     pub karma_threshold: u64,
-    /// Consecutive aborts after which the adaptive ladder serializes: the
+    /// Consecutive aborts after which the contention ladder serializes: the
     /// transaction takes the global token, drains in-flight transactions,
     /// and runs solo (it then cannot conflict, so it commits). Must be
     /// `> karma_threshold`.
     pub serialize_threshold: u64,
-    /// Wall-clock budget (milliseconds) a transaction may spend retrying
-    /// before the adaptive ladder serializes it regardless of its attempt
-    /// count — the starvation bound for long transactions that lose to
-    /// short ones without racking up attempts quickly. Must be `>= 1`.
-    pub cm_time_budget_ms: u64,
     /// Deterministic schedule-fault injection plan (`None` disables; see
     /// [`ChaosPlan`]). Test/measurement aid: injects seeded delays, yields
     /// and sleep-preemptions at barrier/validation/commit points to force
@@ -234,17 +202,12 @@ impl Default for TxConfig {
             nursery: false,
             orec_log2: 20,
             spin_tries: 64,
-            backoff_shift_max: 14,
-            max_attempts: 50_000_000,
             reference_dispatch: false,
             merge_max: 1,
-            merge_split_policy: MergeSplitPolicy::Salvage,
             durable: false,
             durable_flush_batch: 1,
-            contention_policy: ContentionPolicy::Adaptive,
             karma_threshold: 8,
             serialize_threshold: 64,
-            cm_time_budget_ms: 100,
             chaos: None,
         }
     }
@@ -265,12 +228,6 @@ pub enum ConfigError {
     /// `spin_tries` of zero: a barrier must re-examine a locked record at
     /// least once before the contention manager gives up.
     ZeroSpinTries,
-    /// `max_attempts` of zero: the livelock safety valve would fire on
-    /// the very first attempt.
-    ZeroMaxAttempts,
-    /// `backoff_shift_max` above 32: `1 << shift` spins would overflow
-    /// any sane backoff budget.
-    BackoffShiftTooLarge(u32),
     /// `merge_max` of zero: a batch must hold at least one logical
     /// transaction (`merge_max = 1` is how merging is *disabled*).
     ZeroMergeMax,
@@ -306,9 +263,6 @@ pub enum ConfigError {
     /// serialize_threshold`): the ladder must pass through the karma tier
     /// before serializing, or the spin-budget escalation is dead code.
     UnorderedEscalationThresholds(u64, u64),
-    /// `cm_time_budget_ms` of zero: the wall-clock starvation bound would
-    /// expire immediately, serializing every retried transaction.
-    ZeroContentionTimeBudget,
     /// A [`crate::ChaosPlan`] with `period` of zero: the injection draw is
     /// taken modulo the period (1 fires at every enabled point).
     ZeroChaosPeriod,
@@ -330,13 +284,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "orec_log2 {v} outside supported range 4..=26")
             }
             ConfigError::ZeroSpinTries => write!(f, "spin_tries must be at least 1"),
-            ConfigError::ZeroMaxAttempts => write!(f, "max_attempts must be at least 1"),
-            ConfigError::BackoffShiftTooLarge(v) => {
-                write!(
-                    f,
-                    "backoff_shift_max {v} exceeds the supported maximum of 32"
-                )
-            }
             ConfigError::ZeroMergeMax => write!(
                 f,
                 "merge_max must be at least 1 (1 disables transaction merging)"
@@ -376,9 +323,6 @@ impl std::fmt::Display for ConfigError {
                 "escalation thresholds out of order: karma_threshold {k} must \
                  be below serialize_threshold {s}"
             ),
-            ConfigError::ZeroContentionTimeBudget => {
-                write!(f, "cm_time_budget_ms must be at least 1")
-            }
             ConfigError::ZeroChaosPeriod => {
                 write!(f, "chaos plan period must be at least 1")
             }
@@ -453,18 +397,6 @@ impl TxConfigBuilder {
         self
     }
 
-    /// Cap for the exponential-backoff shift.
-    pub fn backoff_shift_max(mut self, shift: u32) -> Self {
-        self.cfg.backoff_shift_max = shift;
-        self
-    }
-
-    /// Livelock safety valve: panic after this many consecutive aborts.
-    pub fn max_attempts(mut self, attempts: u64) -> Self {
-        self.cfg.max_attempts = attempts;
-        self
-    }
-
     /// Route barriers through the enum-dispatch reference pipeline
     /// (differential-testing oracle).
     pub fn reference_dispatch(mut self, on: bool) -> Self {
@@ -476,13 +408,6 @@ impl TxConfigBuilder {
     /// merging disabled).
     pub fn merge_max(mut self, n: u32) -> Self {
         self.cfg.merge_max = n;
-        self
-    }
-
-    /// Conflict recovery for merged transactions (default
-    /// [`MergeSplitPolicy::Salvage`]).
-    pub fn merge_split_policy(mut self, policy: MergeSplitPolicy) -> Self {
-        self.cfg.merge_split_policy = policy;
         self
     }
 
@@ -500,31 +425,17 @@ impl TxConfigBuilder {
         self
     }
 
-    /// Contention-management policy for the abort/retry path (default
-    /// [`ContentionPolicy::Adaptive`]).
-    pub fn contention_policy(mut self, policy: ContentionPolicy) -> Self {
-        self.cfg.contention_policy = policy;
-        self
-    }
-
-    /// Consecutive aborts before the adaptive ladder's karma tier (default
+    /// Consecutive aborts before the contention ladder's karma tier (default
     /// 8); see [`TxConfig::karma_threshold`].
     pub fn karma_threshold(mut self, attempts: u64) -> Self {
         self.cfg.karma_threshold = attempts;
         self
     }
 
-    /// Consecutive aborts before the adaptive ladder serializes (default
+    /// Consecutive aborts before the contention ladder serializes (default
     /// 64); see [`TxConfig::serialize_threshold`].
     pub fn serialize_threshold(mut self, attempts: u64) -> Self {
         self.cfg.serialize_threshold = attempts;
-        self
-    }
-
-    /// Wall-clock retry budget in milliseconds before serialization
-    /// (default 100); see [`TxConfig::cm_time_budget_ms`].
-    pub fn cm_time_budget_ms(mut self, ms: u64) -> Self {
-        self.cfg.cm_time_budget_ms = ms;
         self
     }
 
@@ -546,12 +457,6 @@ impl TxConfigBuilder {
         }
         if c.spin_tries == 0 {
             return Err(ConfigError::ZeroSpinTries);
-        }
-        if c.max_attempts == 0 {
-            return Err(ConfigError::ZeroMaxAttempts);
-        }
-        if c.backoff_shift_max > 32 {
-            return Err(ConfigError::BackoffShiftTooLarge(c.backoff_shift_max));
         }
         if c.merge_max == 0 {
             return Err(ConfigError::ZeroMergeMax);
@@ -584,9 +489,6 @@ impl TxConfigBuilder {
                 c.karma_threshold,
                 c.serialize_threshold,
             ));
-        }
-        if c.cm_time_budget_ms == 0 {
-            return Err(ConfigError::ZeroContentionTimeBudget);
         }
         if let Some(plan) = &c.chaos {
             if plan.period == 0 {
@@ -732,14 +634,6 @@ mod tests {
             TxConfig::builder().spin_tries(0).build(),
             Err(ConfigError::ZeroSpinTries)
         );
-        assert_eq!(
-            TxConfig::builder().max_attempts(0).build(),
-            Err(ConfigError::ZeroMaxAttempts)
-        );
-        assert_eq!(
-            TxConfig::builder().backoff_shift_max(40).build(),
-            Err(ConfigError::BackoffShiftTooLarge(40))
-        );
 
         // Merge knobs: zero and over-limit factors are rejected, and the
         // reference-dispatch oracle cannot be combined with real merging.
@@ -765,17 +659,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(ref_cfg.merge_max, 1);
-        let merged = TxConfig::builder()
-            .merge_max(32)
-            .merge_split_policy(MergeSplitPolicy::Restart)
-            .build()
-            .unwrap();
+        let merged = TxConfig::builder().merge_max(32).build().unwrap();
         assert_eq!(merged.merge_max, 32);
-        assert_eq!(merged.merge_split_policy, MergeSplitPolicy::Restart);
-        assert_eq!(
-            TxConfig::default().merge_split_policy,
-            MergeSplitPolicy::Salvage
-        );
 
         // Durable knobs: the reference-dispatch oracle cannot run with the
         // durable commit hook, and the flush-batch factor is bounded on
@@ -848,24 +733,12 @@ mod tests {
                 .build(),
             Err(ConfigError::UnorderedEscalationThresholds(100, 10))
         );
-        assert_eq!(
-            TxConfig::builder().cm_time_budget_ms(0).build(),
-            Err(ConfigError::ZeroContentionTimeBudget)
-        );
         let cm = TxConfig::builder()
-            .contention_policy(ContentionPolicy::Backoff)
             .karma_threshold(4)
             .serialize_threshold(32)
-            .cm_time_budget_ms(250)
             .build()
             .unwrap();
-        assert_eq!(cm.contention_policy, ContentionPolicy::Backoff);
         assert_eq!((cm.karma_threshold, cm.serialize_threshold), (4, 32));
-        assert_eq!(cm.cm_time_budget_ms, 250);
-        assert_eq!(
-            TxConfig::default().contention_policy,
-            ContentionPolicy::Adaptive
-        );
 
         // Chaos plans: the injection period must be at least 1 and the
         // delay-kind shares are percentages.
@@ -912,16 +785,11 @@ mod tests {
             .annotations(true)
             .classify(true)
             .spin_tries(7)
-            .backoff_shift_max(9)
-            .max_attempts(123)
             .reference_dispatch(true)
             .build()
             .unwrap();
         assert!(full.annotations && full.classify && full.reference_dispatch);
-        assert_eq!(
-            (full.spin_tries, full.backoff_shift_max, full.max_attempts),
-            (7, 9, 123)
-        );
+        assert_eq!(full.spin_tries, 7);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Adaptive contention management and schedule fault injection.
+//! The contention manager and schedule fault injection.
 //!
 //! The paper's evaluation assumes a "simple exponential backoff contention
 //! manager" and benign STAMP contention; this module is what stands between
 //! that assumption and adversarial traffic. It owns the whole abort/retry
-//! path behind an escalation ladder:
+//! path behind one escalation ladder, whose first rung is the paper's
+//! backoff:
 //!
 //! 1. **Decorrelated-jitter backoff** — the single audited implementation
 //!    of the wait both plain retry (`WorkerCtx::txn`) and merge retry
@@ -15,14 +16,14 @@
 //!    so the chronic aborter wins the conflict without any shared karma
 //!    table.
 //! 3. **Serialization token** — past [`TxConfig::serialize_threshold`]
-//!    attempts (or the [`TxConfig::cm_time_budget_ms`] wall-clock budget),
+//!    attempts (or after retrying for `CM_TIME_BUDGET` of wall-clock time),
 //!    the transaction takes a global token, drains every in-flight
 //!    *writer*, and runs solo among lock holders (invisible readers carry
 //!    on beside it). It encounters no foreign locks and no read
 //!    invalidations, so it cannot conflict-abort:
-//!    its next attempt commits. That is the forward-progress guarantee that
-//!    replaces the `max_attempts` panic under
-//!    [`ContentionPolicy::Adaptive`].
+//!    its next attempt commits. That is the forward-progress guarantee:
+//!    chronic aborters serialize instead of livelocking, and no retry
+//!    count is fatal.
 //!
 //! The soundness argument for the token (why "solo ⇒ commits") and the
 //! liveness bound it yields are laid out in DESIGN.md §12; the
@@ -37,7 +38,6 @@
 //!
 //! [`TxConfig::karma_threshold`]: crate::TxConfig::karma_threshold
 //! [`TxConfig::serialize_threshold`]: crate::TxConfig::serialize_threshold
-//! [`TxConfig::cm_time_budget_ms`]: crate::TxConfig::cm_time_budget_ms
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -46,33 +46,14 @@ use txmem::CachePadded;
 
 use crate::worker::{Abort, TxResult, WorkerCtx};
 
-/// Which contention manager runs the abort/retry path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ContentionPolicy {
-    /// The paper's fixed policy: decorrelated-jitter exponential backoff
-    /// only, with the `TxConfig::max_attempts` panic as the sole livelock
-    /// answer. Kept as the measurement baseline (`expt contention`
-    /// compares against it) and for workloads that want the panic as a
-    /// bug detector.
-    Backoff,
-    /// The escalation ladder (module docs): backoff, then karma-style
-    /// spin-budget growth, then the global serialization token. Guarantees
-    /// forward progress — chronic aborters serialize instead of
-    /// livelocking, and `max_attempts` is never consulted.
-    #[default]
-    Adaptive,
-}
+/// Cap of the backoff wait: at most `2^BACKOFF_SHIFT_MAX` spins.
+const BACKOFF_SHIFT_MAX: u32 = 14;
 
-impl ContentionPolicy {
-    /// Display label used by experiment tables (`"backoff"` /
-    /// `"adaptive"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ContentionPolicy::Backoff => "backoff",
-            ContentionPolicy::Adaptive => "adaptive",
-        }
-    }
-}
+/// Wall-clock time a transaction may spend retrying before the ladder
+/// serializes it regardless of its attempt count — the starvation bound
+/// for long transactions that lose to short ones without racking up
+/// attempts quickly.
+const CM_TIME_BUDGET: Duration = Duration::from_millis(100);
 
 /// Where a [`ChaosPlan`] may inject a scheduling fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,12 +177,11 @@ impl ContentionState {
 
 impl WorkerCtx<'_> {
     /// Contention-manager gate at top-level transaction begin: stand down
-    /// while a serialization-token holder runs solo (never, under the
-    /// backoff policy). A plain load, nothing announced — an invisible
-    /// reader holds no orec lock and bumps no version, so the holder need
-    /// not drain it; the wait only spares a writer the abort `cm_announce`
-    /// would hand it. Called before the durable quiesce gate, which the
-    /// holder may itself be waiting at.
+    /// while a serialization-token holder runs solo. A plain load, nothing
+    /// announced — an invisible reader holds no orec lock and bumps no
+    /// version, so the holder need not drain it; the wait only spares a
+    /// writer the abort `cm_announce` would hand it. Called before the
+    /// durable quiesce gate, which the holder may itself be waiting at.
     #[inline]
     pub(crate) fn cm_enter(&mut self) {
         while self.rt.cm.token.load(Ordering::Acquire) != 0 && !self.holds_token {
@@ -212,12 +192,12 @@ impl WorkerCtx<'_> {
     /// Raise the active flag ahead of the transaction's *first* orec lock —
     /// the enterer's half of the Dekker pair (flag store, then token load).
     /// A writer that finds the token taken holds no lock yet: it retracts
-    /// the flag and conflict-aborts, to park at its next `cm_enter`. The
-    /// backoff policy keeps the legacy free-for-all, and a token holder
-    /// needs no flag — the token itself excludes every other writer.
+    /// the flag and conflict-aborts, to park at its next `cm_enter`. A
+    /// token holder needs no flag — the token itself excludes every other
+    /// writer.
     #[inline]
     pub(crate) fn cm_announce(&mut self) -> TxResult<()> {
-        if self.cm_announced || !self.cm_adaptive || self.holds_token {
+        if self.cm_announced || self.holds_token {
             return Ok(());
         }
         let cm = &self.rt.cm;
@@ -264,17 +244,6 @@ impl WorkerCtx<'_> {
         if self.attempts > self.stats.attempts_max {
             self.stats.attempts_max = self.attempts;
         }
-        if !self.cm_adaptive {
-            // The paper's fixed policy: backoff only, with the livelock
-            // safety valve as the sole escape.
-            assert!(
-                self.attempts <= self.cfg.max_attempts,
-                "transaction livelocked: {} consecutive aborts",
-                self.attempts
-            );
-            self.backoff_wait();
-            return;
-        }
         if self.holds_token {
             // Defensive only: a solo transaction cannot conflict-abort
             // (DESIGN.md §12). Retry immediately, keeping the token.
@@ -284,8 +253,7 @@ impl WorkerCtx<'_> {
         // budget (it cannot have passed that instant), later ones compare.
         let over_time = self.attempts >= 2 && {
             let now = Instant::now();
-            let budget = Duration::from_millis(self.cfg.cm_time_budget_ms);
-            now >= *self.cm_deadline.get_or_insert(now + budget)
+            now >= *self.cm_deadline.get_or_insert(now + CM_TIME_BUDGET)
         };
         if (self.attempts >= self.cfg.serialize_threshold || over_time) && self.cm_acquire_token() {
             // Token held and every other lock holder drained: retry
@@ -343,14 +311,14 @@ impl WorkerCtx<'_> {
     ///
     /// Exponential backoff with *decorrelated* jitter: each wait is a
     /// uniform draw from `[BASE, 3 * previous wait]`, capped at
-    /// `2^backoff_shift_max` spins. Unlike a truncated-exponential
+    /// `2^BACKOFF_SHIFT_MAX` spins. Unlike a truncated-exponential
     /// schedule, chronic aborters do not cluster at the cap and re-collide
     /// on the same orec stripes — the next wait is seeded by the *drawn*
     /// wait, not the attempt count, so repeat losers decorrelate from each
     /// other while still ramping up exponentially in expectation.
     pub(crate) fn backoff_wait(&mut self) {
         const BASE: u64 = 16;
-        let cap = (1u64 << self.cfg.backoff_shift_max).max(BASE + 1);
+        let cap = 1u64 << BACKOFF_SHIFT_MAX;
         let hi = (self.backoff_prev * 3).clamp(BASE + 1, cap);
         let spins = BASE + self.next_rand() % (hi - BASE);
         self.backoff_prev = spins;
@@ -416,13 +384,6 @@ mod tests {
     use txmem::MemConfig;
 
     #[test]
-    fn policy_labels() {
-        assert_eq!(ContentionPolicy::Backoff.label(), "backoff");
-        assert_eq!(ContentionPolicy::Adaptive.label(), "adaptive");
-        assert_eq!(ContentionPolicy::default(), ContentionPolicy::Adaptive);
-    }
-
-    #[test]
     fn chaos_rng_streams_are_distinct_and_stable() {
         let p = ChaosPlan::all(42, 3);
         assert_ne!(p.rng_for(0), p.rng_for(1));
@@ -480,6 +441,40 @@ mod tests {
         assert!(w.cm_acquire_token());
         w.cm_exit();
         assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn panicking_token_holder_releases_the_token() {
+        // A closure that panics while its worker serializes: unwinding
+        // must hand the token back, leave no active flag raised and undo
+        // the write, or every later transaction would park forever.
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::default());
+        let a = rt.alloc_global(64);
+        rt.mem().store(a, 5);
+        static S: crate::Site = crate::Site::shared("token-panic");
+        let panicked = std::thread::scope(|s| {
+            let job = s.spawn(|| {
+                let mut w = rt.spawn_worker();
+                w.attempts = rt.config().serialize_threshold;
+                assert!(w.cm_acquire_token());
+                w.txn(|tx| -> TxResult<()> {
+                    tx.write(&S, a, 6)?;
+                    assert!(tx.0.holds_token);
+                    panic!("closure panics holding the token");
+                })
+            });
+            job.join().is_err()
+        });
+        assert!(panicked);
+        assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+        assert!(rt.cm.active.iter().all(|f| !f.load(Ordering::SeqCst)));
+        assert_eq!(rt.mem().load(a), 5, "the write must roll back");
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| {
+            let v = tx.read(&S, a)?;
+            tx.write(&S, a, v + 1)
+        });
+        assert_eq!((rt.mem().load(a), w.stats.aborts), (6, 0));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * **in-place updates** with an **undo log** for rollback;
 //! * **optimistic (invisible) readers** with timestamp-based validation and
 //!   snapshot extension, so transactions always observe consistent state;
-//! * an **exponential backoff** contention manager;
+//! * an **exponential backoff** contention manager, escalating to karma
+//!   patience and a serialization token for chronic aborters;
 //! * a transactional allocator (allocations are undone on abort, frees are
 //!   deferred to commit);
 //! * **closed nesting** with partial abort.
@@ -82,10 +83,10 @@ mod worker;
 pub use batch::{BatchRun, TxBatch};
 pub use capture::{Capture, CapturePolicy, LogKind};
 pub use config::{
-    CheckScope, ConfigError, MergeSplitPolicy, Mode, TxConfig, TxConfigBuilder,
-    DURABLE_FLUSH_BATCH_LIMIT, MERGE_MAX_LIMIT,
+    CheckScope, ConfigError, Mode, TxConfig, TxConfigBuilder, DURABLE_FLUSH_BATCH_LIMIT,
+    MERGE_MAX_LIMIT,
 };
-pub use contention::{ChaosPlan, ChaosPoint, ContentionPolicy};
+pub use contention::{ChaosPlan, ChaosPoint};
 pub use durable::{log_file_name, recover, FaultPhase, FaultPlan, RecoveryReport, SimDisk};
 pub use orec::OrecTable;
 pub use runtime::StmRuntime;

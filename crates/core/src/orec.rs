@@ -80,7 +80,8 @@ impl OrecTable {
         OrecTable::new(cap_log2.min(lines.trailing_zeros()))
     }
 
-    /// Map an address to its record index; see [`line_index`].
+    /// Map an address to its record index: its 64-byte line number,
+    /// `(addr >> 6) & mask`.
     #[inline]
     pub fn index_of(&self, addr: Addr) -> u32 {
         line_index(addr, self.mask)

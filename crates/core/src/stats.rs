@@ -268,11 +268,11 @@ pub struct TxStats {
     /// commit-time read-set validation finding an invalidated entry (each
     /// batch-commit salvage iteration counts one).
     pub conflict_validation: u64,
-    /// Adaptive contention manager: transactions that escalated into the
+    /// Contention manager: transactions that escalated into the
     /// karma tier (spin-budget growth past `TxConfig::karma_threshold`
     /// consecutive aborts). Counted once per escalated transaction.
     pub cm_karma_escalations: u64,
-    /// Adaptive contention manager: global serialization-token
+    /// Contention manager: global serialization-token
     /// acquisitions (a chronic aborter draining the runtime to run solo).
     pub cm_serializations: u64,
     /// Highest consecutive-abort count any single transaction reached —

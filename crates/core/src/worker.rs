@@ -234,9 +234,6 @@ pub struct WorkerCtx<'rt> {
     /// Previous decorrelated-jitter backoff spin count (the `prev` of
     /// `sleep = rand(base, prev * 3)`); reset with `attempts`.
     pub(crate) backoff_prev: u64,
-    /// `cfg.contention_policy == Adaptive`, hoisted for the announce gate
-    /// and the abort ladder (see `stm::contention`).
-    pub(crate) cm_adaptive: bool,
     /// This worker holds the global serialization token and is running (or
     /// about to run) solo.
     pub(crate) holds_token: bool,
@@ -244,13 +241,12 @@ pub struct WorkerCtx<'rt> {
     /// transaction's first lock acquisition); `cm_exit` lowers it.
     pub(crate) cm_announced: bool,
     /// Live lock-spin budget for the slow-path barriers: `cfg.spin_tries`
-    /// normally, escalated by the adaptive ladder's karma tier while a
+    /// normally, escalated by the contention ladder's karma tier while a
     /// transaction keeps aborting (reset with `attempts`).
     pub(crate) spin_budget: u32,
     /// Wall-clock deadline of the retried transaction's contention-manager
-    /// time budget (`cfg.cm_time_budget_ms`, armed at its second abort):
-    /// past it, the adaptive ladder serializes regardless of the attempt
-    /// count.
+    /// time budget (armed at its second abort; see `stm::contention`):
+    /// past it, the ladder serializes regardless of the attempt count.
     pub(crate) cm_deadline: Option<std::time::Instant>,
     /// `cfg.chaos.is_some()`, hoisted so the injection hook is one branch
     /// when disabled.
@@ -341,7 +337,6 @@ impl<'rt> WorkerCtx<'rt> {
             nursery_spare: (0, 0),
             attempts: 0,
             backoff_prev: 0,
-            cm_adaptive: cfg.contention_policy == crate::contention::ContentionPolicy::Adaptive,
             holds_token: false,
             cm_announced: false,
             spin_budget: cfg.spin_tries,
@@ -564,8 +559,8 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Run a transaction to commit, retrying on conflicts under the
-    /// configured contention manager (`TxConfig::contention_policy`; see
-    /// `stm::contention` for the adaptive escalation ladder). A user abort
+    /// contention manager (`stm::contention`: backoff, then karma
+    /// patience, then the serialization token). A user abort
     /// escaping to this level is a logic error; use
     /// [`WorkerCtx::txn_result`] for transactions that abort on purpose.
     pub fn txn<T>(&mut self, mut f: impl FnMut(&mut Tx<'_, 'rt>) -> TxResult<T>) -> T {

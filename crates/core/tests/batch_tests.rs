@@ -1,15 +1,12 @@
 //! Deterministic functional tests for transaction merging (`txn_batch`):
 //! logical/physical counter split, explicit boundaries, stop and
 //! user-abort endings, cross-boundary capture, split/salvage under an
-//! injected conflict (both split policies), nesting inside a logical
+//! injected conflict, nesting inside a logical
 //! transaction, and the typed layer riding unchanged inside a batch.
 
 use std::cell::Cell;
 
-use stm::{
-    tx_object, Abort, CheckScope, LogKind, MergeSplitPolicy, Mode, Site, StmRuntime, TxConfig,
-    TxPtr,
-};
+use stm::{tx_object, Abort, CheckScope, LogKind, Mode, Site, StmRuntime, TxConfig, TxPtr};
 use txmem::MemConfig;
 
 static S: Site = Site::shared("batch.shared");
@@ -22,18 +19,6 @@ fn cfg(merge_max: u32) -> TxConfig {
             scope: CheckScope::FULL,
         })
         .merge_max(merge_max)
-        .build()
-        .unwrap()
-}
-
-fn cfg_policy(merge_max: u32, policy: MergeSplitPolicy) -> TxConfig {
-    TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
-        .merge_max(merge_max)
-        .merge_split_policy(policy)
         .build()
         .unwrap()
 }
@@ -274,47 +259,6 @@ fn conflict_mid_batch_salvages_prefix_and_retries_unmerged() {
     // Salvaged prefix + degraded retry + resumed merged window for the
     // remaining two: windows of sizes 1/1/2 ⇒ only the last is merged.
     assert_eq!(st.merged_txns, 2);
-}
-
-#[test]
-fn restart_policy_discards_the_whole_window() {
-    let rt = StmRuntime::new(MemConfig::small(), cfg_policy(8, MergeSplitPolicy::Restart));
-    let a = rt.alloc_global(8);
-    let b1 = rt.alloc_global(64 * 8);
-    let b2 = b1.word(63);
-    let mut w = rt.spawn_worker();
-    let mut intruder = rt.spawn_worker();
-    let injected = Cell::new(false);
-    let run = w.txn_batch(4, |b| {
-        match b.logical_index() {
-            0 => {
-                let v = b.read(&S, a)?;
-                b.write(&S, a, v + 1)?;
-            }
-            _ => {
-                let x = b.read(&S, b1)?;
-                if !injected.replace(true) {
-                    intruder.txn(|t| {
-                        t.write(&S, b1, 100)?;
-                        t.write(&S, b2, 200)?;
-                        Ok(())
-                    });
-                }
-                let y = b.read(&S, b2)?;
-                b.write(&S, a, x + y)?;
-            }
-        }
-        Ok(true)
-    });
-    assert_eq!(run.committed, 4);
-    assert_eq!(w.load(a), 300);
-    let st = &w.stats;
-    assert_eq!(st.commits, 4);
-    // The completed prefix (1) and the in-flight invocation (1) both
-    // aborted when the window restarted.
-    assert_eq!(st.aborts, 2);
-    assert_eq!(st.merge_splits, 1);
-    assert_eq!(st.merge_salvaged, 0, "restart never salvages");
 }
 
 #[test]

@@ -1,8 +1,9 @@
-//! Liveness oracle for the adaptive contention manager (`stm::contention`,
+//! Liveness oracle for the contention manager (`stm::contention`,
 //! DESIGN.md §12): adversarial workloads under schedule fault injection
 //! ([`ChaosPlan`]) must make forward progress with a *bounded* worst-case
-//! retry chain — no livelock, no starvation, no `max_attempts` panic —
-//! while preserving their memory invariants exactly.
+//! retry chain — no livelock, no starvation — while preserving their
+//! memory invariants exactly, and every abort must take exactly one rung
+//! of the ladder.
 //!
 //! Three workload families, chosen to starve differently:
 //!
@@ -14,14 +15,12 @@
 //!   short writers; classic starvation shape for invisible readers (the
 //!   scan keeps failing validation until the ladder escalates for it).
 //!
-//! Plus the semantic-footprint differential: single-threaded, the policy
-//! seam and the chaos hooks must be *invisible* — identical memory and
-//! identical redacted statistics across Backoff/Adaptive × chaos on/off.
+//! Plus the semantic-footprint differential: single-threaded, the chaos
+//! hooks must be *invisible* — identical memory and identical redacted
+//! statistics with chaos off and on.
 
 use proptest::prelude::*;
-use stm::{
-    Abort, ChaosPlan, CheckScope, ContentionPolicy, LogKind, Mode, Site, StmRuntime, TxConfig,
-};
+use stm::{Abort, ChaosPlan, CheckScope, LogKind, Mode, Site, StmRuntime, TxConfig};
 use txmem::MemConfig;
 
 mod common;
@@ -63,13 +62,12 @@ fn attempt_bound(cfg: &TxConfig, threads: usize) -> u64 {
     cfg.serialize_threshold + 8 * threads as u64
 }
 
-fn adaptive_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
+fn ladder_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
     let mut b = TxConfig::builder()
         .mode(Mode::Runtime {
             log: LogKind::Tree,
             scope: CheckScope::FULL,
         })
-        .contention_policy(ContentionPolicy::Adaptive)
         // Aggressively low thresholds: the point of the oracle is to drive
         // the full ladder (karma, then token), not to avoid it.
         .spin_tries(4)
@@ -316,7 +314,7 @@ proptest! {
     // waits for them and their snapshots stay consistent.
     #[test]
     fn chaotic_readers_run_beside_the_token_holder(seed in 1u64..u64::MAX, period in 2u64..6) {
-        let cfg = adaptive_cfg(Some(ChaosPlan::all(seed, period)));
+        let cfg = ladder_cfg(Some(ChaosPlan::all(seed, period)));
         let stats = run_readers_beside_token(&cfg, 3, 12);
         prop_assert_eq!(stats.cm_serializations, 12, "one token episode each: {:?}", stats);
         prop_assert!(
@@ -330,7 +328,7 @@ proptest! {
     // sums, and a worst-case retry chain bounded by the ladder argument.
     #[test]
     fn chaotic_hot_words_stay_live(seed in 1u64..u64::MAX, period in 2u64..6) {
-        let cfg = adaptive_cfg(Some(ChaosPlan::all(seed, period)));
+        let cfg = ladder_cfg(Some(ChaosPlan::all(seed, period)));
         let stats = run_hot_words(&cfg, 4, 150, 2);
         prop_assert!(stats.chaos_injections > 0, "chaos must actually fire: {stats:?}");
         prop_assert!(
@@ -342,7 +340,7 @@ proptest! {
     // Skewed transfers under chaos: conservation plus the liveness bound.
     #[test]
     fn chaotic_skewed_transfers_stay_live(seed in 1u64..u64::MAX, period in 2u64..6) {
-        let cfg = adaptive_cfg(Some(ChaosPlan::all(seed, period)));
+        let cfg = ladder_cfg(Some(ChaosPlan::all(seed, period)));
         let stats = run_skewed_transfers(&cfg, 4, 120);
         prop_assert!(
             stats.attempts_max <= attempt_bound(&cfg, 4),
@@ -354,7 +352,7 @@ proptest! {
     // within the bound even with commit-point chaos favoring the writers.
     #[test]
     fn chaotic_long_reader_is_not_starved(seed in 1u64..u64::MAX, period in 2u64..6) {
-        let cfg = adaptive_cfg(Some(ChaosPlan::commit_only(seed, period)));
+        let cfg = ladder_cfg(Some(ChaosPlan::commit_only(seed, period)));
         let stats = run_long_reader(&cfg, 4, 25);
         prop_assert!(
             stats.attempts_max <= attempt_bound(&cfg, 4),
@@ -379,35 +377,39 @@ fn preemptive_chaos(seed: u64) -> ChaosPlan {
     }
 }
 
-/// The ladder's accounting identity, checked on a real contended run:
-/// every rollback takes exactly one rung — a backoff wait or a successful
-/// token acquisition — never both, never neither.
+/// The ladder's accounting identity, checked on real contended runs of
+/// all three shapes: every rollback takes exactly one rung — a backoff
+/// wait or a successful token acquisition — never both, never neither.
 #[test]
 fn ladder_accounts_for_every_abort() {
-    let cfg = adaptive_cfg(Some(preemptive_chaos(0xBADC_0FFE)));
-    let stats = run_hot_words(&cfg, 4, 400, 1);
-    assert!(stats.aborts > 0, "one hot word must conflict: {stats:?}");
-    assert_eq!(
-        stats.aborts,
-        stats.backoff_waits + stats.cm_serializations,
-        "ladder accounting broken: {stats:?}"
-    );
+    for seed in [0xBADC_0FFE, 7, 99] {
+        let cfg = ladder_cfg(Some(preemptive_chaos(seed)));
+        let hot = run_hot_words(&cfg, 4, 400, 1);
+        assert!(hot.aborts > 0, "one hot word must conflict: {hot:?}");
+        let skewed = run_skewed_transfers(&cfg, 4, 200);
+        let long = run_long_reader(&ladder_cfg(Some(ChaosPlan::commit_only(seed, 2))), 4, 25);
+        for (shape, stats) in [("hot-word", hot), ("skewed", skewed), ("long-reader", long)] {
+            assert_eq!(
+                stats.aborts,
+                stats.backoff_waits + stats.cm_serializations,
+                "{shape}, seed {seed:#x}: ladder accounting broken: {stats:?}"
+            );
+        }
+    }
 }
 
 /// Semantic-footprint differential: single-threaded, a fixed op script
 /// must produce bit-identical memory and identical redacted statistics
-/// under Backoff vs. Adaptive, chaos off vs. on. The contention manager
-/// and the chaos hooks may only ever *delay* execution.
+/// with chaos off and on. The chaos hooks may only ever *delay*
+/// execution.
 #[test]
-fn policy_and_chaos_have_no_semantic_footprint() {
-    fn run_script(policy: ContentionPolicy, chaos: Option<ChaosPlan>) -> (Vec<u64>, String) {
+fn chaos_has_no_semantic_footprint() {
+    fn run_script(chaos: Option<ChaosPlan>) -> (Vec<u64>, String) {
         const WORDS: u64 = 8;
-        let mut b = TxConfig::builder()
-            .mode(Mode::Runtime {
-                log: LogKind::Array,
-                scope: CheckScope::FULL,
-            })
-            .contention_policy(policy);
+        let mut b = TxConfig::builder().mode(Mode::Runtime {
+            log: LogKind::Array,
+            scope: CheckScope::FULL,
+        });
         if let Some(plan) = chaos {
             b = b.chaos(plan);
         }
@@ -434,21 +436,10 @@ fn policy_and_chaos_have_no_semantic_footprint() {
         (mem, stats)
     }
 
-    let baseline = run_script(ContentionPolicy::Backoff, None);
-    for (label, got) in [
-        ("adaptive", run_script(ContentionPolicy::Adaptive, None)),
-        (
-            "backoff+chaos",
-            run_script(ContentionPolicy::Backoff, Some(ChaosPlan::all(11, 3))),
-        ),
-        (
-            "adaptive+chaos",
-            run_script(ContentionPolicy::Adaptive, Some(ChaosPlan::all(11, 3))),
-        ),
-    ] {
-        assert_eq!(got.0, baseline.0, "{label}: memory diverged from backoff");
-        assert_eq!(got.1, baseline.1, "{label}: stats diverged from backoff");
-    }
+    let baseline = run_script(None);
+    let chaotic = run_script(Some(ChaosPlan::all(11, 3)));
+    assert_eq!(chaotic.0, baseline.0, "memory diverged under chaos");
+    assert_eq!(chaotic.1, baseline.1, "stats diverged under chaos");
 }
 
 /// Regression: a nested child that writes a word the parent already read,
@@ -508,7 +499,6 @@ fn run_starvation(log: LogKind, nursery: bool) {
             scope: CheckScope::FULL,
         })
         .nursery(nursery)
-        .contention_policy(ContentionPolicy::Adaptive)
         .spin_tries(2)
         .karma_threshold(1)
         .serialize_threshold(2)

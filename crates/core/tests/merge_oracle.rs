@@ -36,9 +36,7 @@ use std::cell::{Cell, RefCell};
 mod common;
 
 use proptest::prelude::*;
-use stm::{
-    Abort, CheckScope, LogKind, MergeSplitPolicy, Mode, Site, StmRuntime, Tx, TxConfig, TxResult,
-};
+use stm::{Abort, CheckScope, LogKind, Mode, Site, StmRuntime, Tx, TxConfig, TxResult};
 use txmem::{Addr, MemConfig};
 
 static S_SHARED: Site = Site::shared("merge.shared");
@@ -233,7 +231,6 @@ struct RunCfg {
     nursery: bool,
     /// `None` = unmerged (one `txn_result` per logical transaction).
     merge: Option<usize>,
-    policy: MergeSplitPolicy,
 }
 
 /// Execute the script and return (observable memory via handles, redacted
@@ -246,7 +243,6 @@ fn run(script: &[LogicalTxn], rc: &RunCfg) -> (Vec<u64>, String) {
         })
         .nursery(rc.nursery)
         .merge_max(rc.merge.unwrap_or(1).max(1) as u32)
-        .merge_split_policy(rc.policy)
         .build()
         .unwrap();
     cfg.orec_log2 = 12;
@@ -346,20 +342,13 @@ proptest! {
     ) {
         let log = LogKind::ALL[log_idx];
         let unmerged = run(&script, &RunCfg {
-            log, nursery, merge: None, policy: MergeSplitPolicy::Salvage,
+            log, nursery, merge: None,
         });
         let merged = run(&script, &RunCfg {
-            log, nursery, merge: Some(width), policy: MergeSplitPolicy::Salvage,
+            log, nursery, merge: Some(width),
         });
         prop_assert_eq!(&merged.0, &unmerged.0, "memory diverged when merged");
         prop_assert_eq!(&merged.1, &unmerged.1, "logical stats diverged when merged");
-
-        // Restart policy re-executes salvageable prefixes, so its abort
-        // and barrier totals legitimately differ: memory must still match.
-        let restart = run(&script, &RunCfg {
-            log, nursery, merge: Some(width), policy: MergeSplitPolicy::Restart,
-        });
-        prop_assert_eq!(&restart.0, &unmerged.0, "memory diverged under Restart");
     }
 }
 
@@ -394,13 +383,11 @@ fn conflict_at_every_boundary_index_salvages() {
             log: LogKind::Tree,
             nursery: true,
             merge: None,
-            policy: MergeSplitPolicy::Salvage,
         };
         let rc_m = RunCfg {
             log: LogKind::Tree,
             nursery: true,
             merge: Some(4),
-            policy: MergeSplitPolicy::Salvage,
         };
         let unmerged = run(&script, &rc_un);
         let merged = run(&script, &rc_m);
@@ -478,7 +465,6 @@ fn debug_find_failing_case() {
                 log,
                 nursery,
                 merge: None,
-                policy: MergeSplitPolicy::Salvage,
             },
         );
         let merged = run(
@@ -487,7 +473,6 @@ fn debug_find_failing_case() {
                 log,
                 nursery,
                 merge: Some(width),
-                policy: MergeSplitPolicy::Salvage,
             },
         );
         if merged.0 != unmerged.0 || merged.1 != unmerged.1 {

@@ -185,14 +185,17 @@ pub fn run(cfg: &Config, txcfg: TxConfig, threads: usize) -> RunOutcome {
             // Merged packet loop: up to `merge` fragments per physical
             // transaction. The drained-queue invocation stops the batch
             // and still commits (the merged analogue of the unmerged
-            // loop's final drained commit), so a batch that comes back
-            // short means the queue is empty.
+            // loop's final drained commit). The batch's last invocation is
+            // its last committed one, so its verdict says whether the queue
+            // is empty — the committed count cannot, since the stop may
+            // land on the window's final slot.
             loop {
-                let run = w.txn_batch(merge, |b| {
-                    let drained = process_fragment(b, cfg, &packets, &reassembly, &results)?;
+                let mut drained = false;
+                w.txn_batch(merge, |b| {
+                    drained = process_fragment(b, cfg, &packets, &reassembly, &results)?;
                     Ok(!drained)
                 });
-                if run.committed < merge as u64 {
+                if drained {
                     break;
                 }
             }

@@ -23,6 +23,8 @@ static VM_LOAD: Site = Site::shared("txcc.vm.load");
 static VM_STORE: Site = Site::shared("txcc.vm.store");
 
 /// Dynamic execution counters (how the instrumentation behaved at runtime).
+/// Only committed attempts count: a retried transaction's aborted attempts
+/// are discarded, so the counts do not depend on the thread schedule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VmStats {
     /// Executed `LoadTx` ops (STM read barriers).
@@ -237,8 +239,10 @@ impl<'p> Vm<'p> {
                     let body_start = pc + 1;
                     let snapshot = frame.clone();
                     self.stats.transactions += 1;
+                    let stats = self.stats;
                     let end_pc = w.txn(|tx| {
                         frame = snapshot.clone();
+                        self.stats = stats;
                         self.exec_tx_region(tx, fidx, &mut frame, body_start)
                     });
                     pc = end_pc;
