@@ -128,7 +128,7 @@ pub fn scaling_json(opts: &ExptOpts, rows: &[ScalingRow]) -> String {
         out.push_str(&format!(
             "    {{\"benchmark\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
              \"seconds\": {:.6}, \"commits_per_sec\": {:.1}, \"speedup_vs_1t\": {:.3}, \
-             \"commits\": {}, \"commits_ro\": {}, \"aborts\": {}, \"clock_adopts\": {}}}{}\n",
+             \"commits\": {}, \"commits_ro\": {}, \"aborts\": {}, \"clock_adopts\": {}, \"extensions\": {}}}{}\n",
             esc(r.benchmark),
             esc(r.mode),
             r.threads,
@@ -139,6 +139,7 @@ pub fn scaling_json(opts: &ExptOpts, rows: &[ScalingRow]) -> String {
             r.stats.commits_ro,
             r.stats.aborts,
             r.stats.clock_adopts,
+            r.stats.extensions,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -272,7 +273,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"bench_scaling/v1\""));
         assert!(json.contains("\"thread_counts\": [1, 2, 4, 8]"));
         assert!(json.contains("\"speedup_vs_1t\": 1.000"));
-        assert!(json.contains("\"clock_adopts\": 0"));
+        assert!(json.contains("\"clock_adopts\": 0, \"extensions\": 0"));
         let balance = |open: char, close: char| {
             json.chars().filter(|&c| c == open).count()
                 == json.chars().filter(|&c| c == close).count()

@@ -1,7 +1,7 @@
 //! Shared deterministic randomness for the experiment drivers: the
 //! xorshift64* generator every driver seeds per-thread (previously
-//! copy-pasted into each of them), a cheap min-of-two skew, and a
-//! proper Zipf sampler for the pool workload's sender distribution.
+//! copy-pasted into each of them) and a Zipf sampler for the pool
+//! workload's sender distribution.
 
 /// xorshift64*: fast, deterministic, and good enough for workload
 /// shaping. Seed must be non-zero (every driver seeds with a constant
@@ -28,14 +28,6 @@ impl Rng {
     /// A draw uniform in `0..n`.
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
-    }
-
-    /// A mildly skewed draw in `0..n` — the minimum of two uniforms, so
-    /// low indices are roughly twice as likely as high ones. Cheap and
-    /// good enough for "make some accounts hotter"; for a tunable
-    /// power-law use [`Zipf`].
-    pub fn skewed_below(&mut self, n: u64) -> u64 {
-        self.below(n).min(self.below(n))
     }
 
     /// A draw uniform in `[0, 1)` (53 random mantissa bits).
@@ -98,14 +90,6 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn skewed_draws_favor_low_indices() {
-        let mut rng = Rng::new(7);
-        let n = 100u64;
-        let low = (0..10_000).filter(|_| rng.skewed_below(n) < n / 2).count();
-        assert!(low > 6_500, "min-of-two should land low ~75% of the time");
     }
 
     #[test]

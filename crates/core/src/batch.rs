@@ -379,6 +379,7 @@ impl<'rt> WorkerCtx<'rt> {
             self.orecs[l.idx as usize].store(wv, std::sync::atomic::Ordering::Release);
         }
         self.locks.clear();
+        self.rv = wv;
         self.finish_window_commit(logical, split, false)
     }
 

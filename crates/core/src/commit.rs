@@ -2,9 +2,11 @@
 //! closed nesting with partial abort.
 //!
 //! Writing commits draw their version from the [`crate::clock::CommitClock`]
-//! GV4 scheme: one CAS, and a lost race adopts the winner's timestamp
-//! instead of retrying, so the clock line changes once per *batch* of
-//! concurrent committers. Read-only commits never touch the clock at all.
+//! GV4 scheme: one CAS from the snapshot, and a lost race adopts the
+//! winner's timestamp instead of retrying, so the clock line changes once
+//! per *batch* of concurrent committers. Begin does not read the clock —
+//! the snapshot carries over from the worker's last ticket or extension —
+//! and read-only commits never touch it at all.
 
 use std::sync::atomic::Ordering;
 
@@ -55,12 +57,14 @@ impl<'rt> WorkerCtx<'rt> {
         );
         self.cm_enter(); // before the quiesce gate, see its docs
         if self.durable_on {
-            // Join the checkpointer's quiesce protocol *before* sampling
-            // the clock: the snapshot clock must bound every transaction
-            // that could have effects outside the snapshot.
+            // Join the checkpointer's quiesce protocol: the checkpoint
+            // reads the clock with no transaction active, so every ticket
+            // of a transaction admitted later exceeds the snapshot clock
+            // (DESIGN §11.3).
             self.rt.durable.as_ref().unwrap().enter_active();
         }
-        self.rv = self.rt.clock.read();
+        // `rv` is the snapshot this worker carried over, a clock value it
+        // already observed (`clock.rs` module docs).
         self.depth = 1;
         debug_assert!(self.sp_marks.is_empty(), "stale sp marks at begin");
         let sp = self.stack.sp();
@@ -112,9 +116,11 @@ impl<'rt> WorkerCtx<'rt> {
 
     /// Timestamp extension: re-read the clock, validate, and adopt the new
     /// snapshot on success (TinySTM-style; keeps optimistic readers
-    /// consistent without visible-reader locking).
+    /// consistent without visible-reader locking). The only place a
+    /// transaction reads the clock.
     pub(crate) fn extend(&mut self) -> bool {
         self.chaos(crate::contention::ChaosPoint::Validation);
+        self.stats.extensions += 1;
         let new_rv = self.rt.clock.read();
         if self.validate() {
             self.rv = new_rv;
@@ -166,6 +172,8 @@ impl<'rt> WorkerCtx<'rt> {
             self.orecs[l.idx as usize].store(ticket.wv, Ordering::Release);
         }
         self.locks.clear();
+        // The next transaction's snapshot: a value this worker observed.
+        self.rv = ticket.wv;
         self.finish_commit();
         true
     }
@@ -244,6 +252,9 @@ impl<'rt> WorkerCtx<'rt> {
             for l in self.locks.drain(..) {
                 self.orecs[l.idx as usize].store(wv, Ordering::Release);
             }
+            // The read set is gone, so the retry may start from the
+            // ticket, which it would otherwise extend to.
+            self.rv = wv;
         }
         self.reads.clear();
         // Undo allocations: blocks this transaction allocated vanish.
@@ -464,6 +475,7 @@ impl<'rt> WorkerCtx<'rt> {
                 if t.adopted {
                     self.stats.clock_adopts += 1;
                 }
+                self.rv = t.wv;
                 t.wv
             }
         };

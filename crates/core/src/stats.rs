@@ -202,6 +202,10 @@ pub struct TxStats {
     /// winner's timestamp instead of retrying (GV4 pass-on-failure). Each
     /// adoption is one clock-line invalidation that did *not* happen.
     pub clock_adopts: u64,
+    /// Snapshot extensions (`extend()` calls, successful or not): an access
+    /// met a version above the snapshot. Begin reads no clock, so a stale
+    /// carried-over snapshot shows up here, as one clock read each.
+    pub extensions: u64,
     /// Aborts due to conflicts (the retried transactions of Table 1's
     /// abort-to-commit ratio).
     pub aborts: u64,
@@ -334,6 +338,7 @@ impl TxStats {
         self.commits += o.commits;
         self.commits_ro += o.commits_ro;
         self.clock_adopts += o.clock_adopts;
+        self.extensions += o.extensions;
         self.aborts += o.aborts;
         self.user_aborts += o.user_aborts;
         self.partial_aborts += o.partial_aborts;

@@ -167,7 +167,11 @@ pub struct WorkerCtx<'rt> {
     /// commit rolls back and retries instead. Only a full rollback clears
     /// it: a partial one leaves it set, and the whole transaction retries.
     pub(crate) free_conflict: bool,
-    /// Read-snapshot version.
+    /// Read-snapshot version: the last clock value this worker observed —
+    /// the `wv` of its last commit or full-rollback ticket, its last
+    /// extension's clock read, or 0 at spawn. It carries over from one
+    /// transaction to the next; begin does not read the clock (`clock.rs`
+    /// module docs).
     pub(crate) rv: u64,
     /// Nesting depth; 0 = no transaction active.
     pub(crate) depth: u32,

@@ -567,6 +567,42 @@ fn checkpoint_then_more_commits_replays_only_the_suffix() {
     assert_eq!(report.records_applied, 5, "only the post-checkpoint tail");
 }
 
+/// A worker whose snapshot predates a checkpoint commits after it. Its
+/// ticket starts from that old snapshot, yet lands above the snapshot
+/// clock — the first CAS fails on a clock at least as new, and the ticket
+/// is drawn above the value it failed on — so after a kill recovery
+/// replays the record instead of skipping it as stale.
+#[test]
+fn commit_from_a_pre_checkpoint_snapshot_is_not_stale() {
+    static S_X: Site = Site::shared("crash.carry.x");
+    let disk = SimDisk::new();
+    let rt = StmRuntime::new_durable(MemConfig::small(), config(&DET_CFG), disk.clone());
+    let x = rt.alloc_global(8);
+    let y = rt.alloc_global(256); // a different line from x
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    a.txn(|tx| tx.write(&S_X, x, 1)); // a's snapshot: this commit's version
+    for i in 0..3 {
+        b.txn(|tx| tx.write(&S_X, y, 100 + i));
+    }
+    rt.checkpoint_now();
+    disk.arm(FaultPlan {
+        phase: FaultPhase::PostFlush,
+        at: disk.append_count(),
+        torn_keep: 0,
+    });
+    a.txn(|tx| tx.write(&S_X, x, 77));
+    assert!(disk.is_killed(), "the post-checkpoint commit never flushed");
+    drop((a, b));
+    drop(rt);
+    let (rt2, report) = recover(MemConfig::small(), config(&DET_CFG), disk);
+    assert!(report.snapshot_clock > 0, "recovery must use the snapshot");
+    assert_eq!(report.records_applied, 1, "the post-checkpoint record");
+    assert_eq!(report.stale_skipped, 0);
+    assert_eq!(rt2.mem().load_private(x), 77);
+    assert_eq!(rt2.mem().load_private(y), 102);
+}
+
 /// Group commit (`durable_flush_batch > 1`): flushes are batched (fewer
 /// disk appends than commits), a crash loses at most the buffered tail,
 /// and a clean worker drop flushes everything.

@@ -553,6 +553,56 @@ fn neighbouring_lines_do_not_conflict() {
     assert_eq!((a.load(x), a.load(x.offset(64))), (1, 2));
 }
 
+/// A worker's snapshot carries over from its own last commit; begin reads
+/// no clock. Another worker's later commit still reaches it: the first
+/// read of that commit's words meets a version above the snapshot and
+/// extends once, and the second word then lies inside the extended
+/// snapshot.
+#[test]
+fn carried_over_snapshot_sees_a_later_commit_and_extends_once() {
+    let rt = rt_with(Mode::Baseline);
+    let x = txmem::Addr((rt.alloc_global(192).raw() + 63) & !63);
+    let y = x.offset(64);
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    a.txn(|tx| tx.write(&S, x, 1));
+    // Its own commit lies inside the snapshot it carried out of it.
+    assert_eq!(a.txn(|tx| tx.read(&S, x)), 1);
+    assert_eq!(a.stats.extensions, 0);
+    b.txn(|tx| {
+        tx.write(&S, x, 10)?;
+        tx.write(&S, y, 20)
+    });
+    let before = a.stats.extensions;
+    let seen = a.txn(|tx| Ok((tx.read(&S, x)?, tx.read(&S, y)?)));
+    assert_eq!(seen, (10, 20), "a carried-over snapshot missed a commit");
+    assert_eq!(a.stats.extensions - before, 1);
+    assert_eq!(a.stats.aborts, 0);
+    // The extended snapshot carries over as well: nothing new to extend to.
+    a.txn(|tx| Ok((tx.read(&S, x)?, tx.read(&S, y)?)));
+    assert_eq!(a.stats.extensions - before, 1);
+}
+
+/// Real-time order with a stale snapshot: after another worker commits x
+/// and then, in a second transaction, y, a read-only transaction reading
+/// y first and x second sees both writes — one extension covers both.
+#[test]
+fn stale_snapshot_reader_sees_sequential_commits_in_real_time_order() {
+    let rt = rt_with(Mode::Baseline);
+    let x = txmem::Addr((rt.alloc_global(192).raw() + 63) & !63);
+    let y = x.offset(64);
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    a.txn(|tx| Ok((tx.read(&S, x)?, tx.read(&S, y)?)));
+    b.txn(|tx| tx.write(&S, x, 1));
+    b.txn(|tx| tx.write(&S, y, 2));
+    let before = a.stats.extensions;
+    let seen = a.txn(|tx| Ok((tx.read(&S, y)?, tx.read(&S, x)?)));
+    assert_eq!(seen, (2, 1), "a commit finished before begin was missed");
+    assert_eq!(a.stats.extensions - before, 1);
+    assert_eq!((a.stats.commits_ro, a.stats.aborts), (2, 0));
+}
+
 /// `head → X`, X a 64-byte block whose first word is 5 and which sits in
 /// `b`'s heap cache shape, so that once `b` frees it, `b`'s next 64-byte
 /// allocation hands it back (LIFO).
