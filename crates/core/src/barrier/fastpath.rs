@@ -1,26 +1,57 @@
-//! The capture fast paths shared by every barrier variant: the stack range
-//! compare (paper Fig. 3/4), the heap policy lookup (paper §3.1.2, generic
-//! over the monomorphized [`PolicySlot`]), the §3.1.3 annotation check, and
-//! the Figure-8 classification bookkeeping.
+//! The capture fast paths shared by every barrier: the pipeline's static
+//! verdict, the nursery window and stack range compares (paper Fig. 3/4),
+//! the heap policy lookup (paper §3.1.2, generic over the monomorphized
+//! [`PolicySlot`]), the §3.1.3 annotation check, and the Figure-8
+//! classification bookkeeping.
 
 use capture::{Capture, CapturePolicy};
 use txmem::{Addr, WORD_BYTES};
 
-use super::{CaptureHit, PolicySlot};
+use super::{CaptureHit, Pipeline, PolicySlot};
 use crate::site::Site;
+use crate::stats::BarrierDelta;
 use crate::worker::WorkerCtx;
 
-/// Which elision counter a captured run charges (one bump of the run's
-/// word count, mirroring what the per-word barrier would have charged each
-/// word).
+/// Which elision counter a captured access charges (a run charges it once
+/// per word, exactly what the per-word barrier would have charged).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RunCounter {
+pub(crate) enum Elided {
+    /// `elided_static` — the intraprocedural compiler verdict.
+    Static,
+    /// `elided_static_interproc` — the interprocedural-only verdict.
+    Interproc,
     /// `elided_nursery` — the nursery scalar-range hit.
     Nursery,
     /// `elided_stack` — the stack range hit.
     Stack,
     /// `elided_heap` — an allocation-log hit.
     Heap,
+}
+
+impl Elided {
+    /// The counter this verdict charges in one direction's delta.
+    #[inline(always)]
+    pub(crate) fn counter(self, d: &mut BarrierDelta) -> &mut u64 {
+        match self {
+            Elided::Static => &mut d.elided_static,
+            Elided::Interproc => &mut d.elided_static_interproc,
+            Elided::Nursery => &mut d.elided_nursery,
+            Elided::Stack => &mut d.elided_stack,
+            Elided::Heap => &mut d.elided_heap,
+        }
+    }
+
+    /// The compiler verdict pipeline `L` honours for `site`, if any.
+    #[inline(always)]
+    fn of_site<L: Pipeline>(site: &Site) -> Option<Elided> {
+        if L::STATIC && site.compiler_elides {
+            Some(Elided::Static)
+        } else if L::INTERPROC && site.compiler_elides_interproc {
+            Some(Elided::Interproc)
+        } else {
+            None
+        }
+    }
 }
 
 /// Verdict for the longest homogeneous prefix `[addr, end)` of a ranged
@@ -30,7 +61,7 @@ pub(crate) enum RunCounter {
 pub(crate) enum RunVerdict {
     /// Captured (for writes: at the current level) — lower to a bulk
     /// private copy.
-    Captured { end: u64, counter: RunCounter },
+    Captured { end: u64, via: Elided },
     /// Captured by an ancestor level (writes only): per-word undo entries
     /// plus private stores (paper §2.2.1 partial-abort support).
     Ancestor { end: u64 },
@@ -123,38 +154,83 @@ impl WorkerCtx<'_> {
         }
     }
 
+    /// Pipeline `L`'s elision verdict for one word, in barrier order: the
+    /// compiler's static verdict, then — runtime pipelines, direction in
+    /// `scope` — nursery window, stack range, allocation log. `None` leaves
+    /// the annotation check and the full barrier. The nursery window is
+    /// empty whenever the nursery is inactive, so the same order is exact
+    /// for the plain runtime configurations.
+    #[inline(always)]
+    pub(crate) fn word_verdict<L: Pipeline>(
+        &mut self,
+        site: &'static Site,
+        addr: Addr,
+        is_write: bool,
+    ) -> Option<(CaptureHit, Elided)> {
+        if let Some(via) = Elided::of_site::<L>(site) {
+            return Some((CaptureHit::Current, via));
+        }
+        let in_scope = if is_write {
+            self.scope.writes
+        } else {
+            self.scope.reads
+        };
+        if !L::RUNTIME || !in_scope {
+            return None;
+        }
+        if self.scope.heap {
+            if let Some(hit) = self.nursery_capture(addr) {
+                return Some((hit, Elided::Nursery));
+            }
+        }
+        if self.scope.stack {
+            if let Some(hit) = self.stack_capture(addr) {
+                return Some((hit, Elided::Stack));
+            }
+        }
+        if self.scope.heap {
+            if let Some(hit) = self.heap_capture::<L::Log>(addr) {
+                return Some((hit, Elided::Heap));
+            }
+        }
+        None
+    }
+
     /// Classify the longest homogeneous *read* run starting at `addr`,
     /// bounded by `limit` (the span's exclusive byte end). Check order
-    /// mirrors the per-word runtime barriers — nursery, stack, heap — so a
-    /// ranged read charges exactly the counters a per-word loop would. The
-    /// nursery range is empty whenever the nursery is inactive, making the
-    /// same classifier exact for the plain runtime pipeline too. Reads
-    /// elide at any captured level, so this never returns
-    /// [`RunVerdict::Ancestor`].
+    /// mirrors [`WorkerCtx::word_verdict`] — static verdict, nursery,
+    /// stack, heap — so a ranged read charges exactly the counters a
+    /// per-word loop would; a static verdict or a pipeline without runtime
+    /// checks covers the whole span. Reads elide at any captured level, so
+    /// this never returns [`RunVerdict::Ancestor`].
     #[inline]
-    pub(crate) fn classify_read_run<P: PolicySlot>(
+    pub(crate) fn classify_read_run<L: Pipeline>(
         &mut self,
+        site: &'static Site,
         addr: Addr,
         limit: u64,
     ) -> RunVerdict {
+        if let Some(via) = Elided::of_site::<L>(site) {
+            return RunVerdict::Captured { end: limit, via };
+        }
         let a = addr.raw();
-        if !self.scope.reads {
+        if !L::RUNTIME || !self.scope.reads {
             return RunVerdict::Shared { end: limit };
         }
         if self.scope.heap && a >= self.nur.lo() && a < self.nur.bump() {
             return RunVerdict::Captured {
                 end: self.nur.bump().min(limit),
-                counter: RunCounter::Nursery,
+                via: Elided::Nursery,
             };
         }
         if self.scope.stack && a >= self.stack.sp() && a < self.sp_outer {
             return RunVerdict::Captured {
                 end: self.sp_outer.min(limit),
-                counter: RunCounter::Stack,
+                via: Elided::Stack,
             };
         }
         let end = if self.scope.heap {
-            let (cap, end) = P::of(&self.logs).classify_run(a, limit);
+            let (cap, end) = L::Log::of(&self.logs).classify_run(a, limit);
             if let Capture::Level(level) = cap {
                 if level >= self.depth {
                     // Prime the one-entry capture cache (same contract as
@@ -166,7 +242,7 @@ impl WorkerCtx<'_> {
                 }
                 return RunVerdict::Captured {
                     end,
-                    counter: RunCounter::Heap,
+                    via: Elided::Heap,
                 };
             }
             end
@@ -184,20 +260,24 @@ impl WorkerCtx<'_> {
     /// innermost-level watermark (`nur.inner()` / `sp_inner`), heap runs
     /// are level-homogeneous because one logged block has one level.
     #[inline]
-    pub(crate) fn classify_write_run<P: PolicySlot>(
+    pub(crate) fn classify_write_run<L: Pipeline>(
         &mut self,
+        site: &'static Site,
         addr: Addr,
         limit: u64,
     ) -> RunVerdict {
+        if let Some(via) = Elided::of_site::<L>(site) {
+            return RunVerdict::Captured { end: limit, via };
+        }
         let a = addr.raw();
-        if !self.scope.writes {
+        if !L::RUNTIME || !self.scope.writes {
             return RunVerdict::Shared { end: limit };
         }
         if self.scope.heap && a >= self.nur.lo() && a < self.nur.bump() {
             return if a >= self.nur.inner() {
                 RunVerdict::Captured {
                     end: self.nur.bump().min(limit),
-                    counter: RunCounter::Nursery,
+                    via: Elided::Nursery,
                 }
             } else {
                 RunVerdict::Ancestor {
@@ -209,7 +289,7 @@ impl WorkerCtx<'_> {
             return if a < self.sp_inner {
                 RunVerdict::Captured {
                     end: self.sp_inner.min(limit),
-                    counter: RunCounter::Stack,
+                    via: Elided::Stack,
                 }
             } else {
                 RunVerdict::Ancestor {
@@ -218,7 +298,7 @@ impl WorkerCtx<'_> {
             };
         }
         let end = if self.scope.heap {
-            let (cap, end) = P::of(&self.logs).classify_run(a, limit);
+            let (cap, end) = L::Log::of(&self.logs).classify_run(a, limit);
             if let Capture::Level(level) = cap {
                 return if level >= self.depth {
                     // See `classify_read_run`: prime the capture cache so
@@ -227,7 +307,7 @@ impl WorkerCtx<'_> {
                     self.cap_len = end - a;
                     RunVerdict::Captured {
                         end,
-                        counter: RunCounter::Heap,
+                        via: Elided::Heap,
                     }
                 } else {
                     RunVerdict::Ancestor { end }
@@ -268,8 +348,8 @@ impl WorkerCtx<'_> {
         end
     }
 
-    /// Annotated private memory (paper §3.1.3): consulted by every variant
-    /// after the mode-specific checks, exactly as the seed pipeline did.
+    /// Annotated private memory (paper §3.1.3): consulted by every pipeline
+    /// after its capture checks, exactly as the seed pipeline did.
     #[inline]
     pub(crate) fn annotation_hit(&self, addr: Addr) -> bool {
         self.cfg.annotations && self.private_log.is_private(addr.raw())

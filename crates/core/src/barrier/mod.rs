@@ -1,12 +1,13 @@
-//! The capture-optimized read and write barriers (paper Fig. 2 and §3.1),
-//! monomorphized over the capture policy.
+//! The capture-optimized read and write barriers (paper Fig. 2 and §3.1):
+//! one generic body per operation, monomorphized over the [`Pipeline`].
 //!
 //! Barrier structure, in order:
 //! 1. statistics bookkeeping (per-transaction counters, flushed at commit);
-//! 2. **capture fast paths** according to [`crate::Mode`]:
-//!    compiler-elided sites (static), transaction-local stack (one range
-//!    compare), transaction-local heap (a [`CapturePolicy::classify`]
-//!    call), annotated private memory;
+//! 2. **capture fast paths**, as the pipeline's consts enable them:
+//!    compiler-elided sites (static), then the runtime checks — the
+//!    nursery window and the transaction-local stack (a range compare
+//!    each), the transaction-local heap (a [`CapturePolicy::classify`]
+//!    call) — then annotated private memory;
 //! 3. the **full STM barrier** (`slowpath`): optimistic versioned read with
 //!    snapshot extension, or encounter-time lock acquisition + undo log +
 //!    in-place store.
@@ -17,12 +18,13 @@
 //! barrier, so the barrier pipeline cannot afford to re-decide *how* to
 //! check capture on every access. All mode/log dispatch is resolved once,
 //! when the runtime is constructed: [`DispatchTable::select`] maps the
-//! configuration to a static table of function pointers whose targets are
-//! **monomorphized** per [`Mode`] and per concrete [`CapturePolicy`]
-//! ([`RangeTree`], [`RangeArray`], [`AddrFilter`]). Inside those targets
-//! there is no `match` on `Mode` or `LogKind` — the policy is reached
-//! through [`PolicySlot`], a zero-branch field projection into
-//! [`CaptureLogs`].
+//! configuration to the [`Pipeline::TABLE`] of one of six pipelines —
+//! [`Baseline`], [`Compiler`], [`CompilerInterproc`], and [`Runtime`] over
+//! [`RangeTree`], [`RangeArray`] or [`AddrFilter`]. Every table holds
+//! instances of the same four bodies (`read`, `write`, `read_range`,
+//! `write_range`); inside them there is no `match` on `Mode` or `LogKind`
+//! — the pipeline's consts fold away and the policy is reached through
+//! [`PolicySlot`], a zero-branch field projection into [`CaptureLogs`].
 //!
 //! The pre-refactor shape — one barrier body that `match`es on the mode
 //! and queries an enum-dispatched [`LogImpl`] per access — survives in
@@ -51,7 +53,7 @@ pub(crate) enum CaptureHit {
     Ancestor,
 }
 
-/// Per-worker storage for every capture policy the dispatch table can be
+/// Per-worker storage for every capture policy a [`Pipeline`] can be
 /// monomorphized over.
 ///
 /// Exactly one member is *active* — the one the spawn-time-selected
@@ -78,9 +80,9 @@ impl CaptureLogs {
     pub(crate) fn new(cfg: &TxConfig) -> CaptureLogs {
         let kind = match cfg.mode {
             Mode::Runtime { log, .. } => Some(log),
-            // Baseline/Compiler barriers never consult a capture policy;
-            // their dispatch tables no-op the allocation hooks too, so the
-            // logs stay empty (the paper's baseline pays no logging cost).
+            // Baseline/Compiler pipelines never consult a capture policy
+            // and their allocation hooks are gated off, so the logs stay
+            // empty (the paper's baseline pays no logging cost).
             _ => None,
         };
         let filter_log2 = match kind {
@@ -112,10 +114,10 @@ impl CaptureLogs {
 }
 
 /// Gives a monomorphized barrier its capture policy as a plain field
-/// projection — no discriminant test, no virtual call. The invariant that
-/// the projected field is the *active* one is established by
-/// [`DispatchTable::select`], which always pairs `read_runtime::<P>` with
-/// `on_alloc`/`reset` hooks for the same `P`.
+/// projection — no discriminant test, no virtual call. The projected field
+/// is the *active* one because a [`Pipeline::TABLE`] instantiates its
+/// barriers and its `on_alloc`/`on_free`/`reset` hooks from the same
+/// [`Pipeline::Log`].
 pub(crate) trait PolicySlot: CapturePolicy {
     fn of(logs: &CaptureLogs) -> &Self;
     fn of_mut(logs: &mut CaptureLogs) -> &mut Self;
@@ -141,9 +143,9 @@ policy_slot!(AddrFilter, filter);
 
 /// The once-per-configuration resolved barrier pipeline: read/write entry
 /// points plus the allocation-event hooks that keep the active policy in
-/// sync. [`WorkerCtx`] carries a `&'static` to one of the tables below and
-/// every transactional access goes through these pointers — one predictable
-/// indirect call, no data-dependent branching.
+/// sync. [`WorkerCtx`] carries a `&'static` to one [`Pipeline::TABLE`] (or
+/// [`REFERENCE`]) and every transactional access goes through these
+/// pointers — one predictable indirect call, no data-dependent branching.
 pub(crate) struct DispatchTable {
     pub(crate) read: for<'rt> fn(&mut WorkerCtx<'rt>, &'static Site, Addr) -> TxResult<u64>,
     pub(crate) write: for<'rt> fn(&mut WorkerCtx<'rt>, &'static Site, Addr, u64) -> TxResult<()>,
@@ -158,20 +160,97 @@ pub(crate) struct DispatchTable {
     pub(crate) reset: fn(&mut CaptureLogs),
 }
 
-fn noop_on_alloc(_: &mut CaptureLogs, _: u64, _: u64, _: u32) {}
-fn noop_on_free(_: &mut CaptureLogs, _: u64, _: u64) {}
-fn noop_reset(_: &mut CaptureLogs) {}
+/// Which capture checks a barrier runs before the full STM barrier: the
+/// one body per operation in `read.rs`/`write.rs` is generic over this
+/// type, and each associated const is a compile-time constant that
+/// monomorphization folds away, so an instance carries exactly its own
+/// checks and never `match`es on [`Mode`].
+pub(crate) trait Pipeline: Sized {
+    /// Compiler-elided sites (`Site::compiler_elides`) skip the barrier
+    /// (paper §3.2).
+    const STATIC: bool;
+    /// Sites only the interprocedural summary proves captured
+    /// (`Site::compiler_elides_interproc`) skip it too.
+    const INTERPROC: bool;
+    /// The runtime capture checks run (paper §3.1): nursery window, stack
+    /// range, then the allocation log. Off, the allocation hooks no-op
+    /// and the logs stay empty — the paper's baseline pays no logging.
+    const RUNTIME: bool;
+    /// The allocation log behind the heap check (consulted only under
+    /// [`Pipeline::RUNTIME`]); with the nursery on it is the fallback for
+    /// overflow, demoted and large blocks.
+    type Log: PolicySlot;
 
-fn policy_on_alloc<P: PolicySlot>(logs: &mut CaptureLogs, start: u64, len: u64, level: u32) {
-    P::of_mut(logs).on_alloc(start, len, level);
+    /// This pipeline's entry points and hooks.
+    const TABLE: DispatchTable = DispatchTable {
+        read: read::read::<Self>,
+        write: write::write::<Self>,
+        read_range: read::read_range::<Self>,
+        write_range: write::write_range::<Self>,
+        on_alloc: on_alloc::<Self>,
+        on_free: on_free::<Self>,
+        reset: reset::<Self>,
+    };
 }
 
-fn policy_on_free<P: PolicySlot>(logs: &mut CaptureLogs, start: u64, len: u64) {
-    P::of_mut(logs).on_free(start, len);
+/// No capture analysis: every access runs the full barrier (modulo
+/// annotations).
+pub(crate) enum Baseline {}
+/// Intraprocedural compiler capture analysis: statically elided sites
+/// skip everything; no runtime capture state.
+pub(crate) enum Compiler {}
+/// Interprocedural compiler capture analysis: the superset static verdict
+/// skips the barrier too; no runtime capture state.
+pub(crate) enum CompilerInterproc {}
+/// Runtime capture analysis over the allocation log `P`. The nursery
+/// window is checked first whether or not [`TxConfig::nursery`] is on:
+/// with the nursery inactive its range is empty, so the check never hits.
+pub(crate) struct Runtime<P>(std::marker::PhantomData<P>);
+
+impl Pipeline for Baseline {
+    const STATIC: bool = false;
+    const INTERPROC: bool = false;
+    const RUNTIME: bool = false;
+    type Log = RangeTree;
 }
 
-fn policy_reset<P: PolicySlot>(logs: &mut CaptureLogs) {
-    P::of_mut(logs).reset();
+impl Pipeline for Compiler {
+    const STATIC: bool = true;
+    const INTERPROC: bool = false;
+    const RUNTIME: bool = false;
+    type Log = RangeTree;
+}
+
+impl Pipeline for CompilerInterproc {
+    const STATIC: bool = true;
+    const INTERPROC: bool = true;
+    const RUNTIME: bool = false;
+    type Log = RangeTree;
+}
+
+impl<P: PolicySlot> Pipeline for Runtime<P> {
+    const STATIC: bool = false;
+    const INTERPROC: bool = false;
+    const RUNTIME: bool = true;
+    type Log = P;
+}
+
+fn on_alloc<L: Pipeline>(logs: &mut CaptureLogs, start: u64, len: u64, level: u32) {
+    if L::RUNTIME {
+        L::Log::of_mut(logs).on_alloc(start, len, level);
+    }
+}
+
+fn on_free<L: Pipeline>(logs: &mut CaptureLogs, start: u64, len: u64) {
+    if L::RUNTIME {
+        L::Log::of_mut(logs).on_free(start, len);
+    }
+}
+
+fn reset<L: Pipeline>(logs: &mut CaptureLogs) {
+    if L::RUNTIME {
+        L::Log::of_mut(logs).reset();
+    }
 }
 
 fn reference_on_alloc(logs: &mut CaptureLogs, start: u64, len: u64, level: u32) {
@@ -185,84 +264,6 @@ fn reference_on_free(logs: &mut CaptureLogs, start: u64, len: u64) {
 fn reference_reset(logs: &mut CaptureLogs) {
     logs.reference_log_mut().reset();
 }
-
-/// Baseline: every access runs the full barrier; allocation hooks no-op.
-static BASELINE: DispatchTable = DispatchTable {
-    read: read::read_baseline,
-    write: write::write_baseline,
-    read_range: read::read_range_baseline,
-    write_range: write::write_range_baseline,
-    on_alloc: noop_on_alloc,
-    on_free: noop_on_free,
-    reset: noop_reset,
-};
-
-/// Compiler capture analysis: statically elided sites skip everything;
-/// no runtime capture state is maintained.
-static COMPILER: DispatchTable = DispatchTable {
-    read: read::read_compiler,
-    write: write::write_compiler,
-    read_range: read::read_range_compiler,
-    write_range: write::write_range_compiler,
-    on_alloc: noop_on_alloc,
-    on_free: noop_on_free,
-    reset: noop_reset,
-};
-
-macro_rules! runtime_table {
-    ($policy:ty) => {
-        DispatchTable {
-            read: read::read_runtime::<$policy>,
-            write: write::write_runtime::<$policy>,
-            read_range: read::read_range_runtime::<$policy>,
-            write_range: write::write_range_runtime::<$policy>,
-            on_alloc: policy_on_alloc::<$policy>,
-            on_free: policy_on_free::<$policy>,
-            reset: policy_reset::<$policy>,
-        }
-    };
-}
-
-/// Interprocedural compiler capture analysis: the superset static verdict
-/// (`compiler_elides_interproc`) also skips the barrier; still no runtime
-/// capture state.
-static COMPILER_INTERPROC: DispatchTable = DispatchTable {
-    read: read::read_compiler_interproc,
-    write: write::write_compiler_interproc,
-    read_range: read::read_range_compiler_interproc,
-    write_range: write::write_range_compiler_interproc,
-    on_alloc: noop_on_alloc,
-    on_free: noop_on_free,
-    reset: noop_reset,
-};
-
-static RUNTIME_TREE: DispatchTable = runtime_table!(RangeTree);
-static RUNTIME_ARRAY: DispatchTable = runtime_table!(RangeArray<4>);
-static RUNTIME_FILTER: DispatchTable = runtime_table!(AddrFilter);
-
-/// Runtime capture analysis with the per-transaction nursery
-/// ([`crate::TxConfig::nursery`]): the barrier's captured-heap check is
-/// the nursery scalar-range test, and the monomorphized policy `P` serves
-/// only as the *fallback* log for overflow/demoted/large blocks. The
-/// allocation hooks are the same policy hooks — the allocation path itself
-/// decides which blocks ever reach them.
-macro_rules! nursery_table {
-    ($policy:ty) => {
-        DispatchTable {
-            read: read::read_runtime_nursery::<$policy>,
-            write: write::write_runtime_nursery::<$policy>,
-            read_range: read::read_range_runtime_nursery::<$policy>,
-            write_range: write::write_range_runtime_nursery::<$policy>,
-            on_alloc: policy_on_alloc::<$policy>,
-            on_free: policy_on_free::<$policy>,
-            reset: policy_reset::<$policy>,
-        }
-    };
-}
-
-static NURSERY_TREE: DispatchTable = nursery_table!(RangeTree);
-static NURSERY_ARRAY: DispatchTable = nursery_table!(RangeArray<4>);
-static NURSERY_FILTER: DispatchTable = nursery_table!(AddrFilter);
 
 /// The enum-dispatch oracle: per-access `match` on mode and log kind.
 static REFERENCE: DispatchTable = DispatchTable {
@@ -278,22 +279,20 @@ static REFERENCE: DispatchTable = DispatchTable {
 impl DispatchTable {
     /// Resolve the barrier pipeline for a configuration. This is the single
     /// place where `Mode` and `LogKind` are matched — it runs once, at
-    /// [`crate::StmRuntime::new`], never inside a barrier.
+    /// [`crate::StmRuntime::new`], never inside a barrier. The nursery
+    /// flag is not an input: it chooses allocation behaviour only.
     pub(crate) fn select(cfg: &TxConfig) -> &'static DispatchTable {
         if cfg.reference_dispatch {
             return &REFERENCE;
         }
         match cfg.mode {
-            Mode::Baseline => &BASELINE,
-            Mode::Compiler => &COMPILER,
-            Mode::CompilerInterproc => &COMPILER_INTERPROC,
-            Mode::Runtime { log, .. } => match (log, cfg.nursery) {
-                (LogKind::Tree, false) => &RUNTIME_TREE,
-                (LogKind::Array, false) => &RUNTIME_ARRAY,
-                (LogKind::Filter, false) => &RUNTIME_FILTER,
-                (LogKind::Tree, true) => &NURSERY_TREE,
-                (LogKind::Array, true) => &NURSERY_ARRAY,
-                (LogKind::Filter, true) => &NURSERY_FILTER,
+            Mode::Baseline => &Baseline::TABLE,
+            Mode::Compiler => &Compiler::TABLE,
+            Mode::CompilerInterproc => &CompilerInterproc::TABLE,
+            Mode::Runtime { log, .. } => match log {
+                LogKind::Tree => &Runtime::<RangeTree>::TABLE,
+                LogKind::Array => &Runtime::<RangeArray<4>>::TABLE,
+                LogKind::Filter => &Runtime::<AddrFilter>::TABLE,
             },
         }
     }
@@ -303,6 +302,7 @@ impl DispatchTable {
 mod tests {
     use super::*;
     use crate::config::CheckScope;
+    use capture::Capture;
 
     fn runtime_cfg(log: LogKind) -> TxConfig {
         TxConfig::with_mode(Mode::Runtime {
@@ -311,40 +311,79 @@ mod tests {
         })
     }
 
+    /// Elision counters `(elided_static, elided_static_interproc)` after
+    /// `table`'s read barrier runs once on an intraprocedurally and once on
+    /// an interprocedurally captured site, on a worker of `cfg`.
+    fn static_elisions(cfg: TxConfig, table: &'static DispatchTable) -> (u64, u64) {
+        static LOCAL: Site = Site::captured_local("select.local");
+        static INTERPROC: Site = Site::captured_interproc("select.interproc");
+        let rt = crate::StmRuntime::new(txmem::MemConfig::small(), cfg);
+        let mut w = rt.spawn_worker();
+        let a = w.alloc_raw(8);
+        w.txn(|tx| {
+            (table.read)(tx.0, &LOCAL, a)?;
+            (table.read)(tx.0, &INTERPROC, a)?;
+            let r = &tx.0.pending.reads;
+            Ok((r.elided_static, r.elided_static_interproc))
+        })
+    }
+
     #[test]
     fn select_pairs_tables_with_modes() {
-        assert!(std::ptr::eq(
-            DispatchTable::select(&TxConfig::default()),
-            &BASELINE
-        ));
-        assert!(std::ptr::eq(
-            DispatchTable::select(&TxConfig::with_mode(Mode::Compiler)),
-            &COMPILER
-        ));
-        assert!(std::ptr::eq(
-            DispatchTable::select(&TxConfig::with_mode(Mode::CompilerInterproc)),
-            &COMPILER_INTERPROC
-        ));
-        assert!(std::ptr::eq(
-            DispatchTable::select(&runtime_cfg(LogKind::Tree)),
-            &RUNTIME_TREE
-        ));
-        assert!(std::ptr::eq(
-            DispatchTable::select(&runtime_cfg(LogKind::Array)),
-            &RUNTIME_ARRAY
-        ));
-        assert!(std::ptr::eq(
-            DispatchTable::select(&runtime_cfg(LogKind::Filter)),
-            &RUNTIME_FILTER
-        ));
-        for (log, table) in [
-            (LogKind::Tree, &NURSERY_TREE),
-            (LogKind::Array, &NURSERY_ARRAY),
-            (LogKind::Filter, &NURSERY_FILTER),
+        // Each static mode selects the table whose barrier elides exactly
+        // its own verdicts, and none of them keeps an allocation log.
+        for (mode, elided) in [
+            (Mode::Baseline, (0, 0)),
+            (Mode::Compiler, (1, 0)),
+            (Mode::CompilerInterproc, (1, 1)),
         ] {
-            let mut cfg = runtime_cfg(log);
-            cfg.nursery = true;
-            assert!(std::ptr::eq(DispatchTable::select(&cfg), table));
+            let cfg = TxConfig::with_mode(mode);
+            let table = DispatchTable::select(&cfg);
+            assert_eq!(static_elisions(cfg, table), elided, "{mode:?}");
+            let mut logs = CaptureLogs::new(&cfg);
+            (table.on_alloc)(&mut logs, 64, 64, 1);
+            assert_eq!(RangeTree::of(&logs).classify(64), Capture::No, "{mode:?}");
+            assert_eq!(RangeArray::<4>::of(&logs).classify(64), Capture::No);
+            assert_eq!(AddrFilter::of(&logs).classify(64), Capture::No);
+        }
+        // Each runtime log kind selects the table that logs into, and
+        // classifies through, exactly its own member of `CaptureLogs`.
+        type Classify = fn(&CaptureLogs, u64) -> Capture;
+        let members: [(LogKind, Classify); 3] = [
+            (LogKind::Tree, |l, a| RangeTree::of(l).classify(a)),
+            (LogKind::Array, |l, a| RangeArray::<4>::of(l).classify(a)),
+            (LogKind::Filter, |l, a| AddrFilter::of(l).classify(a)),
+        ];
+        for (log, _) in members {
+            let cfg = runtime_cfg(log);
+            let mut logs = CaptureLogs::new(&cfg);
+            (DispatchTable::select(&cfg).on_alloc)(&mut logs, 64, 64, 1);
+            for (member, classify) in members {
+                let want = if member == log {
+                    Capture::Level(1)
+                } else {
+                    Capture::No
+                };
+                assert_eq!(
+                    classify(&logs, 64),
+                    want,
+                    "{log:?} table, {member:?} member"
+                );
+            }
+        }
+        let tables = [
+            DispatchTable::select(&TxConfig::default()),
+            DispatchTable::select(&TxConfig::with_mode(Mode::Compiler)),
+            DispatchTable::select(&TxConfig::with_mode(Mode::CompilerInterproc)),
+            DispatchTable::select(&runtime_cfg(LogKind::Tree)),
+            DispatchTable::select(&runtime_cfg(LogKind::Array)),
+            DispatchTable::select(&runtime_cfg(LogKind::Filter)),
+        ];
+        for (i, a) in tables.iter().enumerate() {
+            for b in &tables[i + 1..] {
+                assert!(!std::ptr::eq(*a, *b), "each pipeline has its own table");
+            }
+            assert!(!std::ptr::eq(*a, &REFERENCE));
         }
         let mut refcfg = runtime_cfg(LogKind::Array);
         refcfg.reference_dispatch = true;
@@ -354,6 +393,22 @@ mod tests {
             std::ptr::eq(DispatchTable::select(&refcfg), &REFERENCE),
             "reference dispatch oracles every configuration, nursery included"
         );
+    }
+
+    #[test]
+    fn nursery_does_not_select_the_table() {
+        for log in LogKind::ALL {
+            let plain = runtime_cfg(log);
+            let mut nursery = plain;
+            nursery.nursery = true;
+            assert!(
+                std::ptr::eq(
+                    DispatchTable::select(&plain),
+                    DispatchTable::select(&nursery)
+                ),
+                "{log:?}: nursery on and off must share one pipeline"
+            );
+        }
     }
 
     #[test]

@@ -1,27 +1,30 @@
-//! Monomorphized read-barrier variants (paper Fig. 2). One function per
-//! [`crate::Mode`]; the runtime variant is additionally generic over the
-//! capture policy, so `read_runtime::<RangeTree>` etc. compile to straight
-//! fast-path code with no dispatch inside.
+//! The read barrier (paper Fig. 2): one body per access shape, generic over
+//! the [`Pipeline`], so `read::<Runtime<RangeTree>>` etc. compile to
+//! straight fast-path code with no dispatch inside.
 
 use txmem::Addr;
 
-use super::fastpath::{RunCounter, RunVerdict};
-use super::PolicySlot;
+use super::fastpath::RunVerdict;
+use super::Pipeline;
 use crate::site::Site;
 use crate::worker::{TxResult, WorkerCtx};
 
-/// Bookkeeping every read barrier starts with.
-#[inline(always)]
-fn prologue(w: &mut WorkerCtx<'_>, site: &'static Site, addr: Addr) {
+/// The per-word read barrier: the pipeline's elision verdict, then the
+/// annotation check, then the full STM read. Reads elide at any captured
+/// level, so the `Current`/`Ancestor` split is irrelevant here.
+pub(super) fn read<L: Pipeline>(
+    w: &mut WorkerCtx<'_>,
+    site: &'static Site,
+    addr: Addr,
+) -> TxResult<u64> {
     debug_assert!(w.depth > 0, "read barrier outside transaction");
     if w.cfg.classify {
         w.classify_access(site, addr, false);
     }
-}
-
-/// Shared epilogue: annotation check, then the full STM read.
-#[inline(always)]
-fn annotated_or_full(w: &mut WorkerCtx<'_>, addr: Addr) -> TxResult<u64> {
+    if let Some((_, via)) = w.word_verdict::<L>(site, addr, false) {
+        *via.counter(&mut w.pending.reads) += 1;
+        return Ok(w.mem.load_private(addr));
+    }
     if w.annotation_hit(addr) {
         w.pending.reads.elided_annotation += 1;
         return Ok(w.mem.load_private(addr));
@@ -30,222 +33,38 @@ fn annotated_or_full(w: &mut WorkerCtx<'_>, addr: Addr) -> TxResult<u64> {
     w.read_full(addr)
 }
 
-/// Baseline: no capture analysis; every read is a full barrier (modulo
-/// annotations).
-pub(super) fn read_baseline(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-) -> TxResult<u64> {
-    prologue(w, site, addr);
-    annotated_or_full(w, addr)
-}
-
-/// Compiler capture analysis (paper §3.2): statically proven sites skip
-/// the barrier entirely; everything else runs the full barrier with no
-/// runtime checks.
-pub(super) fn read_compiler(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-) -> TxResult<u64> {
-    prologue(w, site, addr);
-    if site.compiler_elides {
-        w.pending.reads.elided_static += 1;
-        return Ok(w.mem.load_private(addr));
-    }
-    annotated_or_full(w, addr)
-}
-
-/// Interprocedural compiler capture analysis: like [`read_compiler`], but
-/// the verdict is the whole-program summary pass, so interproc-only sites
-/// (`compiler_elides_interproc` without `compiler_elides`) are elided too.
-/// Separate monomorphized entry point — the plain compiler barrier stays
-/// branch-identical to the seed.
-pub(super) fn read_compiler_interproc(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-) -> TxResult<u64> {
-    prologue(w, site, addr);
-    if site.compiler_elides {
-        w.pending.reads.elided_static += 1;
-        return Ok(w.mem.load_private(addr));
-    }
-    if site.compiler_elides_interproc {
-        w.pending.reads.elided_static_interproc += 1;
-        return Ok(w.mem.load_private(addr));
-    }
-    annotated_or_full(w, addr)
-}
-
-/// Runtime capture analysis (paper §3.1), monomorphized over the policy.
-/// The scope booleans are per-configuration constants cached on the worker
-/// at spawn; the branch predictor treats them as always-taken/never-taken.
-pub(super) fn read_runtime<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-) -> TxResult<u64> {
-    prologue(w, site, addr);
-    if w.scope.reads {
-        if w.scope.stack && w.stack_capture(addr).is_some() {
-            w.pending.reads.elided_stack += 1;
-            return Ok(w.mem.load_private(addr));
-        }
-        if w.scope.heap && w.heap_capture::<P>(addr).is_some() {
-            w.pending.reads.elided_heap += 1;
-            return Ok(w.mem.load_private(addr));
-        }
-    }
-    annotated_or_full(w, addr)
-}
-
-/// Runtime capture analysis with the transaction-local nursery: the scalar
-/// range test runs first (two compares, like the stack check), and the
-/// monomorphized fallback log only sees overflow/demoted/large blocks.
-/// Reads elide at any captured level, so the `Current`/`Ancestor` split is
-/// irrelevant here.
-pub(super) fn read_runtime_nursery<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-) -> TxResult<u64> {
-    prologue(w, site, addr);
-    if w.scope.reads {
-        if w.scope.heap && w.nursery_capture(addr).is_some() {
-            w.pending.reads.elided_nursery += 1;
-            return Ok(w.mem.load_private(addr));
-        }
-        if w.scope.stack && w.stack_capture(addr).is_some() {
-            w.pending.reads.elided_stack += 1;
-            return Ok(w.mem.load_private(addr));
-        }
-        if w.scope.heap && w.heap_capture::<P>(addr).is_some() {
-            w.pending.reads.elided_heap += 1;
-            return Ok(w.mem.load_private(addr));
-        }
-    }
-    annotated_or_full(w, addr)
-}
-
-// ---- Ranged read barriers ----------------------------------------------
-//
-// One table row per mode, mirroring the per-word rows above. The contract
-// every variant obeys: the per-word `BarrierDelta` counters move exactly as
-// a loop over the matching per-word barrier would move them (the ranged
-// oracle enforces this bit-for-bit), and only the `ranged` telemetry
-// records that the words were processed as runs.
-
-/// Whole-op degradation to the per-word barrier: classify instrumentation
-/// and annotations are defined per word, so equivalence is by construction.
-pub(super) fn per_word_read(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    dst: &mut [u64],
-    word: fn(&mut WorkerCtx<'_>, &'static Site, Addr) -> TxResult<u64>,
-) -> TxResult<()> {
-    w.pending.ranged.fallbacks += 1;
-    for (k, slot) in dst.iter_mut().enumerate() {
-        *slot = word(w, site, addr.word(k as u64))?;
-    }
-    Ok(())
-}
-
-pub(super) fn read_range_baseline(
+/// The ranged read barrier: classify once per homogeneous run, bulk-copy
+/// captured runs, stripe-batch shared runs. The contract: the per-word
+/// `BarrierDelta` counters move exactly as a loop over [`read`] would move
+/// them (the ranged oracle enforces this bit-for-bit), and only the
+/// `ranged` telemetry records that the words were processed as runs.
+pub(super) fn read_range<L: Pipeline>(
     w: &mut WorkerCtx<'_>,
     site: &'static Site,
     addr: Addr,
     dst: &mut [u64],
 ) -> TxResult<()> {
     if w.cfg.classify || w.cfg.annotations {
-        return per_word_read(w, site, addr, dst, read_baseline);
-    }
-    debug_assert!(w.depth > 0, "read barrier outside transaction");
-    w.bump_ranged_run(dst.len());
-    w.read_full_range(addr, dst)?;
-    w.pending.reads.full += dst.len() as u64;
-    Ok(())
-}
-
-pub(super) fn read_range_compiler(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    dst: &mut [u64],
-) -> TxResult<()> {
-    if w.cfg.classify || w.cfg.annotations {
-        return per_word_read(w, site, addr, dst, read_compiler);
-    }
-    debug_assert!(w.depth > 0, "read barrier outside transaction");
-    w.bump_ranged_run(dst.len());
-    if site.compiler_elides {
-        w.pending.reads.elided_static += dst.len() as u64;
-        w.mem.load_range_private(addr, dst);
+        // Classify instrumentation and annotations are defined per word:
+        // the whole op degrades to the per-word barrier, so equivalence
+        // holds by construction.
+        w.pending.ranged.fallbacks += 1;
+        for (k, slot) in dst.iter_mut().enumerate() {
+            *slot = read::<L>(w, site, addr.word(k as u64))?;
+        }
         return Ok(());
-    }
-    w.read_full_range(addr, dst)?;
-    w.pending.reads.full += dst.len() as u64;
-    Ok(())
-}
-
-pub(super) fn read_range_compiler_interproc(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    dst: &mut [u64],
-) -> TxResult<()> {
-    if w.cfg.classify || w.cfg.annotations {
-        return per_word_read(w, site, addr, dst, read_compiler_interproc);
-    }
-    debug_assert!(w.depth > 0, "read barrier outside transaction");
-    w.bump_ranged_run(dst.len());
-    if site.compiler_elides {
-        w.pending.reads.elided_static += dst.len() as u64;
-        w.mem.load_range_private(addr, dst);
-        return Ok(());
-    }
-    if site.compiler_elides_interproc {
-        w.pending.reads.elided_static_interproc += dst.len() as u64;
-        w.mem.load_range_private(addr, dst);
-        return Ok(());
-    }
-    w.read_full_range(addr, dst)?;
-    w.pending.reads.full += dst.len() as u64;
-    Ok(())
-}
-
-/// The runtime ranged read: classify once per homogeneous run, bulk-copy
-/// captured runs, stripe-batch shared runs. Shared body of the plain and
-/// nursery table rows (the nursery range is empty when inactive), with the
-/// matching per-word barrier threaded through for the degraded cases.
-#[inline]
-fn read_range_runtime_impl<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    dst: &mut [u64],
-    word: fn(&mut WorkerCtx<'_>, &'static Site, Addr) -> TxResult<u64>,
-) -> TxResult<()> {
-    if w.cfg.classify || w.cfg.annotations {
-        return per_word_read(w, site, addr, dst, word);
     }
     debug_assert!(w.depth > 0, "read barrier outside transaction");
     let limit = addr.word(dst.len() as u64).raw();
     let mut i = 0usize;
     while i < dst.len() {
         let a = addr.word(i as u64);
-        let verdict = w.classify_read_run::<P>(a, limit);
+        let verdict = w.classify_read_run::<L>(site, a, limit);
         let n = verdict.words(a);
         w.bump_ranged_run(n);
         match verdict {
-            RunVerdict::Captured { counter, .. } => {
-                match counter {
-                    RunCounter::Nursery => w.pending.reads.elided_nursery += n as u64,
-                    RunCounter::Stack => w.pending.reads.elided_stack += n as u64,
-                    RunCounter::Heap => w.pending.reads.elided_heap += n as u64,
-                }
+            RunVerdict::Captured { via, .. } => {
+                *via.counter(&mut w.pending.reads) += n as u64;
                 w.mem.load_range_private(a, &mut dst[i..i + n]);
             }
             RunVerdict::Ancestor { .. } => unreachable!("reads elide at any level"),
@@ -257,22 +76,4 @@ fn read_range_runtime_impl<P: PolicySlot>(
         i += n;
     }
     Ok(())
-}
-
-pub(super) fn read_range_runtime<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    dst: &mut [u64],
-) -> TxResult<()> {
-    read_range_runtime_impl::<P>(w, site, addr, dst, read_runtime::<P>)
-}
-
-pub(super) fn read_range_runtime_nursery<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    dst: &mut [u64],
-) -> TxResult<()> {
-    read_range_runtime_impl::<P>(w, site, addr, dst, read_runtime_nursery::<P>)
 }

@@ -1,7 +1,7 @@
 //! The full STM barriers (the Intel STM discipline the paper describes in
 //! §2.1): optimistic versioned reads with snapshot extension, and
 //! encounter-time lock acquisition with undo logging and in-place update.
-//! Every barrier variant funnels here when no fast path applies.
+//! Every pipeline's barriers funnel here when no fast path applies.
 
 use std::sync::atomic::Ordering;
 
@@ -14,7 +14,7 @@ impl WorkerCtx<'_> {
     /// Full optimistic read: versioned-read loop with snapshot extension
     /// (gives opacity, so transactions never act on inconsistent state).
     /// `inline(always)`, like [`WorkerCtx::write_full`]: the body lands in
-    /// each monomorphized table entry, so a shared access is one call.
+    /// every pipeline's barrier instance, so a shared access is one call.
     #[inline(always)]
     pub(crate) fn read_full(&mut self, addr: Addr) -> TxResult<u64> {
         self.chaos(crate::contention::ChaosPoint::Barrier);

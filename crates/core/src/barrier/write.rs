@@ -1,28 +1,42 @@
-//! Monomorphized write-barrier variants. Same layering as `read`, plus the
-//! ancestor-capture case: a write to memory captured by an *enclosing*
-//! transaction is performed in place without locking, but needs an undo
-//! entry so a partial abort of the current level restores it (paper
-//! §2.2.1).
+//! The write barrier: same layering as `read`, plus the ancestor-capture
+//! case: a write to memory captured by an *enclosing* transaction is
+//! performed in place without locking, but needs an undo entry so a
+//! partial abort of the current level restores it (paper §2.2.1).
 
 use txmem::Addr;
 
-use super::fastpath::{RunCounter, RunVerdict};
-use super::{CaptureHit, PolicySlot};
+use super::fastpath::RunVerdict;
+use super::{CaptureHit, Pipeline};
 use crate::site::Site;
 use crate::worker::{TxResult, UndoEntry, WorkerCtx};
 
-/// Bookkeeping every write barrier starts with.
-#[inline(always)]
-fn prologue(w: &mut WorkerCtx<'_>, site: &'static Site, addr: Addr) {
+/// The per-word write barrier: the pipeline's elision verdict (a
+/// current-level hit stores in place, an ancestor hit is undo-logged
+/// first), then the annotation check, then the full STM write.
+pub(super) fn write<L: Pipeline>(
+    w: &mut WorkerCtx<'_>,
+    site: &'static Site,
+    addr: Addr,
+    val: u64,
+) -> TxResult<()> {
     debug_assert!(w.depth > 0, "write barrier outside transaction");
     if w.cfg.classify {
         w.classify_access(site, addr, true);
     }
-}
-
-/// Shared epilogue: annotation check, then the full STM write.
-#[inline(always)]
-fn annotated_or_full(w: &mut WorkerCtx<'_>, addr: Addr, val: u64) -> TxResult<()> {
+    if let Some((hit, via)) = w.word_verdict::<L>(site, addr, true) {
+        match hit {
+            CaptureHit::Current => *via.counter(&mut w.pending.writes) += 1,
+            CaptureHit::Ancestor => {
+                w.pending.writes.parent_captured += 1;
+                w.undo.push(UndoEntry {
+                    addr,
+                    old: w.mem.load_private(addr),
+                });
+            }
+        }
+        w.mem.store_private(addr, val);
+        return Ok(());
+    }
     if w.annotation_hit(addr) {
         w.pending.writes.elided_annotation += 1;
         // Paper §3.1.3: annotated memory is accessed directly — the
@@ -35,231 +49,50 @@ fn annotated_or_full(w: &mut WorkerCtx<'_>, addr: Addr, val: u64) -> TxResult<()
     w.write_full(addr, val)
 }
 
-/// Captured-hit store: plain for the current level, undo-logged for an
-/// ancestor level.
-#[inline(always)]
-fn store_captured(w: &mut WorkerCtx<'_>, addr: Addr, val: u64, hit: CaptureHit, stack: bool) {
-    match hit {
-        CaptureHit::Current => {
-            if stack {
-                w.pending.writes.elided_stack += 1;
-            } else {
-                w.pending.writes.elided_heap += 1;
-            }
-        }
-        CaptureHit::Ancestor => {
-            w.pending.writes.parent_captured += 1;
-            w.undo.push(UndoEntry {
-                addr,
-                old: w.mem.load_private(addr),
-            });
-        }
-    }
-    w.mem.store_private(addr, val);
-}
-
-pub(super) fn write_baseline(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    val: u64,
-) -> TxResult<()> {
-    prologue(w, site, addr);
-    annotated_or_full(w, addr, val)
-}
-
-pub(super) fn write_compiler(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    val: u64,
-) -> TxResult<()> {
-    prologue(w, site, addr);
-    if site.compiler_elides {
-        w.pending.writes.elided_static += 1;
-        w.mem.store_private(addr, val);
-        return Ok(());
-    }
-    annotated_or_full(w, addr, val)
-}
-
-/// Interprocedural compiler capture analysis; see
-/// [`super::read::read_compiler_interproc`].
-pub(super) fn write_compiler_interproc(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    val: u64,
-) -> TxResult<()> {
-    prologue(w, site, addr);
-    if site.compiler_elides {
-        w.pending.writes.elided_static += 1;
-        w.mem.store_private(addr, val);
-        return Ok(());
-    }
-    if site.compiler_elides_interproc {
-        w.pending.writes.elided_static_interproc += 1;
-        w.mem.store_private(addr, val);
-        return Ok(());
-    }
-    annotated_or_full(w, addr, val)
-}
-
-pub(super) fn write_runtime<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    val: u64,
-) -> TxResult<()> {
-    prologue(w, site, addr);
-    if w.scope.writes {
-        if w.scope.stack {
-            if let Some(hit) = w.stack_capture(addr) {
-                store_captured(w, addr, val, hit, true);
-                return Ok(());
-            }
-        }
-        if w.scope.heap {
-            if let Some(hit) = w.heap_capture::<P>(addr) {
-                store_captured(w, addr, val, hit, false);
-                return Ok(());
-            }
-        }
-    }
-    annotated_or_full(w, addr, val)
-}
-
-// ---- Ranged write barriers ---------------------------------------------
-//
-// Same contract as the ranged reads (see `read.rs`): per-word counters and
-// the undo/lock log shape stay bit-identical to a per-word loop; captured
-// runs lower to bulk private stores, ancestor runs to per-word undo-logged
-// stores, shared runs to the stripe-batched slowpath.
-
-/// Whole-op degradation to the per-word barrier (classify / annotations).
-pub(super) fn per_word_write(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    src: &[u64],
-    word: fn(&mut WorkerCtx<'_>, &'static Site, Addr, u64) -> TxResult<()>,
-) -> TxResult<()> {
-    w.pending.ranged.fallbacks += 1;
-    for (k, &val) in src.iter().enumerate() {
-        word(w, site, addr.word(k as u64), val)?;
-    }
-    Ok(())
-}
-
-/// Ancestor-captured run: per-word undo entries (ascending address order,
-/// exactly what a per-word loop logs) plus private stores.
-fn store_range_ancestor(w: &mut WorkerCtx<'_>, addr: Addr, src: &[u64]) {
-    for (k, &val) in src.iter().enumerate() {
-        let a = addr.word(k as u64);
-        w.undo.push(UndoEntry {
-            addr: a,
-            old: w.mem.load_private(a),
-        });
-        w.mem.store_private(a, val);
-    }
-}
-
-pub(super) fn write_range_baseline(
+/// The ranged write barrier; see [`super::read::read_range`] — this is its
+/// write-side twin with the current/ancestor split. The undo/lock log
+/// shape stays bit-identical to a per-word loop: captured runs lower to
+/// bulk private stores, ancestor runs to per-word undo-logged stores,
+/// shared runs to the stripe-batched slowpath.
+pub(super) fn write_range<L: Pipeline>(
     w: &mut WorkerCtx<'_>,
     site: &'static Site,
     addr: Addr,
     src: &[u64],
 ) -> TxResult<()> {
     if w.cfg.classify || w.cfg.annotations {
-        return per_word_write(w, site, addr, src, write_baseline);
-    }
-    debug_assert!(w.depth > 0, "write barrier outside transaction");
-    w.bump_ranged_run(src.len());
-    w.write_full_range(addr, src)?;
-    w.pending.writes.full += src.len() as u64;
-    Ok(())
-}
-
-pub(super) fn write_range_compiler(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    src: &[u64],
-) -> TxResult<()> {
-    if w.cfg.classify || w.cfg.annotations {
-        return per_word_write(w, site, addr, src, write_compiler);
-    }
-    debug_assert!(w.depth > 0, "write barrier outside transaction");
-    w.bump_ranged_run(src.len());
-    if site.compiler_elides {
-        w.pending.writes.elided_static += src.len() as u64;
-        w.mem.store_range_private(addr, src);
+        // Per-word degradation, as in `read_range`.
+        w.pending.ranged.fallbacks += 1;
+        for (k, &val) in src.iter().enumerate() {
+            write::<L>(w, site, addr.word(k as u64), val)?;
+        }
         return Ok(());
-    }
-    w.write_full_range(addr, src)?;
-    w.pending.writes.full += src.len() as u64;
-    Ok(())
-}
-
-pub(super) fn write_range_compiler_interproc(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    src: &[u64],
-) -> TxResult<()> {
-    if w.cfg.classify || w.cfg.annotations {
-        return per_word_write(w, site, addr, src, write_compiler_interproc);
-    }
-    debug_assert!(w.depth > 0, "write barrier outside transaction");
-    w.bump_ranged_run(src.len());
-    if site.compiler_elides {
-        w.pending.writes.elided_static += src.len() as u64;
-        w.mem.store_range_private(addr, src);
-        return Ok(());
-    }
-    if site.compiler_elides_interproc {
-        w.pending.writes.elided_static_interproc += src.len() as u64;
-        w.mem.store_range_private(addr, src);
-        return Ok(());
-    }
-    w.write_full_range(addr, src)?;
-    w.pending.writes.full += src.len() as u64;
-    Ok(())
-}
-
-/// The runtime ranged write; see [`super::read::read_range_runtime`]'s
-/// doc — this is its write-side twin with the current/ancestor split.
-#[inline]
-fn write_range_runtime_impl<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    src: &[u64],
-    word: fn(&mut WorkerCtx<'_>, &'static Site, Addr, u64) -> TxResult<()>,
-) -> TxResult<()> {
-    if w.cfg.classify || w.cfg.annotations {
-        return per_word_write(w, site, addr, src, word);
     }
     debug_assert!(w.depth > 0, "write barrier outside transaction");
     let limit = addr.word(src.len() as u64).raw();
     let mut i = 0usize;
     while i < src.len() {
         let a = addr.word(i as u64);
-        let verdict = w.classify_write_run::<P>(a, limit);
+        let verdict = w.classify_write_run::<L>(site, a, limit);
         let n = verdict.words(a);
         w.bump_ranged_run(n);
         match verdict {
-            RunVerdict::Captured { counter, .. } => {
-                match counter {
-                    RunCounter::Nursery => w.pending.writes.elided_nursery += n as u64,
-                    RunCounter::Stack => w.pending.writes.elided_stack += n as u64,
-                    RunCounter::Heap => w.pending.writes.elided_heap += n as u64,
-                }
+            RunVerdict::Captured { via, .. } => {
+                *via.counter(&mut w.pending.writes) += n as u64;
                 w.mem.store_range_private(a, &src[i..i + n]);
             }
             RunVerdict::Ancestor { .. } => {
+                // Per-word undo entries in ascending address order,
+                // exactly what a per-word loop logs.
                 w.pending.writes.parent_captured += n as u64;
-                store_range_ancestor(w, a, &src[i..i + n]);
+                for (k, &val) in src[i..i + n].iter().enumerate() {
+                    let wa = a.word(k as u64);
+                    w.undo.push(UndoEntry {
+                        addr: wa,
+                        old: w.mem.load_private(wa),
+                    });
+                    w.mem.store_private(wa, val);
+                }
             }
             RunVerdict::Shared { .. } => {
                 w.write_full_range(a, &src[i..i + n])?;
@@ -269,69 +102,4 @@ fn write_range_runtime_impl<P: PolicySlot>(
         i += n;
     }
     Ok(())
-}
-
-pub(super) fn write_range_runtime<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    src: &[u64],
-) -> TxResult<()> {
-    write_range_runtime_impl::<P>(w, site, addr, src, write_runtime::<P>)
-}
-
-pub(super) fn write_range_runtime_nursery<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    src: &[u64],
-) -> TxResult<()> {
-    write_range_runtime_impl::<P>(w, site, addr, src, write_runtime_nursery::<P>)
-}
-
-/// Runtime capture analysis with the transaction-local nursery; see
-/// [`super::read::read_runtime_nursery`]. The watermark compare inside the
-/// nursery check preserves the §2.2.1 semantics: current-level hits store
-/// in place, ancestor-level hits take the undo-logged path.
-pub(super) fn write_runtime_nursery<P: PolicySlot>(
-    w: &mut WorkerCtx<'_>,
-    site: &'static Site,
-    addr: Addr,
-    val: u64,
-) -> TxResult<()> {
-    prologue(w, site, addr);
-    if w.scope.writes {
-        if w.scope.heap {
-            match w.nursery_capture(addr) {
-                Some(CaptureHit::Current) => {
-                    w.pending.writes.elided_nursery += 1;
-                    w.mem.store_private(addr, val);
-                    return Ok(());
-                }
-                Some(CaptureHit::Ancestor) => {
-                    w.pending.writes.parent_captured += 1;
-                    w.undo.push(UndoEntry {
-                        addr,
-                        old: w.mem.load_private(addr),
-                    });
-                    w.mem.store_private(addr, val);
-                    return Ok(());
-                }
-                None => {}
-            }
-        }
-        if w.scope.stack {
-            if let Some(hit) = w.stack_capture(addr) {
-                store_captured(w, addr, val, hit, true);
-                return Ok(());
-            }
-        }
-        if w.scope.heap {
-            if let Some(hit) = w.heap_capture::<P>(addr) {
-                store_captured(w, addr, val, hit, false);
-                return Ok(());
-            }
-        }
-    }
-    annotated_or_full(w, addr, val)
 }

@@ -50,7 +50,7 @@
 //! already-held earlier lock are restored by the suffix's undo entries
 //! (rolled back newest-first) before the prefix publishes.
 
-use crate::commit::BatchMark;
+use crate::commit::{AttemptGuard, BatchMark};
 use crate::worker::{Abort, Tx, TxResult, WorkerCtx};
 
 /// Outcome of one [`WorkerCtx::txn_batch`] call.
@@ -160,44 +160,48 @@ impl<'rt> WorkerCtx<'rt> {
             "merge factor {n} exceeds TxConfig::merge_max {}",
             self.cfg.merge_max
         );
-        self.cm_reset();
+        let mut w = AttemptGuard(self);
+        w.cm_reset();
         let n = n as u64;
         let mut total = 0u64;
         // After a split/abort the next window runs a single logical
         // transaction — "the conflicting remainder retries unmerged" —
         // then full-width merging resumes.
         let mut degraded = false;
-        let mut t0 = self.stats.latency_sample_start();
+        let mut t0 = w.stats.latency_sample_start();
         while total < n {
             let quota = if degraded { 1 } else { n - total };
-            self.batch_base = total;
-            let (committed, end) = self.run_window(quota, &mut f);
+            w.batch_base = total;
+            let (committed, end) = w.run_window(quota, &mut f);
             total += committed;
             if committed > 0 {
                 // Forward progress: de-escalate the contention ladder and
                 // book the committed window's latency if it was sampled
                 // (retried attempts since the last committed window included).
-                self.cm_reset();
-                self.stats.latency_sample_end(t0);
-                t0 = self.stats.latency_sample_start();
+                w.cm_reset();
+                w.stats.latency_sample_end(t0);
+                t0 = w.stats.latency_sample_start();
             }
             match end {
                 WindowEnd::Stopped => {
+                    w.disarm();
                     return BatchRun {
                         committed: total,
                         user_abort: None,
-                    }
+                    };
                 }
                 WindowEnd::User(code) => {
+                    w.disarm();
                     return BatchRun {
                         committed: total,
                         user_abort: Some(code),
-                    }
+                    };
                 }
                 WindowEnd::Filled => degraded = false,
                 WindowEnd::Split | WindowEnd::Aborted => degraded = true,
             }
         }
+        w.disarm();
         BatchRun {
             committed: total,
             user_abort: None,
@@ -374,12 +378,7 @@ impl<'rt> WorkerCtx<'rt> {
         self.durable_prepare(Some(ticket.wv), logical);
         // Publish every surviving lock at the batch's single write
         // version.
-        let wv = ticket.wv;
-        for l in &self.locks {
-            self.orecs[l.idx as usize].store(wv, std::sync::atomic::Ordering::Release);
-        }
-        self.locks.clear();
-        self.rv = wv;
+        self.publish(ticket.wv);
         self.finish_window_commit(logical, split, false)
     }
 

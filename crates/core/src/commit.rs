@@ -44,6 +44,73 @@ pub(crate) struct BatchMark {
     pub(crate) invocation_start: bool,
 }
 
+/// Unwinding out of a transaction is a rollback. [`WorkerCtx::txn_result`]
+/// and [`WorkerCtx::txn_batch`] run their whole retry loop — every attempt
+/// from `begin_top` to its commit or rollback, and the contention manager
+/// between attempts — through this guard. If anything in it panics, the
+/// drop restores the undo log, releases the orec locks at a fresh version,
+/// and hands back the serialization token and the active flag before the
+/// panic leaves the runtime, so the same worker and every other one can
+/// run again. An attempt whose commit was already decided
+/// ([`WorkerCtx::committed`]) is never rolled back: the drop abandons the
+/// rest of its commit instead.
+pub(crate) struct AttemptGuard<'w, 'rt>(pub(crate) &'w mut WorkerCtx<'rt>);
+
+impl<'rt> std::ops::Deref for AttemptGuard<'_, 'rt> {
+    type Target = WorkerCtx<'rt>;
+    fn deref(&self) -> &WorkerCtx<'rt> {
+        self.0
+    }
+}
+
+impl<'rt> std::ops::DerefMut for AttemptGuard<'_, 'rt> {
+    fn deref_mut(&mut self) -> &mut WorkerCtx<'rt> {
+        self.0
+    }
+}
+
+impl AttemptGuard<'_, '_> {
+    /// A normal exit: the last attempt committed or rolled back, and both
+    /// end with `cm_exit`, so there is nothing left to unwind. Skipping the
+    /// drop keeps its code off the per-transaction path (a missed `disarm`
+    /// is only slower: the drop then just re-runs `cm_exit`).
+    pub(crate) fn disarm(self) {
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for AttemptGuard<'_, '_> {
+    fn drop(&mut self) {
+        self.0.unwind_attempt();
+    }
+}
+
+impl WorkerCtx<'_> {
+    /// [`AttemptGuard`]'s unwinding path.
+    #[cold]
+    #[inline(never)]
+    fn unwind_attempt(&mut self) {
+        if self.committed {
+            self.abandon_commit(); // ends with `cm_exit`
+        } else if self.depth > 0 {
+            self.in_batch = false;
+            self.rollback_top(); // ends with `cm_exit`
+        } else {
+            // Between attempts: the contention manager may hold the token.
+            self.cm_exit();
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test fault: the next commit on this thread panics at the start of
+    /// its tail, after publication — where a deferred free or a poisoned
+    /// heap lock can panic for real.
+    pub(crate) static PANIC_IN_COMMIT_TAIL: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
 impl<'rt> WorkerCtx<'rt> {
     pub(crate) fn begin_top(&mut self) {
         debug_assert_eq!(self.depth, 0);
@@ -166,19 +233,34 @@ impl<'rt> WorkerCtx<'rt> {
         // (and depend on) these writes, so the on-disk record set at any
         // crash instant is dependency-closed.
         self.durable_prepare(Some(ticket.wv), 1);
-        // Publish: release every lock at the new version. Undo values are
-        // already in place (in-place update STM).
-        for l in &self.locks {
-            self.orecs[l.idx as usize].store(ticket.wv, Ordering::Release);
-        }
-        self.locks.clear();
-        // The next transaction's snapshot: a value this worker observed.
-        self.rv = ticket.wv;
+        self.publish(ticket.wv);
         self.finish_commit();
         true
     }
 
+    /// Release every lock at the commit version `wv`, making the writes
+    /// visible (undo values are already in place: in-place update STM).
+    /// From the first release on the attempt is committed and must not be
+    /// rolled back, so `committed` is raised before it.
+    pub(crate) fn publish(&mut self, wv: u64) {
+        self.committed = true;
+        for l in &self.locks {
+            self.orecs[l.idx as usize].store(wv, Ordering::Release);
+        }
+        self.locks.clear();
+        // The next transaction's snapshot: a value this worker observed.
+        self.rv = wv;
+    }
+
+    /// The tail of every commit, after publication (a read-only commit is
+    /// decided on entry). Raises `committed` for read-only commits and
+    /// lowers it once nothing the tail hands back is left in flight.
     pub(crate) fn finish_commit(&mut self) {
+        self.committed = true;
+        #[cfg(test)]
+        if PANIC_IN_COMMIT_TAIL.with(|p| p.replace(false)) {
+            panic!("injected panic in the commit tail");
+        }
         // Deferred frees execute now that the transaction is durable.
         let n_frees = self.frees.len();
         for i in 0..n_frees {
@@ -212,6 +294,38 @@ impl<'rt> WorkerCtx<'rt> {
         }
         if self.durable_on {
             self.durable_flush(false);
+            self.rt.durable.as_ref().unwrap().exit_active();
+        }
+        self.committed = false;
+        self.cm_exit();
+    }
+
+    /// Unwinding out of a decided commit (a panic between
+    /// [`WorkerCtx::publish`] and the end of [`WorkerCtx::finish_commit`],
+    /// say in a deferred free): the writes are visible, so nothing is
+    /// restored and no block the transaction allocated is freed. The
+    /// worker is reset to its between-transactions state instead; the
+    /// deferred frees and nursery regions the tail had not handed back yet
+    /// leak, which is never worse than handing them back twice.
+    fn abandon_commit(&mut self) {
+        self.committed = false;
+        self.reads.clear();
+        self.undo.clear();
+        self.allocs.clear();
+        (self.table.reset)(&mut self.logs);
+        self.clear_capture_cache();
+        if let Some(t) = self.classify_log.as_mut() {
+            t.reset();
+        }
+        self.frees.clear();
+        self.nursery_forget();
+        self.sp_marks.clear();
+        self.batch_marks.clear();
+        self.in_batch = false;
+        self.depth = 0;
+        if self.durable_on {
+            // Nothing after `exit_active` in the tail can panic, so the
+            // panic came before it: the quiesce gate is still held.
             self.rt.durable.as_ref().unwrap().exit_active();
         }
         self.cm_exit();

@@ -478,6 +478,109 @@ mod tests {
     }
 
     #[test]
+    fn caught_panic_rolls_back_and_the_worker_survives() {
+        // The worker outlives the panic here, so the rollback cannot wait
+        // for its drop: the pre-image must be back and the orec released
+        // as soon as the panic leaves `txn`.
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
+        let a = rt.alloc_global(64);
+        rt.mem().store(a, 5);
+        static S: crate::Site = crate::Site::shared("caught-panic");
+        let rmw = |tx: &mut crate::Tx<'_, '_>| {
+            let v = tx.read(&S, a)?;
+            tx.write(&S, a, v + 1)
+        };
+        let mut w = rt.spawn_worker();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.txn(|tx| -> TxResult<()> {
+                tx.write(&S, a, 6)?;
+                panic!("closure panics mid-transaction");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(rt.mem().load(a), 5, "the uncommitted write must roll back");
+        let aborts = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut other = rt.spawn_worker();
+                other.txn(rmw);
+                other.stats.aborts
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!((rt.mem().load(a), aborts), (6, 0));
+        w.txn(rmw);
+        assert_eq!(rt.mem().load(a), 7, "the same worker runs again");
+    }
+
+    #[test]
+    fn panic_after_publication_keeps_the_commit() {
+        // Once the locks are released at the commit version the writes
+        // are visible: a panic in the rest of the commit must leave them
+        // in place, release the token and flag, and leave the worker
+        // clean for its next transaction — through `txn` and `txn_batch`.
+        use crate::commit::PANIC_IN_COMMIT_TAIL;
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
+        let a = rt.alloc_global(64);
+        rt.mem().store(a, 5);
+        static S: crate::Site = crate::Site::shared("tail-panic");
+        let rmw = |tx: &mut crate::Tx<'_, '_>| {
+            let v = tx.read(&S, a)?;
+            tx.write(&S, a, v + 1)
+        };
+        let mut w = rt.spawn_worker();
+        let shared = w.alloc_raw(64);
+        let mut fresh = None;
+        PANIC_IN_COMMIT_TAIL.with(|p| p.set(true));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.txn(|tx| {
+                tx.write(&S, a, 6)?;
+                let b = tx.alloc(64)?; // a nursery block
+                tx.write(&S, b, 9)?;
+                fresh = Some(b);
+                tx.free(shared); // a deferred free
+                Ok(())
+            })
+        }));
+        assert!(caught.is_err());
+        let b = fresh.unwrap();
+        assert_eq!(
+            (rt.mem().load(a), rt.mem().load(b)),
+            (6, 9),
+            "the commit stays"
+        );
+        assert_eq!(w.depth, 0);
+        assert!(w.frees.is_empty() && w.allocs.is_empty() && w.undo.is_empty());
+        assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+        assert!(rt.cm.active.iter().all(|f| !f.load(Ordering::SeqCst)));
+        let aborts = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut other = rt.spawn_worker();
+                other.txn(rmw);
+                other.stats.aborts
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!((rt.mem().load(a), aborts), (7, 0));
+        w.txn(rmw);
+        assert_eq!(rt.mem().load(a), 8, "the same worker runs again");
+
+        PANIC_IN_COMMIT_TAIL.with(|p| p.set(true));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.txn_batch(1, |tx| {
+                rmw(tx)?;
+                Ok(true)
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(rt.mem().load(a), 9, "the batch's commit stays");
+        assert!(!w.in_batch && w.batch_marks.is_empty());
+        w.txn(rmw);
+        assert_eq!((rt.mem().load(a), w.stats.aborts), (10, 0));
+    }
+
+    #[test]
     fn only_lock_holders_announce() {
         let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
         let a = rt.alloc_global(64);
@@ -501,8 +604,8 @@ mod tests {
             Err::<(), _>(tx.abort(7))
         });
         assert!(r == Err(7) && !flag(), "rollback must lower the flag");
-        // A closure that panics after its first write: `WorkerCtx::drop`
-        // must lower the lazily raised flag.
+        // A closure that panics after its first write: unwinding out of
+        // the transaction must lower the lazily raised flag.
         let panicked = std::thread::scope(|s| {
             let job = s.spawn(|| {
                 rt.spawn_worker().txn(|tx| -> TxResult<()> {

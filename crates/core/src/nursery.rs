@@ -269,6 +269,17 @@ impl WorkerCtx<'_> {
         self.refresh_nursery_window();
     }
 
+    /// Drop the nursery's bookkeeping without handing anything back, for a
+    /// commit whose tail panicked (`WorkerCtx::abandon_commit`): the
+    /// committed blocks stay allocated; the unused region tail and the
+    /// deferred hole reclaims leak.
+    pub(crate) fn nursery_forget(&mut self) {
+        self.nursery_reclaim.clear();
+        self.nursery_live = 0;
+        self.nur.reset();
+        self.refresh_nursery_window();
+    }
+
     /// Snapshot for a nested level's checkpoint.
     pub(crate) fn nursery_checkpoint(&self) -> NurseryCp {
         NurseryCp {

@@ -4,7 +4,7 @@ use capture::{NurseryLog, PrivateLog, RangeTree};
 use txmem::{words_to_bytes, Addr, ThreadAlloc, ThreadStack};
 
 use crate::barrier::{CaptureLogs, DispatchTable};
-use crate::commit::BatchMark;
+use crate::commit::{AttemptGuard, BatchMark};
 use crate::config::{CheckScope, Mode, TxConfig};
 use crate::orec::line_index;
 use crate::runtime::StmRuntime;
@@ -130,19 +130,20 @@ pub struct WorkerCtx<'rt> {
     pub(crate) orecs: &'rt [AtomicU64],
     orec_mask: u64,
     pub(crate) cfg: TxConfig,
-    /// The barrier pipeline, resolved once at runtime construction
-    /// ([`DispatchTable::select`]): all mode/log dispatch happens through
-    /// these monomorphized function pointers, never per access.
+    /// The barrier pipeline's table, resolved once at runtime construction
+    /// ([`DispatchTable::select`]): its entries are the generic barrier
+    /// bodies instantiated for one pipeline, so all mode/log dispatch
+    /// happens through these function pointers, never per access.
     pub(crate) table: &'static DispatchTable,
     /// Capture-check scope, hoisted out of [`Mode::Runtime`] so the
-    /// monomorphized barriers read it without touching the mode enum.
+    /// runtime pipelines' barriers read it without touching the mode enum.
     /// Unused (and set to `FULL`) in the other modes.
     pub(crate) scope: CheckScope,
     tid: usize,
     pub(crate) stack: ThreadStack,
     pub(crate) talloc: ThreadAlloc,
-    /// Storage for the capture policies the dispatch table projects into
-    /// (only the spawn-time-selected one is ever populated).
+    /// Storage for the capture policies a pipeline projects into (only
+    /// the spawn-time-selected one is ever populated).
     pub(crate) logs: CaptureLogs,
     /// Precise shadow log for Figure-8 classification (`cfg.classify`).
     pub(crate) classify_log: Option<RangeTree>,
@@ -270,6 +271,12 @@ pub struct WorkerCtx<'rt> {
     pub(crate) batch_base: u64,
     /// Whether a `txn_batch` window is executing (gates `TxBatch::boundary`).
     pub(crate) in_batch: bool,
+    /// The current attempt's commit is decided: raised when its first
+    /// lock is released at the commit version (`WorkerCtx::publish`), or
+    /// on entry to a read-only commit's tail, and lowered at the end of
+    /// `WorkerCtx::finish_commit`. While it is up, unwinding abandons the
+    /// commit's tail instead of rolling the attempt back.
+    pub(crate) committed: bool,
     /// `rt.durable.is_some()`, hoisted for the commit path (the barrier
     /// hot paths never consult it).
     pub(crate) durable_on: bool,
@@ -351,6 +358,7 @@ impl<'rt> WorkerCtx<'rt> {
             batch_logical: 0,
             batch_base: 0,
             in_batch: false,
+            committed: false,
             durable_on: rt.durable.is_some(),
             dur_buf: Vec::new(),
             dur_records: 0,
@@ -387,7 +395,7 @@ impl<'rt> WorkerCtx<'rt> {
     /// range, the one-entry capture cache, and the current-level stack
     /// range compare — so the hottest captured accesses never leave the
     /// caller's loop. Everything else is a single indirect call into the
-    /// monomorphized barrier the dispatch table selected at spawn.
+    /// pipeline's barrier instance the dispatch table selected at spawn.
     /// `inline(always)`: with three early-outs the body exceeds the
     /// inliner's default threshold, and falling back to a call costs more
     /// than every fast path combined (measured ~+45% on the captured-hit
@@ -464,8 +472,8 @@ impl<'rt> WorkerCtx<'rt> {
     /// against the nursery window, the capture cache, and the current-level
     /// stack range run first (one classification covering the entire span),
     /// and only spans they cannot prove captured take the indirect call
-    /// into the mode's ranged barrier, which classifies once per
-    /// homogeneous run. Counter contract: every variant moves the per-word
+    /// into the pipeline's ranged barrier, which classifies once per
+    /// homogeneous run. Counter contract: every path moves the per-word
     /// counters exactly as a loop over [`WorkerCtx::read_word`] would.
     #[inline]
     pub(crate) fn read_range(
@@ -587,30 +595,33 @@ impl<'rt> WorkerCtx<'rt> {
         f: &mut dyn FnMut(&mut Tx<'_, 'rt>) -> TxResult<T>,
     ) -> Result<T, u64> {
         debug_assert_eq!(self.depth, 0, "txn() cannot nest; use Tx::nested");
-        self.cm_reset();
-        let t0 = self.stats.latency_sample_start();
+        let mut w = AttemptGuard(self);
+        w.cm_reset();
+        let t0 = w.stats.latency_sample_start();
         loop {
-            self.begin_top();
+            w.begin_top();
             let result = {
-                let mut tx = Tx(self);
+                let mut tx = Tx(&mut w);
                 f(&mut tx)
             };
             match result {
                 Ok(v) => {
-                    if self.try_commit() {
-                        self.stats.latency_sample_end(t0);
+                    if w.try_commit() {
+                        w.stats.latency_sample_end(t0);
+                        w.disarm();
                         return Ok(v);
                     }
-                    self.cm_after_abort();
+                    w.cm_after_abort();
                 }
                 Err(Abort::Conflict) => {
-                    self.rollback_top();
-                    self.cm_after_abort();
+                    w.rollback_top();
+                    w.cm_after_abort();
                 }
                 Err(Abort::User(code)) => {
-                    self.rollback_top();
-                    self.stats.aborts -= 1; // counted as user abort instead
-                    self.stats.user_aborts += 1;
+                    w.rollback_top();
+                    w.stats.aborts -= 1; // counted as user abort instead
+                    w.stats.user_aborts += 1;
+                    w.disarm();
                     return Err(code);
                 }
             }
@@ -729,22 +740,13 @@ impl<'rt> WorkerCtx<'rt> {
 
 impl Drop for WorkerCtx<'_> {
     fn drop(&mut self) {
-        debug_assert!(
-            self.depth == 0 || std::thread::panicking(),
-            "worker dropped inside a transaction"
-        );
-        // Unwinding out of a transaction is a rollback: the undo log is
-        // restored and the orec locks released before the tid — and with
-        // it lock ownership — can go to another worker.
-        if self.depth > 0 {
-            self.rollback_top();
-        }
+        // A transaction never outlives its `txn`/`txn_batch` call, not even
+        // by unwinding (`AttemptGuard`): no locks, token or active flag
+        // are left to release here.
+        debug_assert_eq!(self.depth, 0, "worker dropped inside a transaction");
         // Flush any group-commit-buffered redo records before the tid
         // (and with it the log file) can be reused by another worker.
         self.durable_flush(true);
-        // A panicking worker may still hold the serialization token or its
-        // active flag; leaking either would wedge every other worker.
-        self.cm_exit();
         // Return the carried-over nursery tail to the shared pool.
         let (lo, hi) = self.nursery_spare;
         if hi > lo {

@@ -4,7 +4,8 @@
 //! (`TxConfig::reference_dispatch`) must produce **bit-identical memory
 //! states and `BarrierStats`** on randomized transaction traces, for every
 //! `LogKind` × every `CheckScope` combination (all 16 scope masks), plus
-//! the Baseline and Compiler modes.
+//! the Baseline and Compiler modes — and, on a subset, with Figure-8
+//! classification or private-memory annotations on.
 //!
 //! The traces exercise every fast path the barriers have: shared
 //! reads/writes (full barrier), transaction-local heap blocks (allocation
@@ -152,14 +153,21 @@ fn run_ops(
 /// Execute the whole script under one configuration; return the observable
 /// memory (shared cells + every committed scratch block) and the formatted
 /// statistics (every counter, both directions).
-fn run(script: &[Txn], mode: Mode, nursery: bool, reference: bool) -> (Vec<u64>, String) {
-    let mut cfg = TxConfig::with_mode(mode);
+fn run(script: &[Txn], c: Config, reference: bool) -> (Vec<u64>, String) {
+    let mut cfg = TxConfig::with_mode(c.mode);
     cfg.orec_log2 = 12; // small orec table; single-threaded test
-    cfg.nursery = nursery;
+    cfg.nursery = c.nursery;
+    cfg.classify = c.classify;
+    cfg.annotations = c.annotations;
     cfg.reference_dispatch = reference;
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let base = rt.alloc_global(CELLS * 8);
     let mut w = rt.spawn_worker();
+    if c.annotations {
+        // Annotate the first shared cells, so the annotation check has
+        // something to hit.
+        w.add_private_memory_block(base, 3 * 8);
+    }
     let mut persisted: Scratch = Vec::new();
 
     for t in script {
@@ -209,14 +217,38 @@ fn run(script: &[Txn], mode: Mode, nursery: bool, reference: bool) -> (Vec<u64>,
     (mem, stats)
 }
 
-/// Every (mode, nursery) configuration pair to differentially test. The
-/// nursery only composes with runtime capture analysis, and there it must
-/// hold for every fallback log and every scope mask.
-fn all_configs() -> Vec<(Mode, bool)> {
+/// One configuration under differential test.
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    mode: Mode,
+    nursery: bool,
+    /// Figure-8 classification: every access reaches the out-of-line
+    /// barrier's per-word bookkeeping.
+    classify: bool,
+    /// Private-memory annotations (paper §3.1.3) on a few shared cells.
+    annotations: bool,
+}
+
+/// A configuration without instrumentation.
+fn plain(mode: Mode, nursery: bool) -> Config {
+    Config {
+        mode,
+        nursery,
+        classify: false,
+        annotations: false,
+    }
+}
+
+/// Every configuration to differentially test. The nursery only composes
+/// with runtime capture analysis, and there it must hold for every
+/// fallback log and every scope mask. Classification and annotations are
+/// crossed with a subset: every mode, and for each log the full scope and
+/// the full scope minus the stack check, nursery on and off.
+fn all_configs() -> Vec<Config> {
     let mut v = vec![
-        (Mode::Baseline, false),
-        (Mode::Compiler, false),
-        (Mode::CompilerInterproc, false),
+        plain(Mode::Baseline, false),
+        plain(Mode::Compiler, false),
+        plain(Mode::CompilerInterproc, false),
     ];
     for log in LogKind::ALL {
         for mask in 0..16u8 {
@@ -229,10 +261,30 @@ fn all_configs() -> Vec<(Mode, bool)> {
                     heap: mask & 8 != 0,
                 },
             };
-            v.push((mode, false));
-            v.push((mode, true));
+            v.push(plain(mode, false));
+            v.push(plain(mode, true));
         }
     }
+    let instrumented: Vec<Config> = v
+        .iter()
+        .filter(|c| match c.mode {
+            Mode::Runtime { scope, .. } => scope.reads && scope.writes && scope.heap,
+            _ => true,
+        })
+        .flat_map(|&c| {
+            [
+                Config {
+                    classify: true,
+                    ..c
+                },
+                Config {
+                    annotations: true,
+                    ..c
+                },
+            ]
+        })
+        .collect();
+    v.extend(instrumented);
     v
 }
 
@@ -241,17 +293,11 @@ proptest! {
 
     #[test]
     fn monomorphized_and_reference_dispatch_agree(script in script()) {
-        for (mode, nursery) in all_configs() {
-            let (mem_mono, stats_mono) = run(&script, mode, nursery, false);
-            let (mem_ref, stats_ref) = run(&script, mode, nursery, true);
-            prop_assert_eq!(
-                &mem_mono, &mem_ref,
-                "memory diverged under {:?} nursery={}", mode, nursery
-            );
-            prop_assert_eq!(
-                &stats_mono, &stats_ref,
-                "stats diverged under {:?} nursery={}", mode, nursery
-            );
+        for c in all_configs() {
+            let (mem_mono, stats_mono) = run(&script, c, false);
+            let (mem_ref, stats_ref) = run(&script, c, true);
+            prop_assert_eq!(&mem_mono, &mem_ref, "memory diverged under {:?}", c);
+            prop_assert_eq!(&stats_mono, &stats_ref, "stats diverged under {:?}", c);
         }
     }
 }
@@ -297,8 +343,8 @@ fn scope_masks_change_elision_counts() {
             heap: false,
         },
     };
-    let (_, stats_full) = run(&script, full, false, false);
-    let (_, stats_off) = run(&script, off, false, false);
+    let (_, stats_full) = run(&script, plain(full, false), false);
+    let (_, stats_off) = run(&script, plain(off, false), false);
     assert_ne!(stats_full, stats_off, "scope must affect elision counters");
     assert!(
         stats_full.contains("elided_heap: 2"),
@@ -306,7 +352,7 @@ fn scope_masks_change_elision_counts() {
     );
     // With the nursery, the same hits are additionally counted as nursery
     // scalar-range verdicts.
-    let (_, stats_nur) = run(&script, full, true, false);
+    let (_, stats_nur) = run(&script, plain(full, true), false);
     assert!(
         stats_nur.contains("nursery_hits: 3"),
         "alloc-write, scratch write and scratch read must all hit the \

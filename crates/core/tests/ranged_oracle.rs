@@ -357,21 +357,22 @@ fn redacted(stats: &TxStats) -> String {
 
 /// Execute the whole script; returns observable memory (arena + committed
 /// scratch blocks), redacted stats, and the ranged-telemetry sum.
-fn run(
-    script: &[Txn],
-    mode: Mode,
-    nursery: bool,
-    ranged: bool,
-    reference: bool,
-) -> (Vec<u64>, String, u64) {
-    let mut cfg = TxConfig::with_mode(mode);
+fn run(script: &[Txn], c: Config, ranged: bool, reference: bool) -> (Vec<u64>, String, u64) {
+    let mut cfg = TxConfig::with_mode(c.mode);
     cfg.orec_log2 = 12; // small orec table; single-threaded test
-    cfg.nursery = nursery;
+    cfg.nursery = c.nursery;
+    cfg.classify = c.classify;
+    cfg.annotations = c.annotations;
     cfg.reference_dispatch = reference;
     let nursery_on = cfg.nursery_active();
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let base = rt.alloc_global(CELLS * 8);
     let mut w = rt.spawn_worker();
+    if c.annotations {
+        // Annotate the head of the arena, so spans straddle the annotated
+        // boundary.
+        w.add_private_memory_block(base, 8 * 8);
+    }
     let mut persisted: Scratch = Vec::new();
 
     for t in script {
@@ -421,13 +422,38 @@ fn run(
     (mem, redacted(&w.stats), ranged_sum)
 }
 
+/// One configuration under differential test.
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    mode: Mode,
+    nursery: bool,
+    /// Figure-8 classification: the ranged barriers fall back to the
+    /// per-word barrier.
+    classify: bool,
+    /// Private-memory annotations (paper §3.1.3) on the arena's head; the
+    /// ranged barriers fall back to the per-word barrier.
+    annotations: bool,
+}
+
+/// A configuration without instrumentation.
+fn plain(mode: Mode, nursery: bool) -> Config {
+    Config {
+        mode,
+        nursery,
+        classify: false,
+        annotations: false,
+    }
+}
+
 /// The configurations under differential test: the three static modes plus
-/// every log × a spread of scope masks × nursery on/off.
-fn all_configs() -> Vec<(Mode, bool)> {
+/// every log × a spread of scope masks × nursery on/off. Classification
+/// and annotations are crossed with a subset: every static mode, and for
+/// each log the full scope, nursery on and off.
+fn all_configs() -> Vec<Config> {
     let mut v = vec![
-        (Mode::Baseline, false),
-        (Mode::Compiler, false),
-        (Mode::CompilerInterproc, false),
+        plain(Mode::Baseline, false),
+        plain(Mode::Compiler, false),
+        plain(Mode::CompilerInterproc, false),
     ];
     for log in LogKind::ALL {
         // Off, reads-only, writes-only, r+w+stack, r+w+heap, full: every
@@ -442,10 +468,30 @@ fn all_configs() -> Vec<(Mode, bool)> {
                     heap: mask & 8 != 0,
                 },
             };
-            v.push((mode, false));
-            v.push((mode, true));
+            v.push(plain(mode, false));
+            v.push(plain(mode, true));
         }
     }
+    let instrumented: Vec<Config> = v
+        .iter()
+        .filter(|c| match c.mode {
+            Mode::Runtime { scope, .. } => scope == CheckScope::FULL,
+            _ => true,
+        })
+        .flat_map(|&c| {
+            [
+                Config {
+                    classify: true,
+                    ..c
+                },
+                Config {
+                    annotations: true,
+                    ..c
+                },
+            ]
+        })
+        .collect();
+    v.extend(instrumented);
     v
 }
 
@@ -459,17 +505,11 @@ proptest! {
     // Ranged API ≡ per-word loop, per configuration.
     #[test]
     fn ranged_and_per_word_apis_agree(script in script()) {
-        for (mode, nursery) in all_configs() {
-            let (mem_w, stats_w, ranged_w) = run(&script, mode, nursery, false, false);
-            let (mem_r, stats_r, ranged_r) = run(&script, mode, nursery, true, false);
-            prop_assert_eq!(
-                &mem_w, &mem_r,
-                "memory diverged under {:?} nursery={}", mode, nursery
-            );
-            prop_assert_eq!(
-                &stats_w, &stats_r,
-                "stats diverged under {:?} nursery={}", mode, nursery
-            );
+        for c in all_configs() {
+            let (mem_w, stats_w, ranged_w) = run(&script, c, false, false);
+            let (mem_r, stats_r, ranged_r) = run(&script, c, true, false);
+            prop_assert_eq!(&mem_w, &mem_r, "memory diverged under {:?}", c);
+            prop_assert_eq!(&stats_w, &stats_r, "stats diverged under {:?}", c);
             // The telemetry must prove the ranged side actually batched.
             prop_assert_eq!(ranged_w, 0, "per-word run must not touch ranged counters");
             if has_span_op(&script) {
@@ -481,17 +521,11 @@ proptest! {
     // Monomorphized ranged rows ≡ reference pipeline's ranged arms.
     #[test]
     fn ranged_mono_and_reference_dispatch_agree(script in script()) {
-        for (mode, nursery) in all_configs() {
-            let (mem_mono, stats_mono, _) = run(&script, mode, nursery, true, false);
-            let (mem_ref, stats_ref, _) = run(&script, mode, nursery, true, true);
-            prop_assert_eq!(
-                &mem_mono, &mem_ref,
-                "memory diverged vs reference under {:?} nursery={}", mode, nursery
-            );
-            prop_assert_eq!(
-                &stats_mono, &stats_ref,
-                "stats diverged vs reference under {:?} nursery={}", mode, nursery
-            );
+        for c in all_configs() {
+            let (mem_mono, stats_mono, _) = run(&script, c, true, false);
+            let (mem_ref, stats_ref, _) = run(&script, c, true, true);
+            prop_assert_eq!(&mem_mono, &mem_ref, "memory diverged vs reference under {:?}", c);
+            prop_assert_eq!(&stats_mono, &stats_ref, "stats diverged vs reference under {:?}", c);
         }
     }
 }
@@ -525,11 +559,11 @@ fn hole_and_stack_spans_split_runs() {
         log: LogKind::Tree,
         scope: CheckScope::FULL,
     };
-    let (_, stats, ranged_sum) = run(&script, mode, true, true, false);
+    let (_, stats, ranged_sum) = run(&script, plain(mode, true), true, false);
     assert!(ranged_sum > 0);
     // The hole span must have split into captured and shared (full) runs,
     // and the stack span into shared-below-sp and captured-frame runs.
     assert!(stats.contains("elided_stack"), "sanity: debug format shape");
-    let (_, stats_pw, _) = run(&script, mode, true, false, false);
+    let (_, stats_pw, _) = run(&script, plain(mode, true), false, false);
     assert_eq!(stats, stats_pw, "split runs must charge per-word counters");
 }

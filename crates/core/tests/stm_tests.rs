@@ -690,10 +690,10 @@ fn read_only_commit_never_returns_a_recycled_block() {
     assert_eq!(seen, (Addr(0), 0));
 }
 
-/// A closure that panics inside a transaction unwinds through
-/// `WorkerCtx::drop`, which rolls the transaction back: the next writer of
-/// the word — whichever thread id it draws — commits on its first attempt
-/// and sees the pre-image. Bounded by a timeout, since a lock stranded by
+/// A closure that panics inside a transaction unwinds through the attempt
+/// guard of `WorkerCtx::txn`, which rolls the transaction back before the
+/// worker is dropped: the next writer of the word — whichever thread id it
+/// draws — commits on its first attempt and sees the pre-image. Bounded by a timeout, since a lock stranded by
 /// the dead transaction would make that writer spin forever.
 #[test]
 fn unwinding_out_of_a_transaction_rolls_it_back() {
