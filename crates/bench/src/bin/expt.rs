@@ -1,625 +1,502 @@
 //! Experiment driver: regenerates every table and figure of the paper,
-//! plus the dispatch-refactor microbenchmark, the thread-scaling
-//! experiment, and their JSON reports.
+//! the barrier microbenchmark and the post-paper experiments. Each
+//! subcommand prints its report as Markdown and, with `--out FILE`,
+//! writes the same report as JSON (`bench-json` always writes, by default
+//! to `BENCH_barriers.json`).
 //!
-//! ```text
-//! expt <fig8|fig9|fig10|fig11a|fig11b|table1|table2|annotations|orec|check|all>
-//!      [--scale test|small|full] [--threads N] [--runs K]
-//! expt elision [--out FILE]      # static-elision comparison (intraproc vs
-//!                                # intraproc+inlining vs interprocedural)
-//!                                # over STAMP-representative TL programs;
-//!                                # enforces the superset/ordering/oracle
-//!                                # gates and writes BENCH_elision.json
-//!                                # with --out
-//! expt barriers [--max-ratio F] [--max-typed-ratio F] [--max-ranged-ratio F]
-//!                                # barrier_dispatch microbenchmark (Markdown);
-//!                                # exits 1 if captured/direct ratio exceeds
-//!                                # --max-ratio, if the typed-layer row
-//!                                # exceeds --max-typed-ratio x the raw tree
-//!                                # row (the ISSUE-5 zero-cost gate;
-//!                                # release acceptance bar 1.10), or if the
-//!                                # ranged captured span-64 row exceeds
-//!                                # --max-ranged-ratio x the per-word tree
-//!                                # row (the ISSUE-6 bulk-copy gate; release
-//!                                # acceptance bar 0.25 = ≥4x faster per
-//!                                # word; skipped on debug builds)
-//! expt bench-json [--out FILE] [--benchmarks a,b] [--max-nursery-ratio F]
-//!                                # BENCH_barriers.json emitter.
-//!                                # --benchmarks restricts the STAMP rows to a
-//!                                # comma-separated subset (CI smoke runs only
-//!                                # vacation+intruder); --max-nursery-ratio
-//!                                # gates `captured heap hit/nursery` vs
-//!                                # `direct` (release builds only — debug
-//!                                # timings are meaningless and skip with a
-//!                                # note)
-//! expt nursery [--benchmarks a,b]
-//!                                # nursery-on vs nursery-off across STAMP
-//!                                # (runtime-tree fallback), with scalar-hit
-//!                                # share and region telemetry
-//! expt scaling [--out FILE] [--min-speedup F]
-//!                                # STAMP at 1/2/4/8 threads x {baseline,
-//!                                # runtime-tree, compiler}; Markdown to
-//!                                # stdout, BENCH_scaling.json with --out.
-//!                                # --min-speedup gates vacation-low
-//!                                # runtime-tree at 4 threads (skipped on
-//!                                # hardware with <4 threads).
-//! expt merge [--out FILE] [--merge N] [--min-merge-speedup F]
-//!                                # transaction-merging experiment: logical
-//!                                # throughput + abort rate at merge
-//!                                # factors 1/2/8/32 over the transfer,
-//!                                # queue, and intruder drivers; Markdown
-//!                                # to stdout, BENCH_merge.json with
-//!                                # --out. --merge N narrows the factor
-//!                                # axis to {1, N} (rejected for 0 or
-//!                                # above stm::MERGE_MAX_LIMIT);
-//!                                # --min-merge-speedup gates the transfer
-//!                                # driver at factor 8 (or at N when
-//!                                # --merge is given; release acceptance
-//!                                # bar 1.5 — debug builds skip with a
-//!                                # note, their fixed costs are distorted)
-//! expt durability [--out FILE] [--max-durability-tax F]
-//!                                # durable redo-log commit tax: shared-heavy
-//!                                # vs captured-heavy drivers at durability
-//!                                # off / strict / group-commit, with the
-//!                                # captured skip ratio; Markdown to stdout,
-//!                                # BENCH_durability.json with --out.
-//!                                # --max-durability-tax gates the captured
-//!                                # driver's strict row against its own
-//!                                # transient row (release acceptance bar
-//!                                # 4.0, the row measures 2.0 at 2 threads
-//!                                # — transient captured commits are
-//!                                # nearly free, so the ratio is large by
-//!                                # construction; CI smoke uses a loose
-//!                                # bound — debug builds skip with a note,
-//!                                # their encoder costs are distorted)
-//! expt pool [--out FILE] [--ops N] [--budget BYTES] [--theta F] [--seed N]
-//!           [--merge N] [--durable] [--min-pool-throughput F]
-//!                                # multi-index transactional memory pool
-//!                                # (crates/pool) under a zipf(θ)-skewed
-//!                                # mempool op mix: inserts with eviction,
-//!                                # pop-best drain, removals, repricings,
-//!                                # sender purges, duplicate resubmissions.
-//!                                # --ops overrides the scale default
-//!                                # (20k/200k/1M); --budget sets the pool's
-//!                                # live-byte budget; --seed picks the op
-//!                                # streams (pre-drawn before the clock
-//!                                # starts; default 1); --merge N adds a
-//!                                # txn_batch arm; --durable adds a redo-log
-//!                                # arm. Markdown to stdout, BENCH_pool.json
-//!                                # with --out. --min-pool-throughput gates
-//!                                # the plain arm's committed ops/s (debug
-//!                                # builds skip with a note)
-//! ```
-//!
-//! Output is Markdown, mirroring the paper's rows/series; see EXPERIMENTS.md
-//! for an archived run with paper-vs-measured commentary.
+//! Run it without arguments for the subcommands and the flags each one
+//! reads ([`FLAGS`]); a flag its subcommand does not read is a usage
+//! error. A gate flag ([`GATES`]) bounds one cell of the report and exits
+//! 1 when the cell misses the bound. `elision` gates itself: it panics on
+//! any superset, ordering or soundness violation.
 
+use bench::gate::{skip_reason, verdict, Bound, Gate, GATES};
+use bench::micro::MicroOpts;
+use bench::{Cell, ExptOpts, Report, Table};
 use bench_support as bench;
-use stamp::Scale;
+use stamp::{Benchmark, Scale};
 use stm::TxObject;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: expt <fig8|fig9|fig10|fig11a|fig11b|table1|table2|annotations|orec|check|\
-         barriers|bench-json|scaling|merge|elision|nursery|durability|pool|all> \
-         [--scale test|small|full] [--threads N] [--runs K] [--out FILE] [--max-ratio F] \
-         [--max-typed-ratio F] [--max-ranged-ratio F] [--min-speedup F] [--benchmarks a,b] \
-         [--max-nursery-ratio F] [--merge N] [--min-merge-speedup F] [--max-durability-tax F] \
-         [--ops N] [--budget BYTES] [--theta F] [--seed N] [--durable] \
-         [--min-pool-throughput F]"
-    );
-    std::process::exit(2);
+type Paper = fn(&ExptOpts) -> Report;
+
+/// The paper's figures and tables, and the ablations beside them.
+const PAPER: [(&str, Paper); 9] = [
+    ("fig8", bench::fig8),
+    ("fig9", bench::fig9),
+    ("fig10", bench::fig10),
+    ("fig11a", bench::fig11a),
+    ("fig11b", bench::fig11b),
+    ("table1", bench::table1),
+    ("table2", bench::table2),
+    ("annotations", bench::annotations),
+    ("orec", bench::orec_ablation),
+];
+
+/// The other subcommands; all but `all` produce one report.
+const OTHERS: [&str; 9] = [
+    "barriers",
+    "bench-json",
+    "scaling",
+    "merge",
+    "elision",
+    "durability",
+    "pool",
+    "check",
+    "all",
+];
+
+/// Which subcommands read a flag.
+#[derive(Clone, Copy)]
+enum Readers {
+    All,
+    /// Every subcommand that produces one report (all but `all`).
+    Reports,
+    Only(&'static [&'static str]),
+    /// The subcommand of the flag's [`GATES`] row.
+    Gated,
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("expt: {msg}");
-    std::process::exit(2);
-}
+use Readers::{All, Gated, Only, Reports};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let cmd = args[0].as_str();
-    let mut opts = bench::ExptOpts::default();
-    let mut out_path: Option<String> = None;
-    let mut max_ratio: Option<f64> = None;
-    let mut max_typed_ratio: Option<f64> = None;
-    let mut max_ranged_ratio: Option<f64> = None;
-    let mut min_speedup: Option<f64> = None;
-    let mut max_nursery_ratio: Option<f64> = None;
-    let mut merge_factor: Option<usize> = None;
-    let mut min_merge_speedup: Option<f64> = None;
-    let mut max_durability_tax: Option<f64> = None;
-    let mut benchmarks: Option<Vec<stamp::Benchmark>> = None;
-    let mut pool_ops: Option<u64> = None;
-    let mut pool_budget: Option<u64> = None;
-    let mut pool_theta: Option<f64> = None;
-    let mut pool_seed: Option<u64> = None;
-    let mut pool_durable = false;
-    let mut min_pool_throughput: Option<f64> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--max-ratio" => {
-                i += 1;
-                max_ratio = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--max-typed-ratio" => {
-                i += 1;
-                max_typed_ratio = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--max-ranged-ratio" => {
-                i += 1;
-                max_ranged_ratio = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--max-nursery-ratio" => {
-                i += 1;
-                max_nursery_ratio = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--benchmarks" => {
-                i += 1;
-                let spec = args.get(i).cloned().unwrap_or_else(|| usage());
-                benchmarks =
-                    Some(bench::report::parse_benchmark_filter(&spec).unwrap_or_else(|e| fail(&e)));
-            }
-            "--min-speedup" => {
-                i += 1;
-                min_speedup = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--merge" => {
-                i += 1;
-                merge_factor = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--min-merge-speedup" => {
-                i += 1;
-                min_merge_speedup = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--max-durability-tax" => {
-                i += 1;
-                max_durability_tax = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--ops" => {
-                i += 1;
-                pool_ops = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--budget" => {
-                i += 1;
-                pool_budget = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--theta" => {
-                i += 1;
-                pool_theta = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--seed" => {
-                i += 1;
-                pool_seed = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--durable" => {
-                pool_durable = true;
-            }
-            "--min-pool-throughput" => {
-                i += 1;
-                min_pool_throughput = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--scale" => {
-                i += 1;
-                opts.scale = match args.get(i).map(|s| s.as_str()) {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("full") => Scale::Full,
-                    _ => usage(),
-                };
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--runs" => {
-                i += 1;
-                opts.runs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
+/// Every flag: its name, its value's placeholder (empty for a switch),
+/// and who reads it.
+const FLAGS: [(&str, &str, Readers); 19] = [
+    ("--scale", "test|small|full", All),
+    ("--threads", "N", All),
+    ("--runs", "K", All),
+    ("--out", "FILE", Reports),
+    ("--benchmarks", "a,b", Only(&["bench-json"])),
+    ("--merge", "N", Only(&["merge", "pool"])),
+    ("--ops", "N", Only(&["pool"])),
+    ("--budget", "BYTES", Only(&["pool"])),
+    ("--theta", "F", Only(&["pool"])),
+    ("--seed", "N", Only(&["pool"])),
+    ("--durable", "", Only(&["pool"])),
+    ("--max-ratio", "F", Gated),
+    ("--max-typed-ratio", "F", Gated),
+    ("--max-ranged-ratio", "F", Gated),
+    ("--max-nursery-ratio", "F", Gated),
+    ("--min-speedup", "F", Gated),
+    ("--min-merge-speedup", "F", Gated),
+    ("--max-durability-tax", "F", Gated),
+    ("--min-pool-throughput", "F", Gated),
+];
+
+const DIRECT: &str = "direct (load+store, no barrier)";
+
+/// The ratios tracked over the `barrier_dispatch` table: (name, numerator
+/// path, denominator path).
+const RATIOS: [(&str, &str, &str); 5] = [
+    // The dispatch refactor's headline: the monomorphized captured-heap
+    // hit over the uninstrumented floor.
+    (
+        "captured_tree_vs_direct_ratio",
+        "captured heap hit/tree",
+        DIRECT,
+    ),
+    // The nursery's scalar range test over the same floor.
+    (
+        "captured_nursery_vs_direct_ratio",
+        "captured heap hit/nursery",
+        DIRECT,
+    ),
+    // The typed layer's zero-cost contract: the same workload through
+    // `alloc_buf`/`write_elem`/`read_elem` over the raw word API.
+    (
+        "captured_typed_vs_raw_ratio",
+        "captured heap hit/tree (typed)",
+        "captured heap hit/tree",
+    ),
+    // Per-word cost of a 64-word captured span over the per-word hit.
+    (
+        "ranged_span64_vs_per_word_ratio",
+        "ranged captured span 64/tree",
+        "captured heap hit/tree",
+    ),
+    // How many full barriers one begin + commit costs.
+    (
+        "txn_empty_vs_full_barrier_ratio",
+        "txn_empty",
+        "full barrier (shared)",
+    ),
+];
+
+impl Readers {
+    fn read_by(self, flag: &str, cmd: &str) -> bool {
+        match self {
+            All => true,
+            Reports => cmd != "all",
+            Only(cmds) => cmds.contains(&cmd),
+            Gated => GATES.iter().any(|g| g.flag == flag && g.cmd == cmd),
         }
-        i += 1;
     }
 
-    // Validate up front: zero threads divides work by zero, zero runs has
-    // no median, and absurd thread counts would balloon every benchmark's
-    // simulated address space (one stack region per thread).
+    fn describe(self, flag: &str) -> String {
+        match self {
+            All => "every subcommand".into(),
+            Reports => "every subcommand but all".into(),
+            Only(cmds) => cmds.join(", "),
+            Gated => {
+                let g = GATES.iter().find(|g| g.flag == flag).expect("gate row");
+                let op = if g.bound == Bound::Max { "<=" } else { ">=" };
+                format!("{} (gate: {} {op} F)", g.cmd, g.column)
+            }
+        }
+    }
+}
+
+/// A parsed command line.
+struct Cli {
+    cmd: String,
+    opts: ExptOpts,
+    out: Option<String>,
+    benchmarks: Option<Vec<Benchmark>>,
+    merge: Option<usize>,
+    pool: bench::pool::PoolOpts,
+    /// The gate flags given, with their bounds.
+    bounds: Vec<(&'static Gate, f64)>,
+}
+
+/// The last value of `flag` on the command line, parsed.
+fn value<T: std::str::FromStr>(set: &[(&str, &str)], flag: &str) -> Result<Option<T>, String> {
+    match set.iter().rev().find(|f| f.0 == flag) {
+        None => Ok(None),
+        Some((_, v)) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{flag}: cannot parse {v:?}")),
+    }
+}
+
+/// Parse and validate a command line (without the program name). Every
+/// `Err` is a usage error.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
+    if !PAPER.iter().any(|p| p.0 == cmd) && !OTHERS.contains(&cmd.as_str()) {
+        return Err(format!("unknown subcommand {cmd:?}"));
+    }
+    let mut set: Vec<(&str, &str)> = Vec::new();
+    let mut it = rest.iter();
+    while let Some(a) = it.next() {
+        let &(flag, arg, readers) = FLAGS
+            .iter()
+            .find(|f| f.0 == a)
+            .ok_or_else(|| format!("unknown flag {a:?}"))?;
+        if !readers.read_by(flag, cmd) {
+            return Err(format!("{cmd} does not read {flag}"));
+        }
+        let v = match arg {
+            "" => "",
+            _ => it
+                .next()
+                .ok_or_else(|| format!("{flag} needs a value ({arg})"))?,
+        };
+        set.push((flag, v));
+    }
+
+    let mut opts = ExptOpts::default();
+    if let Some(name) = value::<String>(&set, "--scale")? {
+        opts.scale = [Scale::Test, Scale::Small, Scale::Full]
+            .into_iter()
+            .find(|&s| bench::report::scale_name(s) == name)
+            .ok_or_else(|| format!("--scale: unknown scale {name:?}"))?;
+    }
+    opts.threads = value(&set, "--threads")?.unwrap_or(opts.threads);
+    opts.runs = value(&set, "--runs")?.unwrap_or(opts.runs);
+    // Zero threads divides work by zero, zero runs has no median, and
+    // absurd thread counts would balloon every benchmark's simulated
+    // address space (one stack region per thread).
     if opts.threads == 0 {
-        fail("--threads must be at least 1");
+        return Err("--threads must be at least 1".into());
     }
     if opts.threads > stamp::MAX_THREADS {
-        fail(&format!(
+        return Err(format!(
             "--threads {} exceeds the supported maximum of {} worker stack regions",
             opts.threads,
             stamp::MAX_THREADS
         ));
     }
     if opts.runs == 0 {
-        fail("--runs must be at least 1 (timings report the median run)");
+        return Err("--runs must be at least 1 (timings report the median run)".into());
     }
-    if let Some(n) = merge_factor {
-        // Reject factors the runtime's own config validation would reject:
-        // a zero-wide batch is meaningless and anything above
-        // MERGE_MAX_LIMIT would fail TxConfig::builder deep in the driver.
-        if n == 0 {
-            fail("--merge must be at least 1 (1 = unmerged baseline)");
-        }
-        if n > stm::MERGE_MAX_LIMIT as usize {
-            fail(&format!(
+    let benchmarks = match value::<String>(&set, "--benchmarks")? {
+        Some(spec) => Some(bench::report::parse_benchmark_filter(&spec)?),
+        None => None,
+    };
+    // Factors the runtime's own config validation would reject fail here,
+    // not deep in a driver.
+    let merge: Option<usize> = value(&set, "--merge")?;
+    match merge {
+        Some(0) => return Err("--merge must be at least 1 (1 = unmerged baseline)".into()),
+        Some(n) if n > stm::MERGE_MAX_LIMIT as usize => {
+            return Err(format!(
                 "--merge {n} exceeds the supported maximum merge_max of {}",
                 stm::MERGE_MAX_LIMIT
-            ));
+            ))
         }
+        _ => {}
     }
 
-    // Pool-flag validation mirrors the library's PoolConfig::validate but
-    // fails at the CLI boundary with actionable messages instead of a
-    // panic deep inside a worker thread.
-    if pool_ops == Some(0) {
-        fail("--ops must be at least 1 (omit it for the scale default)");
+    // Pool-flag validation mirrors the library's PoolConfig::validate.
+    let mut pool = bench::pool::PoolOpts::default();
+    if let Some(n) = value(&set, "--ops")? {
+        if n == 0 {
+            return Err("--ops must be at least 1 (omit it for the scale default)".into());
+        }
+        pool.ops = n;
     }
-    if let Some(b) = pool_budget {
+    if let Some(b) = value(&set, "--budget")? {
         if b < pool::Item::BYTES {
-            fail(&format!(
+            return Err(format!(
                 "--budget {b} cannot hold a single pool item ({} bytes minimum)",
                 pool::Item::BYTES
             ));
         }
+        pool.budget = b;
     }
-    if let Some(t) = pool_theta {
+    if let Some(t) = value::<f64>(&set, "--theta")? {
         if !t.is_finite() || !(0.0..=4.0).contains(&t) {
-            fail("--theta must be a finite zipf exponent in 0.0..=4.0");
+            return Err("--theta must be a finite zipf exponent in 0.0..=4.0".into());
+        }
+        pool.theta = t;
+    }
+    pool.seed = value(&set, "--seed")?.unwrap_or(pool.seed);
+    pool.merge = merge.unwrap_or(pool.merge);
+    pool.durable = set.iter().any(|f| f.0 == "--durable");
+
+    let mut bounds = Vec::new();
+    for g in &GATES {
+        if let Some(bound) = value(&set, g.flag)? {
+            bounds.push((g, bound));
         }
     }
+    Ok(Cli {
+        cmd: cmd.clone(),
+        opts,
+        out: value(&set, "--out")?,
+        benchmarks,
+        merge,
+        pool,
+        bounds,
+    })
+}
 
+fn usage(err: &str) -> ! {
+    eprintln!("expt: {err}");
+    let paper: Vec<&str> = PAPER.iter().map(|p| p.0).collect();
     eprintln!(
-        "# expt {cmd} (scale {:?}, {} threads, {} runs)",
-        opts.scale, opts.threads, opts.runs
+        "usage: expt <{}|{}> [flags]",
+        paper.join("|"),
+        OTHERS.join("|")
+    );
+    for (flag, arg, readers) in FLAGS {
+        eprintln!(
+            "  {:<28} {}",
+            format!("{flag} {arg}"),
+            readers.describe(flag)
+        );
+    }
+    std::process::exit(2);
+}
+
+/// `r` with the [`RATIOS`] table after its `barrier_dispatch` table.
+fn ratios(mut r: Report) -> Report {
+    let d = r.table("barrier_dispatch").expect("a dispatch table");
+    let ns = |path| d.value(&[("path", path)], "ns_per_access");
+    let mut t = Table::new("ratios", "Tracked ratios");
+    for (name, num, den) in RATIOS {
+        let ratio = ns(num).zip(ns(den)).map_or(f64::NAN, |(n, d)| n / d);
+        t.push(vec![
+            ("name", name.into()),
+            ("numerator", num.into()),
+            ("denominator", den.into()),
+            ("ratio", Cell::Float(ratio, 3)),
+        ]);
+    }
+    r.tables.insert(1, t);
+    r
+}
+
+/// The report of a report-producing subcommand.
+fn report(cli: &Cli) -> Report {
+    let opts = &cli.opts;
+    if let Some((_, paper)) = PAPER.iter().find(|p| p.0 == cli.cmd) {
+        return paper(opts);
+    }
+    let micro = MicroOpts::default();
+    match cli.cmd.as_str() {
+        "barriers" => ratios(bench::micro::report(opts, &micro)),
+        "bench-json" => ratios(bench::report::bench_report(
+            opts,
+            &micro,
+            cli.benchmarks.as_deref(),
+        )),
+        "scaling" => bench::scaling::report(opts),
+        // --merge N narrows the factor axis to {1, N} (factor 1 stays: it
+        // seeds the speedup baseline); the default is the full sweep.
+        "merge" => match cli.merge {
+            Some(n) if n > 1 => bench::merge::report(opts, &[1, n]),
+            _ => bench::merge::report(opts, &bench::merge::FACTORS),
+        },
+        "durability" => bench::durability::report(opts),
+        "pool" => bench::pool::report(opts, &cli.pool),
+        "elision" => bench::elision::report(opts),
+        "check" => bench::check(opts),
+        other => unreachable!("{other} has no report"),
+    }
+}
+
+/// Judge every gate flag given; false when any failed.
+fn gates_pass(cli: &Cli, r: &Report) -> bool {
+    let mut pass = true;
+    for &(g, bound) in &cli.bounds {
+        if let Some(why) = skip_reason(g) {
+            eprintln!("# {} gate skipped: {why}", g.flag);
+            continue;
+        }
+        match verdict(g, bound, r, cli.merge) {
+            Ok(v) => eprintln!("# {} {} {v:.2} holds {bound:.2}", g.flag, g.column),
+            Err(msg) => {
+                eprintln!("# FAIL: {msg}");
+                pass = false;
+            }
+        }
+    }
+    pass
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse(&args).unwrap_or_else(|e| usage(&e));
+    let opts = &cli.opts;
+    eprintln!(
+        "# expt {} (scale {:?}, {} threads, {} runs)",
+        cli.cmd, opts.scale, opts.threads, opts.runs
     );
     let t0 = std::time::Instant::now();
-    match cmd {
-        "fig8" => print!("{}", bench::fig8(&opts)),
-        "fig9" => print!("{}", bench::fig9(&opts)),
-        "fig10" => print!("{}", bench::fig10(&opts)),
-        "fig11a" => print!("{}", bench::fig11a(&opts)),
-        "fig11b" => print!("{}", bench::fig11b(&opts)),
-        "table1" => print!("{}", bench::table1(&opts)),
-        "table2" => print!("{}", bench::table2(&opts)),
-        "annotations" => print!("{}", bench::annotations(&opts)),
-        "orec" => print!("{}", bench::orec_ablation(&opts)),
-        "barriers" => {
-            let micro_opts = bench::micro::MicroOpts::default();
-            let results = bench::micro::barrier_dispatch(&micro_opts);
-            print!("{}", bench::micro::render_markdown(&results, &micro_opts));
-            if let Some(max) = max_ratio {
-                // Regression gate (CI): the monomorphized captured-heap
-                // fast path must stay within `max` of the raw-access
-                // floor. Pass a loose bound — single-run ratios wobble.
-                let ratio = bench::micro::fastpath_ratio(&results)
-                    .expect("pin measurements missing from results");
-                if ratio > max {
-                    eprintln!("# FAIL: fast-path ratio {ratio:.2} exceeds --max-ratio {max:.2}");
-                    std::process::exit(1);
-                }
-                eprintln!("# fast-path ratio {ratio:.2} within --max-ratio {max:.2}");
-            }
-            if let Some(max) = max_typed_ratio {
-                // Regression gate (CI): the typed object layer must stay
-                // zero-cost — its captured-heap row is the same workload
-                // as the raw tree row through `read_field`-family entry
-                // points, so any real gap means the typed wrappers stopped
-                // inlining down to the word barriers.
-                let ratio = bench::micro::typed_ratio(&results)
-                    .expect("typed pin measurements missing from results");
-                if ratio > max {
-                    eprintln!(
-                        "# FAIL: typed/raw ratio {ratio:.2} exceeds --max-typed-ratio {max:.2}"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!("# typed/raw ratio {ratio:.2} within --max-typed-ratio {max:.2}");
-            }
-            if let Some(max) = max_ranged_ratio {
-                // Release gate (ISSUE 6): a 64-word captured span must cost
-                // at most `max` of the per-word captured hit per word —
-                // classify-once + bulk copy vs one classification per word.
-                // Debug timings are meaningless; skip with a note there.
-                if cfg!(debug_assertions) {
-                    eprintln!("# ranged ratio gate skipped: debug build");
-                } else {
-                    let ratio = bench::micro::ranged_ratio(&results)
-                        .expect("ranged pin measurements missing from results");
-                    if ratio > max {
-                        eprintln!(
-                            "# FAIL: ranged/per-word ratio {ratio:.2} exceeds \
-                             --max-ranged-ratio {max:.2}"
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!(
-                        "# ranged/per-word ratio {ratio:.2} within --max-ranged-ratio {max:.2}"
-                    );
-                }
-            }
-        }
-        "bench-json" => {
-            let micro = bench::micro::MicroOpts::default();
-            let results = bench::micro::barrier_dispatch(&micro);
-            let json = bench::report::bench_json_from(&opts, &results, benchmarks.as_deref());
-            let path = out_path.as_deref().unwrap_or("BENCH_barriers.json");
-            std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("# wrote {path}");
-            if let Some(max) = max_nursery_ratio {
-                // Regression gate (CI): the nursery's two-compare captured
-                // heap hit must stay within `max` of the raw-access floor.
-                // Debug timings are meaningless; skip with a note there.
-                if cfg!(debug_assertions) {
-                    eprintln!("# nursery ratio gate skipped: debug build");
-                } else {
-                    let ratio = bench::micro::nursery_ratio(&results)
-                        .expect("nursery pin missing from results");
-                    if ratio > max {
-                        eprintln!(
-                            "# FAIL: nursery ratio {ratio:.2} exceeds \
-                             --max-nursery-ratio {max:.2}"
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!("# nursery ratio {ratio:.2} within --max-nursery-ratio {max:.2}");
-                }
-            }
-        }
-        "nursery" => {
-            let rows = bench::nursery::nursery_rows(&opts, benchmarks.as_deref());
-            print!("{}", bench::nursery::render_markdown(&opts, &rows));
-        }
-        "scaling" => {
-            let rows = bench::scaling::scaling_rows(&opts);
-            print!("{}", bench::scaling::render_markdown(&opts, &rows));
-            if let Some(path) = out_path.as_deref() {
-                let json = bench::scaling::scaling_json(&opts, &rows);
-                std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("# wrote {path}");
-            }
-            if let Some(min) = min_speedup {
-                // Regression gate (CI): the allocation-heavy captured
-                // workload must keep scaling once the serialization points
-                // are sharded. Skipped (with a note) when the hardware
-                // cannot physically run 4 threads at once.
-                match bench::scaling::speedup_gate(&rows, "vacation low", "runtime-tree", 4, min) {
-                    Ok(Some(s)) => {
-                        eprintln!("# vacation-low runtime-tree 4t speedup {s:.2}x >= {min:.2}x")
-                    }
-                    Ok(None) => eprintln!(
-                        "# speedup gate skipped: only {} hardware thread(s) available",
-                        bench::scaling::available_parallelism()
-                    ),
-                    Err(msg) => {
-                        eprintln!("# FAIL: {msg}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        "merge" => {
-            // --merge N narrows the factor axis to {1, N} (factor 1 stays:
-            // it seeds the speedup baseline); default is the full sweep.
-            let factors: Vec<usize> = match merge_factor {
-                Some(1) | None => bench::merge::FACTORS.to_vec(),
-                Some(n) => vec![1, n],
-            };
-            let rows = bench::merge::merge_rows(&opts, &factors);
-            print!("{}", bench::merge::render_markdown(&opts, &factors, &rows));
-            if let Some(path) = out_path.as_deref() {
-                let json = bench::merge::merge_json(&opts, &factors, &rows);
-                std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("# wrote {path}");
-            }
-            if let Some(min) = min_merge_speedup {
-                // Release gate (ISSUE 7): merging must amortize commit
-                // costs — the transfer driver at factor 8 (or the custom
-                // --merge factor) has to beat its own unmerged row. Debug
-                // fixed costs are distorted; skip with a note there.
-                if cfg!(debug_assertions) {
-                    eprintln!("# merge speedup gate skipped: debug build");
-                } else {
-                    let gate_factor = match merge_factor {
-                        Some(n) if n > 1 => n,
-                        _ => 8,
-                    };
-                    match bench::merge::merge_speedup_gate(&rows, "transfer", gate_factor, min) {
-                        Ok(s) => eprintln!(
-                            "# transfer merge-factor-{gate_factor} speedup {s:.2}x >= {min:.2}x"
-                        ),
-                        Err(msg) => {
-                            eprintln!("# FAIL: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        }
-        "durability" => {
-            let rows = bench::durability::durability_rows(&opts);
-            print!("{}", bench::durability::render_markdown(&opts, &rows));
-            if let Some(path) = out_path.as_deref() {
-                let json = bench::durability::durability_json(&opts, &rows);
-                std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("# wrote {path}");
-            }
-            if let Some(max) = max_durability_tax {
-                // Release gate (ISSUE 8): the captured-heavy driver's
-                // strict durable row must stay within `max` of its own
-                // transient row — the coalesced-range encoder and the
-                // capture skip are what keep the tax bounded. Debug
-                // encoder costs are distorted; skip with a note there.
-                if cfg!(debug_assertions) {
-                    eprintln!("# durability tax gate skipped: debug build");
-                } else {
-                    match bench::durability::durability_tax_gate(&rows, "captured", "strict", max) {
-                        Ok(t) => eprintln!("# captured strict durability tax {t:.2}x <= {max:.2}x"),
-                        Err(msg) => {
-                            eprintln!("# FAIL: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        }
-        "pool" => {
-            let mut popts = bench::pool::PoolOpts::default();
-            if let Some(n) = pool_ops {
-                popts.ops = n;
-            }
-            if let Some(b) = pool_budget {
-                popts.budget = b;
-            }
-            if let Some(t) = pool_theta {
-                popts.theta = t;
-            }
-            if let Some(n) = merge_factor {
-                popts.merge = n;
-            }
-            if let Some(seed) = pool_seed {
-                popts.seed = seed;
-            }
-            popts.durable = pool_durable;
-            let rows = bench::pool::pool_rows(&opts, &popts);
-            print!("{}", bench::pool::render_markdown(&opts, &popts, &rows));
-            if let Some(path) = out_path.as_deref() {
-                let json = bench::pool::pool_json(&opts, &popts, &rows);
-                std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("# wrote {path}");
-            }
-            if let Some(min) = min_pool_throughput {
-                // Release gate (ISSUE 10): the pool's plain arm must
-                // sustain the committed-op throughput bar. Debug timings
-                // are meaningless; skip with a note there.
-                if cfg!(debug_assertions) {
-                    eprintln!("# pool throughput gate skipped: debug build");
-                } else {
-                    match bench::pool::pool_throughput_gate(&rows, min) {
-                        Ok(t) => eprintln!("# pool plain-arm throughput {t:.0} ops/s >= {min:.0}"),
-                        Err(msg) => {
-                            eprintln!("# FAIL: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        }
-        "elision" => {
-            // The report function enforces the superset / ordering /
-            // vm-oracle gates itself (panics on violation), so running
-            // this subcommand is the acceptance check.
-            let reports = bench::elision::elision_report();
-            print!("{}", bench::elision::render_markdown(&reports));
-            if let Some(path) = out_path.as_deref() {
-                let json = bench::elision::elision_json(&reports);
-                std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                eprintln!("# wrote {path}");
-            }
-        }
-        "check" => {
-            for r in bench::check(opts.scale, opts.threads) {
-                println!(
-                    "{:<14} {:>10} commits  {:>8} aborts  {}  verified={}  \
-                     ranged r/w/spans/fallbacks={}/{}/{}/{}  \
-                     cm waits/karma/serial/att_max={}/{}/{}/{}",
-                    r.benchmark,
-                    r.stats.commits,
-                    r.stats.aborts,
-                    bench::fmt_dur(r.elapsed),
-                    r.verified,
-                    r.stats.ranged_reads,
-                    r.stats.ranged_writes,
-                    r.stats.ranged_spans,
-                    r.stats.ranged_fallbacks,
-                    r.stats.backoff_waits,
-                    r.stats.cm_karma_escalations,
-                    r.stats.cm_serializations,
-                    r.stats.attempts_max
-                );
-            }
-        }
+    match cli.cmd.as_str() {
         "all" => {
-            print!("{}", bench::fig8(&opts));
-            print!("{}", bench::fig9(&opts));
-            print!("{}", bench::fig10(&opts));
-            print!("{}", bench::fig11a(&opts));
-            print!("{}", bench::fig11b(&opts));
-            print!("{}", bench::table1(&opts));
-            print!("{}", bench::table2(&opts));
-            print!("{}", bench::annotations(&opts));
-            print!("{}", bench::orec_ablation(&opts));
+            for (_, paper) in PAPER {
+                print!("{}", paper(opts).markdown());
+            }
         }
-        _ => usage(),
+        cmd => {
+            let r = report(&cli);
+            print!("{}", r.markdown());
+            let default = (cmd == "bench-json").then_some("BENCH_barriers.json");
+            if let Some(path) = cli.out.as_deref().or(default) {
+                std::fs::write(path, r.json())
+                    .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+                eprintln!("# wrote {path}");
+            }
+            if !gates_pass(&cli, &r) {
+                std::process::exit(1);
+            }
+        }
     }
     eprintln!("# done in {}", bench::fmt_dur(t0.elapsed()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn each_gate_flag_parses_only_on_its_subcommand() {
+        for g in &GATES {
+            let cli = parse_str(&format!("{} {} 1.5", g.cmd, g.flag)).unwrap();
+            assert_eq!(cli.bounds.len(), 1);
+            assert_eq!((cli.bounds[0].0.flag, cli.bounds[0].1), (g.flag, 1.5));
+            let other = if g.cmd == "pool" { "barriers" } else { "pool" };
+            let err = parse_str(&format!("{other} {} 1.5", g.flag)).err().unwrap();
+            assert_eq!(err, format!("{other} does not read {}", g.flag));
+        }
+        // Gate flags of other subcommands, which `barriers` does not judge.
+        let repro = "barriers --min-pool-throughput 1e12 --max-durability-tax 0.0001";
+        assert!(parse_str(repro).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_usage_errors() {
+        assert_eq!(
+            parse_str("fig8 --nope").err().unwrap(),
+            "unknown flag \"--nope\""
+        );
+        assert_eq!(
+            parse_str("barriers --max-ratio").err().unwrap(),
+            "--max-ratio needs a value (F)"
+        );
+        assert!(parse_str("barriers --max-ratio x").is_err());
+        assert!(parse_str("nope").is_err() && parse_str("").is_err());
+        assert!(parse_str("fig8 --scale huge").is_err());
+        assert!(parse_str("merge --merge 0").is_err());
+        assert!(parse_str("pool --ops 0").is_err());
+        assert!(parse_str("all --out x.json").is_err());
+        let cli = parse_str("pool --scale test --durable --merge 4 --seed 9").unwrap();
+        assert_eq!(
+            (cli.pool.merge, cli.pool.seed, cli.pool.durable),
+            (4, 9, true)
+        );
+        assert_eq!(cli.opts.scale, Scale::Test);
+    }
+
+    /// Every `cargo run ... --bin expt -- ...` invocation in `text`, with
+    /// YAML `>` folded blocks joined into one line.
+    fn expt_invocations(text: &str) -> Vec<String> {
+        let lines: Vec<&str> = text.lines().collect();
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        let mut found = Vec::new();
+        let mut i = 0;
+        while i < lines.len() {
+            let mut line = lines[i].trim().to_string();
+            if line.ends_with("run: >") {
+                let base = indent(lines[i]);
+                while i + 1 < lines.len()
+                    && !lines[i + 1].trim().is_empty()
+                    && indent(lines[i + 1]) > base
+                {
+                    i += 1;
+                    line.push(' ');
+                    line.push_str(lines[i].trim());
+                }
+            }
+            if let Some((_, args)) = line.split_once("--bin expt --") {
+                found.push(args.trim().to_string());
+            }
+            i += 1;
+        }
+        found
+    }
+
+    #[test]
+    fn ci_expt_invocations_parse() {
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let calls = expt_invocations(ci);
+        assert_eq!(calls.len(), 8, "{calls:#?}");
+        let mut gated = 0;
+        for call in &calls {
+            let cli = parse_str(call).unwrap_or_else(|e| panic!("ci.yml `expt {call}`: {e}"));
+            gated += cli.bounds.len();
+        }
+        assert_eq!(gated, 7, "CI's gate flags");
+    }
+
+    #[test]
+    fn ratios_cover_the_measured_paths() {
+        let r = ratios(bench::micro::report(
+            &ExptOpts::default(),
+            &MicroOpts::smoke(),
+        ));
+        let t = r.table("ratios").unwrap();
+        assert_eq!(t.rows.len(), RATIOS.len());
+        for (name, _, _) in RATIOS {
+            let v = t.value(&[("name", name)], "ratio").unwrap();
+            assert!(v.is_finite() && v > 0.0, "{name}: {v}");
+        }
+    }
 }

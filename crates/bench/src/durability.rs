@@ -21,15 +21,19 @@
 //!
 //! Emits `BENCH_durability.json` (committed snapshot, like
 //! `BENCH_merge.json`) so future PRs that touch the commit spine or the
-//! redo-log encoder have a durability trajectory to diff against.
+//! redo-log encoder have a durability trajectory to diff against. Each
+//! row's `tax_vs_off` is its wall time over its driver's `off` row, and
+//! `skip_ratio` is `durable_skipped / (durable_words + durable_skipped)`:
+//! the share of committed words the captured-memory analysis kept out of
+//! the redo log.
 
 use stamp::Scale;
 use stm::{SimDisk, Site, StmRuntime, TxConfig, TxStats};
 use txmem::{Addr, MemConfig};
 
-use crate::report::{esc, scale_name};
+use crate::report::{scale_name, Cell, Report, Table};
 use crate::skew::Rng;
-use crate::{median, ExptOpts};
+use crate::{median, repeat, share, ExptOpts};
 
 /// The durability-mode axis, in row order. `off` must come first: it
 /// seeds the tax baseline of the durable rows.
@@ -97,7 +101,7 @@ fn build_runtime(mode: &str, mem: MemConfig) -> (StmRuntime, Option<std::sync::A
 /// moves money between two of [`ACCOUNTS`] accounts. The closing
 /// conservation check catches any redo-buffer interference with the
 /// transactional state.
-fn shared_once(scale: Scale, mode: &str, threads: usize) -> (f64, TxStats, u64) {
+fn shared_once(scale: Scale, mode: &str, threads: usize) -> (f64, (TxStats, u64)) {
     let mem = MemConfig {
         max_threads: threads.max(1) + 1,
         stack_words: 1 << 10,
@@ -139,13 +143,13 @@ fn shared_once(scale: Scale, mode: &str, threads: usize) -> (f64, TxStats, u64) 
         "shared driver lost or duplicated money (mode {mode})"
     );
     let log_bytes = disk.map_or(0, |d| d.log_bytes());
-    (seconds, rt.collect_stats(), log_bytes)
+    (seconds, (rt.collect_stats(), log_bytes))
 }
 
 /// One timed run of the captured-heavy driver: allocate a block, fill it
 /// through captured barriers, publish it into a random slot, free the
 /// block it displaced (bounding the live heap at [`SLOTS`] blocks).
-fn captured_once(scale: Scale, mode: &str, threads: usize) -> (f64, TxStats, u64) {
+fn captured_once(scale: Scale, mode: &str, threads: usize) -> (f64, (TxStats, u64)) {
     let mem = MemConfig {
         max_threads: threads.max(1) + 1,
         stack_words: 1 << 10,
@@ -198,32 +202,10 @@ fn captured_once(scale: Scale, mode: &str, threads: usize) -> (f64, TxStats, u64
         }
     }
     let log_bytes = disk.map_or(0, |d| d.log_bytes());
-    (seconds, rt.collect_stats(), log_bytes)
+    (seconds, (rt.collect_stats(), log_bytes))
 }
 
-/// One measured (driver, mode) cell.
-#[derive(Clone, Debug)]
-pub struct DurabilityRow {
-    pub driver: &'static str,
-    pub mode: &'static str,
-    pub threads: usize,
-    /// Median wall time over `runs` repetitions.
-    pub seconds: f64,
-    /// Committed transactions per second.
-    pub commits_per_sec: f64,
-    /// Wall-time ratio against the driver's `off` row (1.0 for `off`
-    /// itself): the durability tax.
-    pub tax_vs_off: f64,
-    /// `durable_skipped / (durable_words + durable_skipped)`: the share
-    /// of committed words the captured-memory analysis kept out of the
-    /// redo log (0 for `off` rows).
-    pub skip_ratio: f64,
-    /// Final redo-log footprint on the simulated disk (0 for `off`).
-    pub log_bytes: u64,
-    pub stats: TxStats,
-}
-
-fn run_driver(driver: &str, scale: Scale, mode: &str, threads: usize) -> (f64, TxStats, u64) {
+fn run_driver(driver: &str, scale: Scale, mode: &str, threads: usize) -> (f64, (TxStats, u64)) {
     match driver {
         "shared" => shared_once(scale, mode, threads),
         "captured" => captured_once(scale, mode, threads),
@@ -231,240 +213,108 @@ fn run_driver(driver: &str, scale: Scale, mode: &str, threads: usize) -> (f64, T
     }
 }
 
-/// Run the matrix. Rows are driver-major in [`MODES`] order; each
-/// driver's `off` row seeds the tax baseline of its durable rows.
-pub fn durability_rows(opts: &ExptOpts) -> Vec<DurabilityRow> {
-    let threads = opts.threads.max(1);
-    let mut rows = Vec::new();
+/// Run the matrix: a `rows` table, driver-major in [`MODES`] order (each
+/// driver's `off` row seeds the tax baseline of its durable rows), and
+/// its `tax_vs_off` pivot.
+pub fn report(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_durability/v2",
+        format!(
+            "Durability — redo-log commit tax vs. transient \
+             (scale {}, {} threads, median of {} runs)",
+            scale_name(opts.scale),
+            opts.threads,
+            opts.runs
+        ),
+        opts,
+    );
+    let mut t = Table::new("rows", "");
     for driver in DRIVERS {
         let mut base_seconds = f64::NAN;
         for mode in MODES {
-            let samples: Vec<(f64, TxStats, u64)> = (0..opts.runs.max(1))
-                .map(|_| run_driver(driver, opts.scale, mode, threads))
-                .collect();
-            let seconds = median(samples.iter().map(|s| s.0).collect());
-            let (_, stats, log_bytes) = *samples.last().expect("runs >= 1");
+            let (secs, (stats, log_bytes)) = repeat(opts.runs, || {
+                run_driver(driver, opts.scale, mode, opts.threads)
+            });
+            let seconds = median(secs);
+            let logged = stats.durable_words + stats.durable_skipped;
             if mode == "off" {
                 base_seconds = seconds;
             }
-            let logged = stats.durable_words + stats.durable_skipped;
-            rows.push(DurabilityRow {
-                driver,
-                mode,
-                threads,
-                seconds,
-                commits_per_sec: if seconds > 0.0 {
-                    stats.commits as f64 / seconds
-                } else {
-                    0.0
-                },
-                tax_vs_off: if base_seconds > 0.0 {
-                    seconds / base_seconds
-                } else {
-                    0.0
-                },
-                skip_ratio: if logged > 0 {
-                    stats.durable_skipped as f64 / logged as f64
-                } else {
-                    0.0
-                },
-                log_bytes,
-                stats,
-            });
+            t.push(vec![
+                ("driver", driver.into()),
+                ("mode", mode.into()),
+                ("threads", opts.threads.into()),
+                ("seconds", Cell::Float(seconds, 6)),
+                (
+                    "commits_per_sec",
+                    Cell::Float(stats.commits as f64 / seconds, 1),
+                ),
+                ("tax_vs_off", Cell::Float(seconds / base_seconds, 3)),
+                (
+                    "skip_ratio",
+                    Cell::Float(share(stats.durable_skipped, logged), 4),
+                ),
+                ("log_bytes", log_bytes.into()),
+                ("commits", stats.commits.into()),
+                ("aborts", stats.aborts.into()),
+                ("durable_words", stats.durable_words.into()),
+                ("durable_skipped", stats.durable_skipped.into()),
+                ("durable_flushes", stats.durable_flushes.into()),
+            ]);
         }
     }
-    rows
-}
-
-/// Render the `BENCH_durability.json` report (hand-written JSON; no serde
-/// in the offline container).
-pub fn durability_json(opts: &ExptOpts, rows: &[DurabilityRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema\": \"bench_durability/v1\",\n  \"scale\": \"{}\",\n  \"runs\": {},\n",
-        scale_name(opts.scale),
-        opts.runs.max(1)
-    ));
-    out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
-    out.push_str(&format!("  \"threads\": {},\n", opts.threads.max(1)));
-    out.push_str(&format!(
-        "  \"machine\": {},\n",
-        crate::report::machine_json()
-    ));
-    out.push_str(&format!(
-        "  \"modes\": [{}],\n",
-        MODES
-            .iter()
-            .map(|m| format!("\"{m}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"driver\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
-             \"seconds\": {:.6}, \"commits_per_sec\": {:.1}, \"tax_vs_off\": {:.3}, \
-             \"skip_ratio\": {:.4}, \"log_bytes\": {}, \"commits\": {}, \"aborts\": {}, \
-             \"durable_words\": {}, \"durable_skipped\": {}, \"durable_flushes\": {}}}{}\n",
-            esc(r.driver),
-            esc(r.mode),
-            r.threads,
-            r.seconds,
-            r.commits_per_sec,
-            r.tax_vs_off,
-            r.skip_ratio,
-            r.log_bytes,
-            r.stats.commits,
-            r.stats.aborts,
-            r.stats.durable_words,
-            r.stats.durable_skipped,
-            r.stats.durable_flushes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Markdown rendering for the terminal: one line per driver, modes as
-/// columns, tax and skip-ratio cells.
-pub fn render_markdown(opts: &ExptOpts, rows: &[DurabilityRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## Durability — redo-log commit tax vs. transient \
-         (scale {}, {} threads, median of {} runs)\n\n",
-        scale_name(opts.scale),
-        opts.threads.max(1),
-        opts.runs.max(1)
-    ));
-    out.push_str("| driver |");
-    for m in MODES {
-        out.push_str(&format!(" {m} |"));
-    }
-    out.push_str(" skip ratio |\n|---|");
-    for _ in MODES {
-        out.push_str("---:|");
-    }
-    out.push_str("---:|\n");
-    for driver in DRIVERS {
-        let mut line = format!("| {driver} |");
-        for m in MODES {
-            match rows.iter().find(|r| r.driver == driver && r.mode == m) {
-                Some(r) => line.push_str(&format!(" {:.2}x |", r.tax_vs_off)),
-                None => line.push_str(" - |"),
-            }
-        }
-        let skip = rows
-            .iter()
-            .find(|r| r.driver == driver && r.mode == "strict")
-            .map_or(0.0, |r| r.skip_ratio);
-        line.push_str(&format!(" {:.1}% |", 100.0 * skip));
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out.push('\n');
-    out
-}
-
-/// Regression gate: `driver` at durability mode `mode` must stay within
-/// `max` wall-time tax over the transient baseline. Like the merge gate
-/// there is no hardware skip, and the `expt` front end self-skips in
-/// debug builds, where the relative cost of the encoder is distorted.
-pub fn durability_tax_gate(
-    rows: &[DurabilityRow],
-    driver: &str,
-    mode: &str,
-    max: f64,
-) -> Result<f64, String> {
-    let row = rows
-        .iter()
-        .find(|r| r.driver == driver && r.mode == mode)
-        .ok_or_else(|| format!("no durability row for {driver}/{mode}"))?;
-    if row.tax_vs_off <= max {
-        Ok(row.tax_vs_off)
-    } else {
-        Err(format!(
-            "{driver}: {mode} durability tax {:.2}x above allowed {max:.2}x",
-            row.tax_vs_off
-        ))
-    }
+    r.tables
+        .push(t.pivot("tax", &["driver"], "mode", "tax_vs_off"));
+    r.tables.insert(0, t);
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{gate, verdict};
 
-    fn fake_row(driver: &'static str, mode: &'static str, tax: f64) -> DurabilityRow {
-        DurabilityRow {
-            driver,
-            mode,
-            threads: 4,
-            seconds: tax,
-            commits_per_sec: 1000.0 / tax,
-            tax_vs_off: tax,
-            skip_ratio: 0.5,
-            log_bytes: 4096,
-            stats: TxStats::default(),
-        }
+    /// One run of the full matrix at Test scale, shared by the tests; CI
+    /// additionally smokes it through `expt durability --scale test`.
+    fn matrix() -> &'static Report {
+        static R: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        R.get_or_init(|| report(&ExptOpts::test(2)))
     }
 
-    #[test]
-    fn gate_passes_and_fails() {
-        let rows = vec![
-            fake_row("shared", "off", 1.0),
-            fake_row("shared", "strict", 1.4),
-        ];
-        assert_eq!(
-            durability_tax_gate(&rows, "shared", "strict", 2.0).unwrap(),
-            1.4
-        );
-        assert!(durability_tax_gate(&rows, "shared", "strict", 1.2).is_err());
-        assert!(durability_tax_gate(&rows, "captured", "strict", 2.0).is_err());
-    }
-
+    // The rows keep the keys, in order, of `bench_durability/v1`.
     #[test]
     fn json_is_balanced_and_carries_the_schema() {
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 2,
-            runs: 1,
-        };
-        let rows = vec![fake_row("shared", "off", 1.0)];
-        let json = durability_json(&opts, &rows);
-        assert!(json.contains("\"schema\": \"bench_durability/v1\""));
-        assert!(json.contains("\"machine\": {\"available_parallelism\": "));
-        assert!(json.contains("\"modes\": [\"off\", \"strict\", \"group8\"]"));
-        assert!(json.contains("\"skip_ratio\": 0.5000"));
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
+        assert!(matrix()
+            .json()
+            .starts_with("{\n  \"schema\": \"bench_durability/v2\",\n"));
+        assert_eq!(
+            matrix().tables[0].columns.join(" "),
+            "driver mode threads seconds commits_per_sec tax_vs_off skip_ratio log_bytes \
+             commits aborts durable_words durable_skipped durable_flushes"
+        );
     }
 
-    // One run of the full matrix at Test scale; CI additionally smokes it
-    // through `expt durability --scale test`.
     #[test]
     fn rows_cover_drivers_and_modes() {
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 2,
-            runs: 1,
+        let r = matrix();
+        let t = &r.tables[0];
+        assert_eq!(t.rows.len(), DRIVERS.len() * MODES.len());
+        assert_eq!(r.tables[1].rows.len(), DRIVERS.len());
+        let v = |driver: &str, mode: &str, column: &str| {
+            t.value(&[("driver", driver), ("mode", mode)], column)
+                .unwrap()
         };
-        let rows = durability_rows(&opts);
-        assert_eq!(rows.len(), DRIVERS.len() * MODES.len());
-        assert!(!render_markdown(&opts, &rows).is_empty());
-        for r in &rows {
-            assert!(r.seconds >= 0.0 && r.commits_per_sec > 0.0, "{r:?}");
-            if r.mode == "off" {
-                assert!((r.tax_vs_off - 1.0).abs() < 1e-9, "{r:?}");
-                assert_eq!(r.stats.durable_flushes, 0, "{r:?}");
-                assert_eq!(r.log_bytes, 0, "{r:?}");
-            } else {
-                assert!(r.stats.durable_flushes > 0, "{r:?}");
-                assert!(r.log_bytes > 0, "{r:?}");
-                assert!(r.stats.durable_words > 0, "{r:?}");
+        for driver in DRIVERS {
+            for mode in MODES {
+                let at = |column| v(driver, mode, column);
+                assert!(at("seconds") >= 0.0 && at("commits_per_sec") > 0.0);
+                if mode == "off" {
+                    assert!((at("tax_vs_off") - 1.0).abs() < 1e-9);
+                    assert_eq!((at("durable_flushes"), at("log_bytes")), (0.0, 0.0));
+                } else {
+                    assert!(at("durable_flushes") > 0.0 && at("log_bytes") > 0.0);
+                    assert!(at("durable_words") > 0.0, "{driver}/{mode}");
+                }
             }
         }
         // The captured driver is the dividend: a large share of committed
@@ -473,34 +323,34 @@ mod tests {
         // the ratio is bounded below 0.5 by construction), and the shared
         // driver (which captures nothing) must skip none.
         for mode in ["strict", "group8"] {
-            let cap = rows
-                .iter()
-                .find(|r| r.driver == "captured" && r.mode == mode)
-                .unwrap();
+            let skip = v("captured", mode, "skip_ratio");
             assert!(
-                cap.skip_ratio > 0.3,
-                "captured fills must drive the skip ratio: {cap:?}"
+                skip > 0.3,
+                "captured fills must drive the skip ratio: {skip}"
             );
-            let sh = rows
-                .iter()
-                .find(|r| r.driver == "shared" && r.mode == mode)
-                .unwrap();
-            assert_eq!(sh.stats.durable_skipped, 0, "{sh:?}");
+            assert_eq!(v("shared", mode, "durable_skipped"), 0.0);
         }
         // Group commit amortizes appends.
-        let strict = rows
-            .iter()
-            .find(|r| r.driver == "shared" && r.mode == "strict")
-            .unwrap();
-        let group = rows
-            .iter()
-            .find(|r| r.driver == "shared" && r.mode == "group8")
-            .unwrap();
-        assert!(
-            group.stats.durable_flushes < strict.stats.durable_flushes,
-            "group commit must batch appends: {} vs {}",
-            group.stats.durable_flushes,
-            strict.stats.durable_flushes
+        let (strict, group) = (
+            v("shared", "strict", "durable_flushes"),
+            v("shared", "group8", "durable_flushes"),
         );
+        assert!(
+            group < strict,
+            "group commit must batch appends: {group} vs {strict}"
+        );
+    }
+
+    // `--max-durability-tax` judges this report's captured/strict tax.
+    #[test]
+    fn gate_passes_and_fails() {
+        let (g, r) = (gate("--max-durability-tax"), matrix());
+        let tax = r.tables[0]
+            .value(&[("driver", "captured"), ("mode", "strict")], "tax_vs_off")
+            .unwrap();
+        assert_eq!(verdict(g, tax + 1.0, r, None), Ok(tax));
+        assert!(verdict(g, tax * 0.5, r, None).is_err());
+        let empty = Report::new("x/v1", "x", &ExptOpts::default());
+        assert!(verdict(g, tax + 1.0, &empty, None).is_err());
     }
 }

@@ -28,8 +28,10 @@
 //!    `Elide` site must be observed captured on all executions;
 //! 4. **semantics** — all four builds produce bit-identical shared memory.
 //!
-//! `expt elision` prints the Markdown table; `--out` writes
-//! `BENCH_elision.json` (committed snapshot, like the other BENCH files).
+//! `expt elision` prints the report's tables — per app, per (app,
+//! configuration), and the Figure-8 categories of the audited naive run —
+//! as Markdown; `--out` writes them as `BENCH_elision.json` (committed
+//! snapshot, like the other BENCH files).
 
 use stm::{StmRuntime, TxConfig};
 use txcc::capture::{desugar_address_taken, sites_in_atomic};
@@ -37,7 +39,8 @@ use txcc::codegen::OptLevel;
 use txcc::{compile, interproc, parse, Vm};
 use txmem::MemConfig;
 
-use crate::report::esc;
+use crate::report::{Cell, Report, Table};
+use crate::{share, ExptOpts};
 
 /// One STAMP-representative mini-language program.
 pub struct MiniApp {
@@ -298,44 +301,6 @@ pub const APPS: &[MiniApp] = &[
     },
 ];
 
-/// Figure-8 categories of the app's barriers (from the audited classify
-/// run of the naive build; the VM's sites are `required`, so the
-/// "not required (other)" bucket is structurally empty here).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Fig8 {
-    pub heap: u64,
-    pub stack: u64,
-    pub other: u64,
-    pub required: u64,
-}
-
-/// One compiler configuration's numbers for one app.
-#[derive(Clone, Debug)]
-pub struct ConfigRow {
-    pub config: &'static str,
-    /// Static instrumentation of normal (non-clone) code.
-    pub static_elided: usize,
-    pub static_barriers: usize,
-    /// Dynamically executed barrier ops (`LoadTx`+`StoreTx`).
-    pub dyn_barriers: u64,
-    /// Barrier executions the configuration removed vs. the naive build.
-    pub dyn_elided: u64,
-    /// `dyn_elided / naive_barriers` (the per-app elision rate).
-    pub rate: f64,
-}
-
-/// Everything measured for one mini-app.
-#[derive(Clone, Debug)]
-pub struct AppReport {
-    pub app: &'static str,
-    pub pattern: &'static str,
-    pub sites_in_atomic: usize,
-    /// Barrier executions of the naive build (the denominator).
-    pub naive_barriers: u64,
-    pub fig8: Fig8,
-    pub rows: Vec<ConfigRow>,
-}
-
 struct RunResult {
     snapshot: Vec<u64>,
     tx_ops: u64,
@@ -373,9 +338,26 @@ fn run_app(
 }
 
 /// Run the full experiment and enforce its gates; panics with a precise
-/// message on any violation (CI runs this as a smoke step).
-pub fn elision_report() -> Vec<AppReport> {
-    let mut reports = Vec::new();
+/// message on any violation (CI runs this as a smoke step). `opts` only
+/// fills the report header: the corpus is fixed and single-threaded.
+pub fn report(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_elision/v2",
+        "Elision — static capture analysis across call boundaries",
+        opts,
+    );
+    r.intro = "Dynamically executed barrier elisions per configuration (`elision_rate` = \
+               share of the naive build's barrier executions), on STAMP-representative \
+               TL programs."
+        .into();
+    let mut apps = Table::new("apps", "");
+    let mut configs = Table::new("configs", "Per configuration");
+    // The VM's sites are `required`, so the "not required (other)" bucket
+    // is structurally empty here.
+    let mut fig8 = Table::new(
+        "fig8",
+        "Figure-8 categories (audited naive run, barrier ops)",
+    );
     let mut total_intra = 0u64;
     let mut total_inter = 0u64;
     for app in APPS {
@@ -398,12 +380,13 @@ pub fn elision_report() -> Vec<AppReport> {
         let (naive_run, audit) = run_app(app, &naive, n_sites, true);
         let (site_audit, classify_stats) = audit.expect("audited run");
         let all = classify_stats.all_accesses();
-        let fig8 = Fig8 {
-            heap: all.class_heap,
-            stack: all.class_stack,
-            other: all.class_other,
-            required: all.class_required,
-        };
+        fig8.push(vec![
+            ("app", app.name.into()),
+            ("heap", all.class_heap.into()),
+            ("stack", all.class_stack.into()),
+            ("other", all.class_other.into()),
+            ("required", all.class_required.into()),
+        ]);
         // Soundness gate: every interprocedural Elide site must be
         // observed captured on all executions, per compilation context.
         for (site, (nv, tv)) in interproc_result
@@ -429,7 +412,6 @@ pub fn elision_report() -> Vec<AppReport> {
             }
         }
 
-        let mut rows = Vec::new();
         let mut dyn_of = |label: &'static str, compiled: &txcc::CompiledProgram| -> u64 {
             let (run, _) = run_app(app, compiled, n_sites, false);
             assert_eq!(
@@ -443,18 +425,18 @@ pub fn elision_report() -> Vec<AppReport> {
                 app.name
             );
             let elided = naive_run.tx_ops - run.tx_ops;
-            rows.push(ConfigRow {
-                config: label,
-                static_elided: compiled.stats.elided,
-                static_barriers: compiled.stats.barriers,
-                dyn_barriers: run.tx_ops,
-                dyn_elided: elided,
-                rate: if naive_run.tx_ops == 0 {
-                    0.0
-                } else {
-                    elided as f64 / naive_run.tx_ops as f64
-                },
-            });
+            configs.push(vec![
+                ("app", app.name.into()),
+                ("config", label.into()),
+                ("static_elided", compiled.stats.elided.into()),
+                ("static_barriers", compiled.stats.barriers.into()),
+                ("dyn_barrier_ops", run.tx_ops.into()),
+                ("dyn_elided_ops", elided.into()),
+                (
+                    "elision_rate",
+                    Cell::Float(share(elided, naive_run.tx_ops), 4),
+                ),
+            ]);
             elided
         };
         let e_intra = dyn_of("intraprocedural", &intra);
@@ -474,121 +456,20 @@ pub fn elision_report() -> Vec<AppReport> {
         total_intra += e_intra;
         total_inter += e_inter;
 
-        reports.push(AppReport {
-            app: app.name,
-            pattern: app.pattern,
-            sites_in_atomic: sites_in_atomic(&prog),
-            naive_barriers: naive_run.tx_ops,
-            fig8,
-            rows,
-        });
+        apps.push(vec![
+            ("app", app.name.into()),
+            ("sites_in_atomic", sites_in_atomic(&prog).into()),
+            ("naive_barrier_ops", naive_run.tx_ops.into()),
+            ("pattern", app.pattern.into()),
+        ]);
     }
     assert!(
         total_inter > total_intra,
         "interprocedural pass must elide strictly more than intraprocedural \
          in aggregate ({total_inter} vs {total_intra})"
     );
-    reports
-}
-
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
-    }
-}
-
-/// Markdown rendering for `expt elision`.
-pub fn render_markdown(reports: &[AppReport]) -> String {
-    let mut out = String::new();
-    out.push_str("## Elision — static capture analysis across call boundaries\n\n");
-    out.push_str(
-        "Dynamically executed barrier elisions per configuration (percent of the \
-         naive build's barrier executions), on STAMP-representative TL programs.\n\n",
-    );
-    out.push_str(
-        "| app | sites in atomic | naive barrier ops | intraproc | intraproc+inlining | interproc |\n",
-    );
-    out.push_str("|---|---:|---:|---:|---:|---:|\n");
-    for r in reports {
-        let mut row = format!(
-            "| {} | {} | {} |",
-            r.app, r.sites_in_atomic, r.naive_barriers
-        );
-        for c in &r.rows {
-            row.push_str(&format!(" {:.1} |", 100.0 * c.rate));
-        }
-        out.push_str(&row);
-        out.push('\n');
-    }
-    out.push('\n');
-    out.push_str("### Figure-8 categories (audited naive run, percent of barriers)\n\n");
-    out.push_str("| app | tx-local heap | tx-local stack | other | required |\n");
-    out.push_str("|---|---:|---:|---:|---:|\n");
-    for r in reports {
-        let f = r.fig8;
-        let total = f.heap + f.stack + f.other + f.required;
-        out.push_str(&format!(
-            "| {} | {:.1} | {:.1} | {:.1} | {:.1} |\n",
-            r.app,
-            pct(f.heap, total),
-            pct(f.stack, total),
-            pct(f.other, total),
-            pct(f.required, total),
-        ));
-    }
-    out.push('\n');
-    out.push_str("Patterns:\n\n");
-    for r in reports {
-        out.push_str(&format!("* **{}** — {}\n", r.app, r.pattern));
-    }
-    out.push('\n');
-    out
-}
-
-/// JSON report (`BENCH_elision.json`); handwritten like the other BENCH
-/// emitters (no serde in the offline container).
-pub fn elision_json(reports: &[AppReport]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench_elision/v1\",\n");
-    out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
-    out.push_str("  \"apps\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"app\": \"{}\",\n", esc(r.app)));
-        out.push_str(&format!("      \"pattern\": \"{}\",\n", esc(r.pattern)));
-        out.push_str(&format!(
-            "      \"sites_in_atomic\": {},\n      \"naive_barrier_ops\": {},\n",
-            r.sites_in_atomic, r.naive_barriers
-        ));
-        let f = r.fig8;
-        out.push_str(&format!(
-            "      \"fig8\": {{\"heap\": {}, \"stack\": {}, \"other\": {}, \"required\": {}}},\n",
-            f.heap, f.stack, f.other, f.required
-        ));
-        out.push_str("      \"configs\": [\n");
-        for (j, c) in r.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"config\": \"{}\", \"static_elided\": {}, \"static_barriers\": {}, \
-                 \"dyn_barrier_ops\": {}, \"dyn_elided_ops\": {}, \"elision_rate\": {:.4}}}{}\n",
-                esc(c.config),
-                c.static_elided,
-                c.static_barriers,
-                c.dyn_barriers,
-                c.dyn_elided,
-                c.rate,
-                if j + 1 < r.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    r.tables = vec![apps, configs, fig8];
+    r
 }
 
 #[cfg(test)]
@@ -597,40 +478,34 @@ mod tests {
 
     #[test]
     fn gates_hold_and_report_shapes_up() {
-        // elision_report() itself asserts the superset, ordering,
-        // soundness and determinism gates — running it IS the acceptance
-        // test. Then spot-check the per-app expectations the corpus was
-        // designed around.
-        let reports = elision_report();
-        assert_eq!(reports.len(), APPS.len());
-        let by_name = |n: &str| reports.iter().find(|r| r.app == n).unwrap();
-        let rate = |r: &AppReport, cfg: &str| r.rows.iter().find(|c| c.config == cfg).unwrap().rate;
+        // report() itself asserts the superset, ordering, soundness and
+        // determinism gates — running it IS the acceptance test. Then
+        // spot-check the per-app expectations the corpus was designed
+        // around.
+        let r = report(&ExptOpts::default());
+        let [apps, configs, fig8] = &r.tables[..] else {
+            panic!("three tables")
+        };
+        assert_eq!((apps.rows.len(), fig8.rows.len()), (APPS.len(), APPS.len()));
+        assert_eq!(configs.rows.len(), 3 * APPS.len());
+        let at = |app, config, column| {
+            configs
+                .value(&[("app", app), ("config", config)], column)
+                .unwrap()
+        };
         // The guarded-helper apps are interproc-only wins.
         for app in ["genome", "vacation", "intruder", "ssca2", "yada", "bayes"] {
-            let r = by_name(app);
             assert!(
-                rate(r, "interprocedural") > rate(r, "intraproc+inlining"),
+                at(app, "interprocedural", "elision_rate")
+                    > at(app, "intraproc+inlining", "elision_rate"),
                 "{app}: interproc must beat inlining"
             );
         }
         // The no-opportunity kernels stay at zero in every pipeline.
         for app in ["kmeans", "labyrinth"] {
-            let r = by_name(app);
-            for c in &r.rows {
-                assert_eq!(c.dyn_elided, 0, "{app}/{}", c.config);
+            for config in ["intraprocedural", "intraproc+inlining", "interprocedural"] {
+                assert_eq!(at(app, config, "dyn_elided_ops"), 0.0, "{app}/{config}");
             }
         }
-
-        let md = render_markdown(&reports);
-        assert!(md.contains("| genome |"));
-        let json = elision_json(&reports);
-        assert!(json.contains("\"schema\": \"bench_elision/v1\""));
-        assert!(json.contains("\"app\": \"yada\""));
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
     }
 }

@@ -2,15 +2,15 @@
 //! "Optimizing Transactions for Captured Memory" (SPAA 2009).
 //!
 //! Each `figN`/`tableN` function runs the corresponding experiment on the
-//! STAMP-like suite and returns a Markdown table mirroring the paper's
-//! rows/series; the `expt` binary prints them, and EXPERIMENTS.md archives a
-//! captured run with paper-vs-measured commentary.
+//! STAMP-like suite and returns a [`Report`] whose tables mirror the
+//! paper's rows/series; the `expt` binary prints them as Markdown and
+//! writes them as JSON.
 
 pub mod durability;
 pub mod elision;
+pub mod gate;
 pub mod merge;
 pub mod micro;
-pub mod nursery;
 pub mod pool;
 pub mod report;
 pub mod scaling;
@@ -21,6 +21,8 @@ use std::time::Duration;
 use stamp::{Benchmark, RunOutcome, Scale};
 use stm::{CheckScope, LogKind, Mode, TxConfig};
 
+pub use report::{Cell, Report, Table};
+
 /// Options shared by all experiments.
 #[derive(Clone, Copy, Debug)]
 pub struct ExptOpts {
@@ -30,6 +32,18 @@ pub struct ExptOpts {
     pub threads: usize,
     /// Repetitions for timing experiments.
     pub runs: usize,
+}
+
+#[cfg(test)]
+impl ExptOpts {
+    /// Test scale, one run: the unit tests' options.
+    pub(crate) fn test(threads: usize) -> ExptOpts {
+        ExptOpts {
+            scale: Scale::Test,
+            threads,
+            runs: 1,
+        }
+    }
 }
 
 impl Default for ExptOpts {
@@ -68,13 +82,6 @@ pub fn compiler_cfg() -> TxConfig {
         .expect("compiler preset is valid")
 }
 
-pub fn compiler_interproc_cfg() -> TxConfig {
-    TxConfig::builder()
-        .mode(Mode::CompilerInterproc)
-        .build()
-        .expect("compiler-interproc preset is valid")
-}
-
 fn classify_cfg() -> TxConfig {
     TxConfig::builder()
         .classify(true)
@@ -87,6 +94,15 @@ fn pct(num: u64, den: u64) -> f64 {
         0.0
     } else {
         100.0 * num as f64 / den as f64
+    }
+}
+
+/// `num / den`, 0 when `den` is 0.
+pub(crate) fn share(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -108,25 +124,43 @@ fn rel_stddev_pct(xs: &[f64]) -> f64 {
     100.0 * var.sqrt() / m
 }
 
-pub(crate) fn time_runs(
+/// `runs` repetitions (at least one) of `once`, which returns its wall
+/// seconds and an outcome: every run's seconds, and the last run's
+/// outcome, which is where the drivers read their counters.
+pub(crate) fn repeat<T>(runs: usize, mut once: impl FnMut() -> (f64, T)) -> (Vec<f64>, T) {
+    let mut seconds = Vec::with_capacity(runs);
+    loop {
+        let (s, out) = once();
+        seconds.push(s);
+        if seconds.len() >= runs {
+            return (seconds, out);
+        }
+    }
+}
+
+/// [`repeat`] over verified STAMP runs.
+pub(crate) fn stamp_runs(
     b: Benchmark,
     scale: Scale,
     cfg: TxConfig,
     threads: usize,
     runs: usize,
-) -> Vec<f64> {
-    (0..runs)
-        .map(|_| {
-            let out = b.run(scale, cfg, threads);
-            assert!(
-                out.verified,
-                "{} failed verification under {:?}",
-                b.name(),
-                cfg.mode
-            );
-            out.elapsed.as_secs_f64()
-        })
-        .collect()
+) -> (Vec<f64>, RunOutcome) {
+    repeat(runs, || {
+        let out = b.run(scale, cfg, threads);
+        assert!(
+            out.verified,
+            "{} failed verification under {}",
+            b.name(),
+            cfg.label()
+        );
+        (out.elapsed.as_secs_f64(), out)
+    })
+}
+
+/// One verified STAMP run's statistics.
+fn stats_of(b: Benchmark, scale: Scale, cfg: TxConfig, threads: usize) -> stm::TxStats {
+    stamp_runs(b, scale, cfg, threads, 1).1.stats
 }
 
 /// Percent improvement of `t` over baseline `base` (paper's metric in
@@ -135,146 +169,145 @@ fn improvement_pct(base: f64, t: f64) -> f64 {
     100.0 * (base - t) / base
 }
 
+/// A table with one row per STAMP benchmark and one column per
+/// configuration, `cell` filling each (benchmark, configuration) pair.
+fn per_benchmark(
+    name: &'static str,
+    title: &str,
+    configs: &[(&str, TxConfig)],
+    mut cell: impl FnMut(Benchmark, TxConfig) -> Cell,
+) -> Table {
+    let mut t = Table::new(name, title);
+    for b in Benchmark::ALL {
+        let mut r = vec![("benchmark", b.name().into())];
+        r.extend(configs.iter().map(|&(c, cfg)| (c, cell(b, cfg))));
+        t.push(r);
+    }
+    t
+}
+
 // ---------------------------------------------------------------------------
 // Figure 8: breakdown of compiler-inserted barriers at one thread.
 // ---------------------------------------------------------------------------
 
-pub fn fig8(opts: &ExptOpts) -> String {
-    let mut out = String::new();
-    out.push_str("## Figure 8 — memory access breakdown (1 thread)\n\n");
-    out.push_str("Share of compiler-inserted STM barriers per category (percent).\n\n");
+pub fn fig8(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_fig8/v1",
+        "Figure 8 — memory access breakdown (1 thread)",
+        opts,
+    );
+    r.intro = "Share of compiler-inserted STM barriers per category (percent).".into();
+    let stats: Vec<stm::TxStats> = Benchmark::ALL
+        .iter()
+        .map(|&b| stats_of(b, opts.scale, classify_cfg(), 1))
+        .collect();
     type Pick = fn(&stm::TxStats) -> stm::BarrierStats;
-    let views: [(&str, Pick); 3] = [
-        ("(a) read breakdown", |s| s.reads),
-        ("(b) write breakdown", |s| s.writes),
-        ("(c) all accesses", |s| s.all_accesses()),
+    let views: [(&str, &str, Pick); 3] = [
+        ("reads", "(a) read breakdown", |s| s.reads),
+        ("writes", "(b) write breakdown", |s| s.writes),
+        ("all", "(c) all accesses", |s| s.all_accesses()),
     ];
-    for (title, pick) in views {
-        out.push_str(&format!("### {title}\n\n"));
-        out.push_str(
-            "| benchmark | tx-local heap | tx-local stack | not required (other) | required |\n",
-        );
-        out.push_str("|---|---:|---:|---:|---:|\n");
-        for b in Benchmark::ALL {
-            let r = b.run(opts.scale, classify_cfg(), 1);
-            assert!(r.verified, "{} failed verification", b.name());
-            let s = pick(&r.stats);
+    for (name, title, pick) in views {
+        let mut t = Table::new(name, title);
+        for (b, st) in Benchmark::ALL.iter().zip(&stats) {
+            let s = pick(st);
             let total = s.class_heap + s.class_stack + s.class_other + s.class_required;
-            out.push_str(&format!(
-                "| {} | {:.1} | {:.1} | {:.1} | {:.1} |\n",
-                b.name(),
-                pct(s.class_heap, total),
-                pct(s.class_stack, total),
-                pct(s.class_other, total),
-                pct(s.class_required, total),
-            ));
+            let share = |n| Cell::Float(pct(n, total), 1);
+            t.push(vec![
+                ("benchmark", b.name().into()),
+                ("tx-local heap", share(s.class_heap)),
+                ("tx-local stack", share(s.class_stack)),
+                ("not required (other)", share(s.class_other)),
+                ("required", share(s.class_required)),
+            ]);
         }
-        out.push('\n');
+        r.tables.push(t);
     }
-    out
+    r
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9: portion of barriers removed by each technique (1 thread).
 // ---------------------------------------------------------------------------
 
-pub fn fig9(opts: &ExptOpts) -> String {
+pub fn fig9(opts: &ExptOpts) -> Report {
     let techniques: Vec<(&str, TxConfig)> = vec![
         ("tree", runtime_cfg(LogKind::Tree, CheckScope::FULL)),
         ("array", runtime_cfg(LogKind::Array, CheckScope::FULL)),
         ("filtering", runtime_cfg(LogKind::Filter, CheckScope::FULL)),
         ("compiler", compiler_cfg()),
     ];
-    let mut out = String::new();
-    out.push_str("## Figure 9 — portion of barriers removed (1 thread, percent)\n\n");
-    for (title, is_read) in [("(a) read barriers", true), ("(b) write barriers", false)] {
-        out.push_str(&format!("### {title}\n\n"));
-        out.push_str("| benchmark | tree | array | filtering | compiler |\n");
-        out.push_str("|---|---:|---:|---:|---:|\n");
-        for b in Benchmark::ALL {
-            let mut row = format!("| {} |", b.name());
-            for (_, cfg) in &techniques {
-                let r = b.run(opts.scale, *cfg, 1);
-                assert!(r.verified, "{} failed verification", b.name());
-                let s = if is_read {
-                    r.stats.reads
-                } else {
-                    r.stats.writes
-                };
-                row.push_str(&format!(" {:.1} |", 100.0 * s.elided_fraction()));
-            }
-            out.push_str(&row);
-            out.push('\n');
-        }
-        out.push('\n');
-    }
-    out
+    let mut r = Report::new(
+        "bench_fig9/v1",
+        "Figure 9 — portion of barriers removed (1 thread, percent)",
+        opts,
+    );
+    let mut writes = Vec::new();
+    let reads = per_benchmark("reads", "(a) read barriers", &techniques, |b, cfg| {
+        let s = stats_of(b, opts.scale, cfg, 1);
+        writes.push(Cell::Float(100.0 * s.writes.elided_fraction(), 1));
+        Cell::Float(100.0 * s.reads.elided_fraction(), 1)
+    });
+    let mut writes = writes.into_iter();
+    let writes = per_benchmark("writes", "(b) write barriers", &techniques, |_, _| {
+        writes.next().expect("one write cell per read cell")
+    });
+    r.tables.extend([reads, writes]);
+    r
+}
+
+/// The configuration columns of Tables 1 and 2.
+fn table_configs() -> Vec<(&'static str, TxConfig)> {
+    vec![
+        ("Baseline", baseline_cfg()),
+        ("Tree", runtime_cfg(LogKind::Tree, CheckScope::FULL)),
+        ("Array", runtime_cfg(LogKind::Array, CheckScope::FULL)),
+        ("Filtering", runtime_cfg(LogKind::Filter, CheckScope::FULL)),
+        ("Compiler", compiler_cfg()),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Table 1: abort-to-commit ratio at N threads.
 // ---------------------------------------------------------------------------
 
-pub fn table1(opts: &ExptOpts) -> String {
-    let configs: Vec<(&str, TxConfig)> = vec![
-        ("Baseline", baseline_cfg()),
-        ("Tree", runtime_cfg(LogKind::Tree, CheckScope::FULL)),
-        ("Array", runtime_cfg(LogKind::Array, CheckScope::FULL)),
-        ("Filtering", runtime_cfg(LogKind::Filter, CheckScope::FULL)),
-        ("Compiler", compiler_cfg()),
-    ];
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## Table 1 — abort-to-commit ratio at {} threads\n\n",
-        opts.threads
-    ));
-    out.push_str("| benchmark | Baseline | Tree | Array | Filtering | Compiler |\n");
-    out.push_str("|---|---:|---:|---:|---:|---:|\n");
-    for b in Benchmark::ALL {
-        let mut row = format!("| {} |", b.name());
-        for (_, cfg) in &configs {
-            let r = b.run(opts.scale, *cfg, opts.threads);
-            assert!(r.verified, "{} failed verification", b.name());
-            row.push_str(&format!(" {:.2} |", r.stats.abort_to_commit_ratio()));
-        }
-        out.push_str(&row);
-        out.push('\n');
-    }
-    out.push('\n');
-    out
+pub fn table1(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_table1/v1",
+        format!(
+            "Table 1 — abort-to-commit ratio at {} threads",
+            opts.threads
+        ),
+        opts,
+    );
+    r.tables
+        .push(per_benchmark("rows", "", &table_configs(), |b, cfg| {
+            let s = stats_of(b, opts.scale, cfg, opts.threads);
+            Cell::Float(s.abort_to_commit_ratio(), 2)
+        }));
+    r
 }
 
 // ---------------------------------------------------------------------------
 // Table 2: percent relative standard deviation at N threads.
 // ---------------------------------------------------------------------------
 
-pub fn table2(opts: &ExptOpts) -> String {
-    let configs: Vec<(&str, TxConfig)> = vec![
-        ("Baseline", baseline_cfg()),
-        ("Tree", runtime_cfg(LogKind::Tree, CheckScope::FULL)),
-        ("Array", runtime_cfg(LogKind::Array, CheckScope::FULL)),
-        ("Filtering", runtime_cfg(LogKind::Filter, CheckScope::FULL)),
-        ("Compiler", compiler_cfg()),
-    ];
+pub fn table2(opts: &ExptOpts) -> Report {
     let runs = opts.runs.max(5); // the paper uses 5 repetitions
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## Table 2 — percent relative standard deviation at {} threads ({} runs)\n\n",
-        opts.threads, runs
-    ));
-    out.push_str("| benchmark | Baseline | Tree | Array | Filtering | Compiler |\n");
-    out.push_str("|---|---:|---:|---:|---:|---:|\n");
-    for b in Benchmark::ALL {
-        let mut row = format!("| {} |", b.name());
-        for (_, cfg) in &configs {
-            let times = time_runs(b, opts.scale, *cfg, opts.threads, runs);
-            row.push_str(&format!(" {:.1} |", rel_stddev_pct(&times)));
-        }
-        out.push_str(&row);
-        out.push('\n');
-    }
-    out.push('\n');
-    out
+    let mut r = Report::new(
+        "bench_table2/v1",
+        format!(
+            "Table 2 — percent relative standard deviation at {} threads ({} runs)",
+            opts.threads, runs
+        ),
+        opts,
+    );
+    r.tables
+        .push(per_benchmark("rows", "", &table_configs(), |b, cfg| {
+            let (times, _) = stamp_runs(b, opts.scale, cfg, opts.threads, runs);
+            Cell::Float(rel_stddev_pct(&times), 1)
+        }));
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -282,39 +315,28 @@ pub fn table2(opts: &ExptOpts) -> String {
 // ---------------------------------------------------------------------------
 
 fn perf_figure(
-    title: &str,
+    schema: &'static str,
+    title: String,
     configs: &[(&str, TxConfig)],
     opts: &ExptOpts,
     threads: usize,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("## {title}\n\n"));
-    out.push_str("Percent improvement over baseline (positive = faster).\n\n");
-    out.push_str("| benchmark |");
-    for (name, _) in configs {
-        out.push_str(&format!(" {name} |"));
-    }
-    out.push_str("\n|---|");
-    for _ in configs {
-        out.push_str("---:|");
-    }
-    out.push('\n');
-    for b in Benchmark::ALL {
-        let base = median(time_runs(b, opts.scale, baseline_cfg(), threads, opts.runs));
-        let mut row = format!("| {} |", b.name());
-        for (_, cfg) in configs {
-            let t = median(time_runs(b, opts.scale, *cfg, threads, opts.runs));
-            row.push_str(&format!(" {:+.1} |", improvement_pct(base, t)));
+) -> Report {
+    let mut r = Report::new(schema, title, opts);
+    r.intro = "Percent improvement over baseline (positive = faster).".into();
+    let time = |b, cfg| median(stamp_runs(b, opts.scale, cfg, threads, opts.runs).0);
+    let mut base = (None, 0.0);
+    r.tables.push(per_benchmark("rows", "", configs, |b, cfg| {
+        if base.0 != Some(b) {
+            base = (Some(b), time(b, baseline_cfg()));
         }
-        out.push_str(&row);
-        out.push('\n');
-    }
-    out.push('\n');
-    out
+        Cell::Float(improvement_pct(base.1, time(b, cfg)), 1)
+    }));
+    r
 }
 
-pub fn fig10(opts: &ExptOpts) -> String {
-    let configs: Vec<(&str, TxConfig)> = vec![
+/// The runtime-configuration series of Figures 10 and 11(a).
+fn runtime_configs() -> Vec<(&'static str, TxConfig)> {
+    vec![
         (
             "runtime r+w/stack+heap",
             runtime_cfg(LogKind::Tree, CheckScope::FULL),
@@ -328,10 +350,14 @@ pub fn fig10(opts: &ExptOpts) -> String {
             runtime_cfg(LogKind::Tree, CheckScope::WRITES_HEAP),
         ),
         ("compiler", compiler_cfg()),
-    ];
+    ]
+}
+
+pub fn fig10(opts: &ExptOpts) -> Report {
     perf_figure(
-        "Figure 10 — performance improvement at 1 thread",
-        &configs,
+        "bench_fig10/v1",
+        "Figure 10 — performance improvement at 1 thread".into(),
+        &runtime_configs(),
         opts,
         1,
     )
@@ -341,28 +367,14 @@ pub fn fig10(opts: &ExptOpts) -> String {
 // Figure 11(a): runtime configurations & compiler at N threads.
 // ---------------------------------------------------------------------------
 
-pub fn fig11a(opts: &ExptOpts) -> String {
-    let configs: Vec<(&str, TxConfig)> = vec![
-        (
-            "runtime r+w/stack+heap",
-            runtime_cfg(LogKind::Tree, CheckScope::FULL),
-        ),
-        (
-            "runtime w/stack+heap",
-            runtime_cfg(LogKind::Tree, CheckScope::WRITES_STACK_HEAP),
-        ),
-        (
-            "runtime w/heap",
-            runtime_cfg(LogKind::Tree, CheckScope::WRITES_HEAP),
-        ),
-        ("compiler", compiler_cfg()),
-    ];
+pub fn fig11a(opts: &ExptOpts) -> Report {
     perf_figure(
-        &format!(
+        "bench_fig11a/v1",
+        format!(
             "Figure 11(a) — performance improvement at {} threads (runtime configurations, tree)",
             opts.threads
         ),
-        &configs,
+        &runtime_configs(),
         opts,
         opts.threads,
     )
@@ -372,7 +384,7 @@ pub fn fig11a(opts: &ExptOpts) -> String {
 // Figure 11(b): data structures at N threads (write barriers, heap only).
 // ---------------------------------------------------------------------------
 
-pub fn fig11b(opts: &ExptOpts) -> String {
+pub fn fig11b(opts: &ExptOpts) -> Report {
     let configs: Vec<(&str, TxConfig)> = vec![
         ("tree", runtime_cfg(LogKind::Tree, CheckScope::WRITES_HEAP)),
         (
@@ -386,7 +398,8 @@ pub fn fig11b(opts: &ExptOpts) -> String {
         ("compiler", compiler_cfg()),
     ];
     perf_figure(
-        &format!(
+        "bench_fig11b/v1",
+        format!(
             "Figure 11(b) — performance improvement at {} threads (allocation-log data structures)",
             opts.threads
         ),
@@ -400,35 +413,29 @@ pub fn fig11b(opts: &ExptOpts) -> String {
 // Extension ablation: the §3.1.3 annotation API (not in the paper's runs).
 // ---------------------------------------------------------------------------
 
-pub fn annotations(opts: &ExptOpts) -> String {
-    let mut plain = baseline_cfg();
-    plain.annotations = false;
-    let mut annotated = baseline_cfg();
-    annotated.annotations = true;
-
-    let mut out = String::new();
-    out.push_str("## Ablation — addPrivateMemoryBlock annotations (paper §3.1.3)\n\n");
-    out.push_str("bayes with thread-local query vectors annotated as private.\n\n");
-    out.push_str("| config | barriers elided by annotations | time (s) |\n|---|---:|---:|\n");
-    for (name, cfg) in [("baseline", plain), ("annotated", annotated)] {
-        let cfgc = cfg;
-        let times: Vec<f64> = (0..opts.runs)
-            .map(|_| {
-                let r = Benchmark::Bayes.run(opts.scale, cfgc, opts.threads);
-                assert!(r.verified);
-                r.elapsed.as_secs_f64()
-            })
-            .collect();
-        let r = Benchmark::Bayes.run(opts.scale, cfgc, opts.threads);
-        out.push_str(&format!(
-            "| {} | {} | {:.3} |\n",
-            name,
-            r.stats.all_accesses().elided_annotation,
-            median(times),
-        ));
+pub fn annotations(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_annotations/v1",
+        "Ablation — addPrivateMemoryBlock annotations (paper §3.1.3)",
+        opts,
+    );
+    r.intro = "bayes with thread-local query vectors annotated as private.".into();
+    let mut t = Table::new("rows", "");
+    for (name, annotations) in [("baseline", false), ("annotated", true)] {
+        let mut cfg = baseline_cfg();
+        cfg.annotations = annotations;
+        let (times, out) = stamp_runs(Benchmark::Bayes, opts.scale, cfg, opts.threads, opts.runs);
+        t.push(vec![
+            ("config", name.into()),
+            (
+                "barriers elided by annotations",
+                out.stats.all_accesses().elided_annotation.into(),
+            ),
+            ("time (s)", Cell::Float(median(times), 3)),
+        ]);
     }
-    out.push('\n');
-    out
+    r.tables.push(t);
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -439,48 +446,75 @@ pub fn annotations(opts: &ExptOpts) -> String {
 /// conflicts*: elided barriers never touch the orec table, so collisions in
 /// a (too small) table stop mattering. This ablation makes the mechanism
 /// directly visible by shrinking the table.
-pub fn orec_ablation(opts: &ExptOpts) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## Ablation — orec table size vs. false conflicts (vacation high, {} threads)\n\n",
-        opts.threads
-    ));
-    out.push_str("Abort-to-commit ratio; smaller tables mean more false conflicts, which barrier elision avoids touching.\n\n");
-    out.push_str("| orec table size | Baseline | Tree | Compiler |\n|---|---:|---:|---:|\n");
-    for log2 in [10u32, 14, 20] {
-        let mut row = format!("| 2^{log2} |");
-        for mode in [
-            Mode::Baseline,
+pub fn orec_ablation(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_orec/v1",
+        format!(
+            "Ablation — orec table size vs. false conflicts (vacation high, {} threads)",
+            opts.threads
+        ),
+        opts,
+    );
+    r.intro = "Abort-to-commit ratio; smaller tables mean more false conflicts, which barrier elision avoids touching.".into();
+    let modes = [
+        ("Baseline", Mode::Baseline),
+        (
+            "Tree",
             Mode::Runtime {
                 log: LogKind::Tree,
                 scope: CheckScope::FULL,
             },
-            Mode::Compiler,
-        ] {
+        ),
+        ("Compiler", Mode::Compiler),
+    ];
+    let mut t = Table::new("rows", "");
+    for log2 in [10u32, 14, 20] {
+        let mut cells = vec![("orec table size", format!("2^{log2}").into())];
+        for (name, mode) in modes {
             let mut cfg = TxConfig::with_mode(mode);
             cfg.orec_log2 = log2;
-            let r = Benchmark::VacationHigh.run(opts.scale, cfg, opts.threads);
-            assert!(r.verified);
-            row.push_str(&format!(" {:.2} |", r.stats.abort_to_commit_ratio()));
+            let s = stats_of(Benchmark::VacationHigh, opts.scale, cfg, opts.threads);
+            cells.push((name, Cell::Float(s.abort_to_commit_ratio(), 2)));
         }
-        out.push_str(&row);
-        out.push('\n');
+        t.push(cells);
     }
-    out.push('\n');
-    out
+    r.tables.push(t);
+    r
 }
 
-/// Quick smoke run of every benchmark (sanity + verification), used by the
-/// harness's own tests and `expt check`.
-pub fn check(scale: Scale, threads: usize) -> Vec<RunOutcome> {
-    Benchmark::ALL
-        .iter()
-        .map(|b| {
-            let r = b.run(scale, baseline_cfg(), threads);
-            assert!(r.verified, "{} failed verification", b.name());
-            r
-        })
-        .collect()
+/// Quick smoke run of every benchmark under the baseline (`expt check`):
+/// every run is verified, and the counters show the ranged barriers and
+/// the contention ladder at work.
+pub fn check(opts: &ExptOpts) -> Report {
+    let mut r = Report::new(
+        "bench_check/v1",
+        format!(
+            "Check — every benchmark, baseline, {} threads",
+            opts.threads
+        ),
+        opts,
+    );
+    let mut t = Table::new("rows", "");
+    for b in Benchmark::ALL {
+        let (seconds, out) = stamp_runs(b, opts.scale, baseline_cfg(), opts.threads, 1);
+        let s = out.stats;
+        t.push(vec![
+            ("benchmark", b.name().into()),
+            ("commits", s.commits.into()),
+            ("aborts", s.aborts.into()),
+            ("seconds", Cell::Float(seconds[0], 3)),
+            ("ranged_reads", s.ranged_reads.into()),
+            ("ranged_writes", s.ranged_writes.into()),
+            ("ranged_spans", s.ranged_spans.into()),
+            ("ranged_fallbacks", s.ranged_fallbacks.into()),
+            ("backoff_waits", s.backoff_waits.into()),
+            ("cm_karma_escalations", s.cm_karma_escalations.into()),
+            ("cm_serializations", s.cm_serializations.into()),
+            ("attempts_max", s.attempts_max.into()),
+        ]);
+    }
+    r.tables.push(t);
+    r
 }
 
 /// Pretty Duration for logs.
@@ -505,8 +539,6 @@ mod tests {
 
     #[test]
     fn check_runs_all_benchmarks() {
-        let outs = check(Scale::Test, 2);
-        assert_eq!(outs.len(), 10);
-        assert!(outs.iter().all(|o| o.verified));
+        assert_eq!(check(&ExptOpts::test(2)).tables[0].rows.len(), 10);
     }
 }

@@ -6,7 +6,7 @@
 //!   words read+written per logical transaction). Fixed per-commit costs
 //!   (GV4 ticket, lock publication, log resets) dominate the tiny
 //!   transaction body, so this is where merging pays the most; it is also
-//!   the series the release gate ([`merge_speedup_gate`]) enforces.
+//!   the series `expt merge --min-merge-speedup` gates.
 //! - `queue` — producer/consumer rounds over the STAMP `TxQueue`: all
 //!   threads produce into one queue, then all threads drain it into
 //!   per-consumer accumulator cells. Head/tail words are hot, so merged
@@ -24,9 +24,9 @@ use stamp::{Benchmark, Scale};
 use stm::{Site, StmRuntime, TxConfig, TxStats};
 use txmem::MemConfig;
 
-use crate::report::{esc, scale_name};
+use crate::report::{scale_name, Cell, Report, Table};
 use crate::skew::Rng;
-use crate::{median, ExptOpts};
+use crate::{median, repeat, share, ExptOpts};
 
 /// The merge-factor axis: unmerged baseline, a shallow batch, the gate's
 /// sweet spot, and a wide window that actually splits under contention.
@@ -239,26 +239,6 @@ fn intruder_once(scale: Scale, factor: usize, threads: usize) -> (f64, TxStats) 
     (out.elapsed.as_secs_f64(), out.stats)
 }
 
-/// One measured (driver, merge-factor) cell.
-#[derive(Clone, Debug)]
-pub struct MergeRow {
-    pub driver: &'static str,
-    pub factor: usize,
-    pub threads: usize,
-    /// Median wall time over `runs` repetitions.
-    pub seconds: f64,
-    /// Committed *logical* transactions per second (`commits` counts
-    /// logical transactions; the work per driver is fixed, so this is the
-    /// throughput axis merging is supposed to move).
-    pub logical_per_sec: f64,
-    /// `aborts / (commits + aborts)` — merging must not buy throughput by
-    /// exploding the conflict rate.
-    pub abort_rate: f64,
-    /// `logical_per_sec / logical_per_sec(factor 1)` within the driver.
-    pub speedup_vs_f1: f64,
-    pub stats: TxStats,
-}
-
 fn run_driver(driver: &str, scale: Scale, factor: usize, threads: usize) -> (f64, TxStats) {
     match driver {
         "transfer" => transfer_once(scale, factor, threads),
@@ -269,238 +249,128 @@ fn run_driver(driver: &str, scale: Scale, factor: usize, threads: usize) -> (f64
 }
 
 /// Run the matrix over `factors` (usually [`FACTORS`]; `expt merge
-/// --merge N` narrows it to `[1, N]`). Rows are driver-major in factor
-/// order, and the first factor of the list — factor 1 by construction —
-/// seeds the speedup baseline of the merged rows.
-pub fn merge_rows(opts: &ExptOpts, factors: &[usize]) -> Vec<MergeRow> {
-    let threads = opts.threads.max(1);
-    let mut rows = Vec::new();
+/// --merge N` narrows it to `[1, N]`): a `rows` table, driver-major in
+/// factor order, and its `speedup_vs_f1` pivot. `logical_per_sec` counts
+/// committed *logical* transactions (the work per driver is fixed, so this
+/// is the axis merging is supposed to move), `abort_rate` is `aborts /
+/// (commits + aborts)` (merging must not buy throughput by exploding the
+/// conflict rate), and the first factor of the list — factor 1 by
+/// construction — seeds the speedup baseline of the merged rows.
+pub fn report(opts: &ExptOpts, factors: &[usize]) -> Report {
+    let mut r = Report::new(
+        "bench_merge/v2",
+        format!(
+            "Transaction merging — logical-txn throughput vs. merge factor \
+             (scale {}, {} threads, median of {} runs)",
+            scale_name(opts.scale),
+            opts.threads,
+            opts.runs
+        ),
+        opts,
+    );
+    let mut t = Table::new("rows", "");
     for driver in DRIVERS {
         let mut base_tput = f64::NAN;
         for &factor in factors {
-            let samples: Vec<(f64, TxStats)> = (0..opts.runs.max(1))
-                .map(|_| run_driver(driver, opts.scale, factor, threads))
-                .collect();
-            let seconds = median(samples.iter().map(|s| s.0).collect());
-            let stats = samples.last().expect("runs >= 1").1;
-            let tput = if seconds > 0.0 {
-                stats.commits as f64 / seconds
-            } else {
-                0.0
-            };
+            let (secs, stats) = repeat(opts.runs, || {
+                run_driver(driver, opts.scale, factor, opts.threads)
+            });
+            let seconds = median(secs);
+            let tput = stats.commits as f64 / seconds;
             if factor == factors[0] {
                 base_tput = tput;
             }
-            let attempts = stats.commits + stats.aborts;
-            rows.push(MergeRow {
-                driver,
-                factor,
-                threads,
-                seconds,
-                logical_per_sec: tput,
-                abort_rate: if attempts > 0 {
-                    stats.aborts as f64 / attempts as f64
-                } else {
-                    0.0
-                },
-                speedup_vs_f1: if base_tput > 0.0 {
-                    tput / base_tput
-                } else {
-                    0.0
-                },
-                stats,
-            });
+            t.push(vec![
+                ("driver", driver.into()),
+                ("factor", factor.into()),
+                ("threads", opts.threads.into()),
+                ("seconds", Cell::Float(seconds, 6)),
+                ("logical_per_sec", Cell::Float(tput, 1)),
+                (
+                    "abort_rate",
+                    Cell::Float(share(stats.aborts, stats.commits + stats.aborts), 4),
+                ),
+                ("speedup_vs_f1", Cell::Float(tput / base_tput, 3)),
+                ("commits", stats.commits.into()),
+                ("aborts", stats.aborts.into()),
+                ("merged_txns", stats.merged_txns.into()),
+                ("merge_splits", stats.merge_splits.into()),
+                ("merge_salvaged", stats.merge_salvaged.into()),
+                ("backoff_waits", stats.backoff_waits.into()),
+            ]);
         }
     }
-    rows
-}
-
-/// Render the `BENCH_merge.json` report (hand-written JSON; no serde in
-/// the offline container).
-pub fn merge_json(opts: &ExptOpts, factors: &[usize], rows: &[MergeRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema\": \"bench_merge/v1\",\n  \"scale\": \"{}\",\n  \"runs\": {},\n",
-        scale_name(opts.scale),
-        opts.runs.max(1)
-    ));
-    out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
-    out.push_str(&format!("  \"threads\": {},\n", opts.threads.max(1)));
-    out.push_str(&format!(
-        "  \"factors\": [{}],\n",
-        factors
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"driver\": \"{}\", \"factor\": {}, \"threads\": {}, \
-             \"seconds\": {:.6}, \"logical_per_sec\": {:.1}, \"abort_rate\": {:.4}, \
-             \"speedup_vs_f1\": {:.3}, \"commits\": {}, \"aborts\": {}, \
-             \"merged_txns\": {}, \"merge_splits\": {}, \"merge_salvaged\": {}, \
-             \"backoff_waits\": {}}}{}\n",
-            esc(r.driver),
-            r.factor,
-            r.threads,
-            r.seconds,
-            r.logical_per_sec,
-            r.abort_rate,
-            r.speedup_vs_f1,
-            r.stats.commits,
-            r.stats.aborts,
-            r.stats.merged_txns,
-            r.stats.merge_splits,
-            r.stats.merge_salvaged,
-            r.stats.backoff_waits,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Markdown rendering for the terminal: one table per driver, merge
-/// factors as columns, throughput-speedup and abort-rate cells.
-pub fn render_markdown(opts: &ExptOpts, factors: &[usize], rows: &[MergeRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## Transaction merging — logical-txn throughput vs. merge factor \
-         (scale {}, {} threads, median of {} runs)\n\n",
-        scale_name(opts.scale),
-        opts.threads.max(1),
-        opts.runs.max(1)
-    ));
-    out.push_str("| driver |");
-    for f in factors {
-        out.push_str(&format!(" x{f} |"));
-    }
-    out.push_str("\n|---|");
-    for _ in factors {
-        out.push_str("---:|");
-    }
-    out.push('\n');
-    for driver in DRIVERS {
-        let mut line = format!("| {driver} |");
-        for &f in factors {
-            match rows.iter().find(|r| r.driver == driver && r.factor == f) {
-                Some(r) => line.push_str(&format!(
-                    " {:.2}x ({:.1}% ab) |",
-                    r.speedup_vs_f1,
-                    100.0 * r.abort_rate
-                )),
-                None => line.push_str(" - |"),
-            }
-        }
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out.push('\n');
-    out
-}
-
-/// Regression gate: `driver` at merge factor `factor` must reach `min`
-/// logical-transaction-throughput speedup over the same driver's
-/// factor-1 row. Unlike the thread-scaling gate there is no hardware
-/// skip — merging amortizes per-commit costs even on one core — but the
-/// `expt` front end still self-skips in debug builds, where fixed costs
-/// are distorted.
-pub fn merge_speedup_gate(
-    rows: &[MergeRow],
-    driver: &str,
-    factor: usize,
-    min: f64,
-) -> Result<f64, String> {
-    let row = rows
-        .iter()
-        .find(|r| r.driver == driver && r.factor == factor)
-        .ok_or_else(|| format!("no merge row for {driver}/x{factor}"))?;
-    if row.speedup_vs_f1 >= min {
-        Ok(row.speedup_vs_f1)
-    } else {
-        Err(format!(
-            "{driver}: merge-factor-{factor} throughput speedup {:.2}x below required {min:.2}x",
-            row.speedup_vs_f1
-        ))
-    }
+    r.tables
+        .push(t.pivot("speedup", &["driver"], "factor", "speedup_vs_f1"));
+    r.tables.insert(0, t);
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{gate, verdict};
 
-    fn fake_row(driver: &'static str, factor: usize, speedup: f64) -> MergeRow {
-        MergeRow {
-            driver,
-            factor,
-            threads: 4,
-            seconds: 1.0 / speedup,
-            logical_per_sec: 1000.0 * speedup,
-            abort_rate: 0.01,
-            speedup_vs_f1: speedup,
-            stats: TxStats::default(),
-        }
+    /// One run of the full matrix at Test scale, shared by the tests; CI
+    /// additionally smokes it through `expt merge --scale test`.
+    fn matrix() -> &'static Report {
+        static R: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        R.get_or_init(|| report(&ExptOpts::test(2), &FACTORS))
     }
 
-    #[test]
-    fn gate_passes_and_fails() {
-        let rows = vec![fake_row("transfer", 1, 1.0), fake_row("transfer", 8, 1.8)];
-        assert_eq!(merge_speedup_gate(&rows, "transfer", 8, 1.5).unwrap(), 1.8);
-        assert!(merge_speedup_gate(&rows, "transfer", 8, 2.5).is_err());
-        assert!(merge_speedup_gate(&rows, "queue", 8, 1.0).is_err());
-    }
-
+    // The rows keep the keys, in order, of `bench_merge/v1`.
     #[test]
     fn json_is_balanced_and_carries_the_schema() {
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 2,
-            runs: 1,
-        };
-        let rows = vec![fake_row("transfer", 1, 1.0)];
-        let json = merge_json(&opts, &FACTORS, &rows);
-        assert!(json.contains("\"schema\": \"bench_merge/v1\""));
-        assert!(json.contains("\"factors\": [1, 2, 8, 32]"));
-        assert!(json.contains("\"speedup_vs_f1\": 1.000"));
-        assert!(json.contains("\"merge_salvaged\": 0"));
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
+        assert!(matrix()
+            .json()
+            .starts_with("{\n  \"schema\": \"bench_merge/v2\",\n"));
+        assert_eq!(
+            matrix().tables[0].columns.join(" "),
+            "driver factor threads seconds logical_per_sec abort_rate speedup_vs_f1 commits \
+             aborts merged_txns merge_splits merge_salvaged backoff_waits"
+        );
     }
 
-    // One run of the full matrix at Test scale; CI additionally smokes it
-    // through `expt merge --scale test`.
     #[test]
     fn rows_cover_drivers_and_factors() {
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 2,
-            runs: 1,
-        };
-        let rows = merge_rows(&opts, &FACTORS);
-        assert_eq!(rows.len(), DRIVERS.len() * FACTORS.len());
-        assert!(!render_markdown(&opts, &FACTORS, &rows).is_empty());
-        for r in &rows {
-            assert!(r.seconds >= 0.0 && r.logical_per_sec > 0.0, "{r:?}");
-            assert!((0.0..=1.0).contains(&r.abort_rate), "{r:?}");
-            if r.factor > 1 {
-                assert!(
-                    r.stats.merged_txns > 0,
-                    "factor-{} rows must actually merge: {r:?}",
-                    r.factor
-                );
-            } else {
-                assert_eq!(r.stats.merged_txns, 0, "{r:?}");
+        let r = matrix();
+        let t = &r.tables[0];
+        assert_eq!(t.rows.len(), DRIVERS.len() * FACTORS.len());
+        assert_eq!(r.tables[1].columns.len(), 1 + FACTORS.len());
+        for driver in DRIVERS {
+            for factor in FACTORS {
+                let f = factor.to_string();
+                let at = |column| {
+                    t.value(&[("driver", driver), ("factor", &f)], column)
+                        .unwrap()
+                };
+                assert!(at("seconds") >= 0.0 && at("logical_per_sec") > 0.0);
+                assert!((0.0..=1.0).contains(&at("abort_rate")));
+                if factor > 1 {
+                    assert!(at("merged_txns") > 0.0, "{driver} x{factor} must merge");
+                } else {
+                    assert_eq!(at("merged_txns"), 0.0);
+                    // Factor-1 rows seed their own speedup baseline.
+                    assert!((at("speedup_vs_f1") - 1.0).abs() < 1e-9);
+                }
             }
         }
-        // Factor-1 rows seed their own speedup baseline.
-        for r in rows.iter().filter(|r| r.factor == 1) {
-            assert!((r.speedup_vs_f1 - 1.0).abs() < 1e-9, "{r:?}");
+    }
+
+    // `--min-merge-speedup` judges this report's transfer speedup at
+    // factor 8, or at the `--merge` factor.
+    #[test]
+    fn gate_passes_and_fails() {
+        let (g, r) = (gate("--min-merge-speedup"), matrix());
+        for merge in [None, Some(2), Some(32)] {
+            let f = merge.unwrap_or(8).to_string();
+            let speedup = r.tables[0]
+                .value(&[("driver", "transfer"), ("factor", &f)], "speedup_vs_f1")
+                .unwrap();
+            assert_eq!(verdict(g, speedup * 0.5, r, merge), Ok(speedup));
+            assert!(verdict(g, speedup + 1.0, r, merge).is_err());
         }
+        // Factor 4 was not swept.
+        assert!(verdict(g, 0.0, r, Some(4)).is_err());
     }
 }

@@ -11,7 +11,8 @@
 
 use std::time::Instant;
 
-use crate::median;
+use crate::report::{Cell, Report, Table};
+use crate::{median, ExptOpts};
 
 use stamp::SplitMix64;
 use stm::{CheckScope, LogKind, Mode, Site, StmRuntime, TxConfig};
@@ -37,13 +38,6 @@ fn scatter_mem() -> MemConfig {
         heap_words: 1 << 20,
         ..MemConfig::small()
     }
-}
-
-/// One measured barrier path.
-#[derive(Clone, Debug)]
-pub struct MicroResult {
-    pub name: String,
-    pub ns_per_op: f64,
 }
 
 /// Options for one microbenchmark run.
@@ -83,7 +77,6 @@ struct Row {
     /// ranged span-1024 rows touch more words per transaction than the
     /// per-word rows, so the divisor is per row rather than global.
     accesses: u64,
-    samples: Vec<f64>,
 }
 
 /// Measure all rows **interleaved**: every sampling round times one batch
@@ -93,31 +86,34 @@ struct Row {
 /// that skews cross-row *ratios*, which are exactly what the acceptance
 /// gates consume. With interleaving, a slow period inflates every row of
 /// that round together and the medians stay comparable.
-fn measure_interleaved(opts: &MicroOpts, mut rows: Vec<Row>) -> Vec<MicroResult> {
+fn measure_interleaved(opts: &MicroOpts, mut rows: Vec<Row>) -> Table {
     // Warm-up: fill allocator caches, fault memory, train the predictor.
     for row in &mut rows {
         for _ in 0..opts.txns_per_sample {
             (row.run)();
         }
     }
+    let mut samples = vec![Vec::with_capacity(opts.samples); rows.len()];
     for _ in 0..opts.samples {
-        for row in &mut rows {
+        for (row, samples) in rows.iter_mut().zip(&mut samples) {
             let t0 = Instant::now();
             for _ in 0..opts.txns_per_sample {
                 (row.run)();
             }
-            row.samples.push(
+            samples.push(
                 t0.elapsed().as_nanos() as f64
                     / (opts.txns_per_sample as u64 * row.accesses) as f64,
             );
         }
     }
-    rows.into_iter()
-        .map(|r| MicroResult {
-            name: r.name,
-            ns_per_op: median(r.samples),
-        })
-        .collect()
+    let mut t = Table::new("barrier_dispatch", "");
+    for (r, samples) in rows.into_iter().zip(samples) {
+        t.push(vec![
+            ("path", r.name.into()),
+            ("ns_per_access", Cell::Float(median(samples), 3)),
+        ]);
+    }
+    t
 }
 
 fn runtime_cfg(log: LogKind, reference: bool) -> TxConfig {
@@ -140,8 +136,8 @@ fn nursery_cfg(reference: bool) -> TxConfig {
     cfg
 }
 
-/// Measure every barrier path; returns results in display order.
-pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
+/// Measure every barrier path, one row each in display order.
+pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
     let mut rows: Vec<Row> = Vec::new();
     // Each row leaks its runtime so the worker (and the closure that owns
     // it) can borrow it for 'static; a handful of small simulated heaps
@@ -172,7 +168,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                     });
                 }),
                 accesses: ACCESSES_PER_TXN,
-                samples: Vec::new(),
             }
         };
 
@@ -194,7 +189,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                 });
             }),
             accesses: ACCESSES_PER_TXN,
-            samples: Vec::new(),
         });
     }
 
@@ -229,7 +223,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                 });
             }),
             accesses: ACCESSES_PER_TXN,
-            samples: Vec::new(),
         });
     }
 
@@ -273,7 +266,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                 });
             }),
             accesses: ACCESSES_PER_TXN,
-            samples: Vec::new(),
         });
     }
 
@@ -294,7 +286,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                 });
             }),
             accesses: ACCESSES_PER_TXN,
-            samples: Vec::new(),
         });
     }
 
@@ -341,7 +332,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
             name: format!("full read, scattered {label}"),
             run: Box::new(run),
             accesses: SCATTER_READS,
-            samples: Vec::new(),
         });
     }
 
@@ -374,7 +364,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                     });
                 }),
                 accesses: block * 2,
-                samples: Vec::new(),
             });
         }
         {
@@ -395,7 +384,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                     });
                 }),
                 accesses: block * 2,
-                samples: Vec::new(),
             });
         }
     }
@@ -426,7 +414,6 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
                 }
             }),
             accesses: TXN_BATCH,
-            samples: Vec::new(),
         });
     }
 
@@ -435,117 +422,23 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Vec<MicroResult> {
     measure_interleaved(opts, rows)
 }
 
-/// The headline ratio of the acceptance criterion: monomorphized
-/// captured-heap hit (tree) over the uninstrumented floor.
-pub fn fastpath_ratio(results: &[MicroResult]) -> Option<f64> {
-    ratio_of(results, "captured heap hit/tree")
-}
-
-/// The nursery acceptance ratio (ISSUE 4): captured-heap hit through the
-/// nursery's scalar range test over the uninstrumented floor.
-pub fn nursery_ratio(results: &[MicroResult]) -> Option<f64> {
-    ratio_of(results, "captured heap hit/nursery")
-}
-
-/// The typed layer's zero-cost ratio (ISSUE 5): the captured-heap hit
-/// through `alloc_buf`/`write_elem`/`read_elem` over the identical
-/// workload through the raw word API (both tree log). Release acceptance
-/// bar: ≤ 1.10x; CI gates looser for noisy shared runners.
-pub fn typed_ratio(results: &[MicroResult]) -> Option<f64> {
-    let find = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.ns_per_op);
-    let raw = find("captured heap hit/tree")?;
-    let typed = find("captured heap hit/tree (typed)")?;
-    if raw > 0.0 {
-        Some(typed / raw)
-    } else {
-        None
-    }
-}
-
-/// The ranged-barrier acceptance ratio (ISSUE 6): per-word cost of a
-/// 64-word captured span through `write_range`/`read_range` over the
-/// per-word captured-hit row (both tree log). The ISSUE bar is ≥4x faster
-/// per word, i.e. a ratio ≤ 0.25 in release runs (`--max-ranged-ratio`).
-pub fn ranged_ratio(results: &[MicroResult]) -> Option<f64> {
-    let find = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.ns_per_op);
-    let per_word = find("captured heap hit/tree")?;
-    let ranged = find("ranged captured span 64/tree")?;
-    if per_word > 0.0 {
-        Some(ranged / per_word)
-    } else {
-        None
-    }
-}
-
-/// Transaction fixed cost in units of the shared slow path: the
-/// `txn_empty` row (ns per transaction) over the `full barrier (shared)`
-/// row (ns per access) — how many full barriers one begin + commit costs.
-pub fn txn_fixed_ratio(results: &[MicroResult]) -> Option<f64> {
-    let find = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.ns_per_op);
-    let full = find("full barrier (shared)")?;
-    (full > 0.0).then_some(find("txn_empty")? / full)
-}
-
-fn ratio_of(results: &[MicroResult], name: &str) -> Option<f64> {
-    let find = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.ns_per_op);
-    let direct = find("direct (load+store, no barrier)")?;
-    let captured = find(name)?;
-    if direct > 0.0 {
-        Some(captured / direct)
-    } else {
-        None
-    }
-}
-
-/// Markdown rendering for the `expt barriers` subcommand.
-pub fn barrier_dispatch_markdown(opts: &MicroOpts) -> String {
-    render_markdown(&barrier_dispatch(opts), opts)
-}
-
-/// Render already-collected results (lets callers also gate on the ratio
-/// without re-measuring).
-pub fn render_markdown(results: &[MicroResult], opts: &MicroOpts) -> String {
-    let mut out = String::new();
-    out.push_str("## barrier_dispatch — per-access barrier cost (ns, lower is better)\n\n");
-    out.push_str(&format!(
-        "{} words per txn, one write + one read each; median of {} samples x {} txns.\n\n",
-        WORDS, opts.samples, opts.txns_per_sample
-    ));
-    out.push_str("`txn_*` rows are ns per whole transaction (begin + commit included).\n");
-    out.push_str(&format!(
-        "`full read, scattered` rows are ns per read: {SCATTER_READS} dependent random \
-         line-granular reads per read-only transaction over that much shared memory.\n\n"
-    ));
-    out.push_str("| path | ns/access |\n|---|---:|\n");
-    for r in results {
-        out.push_str(&format!("| {} | {:.2} |\n", r.name, r.ns_per_op));
-    }
-    if let Some(ratio) = fastpath_ratio(results) {
-        out.push_str(&format!(
-            "\ncaptured-heap fast path (tree) vs direct: {ratio:.2}x\n"
-        ));
-    }
-    if let Some(ratio) = nursery_ratio(results) {
-        out.push_str(&format!(
-            "captured-heap fast path (nursery) vs direct: {ratio:.2}x\n"
-        ));
-    }
-    if let Some(ratio) = typed_ratio(results) {
-        out.push_str(&format!(
-            "typed layer vs raw word API (tree captured hit): {ratio:.2}x\n"
-        ));
-    }
-    if let Some(ratio) = ranged_ratio(results) {
-        out.push_str(&format!(
-            "ranged captured span 64 vs per-word (tree captured hit): {ratio:.2}x per word\n"
-        ));
-    }
-    if let Some(ratio) = txn_fixed_ratio(results) {
-        out.push_str(&format!(
-            "transaction fixed cost (txn_empty) vs one full barrier (shared): {ratio:.2}x\n"
-        ));
-    }
-    out
+/// The `barriers` report: [`barrier_dispatch`] under its Markdown
+/// preamble.
+pub fn report(opts: &ExptOpts, micro: &MicroOpts) -> Report {
+    let mut r = Report::new(
+        "bench_barriers/v2",
+        "barrier_dispatch — per-access barrier cost (ns, lower is better)",
+        opts,
+    );
+    r.intro = format!(
+        "{WORDS} words per txn, one write + one read each; median of {} samples x {} txns.\n\n\
+         `txn_*` rows are ns per whole transaction (begin + commit included).\n\
+         `full read, scattered` rows are ns per read: {SCATTER_READS} dependent random \
+         line-granular reads per read-only transaction over that much shared memory.",
+        micro.samples, micro.txns_per_sample
+    );
+    r.tables.push(barrier_dispatch(micro));
+    r
 }
 
 #[cfg(test)]
@@ -554,20 +447,14 @@ mod tests {
 
     #[test]
     fn smoke_run_measures_every_path() {
-        let results = barrier_dispatch(&MicroOpts::smoke());
-        assert_eq!(results.len(), 23);
-        assert!(results.iter().all(|r| r.ns_per_op > 0.0));
-        let ratio = fastpath_ratio(&results).expect("both pin measurements present");
-        assert!(ratio.is_finite() && ratio > 0.0);
-        let nratio = nursery_ratio(&results).expect("nursery pin present");
-        assert!(nratio.is_finite() && nratio > 0.0);
-        let tratio = typed_ratio(&results).expect("typed pin present");
-        assert!(tratio.is_finite() && tratio > 0.0);
-        let rratio = ranged_ratio(&results).expect("ranged pin present");
-        assert!(rratio.is_finite() && rratio > 0.0);
-        let fratio = txn_fixed_ratio(&results).expect("fixed-cost rows present");
-        assert!(fratio.is_finite() && fratio > 0.0);
+        let t = barrier_dispatch(&MicroOpts::smoke());
+        assert_eq!(t.rows.len(), 23);
+        assert!(t
+            .rows
+            .iter()
+            .all(|r| r[1].value().is_some_and(|ns| ns > 0.0)));
         // No timing assertion here: debug builds and CI noise make absolute
-        // ratios meaningless outside `--release` runs.
+        // ratios meaningless outside `--release` runs; the gated ratios
+        // are `expt`'s RATIOS.
     }
 }

@@ -15,7 +15,7 @@
 //! - `plain` — one transaction per op under the nursery configuration
 //!   (each insert allocates its item + payload transactionally, which is
 //!   exactly the captured-memory fast path the paper is about). This arm
-//!   seeds the [`pool_throughput_gate`].
+//!   is the one `expt pool --min-pool-throughput` gates.
 //! - `merge-N` — the same ops through `txn_batch` windows of N
 //!   (`--merge N`), descriptors pre-drawn per window so salvage retries
 //!   replay identical ops.
@@ -37,9 +37,9 @@ use stamp::Scale;
 use stm::{SimDisk, StmRuntime, TxConfig, TxObject, TxStats};
 use txmem::MemConfig;
 
-use crate::report::{esc, scale_name};
+use crate::report::{scale_name, Cell, Report, Table};
 use crate::skew::{Rng, Zipf};
-use crate::{median, ExptOpts};
+use crate::{median, repeat, share, ExptOpts};
 
 /// Sender-id domain for the Zipf draw.
 const SENDERS: u64 = 1 << 10;
@@ -143,52 +143,17 @@ enum OpDesc {
     },
 }
 
-/// What one op did — per-thread tallies reconciled against the pool's
-/// own header telemetry at the end of the run.
-#[derive(Clone, Copy, Debug, Default)]
-struct Tally {
-    inserted: u64,
-    evicted: u64,
-    dup_hits: u64,
-    rejected: u64,
-    popped: u64,
-    removed: u64,
-    promoted: u64,
-    purged: u64,
-}
-
-impl Tally {
-    fn add(&mut self, o: &Tally) {
-        self.inserted += o.inserted;
-        self.evicted += o.evicted;
-        self.dup_hits += o.dup_hits;
-        self.rejected += o.rejected;
-        self.popped += o.popped;
-        self.removed += o.removed;
-        self.promoted += o.promoted;
-        self.purged += o.purged;
-    }
-
-    fn matches(&self, c: &PoolCounters) -> Result<(), String> {
-        let pairs = [
-            ("inserted", self.inserted, c.inserted),
-            ("evicted", self.evicted, c.evicted),
-            ("dup_hits", self.dup_hits, c.dup_hits),
-            ("rejected", self.rejected, c.rejected),
-            ("popped", self.popped, c.popped),
-            ("removed", self.removed, c.removed),
-            ("promoted", self.promoted, c.promoted),
-            ("purged", self.purged, c.purged),
-        ];
-        for (name, mine, pool) in pairs {
-            if mine != pool {
-                return Err(format!(
-                    "telemetry mismatch on {name}: threads tallied {mine}, pool header says {pool}"
-                ));
-            }
-        }
-        Ok(())
-    }
+/// Sum what ops did into `total`: the fields an op's outcome decides
+/// (the rest are the pool's own state, not an op's).
+fn tally(total: &mut PoolCounters, o: &PoolCounters) {
+    total.inserted += o.inserted;
+    total.evicted += o.evicted;
+    total.dup_hits += o.dup_hits;
+    total.rejected += o.rejected;
+    total.popped += o.popped;
+    total.removed += o.removed;
+    total.promoted += o.promoted;
+    total.purged += o.purged;
 }
 
 /// Per-thread deterministic op stream. Ids are globally unique by
@@ -281,9 +246,9 @@ impl<'a> OpGen<'a> {
     }
 }
 
-/// Apply one descriptor inside a transaction; returns the op's tally.
-fn apply(p: &TxPool, tx: &mut stm::Tx<'_, '_>, op: &OpDesc) -> stm::TxResult<Tally> {
-    let mut t = Tally::default();
+/// Apply one descriptor inside a transaction; returns what the op did.
+fn apply(p: &TxPool, tx: &mut stm::Tx<'_, '_>, op: &OpDesc) -> stm::TxResult<PoolCounters> {
+    let mut t = PoolCounters::default();
     match *op {
         OpDesc::Insert {
             id,
@@ -388,34 +353,12 @@ pub fn bloom_words_for(budget: u64) -> u64 {
     (max_items / 8).next_power_of_two().clamp(16, 1 << 16)
 }
 
-/// One arm's results.
-#[derive(Clone, Debug)]
-pub struct PoolRow {
-    /// Arm name: `plain`, `merge-N`, or `durable`.
-    pub arm: String,
-    /// Total committed ops (logical transactions) in the run.
-    pub ops: u64,
-    pub threads: usize,
-    /// Median wall seconds over the configured runs.
-    pub seconds: f64,
-    /// Committed ops per second.
-    pub ops_per_sec: f64,
-    /// `aborts / (commits + aborts)`.
-    pub abort_rate: f64,
-    /// Pool telemetry at quiesce (last run).
-    pub counters: PoolCounters,
-    /// Live allocator payload bytes at quiesce (the sim-heap's RSS).
-    pub heap_bytes: u64,
-    /// Redo-log footprint (durable arm only).
-    pub log_bytes: u64,
-    /// STM stats of the last run.
-    pub stats: TxStats,
-}
-
+/// What one run of an arm leaves to report besides its wall time.
 struct ArmOutcome {
-    seconds: f64,
     counters: PoolCounters,
+    /// Live allocator payload bytes at quiesce (the sim-heap's RSS).
     heap_bytes: u64,
+    /// Redo-log footprint (durable arm only).
     log_bytes: u64,
     stats: TxStats,
 }
@@ -423,7 +366,7 @@ struct ArmOutcome {
 /// One timed run of one arm. Builds a fresh runtime + pool, drives the
 /// full op count across the threads, then reconciles telemetry and runs
 /// the structural checker.
-fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
+fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
     let threads = opts.threads.max(1);
     let ops = popts.ops;
     assert!(ops > 0 && popts.budget > 0, "resolve() the PoolOpts first");
@@ -458,7 +401,7 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
         })
         .collect();
     rt.reset_stats();
-    let total = std::sync::Mutex::new(Tally::default());
+    let total = std::sync::Mutex::new(PoolCounters::default());
     let start = std::time::Instant::now();
     std::thread::scope(|s| {
         for stream in &streams {
@@ -466,12 +409,12 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
             let total = &total;
             s.spawn(move || {
                 let mut w = rt.spawn_worker();
-                let mut tally = Tally::default();
+                let mut sum = PoolCounters::default();
                 if factor > 1 {
                     // Salvage retries replay a window's identical ops at
                     // the same logical indices.
                     for descs in stream.chunks(factor) {
-                        let mut outs: Vec<Tally> = vec![Tally::default(); factor];
+                        let mut outs = vec![PoolCounters::default(); factor];
                         let run = w.txn_batch(factor, |b| {
                             let i = b.logical_index() as usize;
                             outs[i] = apply(&pool, b, &descs[i])?;
@@ -479,16 +422,16 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
                         });
                         assert_eq!(run.committed, factor as u64);
                         for o in &outs {
-                            tally.add(o);
+                            tally(&mut sum, o);
                         }
                     }
                 } else {
                     for desc in stream {
                         let t = w.txn(|tx| apply(&pool, tx, desc));
-                        tally.add(&t);
+                        tally(&mut sum, &t);
                     }
                 }
-                total.lock().unwrap().add(&tally);
+                tally(&mut total.lock().unwrap(), &sum);
             });
         }
     });
@@ -498,10 +441,17 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
     let w = rt.spawn_worker();
     pool.seq_check(&w);
     let counters = pool.seq_counters(&w);
-    let tally = total.into_inner().unwrap();
-    if let Err(e) = tally.matches(&counters) {
-        panic!("pool {arm} arm: {e}");
-    }
+    let tallied = PoolCounters {
+        count: counters.count,
+        live_bytes: counters.live_bytes,
+        evicted_bytes: counters.evicted_bytes,
+        dup_skips: counters.dup_skips,
+        ..total.into_inner().unwrap()
+    };
+    assert_eq!(
+        tallied, counters,
+        "pool {arm} arm: header telemetry vs the threads' tallies"
+    );
     drop(w);
     let stats = rt.collect_stats();
     // The workload must actually exercise the machinery it claims to:
@@ -525,209 +475,127 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> ArmOutcome {
             "pool {arm}: merge windows never actually merged"
         );
     }
-    ArmOutcome {
-        seconds,
+    let out = ArmOutcome {
         counters,
         heap_bytes: rt.heap().bytes_allocated(),
         log_bytes: disk.map_or(0, |d| d.log_bytes()),
         stats,
-    }
+    };
+    (seconds, out)
 }
 
-/// Run every arm, median-timing each over `opts.runs`.
-pub fn pool_rows(opts: &ExptOpts, popts: &PoolOpts) -> Vec<PoolRow> {
+/// Run every arm, median-timing each over `opts.runs`: a `rows` table,
+/// one row per arm (the pool's telemetry at quiesce and the STM stats of
+/// the last run), then where the first arm's sim-heap bytes go.
+pub fn report(opts: &ExptOpts, popts: &PoolOpts) -> Report {
     let popts = &resolve(opts, popts);
-    let threads = opts.threads.max(1);
+    let threads = opts.threads;
     let committed_ops = ((popts.ops as usize).div_ceil(threads) * threads) as u64;
-    let mut rows = Vec::new();
-    for arm in arms(popts) {
-        let outcomes: Vec<ArmOutcome> = (0..opts.runs.max(1))
-            .map(|_| run_once(opts, popts, &arm))
-            .collect();
-        let seconds = median(outcomes.iter().map(|o| o.seconds).collect());
-        let last = outcomes.into_iter().next_back().expect("runs >= 1");
-        let attempts = last.stats.commits + last.stats.aborts;
-        rows.push(PoolRow {
-            arm,
-            ops: committed_ops,
+    let bloom_words = bloom_words_for(popts.budget);
+    let mut r = Report::new(
+        "bench_pool/v2",
+        format!(
+            "Transactional memory pool — zipf(θ={:.2}) op mix \
+             (scale {}, {} threads, median of {} runs)",
+            popts.theta,
+            scale_name(opts.scale),
             threads,
-            seconds,
-            ops_per_sec: if seconds > 0.0 {
-                committed_ops as f64 / seconds
-            } else {
-                0.0
-            },
-            abort_rate: if attempts > 0 {
-                last.stats.aborts as f64 / attempts as f64
-            } else {
-                0.0
-            },
-            counters: last.counters,
-            heap_bytes: last.heap_bytes,
-            log_bytes: last.log_bytes,
-            stats: last.stats,
-        });
-    }
-    rows
-}
-
-/// Render the `BENCH_pool.json` report (hand-written JSON; no serde in
-/// the offline container).
-pub fn pool_json(opts: &ExptOpts, popts: &PoolOpts, rows: &[PoolRow]) -> String {
-    let popts = &resolve(opts, popts);
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema\": \"bench_pool/v1\",\n  \"scale\": \"{}\",\n  \"runs\": {},\n",
-        scale_name(opts.scale),
-        opts.runs.max(1)
-    ));
-    out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
-    out.push_str(&format!("  \"threads\": {},\n", opts.threads.max(1)));
-    out.push_str(&format!(
-        "  \"seed\": {},\n  \"machine\": {},\n",
-        popts.seed,
-        crate::report::machine_json()
-    ));
-    out.push_str(&format!(
-        "  \"budget_bytes\": {},\n  \"bloom_words\": {},\n  \"theta\": {:.3},\n  \"senders\": {},\n",
-        popts.budget,
-        bloom_words_for(popts.budget),
-        popts.theta,
-        SENDERS
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let c = &r.counters;
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"ops\": {}, \"threads\": {}, \"seconds\": {:.6}, \
-             \"ops_per_sec\": {:.1}, \"abort_rate\": {:.4}, \
-             \"live_count\": {}, \"live_bytes\": {}, \"heap_bytes\": {}, \
-             \"inserted\": {}, \"evicted\": {}, \"evicted_bytes\": {}, \
-             \"dup_hits\": {}, \"dup_skips\": {}, \"rejected\": {}, \
-             \"popped\": {}, \"removed\": {}, \"promoted\": {}, \"purged\": {}, \
-             \"nursery_regions\": {}, \"merged_txns\": {}, \"merge_splits\": {}, \
-             \"log_bytes\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-            esc(&r.arm),
-            r.ops,
-            r.threads,
-            r.seconds,
-            r.ops_per_sec,
-            r.abort_rate,
-            c.count,
-            c.live_bytes,
-            r.heap_bytes,
-            c.inserted,
-            c.evicted,
-            c.evicted_bytes,
-            c.dup_hits,
-            c.dup_skips,
-            c.rejected,
-            c.popped,
-            c.removed,
-            c.promoted,
-            c.purged,
-            r.stats.nursery_regions,
-            r.stats.merged_txns,
-            r.stats.merge_splits,
-            r.log_bytes,
-            r.stats.latency_pct_ns(0.5),
-            r.stats.latency_pct_ns(0.99),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Markdown rendering: the arm table, then a per-component byte-budget
-/// table for the plain arm (where does the sim-heap RSS go?).
-pub fn render_markdown(opts: &ExptOpts, popts: &PoolOpts, rows: &[PoolRow]) -> String {
-    let popts = &resolve(opts, popts);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "## Transactional memory pool — zipf(θ={:.2}) op mix \
-         (scale {}, {} threads, median of {} runs)\n\n",
-        popts.theta,
-        scale_name(opts.scale),
-        opts.threads.max(1),
-        opts.runs.max(1)
-    ));
-    out.push_str(
-        "| arm | ops | ops/s | abort % | live items | live bytes | evicted | dup hits | dup skips |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|---:|\n",
+            opts.runs
+        ),
+        opts,
     );
-    for r in rows {
-        let c = &r.counters;
-        out.push_str(&format!(
-            "| {} | {} | {:.0} | {:.2} | {} | {} | {} | {} | {} |\n",
-            r.arm,
-            r.ops,
-            r.ops_per_sec,
-            100.0 * r.abort_rate,
-            c.count,
-            c.live_bytes,
-            c.evicted,
-            c.dup_hits,
-            c.dup_skips
-        ));
+    r.params = vec![
+        ("seed", popts.seed.into()),
+        ("budget_bytes", popts.budget.into()),
+        ("bloom_words", bloom_words.into()),
+        ("theta", Cell::Float(popts.theta, 3)),
+        ("senders", SENDERS.into()),
+    ];
+    let mut t = Table::new("rows", "");
+    let mut budget = None;
+    for arm in arms(popts) {
+        let (secs, last) = repeat(opts.runs, || run_once(opts, popts, &arm));
+        let seconds = median(secs);
+        let (c, s) = (&last.counters, &last.stats);
+        budget.get_or_insert_with(|| budget_table(popts, &arm, c.live_bytes, last.heap_bytes));
+        t.push(vec![
+            ("arm", arm.into()),
+            ("ops", committed_ops.into()),
+            ("threads", threads.into()),
+            ("seconds", Cell::Float(seconds, 6)),
+            (
+                "ops_per_sec",
+                Cell::Float(committed_ops as f64 / seconds, 1),
+            ),
+            (
+                "abort_rate",
+                Cell::Float(share(s.aborts, s.commits + s.aborts), 4),
+            ),
+            ("live_count", c.count.into()),
+            ("live_bytes", c.live_bytes.into()),
+            ("heap_bytes", last.heap_bytes.into()),
+            ("inserted", c.inserted.into()),
+            ("evicted", c.evicted.into()),
+            ("evicted_bytes", c.evicted_bytes.into()),
+            ("dup_hits", c.dup_hits.into()),
+            ("dup_skips", c.dup_skips.into()),
+            ("rejected", c.rejected.into()),
+            ("popped", c.popped.into()),
+            ("removed", c.removed.into()),
+            ("promoted", c.promoted.into()),
+            ("purged", c.purged.into()),
+            ("nursery_regions", s.nursery_regions.into()),
+            ("merged_txns", s.merged_txns.into()),
+            ("merge_splits", s.merge_splits.into()),
+            ("log_bytes", last.log_bytes.into()),
+            ("p50_ns", s.latency_pct_ns(0.5).into()),
+            ("p99_ns", s.latency_pct_ns(0.99).into()),
+        ]);
     }
-    out.push('\n');
-    if let Some(r) = rows.first() {
-        let cfg = PoolConfig {
-            budget_bytes: popts.budget,
-            bloom_words: bloom_words_for(popts.budget),
-        };
-        let cap = cfg.capacity();
-        out.push_str(&format!(
-            "Byte budget ({} arm, at quiesce):\n\n\
-             | component | formula | bytes |\n|---|---|---:|\n\
-             | header | `PoolHdr::BYTES` | {} |\n\
-             | id index | `capacity * 8` = {cap} * 8 | {} |\n\
-             | sender index | `capacity * 8` = {cap} * 8 | {} |\n\
-             | skiplist heads + tail | `(MAX_LEVEL + 1) * 8` | {} |\n\
-             | bloom filter | `bloom_words * 8` | {} |\n\
-             | live items | `Σ (Item::BYTES + 8·payload)` | {} |\n\
-             | sim-heap live total | allocator telemetry | {} |\n\n",
-            r.arm,
-            pool::PoolHdr::BYTES,
-            cap * 8,
-            cap * 8,
-            (pool::MAX_LEVEL as u64 + 1) * 8,
-            bloom_words_for(popts.budget) * 8,
-            r.counters.live_bytes,
-            r.heap_bytes,
-        ));
-    }
-    out
+    r.tables.push(t);
+    r.tables.extend(budget);
+    r
 }
 
-/// Release gate: the plain arm must sustain `min` committed ops/s. The
-/// `expt` front end self-skips in debug builds.
-pub fn pool_throughput_gate(rows: &[PoolRow], min: f64) -> Result<f64, String> {
-    let row = rows
-        .iter()
-        .find(|r| r.arm == "plain")
-        .ok_or("no plain pool row")?;
-    if row.ops_per_sec >= min {
-        Ok(row.ops_per_sec)
-    } else {
-        Err(format!(
-            "pool plain-arm throughput {:.0} ops/s below required {min:.0}",
-            row.ops_per_sec
-        ))
+/// Where one arm's sim-heap bytes go at quiesce, per pool component.
+fn budget_table(popts: &PoolOpts, arm: &str, live_bytes: u64, heap_bytes: u64) -> Table {
+    let bloom_words = bloom_words_for(popts.budget);
+    let cap = PoolConfig {
+        budget_bytes: popts.budget,
+        bloom_words,
     }
+    .capacity();
+    let mut t = Table::new("budget", format!("Byte budget ({arm} arm, at quiesce)"));
+    let index = format!("`capacity * 8` = {cap} * 8");
+    for (component, formula, bytes) in [
+        ("header", "`PoolHdr::BYTES`", pool::PoolHdr::BYTES),
+        ("id index", index.as_str(), cap * 8),
+        ("sender index", index.as_str(), cap * 8),
+        (
+            "skiplist heads + tail",
+            "`(MAX_LEVEL + 1) * 8`",
+            (pool::MAX_LEVEL as u64 + 1) * 8,
+        ),
+        ("bloom filter", "`bloom_words * 8`", bloom_words * 8),
+        ("live items", "`Σ (Item::BYTES + 8·payload)`", live_bytes),
+        ("sim-heap live total", "allocator telemetry", heap_bytes),
+    ] {
+        t.push(vec![
+            ("component", component.into()),
+            ("formula", formula.into()),
+            ("bytes", bytes.into()),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{gate, verdict};
 
     fn tiny_opts() -> (ExptOpts, PoolOpts) {
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 2,
-            runs: 1,
-        };
+        let opts = ExptOpts::test(2);
         let popts = PoolOpts {
             ops: 4_000,
             budget: 64 * pool::Item::BYTES,
@@ -739,13 +607,41 @@ mod tests {
     #[test]
     fn plain_arm_runs_checks_and_reconciles() {
         let (opts, popts) = tiny_opts();
-        let rows = pool_rows(&opts, &popts);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert_eq!(r.arm, "plain");
-        assert_eq!(r.ops, 4_000);
-        assert!(r.ops_per_sec > 0.0);
-        assert!(r.counters.live_bytes <= popts.budget);
+        let r = report(&opts, &popts);
+        let t = &r.tables[0];
+        assert_eq!(t.rows.len(), 1);
+        let at = |column| t.value(&[("arm", "plain")], column).unwrap();
+        assert_eq!(at("ops"), 4_000.0);
+        assert!(at("ops_per_sec") > 0.0);
+        assert!(at("live_bytes") <= popts.budget as f64);
+        let budget = &r.tables[1];
+        assert_eq!(budget.title, "Byte budget (plain arm, at quiesce)");
+        assert_eq!(
+            budget.value(&[("component", "live items")], "bytes"),
+            Some(at("live_bytes"))
+        );
+    }
+
+    // The rows keep the keys, in order, of `bench_pool/v1`, and so do the
+    // header's params.
+    #[test]
+    fn json_is_balanced_and_carries_the_schema() {
+        let (opts, popts) = tiny_opts();
+        let r = report(&opts, &popts);
+        assert!(r
+            .json()
+            .starts_with("{\n  \"schema\": \"bench_pool/v2\",\n"));
+        let params: Vec<&str> = r.params.iter().map(|p| p.0).collect();
+        assert_eq!(
+            params,
+            ["seed", "budget_bytes", "bloom_words", "theta", "senders"]
+        );
+        assert_eq!(
+            r.tables[0].columns.join(" "),
+            "arm ops threads seconds ops_per_sec abort_rate live_count live_bytes heap_bytes \
+             inserted evicted evicted_bytes dup_hits dup_skips rejected popped removed promoted \
+             purged nursery_regions merged_txns merge_splits log_bytes p50_ns p99_ns"
+        );
     }
 
     #[test]
@@ -753,39 +649,26 @@ mod tests {
         let (opts, mut popts) = tiny_opts();
         popts.merge = 4;
         popts.durable = true;
-        let rows = pool_rows(&opts, &popts);
-        let names: Vec<&str> = rows.iter().map(|r| r.arm.as_str()).collect();
+        let t = &report(&opts, &popts).tables[0];
+        let names: Vec<String> = t.rows.iter().map(|r| r[0].to_string()).collect();
         assert_eq!(names, ["plain", "merge-4", "durable"]);
-        let merged = &rows[1];
-        assert!(merged.stats.merged_txns > 0, "{merged:?}");
-        let durable = &rows[2];
-        assert!(durable.log_bytes > 0, "durable arm must write a log");
+        let at = |arm, column| t.value(&[("arm", arm)], column).unwrap();
+        assert!(at("merge-4", "merged_txns") > 0.0);
+        assert!(
+            at("durable", "log_bytes") > 0.0,
+            "durable arm must write a log"
+        );
     }
 
-    #[test]
-    fn json_is_balanced_and_carries_the_schema() {
-        let (opts, popts) = tiny_opts();
-        let rows = pool_rows(&opts, &popts);
-        let json = pool_json(&opts, &popts, &rows);
-        assert!(json.contains("\"schema\": \"bench_pool/v1\""));
-        assert!(json.contains("\"arm\": \"plain\""));
-        assert!(json.contains("\"seed\": 1") && json.contains("\"available_parallelism\":"));
-        assert!(json.contains("\"evicted\":"));
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
-        assert!(!render_markdown(&opts, &popts, &rows).is_empty());
-    }
-
+    // `--min-pool-throughput` judges the plain arm's ops/s.
     #[test]
     fn gate_passes_and_fails() {
         let (opts, popts) = tiny_opts();
-        let rows = pool_rows(&opts, &popts);
-        assert!(pool_throughput_gate(&rows, 1.0).is_ok());
-        assert!(pool_throughput_gate(&rows, f64::INFINITY).is_err());
-        assert!(pool_throughput_gate(&[], 1.0).is_err());
+        let g = gate("--min-pool-throughput");
+        let r = report(&opts, &popts);
+        assert!(verdict(g, 1.0, &r, None).is_ok());
+        assert!(verdict(g, f64::INFINITY, &r, None).is_err());
+        let empty = Report::new("x/v1", "x", &opts);
+        assert!(verdict(g, 1.0, &empty, None).is_err());
     }
 }

@@ -1,26 +1,298 @@
-//! Machine-readable benchmark reports (`BENCH_barriers.json`): the
-//! `barrier_dispatch` microbenchmark plus one STAMP run per barrier mode,
-//! so future PRs have a perf trajectory to diff against. The JSON is
-//! written by hand (no serde in the offline container) — flat structure,
-//! numbers and strings only.
+//! The one output path of every experiment: a [`Report`] of named
+//! [`Table`]s, rendered as Markdown for the terminal and as JSON for the
+//! committed `BENCH_*.json` snapshots. The JSON is written by hand (no
+//! serde in the offline container): one header, flat rows, numbers and
+//! strings only.
+//!
+//! Also the `bench-json` driver (`BENCH_barriers.json`): the
+//! `barrier_dispatch` microbenchmark plus one STAMP run per tracked
+//! barrier mode, so future PRs have a perf trajectory to diff against.
+
+use std::fmt;
 
 use stamp::{Benchmark, Scale};
 use stm::{CheckScope, LogKind, Mode, TxConfig};
 
-use crate::micro::{
-    barrier_dispatch, fastpath_ratio, nursery_ratio, ranged_ratio, txn_fixed_ratio, typed_ratio,
-    MicroOpts,
-};
+use crate::micro::MicroOpts;
 use crate::ExptOpts;
 
-pub(crate) fn esc(s: &str) -> String {
+/// One table cell: a string, a count, or a float printed with a fixed
+/// number of decimals (a non-finite float is JSON `null`).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    Str(String),
+    Int(u64),
+    Float(f64, usize),
+}
+
+impl Cell {
+    /// The numeric value, for gates and ratios.
+    pub fn value(&self) -> Option<f64> {
+        match *self {
+            Cell::Str(_) => None,
+            Cell::Int(n) => Some(n as f64),
+            Cell::Float(v, _) => Some(v),
+        }
+    }
+
+    fn json(&self) -> String {
+        match self {
+            Cell::Str(s) => format!("\"{}\"", esc(s)),
+            Cell::Float(v, _) if !v.is_finite() => "null".into(),
+            _ => self.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Str(s) => f.write_str(s),
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::Float(v, d) => write!(f, "{v:.*}", *d),
+        }
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Str(s.into())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Str(s)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Cell {
+        Cell::Int(n)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Cell {
+        Cell::Int(n as u64)
+    }
+}
+
+/// A named table: `name` is its JSON key, `title` its Markdown heading
+/// (none when empty). Rows are pushed as (column, cell) pairs: the first
+/// row names the columns and every later row repeats them.
+#[derive(Clone, Debug)]
+pub struct Table {
+    pub name: &'static str,
+    pub title: String,
+    pub columns: Vec<String>,
+    pub rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    pub fn new(name: &'static str, title: impl Into<String>) -> Table {
+        Table {
+            name,
+            title: title.into(),
+            columns: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    pub fn push(&mut self, row: Vec<(&str, Cell)>) {
+        if self.rows.is_empty() {
+            self.columns = row.iter().map(|c| c.0.to_string()).collect();
+        }
+        assert!(
+            row.iter()
+                .map(|c| c.0)
+                .eq(self.columns.iter().map(String::as_str)),
+            "{}: a row with other columns",
+            self.name
+        );
+        self.rows.push(row.into_iter().map(|c| c.1).collect());
+    }
+
+    fn col(&self, column: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c == column)
+    }
+
+    /// The first row whose cells print as the selector's values.
+    fn find(&self, sel: &[(&str, &str)]) -> Option<&[Cell]> {
+        let idx: Vec<(usize, &str)> = sel
+            .iter()
+            .map(|&(c, v)| Some((self.col(c)?, v)))
+            .collect::<Option<_>>()?;
+        self.rows
+            .iter()
+            .find(|r| idx.iter().all(|&(i, v)| r[i].to_string() == v))
+            .map(Vec::as_slice)
+    }
+
+    /// `column` of the first row whose cells print as `sel`, as a number.
+    pub fn value(&self, sel: &[(&str, &str)], column: &str) -> Option<f64> {
+        self.find(sel)?[self.col(column)?].value()
+    }
+
+    /// Spread `value` across the distinct values of `across`, one row per
+    /// run of equal `keys` cells (rows must come key-major, as every driver
+    /// emits them): the terminal's pivot view of a long table.
+    pub fn pivot(&self, name: &'static str, keys: &[&str], across: &str, value: &str) -> Table {
+        let col = |c: &str| {
+            self.col(c)
+                .unwrap_or_else(|| panic!("{}: no column {c}", self.name))
+        };
+        let keys: Vec<usize> = keys.iter().map(|c| col(c)).collect();
+        let (a, v) = (col(across), col(value));
+        let mut heads: Vec<String> = Vec::new();
+        for r in &self.rows {
+            let h = format!("{across}={}", r[a]);
+            if !heads.contains(&h) {
+                heads.push(h);
+            }
+        }
+        let mut out = Table {
+            name,
+            title: format!("{value} by {across}"),
+            columns: keys.iter().map(|&k| self.columns[k].clone()).collect(),
+            rows: Vec::new(),
+        };
+        out.columns.extend(heads);
+        for r in &self.rows {
+            let key: Vec<Cell> = keys.iter().map(|&k| r[k].clone()).collect();
+            match out.rows.last_mut() {
+                Some(last) if last[..keys.len()] == key[..] => last.push(r[v].clone()),
+                _ => out
+                    .rows
+                    .push(key.into_iter().chain([r[v].clone()]).collect()),
+            }
+        }
+        for r in &out.rows {
+            assert_eq!(r.len(), out.columns.len(), "{name}: incomplete pivot");
+        }
+        out
+    }
+
+    fn markdown(&self, out: &mut String) {
+        if self.rows.is_empty() {
+            return;
+        }
+        if !self.title.is_empty() {
+            out.push_str(&format!("### {}\n\n", self.title));
+        }
+        out.push_str(&format!("| {} |\n|", self.columns.join(" | ")));
+        for i in 0..self.columns.len() {
+            // Text columns align left, numbers right.
+            let text = matches!(self.rows[0][i], Cell::Str(_));
+            out.push_str(if text { "---|" } else { "---:|" });
+        }
+        out.push('\n');
+        for r in &self.rows {
+            let cells: Vec<String> = r.iter().map(Cell::to_string).collect();
+            out.push_str(&format!("| {} |\n", cells.join(" | ")));
+        }
+        out.push('\n');
+    }
+
+    fn json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                let kv: Vec<String> = self
+                    .columns
+                    .iter()
+                    .zip(r)
+                    .map(|(k, c)| format!("\"{}\": {}", esc(k), c.json()))
+                    .collect();
+                format!("    {{{}}}", kv.join(", "))
+            })
+            .collect();
+        if rows.is_empty() {
+            return format!("  \"{}\": []", self.name);
+        }
+        format!("  \"{}\": [\n{}\n  ]", self.name, rows.join(",\n"))
+    }
+}
+
+/// One experiment's output: a schema string, the run header every report
+/// shares (`scale`, `runs`, `threads`, `debug_build`, `machine`), optional
+/// top-level scalar params, and its tables.
+#[derive(Clone, Debug)]
+pub struct Report {
+    pub schema: &'static str,
+    /// Markdown `##` heading.
+    pub title: String,
+    /// Markdown paragraph under the heading (none when empty).
+    pub intro: String,
+    pub opts: ExptOpts,
+    pub params: Vec<(&'static str, Cell)>,
+    pub tables: Vec<Table>,
+}
+
+impl Report {
+    pub fn new(schema: &'static str, title: impl Into<String>, opts: &ExptOpts) -> Report {
+        Report {
+            schema,
+            title: title.into(),
+            intro: String::new(),
+            opts: *opts,
+            params: Vec::new(),
+            tables: Vec::new(),
+        }
+    }
+
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.tables.iter().find(|t| t.name == name)
+    }
+
+    pub fn markdown(&self) -> String {
+        let mut out = format!("## {}\n\n", self.title);
+        if !self.intro.is_empty() {
+            out.push_str(&format!("{}\n\n", self.intro));
+        }
+        if !self.params.is_empty() {
+            let kv: Vec<String> = self
+                .params
+                .iter()
+                .map(|(k, v)| format!("{k} {v}"))
+                .collect();
+            out.push_str(&format!("{}\n\n", kv.join(", ")));
+        }
+        for t in &self.tables {
+            t.markdown(&mut out);
+        }
+        out
+    }
+
+    pub fn json(&self) -> String {
+        let o = &self.opts;
+        let mut entries = vec![
+            format!("  \"schema\": \"{}\"", self.schema),
+            format!("  \"scale\": \"{}\"", scale_name(o.scale)),
+            format!("  \"runs\": {}", o.runs),
+            format!("  \"threads\": {}", o.threads),
+            format!("  \"debug_build\": {}", cfg!(debug_assertions)),
+            format!("  \"machine\": {}", machine_json()),
+        ];
+        entries.extend(
+            self.params
+                .iter()
+                .map(|(k, v)| format!("  \"{k}\": {}", v.json())),
+        );
+        entries.extend(self.tables.iter().map(Table::json));
+        format!("{{\n{}\n}}\n", entries.join(",\n"))
+    }
+}
+
+fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The machine fingerprint a timing row is only comparable under, as a
 /// JSON object: core count, CPU model and compiler (ROADMAP aim 1 — "a
 /// number without a machine fingerprint is an anecdote").
-pub(crate) fn machine_json() -> String {
+fn machine_json() -> String {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
     let cpu = cpuinfo
         .lines()
@@ -40,7 +312,7 @@ pub(crate) fn machine_json() -> String {
     )
 }
 
-pub(crate) fn scale_name(s: Scale) -> &'static str {
+pub fn scale_name(s: Scale) -> &'static str {
     match s {
         Scale::Test => "test",
         Scale::Small => "small",
@@ -99,124 +371,64 @@ pub fn parse_benchmark_filter(spec: &str) -> Result<Vec<Benchmark>, String> {
     Ok(out)
 }
 
-/// Build the full report as a JSON string.
-///
-/// `opts.scale`/`opts.threads` govern the STAMP section; `"seconds"` is
-/// the **median of `opts.runs` repetitions** (single wall-clock samples
-/// are far too noisy to serve as a cross-PR trajectory), while the
-/// counters come from one additional instrumented run. `benchmarks`
-/// restricts the STAMP section to a subset (CI's smoke step runs only the
-/// allocation-heavy pair); `None` runs the whole suite.
-pub fn bench_json(opts: &ExptOpts, micro: &MicroOpts, benchmarks: Option<&[Benchmark]>) -> String {
-    bench_json_from(opts, &barrier_dispatch(micro), benchmarks)
-}
-
-/// Like [`bench_json`], over already-collected microbenchmark results (so
-/// a caller that also gates on a ratio measures once).
-pub fn bench_json_from(
-    opts: &ExptOpts,
-    results: &[crate::micro::MicroResult],
-    benchmarks: Option<&[Benchmark]>,
-) -> String {
-    let ratio = fastpath_ratio(results);
-    let nratio = nursery_ratio(results);
-    let suite: Vec<Benchmark> = match benchmarks {
-        Some(b) => b.to_vec(),
-        None => Benchmark::ALL.to_vec(),
-    };
-
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema\": \"bench_barriers/v1\",\n  \"scale\": \"{}\",\n  \"threads\": {},\n",
-        scale_name(opts.scale),
-        opts.threads
-    ));
-    out.push_str(&format!("  \"debug_build\": {},\n", cfg!(debug_assertions)));
-    out.push_str(&format!("  \"machine\": {},\n", machine_json()));
-
-    out.push_str("  \"barrier_dispatch\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"ns_per_access\": {:.3}}}{}\n",
-            esc(&r.name),
-            r.ns_per_op,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    match ratio {
-        Some(r) => out.push_str(&format!("  \"captured_tree_vs_direct_ratio\": {r:.3},\n")),
-        None => out.push_str("  \"captured_tree_vs_direct_ratio\": null,\n"),
-    }
-    match nratio {
-        Some(r) => out.push_str(&format!(
-            "  \"captured_nursery_vs_direct_ratio\": {r:.3},\n"
-        )),
-        None => out.push_str("  \"captured_nursery_vs_direct_ratio\": null,\n"),
-    }
-    match typed_ratio(results) {
-        Some(r) => out.push_str(&format!("  \"captured_typed_vs_raw_ratio\": {r:.3},\n")),
-        None => out.push_str("  \"captured_typed_vs_raw_ratio\": null,\n"),
-    }
-    match ranged_ratio(results) {
-        Some(r) => out.push_str(&format!("  \"ranged_span64_vs_per_word_ratio\": {r:.3},\n")),
-        None => out.push_str("  \"ranged_span64_vs_per_word_ratio\": null,\n"),
-    }
-    match txn_fixed_ratio(results) {
-        Some(r) => out.push_str(&format!("  \"txn_empty_vs_full_barrier_ratio\": {r:.3},\n")),
-        None => out.push_str("  \"txn_empty_vs_full_barrier_ratio\": null,\n"),
-    }
-
-    out.push_str("  \"stamp\": [\n");
-    let configs = tracked_configs();
-    let total = configs.len() * suite.len();
-    let mut i = 0;
-    let runs = opts.runs.max(1);
-    for cfg in &configs {
-        for &b in &suite {
-            let seconds = crate::median(crate::time_runs(b, opts.scale, *cfg, opts.threads, runs));
-            let r = b.run(opts.scale, *cfg, opts.threads);
-            assert!(
-                r.verified,
-                "{} failed verification under {}",
-                b.name(),
-                cfg.label()
-            );
-            let all = r.stats.all_accesses();
-            i += 1;
-            out.push_str(&format!(
-                "    {{\"benchmark\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
-                 \"seconds\": {seconds:.6}, \
-                 \"runs\": {runs}, \"commits\": {}, \"aborts\": {}, \
-                 \"elided_fraction\": {:.4}, \
-                 \"ranged_spans\": {}, \"ranged_fallbacks\": {}, \
-                 \"conflict_read_locked\": {}, \"conflict_write_locked\": {}, \
-                 \"conflict_validation\": {}, \"backoff_waits\": {}, \
-                 \"cm_karma_escalations\": {}, \"cm_serializations\": {}, \
-                 \"attempts_max\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-                esc(b.name()),
-                esc(&cfg.label()),
-                opts.threads,
-                r.stats.commits,
-                r.stats.aborts,
-                all.elided_fraction(),
-                r.stats.ranged_spans,
-                r.stats.ranged_fallbacks,
-                r.stats.conflict_read_locked,
-                r.stats.conflict_write_locked,
-                r.stats.conflict_validation,
-                r.stats.backoff_waits,
-                r.stats.cm_karma_escalations,
-                r.stats.cm_serializations,
-                r.stats.attempts_max,
-                r.stats.latency_pct_ns(0.5),
-                r.stats.latency_pct_ns(0.99),
-                if i < total { "," } else { "" }
-            ));
+/// The STAMP section of `BENCH_barriers.json`: every benchmark under every
+/// tracked mode. `seconds` is the **median of `opts.runs` repetitions**
+/// (single wall-clock samples are far too noisy to serve as a cross-PR
+/// trajectory); the counters come from the last of them. The nursery
+/// columns read 0 outside the `+nursery` mode, where `heap_verdicts`
+/// (heap-elided + parent-captured barriers) is the population the scalar
+/// range competes for. `benchmarks` restricts the suite (CI's smoke step
+/// runs only the allocation-heavy pair); `None` runs all of it.
+pub fn stamp_table(opts: &ExptOpts, benchmarks: Option<&[Benchmark]>) -> Table {
+    let mut t = Table::new("stamp", "STAMP per tracked mode");
+    for cfg in tracked_configs() {
+        for &b in benchmarks.unwrap_or(&Benchmark::ALL) {
+            let (seconds, r) = crate::stamp_runs(b, opts.scale, cfg, opts.threads, opts.runs);
+            let s = r.stats;
+            let all = s.all_accesses();
+            t.push(vec![
+                ("benchmark", b.name().into()),
+                ("mode", cfg.label().into()),
+                ("threads", opts.threads.into()),
+                ("seconds", Cell::Float(crate::median(seconds), 6)),
+                ("runs", opts.runs.into()),
+                ("commits", s.commits.into()),
+                ("aborts", s.aborts.into()),
+                ("elided_fraction", Cell::Float(all.elided_fraction(), 4)),
+                ("ranged_spans", s.ranged_spans.into()),
+                ("ranged_fallbacks", s.ranged_fallbacks.into()),
+                ("conflict_read_locked", s.conflict_read_locked.into()),
+                ("conflict_write_locked", s.conflict_write_locked.into()),
+                ("conflict_validation", s.conflict_validation.into()),
+                ("backoff_waits", s.backoff_waits.into()),
+                ("cm_karma_escalations", s.cm_karma_escalations.into()),
+                ("cm_serializations", s.cm_serializations.into()),
+                ("attempts_max", s.attempts_max.into()),
+                ("p50_ns", s.latency_pct_ns(0.5).into()),
+                ("p99_ns", s.latency_pct_ns(0.99).into()),
+                ("nursery_hits", s.nursery_hits.into()),
+                (
+                    "heap_verdicts",
+                    (all.elided_heap + all.parent_captured).into(),
+                ),
+                ("nursery_regions", s.nursery_regions.into()),
+                ("nursery_bytes_recycled", s.nursery_bytes_recycled.into()),
+            ]);
         }
     }
-    out.push_str("  ]\n}\n");
-    out
+    t
+}
+
+/// The `bench-json` report: the `barrier_dispatch` microbenchmark, then
+/// [`stamp_table`].
+pub fn bench_report(
+    opts: &ExptOpts,
+    micro: &MicroOpts,
+    benchmarks: Option<&[Benchmark]>,
+) -> Report {
+    let mut r = crate::micro::report(opts, micro);
+    r.tables.push(stamp_table(opts, benchmarks));
+    r
 }
 
 #[cfg(test)]
@@ -225,46 +437,69 @@ mod tests {
 
     #[test]
     fn report_is_parseable_shape() {
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 1,
-            runs: 1,
-        };
-        let json = bench_json(&opts, &MicroOpts::smoke(), None);
+        let mut t = Table::new("rows", "");
+        t.push(vec![
+            ("name", "a \"quoted\" \\ name".into()),
+            ("count", 3u64.into()),
+            ("share", Cell::Float(0.5, 4)),
+        ]);
+        t.push(vec![
+            ("name", "b".into()),
+            ("count", 0u64.into()),
+            ("share", Cell::Float(f64::NAN, 2)),
+        ]);
+        let mut r = Report::new("bench_x/v2", "X", &ExptOpts::test(2));
+        r.params.push(("seed", Cell::Int(7)));
+        r.tables.extend([t, Table::new("empty", "")]);
+        let json = r.json();
         // No serde available: structural spot checks instead of a parser.
-        assert!(json.starts_with("{\n"));
-        assert!(json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"bench_barriers/v1\""));
-        assert!(json.contains("\"barrier_dispatch\": ["));
-        assert!(json.contains("captured heap hit/tree"));
-        assert!(json.contains("captured heap hit/nursery"));
-        assert!(json.contains("\"captured_nursery_vs_direct_ratio\": "));
-        assert!(json.contains("captured heap hit/tree (typed)"));
-        assert!(json.contains("\"captured_typed_vs_raw_ratio\": "));
-        assert!(json.contains("ranged captured span 64/tree"));
-        assert!(json.contains("\"ranged_span64_vs_per_word_ratio\": "));
-        assert!(json.contains("\"ranged_spans\": "));
-        assert!(json.contains("\"conflict_validation\": "));
-        assert!(json.contains("\"cm_serializations\": "));
-        assert!(json.contains("\"attempts_max\": "));
-        assert!(json.contains("\"p99_ns\": "));
-        assert!(json.contains("\"stamp\": ["));
-        assert!(
-            json.contains("\"threads\": 1,"),
-            "stamp rows must carry their thread count"
+        assert!(json.starts_with(
+            "{\n  \"schema\": \"bench_x/v2\",\n  \"scale\": \"test\",\n  \"runs\": 1,\n  \
+             \"threads\": 2,\n"
+        ));
+        assert!(json.contains("\"machine\": {\"available_parallelism\": "));
+        assert!(json.contains("\n  \"seed\": 7,\n  \"rows\": [\n"));
+        assert!(json.contains(
+            "    {\"name\": \"a \\\"quoted\\\" \\\\ name\", \"count\": 3, \"share\": 0.5000},\n"
+        ));
+        assert!(json.ends_with("\"share\": null}\n  ],\n  \"empty\": []\n}\n"));
+
+        let md = r.markdown();
+        assert!(md.starts_with("## X\n\nseed 7\n\n| name | count | share |\n|---|---:|---:|\n"));
+        assert!(md.ends_with("| b | 0 | NaN |\n\n"));
+
+        let t = &r.tables[0];
+        assert_eq!(t.value(&[("name", "b")], "count"), Some(0.0));
+        assert_eq!(t.value(&[("name", "c")], "count"), None);
+        assert_eq!(t.value(&[("name", "b")], "nope"), None);
+        assert_eq!(
+            t.value(&[("count", "3")], "name"),
+            None,
+            "text has no value"
         );
-        assert!(json.contains("\"mode\": \"baseline\""));
-        assert!(json.contains("\"mode\": \"compiler\""));
-        assert!(json.contains("\"mode\": \"runtime-tree+nursery (r+w/stack+heap)\""));
-        // Balanced braces/brackets (cheap well-formedness guard).
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
-        assert!(!json.contains(",\n  ]"), "no trailing commas");
-        assert!(!json.contains(",\n    ]"), "no trailing commas");
+    }
+
+    #[test]
+    fn pivot_spreads_one_column() {
+        let mut t = Table::new("rows", "");
+        for (d, m, x) in [
+            ("s", "off", 1.0),
+            ("s", "on", 2.0),
+            ("c", "off", 1.0),
+            ("c", "on", 3.0),
+        ] {
+            t.push(vec![
+                ("driver", d.into()),
+                ("mode", m.into()),
+                ("tax", Cell::Float(x, 2)),
+            ]);
+        }
+        let p = t.pivot("tax", &["driver"], "mode", "tax");
+        assert_eq!(p.columns, ["driver", "mode=off", "mode=on"]);
+        assert_eq!(
+            p.rows[1],
+            [Cell::from("c"), Cell::Float(1.0, 2), Cell::Float(3.0, 2)]
+        );
     }
 
     #[test]
@@ -288,15 +523,30 @@ mod tests {
         );
         assert!(parse_benchmark_filter("nope").is_err());
         assert!(parse_benchmark_filter("").is_err());
-        // A filtered report still has every tracked mode, only fewer rows.
-        let opts = ExptOpts {
-            scale: Scale::Test,
-            threads: 1,
-            runs: 1,
-        };
-        let json = bench_json(&opts, &MicroOpts::smoke(), Some(&[Benchmark::Intruder]));
-        assert!(json.contains("\"benchmark\": \"intruder\""));
-        assert!(!json.contains("\"benchmark\": \"yada\""));
-        assert!(!json.contains(",\n  ]"), "no trailing commas");
+    }
+
+    // A filtered STAMP section still has every tracked mode, only fewer
+    // benchmarks; under the nursery mode the scalar range serves most of
+    // the captured-heap verdicts.
+    #[test]
+    fn stamp_rows_cover_modes_and_the_nursery_hits() {
+        let t = stamp_table(
+            &ExptOpts::test(1),
+            Some(&[Benchmark::VacationLow, Benchmark::Intruder]),
+        );
+        assert_eq!(t.rows.len(), 2 * tracked_configs().len());
+        let nursery = "runtime-tree+nursery (r+w/stack+heap)";
+        for mode in ["baseline", "compiler", nursery] {
+            assert!(t.find(&[("mode", mode)]).is_some(), "{mode}");
+        }
+        for b in ["vacation low", "intruder"] {
+            let sel = [("benchmark", b), ("mode", nursery)];
+            let hits = t.value(&sel, "nursery_hits").unwrap();
+            let share = hits / t.value(&sel, "heap_verdicts").unwrap();
+            assert!(hits > 0.0 && share > 0.5, "{b}: share {share}");
+            assert!(t.value(&sel, "nursery_regions").unwrap() > 0.0);
+            let base = t.value(&[("benchmark", b), ("mode", "baseline")], "nursery_hits");
+            assert_eq!(base, Some(0.0));
+        }
     }
 }

@@ -15,6 +15,10 @@
 //!   short writers; classic starvation shape for invisible readers (the
 //!   scan keeps failing validation until the ladder escalates for it).
 //!
+//! The hot-word and transfer families also run with a seeded 1-in-N of
+//! their closures panicking after the first shared write: the panic must
+//! roll its transaction back and leave the same worker running.
+//!
 //! Plus the semantic-footprint differential: single-threaded, the chaos
 //! hooks must be *invisible* — identical memory and identical redacted
 //! statistics with chaos off and on.
@@ -41,6 +45,46 @@ impl Rng {
         self.0 = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
+}
+
+/// Seeded panic injection, drawn per op and local to these tests:
+/// `Some((seed, n))` makes about one closure in `n` panic.
+type Panics = Option<(u64, u64)>;
+
+/// One thread's panic draws.
+struct Doom(Option<(Rng, u64)>);
+
+impl Doom {
+    fn new(panics: Panics, thread: usize) -> Doom {
+        Doom(panics.map(|(seed, n)| (Rng(seed.rotate_left(thread as u32 * 8) | 1), n)))
+    }
+
+    /// Whether the next op's closure panics.
+    fn next(&mut self) -> bool {
+        self.0
+            .as_mut()
+            .is_some_and(|(rng, n)| rng.next().is_multiple_of(*n))
+    }
+}
+
+/// Run `op` and say whether it unwound. The injected panic resumes
+/// unwinding directly, skipping the panic hook, so the output stays quiet.
+fn panicked(op: impl FnOnce()) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).is_err()
+}
+
+fn inject(doomed: bool) {
+    if doomed {
+        std::panic::resume_unwind(Box::new("injected closure panic"));
+    }
+}
+
+/// After a run with `panics` that lost `lost` of its `ops` closures to
+/// them: the injection fired, and every other op committed — each worker
+/// kept running after its panics.
+fn check_survivors(stats: &stm::TxStats, panics: Panics, ops: u64, lost: u64) {
+    assert_eq!(panics.is_some(), lost > 0, "injection must fire: {stats:?}");
+    assert_eq!(stats.commits, ops - lost, "{lost} panicked: {stats:?}");
 }
 
 fn mem_cfg(threads: usize) -> MemConfig {
@@ -80,43 +124,63 @@ fn ladder_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
 }
 
 /// Hot-word counters: `threads` workers × `incrs` increments over `words`
-/// shared words. Returns merged stats after asserting the exact sums.
-fn run_hot_words(cfg: &TxConfig, threads: usize, incrs: usize, words: u64) -> stm::TxStats {
+/// shared words, `panics` of them unwinding after their write. Returns
+/// merged stats after asserting the exact sums.
+fn run_hot_words(
+    cfg: &TxConfig,
+    threads: usize,
+    incrs: usize,
+    words: u64,
+    panics: Panics,
+) -> stm::TxStats {
     let rt = StmRuntime::new(mem_cfg(threads), *cfg);
     let base = rt.alloc_global(words * 8);
     let start = std::sync::Barrier::new(threads);
+    let lost = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..threads {
-            let (rt, start) = (&rt, &start);
+            let (rt, start, lost) = (&rt, &start, &lost);
             s.spawn(move || {
                 let mut w = rt.spawn_worker();
                 let mut rng = Rng(0xA076_1D64_78BD_642F ^ (t as u64 + 1));
+                let mut doom = Doom::new(panics, t);
                 start.wait();
                 for _ in 0..incrs {
                     let word = rng.next() % words;
-                    w.txn(|tx| {
-                        let v = tx.read(&S_HOT, base.word(word))?;
-                        tx.write(&S_HOT, base.word(word), v + 1)?;
-                        Ok(())
-                    });
+                    let doomed = doom.next();
+                    if panicked(|| {
+                        w.txn(|tx| {
+                            let v = tx.read(&S_HOT, base.word(word))?;
+                            tx.write(&S_HOT, base.word(word), v + 1)?;
+                            inject(doomed);
+                            Ok(())
+                        })
+                    }) {
+                        lost.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
                 }
             });
         }
     });
+    let (ops, lost) = ((threads * incrs) as u64, lost.into_inner());
     let total: u64 = (0..words).map(|i| rt.mem().load(base.word(i))).sum();
-    assert_eq!(
-        total,
-        (threads * incrs) as u64,
-        "increments lost or doubled"
-    );
-    rt.collect_stats()
+    assert_eq!(total, ops - lost, "increments lost or doubled");
+    let stats = rt.collect_stats();
+    check_survivors(&stats, panics, ops, lost);
+    stats
 }
 
 /// Skewed transfers: account indices drawn geometrically (`trailing_zeros`
 /// of a uniform draw), so account 0 takes ~half the traffic — the zipf-like
 /// skew that makes contention chronic for a few orecs while the long tail
-/// keeps read sets honest. Asserts the conserved total.
-fn run_skewed_transfers(cfg: &TxConfig, threads: usize, transfers: usize) -> stm::TxStats {
+/// keeps read sets honest, `panics` of the transfers unwinding after their
+/// debit. Asserts the conserved total.
+fn run_skewed_transfers(
+    cfg: &TxConfig,
+    threads: usize,
+    transfers: usize,
+    panics: Panics,
+) -> stm::TxStats {
     const ACCOUNTS: u64 = 16;
     const SEED_BALANCE: u64 = 1_000;
     let rt = StmRuntime::new(mem_cfg(threads), *cfg);
@@ -125,35 +189,50 @@ fn run_skewed_transfers(cfg: &TxConfig, threads: usize, transfers: usize) -> stm
         rt.mem().store(base.word(i), SEED_BALANCE);
     }
     let start = std::sync::Barrier::new(threads);
+    let lost = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..threads {
-            let (rt, start) = (&rt, &start);
+            let (rt, start, lost) = (&rt, &start, &lost);
             s.spawn(move || {
                 let mut w = rt.spawn_worker();
                 let mut rng = Rng(0x2B99_4D7A_93F1_6E05 ^ (t as u64 + 1));
+                let mut doom = Doom::new(panics, t);
                 start.wait();
                 for _ in 0..transfers {
                     let from = (rng.next().trailing_zeros() as u64).min(ACCOUNTS - 1);
                     let to = (rng.next().trailing_zeros() as u64).min(ACCOUNTS - 1);
                     let amt = 1 + rng.next() % 9;
-                    w.txn(|tx| {
-                        let scratch = tx.alloc(8)?;
-                        tx.write(&S_SCRATCH, scratch, amt)?;
-                        let a = tx.read(&S_SCRATCH, scratch)?;
-                        let f = tx.read(&S_ACCT, base.word(from))?;
-                        tx.write(&S_ACCT, base.word(from), f.wrapping_sub(a))?;
-                        let v = tx.read(&S_ACCT, base.word(to))?;
-                        tx.write(&S_ACCT, base.word(to), v + a)?;
-                        tx.free(scratch);
-                        Ok(())
-                    });
+                    let doomed = doom.next();
+                    if panicked(|| {
+                        w.txn(|tx| {
+                            let scratch = tx.alloc(8)?;
+                            tx.write(&S_SCRATCH, scratch, amt)?;
+                            let a = tx.read(&S_SCRATCH, scratch)?;
+                            let f = tx.read(&S_ACCT, base.word(from))?;
+                            tx.write(&S_ACCT, base.word(from), f.wrapping_sub(a))?;
+                            inject(doomed);
+                            let v = tx.read(&S_ACCT, base.word(to))?;
+                            tx.write(&S_ACCT, base.word(to), v + a)?;
+                            tx.free(scratch);
+                            Ok(())
+                        })
+                    }) {
+                        lost.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
                 }
             });
         }
     });
     let total: u64 = (0..ACCOUNTS).map(|i| rt.mem().load(base.word(i))).sum();
     assert_eq!(total, ACCOUNTS * SEED_BALANCE, "transfers lost money");
-    rt.collect_stats()
+    let stats = rt.collect_stats();
+    check_survivors(
+        &stats,
+        panics,
+        (threads * transfers) as u64,
+        lost.into_inner(),
+    );
+    stats
 }
 
 /// Long reader vs. short writers: thread 0 repeatedly scans the whole
@@ -329,7 +408,7 @@ proptest! {
     #[test]
     fn chaotic_hot_words_stay_live(seed in 1u64..u64::MAX, period in 2u64..6) {
         let cfg = ladder_cfg(Some(ChaosPlan::all(seed, period)));
-        let stats = run_hot_words(&cfg, 4, 150, 2);
+        let stats = run_hot_words(&cfg, 4, 150, 2, None);
         prop_assert!(stats.chaos_injections > 0, "chaos must actually fire: {stats:?}");
         prop_assert!(
             stats.attempts_max <= attempt_bound(&cfg, 4),
@@ -341,11 +420,32 @@ proptest! {
     #[test]
     fn chaotic_skewed_transfers_stay_live(seed in 1u64..u64::MAX, period in 2u64..6) {
         let cfg = ladder_cfg(Some(ChaosPlan::all(seed, period)));
-        let stats = run_skewed_transfers(&cfg, 4, 120);
+        let stats = run_skewed_transfers(&cfg, 4, 120, None);
         prop_assert!(
             stats.attempts_max <= attempt_bound(&cfg, 4),
             "retry chain exceeded the liveness bound: {stats:?}"
         );
+    }
+
+    // Both shapes again with a seeded 1-in-N of the closures panicking
+    // after their first shared write: every panic rolls back (exact sums,
+    // conserved money), its worker commits every other op, and the
+    // retry chains stay inside the liveness bound.
+    #[test]
+    fn chaotic_panics_roll_back_and_workers_run_on(
+        seed in 1u64..u64::MAX,
+        period in 2u64..6,
+        one_in in 3u64..12,
+    ) {
+        let cfg = ladder_cfg(Some(ChaosPlan::all(seed, period)));
+        let hot = run_hot_words(&cfg, 4, 150, 2, Some((seed, one_in)));
+        let skewed = run_skewed_transfers(&cfg, 4, 120, Some((seed, one_in)));
+        for stats in [hot, skewed] {
+            prop_assert!(
+                stats.attempts_max <= attempt_bound(&cfg, 4),
+                "retry chain exceeded the liveness bound: {stats:?}"
+            );
+        }
     }
 
     // The starvation-prone shape: the long reader must complete all scans
@@ -384,9 +484,9 @@ fn preemptive_chaos(seed: u64) -> ChaosPlan {
 fn ladder_accounts_for_every_abort() {
     for seed in [0xBADC_0FFE, 7, 99] {
         let cfg = ladder_cfg(Some(preemptive_chaos(seed)));
-        let hot = run_hot_words(&cfg, 4, 400, 1);
+        let hot = run_hot_words(&cfg, 4, 400, 1, None);
         assert!(hot.aborts > 0, "one hot word must conflict: {hot:?}");
-        let skewed = run_skewed_transfers(&cfg, 4, 200);
+        let skewed = run_skewed_transfers(&cfg, 4, 200, None);
         let long = run_long_reader(&ladder_cfg(Some(ChaosPlan::commit_only(seed, 2))), 4, 25);
         for (shape, stats) in [("hot-word", hot), ("skewed", skewed), ("long-reader", long)] {
             assert_eq!(

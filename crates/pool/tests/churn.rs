@@ -4,7 +4,9 @@
 //! check that the telemetry those features emit is *non-degenerate*
 //! (`nursery_regions > 0`, `merged_txns > 0`, and a seed sweep that
 //! actually observes `merge_splits > 0`), so a regression that silently
-//! disables a subsystem cannot hide behind green invariants.
+//! disables a subsystem cannot hide behind green invariants. The chaos arm
+//! also panics a seeded 1-in-N of its op closures after the op's writes:
+//! each panic must roll the op back and leave its worker running.
 
 use pool::{Item, PoolConfig, TxPool};
 use stm::{ChaosPlan, CheckScope, LogKind, Mode, StmRuntime, TxConfig, TxObject, TxStats};
@@ -110,9 +112,12 @@ fn apply(pool: &TxPool, tx: &mut stm::Tx<'_, '_>, op: &Op) -> stm::TxResult<()> 
 }
 
 /// Run the churn under `cfg`; `merge > 1` routes every thread's stream
-/// through `txn_batch` windows. Returns the merged runtime stats after
-/// `seq_check` and the conservation law have passed.
-fn churn(cfg: TxConfig, merge: usize, seed: u64) -> TxStats {
+/// through `txn_batch` windows, and `panic_one_in = n > 0` (unmerged
+/// only) unwinds out of about one op closure in `n`, after the op ran.
+/// Returns the merged runtime stats after `seq_check` and the
+/// conservation law have passed, and every op that did not panic
+/// committed.
+fn churn(cfg: TxConfig, merge: usize, seed: u64, panic_one_in: u64) -> TxStats {
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let pool = TxPool::create(
         &rt,
@@ -122,11 +127,13 @@ fn churn(cfg: TxConfig, merge: usize, seed: u64) -> TxStats {
         },
     );
     rt.reset_stats();
+    let lost = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let rt = &rt;
+            let (rt, lost) = (&rt, &lost);
             s.spawn(move || {
                 let ops = ops_for(t, seed);
+                let mut doom = seed.rotate_left(t as u32 * 8) | 1;
                 let mut w = rt.spawn_worker();
                 if merge > 1 {
                     for window in ops.chunks(merge) {
@@ -139,7 +146,21 @@ fn churn(cfg: TxConfig, merge: usize, seed: u64) -> TxStats {
                     }
                 } else {
                     for op in &ops {
-                        w.txn(|tx| apply(&pool, tx, op));
+                        let doomed =
+                            panic_one_in > 0 && next(&mut doom).is_multiple_of(panic_one_in);
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            w.txn(|tx| {
+                                apply(&pool, tx, op)?;
+                                if doomed {
+                                    // Skips the panic hook: the output stays quiet.
+                                    std::panic::resume_unwind(Box::new("injected op panic"));
+                                }
+                                Ok(())
+                            })
+                        }));
+                        if caught.is_err() {
+                            lost.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
                     }
                 }
             });
@@ -154,7 +175,13 @@ fn churn(cfg: TxConfig, merge: usize, seed: u64) -> TxStats {
         c.count + c.evicted + c.popped + c.removed + c.purged,
         "item conservation violated: {c:?}"
     );
-    rt.collect_stats()
+    let (s, lost) = (rt.collect_stats(), lost.into_inner());
+    assert_eq!(panic_one_in > 0, lost > 0, "injected panics must fire");
+    assert!(
+        s.commits + lost >= THREADS * ROUNDS as u64,
+        "{lost} lost: {s:?}"
+    );
+    s
 }
 
 fn merged_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
@@ -175,7 +202,7 @@ fn merged_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
 /// through bump regions, not silently fall back to the classic path.
 #[test]
 fn churn_under_nursery_exercises_regions() {
-    let s = churn(TxConfig::runtime_tree_nursery(), 1, 0xA11CE);
+    let s = churn(TxConfig::runtime_tree_nursery(), 1, 0xA11CE, 0);
     assert!(s.commits >= THREADS * ROUNDS as u64);
     assert!(s.nursery_regions > 0, "nursery idle during churn: {s:?}");
     assert!(s.tx_allocs > 0);
@@ -186,12 +213,12 @@ fn churn_under_nursery_exercises_regions() {
 /// the same header words conflict reliably under schedule chaos.
 #[test]
 fn churn_under_merge_exercises_windows_and_splits() {
-    let s = churn(merged_cfg(None), 4, 0xB0B);
+    let s = churn(merged_cfg(None), 4, 0xB0B, 0);
     assert!(s.merged_txns > 0, "merging idle during churn: {s:?}");
 
     let mut split_seen = false;
     for seed in 1..=5u64 {
-        let s = churn(merged_cfg(Some(ChaosPlan::all(seed, 7))), 4, seed);
+        let s = churn(merged_cfg(Some(ChaosPlan::all(seed, 7))), 4, seed, 0);
         assert!(s.merged_txns > 0);
         if s.merge_splits > 0 || s.merge_salvaged > 0 {
             split_seen = true;
@@ -215,17 +242,17 @@ fn churn_under_compiler_mode_and_chaos_keeps_indices_consistent() {
         .chaos(ChaosPlan::all(0x5747, 11))
         .build()
         .expect("static churn config");
-    let s = churn(cfg, 1, 0x5747);
+    let s = churn(cfg, 1, 0x5747, 0);
     assert!(s.commits >= THREADS * ROUNDS as u64);
     assert!(s.writes.elided_static > 0, "no static elision: {s:?}");
 }
 
 /// Chaos arm without merging: scheduling faults at every seam may cost
-/// retries but never consistency.
+/// retries but never consistency, and neither may a panic in one op in
+/// eight — its insert, eviction or purge rolls back with it.
 #[test]
 fn churn_under_chaos_keeps_indices_consistent() {
     let mut cfg = TxConfig::runtime_tree_nursery();
     cfg.chaos = Some(ChaosPlan::all(0xC4405, 11));
-    let s = churn(cfg, 1, 0xC4405);
-    assert!(s.commits >= THREADS * ROUNDS as u64);
+    churn(cfg, 1, 0xC4405, 8);
 }

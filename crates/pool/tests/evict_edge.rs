@@ -191,6 +191,9 @@ fn purge_plus_evicting_insert_compose_and_roll_back() {
 fn eviction_racing_sender_purge_stays_consistent() {
     let (rt, pool) = pool_rt(6 * B);
     const ROUNDS: u64 = 300;
+    // The purger starts once the chain has an item, so its first purge
+    // always finds one, however the threads are scheduled.
+    let first_in = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
             let mut w = rt.spawn_worker();
@@ -198,10 +201,14 @@ fn eviction_racing_sender_purge_stays_consistent() {
                 // Sender 7 items climb in priority so later inserts evict
                 // earlier ones while the purger races the same chain.
                 w.txn(|tx| pool.insert(tx, 1000 + i, 7, i, i, i % 3));
+                first_in.store(true, std::sync::atomic::Ordering::Release);
             }
         });
         s.spawn(|| {
             let mut w = rt.spawn_worker();
+            while !first_in.load(std::sync::atomic::Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             for _ in 0..ROUNDS / 4 {
                 w.txn(|tx| pool.remove_sender(tx, 7));
             }
