@@ -33,11 +33,10 @@ const PAPER: [(&str, Paper); 9] = [
 ];
 
 /// The other subcommands; all but `all` produce one report.
-const OTHERS: [&str; 9] = [
+const OTHERS: [&str; 8] = [
     "barriers",
     "bench-json",
     "scaling",
-    "merge",
     "elision",
     "durability",
     "pool",
@@ -60,13 +59,12 @@ use Readers::{All, Gated, Only, Reports};
 
 /// Every flag: its name, its value's placeholder (empty for a switch),
 /// and who reads it.
-const FLAGS: [(&str, &str, Readers); 19] = [
+const FLAGS: [(&str, &str, Readers); 17] = [
     ("--scale", "test|small|full", All),
     ("--threads", "N", All),
     ("--runs", "K", All),
     ("--out", "FILE", Reports),
     ("--benchmarks", "a,b", Only(&["bench-json"])),
-    ("--merge", "N", Only(&["merge", "pool"])),
     ("--ops", "N", Only(&["pool"])),
     ("--budget", "BYTES", Only(&["pool"])),
     ("--theta", "F", Only(&["pool"])),
@@ -77,7 +75,6 @@ const FLAGS: [(&str, &str, Readers); 19] = [
     ("--max-ranged-ratio", "F", Gated),
     ("--max-nursery-ratio", "F", Gated),
     ("--min-speedup", "F", Gated),
-    ("--min-merge-speedup", "F", Gated),
     ("--max-durability-tax", "F", Gated),
     ("--min-pool-throughput", "F", Gated),
 ];
@@ -151,7 +148,6 @@ struct Cli {
     opts: ExptOpts,
     out: Option<String>,
     benchmarks: Option<Vec<Benchmark>>,
-    merge: Option<usize>,
     pool: bench::pool::PoolOpts,
     /// The gate flags given, with their bounds.
     bounds: Vec<(&'static Gate, f64)>,
@@ -223,20 +219,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         Some(spec) => Some(bench::report::parse_benchmark_filter(&spec)?),
         None => None,
     };
-    // Factors the runtime's own config validation would reject fail here,
-    // not deep in a driver.
-    let merge: Option<usize> = value(&set, "--merge")?;
-    match merge {
-        Some(0) => return Err("--merge must be at least 1 (1 = unmerged baseline)".into()),
-        Some(n) if n > stm::MERGE_MAX_LIMIT as usize => {
-            return Err(format!(
-                "--merge {n} exceeds the supported maximum merge_max of {}",
-                stm::MERGE_MAX_LIMIT
-            ))
-        }
-        _ => {}
-    }
-
     // Pool-flag validation mirrors the library's PoolConfig::validate.
     let mut pool = bench::pool::PoolOpts::default();
     if let Some(n) = value(&set, "--ops")? {
@@ -261,7 +243,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         pool.theta = t;
     }
     pool.seed = value(&set, "--seed")?.unwrap_or(pool.seed);
-    pool.merge = merge.unwrap_or(pool.merge);
     pool.durable = set.iter().any(|f| f.0 == "--durable");
 
     let mut bounds = Vec::new();
@@ -275,7 +256,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         opts,
         out: value(&set, "--out")?,
         benchmarks,
-        merge,
         pool,
         bounds,
     })
@@ -332,12 +312,6 @@ fn report(cli: &Cli) -> Report {
             cli.benchmarks.as_deref(),
         )),
         "scaling" => bench::scaling::report(opts),
-        // --merge N narrows the factor axis to {1, N} (factor 1 stays: it
-        // seeds the speedup baseline); the default is the full sweep.
-        "merge" => match cli.merge {
-            Some(n) if n > 1 => bench::merge::report(opts, &[1, n]),
-            _ => bench::merge::report(opts, &bench::merge::FACTORS),
-        },
         "durability" => bench::durability::report(opts),
         "pool" => bench::pool::report(opts, &cli.pool),
         "elision" => bench::elision::report(opts),
@@ -354,7 +328,7 @@ fn gates_pass(cli: &Cli, r: &Report) -> bool {
             eprintln!("# {} gate skipped: {why}", g.flag);
             continue;
         }
-        match verdict(g, bound, r, cli.merge) {
+        match verdict(g, bound, r) {
             Ok(v) => eprintln!("# {} {} {v:.2} holds {bound:.2}", g.flag, g.column),
             Err(msg) => {
                 eprintln!("# FAIL: {msg}");
@@ -434,14 +408,10 @@ mod tests {
         assert!(parse_str("barriers --max-ratio x").is_err());
         assert!(parse_str("nope").is_err() && parse_str("").is_err());
         assert!(parse_str("fig8 --scale huge").is_err());
-        assert!(parse_str("merge --merge 0").is_err());
         assert!(parse_str("pool --ops 0").is_err());
         assert!(parse_str("all --out x.json").is_err());
-        let cli = parse_str("pool --scale test --durable --merge 4 --seed 9").unwrap();
-        assert_eq!(
-            (cli.pool.merge, cli.pool.seed, cli.pool.durable),
-            (4, 9, true)
-        );
+        let cli = parse_str("pool --scale test --durable --seed 9").unwrap();
+        assert_eq!((cli.pool.seed, cli.pool.durable), (9, true));
         assert_eq!(cli.opts.scale, Scale::Test);
     }
 
@@ -477,13 +447,13 @@ mod tests {
     fn ci_expt_invocations_parse() {
         let ci = include_str!("../../../../.github/workflows/ci.yml");
         let calls = expt_invocations(ci);
-        assert_eq!(calls.len(), 8, "{calls:#?}");
+        assert_eq!(calls.len(), 7, "{calls:#?}");
         let mut gated = 0;
         for call in &calls {
             let cli = parse_str(call).unwrap_or_else(|e| panic!("ci.yml `expt {call}`: {e}"));
             gated += cli.bounds.len();
         }
-        assert_eq!(gated, 7, "CI's gate flags");
+        assert_eq!(gated, 6, "CI's gate flags");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   group commit). The tax of a durable row is its wall time over the
 //!   same driver's `off` row.
 //!
-//! Emits `BENCH_durability.json` (committed snapshot, like
-//! `BENCH_merge.json`) so future PRs that touch the commit spine or the
-//! redo-log encoder have a durability trajectory to diff against. Each
+//! Emits `BENCH_durability.json` (committed snapshot) so future PRs that
+//! touch the commit spine or the redo-log encoder have a durability
+//! trajectory to diff against. Each
 //! row's `tax_vs_off` is its wall time over its driver's `off` row, and
 //! `skip_ratio` is `durable_skipped / (durable_words + durable_skipped)`:
 //! the share of committed words the captured-memory analysis kept out of
@@ -51,10 +51,9 @@ const SEED_BALANCE: u64 = 10_000;
 const SLOTS: u64 = 256;
 const BLK_WORDS: u64 = 16;
 
-/// Logical transactions per thread per driver. Smaller than the merge
-/// experiment's axis: durable rows keep their whole redo log in the
-/// simulated disk (no checkpointer runs during timing), so the count
-/// bounds the log footprint.
+/// Transactions per thread per driver. Durable rows keep their whole
+/// redo log in the simulated disk (no checkpointer runs during timing),
+/// so the count bounds the log footprint.
 fn per_thread(scale: Scale) -> usize {
     match scale {
         Scale::Test => 2_048,
@@ -97,7 +96,7 @@ fn build_runtime(mode: &str, mem: MemConfig) -> (StmRuntime, Option<std::sync::A
     }
 }
 
-/// One timed run of the shared-heavy driver: every logical transaction
+/// One timed run of the shared-heavy driver: every transaction
 /// moves money between two of [`ACCOUNTS`] accounts. The closing
 /// conservation check catches any redo-buffer interference with the
 /// transactional state.
@@ -348,9 +347,9 @@ mod tests {
         let tax = r.tables[0]
             .value(&[("driver", "captured"), ("mode", "strict")], "tax_vs_off")
             .unwrap();
-        assert_eq!(verdict(g, tax + 1.0, r, None), Ok(tax));
-        assert!(verdict(g, tax * 0.5, r, None).is_err());
+        assert_eq!(verdict(g, tax + 1.0, r), Ok(tax));
+        assert!(verdict(g, tax * 0.5, r).is_err());
         let empty = Report::new("x/v1", "x", &ExptOpts::default());
-        assert!(verdict(g, tax + 1.0, &empty, None).is_err());
+        assert!(verdict(g, tax + 1.0, &empty).is_err());
     }
 }

@@ -28,8 +28,7 @@ pub struct Gate {
     pub flag: &'static str,
     pub cmd: &'static str,
     pub table: &'static str,
-    /// `column=value` pairs, comma-separated; `{merge}` is the `--merge`
-    /// factor when one above 1 is given, else 8.
+    /// `column=value` pairs, comma-separated.
     pub row: &'static str,
     pub column: &'static str,
     pub bound: Bound,
@@ -37,7 +36,7 @@ pub struct Gate {
 }
 
 #[rustfmt::skip]
-pub const GATES: [Gate; 8] = [
+pub const GATES: [Gate; 7] = [
     Gate { flag: "--max-ratio", cmd: "barriers", table: "ratios",
         row: "name=captured_tree_vs_direct_ratio", column: "ratio", bound: Max, skip: Never },
     Gate { flag: "--max-typed-ratio", cmd: "barriers", table: "ratios",
@@ -49,8 +48,6 @@ pub const GATES: [Gate; 8] = [
     Gate { flag: "--min-speedup", cmd: "scaling", table: "rows",
         row: "benchmark=vacation low,mode=runtime-tree,threads=4", column: "speedup_vs_1t",
         bound: Min, skip: BelowThreads(4) },
-    Gate { flag: "--min-merge-speedup", cmd: "merge", table: "rows",
-        row: "driver=transfer,factor={merge}", column: "speedup_vs_f1", bound: Min, skip: DebugBuild },
     Gate { flag: "--max-durability-tax", cmd: "durability", table: "rows",
         row: "driver=captured,mode=strict", column: "tax_vs_off", bound: Max, skip: DebugBuild },
     Gate { flag: "--min-pool-throughput", cmd: "pool", table: "rows",
@@ -75,18 +72,15 @@ pub fn skip_reason(g: &Gate) -> Option<String> {
     }
 }
 
-/// `g.row` with `{merge}` resolved.
-pub fn gated_row(g: &Gate, merge: Option<usize>) -> String {
-    let factor = merge.filter(|&n| n > 1).unwrap_or(8);
-    g.row.replace("{merge}", &factor.to_string())
-}
-
 /// `g`'s verdict on `r` at `bound`: the cell when it holds the bound, the
 /// failure line otherwise.
-pub fn verdict(g: &Gate, bound: f64, r: &Report, merge: Option<usize>) -> Result<f64, String> {
-    let row = gated_row(g, merge);
-    let sel: Vec<(&str, &str)> = row.split(',').filter_map(|kv| kv.split_once('=')).collect();
-    let what = format!("{} {} row {row}", g.column, g.table);
+pub fn verdict(g: &Gate, bound: f64, r: &Report) -> Result<f64, String> {
+    let sel: Vec<(&str, &str)> = g
+        .row
+        .split(',')
+        .filter_map(|kv| kv.split_once('='))
+        .collect();
+    let what = format!("{} {} row {}", g.column, g.table, g.row);
     let v = r
         .table(g.table)
         .and_then(|t| t.value(&sel, g.column))
@@ -107,29 +101,27 @@ mod tests {
     #[test]
     fn gates_keep_their_verdicts() {
         for g in &GATES {
-            for merge in [None, Some(4)] {
-                // A report whose only row is the gated one, the cell at 2.
-                let row = gated_row(g, merge);
-                let mut cells: Vec<(&str, Cell)> = row
-                    .split(',')
-                    .map(|kv| kv.split_once('=').unwrap())
-                    .map(|(k, v)| (k, v.into()))
-                    .collect();
-                cells.push((g.column, Cell::Float(2.0, 2)));
-                let mut t = Table::new(g.table, "");
-                t.push(cells);
-                let mut r = Report::new("x/v1", "x", &ExptOpts::default());
-                r.tables.push(t);
-                let (holds, misses) = if g.bound == Max {
-                    (3.0, 1.0)
-                } else {
-                    (1.0, 3.0)
-                };
-                assert_eq!(verdict(g, holds, &r, merge), Ok(2.0), "{}", g.flag);
-                assert!(verdict(g, misses, &r, merge).is_err(), "{}", g.flag);
-                r.tables[0].name = "other";
-                assert!(verdict(g, holds, &r, merge).is_err(), "{}", g.flag);
-            }
+            // A report whose only row is the gated one, the cell at 2.
+            let mut cells: Vec<(&str, Cell)> = g
+                .row
+                .split(',')
+                .map(|kv| kv.split_once('=').unwrap())
+                .map(|(k, v)| (k, v.into()))
+                .collect();
+            cells.push((g.column, Cell::Float(2.0, 2)));
+            let mut t = Table::new(g.table, "");
+            t.push(cells);
+            let mut r = Report::new("x/v1", "x", &ExptOpts::default());
+            r.tables.push(t);
+            let (holds, misses) = if g.bound == Max {
+                (3.0, 1.0)
+            } else {
+                (1.0, 3.0)
+            };
+            assert_eq!(verdict(g, holds, &r), Ok(2.0), "{}", g.flag);
+            assert!(verdict(g, misses, &r).is_err(), "{}", g.flag);
+            r.tables[0].name = "other";
+            assert!(verdict(g, holds, &r).is_err(), "{}", g.flag);
             let skips = skip_reason(g).is_some();
             match g.skip {
                 Never => assert!(!skips),
@@ -148,15 +140,10 @@ mod tests {
         for flag in [
             "--max-ranged-ratio",
             "--max-nursery-ratio",
-            "--min-merge-speedup",
             "--max-durability-tax",
             "--min-pool-throughput",
         ] {
             assert_eq!(skip(flag), DebugBuild);
         }
-        // --merge N moves the merge gate to factor N; 1 keeps factor 8.
-        let merge = gate("--min-merge-speedup");
-        assert_eq!(gated_row(merge, Some(1)), "driver=transfer,factor=8");
-        assert_eq!(gated_row(merge, Some(32)), "driver=transfer,factor=32");
     }
 }

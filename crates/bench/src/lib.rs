@@ -9,7 +9,6 @@
 pub mod durability;
 pub mod elision;
 pub mod gate;
-pub mod merge;
 pub mod micro;
 pub mod pool;
 pub mod report;

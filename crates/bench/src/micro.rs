@@ -393,14 +393,14 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
     // benchmark's `stm.worker.{empty,ro1,rw1}_txn_ns` (nursery preset, one
     // shared word); reported in ns per *transaction*, a batch per `run` so
     // the sample timer stays a small term.
-    const TXN_BATCH: u64 = 64;
+    const TXNS_PER_RUN: u64 = 64;
     for (name, barriers) in [("txn_empty", 0), ("txn_ro1", 1), ("txn_rw1", 2)] {
         let (rt, mut w) = spawn(nursery_cfg(false));
         let buf = rt.alloc_global(8);
         rows.push(Row {
             name: name.into(),
             run: Box::new(move || {
-                for _ in 0..TXN_BATCH {
+                for _ in 0..TXNS_PER_RUN {
                     std::hint::black_box(w.txn(|tx| {
                         if barriers == 0 {
                             return Ok(0);
@@ -413,7 +413,7 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
                     }));
                 }
             }),
-            accesses: TXN_BATCH,
+            accesses: TXNS_PER_RUN,
         });
     }
 

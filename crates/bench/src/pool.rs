@@ -10,15 +10,12 @@
 //! resubmissions. Senders follow a Zipf(θ) distribution, so a few hot
 //! senders own long chains while the tail stays short.
 //!
-//! Three arms share the workload generator:
+//! Two arms share the workload generator:
 //!
 //! - `plain` — one transaction per op under the nursery configuration
 //!   (each insert allocates its item + payload transactionally, which is
 //!   exactly the captured-memory fast path the paper is about). This arm
 //!   is the one `expt pool --min-pool-throughput` gates.
-//! - `merge-N` — the same ops through `txn_batch` windows of N
-//!   (`--merge N`), descriptors pre-drawn per window so salvage retries
-//!   replay identical ops.
 //! - `durable` — one transaction per op with the redo-log commit mode on
 //!   (`--durable`, group flush batch 8), reporting the log footprint.
 //!
@@ -29,8 +26,7 @@
 //! Every arm ends with [`pool::TxPool::seq_check`] (index
 //! cross-consistency, exact live-byte accounting, budget bound) and an
 //! exact reconciliation of the header telemetry against per-thread
-//! outcome tallies. Emits `BENCH_pool.json` (committed snapshot, like
-//! `BENCH_merge.json`).
+//! outcome tallies. Emits `BENCH_pool.json` (committed snapshot).
 
 use pool::{InsertOutcome, PoolConfig, PoolCounters, TxPool};
 use stamp::Scale;
@@ -57,8 +53,6 @@ pub struct PoolOpts {
     pub budget: u64,
     /// Zipf exponent of the sender distribution (`--theta`).
     pub theta: f64,
-    /// Merge factor; > 1 adds the `merge-N` arm (`--merge N`).
-    pub merge: usize,
     /// Add the durable arm (`--durable`).
     pub durable: bool,
     /// Max payload words per item.
@@ -73,7 +67,6 @@ impl Default for PoolOpts {
             ops: 0,
             budget: 0,
             theta: 0.8,
-            merge: 1,
             durable: false,
             payload_max: 8,
             seed: 1,
@@ -119,8 +112,7 @@ pub fn resolve(opts: &ExptOpts, popts: &PoolOpts) -> PoolOpts {
     }
 }
 
-/// One workload operation, fully pre-drawn so a merged window can replay
-/// it verbatim after a salvage retry.
+/// One workload operation, drawn before the clock starts.
 #[derive(Clone, Copy, Debug)]
 enum OpDesc {
     Insert {
@@ -289,28 +281,14 @@ fn apply(p: &TxPool, tx: &mut stm::Tx<'_, '_>, op: &OpDesc) -> stm::TxResult<Poo
 /// The arm axis of one run, in row order.
 fn arms(popts: &PoolOpts) -> Vec<String> {
     let mut v = vec!["plain".to_string()];
-    if popts.merge > 1 {
-        v.push(format!("merge-{}", popts.merge));
-    }
     if popts.durable {
         v.push("durable".to_string());
     }
     v
 }
 
-fn pool_cfg(popts: &PoolOpts, arm: &str) -> TxConfig {
+fn pool_cfg(arm: &str) -> TxConfig {
     let mut cfg = TxConfig::runtime_tree_nursery();
-    if arm.starts_with("merge-") {
-        cfg = TxConfig::builder()
-            .mode(stm::Mode::Runtime {
-                log: stm::LogKind::Tree,
-                scope: stm::CheckScope::FULL,
-            })
-            .nursery(true)
-            .merge_max(popts.merge as u32)
-            .build()
-            .expect("merge factor validated at the CLI boundary");
-    }
     if arm == "durable" {
         cfg = TxConfig::builder()
             .mode(stm::Mode::Runtime {
@@ -371,7 +349,7 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
     let ops = popts.ops;
     assert!(ops > 0 && popts.budget > 0, "resolve() the PoolOpts first");
     let per_thread = (ops as usize).div_ceil(threads);
-    let cfg = pool_cfg(popts, arm);
+    let cfg = pool_cfg(arm);
     let mem = mem_cfg(popts, threads);
     let (rt, disk) = if arm == "durable" {
         let disk = SimDisk::new();
@@ -387,18 +365,10 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
         },
     );
     let zipf = Zipf::new(SENDERS, popts.theta);
-    let factor = if arm.starts_with("merge-") {
-        popts.merge
-    } else {
-        1
-    };
-    // Pre-draw every thread's ops (whole merge windows) before the clock
-    // starts: the timed loop below only applies them.
+    // Pre-draw every thread's ops before the clock starts: the timed loop
+    // below only applies them.
     let streams: Vec<Vec<OpDesc>> = (0..threads)
-        .map(|t| {
-            OpGen::new(popts.seed, t, &zipf, popts.payload_max)
-                .stream(per_thread.next_multiple_of(factor))
-        })
+        .map(|t| OpGen::new(popts.seed, t, &zipf, popts.payload_max).stream(per_thread))
         .collect();
     rt.reset_stats();
     let total = std::sync::Mutex::new(PoolCounters::default());
@@ -410,26 +380,9 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
             s.spawn(move || {
                 let mut w = rt.spawn_worker();
                 let mut sum = PoolCounters::default();
-                if factor > 1 {
-                    // Salvage retries replay a window's identical ops at
-                    // the same logical indices.
-                    for descs in stream.chunks(factor) {
-                        let mut outs = vec![PoolCounters::default(); factor];
-                        let run = w.txn_batch(factor, |b| {
-                            let i = b.logical_index() as usize;
-                            outs[i] = apply(&pool, b, &descs[i])?;
-                            Ok(true)
-                        });
-                        assert_eq!(run.committed, factor as u64);
-                        for o in &outs {
-                            tally(&mut sum, o);
-                        }
-                    }
-                } else {
-                    for desc in stream {
-                        let t = w.txn(|tx| apply(&pool, tx, desc));
-                        tally(&mut sum, &t);
-                    }
+                for desc in stream {
+                    let t = w.txn(|tx| apply(&pool, tx, desc));
+                    tally(&mut sum, &t);
                 }
                 tally(&mut total.lock().unwrap(), &sum);
             });
@@ -455,8 +408,8 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
     drop(w);
     let stats = rt.collect_stats();
     // The workload must actually exercise the machinery it claims to:
-    // a run with zero evictions, zero duplicate traffic, no nursery
-    // regions, or (merged) no merged windows measures nothing.
+    // a run with zero evictions, zero duplicate traffic or no nursery
+    // regions measures nothing.
     assert!(
         counters.evicted > 0,
         "pool {arm}: no evictions at {ops} ops"
@@ -469,12 +422,6 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
         stats.nursery_regions > 0,
         "pool {arm}: nursery never engaged despite nursery config"
     );
-    if factor > 1 {
-        assert!(
-            stats.merged_txns > 0,
-            "pool {arm}: merge windows never actually merged"
-        );
-    }
     let out = ArmOutcome {
         counters,
         heap_bytes: rt.heap().bytes_allocated(),
@@ -493,7 +440,7 @@ pub fn report(opts: &ExptOpts, popts: &PoolOpts) -> Report {
     let committed_ops = ((popts.ops as usize).div_ceil(threads) * threads) as u64;
     let bloom_words = bloom_words_for(popts.budget);
     let mut r = Report::new(
-        "bench_pool/v2",
+        "bench_pool/v3",
         format!(
             "Transactional memory pool — zipf(θ={:.2}) op mix \
              (scale {}, {} threads, median of {} runs)",
@@ -545,8 +492,6 @@ pub fn report(opts: &ExptOpts, popts: &PoolOpts) -> Report {
             ("promoted", c.promoted.into()),
             ("purged", c.purged.into()),
             ("nursery_regions", s.nursery_regions.into()),
-            ("merged_txns", s.merged_txns.into()),
-            ("merge_splits", s.merge_splits.into()),
             ("log_bytes", last.log_bytes.into()),
             ("p50_ns", s.latency_pct_ns(0.5).into()),
             ("p99_ns", s.latency_pct_ns(0.99).into()),
@@ -622,15 +567,15 @@ mod tests {
         );
     }
 
-    // The rows keep the keys, in order, of `bench_pool/v1`, and so do the
-    // header's params.
+    // The rows keep the keys, in order, of `bench_pool/v1` less its two
+    // merge counters, and the header's params are v1's.
     #[test]
     fn json_is_balanced_and_carries_the_schema() {
         let (opts, popts) = tiny_opts();
         let r = report(&opts, &popts);
         assert!(r
             .json()
-            .starts_with("{\n  \"schema\": \"bench_pool/v2\",\n"));
+            .starts_with("{\n  \"schema\": \"bench_pool/v3\",\n"));
         let params: Vec<&str> = r.params.iter().map(|p| p.0).collect();
         assert_eq!(
             params,
@@ -640,20 +585,18 @@ mod tests {
             r.tables[0].columns.join(" "),
             "arm ops threads seconds ops_per_sec abort_rate live_count live_bytes heap_bytes \
              inserted evicted evicted_bytes dup_hits dup_skips rejected popped removed promoted \
-             purged nursery_regions merged_txns merge_splits log_bytes p50_ns p99_ns"
+             purged nursery_regions log_bytes p50_ns p99_ns"
         );
     }
 
     #[test]
-    fn merge_and_durable_arms_ride_along() {
+    fn durable_arm_rides_along() {
         let (opts, mut popts) = tiny_opts();
-        popts.merge = 4;
         popts.durable = true;
         let t = &report(&opts, &popts).tables[0];
         let names: Vec<String> = t.rows.iter().map(|r| r[0].to_string()).collect();
-        assert_eq!(names, ["plain", "merge-4", "durable"]);
+        assert_eq!(names, ["plain", "durable"]);
         let at = |arm, column| t.value(&[("arm", arm)], column).unwrap();
-        assert!(at("merge-4", "merged_txns") > 0.0);
         assert!(
             at("durable", "log_bytes") > 0.0,
             "durable arm must write a log"
@@ -666,9 +609,9 @@ mod tests {
         let (opts, popts) = tiny_opts();
         let g = gate("--min-pool-throughput");
         let r = report(&opts, &popts);
-        assert!(verdict(g, 1.0, &r, None).is_ok());
-        assert!(verdict(g, f64::INFINITY, &r, None).is_err());
+        assert!(verdict(g, 1.0, &r).is_ok());
+        assert!(verdict(g, f64::INFINITY, &r).is_err());
         let empty = Report::new("x/v1", "x", &opts);
-        assert!(verdict(g, 1.0, &empty, None).is_err());
+        assert!(verdict(g, 1.0, &empty).is_err());
     }
 }

@@ -148,10 +148,10 @@ mod tests {
             ("threads", "4"),
         ];
         let speedup = r.tables[0].value(&sel, "speedup_vs_1t").unwrap();
-        assert_eq!(verdict(g, speedup * 0.5, r, None), Ok(speedup));
-        assert!(verdict(g, speedup + 1.0, r, None).is_err());
+        assert_eq!(verdict(g, speedup * 0.5, r), Ok(speedup));
+        assert!(verdict(g, speedup + 1.0, r).is_err());
         let empty = Report::new("x/v1", "x", &ExptOpts::default());
-        assert!(verdict(g, 0.0, &empty, None).is_err());
+        assert!(verdict(g, 0.0, &empty).is_err());
         assert_eq!(
             skip_reason(g).is_some(),
             available_parallelism() < 4,

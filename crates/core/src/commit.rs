@@ -20,12 +20,9 @@ use crate::stats::TxnDelta;
 use crate::worker::{AllocHome, Tx, TxResult, WorkerCtx};
 
 /// Snapshot of the log positions at nested-transaction begin; partial abort
-/// rolls back to these marks. Also the *watermark* a merged batch
-/// (`crate::batch`) records at every logical-transaction boundary: on a
-/// split, truncating the logs to the last clean checkpoint salvages the
-/// committed-so-far logical transactions.
+/// rolls back to these marks.
 pub(crate) struct Checkpoint {
-    pub(crate) reads: usize,
+    reads: usize,
     locks: usize,
     undo: usize,
     allocs: usize,
@@ -34,20 +31,10 @@ pub(crate) struct Checkpoint {
     nur: NurseryCp,
 }
 
-/// One logical-transaction boundary of a merged batch: the checkpoint
-/// taken when the boundary's nesting level was pushed, plus whether the
-/// boundary starts a fresh closure *invocation* (splits may only rewind to
-/// invocation starts — a closure body cannot be resumed mid-flight, so
-/// internal `boundary()` segments of one invocation roll back together).
-pub(crate) struct BatchMark {
-    pub(crate) cp: Checkpoint,
-    pub(crate) invocation_start: bool,
-}
-
 /// Unwinding out of a transaction is a rollback. [`WorkerCtx::txn_result`]
-/// and [`WorkerCtx::txn_batch`] run their whole retry loop — every attempt
-/// from `begin_top` to its commit or rollback, and the contention manager
-/// between attempts — through this guard. If anything in it panics, the
+/// runs its whole retry loop — every attempt from `begin_top` to its
+/// commit or rollback, and the contention manager between attempts —
+/// through this guard. If anything in it panics, the
 /// drop restores the undo log, releases the orec locks at a fresh version,
 /// and hands back the serialization token and the active flag before the
 /// panic leaves the runtime, so the same worker and every other one can
@@ -93,7 +80,6 @@ impl WorkerCtx<'_> {
         if self.committed {
             self.abandon_commit(); // ends with `cm_exit`
         } else if self.depth > 0 {
-            self.in_batch = false;
             self.rollback_top(); // ends with `cm_exit`
         } else {
             // Between attempts: the contention manager may hold the token.
@@ -146,39 +132,20 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Validate the whole read set against the *current* record versions.
+    /// A record we have since locked ourselves is consistent iff its
+    /// pre-lock version equals the version we observed at read time.
     pub(crate) fn validate(&self) -> bool {
-        self.first_invalid_read().is_none()
-    }
-
-    /// Position of the first read-set entry that no longer validates, or
-    /// `None` when the whole read set is consistent. A record we have since
-    /// locked ourselves is consistent iff its pre-lock version equals the
-    /// version we observed at read time. The watermark-aware batch commit
-    /// uses the position to find the earliest logical transaction touched
-    /// by a conflict: everything before it is a clean prefix that can be
-    /// salvaged. Scan order is append order, which is execution order — so
-    /// "first invalid entry" and "earliest dirty logical transaction"
-    /// coincide.
-    pub(crate) fn first_invalid_read(&self) -> Option<usize> {
-        for (i, r) in self.reads.iter().enumerate() {
+        self.reads.iter().all(|r| {
             let cur = self.orecs[r.idx as usize].load(Ordering::Acquire);
-            if cur == r.version {
-                continue;
-            }
-            if is_locked(cur) && owner_of(cur) == self.tid() as u64 {
-                let prev = self
-                    .locks
-                    .iter()
-                    .find(|l| l.idx == r.idx)
-                    .map(|l| l.prev)
-                    .unwrap_or(u64::MAX);
-                if prev == r.version {
-                    continue;
-                }
-            }
-            return Some(i);
-        }
-        None
+            cur == r.version
+                || (is_locked(cur)
+                    && owner_of(cur) == self.tid() as u64
+                    && self
+                        .locks
+                        .iter()
+                        .find(|l| l.idx == r.idx)
+                        .is_some_and(|l| l.prev == r.version))
+        })
     }
 
     /// Timestamp extension: re-read the clock, validate, and adopt the new
@@ -210,7 +177,7 @@ impl<'rt> WorkerCtx<'rt> {
             // validation already guaranteed a consistent snapshot at `rv`;
             // the commit is clock-silent.
             self.stats.commits_ro += 1;
-            self.durable_prepare(None, 1);
+            self.durable_prepare(None);
             self.finish_commit();
             return true;
         }
@@ -232,7 +199,7 @@ impl<'rt> WorkerCtx<'rt> {
         // the record is on disk before any other transaction can observe
         // (and depend on) these writes, so the on-disk record set at any
         // crash instant is dependency-closed.
-        self.durable_prepare(Some(ticket.wv), 1);
+        self.durable_prepare(Some(ticket.wv));
         self.publish(ticket.wv);
         self.finish_commit();
         true
@@ -320,8 +287,6 @@ impl<'rt> WorkerCtx<'rt> {
         self.frees.clear();
         self.nursery_forget();
         self.sp_marks.clear();
-        self.batch_marks.clear();
-        self.in_batch = false;
         self.depth = 0;
         if self.durable_on {
             // Nothing after `exit_active` in the tail can panic, so the
@@ -406,9 +371,8 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Snapshot the current log positions (the state a partial rollback
-    /// restores). Taken at nested-transaction begin and at every logical
-    /// boundary of a merged batch.
-    pub(crate) fn checkpoint(&self) -> Checkpoint {
+    /// restores). Taken at nested-transaction begin.
+    fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             reads: self.reads.len(),
             locks: self.locks.len(),
@@ -421,9 +385,9 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Open a new nesting level at `cp` (depth, sp mark, nursery
-    /// watermark, capture cache): the shared entry sequence of
-    /// [`WorkerCtx::nested`] and a batch's logical boundary.
-    pub(crate) fn push_level(&mut self, cp: &Checkpoint) {
+    /// watermark, capture cache): the entry sequence of
+    /// [`WorkerCtx::nested`].
+    fn push_level(&mut self, cp: &Checkpoint) {
         self.depth += 1;
         self.sp_marks.push(cp.sp);
         self.sp_inner = cp.sp;
@@ -498,7 +462,7 @@ impl<'rt> WorkerCtx<'rt> {
         }
     }
 
-    /// Encode this physical commit's redo record into the worker's durable
+    /// Encode this commit's redo record into the worker's durable
     /// buffer (no-op on non-durable runtimes). Must run *while the write
     /// locks are still held*, before publication: in an in-place-update STM
     /// current memory *is* the committed value, and the locks keep every
@@ -506,8 +470,7 @@ impl<'rt> WorkerCtx<'rt> {
     ///
     /// `wv` is the commit version drawn by the caller (`None` for a
     /// lock-free commit, which only needs a ticket if it logs content
-    /// ranges); `logical` is how many logical transactions this physical
-    /// commit carries (1, or a merged batch's count).
+    /// ranges).
     ///
     /// What gets logged (DESIGN.md §11):
     /// * **puts** — undo-log entries *outside* every in-transaction
@@ -524,12 +487,12 @@ impl<'rt> WorkerCtx<'rt> {
     /// their logical count is folded into the *next* record's cumulative
     /// `logical_total`, which stays exact because stateless transactions
     /// are unobservable in recovered memory.
-    pub(crate) fn durable_prepare(&mut self, wv: Option<u64>, logical: u64) {
+    pub(crate) fn durable_prepare(&mut self, wv: Option<u64>) {
         if !self.durable_on {
             return;
         }
         let ds = self.rt.durable.as_ref().unwrap();
-        let total = ds.add_logical(self.tid(), logical);
+        let total = ds.add_logical(self.tid());
         // Committed write events the capture machinery kept out of the log.
         let w = &self.pending.writes;
         self.stats.durable_skipped += w.elided_stack
@@ -637,7 +600,7 @@ impl<'rt> WorkerCtx<'rt> {
         self.stats.durable_flushes += 1;
     }
 
-    pub(crate) fn partial_rollback(&mut self, cp: Checkpoint) {
+    fn partial_rollback(&mut self, cp: Checkpoint) {
         while self.undo.len() > cp.undo {
             let u = self.undo.pop().unwrap();
             self.mem.store(u.addr, u.old);

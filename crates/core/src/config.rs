@@ -139,14 +139,7 @@ pub struct TxConfig {
     /// `barrier_dispatch` microbenchmark rely on that. Not a paper
     /// mechanism; testing/measurement aid only.
     pub reference_dispatch: bool,
-    /// Maximum merge factor `WorkerCtx::txn_batch` accepts: how many
-    /// logical (application) transactions may execute inside one physical
-    /// transaction. `1` (the default) disables merging — `txn_batch(1, ..)`
-    /// still works but every logical transaction is its own physical
-    /// transaction. Must be in `1..=MERGE_MAX_LIMIT`. A conflict partway
-    /// through a batch salvages the committed prefix (`stm::batch`).
-    pub merge_max: u32,
-    /// Durable commit mode: every physical commit appends its write set to
+    /// Durable commit mode: every commit appends its write set to
     /// a per-worker append-only redo log on the runtime's simulated disk
     /// (see `stm::SimDisk`), from which [`crate::recover`] can rebuild the
     /// heap after a crash. Captured writes — stack, in-transaction heap
@@ -155,8 +148,8 @@ pub struct TxConfig {
     /// scratch is not logged at all. Requires
     /// [`StmRuntime::new_durable`](crate::StmRuntime::new_durable).
     pub durable: bool,
-    /// Group-commit factor for the durable redo log: how many physical
-    /// commits a worker buffers before appending them to its log in one
+    /// Group-commit factor for the durable redo log: how many commits a
+    /// worker buffers before appending them to its log in one
     /// disk operation. `1` (the default) is strict durability — the record
     /// is on disk *before* the commit publishes its locks, so no
     /// transaction can observe unlogged state. Values above 1 trade the
@@ -183,11 +176,6 @@ pub struct TxConfig {
     pub chaos: Option<ChaosPlan>,
 }
 
-/// Upper bound for [`TxConfig::merge_max`]: each logical boundary holds a
-/// nesting level open until the physical commit, so the factor bounds the
-/// checkpoint / watermark stack depth.
-pub const MERGE_MAX_LIMIT: u32 = 4096;
-
 /// Upper bound for [`TxConfig::durable_flush_batch`]: the group-commit
 /// buffer holds every unflushed record in worker memory, and a crash loses
 /// up to `durable_flush_batch - 1` commits, so the factor bounds both.
@@ -203,7 +191,6 @@ impl Default for TxConfig {
             orec_log2: 20,
             spin_tries: 64,
             reference_dispatch: false,
-            merge_max: 1,
             durable: false,
             durable_flush_batch: 1,
             karma_threshold: 8,
@@ -228,21 +215,9 @@ pub enum ConfigError {
     /// `spin_tries` of zero: a barrier must re-examine a locked record at
     /// least once before the contention manager gives up.
     ZeroSpinTries,
-    /// `merge_max` of zero: a batch must hold at least one logical
-    /// transaction (`merge_max = 1` is how merging is *disabled*).
-    ZeroMergeMax,
-    /// `merge_max` above [`MERGE_MAX_LIMIT`]: every logical boundary keeps
-    /// a nesting level (checkpoint + watermark) open until the physical
-    /// commit, so the factor bounds live bookkeeping.
-    MergeMaxTooLarge(u32),
-    /// `merge_max > 1` together with `reference_dispatch`: the
-    /// enum-dispatch pipeline is the differential oracle for *unmerged*
-    /// per-access barrier behavior; merged transactions change the
-    /// physical commit structure it is compared against.
-    MergeWithReferenceDispatch,
     /// `durable` together with `reference_dispatch`: the enum-dispatch
     /// pipeline is the differential oracle for the per-access barriers
-    /// alone; the durable commit hook changes the physical commit path
+    /// alone; the durable commit hook changes the commit path
     /// (ticket draws for allocating read-only commits, pre-publish log
     /// appends) that the oracle's stats are compared against.
     DurableWithReferenceDispatch,
@@ -284,19 +259,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "orec_log2 {v} outside supported range 4..=26")
             }
             ConfigError::ZeroSpinTries => write!(f, "spin_tries must be at least 1"),
-            ConfigError::ZeroMergeMax => write!(
-                f,
-                "merge_max must be at least 1 (1 disables transaction merging)"
-            ),
-            ConfigError::MergeMaxTooLarge(v) => write!(
-                f,
-                "merge_max {v} exceeds the supported maximum of {MERGE_MAX_LIMIT}"
-            ),
-            ConfigError::MergeWithReferenceDispatch => write!(
-                f,
-                "transaction merging (merge_max > 1) is incompatible with the \
-                 reference_dispatch differential oracle"
-            ),
             ConfigError::DurableWithReferenceDispatch => write!(
                 f,
                 "durable commit mode is incompatible with the \
@@ -404,13 +366,6 @@ impl TxConfigBuilder {
         self
     }
 
-    /// Maximum merge factor for `WorkerCtx::txn_batch` (default 1 —
-    /// merging disabled).
-    pub fn merge_max(mut self, n: u32) -> Self {
-        self.cfg.merge_max = n;
-        self
-    }
-
     /// Durable redo-log commit mode (default off); see
     /// [`TxConfig::durable`].
     pub fn durable(mut self, on: bool) -> Self {
@@ -457,15 +412,6 @@ impl TxConfigBuilder {
         }
         if c.spin_tries == 0 {
             return Err(ConfigError::ZeroSpinTries);
-        }
-        if c.merge_max == 0 {
-            return Err(ConfigError::ZeroMergeMax);
-        }
-        if c.merge_max > MERGE_MAX_LIMIT {
-            return Err(ConfigError::MergeMaxTooLarge(c.merge_max));
-        }
-        if c.merge_max > 1 && c.reference_dispatch {
-            return Err(ConfigError::MergeWithReferenceDispatch);
         }
         if c.durable && c.reference_dispatch {
             return Err(ConfigError::DurableWithReferenceDispatch);
@@ -635,32 +581,15 @@ mod tests {
             Err(ConfigError::ZeroSpinTries)
         );
 
-        // Merge knobs: zero and over-limit factors are rejected, and the
-        // reference-dispatch oracle cannot be combined with real merging.
-        assert_eq!(
-            TxConfig::builder().merge_max(0).build(),
-            Err(ConfigError::ZeroMergeMax)
-        );
-        assert_eq!(
-            TxConfig::builder().merge_max(MERGE_MAX_LIMIT + 1).build(),
-            Err(ConfigError::MergeMaxTooLarge(MERGE_MAX_LIMIT + 1))
-        );
-        assert_eq!(
+        // The reference pipeline builds on its own; existing oracle
+        // configs keep building.
+        assert!(
             TxConfig::builder()
-                .merge_max(8)
                 .reference_dispatch(true)
-                .build(),
-            Err(ConfigError::MergeWithReferenceDispatch)
+                .build()
+                .unwrap()
+                .reference_dispatch
         );
-        // merge_max = 1 (merging disabled) stays compatible with the
-        // reference pipeline; existing oracle configs keep building.
-        let ref_cfg = TxConfig::builder()
-            .reference_dispatch(true)
-            .build()
-            .unwrap();
-        assert_eq!(ref_cfg.merge_max, 1);
-        let merged = TxConfig::builder().merge_max(32).build().unwrap();
-        assert_eq!(merged.merge_max, 32);
 
         // Durable knobs: the reference-dispatch oracle cannot run with the
         // durable commit hook, and the flush-batch factor is bounded on
@@ -684,7 +613,7 @@ mod tests {
                 DURABLE_FLUSH_BATCH_LIMIT + 1
             ))
         );
-        // Happy path: durable composes with nursery and merging, and the
+        // Happy path: durable composes with the nursery, and the
         // flush batch flows through at its limit.
         let durable = TxConfig::builder()
             .mode(Mode::Runtime {
@@ -692,7 +621,6 @@ mod tests {
                 scope: CheckScope::FULL,
             })
             .nursery(true)
-            .merge_max(8)
             .durable(true)
             .durable_flush_batch(DURABLE_FLUSH_BATCH_LIMIT)
             .build()
@@ -764,8 +692,6 @@ mod tests {
         // Errors render human-readable messages (the expt CLI prints them).
         let msg = format!("{}", ConfigError::NurseryWithoutBackingLog);
         assert!(msg.contains("backing allocation log"), "{msg}");
-        let msg = format!("{}", ConfigError::MergeWithReferenceDispatch);
-        assert!(msg.contains("reference_dispatch"), "{msg}");
         let msg = format!("{}", ConfigError::DurableWithReferenceDispatch);
         assert!(msg.contains("reference_dispatch"), "{msg}");
         let msg = format!("{}", ConfigError::ZeroDurableFlushBatch);

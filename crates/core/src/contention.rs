@@ -7,8 +7,8 @@
 //! backoff:
 //!
 //! 1. **Decorrelated-jitter backoff** — the single audited implementation
-//!    of the wait both plain retry (`WorkerCtx::txn`) and merge retry
-//!    (`WorkerCtx::txn_batch`) use ([`WorkerCtx::backoff_wait`]).
+//!    of the wait the retry loop (`WorkerCtx::txn`) uses
+//!    ([`WorkerCtx::backoff_wait`]).
 //! 2. **Karma-style patience** — past [`TxConfig::karma_threshold`]
 //!    consecutive aborts, the transaction's lock-spin budget grows with its
 //!    attempt count. In a mutual-wait cycle the *fresher* transaction
@@ -151,7 +151,7 @@ impl ChaosPlan {
 ///
 /// `token` holds `0` when free and `tid + 1` while thread `tid` serializes.
 /// `active[t]` is set from thread `t`'s first orec lock acquisition to the
-/// end of that (non-token) physical transaction; readers and captured-only
+/// end of that (non-token) transaction; readers and captured-only
 /// writers never raise it. Both sides of the announce/acquire race use
 /// `SeqCst` so the classic Dekker argument applies: a writer stores its
 /// flag *then* loads the token, an acquirer CASes the token *then* scans
@@ -211,7 +211,7 @@ impl WorkerCtx<'_> {
         Ok(())
     }
 
-    /// Contention-manager exit at every physical transaction end (commit,
+    /// Contention-manager exit at every transaction end (commit,
     /// rollback, worker drop): release the token if held, lower the active
     /// flag if raised. `Release` pairs with the drain scan's load (a lowered
     /// flag shows every lock release); nothing after needs store→load order.
@@ -227,8 +227,7 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Reset the per-transaction escalation state (new logical transaction
-    /// or forward progress in a batch).
+    /// Reset the per-transaction escalation state (new transaction).
     pub(crate) fn cm_reset(&mut self) {
         self.attempts = 0;
         self.backoff_prev = 0;
@@ -305,8 +304,7 @@ impl WorkerCtx<'_> {
         true
     }
 
-    /// One decorrelated-jitter backoff wait — the single shared
-    /// implementation behind plain retry and merge retry (one
+    /// One decorrelated-jitter backoff wait between retries (one
     /// `backoff_waits` bump per episode).
     ///
     /// Exponential backoff with *decorrelated* jitter: each wait is a
@@ -518,7 +516,7 @@ mod tests {
         // Once the locks are released at the commit version the writes
         // are visible: a panic in the rest of the commit must leave them
         // in place, release the token and flag, and leave the worker
-        // clean for its next transaction — through `txn` and `txn_batch`.
+        // clean for its next transaction.
         use crate::commit::PANIC_IN_COMMIT_TAIL;
         let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
         let a = rt.alloc_global(64);
@@ -565,19 +563,6 @@ mod tests {
         assert_eq!((rt.mem().load(a), aborts), (7, 0));
         w.txn(rmw);
         assert_eq!(rt.mem().load(a), 8, "the same worker runs again");
-
-        PANIC_IN_COMMIT_TAIL.with(|p| p.set(true));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.txn_batch(1, |tx| {
-                rmw(tx)?;
-                Ok(true)
-            })
-        }));
-        assert!(caught.is_err());
-        assert_eq!(rt.mem().load(a), 9, "the batch's commit stays");
-        assert!(!w.in_batch && w.batch_marks.is_empty());
-        w.txn(rmw);
-        assert_eq!((rt.mem().load(a), w.stats.aborts), (10, 0));
     }
 
     #[test]

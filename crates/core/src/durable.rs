@@ -1,6 +1,6 @@
 //! Durable redo-log commit mode (`TxConfig::durable`).
 //!
-//! Every physical commit appends one framed record — the transaction's
+//! Every commit appends one framed record — the transaction's
 //! *shared* write set plus the coalesced final contents of its surviving
 //! allocations — to a per-worker append-only log on a simulated disk
 //! ([`SimDisk`]). Captured writes (stack, in-transaction heap blocks,
@@ -347,7 +347,7 @@ pub(crate) struct DurableState {
     /// Checkpointer wants the world stopped.
     ckpt_pending: AtomicBool,
     /// Top-level transactions currently running (between `begin_top` and
-    /// the physical commit/rollback).
+    /// the commit/rollback).
     active: AtomicU64,
     /// Per-tid next record sequence number.
     seqs: Box<[AtomicU64]>,
@@ -401,10 +401,10 @@ impl DurableState {
         seq
     }
 
-    /// Advance tid's cumulative logical-commit counter by `n`, returning
-    /// the new total (stamped into the record being prepared).
-    pub(crate) fn add_logical(&self, tid: usize, n: u64) -> u64 {
-        let total = self.logicals[tid].load(Ordering::Relaxed) + n;
+    /// Count one more commit on tid's cumulative logical-commit counter,
+    /// returning the new total (stamped into the record being prepared).
+    pub(crate) fn add_logical(&self, tid: usize) -> u64 {
+        let total = self.logicals[tid].load(Ordering::Relaxed) + 1;
         self.logicals[tid].store(total, Ordering::Release);
         total
     }
@@ -1115,8 +1115,8 @@ mod tests {
         assert_eq!(ds.next_seq(0), 0);
         assert_eq!(ds.next_seq(0), 1);
         assert_eq!(ds.next_seq(1), 0);
-        assert_eq!(ds.add_logical(0, 3), 3);
-        assert_eq!(ds.add_logical(0, 2), 5);
-        assert_eq!(ds.add_logical(1, 1), 1);
+        assert_eq!(ds.add_logical(0), 1);
+        assert_eq!(ds.add_logical(0), 2);
+        assert_eq!(ds.add_logical(1), 1);
     }
 }

@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 
 mod barrier;
-mod batch;
 mod clock;
 mod commit;
 mod config;
@@ -80,11 +79,9 @@ mod txalloc;
 mod typed;
 mod worker;
 
-pub use batch::{BatchRun, TxBatch};
 pub use capture::{Capture, CapturePolicy, LogKind};
 pub use config::{
     CheckScope, ConfigError, Mode, TxConfig, TxConfigBuilder, DURABLE_FLUSH_BATCH_LIMIT,
-    MERGE_MAX_LIMIT,
 };
 pub use contention::{ChaosPlan, ChaosPoint};
 pub use durable::{log_file_name, recover, FaultPhase, FaultPlan, RecoveryReport, SimDisk};

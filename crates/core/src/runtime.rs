@@ -125,27 +125,36 @@ impl StmRuntime {
     }
 
     /// Register a worker thread: assigns a thread id (and with it a stack
-    /// region) that is returned to the pool when the worker drops.
-    pub fn spawn_worker(&self) -> WorkerCtx<'_> {
+    /// region) that is returned to the pool when the worker drops. `None`
+    /// when every stack region is taken; the pool is then left as it was.
+    pub fn try_spawn_worker(&self) -> Option<WorkerCtx<'_>> {
         let tid = {
             let mut pool = self.tids.lock().unwrap();
             if let Some(t) = pool.free.pop() {
-                Some(t)
+                t
             } else if pool.next < pool.max {
-                let t = pool.next;
                 pool.next += 1;
-                Some(t)
+                pool.next - 1
             } else {
-                None
+                return None;
             }
         };
-        let tid = tid.unwrap_or_else(|| {
+        Some(WorkerCtx::new(self, tid))
+    }
+
+    /// [`StmRuntime::try_spawn_worker`] for callers that size their thread
+    /// count to the memory layout.
+    ///
+    /// # Panics
+    ///
+    /// When every stack region is taken.
+    pub fn spawn_worker(&self) -> WorkerCtx<'_> {
+        self.try_spawn_worker().unwrap_or_else(|| {
             panic!(
                 "worker limit reached ({} stack regions)",
                 self.mem.layout().max_threads
             )
-        });
-        WorkerCtx::new(self, tid)
+        })
     }
 
     pub(crate) fn release_tid(&self, tid: usize) {
@@ -231,6 +240,26 @@ mod tests {
         assert_eq!(workers.len(), 8);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.spawn_worker()));
         assert!(r.is_err(), "9th worker must panic: only 8 stack regions");
+    }
+
+    #[test]
+    fn try_spawn_worker_fails_soft_on_a_full_table() {
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::default());
+        let mut workers: Vec<_> = std::iter::from_fn(|| rt.try_spawn_worker()).collect();
+        assert_eq!(workers.len(), 8, "one worker per stack region");
+        let pool = |rt: &StmRuntime| {
+            let p = rt.tids.lock().unwrap();
+            (p.next, p.free.clone())
+        };
+        let full = pool(&rt);
+        assert!(rt.try_spawn_worker().is_none());
+        assert_eq!(pool(&rt), full, "a refused try leaves the table as it was");
+        let freed = workers.swap_remove(3).tid();
+        let w = rt
+            .try_spawn_worker()
+            .expect("a dropped worker frees its slot");
+        assert_eq!(w.tid(), freed);
+        assert!(rt.try_spawn_worker().is_none());
     }
 
     #[test]

@@ -48,26 +48,6 @@ pub(crate) struct RangedDelta {
     pub fallbacks: u64,
 }
 
-/// Hot-path counters for transaction merging (`WorkerCtx::txn_batch`)
-/// within a single *physical* transaction. Kept in the pending
-/// [`TxnDelta`] — not bumped straight into [`TxStats`] — so the batch
-/// machinery inherits the once-per-physical-transaction absorption
-/// contract: logical boundaries never flush stats, only a physical commit
-/// or rollback does.
-#[derive(Default, Clone, Copy, Debug, PartialEq)]
-pub(crate) struct MergeDelta {
-    /// Logical transactions committed inside a physical transaction that
-    /// carried at least two of them.
-    pub merged_txns: u64,
-    /// Split events: a conflict (or watermark validation failure) forced
-    /// the batch to truncate to a clean boundary.
-    pub splits: u64,
-    /// Logical transactions salvaged by a split — committed early by
-    /// truncating the logs to their watermark instead of being rolled
-    /// back with the conflicting remainder.
-    pub salvaged: u64,
-}
-
 /// Both directions of [`BarrierDelta`] plus the ranged-op telemetry; lives
 /// on the worker and is taken (reset to zero) when flushed at commit or
 /// rollback.
@@ -76,7 +56,6 @@ pub(crate) struct TxnDelta {
     pub reads: BarrierDelta,
     pub writes: BarrierDelta,
     pub ranged: RangedDelta,
-    pub merge: MergeDelta,
 }
 
 /// Counters for one barrier direction (reads or writes).
@@ -243,17 +222,6 @@ pub struct TxStats {
     /// and whole ops routed through the per-word loop (classify /
     /// annotation instrumentation, reference dispatch).
     pub ranged_fallbacks: u64,
-    /// Logical transactions committed inside a *merged* physical
-    /// transaction (one that carried ≥ 2 logical transactions; see
-    /// `WorkerCtx::txn_batch`). A subset of `commits`, which counts every
-    /// logical transaction regardless of merging.
-    pub merged_txns: u64,
-    /// Batch splits: a conflict or commit-time validation failure forced a
-    /// merged transaction to truncate to its last clean logical boundary,
-    /// committing the prefix and retrying the remainder unmerged.
-    pub merge_splits: u64,
-    /// Logical transactions salvaged (committed early) by batch splits.
-    pub merge_salvaged: u64,
     /// Contention-manager backoff waits: one per abort-triggered
     /// decorrelated-jitter spin/yield episode in the retry loops.
     pub backoff_waits: u64,
@@ -269,8 +237,7 @@ pub struct TxStats {
     /// Conflict aborts raised by snapshot validation: a failed timestamp
     /// extension in a barrier, a read whose version sandwich kept tearing
     /// (the record *changed* under the read; nobody holds it), or
-    /// commit-time read-set validation finding an invalidated entry (each
-    /// batch-commit salvage iteration counts one).
+    /// commit-time read-set validation finding an invalidated entry.
     pub conflict_validation: u64,
     /// Contention manager: transactions that escalated into the
     /// karma tier (spin-budget growth past `TxConfig::karma_threshold`
@@ -293,9 +260,9 @@ pub struct TxStats {
     /// (wall-clock from retry-loop entry to commit, aborted attempts
     /// included); see [`LATENCY_BUCKETS`] and [`TxStats::latency_pct_ns`].
     /// A deterministic 1-in-64 sample, first transaction included: of each
-    /// block of 64 commits only the transaction (or `txn_batch` window)
-    /// starting at offset `block % 64` reads the clock, so percentiles are
-    /// those of a sample that cannot lock onto a periodic workload.
+    /// block of 64 commits only the transaction starting at offset
+    /// `block % 64` reads the clock, so percentiles are those of a sample
+    /// that cannot lock onto a periodic workload.
     pub latency_hist: [u64; LATENCY_BUCKETS],
     /// Durable mode: words actually appended to the redo log — one per
     /// distinct shared-write address plus the coalesced final contents
@@ -328,9 +295,6 @@ impl TxStats {
         self.ranged_writes += d.ranged.writes;
         self.ranged_spans += d.ranged.spans;
         self.ranged_fallbacks += d.ranged.fallbacks;
-        self.merged_txns += d.merge.merged_txns;
-        self.merge_splits += d.merge.splits;
-        self.merge_salvaged += d.merge.salvaged;
     }
 
     /// Accumulate another worker's statistics into this one.
@@ -351,9 +315,6 @@ impl TxStats {
         self.ranged_writes += o.ranged_writes;
         self.ranged_spans += o.ranged_spans;
         self.ranged_fallbacks += o.ranged_fallbacks;
-        self.merged_txns += o.merged_txns;
-        self.merge_splits += o.merge_splits;
-        self.merge_salvaged += o.merge_salvaged;
         self.backoff_waits += o.backoff_waits;
         self.conflict_read_locked += o.conflict_read_locked;
         self.conflict_write_locked += o.conflict_write_locked;
@@ -391,8 +352,8 @@ impl TxStats {
         self.latency_hist[log2.saturating_sub(7).min(LATENCY_BUCKETS - 1)] += 1;
     }
 
-    /// Start the latency clock iff the transaction (or `txn_batch` window)
-    /// about to run is a sampled one; see [`TxStats::latency_hist`].
+    /// Start the latency clock iff the transaction about to run is a
+    /// sampled one; see [`TxStats::latency_hist`].
     #[inline]
     pub(crate) fn latency_sample_start(&self) -> Option<std::time::Instant> {
         (self.commits & 63 == (self.commits >> 6) & 63).then(std::time::Instant::now)
@@ -462,9 +423,6 @@ mod tests {
         b.ranged_reads = 3;
         b.ranged_spans = 2;
         b.ranged_fallbacks = 1;
-        b.merged_txns = 8;
-        b.merge_splits = 2;
-        b.merge_salvaged = 5;
         b.backoff_waits = 4;
         b.conflict_read_locked = 6;
         b.conflict_write_locked = 7;
@@ -491,9 +449,6 @@ mod tests {
         assert_eq!(a.ranged_writes, 0);
         assert_eq!(a.ranged_spans, 2);
         assert_eq!(a.ranged_fallbacks, 1);
-        assert_eq!(a.merged_txns, 8);
-        assert_eq!(a.merge_splits, 2);
-        assert_eq!(a.merge_salvaged, 5);
         assert_eq!(a.backoff_waits, 4);
         assert_eq!(a.conflict_read_locked, 6);
         assert_eq!(a.conflict_write_locked, 7);
@@ -538,8 +493,7 @@ mod tests {
 
     #[test]
     fn latency_is_a_one_in_64_sample_first_transaction_included() {
-        let cfg = crate::TxConfig::builder().merge_max(4).build().unwrap();
-        let rt = crate::StmRuntime::new(txmem::MemConfig::small(), cfg);
+        let rt = crate::StmRuntime::new(txmem::MemConfig::small(), crate::TxConfig::default());
         let mut w = rt.spawn_worker();
         let sampled = |w: &crate::WorkerCtx<'_>| w.stats.latency_hist.iter().sum::<u64>();
         w.txn(|_| Ok(()));
@@ -548,11 +502,6 @@ mod tests {
             w.txn(|_| Ok(()));
         }
         assert_eq!((w.stats.commits, sampled(&w)), (6400, 100));
-        // Batch windows too: block 100 samples the one starting at offset 36.
-        for _ in 0..16 {
-            w.txn_batch(4, |_| Ok(true));
-        }
-        assert_eq!((w.stats.commits, sampled(&w)), (6464, 101));
     }
 
     #[test]
@@ -576,17 +525,11 @@ mod tests {
         d.ranged.writes = 1;
         d.ranged.spans = 3;
         d.ranged.fallbacks = 4;
-        d.merge.merged_txns = 6;
-        d.merge.splits = 1;
-        d.merge.salvaged = 2;
         s.absorb(&d);
         assert_eq!(s.ranged_reads, 2);
         assert_eq!(s.ranged_writes, 1);
         assert_eq!(s.ranged_spans, 3);
         assert_eq!(s.ranged_fallbacks, 4);
-        assert_eq!(s.merged_txns, 6);
-        assert_eq!(s.merge_splits, 1);
-        assert_eq!(s.merge_salvaged, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use capture::{NurseryLog, PrivateLog, RangeTree};
 use txmem::{words_to_bytes, Addr, ThreadAlloc, ThreadStack};
 
 use crate::barrier::{CaptureLogs, DispatchTable};
-use crate::commit::{AttemptGuard, BatchMark};
+use crate::commit::AttemptGuard;
 use crate::config::{CheckScope, Mode, TxConfig};
 use crate::orec::line_index;
 use crate::runtime::StmRuntime;
@@ -258,19 +258,6 @@ pub struct WorkerCtx<'rt> {
     pub(crate) chaos_on: bool,
     /// Per-worker deterministic rng stream of the chaos plan.
     pub(crate) chaos_rng: u64,
-    /// Logical-boundary checkpoints of the active merged batch
-    /// (`WorkerCtx::txn_batch`), innermost last. Empty outside a batch and
-    /// within a batch window's first logical transaction. Buffer reused
-    /// across windows.
-    pub(crate) batch_marks: Vec<BatchMark>,
-    /// Logical transactions completed so far in the active batch window.
-    pub(crate) batch_logical: u64,
-    /// Logical transactions durably committed by earlier windows of the
-    /// active `txn_batch` call (makes `TxBatch::logical_index`
-    /// batch-relative across splits).
-    pub(crate) batch_base: u64,
-    /// Whether a `txn_batch` window is executing (gates `TxBatch::boundary`).
-    pub(crate) in_batch: bool,
     /// The current attempt's commit is decided: raised when its first
     /// lock is released at the commit version (`WorkerCtx::publish`), or
     /// on entry to a read-only commit's tail, and lowered at the end of
@@ -354,10 +341,6 @@ impl<'rt> WorkerCtx<'rt> {
             cm_deadline: None,
             chaos_on: cfg.chaos.is_some(),
             chaos_rng: cfg.chaos.map_or(1, |p| p.rng_for(tid)),
-            batch_marks: Vec::new(),
-            batch_logical: 0,
-            batch_base: 0,
-            in_batch: false,
             committed: false,
             durable_on: rt.durable.is_some(),
             dur_buf: Vec::new(),
@@ -740,7 +723,7 @@ impl<'rt> WorkerCtx<'rt> {
 
 impl Drop for WorkerCtx<'_> {
     fn drop(&mut self) {
-        // A transaction never outlives its `txn`/`txn_batch` call, not even
+        // A transaction never outlives its `txn` call, not even
         // by unwinding (`AttemptGuard`): no locks, token or active flag
         // are left to release here.
         debug_assert_eq!(self.depth, 0, "worker dropped inside a transaction");

@@ -1,5 +1,5 @@
-//! Helpers shared by the differential oracles (`merge_oracle`,
-//! `ranged_oracle`, `typed_oracle`, `nursery_oracle`, `crash_oracle`).
+//! Helpers shared by the differential oracles (`ranged_oracle`,
+//! `typed_oracle`, `nursery_oracle`, `crash_oracle`).
 //!
 //! Each oracle compares two executions that must be *observably
 //! identical*; these helpers build the comparable statistics signatures,
@@ -65,29 +65,10 @@ pub fn redacted_debug(stats: &TxStats, redact: &[Redact]) -> String {
     format!("{s:?}")
 }
 
-/// The logical-outcome signature: the counters that describe *what the
-/// program did* (commit/abort/alloc/free totals and barrier volumes),
-/// independent of how the runtime processed it. Two executions of the
-/// same logical program must agree on this line even when their physical
-/// shapes (merging, splits, clock traffic) differ.
-pub fn logical_line(s: &TxStats) -> String {
-    format!(
-        "commits={} aborts={} user={} partial={} allocs={} frees={} \
-         reads={} writes={}",
-        s.commits,
-        s.aborts,
-        s.user_aborts,
-        s.partial_aborts,
-        s.tx_allocs,
-        s.tx_frees,
-        s.reads.total,
-        s.writes.total,
-    )
-}
-
-/// [`logical_line`] with the full per-direction barrier breakdowns
-/// appended: the signature for oracles whose two runs must also produce
-/// identical *capture verdicts* per access, not just identical volumes.
+/// The logical-outcome signature with the full per-direction barrier
+/// breakdowns: the counters that describe *what the program did*
+/// (commit/abort/alloc/free totals and every access's capture verdict),
+/// independent of how the runtime processed it.
 pub fn logical_line_with_barriers(s: &TxStats) -> String {
     format!(
         "commits={} aborts={} user={} partial={} allocs={} frees={} \

@@ -21,9 +21,8 @@
 //!   when no fault fired.
 //!
 //! The property runs the script across the paper's whole configuration
-//! matrix — allocation-log kinds × nursery × transaction merging
-//! (`txn_batch` windows, one record per physical window) × the typed
-//! object layer — with strict (`durable_flush_batch = 1`) and group
+//! matrix — allocation-log kinds × nursery × the typed object layer —
+//! with strict (`durable_flush_batch = 1`) and group
 //! (`> 1`) commit, plus optional mid-run checkpoints. Deterministic
 //! companions pin each fault phase at every append index, the checkpoint
 //! crash windows, the background checkpointer, and durable-mode
@@ -96,9 +95,6 @@ fn txn_spec() -> impl Strategy<Value = TxnSpec> {
 struct OracleCfg {
     log: LogKind,
     nursery: bool,
-    /// `None` = one `txn_result` per logical transaction; `Some(w)` =
-    /// merged `txn_batch` windows of width `w`.
-    merge: Option<usize>,
     /// Drive the block fill/publish through the typed layer
     /// (`alloc_buf`/`write_elem`) instead of raw word barriers.
     typed: bool,
@@ -109,11 +105,7 @@ struct OracleCfg {
 
 fn oracle_cfg() -> impl Strategy<Value = OracleCfg> {
     (
-        (
-            0..LogKind::ALL.len(),
-            any::<bool>(),
-            prop_oneof![2 => Just(None), 1 => (2..5usize).prop_map(Some)],
-        ),
+        (0..LogKind::ALL.len(), any::<bool>()),
         (
             any::<bool>(),
             prop_oneof![3 => Just(1u32), 1 => Just(4u32)],
@@ -121,10 +113,9 @@ fn oracle_cfg() -> impl Strategy<Value = OracleCfg> {
         ),
     )
         .prop_map(
-            |((log_idx, nursery, merge), (typed, flush_batch, ckpt_after))| OracleCfg {
+            |((log_idx, nursery), (typed, flush_batch, ckpt_after))| OracleCfg {
                 log: LogKind::ALL[log_idx],
                 nursery,
-                merge,
                 typed,
                 flush_batch,
                 ckpt_after,
@@ -152,7 +143,6 @@ fn config(oc: &OracleCfg) -> TxConfig {
             scope: CheckScope::FULL,
         })
         .nursery(oc.nursery)
-        .merge_max(oc.merge.unwrap_or(1).max(1) as u32)
         .durable(true)
         .durable_flush_batch(oc.flush_batch)
         .build()
@@ -305,32 +295,13 @@ fn run_workload(script: &[TxnSpec], oc: &OracleCfg, disk: &Arc<SimDisk>) -> Cras
         let mut w = rt.spawn_worker();
         let mut done = 0usize;
         while done < script.len() && !disk.is_killed() {
-            match oc.merge {
-                None => {
-                    let t = &script[done];
-                    let i = done;
-                    let r = w.txn_result(|tx| body(tx, t, i, cells, slots, oc.typed, &ptrs));
-                    if r.is_ok() {
-                        committed += 1;
-                    }
-                    done += 1;
-                }
-                Some(width) => {
-                    let offset = done;
-                    let quota = width.min(script.len() - done);
-                    let run = w.txn_batch(quota, |b| {
-                        let i = offset + b.logical_index() as usize;
-                        let t = &script[i];
-                        body(&mut *b, t, i, cells, slots, oc.typed, &ptrs)?;
-                        Ok(true)
-                    });
-                    committed += run.committed;
-                    done += run.committed as usize;
-                    if run.user_abort.is_some() {
-                        done += 1; // the aborting transaction is consumed, not retried
-                    }
-                }
+            let t = &script[done];
+            let i = done;
+            let r = w.txn_result(|tx| body(tx, t, i, cells, slots, oc.typed, &ptrs));
+            if r.is_ok() {
+                committed += 1;
             }
+            done += 1;
             if let Some(k) = oc.ckpt_after {
                 if done >= k && !ckpt_done {
                     rt.checkpoint_now();
@@ -451,7 +422,6 @@ fn fixed_script(n: usize) -> Vec<TxnSpec> {
 const DET_CFG: OracleCfg = OracleCfg {
     log: LogKind::Tree,
     nursery: false,
-    merge: None,
     typed: false,
     flush_batch: 1,
     ckpt_after: None,

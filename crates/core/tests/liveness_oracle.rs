@@ -548,9 +548,7 @@ fn chaos_has_no_semantic_footprint() {
 /// the surviving parent read entries for those orecs are not re-stamped
 /// to the republished version, version-equality validation rejects them
 /// on every subsequent attempt — a deterministic single-thread
-/// self-livelock (the retry replays the identical nested abort). The
-/// batch-window variant lives in `batch_tests`; this covers the plain
-/// `nested()` path through `partial_rollback`.
+/// self-livelock (the retry replays the identical nested abort).
 #[test]
 fn nested_partial_abort_does_not_poison_parent_reads() {
     for log in LogKind::ALL {

@@ -261,80 +261,3 @@ fn hot_word_contention_backs_off_and_stays_correct() {
         "every conflict rollback backs off or escalates exactly once: {stats:?}"
     );
 }
-
-/// Merged batches under real cross-thread contention: each thread runs its
-/// transfers through `txn_batch`, so windows split and salvage under fire.
-/// The money invariant plus the logical-commit count prove that salvage
-/// never loses or double-applies an update.
-#[test]
-fn merged_transfers_preserve_sum_under_contention() {
-    const BATCH: usize = 8;
-    const BATCHES: usize = 40;
-    let cfg = TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
-        .merge_max(BATCH as u32)
-        .build()
-        .unwrap();
-    let rt = StmRuntime::new(
-        MemConfig {
-            max_threads: THREADS,
-            stack_words: 1 << 10,
-            heap_words: 1 << 18,
-        },
-        cfg,
-    );
-    let base = rt.alloc_global(ACCOUNTS * 8);
-    for i in 0..ACCOUNTS {
-        rt.mem().store(base.word(i), SEED_BALANCE);
-    }
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let rt = &rt;
-            s.spawn(move || {
-                let mut w = rt.spawn_worker();
-                let mut rng = Rng(0xDEADBEEFCAFE ^ (t as u64 + 1));
-                for _ in 0..BATCHES {
-                    // Pre-draw the batch's transfers: a salvage retry
-                    // re-invokes the closure for the same logical index,
-                    // which must redo the *same* transfer.
-                    let moves: Vec<(u64, u64, u64)> = (0..BATCH)
-                        .map(|_| {
-                            (
-                                rng.next() % ACCOUNTS,
-                                rng.next() % ACCOUNTS,
-                                1 + rng.next() % 9,
-                            )
-                        })
-                        .collect();
-                    let run = w.txn_batch(BATCH, |b| {
-                        let (from, to, amt) = moves[b.logical_index() as usize];
-                        let f = b.read(&S_ACCT, base.word(from))?;
-                        b.write(&S_ACCT, base.word(from), f.wrapping_sub(amt))?;
-                        let v = b.read(&S_ACCT, base.word(to))?;
-                        b.write(&S_ACCT, base.word(to), v + amt)?;
-                        Ok(true)
-                    });
-                    assert_eq!(run.committed, BATCH as u64);
-                }
-            });
-        }
-    });
-    assert_eq!(
-        total(&rt, base),
-        ACCOUNTS * SEED_BALANCE,
-        "merged transfers lost or duplicated money"
-    );
-    let stats = rt.collect_stats();
-    assert_eq!(
-        stats.commits,
-        (THREADS * BATCHES * BATCH) as u64,
-        "commits counts every logical transfer: {stats:?}"
-    );
-    assert!(
-        stats.merged_txns > 0,
-        "batches must actually merge: {stats:?}"
-    );
-}

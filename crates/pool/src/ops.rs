@@ -1,7 +1,7 @@
 //! The pool's public mutations. Each takes `&mut Tx`, so operations
-//! compose inside caller transactions (and inside `txn_batch` windows);
-//! the driver wraps each call in one transaction, making every mutation
-//! atomic and every telemetry counter roll back with its transaction.
+//! compose inside caller transactions; the driver wraps each call in one
+//! transaction, making every mutation atomic and every telemetry counter
+//! roll back with its transaction.
 
 use crate::index::{KeyKind, Node};
 use crate::{HdrDelta, Item, PoolEntry, PoolHdr, TxPool, S_HDR_R, S_INIT_W, S_ITEM_R, S_LINK_W};

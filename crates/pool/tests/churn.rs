@@ -1,15 +1,14 @@
 //! Multi-thread churn stress (ISSUE 10 satellite): the pool under
-//! concurrent insert/pop/remove/promote/purge traffic with the nursery,
-//! transaction merging, and schedule chaos engaged — and an explicit
-//! check that the telemetry those features emit is *non-degenerate*
-//! (`nursery_regions > 0`, `merged_txns > 0`, and a seed sweep that
-//! actually observes `merge_splits > 0`), so a regression that silently
-//! disables a subsystem cannot hide behind green invariants. The chaos arm
+//! concurrent insert/pop/remove/promote/purge traffic with the nursery
+//! and schedule chaos engaged — and an explicit check that the telemetry
+//! those features emit is *non-degenerate* (`nursery_regions > 0`,
+//! `elided_static > 0`), so a regression that silently disables a
+//! subsystem cannot hide behind green invariants. The chaos arm
 //! also panics a seeded 1-in-N of its op closures after the op's writes:
 //! each panic must roll the op back and leave its worker running.
 
 use pool::{Item, PoolConfig, TxPool};
-use stm::{ChaosPlan, CheckScope, LogKind, Mode, StmRuntime, TxConfig, TxObject, TxStats};
+use stm::{ChaosPlan, Mode, StmRuntime, TxConfig, TxObject, TxStats};
 use txmem::MemConfig;
 
 const THREADS: u64 = 3;
@@ -111,13 +110,11 @@ fn apply(pool: &TxPool, tx: &mut stm::Tx<'_, '_>, op: &Op) -> stm::TxResult<()> 
     Ok(())
 }
 
-/// Run the churn under `cfg`; `merge > 1` routes every thread's stream
-/// through `txn_batch` windows, and `panic_one_in = n > 0` (unmerged
-/// only) unwinds out of about one op closure in `n`, after the op ran.
-/// Returns the merged runtime stats after `seq_check` and the
-/// conservation law have passed, and every op that did not panic
-/// committed.
-fn churn(cfg: TxConfig, merge: usize, seed: u64, panic_one_in: u64) -> TxStats {
+/// Run the churn under `cfg`; `panic_one_in = n > 0` unwinds out of
+/// about one op closure in `n`, after the op ran. Returns the runtime
+/// stats after `seq_check` and the conservation law have passed, and
+/// every op that did not panic committed.
+fn churn(cfg: TxConfig, seed: u64, panic_one_in: u64) -> TxStats {
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let pool = TxPool::create(
         &rt,
@@ -135,32 +132,20 @@ fn churn(cfg: TxConfig, merge: usize, seed: u64, panic_one_in: u64) -> TxStats {
                 let ops = ops_for(t, seed);
                 let mut doom = seed.rotate_left(t as u32 * 8) | 1;
                 let mut w = rt.spawn_worker();
-                if merge > 1 {
-                    for window in ops.chunks(merge) {
-                        let run = w.txn_batch(window.len(), |b| {
-                            let i = b.logical_index() as usize;
-                            apply(&pool, b, &window[i])?;
-                            Ok(true)
-                        });
-                        assert_eq!(run.committed, window.len() as u64);
-                    }
-                } else {
-                    for op in &ops {
-                        let doomed =
-                            panic_one_in > 0 && next(&mut doom).is_multiple_of(panic_one_in);
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            w.txn(|tx| {
-                                apply(&pool, tx, op)?;
-                                if doomed {
-                                    // Skips the panic hook: the output stays quiet.
-                                    std::panic::resume_unwind(Box::new("injected op panic"));
-                                }
-                                Ok(())
-                            })
-                        }));
-                        if caught.is_err() {
-                            lost.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
+                for op in &ops {
+                    let doomed = panic_one_in > 0 && next(&mut doom).is_multiple_of(panic_one_in);
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        w.txn(|tx| {
+                            apply(&pool, tx, op)?;
+                            if doomed {
+                                // Skips the panic hook: the output stays quiet.
+                                std::panic::resume_unwind(Box::new("injected op panic"));
+                            }
+                            Ok(())
+                        })
+                    }));
+                    if caught.is_err() {
+                        lost.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                 }
             });
@@ -184,51 +169,14 @@ fn churn(cfg: TxConfig, merge: usize, seed: u64, panic_one_in: u64) -> TxStats {
     s
 }
 
-fn merged_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
-    let mut b = TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
-        .nursery(true)
-        .merge_max(4);
-    if let Some(plan) = chaos {
-        b = b.chaos(plan);
-    }
-    b.build().expect("static churn config")
-}
-
 /// Nursery arm: transactional item allocation must actually route
 /// through bump regions, not silently fall back to the classic path.
 #[test]
 fn churn_under_nursery_exercises_regions() {
-    let s = churn(TxConfig::runtime_tree_nursery(), 1, 0xA11CE, 0);
+    let s = churn(TxConfig::runtime_tree_nursery(), 0xA11CE, 0);
     assert!(s.commits >= THREADS * ROUNDS as u64);
     assert!(s.nursery_regions > 0, "nursery idle during churn: {s:?}");
     assert!(s.tx_allocs > 0);
-}
-
-/// Merge arm: windows must actually merge, and a short seed sweep must
-/// catch the window-split path at least once — three threads hammering
-/// the same header words conflict reliably under schedule chaos.
-#[test]
-fn churn_under_merge_exercises_windows_and_splits() {
-    let s = churn(merged_cfg(None), 4, 0xB0B, 0);
-    assert!(s.merged_txns > 0, "merging idle during churn: {s:?}");
-
-    let mut split_seen = false;
-    for seed in 1..=5u64 {
-        let s = churn(merged_cfg(Some(ChaosPlan::all(seed, 7))), 4, seed, 0);
-        assert!(s.merged_txns > 0);
-        if s.merge_splits > 0 || s.merge_salvaged > 0 {
-            split_seen = true;
-            break;
-        }
-    }
-    assert!(
-        split_seen,
-        "no chaos seed produced a mid-window conflict; split path untested"
-    );
 }
 
 /// Static-elision arm: under `Mode::Compiler` the pool's `S_INIT_W` stores
@@ -242,17 +190,17 @@ fn churn_under_compiler_mode_and_chaos_keeps_indices_consistent() {
         .chaos(ChaosPlan::all(0x5747, 11))
         .build()
         .expect("static churn config");
-    let s = churn(cfg, 1, 0x5747, 0);
+    let s = churn(cfg, 0x5747, 0);
     assert!(s.commits >= THREADS * ROUNDS as u64);
     assert!(s.writes.elided_static > 0, "no static elision: {s:?}");
 }
 
-/// Chaos arm without merging: scheduling faults at every seam may cost
+/// Chaos arm: scheduling faults at every seam may cost
 /// retries but never consistency, and neither may a panic in one op in
 /// eight — its insert, eviction or purge rolls back with it.
 #[test]
 fn churn_under_chaos_keeps_indices_consistent() {
     let mut cfg = TxConfig::runtime_tree_nursery();
     cfg.chaos = Some(ChaosPlan::all(0xC4405, 11));
-    churn(cfg, 1, 0xC4405, 8);
+    churn(cfg, 0xC4405, 8);
 }

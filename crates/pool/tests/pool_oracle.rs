@@ -1,6 +1,6 @@
 //! Differential oracle for the transactional pool (ISSUE 10 acceptance):
 //! random op scripts run against [`TxPool`] under every allocation-log
-//! kind × nursery on/off × merge widths, and every arm must match the
+//! kind × nursery on/off, and every arm must match the
 //! sequential [`ModelPool`] bit-for-bit — per-op return values, final
 //! contents, and all twelve header counters. That includes `dup_skips`,
 //! which depends on bloom-filter *false positives*: the model earns
@@ -123,9 +123,8 @@ struct PoolRun {
     stats: (u64, u64, u64, u64),
 }
 
-/// Run the script one-transaction-per-op (`merge <= 1`) or through
-/// `txn_batch` windows of `merge` logical transactions.
-fn run_pool(script: &[Op], cfg: TxConfig, merge: usize) -> PoolRun {
+/// Run the script one transaction per op.
+fn run_pool(script: &[Op], cfg: TxConfig) -> PoolRun {
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let pool = TxPool::create(
         &rt,
@@ -136,21 +135,8 @@ fn run_pool(script: &[Op], cfg: TxConfig, merge: usize) -> PoolRun {
     );
     let mut w = rt.spawn_worker();
     let mut outcomes = Vec::with_capacity(script.len());
-    if merge <= 1 {
-        for op in script {
-            outcomes.push(w.txn(|tx| apply(&pool, tx, op)));
-        }
-    } else {
-        for window in script.chunks(merge) {
-            let mut outs = vec![String::new(); window.len()];
-            let run = w.txn_batch(window.len(), |b| {
-                let i = b.logical_index() as usize;
-                outs[i] = apply(&pool, b, &window[i])?;
-                Ok(true)
-            });
-            assert_eq!(run.committed, window.len() as u64, "merged window aborted");
-            outcomes.append(&mut outs);
-        }
+    for op in script {
+        outcomes.push(w.txn(|tx| apply(&pool, tx, op)));
     }
     pool.seq_check(&w);
     PoolRun {
@@ -181,25 +167,14 @@ fn log_cfg(log: LogKind, nursery: bool) -> TxConfig {
     cfg
 }
 
-/// Config arms the acceptance clause names: every log kind, nursery
-/// on/off for the tree log, and merge widths 1 and 4 (the merged arm
-/// rides the nursery config, where salvage matters most).
-fn arms() -> Vec<(&'static str, TxConfig, usize)> {
-    let merged = TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
-        .nursery(true)
-        .merge_max(4)
-        .build()
-        .expect("static merge config");
+/// Config arms the acceptance clause names: every log kind, and nursery
+/// on/off for the tree log.
+fn arms() -> Vec<(&'static str, TxConfig)> {
     vec![
-        ("tree", TxConfig::runtime_tree_full(), 1),
-        ("tree+nursery", TxConfig::runtime_tree_nursery(), 1),
-        ("array", log_cfg(LogKind::Array, false), 1),
-        ("filtering", log_cfg(LogKind::Filter, false), 1),
-        ("tree+nursery+merge4", merged, 4),
+        ("tree", TxConfig::runtime_tree_full()),
+        ("tree+nursery", TxConfig::runtime_tree_nursery()),
+        ("array", log_cfg(LogKind::Array, false)),
+        ("filtering", log_cfg(LogKind::Filter, false)),
     ]
 }
 
@@ -213,12 +188,12 @@ proptest! {
     fn pool_matches_sequential_model(script in script()) {
         let (m_out, m_contents, m_counters) = run_model(&script);
         let mut tree_pair: Vec<(u64, u64, u64, u64)> = Vec::new();
-        for (name, cfg, merge) in arms() {
-            let r = run_pool(&script, cfg, merge);
+        for (name, cfg) in arms() {
+            let r = run_pool(&script, cfg);
             prop_assert_eq!(&r.outcomes, &m_out, "op outcomes diverged in arm {}", name);
             prop_assert_eq!(&r.contents, &m_contents, "contents diverged in arm {}", name);
             prop_assert_eq!(&r.counters, &m_counters, "counters diverged in arm {}", name);
-            if name.starts_with("tree") && merge == 1 {
+            if name.starts_with("tree") {
                 tree_pair.push(r.stats);
             }
         }
@@ -276,8 +251,8 @@ fn oracle_script_space_is_not_vacuous() {
     );
     assert!(m_counters.promoted > 0 && m_counters.purged > 0 && m_counters.popped > 0);
 
-    for (name, cfg, merge) in arms() {
-        let r = run_pool(&script, cfg, merge);
+    for (name, cfg) in arms() {
+        let r = run_pool(&script, cfg);
         assert_eq!(r.outcomes, m_out, "outcomes diverged in arm {name}");
         assert_eq!(r.contents, m_contents, "contents diverged in arm {name}");
         assert_eq!(r.counters, m_counters, "counters diverged in arm {name}");

@@ -86,12 +86,8 @@ fn alloc_flow_record(tx: &mut stm::Tx<'_, '_>, expect: u64) -> stm::TxResult<Add
 }
 
 /// Process one packet fragment: pop, reassemble, detect, report. Returns
-/// `Ok(true)` when the packet queue is drained. This is the body of one
-/// *logical* transaction — the unmerged loop runs it once per `txn`, the
-/// merged loop (`TxConfig::merge_max > 1`) packs up to `merge_max`
-/// invocations into one physical transaction via `txn_batch`, which keeps
-/// each flow record captured across the fragments that touch it within a
-/// window.
+/// `Ok(true)` when the packet queue is drained. The body of one worker
+/// transaction.
 fn process_fragment(
     tx: &mut stm::Tx<'_, '_>,
     cfg: &Config,
@@ -179,33 +175,10 @@ pub fn run(cfg: &Config, txcfg: TxConfig, threads: usize) -> RunOutcome {
     }
     rt.reset_stats();
 
-    let merge = txcfg.merge_max.max(1) as usize;
-    let elapsed = run_parallel(&rt, threads, |w, _t| {
-        if merge > 1 {
-            // Merged packet loop: up to `merge` fragments per physical
-            // transaction. The drained-queue invocation stops the batch
-            // and still commits (the merged analogue of the unmerged
-            // loop's final drained commit). The batch's last invocation is
-            // its last committed one, so its verdict says whether the queue
-            // is empty — the committed count cannot, since the stop may
-            // land on the window's final slot.
-            loop {
-                let mut drained = false;
-                w.txn_batch(merge, |b| {
-                    drained = process_fragment(b, cfg, &packets, &reassembly, &results)?;
-                    Ok(!drained)
-                });
-                if drained {
-                    break;
-                }
-            }
-        } else {
-            loop {
-                let done = w.txn(|tx| process_fragment(tx, cfg, &packets, &reassembly, &results));
-                if done {
-                    break;
-                }
-            }
+    let elapsed = run_parallel(&rt, threads, |w, _t| loop {
+        let done = w.txn(|tx| process_fragment(tx, cfg, &packets, &reassembly, &results));
+        if done {
+            break;
         }
     });
 
@@ -264,33 +237,6 @@ mod tests {
         ] {
             let out = run(&cfg, TxConfig::with_mode(mode), 4);
             assert!(out.verified, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn merged_packet_loop_detects_the_same_attacks() {
-        let cfg = Config::scaled(Scale::Test);
-        let merged = TxConfig::builder()
-            .mode(Mode::Runtime {
-                log: stm::LogKind::Tree,
-                scope: stm::CheckScope::FULL,
-            })
-            .merge_max(8)
-            .build()
-            .unwrap();
-        for threads in [1, 4] {
-            let out = run(&cfg, merged, threads);
-            assert!(out.verified, "threads={threads}");
-            assert_eq!(
-                out.stats.commits,
-                cfg.flows * cfg.frags_per_flow + threads as u64,
-                "logical commits: one per fragment + one drained stop per thread"
-            );
-            assert!(
-                out.stats.merged_txns > 0,
-                "the merged loop must actually merge: {:?}",
-                out.stats
-            );
         }
     }
 

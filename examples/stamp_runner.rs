@@ -8,10 +8,8 @@
 //! ```
 //!
 //! Arguments: `<benchmark|all> [threads]
-//! [baseline|tree|array|filter|nursery|compiler|compiler-interproc]
-//! [--merge N]` (`nursery` = runtime-tree with per-transaction nursery
-//! allocation; `--merge N` runs merge-aware apps — intruder's packet
-//! loop — with up to N logical transactions per physical commit).
+//! [baseline|tree|array|filter|nursery|compiler|compiler-interproc]`
+//! (`nursery` = runtime-tree with per-transaction nursery allocation).
 
 use stamp::{Benchmark, Scale};
 use stm::{CheckScope, LogKind, Mode, TxConfig};
@@ -86,41 +84,18 @@ fn run_one(b: Benchmark, threads: usize, cfg: TxConfig) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Strip `--merge N` wherever it appears; positional args stay stable.
-    let mut merge: u32 = 1;
-    if let Some(i) = args.iter().position(|a| a == "--merge") {
-        let n = args
-            .get(i + 1)
-            .and_then(|s| s.parse::<u32>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--merge needs a numeric factor");
-                std::process::exit(2);
-            });
-        if n == 0 || n > stm::MERGE_MAX_LIMIT {
-            eprintln!("--merge must be in 1..={} (got {n})", stm::MERGE_MAX_LIMIT);
-            std::process::exit(2);
-        }
-        merge = n;
-        args.drain(i..i + 2);
-    }
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
     let threads: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let mut cfg = args
+    let cfg = args
         .get(2)
         .map(|s| {
             parse_mode(s)
                 .expect("mode: baseline|tree|array|filter|nursery|compiler|compiler-interproc")
         })
         .unwrap_or_else(TxConfig::runtime_tree_full);
-    cfg.merge_max = merge;
 
-    println!(
-        "# scale=full threads={threads} mode={} merge={merge}",
-        cfg.label()
-    );
+    println!("# scale=full threads={threads} mode={}", cfg.label());
     if which == "all" {
         for b in Benchmark::ALL {
             run_one(b, threads, cfg);
