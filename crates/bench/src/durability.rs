@@ -73,14 +73,15 @@ fn mode_flush_batch(mode: &str) -> Option<u32> {
 }
 
 fn durability_cfg(mode: &str) -> TxConfig {
-    let mut b = TxConfig::builder().mode(stm::Mode::Runtime {
-        log: stm::LogKind::Tree,
-        scope: stm::CheckScope::FULL,
-    });
-    if let Some(batch) = mode_flush_batch(mode) {
-        b = b.durable(true).durable_flush_batch(batch);
+    let base = TxConfig::runtime_tree_full();
+    match mode_flush_batch(mode) {
+        Some(batch) => TxConfig {
+            durable: true,
+            durable_flush_batch: batch,
+            ..base
+        },
+        None => base,
     }
-    b.build().expect("modes are validated at the CLI boundary")
 }
 
 /// Build the runtime for a mode: transient, or durable over a fresh

@@ -55,39 +55,6 @@ impl Default for ExptOpts {
     }
 }
 
-/// The named configurations of the paper's evaluation, assembled through
-/// the validating [`TxConfig::builder`] (the combinations here are static
-/// and correct, so the `expect`s are unreachable; the point is that the
-/// harness exercises the same front door user configurations come
-/// through).
-pub fn baseline_cfg() -> TxConfig {
-    TxConfig::builder()
-        .mode(Mode::Baseline)
-        .build()
-        .expect("baseline preset is valid")
-}
-
-pub fn runtime_cfg(log: LogKind, scope: CheckScope) -> TxConfig {
-    TxConfig::builder()
-        .mode(Mode::Runtime { log, scope })
-        .build()
-        .expect("runtime preset is valid")
-}
-
-pub fn compiler_cfg() -> TxConfig {
-    TxConfig::builder()
-        .mode(Mode::Compiler)
-        .build()
-        .expect("compiler preset is valid")
-}
-
-fn classify_cfg() -> TxConfig {
-    TxConfig::builder()
-        .classify(true)
-        .build()
-        .expect("classify preset is valid")
-}
-
 fn pct(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
@@ -196,9 +163,13 @@ pub fn fig8(opts: &ExptOpts) -> Report {
         opts,
     );
     r.intro = "Share of compiler-inserted STM barriers per category (percent).".into();
+    let classify = TxConfig {
+        classify: true,
+        ..TxConfig::default()
+    };
     let stats: Vec<stm::TxStats> = Benchmark::ALL
         .iter()
-        .map(|&b| stats_of(b, opts.scale, classify_cfg(), 1))
+        .map(|&b| stats_of(b, opts.scale, classify, 1))
         .collect();
     type Pick = fn(&stm::TxStats) -> stm::BarrierStats;
     let views: [(&str, &str, Pick); 3] = [
@@ -231,10 +202,22 @@ pub fn fig8(opts: &ExptOpts) -> Report {
 
 pub fn fig9(opts: &ExptOpts) -> Report {
     let techniques: Vec<(&str, TxConfig)> = vec![
-        ("tree", runtime_cfg(LogKind::Tree, CheckScope::FULL)),
-        ("array", runtime_cfg(LogKind::Array, CheckScope::FULL)),
-        ("filtering", runtime_cfg(LogKind::Filter, CheckScope::FULL)),
-        ("compiler", compiler_cfg()),
+        ("tree", TxConfig::runtime_tree_full()),
+        (
+            "array",
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Array,
+                scope: CheckScope::FULL,
+            }),
+        ),
+        (
+            "filtering",
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Filter,
+                scope: CheckScope::FULL,
+            }),
+        ),
+        ("compiler", TxConfig::with_mode(Mode::Compiler)),
     ];
     let mut r = Report::new(
         "bench_fig9/v1",
@@ -258,11 +241,23 @@ pub fn fig9(opts: &ExptOpts) -> Report {
 /// The configuration columns of Tables 1 and 2.
 fn table_configs() -> Vec<(&'static str, TxConfig)> {
     vec![
-        ("Baseline", baseline_cfg()),
-        ("Tree", runtime_cfg(LogKind::Tree, CheckScope::FULL)),
-        ("Array", runtime_cfg(LogKind::Array, CheckScope::FULL)),
-        ("Filtering", runtime_cfg(LogKind::Filter, CheckScope::FULL)),
-        ("Compiler", compiler_cfg()),
+        ("Baseline", TxConfig::default()),
+        ("Tree", TxConfig::runtime_tree_full()),
+        (
+            "Array",
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Array,
+                scope: CheckScope::FULL,
+            }),
+        ),
+        (
+            "Filtering",
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Filter,
+                scope: CheckScope::FULL,
+            }),
+        ),
+        ("Compiler", TxConfig::with_mode(Mode::Compiler)),
     ]
 }
 
@@ -326,7 +321,7 @@ fn perf_figure(
     let mut base = (None, 0.0);
     r.tables.push(per_benchmark("rows", "", configs, |b, cfg| {
         if base.0 != Some(b) {
-            base = (Some(b), time(b, baseline_cfg()));
+            base = (Some(b), time(b, TxConfig::default()));
         }
         Cell::Float(improvement_pct(base.1, time(b, cfg)), 1)
     }));
@@ -336,19 +331,22 @@ fn perf_figure(
 /// The runtime-configuration series of Figures 10 and 11(a).
 fn runtime_configs() -> Vec<(&'static str, TxConfig)> {
     vec![
-        (
-            "runtime r+w/stack+heap",
-            runtime_cfg(LogKind::Tree, CheckScope::FULL),
-        ),
+        ("runtime r+w/stack+heap", TxConfig::runtime_tree_full()),
         (
             "runtime w/stack+heap",
-            runtime_cfg(LogKind::Tree, CheckScope::WRITES_STACK_HEAP),
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Tree,
+                scope: CheckScope::WRITES_STACK_HEAP,
+            }),
         ),
         (
             "runtime w/heap",
-            runtime_cfg(LogKind::Tree, CheckScope::WRITES_HEAP),
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Tree,
+                scope: CheckScope::WRITES_HEAP,
+            }),
         ),
-        ("compiler", compiler_cfg()),
+        ("compiler", TxConfig::with_mode(Mode::Compiler)),
     ]
 }
 
@@ -385,16 +383,28 @@ pub fn fig11a(opts: &ExptOpts) -> Report {
 
 pub fn fig11b(opts: &ExptOpts) -> Report {
     let configs: Vec<(&str, TxConfig)> = vec![
-        ("tree", runtime_cfg(LogKind::Tree, CheckScope::WRITES_HEAP)),
+        (
+            "tree",
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Tree,
+                scope: CheckScope::WRITES_HEAP,
+            }),
+        ),
         (
             "array",
-            runtime_cfg(LogKind::Array, CheckScope::WRITES_HEAP),
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Array,
+                scope: CheckScope::WRITES_HEAP,
+            }),
         ),
         (
             "filtering",
-            runtime_cfg(LogKind::Filter, CheckScope::WRITES_HEAP),
+            TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Filter,
+                scope: CheckScope::WRITES_HEAP,
+            }),
         ),
-        ("compiler", compiler_cfg()),
+        ("compiler", TxConfig::with_mode(Mode::Compiler)),
     ];
     perf_figure(
         "bench_fig11b/v1",
@@ -421,8 +431,10 @@ pub fn annotations(opts: &ExptOpts) -> Report {
     r.intro = "bayes with thread-local query vectors annotated as private.".into();
     let mut t = Table::new("rows", "");
     for (name, annotations) in [("baseline", false), ("annotated", true)] {
-        let mut cfg = baseline_cfg();
-        cfg.annotations = annotations;
+        let cfg = TxConfig {
+            annotations,
+            ..TxConfig::default()
+        };
         let (times, out) = stamp_runs(Benchmark::Bayes, opts.scale, cfg, opts.threads, opts.runs);
         t.push(vec![
             ("config", name.into()),
@@ -495,7 +507,7 @@ pub fn check(opts: &ExptOpts) -> Report {
     );
     let mut t = Table::new("rows", "");
     for b in Benchmark::ALL {
-        let (seconds, out) = stamp_runs(b, opts.scale, baseline_cfg(), opts.threads, 1);
+        let (seconds, out) = stamp_runs(b, opts.scale, TxConfig::default(), opts.threads, 1);
         let s = out.stats;
         t.push(vec![
             ("benchmark", b.name().into()),

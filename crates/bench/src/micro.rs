@@ -117,23 +117,23 @@ fn measure_interleaved(opts: &MicroOpts, mut rows: Vec<Row>) -> Table {
 }
 
 fn runtime_cfg(log: LogKind, reference: bool) -> TxConfig {
-    TxConfig::builder()
-        .mode(Mode::Runtime {
+    TxConfig {
+        reference_dispatch: reference,
+        ..TxConfig::with_mode(Mode::Runtime {
             log,
             scope: CheckScope::FULL,
         })
-        .reference_dispatch(reference)
-        .build()
-        .expect("runtime microbench config is valid")
+    }
 }
 
 fn nursery_cfg(reference: bool) -> TxConfig {
     // Derive from the canonical preset (the documented single source of
     // truth for nursery-on comparisons) so these rows can never drift
     // from what expt/stamp_runner and the tests measure.
-    let mut cfg = TxConfig::runtime_tree_nursery();
-    cfg.reference_dispatch = reference;
-    cfg
+    TxConfig {
+        reference_dispatch: reference,
+        ..TxConfig::runtime_tree_nursery()
+    }
 }
 
 /// Measure every barrier path, one row each in display order.

@@ -288,18 +288,13 @@ fn arms(popts: &PoolOpts) -> Vec<String> {
 }
 
 fn pool_cfg(arm: &str) -> TxConfig {
-    let mut cfg = TxConfig::runtime_tree_nursery();
+    let cfg = TxConfig::runtime_tree_nursery();
     if arm == "durable" {
-        cfg = TxConfig::builder()
-            .mode(stm::Mode::Runtime {
-                log: stm::LogKind::Tree,
-                scope: stm::CheckScope::FULL,
-            })
-            .nursery(true)
-            .durable(true)
-            .durable_flush_batch(8)
-            .build()
-            .expect("durable pool config is statically valid");
+        return TxConfig {
+            durable: true,
+            durable_flush_batch: 8,
+            ..cfg
+        };
     }
     cfg
 }

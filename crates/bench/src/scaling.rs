@@ -12,10 +12,10 @@
 //! actually run the threads in parallel.
 
 use stamp::Benchmark;
-use stm::TxConfig;
+use stm::{Mode, TxConfig};
 
 use crate::report::{scale_name, Cell, Report, Table};
-use crate::{baseline_cfg, compiler_cfg, median, stamp_runs, ExptOpts};
+use crate::{median, stamp_runs, ExptOpts};
 
 /// The paper's Figure 10/11 thread axis, clamped to powers of two our CI
 /// box can schedule.
@@ -24,9 +24,9 @@ pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The three configurations tracked across PRs (label, config).
 pub fn scaling_modes() -> Vec<(&'static str, TxConfig)> {
     vec![
-        ("baseline", baseline_cfg()),
+        ("baseline", TxConfig::default()),
         ("runtime-tree", TxConfig::runtime_tree_full()),
-        ("compiler", compiler_cfg()),
+        ("compiler", TxConfig::with_mode(Mode::Compiler)),
     ]
 }
 

@@ -98,7 +98,9 @@ impl Mode {
     }
 }
 
-/// Full runtime configuration.
+/// Full runtime configuration. Build it as a struct literal over a preset
+/// (`TxConfig { nursery: true, ..TxConfig::runtime_tree_full() }`); every
+/// runtime constructor checks the combination with [`TxConfig::validate`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TxConfig {
     /// Barrier optimization mode (the paper's configurations).
@@ -119,17 +121,19 @@ pub struct TxConfig {
     /// recycling regions instead of walking per-block free lists. Blocks
     /// the scalar range cannot represent (overflow past a chained region,
     /// holes punched by in-transaction frees, large blocks) fall back to
-    /// the configured allocation log. Only meaningful in `Mode::Runtime`;
-    /// ignored elsewhere (the other modes keep no runtime capture state).
+    /// the configured allocation log. Requires `Mode::Runtime` (the other
+    /// modes keep no runtime capture state; see
+    /// [`ConfigError::NurseryWithoutBackingLog`]).
     pub nursery: bool,
     /// log2 of the transaction-record table size — an upper bound: the
     /// table never exceeds the address space's lines (one record per
     /// 64-byte line, rounded up to a power of two), which an address-bits
     /// map could not reach anyway. Turned down, lines `2^orec_log2 × 64`
     /// bytes apart share a record (the paper's false-conflict ablation).
+    /// Must be in `4..=26`.
     pub orec_log2: u32,
     /// How many times a barrier re-examines a locked record before the
-    /// contention manager aborts the transaction.
+    /// contention manager aborts the transaction. Must be at least 1.
     pub spin_tries: u32,
     /// Route every barrier through the **enum-dispatch reference
     /// pipeline** — a per-access `match` on [`Mode`] and an enum-dispatched
@@ -137,7 +141,7 @@ pub struct TxConfig {
     /// selected at runtime construction. Semantics (including statistics)
     /// are identical by contract; the differential tests and the
     /// `barrier_dispatch` microbenchmark rely on that. Not a paper
-    /// mechanism; testing/measurement aid only.
+    /// mechanism; testing/measurement aid only. Excludes `durable`.
     pub reference_dispatch: bool,
     /// Durable commit mode: every commit appends its write set to
     /// a per-worker append-only redo log on the runtime's simulated disk
@@ -172,7 +176,8 @@ pub struct TxConfig {
     /// Deterministic schedule-fault injection plan (`None` disables; see
     /// [`ChaosPlan`]). Test/measurement aid: injects seeded delays, yields
     /// and sleep-preemptions at barrier/validation/commit points to force
-    /// pathological interleavings.
+    /// pathological interleavings. A plan needs `period >= 1` and
+    /// `yield_share + preempt_share <= 100`.
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -200,10 +205,10 @@ impl Default for TxConfig {
     }
 }
 
-/// Why a [`TxConfigBuilder`] refused to produce a configuration.
+/// Why [`TxConfig::validate`] rejected a configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `nursery(true)` without runtime capture analysis: the nursery's
+    /// `nursery` without runtime capture analysis: the nursery's
     /// scalar range cannot represent every block (overflow, holes, large
     /// blocks), so it *requires* a backing allocation log to demote to —
     /// and only [`Mode::Runtime`] carries one.
@@ -297,113 +302,23 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Fluent, validating builder for [`TxConfig`] — the front door for
-/// harnesses that assemble configurations from user input (`expt`,
-/// `stamp_runner`). Starts from [`TxConfig::default`] (baseline mode) and
-/// rejects inconsistent combinations at [`TxConfigBuilder::build`] time
-/// instead of silently ignoring flags at runtime.
-///
-/// ```
-/// use stm::{CheckScope, LogKind, Mode, TxConfig};
-///
-/// let cfg = TxConfig::builder()
-///     .mode(Mode::Runtime { log: LogKind::Tree, scope: CheckScope::FULL })
-///     .nursery(true)
-///     .build()
-///     .unwrap();
-/// assert!(cfg.nursery_active());
-///
-/// // The nursery needs a backing log; baseline mode has none.
-/// assert!(TxConfig::builder().nursery(true).build().is_err());
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct TxConfigBuilder {
-    cfg: TxConfig,
-}
-
-impl TxConfigBuilder {
-    /// Barrier optimization mode (default: [`Mode::Baseline`]).
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Consult private-memory annotations in barriers (paper §3.1.3).
-    pub fn annotations(mut self, on: bool) -> Self {
-        self.cfg.annotations = on;
-        self
-    }
-
-    /// Maintain the precise Figure-8 classification shadow tree.
-    pub fn classify(mut self, on: bool) -> Self {
-        self.cfg.classify = on;
-        self
-    }
-
-    /// Per-transaction nursery allocation; requires a runtime mode (the
-    /// nursery demotes to its backing allocation log).
-    pub fn nursery(mut self, on: bool) -> Self {
-        self.cfg.nursery = on;
-        self
-    }
-
-    /// log2 of the transaction-record table size (default 20).
-    pub fn orec_log2(mut self, log2: u32) -> Self {
-        self.cfg.orec_log2 = log2;
-        self
-    }
-
-    /// Lock re-examination budget before the contention manager aborts.
-    pub fn spin_tries(mut self, tries: u32) -> Self {
-        self.cfg.spin_tries = tries;
-        self
-    }
-
-    /// Route barriers through the enum-dispatch reference pipeline
-    /// (differential-testing oracle).
-    pub fn reference_dispatch(mut self, on: bool) -> Self {
-        self.cfg.reference_dispatch = on;
-        self
-    }
-
-    /// Durable redo-log commit mode (default off); see
-    /// [`TxConfig::durable`].
-    pub fn durable(mut self, on: bool) -> Self {
-        self.cfg.durable = on;
-        self
-    }
-
-    /// Group-commit factor for the durable redo log (default 1 — strict
-    /// per-commit durability); see [`TxConfig::durable_flush_batch`].
-    pub fn durable_flush_batch(mut self, n: u32) -> Self {
-        self.cfg.durable_flush_batch = n;
-        self
-    }
-
-    /// Consecutive aborts before the contention ladder's karma tier (default
-    /// 8); see [`TxConfig::karma_threshold`].
-    pub fn karma_threshold(mut self, attempts: u64) -> Self {
-        self.cfg.karma_threshold = attempts;
-        self
-    }
-
-    /// Consecutive aborts before the contention ladder serializes (default
-    /// 64); see [`TxConfig::serialize_threshold`].
-    pub fn serialize_threshold(mut self, attempts: u64) -> Self {
-        self.cfg.serialize_threshold = attempts;
-        self
-    }
-
-    /// Enable deterministic schedule-fault injection (default off); see
-    /// [`crate::ChaosPlan`].
-    pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.cfg.chaos = Some(plan);
-        self
-    }
-
-    /// Validate the combination and produce the configuration.
-    pub fn build(self) -> Result<TxConfig, ConfigError> {
-        let c = &self.cfg;
+impl TxConfig {
+    /// Check that the fields form a configuration the runtime can run.
+    /// Every [`StmRuntime`](crate::StmRuntime) constructor calls this and
+    /// panics with the error's message, so a runtime never silently
+    /// ignores a field.
+    ///
+    /// ```
+    /// use stm::{ConfigError, Mode, TxConfig};
+    ///
+    /// assert!(TxConfig::runtime_tree_nursery().validate().is_ok());
+    ///
+    /// // The nursery needs a backing log; baseline mode has none.
+    /// let cfg = TxConfig { nursery: true, ..TxConfig::with_mode(Mode::Baseline) };
+    /// assert_eq!(cfg.validate(), Err(ConfigError::NurseryWithoutBackingLog));
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let c = self;
         if c.nursery && !matches!(c.mode, Mode::Runtime { .. }) {
             return Err(ConfigError::NurseryWithoutBackingLog);
         }
@@ -445,16 +360,7 @@ impl TxConfigBuilder {
                 return Err(ConfigError::ChaosSharesTooLarge(shares));
             }
         }
-        Ok(self.cfg)
-    }
-}
-
-impl TxConfig {
-    /// Fluent, validating builder; see [`TxConfigBuilder`].
-    pub fn builder() -> TxConfigBuilder {
-        TxConfigBuilder {
-            cfg: TxConfig::default(),
-        }
+        Ok(())
     }
 
     /// Default configuration with the given barrier mode.
@@ -485,19 +391,13 @@ impl TxConfig {
         cfg
     }
 
-    /// Is the nursery actually active for this configuration? (The flag
-    /// only matters with runtime capture analysis.)
-    pub fn nursery_active(&self) -> bool {
-        self.nursery && matches!(self.mode, Mode::Runtime { .. })
-    }
-
     /// Display label: the mode label, plus `+nursery` / `+durable`
     /// suffixes when those features are active (used by experiment tables
     /// and reports).
     pub fn label(&self) -> String {
         let mut l = self.mode.label();
         let mut suffix = String::new();
-        if self.nursery_active() {
+        if self.nursery {
             suffix.push_str("+nursery");
         }
         if self.durable {
@@ -543,153 +443,140 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_combinations() {
-        // The happy path reproduces the canonical presets.
-        let built = TxConfig::builder()
-            .mode(Mode::Runtime {
-                log: LogKind::Tree,
-                scope: CheckScope::FULL,
-            })
-            .nursery(true)
-            .build()
-            .unwrap();
-        let preset = TxConfig::runtime_tree_nursery();
-        assert_eq!(built.mode, preset.mode);
-        assert_eq!(built.nursery, preset.nursery);
-        assert_eq!(built.orec_log2, preset.orec_log2);
+    fn validate_rejects_each_inconsistent_combination() {
+        let d = TxConfig::default();
+        // The presets validate.
+        for ok in [
+            d,
+            TxConfig::runtime_tree_full(),
+            TxConfig::runtime_tree_nursery(),
+        ] {
+            assert_eq!(ok.validate(), Ok(()));
+        }
 
         // Nursery without a backing log is rejected for every non-runtime
         // mode.
         for mode in [Mode::Baseline, Mode::Compiler, Mode::CompilerInterproc] {
-            assert_eq!(
-                TxConfig::builder().mode(mode).nursery(true).build(),
-                Err(ConfigError::NurseryWithoutBackingLog)
-            );
+            let c = TxConfig {
+                nursery: true,
+                ..TxConfig::with_mode(mode)
+            };
+            assert_eq!(c.validate(), Err(ConfigError::NurseryWithoutBackingLog));
         }
 
         // Range checks.
-        assert_eq!(
-            TxConfig::builder().orec_log2(2).build(),
-            Err(ConfigError::OrecLog2OutOfRange(2))
-        );
-        assert_eq!(
-            TxConfig::builder().orec_log2(30).build(),
-            Err(ConfigError::OrecLog2OutOfRange(30))
-        );
-        assert_eq!(
-            TxConfig::builder().spin_tries(0).build(),
-            Err(ConfigError::ZeroSpinTries)
-        );
+        let c = TxConfig { orec_log2: 2, ..d };
+        assert_eq!(c.validate(), Err(ConfigError::OrecLog2OutOfRange(2)));
+        let c = TxConfig { orec_log2: 30, ..d };
+        assert_eq!(c.validate(), Err(ConfigError::OrecLog2OutOfRange(30)));
+        let c = TxConfig { spin_tries: 0, ..d };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroSpinTries));
 
-        // The reference pipeline builds on its own; existing oracle
-        // configs keep building.
-        assert!(
-            TxConfig::builder()
-                .reference_dispatch(true)
-                .build()
-                .unwrap()
-                .reference_dispatch
-        );
+        // The reference pipeline validates on its own.
+        let c = TxConfig {
+            reference_dispatch: true,
+            ..d
+        };
+        assert_eq!(c.validate(), Ok(()));
 
         // Durable knobs: the reference-dispatch oracle cannot run with the
         // durable commit hook, and the flush-batch factor is bounded on
         // both sides.
+        let c = TxConfig {
+            durable: true,
+            reference_dispatch: true,
+            ..d
+        };
+        assert_eq!(c.validate(), Err(ConfigError::DurableWithReferenceDispatch));
+        let c = TxConfig {
+            durable_flush_batch: 0,
+            ..d
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroDurableFlushBatch));
+        let c = TxConfig {
+            durable_flush_batch: DURABLE_FLUSH_BATCH_LIMIT + 1,
+            ..d
+        };
         assert_eq!(
-            TxConfig::builder()
-                .durable(true)
-                .reference_dispatch(true)
-                .build(),
-            Err(ConfigError::DurableWithReferenceDispatch)
-        );
-        assert_eq!(
-            TxConfig::builder().durable_flush_batch(0).build(),
-            Err(ConfigError::ZeroDurableFlushBatch)
-        );
-        assert_eq!(
-            TxConfig::builder()
-                .durable_flush_batch(DURABLE_FLUSH_BATCH_LIMIT + 1)
-                .build(),
+            c.validate(),
             Err(ConfigError::DurableFlushBatchTooLarge(
                 DURABLE_FLUSH_BATCH_LIMIT + 1
             ))
         );
-        // Happy path: durable composes with the nursery, and the
-        // flush batch flows through at its limit.
-        let durable = TxConfig::builder()
-            .mode(Mode::Runtime {
-                log: LogKind::Tree,
-                scope: CheckScope::FULL,
-            })
-            .nursery(true)
-            .durable(true)
-            .durable_flush_batch(DURABLE_FLUSH_BATCH_LIMIT)
-            .build()
-            .unwrap();
-        assert!(durable.durable);
-        assert_eq!(durable.durable_flush_batch, DURABLE_FLUSH_BATCH_LIMIT);
-        // A flush batch without durable mode is accepted (inert knob), and
-        // the default is strict per-commit flushing.
-        assert_eq!(TxConfig::default().durable_flush_batch, 1);
-        assert!(!TxConfig::default().durable);
-        assert!(TxConfig::builder().durable_flush_batch(4).build().is_ok());
+        // Durable composes with the nursery, the flush batch is accepted
+        // at its limit, and a flush batch without durable mode is an inert
+        // knob. The default is strict per-commit flushing.
+        let c = TxConfig {
+            durable: true,
+            durable_flush_batch: DURABLE_FLUSH_BATCH_LIMIT,
+            ..TxConfig::runtime_tree_nursery()
+        };
+        assert_eq!(c.validate(), Ok(()));
+        let c = TxConfig {
+            durable_flush_batch: 4,
+            ..d
+        };
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(d.durable_flush_batch, 1);
+        assert!(!d.durable);
 
         // Contention-manager knobs: zero budgets are rejected, and the
         // escalation thresholds must be ordered (karma strictly below
         // serialize — the ladder passes through the karma tier first).
-        assert_eq!(
-            TxConfig::builder().karma_threshold(0).build(),
-            Err(ConfigError::ZeroKarmaThreshold)
-        );
-        assert_eq!(
-            TxConfig::builder()
-                .karma_threshold(1)
-                .serialize_threshold(0)
-                .build(),
-            Err(ConfigError::ZeroSerializeThreshold)
-        );
-        assert_eq!(
-            TxConfig::builder()
-                .karma_threshold(64)
-                .serialize_threshold(64)
-                .build(),
-            Err(ConfigError::UnorderedEscalationThresholds(64, 64))
-        );
-        assert_eq!(
-            TxConfig::builder()
-                .karma_threshold(100)
-                .serialize_threshold(10)
-                .build(),
-            Err(ConfigError::UnorderedEscalationThresholds(100, 10))
-        );
-        let cm = TxConfig::builder()
-            .karma_threshold(4)
-            .serialize_threshold(32)
-            .build()
-            .unwrap();
-        assert_eq!((cm.karma_threshold, cm.serialize_threshold), (4, 32));
+        let c = TxConfig {
+            karma_threshold: 0,
+            ..d
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroKarmaThreshold));
+        let c = TxConfig {
+            karma_threshold: 1,
+            serialize_threshold: 0,
+            ..d
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroSerializeThreshold));
+        for (k, s) in [(64, 64), (100, 10)] {
+            let c = TxConfig {
+                karma_threshold: k,
+                serialize_threshold: s,
+                ..d
+            };
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::UnorderedEscalationThresholds(k, s))
+            );
+        }
+        let c = TxConfig {
+            karma_threshold: 4,
+            serialize_threshold: 32,
+            ..d
+        };
+        assert_eq!(c.validate(), Ok(()));
 
         // Chaos plans: the injection period must be at least 1 and the
         // delay-kind shares are percentages.
         let mut plan = ChaosPlan::all(7, 0);
-        assert_eq!(
-            TxConfig::builder().chaos(plan).build(),
-            Err(ConfigError::ZeroChaosPeriod)
-        );
+        let c = TxConfig {
+            chaos: Some(plan),
+            ..d
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ZeroChaosPeriod));
         plan.period = 4;
         plan.yield_share = 70;
         plan.preempt_share = 40;
-        assert_eq!(
-            TxConfig::builder().chaos(plan).build(),
-            Err(ConfigError::ChaosSharesTooLarge(110))
-        );
-        let chaotic = TxConfig::builder()
-            .chaos(ChaosPlan::all(7, 4))
-            .build()
-            .unwrap();
-        assert_eq!(chaotic.chaos, Some(ChaosPlan::all(7, 4)));
-        assert_eq!(TxConfig::default().chaos, None);
+        let c = TxConfig {
+            chaos: Some(plan),
+            ..d
+        };
+        assert_eq!(c.validate(), Err(ConfigError::ChaosSharesTooLarge(110)));
+        let c = TxConfig {
+            chaos: Some(ChaosPlan::all(7, 4)),
+            ..d
+        };
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(d.chaos, None);
 
-        // Errors render human-readable messages (the expt CLI prints them).
+        // Errors render human-readable messages (runtime construction
+        // panics with them).
         let msg = format!("{}", ConfigError::NurseryWithoutBackingLog);
         assert!(msg.contains("backing allocation log"), "{msg}");
         let msg = format!("{}", ConfigError::DurableWithReferenceDispatch);
@@ -706,32 +593,25 @@ mod tests {
         let msg = format!("{}", ConfigError::ChaosSharesTooLarge(120));
         assert!(msg.contains("120"), "{msg}");
 
-        // Every remaining knob flows through.
-        let full = TxConfig::builder()
-            .annotations(true)
-            .classify(true)
-            .spin_tries(7)
-            .reference_dispatch(true)
-            .build()
-            .unwrap();
-        assert!(full.annotations && full.classify && full.reference_dispatch);
-        assert_eq!(full.spin_tries, 7);
+        // Every remaining knob validates.
+        let c = TxConfig {
+            annotations: true,
+            classify: true,
+            spin_tries: 7,
+            reference_dispatch: true,
+            ..d
+        };
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn nursery_labels_and_activation() {
-        let mut c = TxConfig::runtime_tree_full();
-        assert!(!c.nursery_active());
-        c.nursery = true;
-        assert!(c.nursery_active());
+        let c = TxConfig::runtime_tree_nursery();
         assert_eq!(c.label(), "runtime-tree+nursery (r+w/stack+heap)");
-        let mut b = TxConfig::default();
-        b.nursery = true;
-        assert!(
-            !b.nursery_active(),
-            "nursery needs runtime capture analysis"
+        assert_eq!(
+            TxConfig::runtime_tree_full().label(),
+            "runtime-tree (r+w/stack+heap)"
         );
-        assert_eq!(b.label(), "baseline");
     }
 
     #[test]

@@ -361,7 +361,7 @@ impl WorkerCtx<'_> {
             return;
         }
         self.stats.chaos_injections += 1;
-        let sel = (x / plan.period.max(1)) % 100;
+        let sel = (x / plan.period) % 100;
         if sel < u64::from(plan.preempt_share) {
             std::thread::sleep(Duration::from_micros(u64::from(plan.preempt_us)));
         } else if sel < u64::from(plan.preempt_share + plan.yield_share) {

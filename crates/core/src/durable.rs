@@ -1018,14 +1018,10 @@ mod tests {
     fn durable_commit_kill_recover_roundtrip() {
         static S: crate::Site = crate::Site::shared("durable.smoke");
         fn cfg() -> crate::TxConfig {
-            crate::TxConfig::builder()
-                .mode(crate::Mode::Runtime {
-                    log: capture::LogKind::Tree,
-                    scope: crate::CheckScope::FULL,
-                })
-                .durable(true)
-                .build()
-                .unwrap()
+            crate::TxConfig {
+                durable: true,
+                ..crate::TxConfig::runtime_tree_full()
+            }
         }
         let mem_cfg = MemConfig::small();
         let disk = SimDisk::new();
@@ -1090,9 +1086,13 @@ mod tests {
     #[test]
     fn group_commit_counts_a_read_only_txn_into_the_next_record() {
         static S: crate::Site = crate::Site::shared("durable.logical");
-        let cfg = TxConfig::builder().durable(true).durable_flush_batch(8);
+        let cfg = TxConfig {
+            durable: true,
+            durable_flush_batch: 8,
+            ..TxConfig::default()
+        };
         let disk = SimDisk::new();
-        let rt = StmRuntime::new_durable(MemConfig::small(), cfg.build().unwrap(), disk.clone());
+        let rt = StmRuntime::new_durable(MemConfig::small(), cfg, disk.clone());
         let cell = rt.alloc_global(8);
         let mut w = rt.spawn_worker();
         w.txn(|tx| tx.write(&S, cell, 1));

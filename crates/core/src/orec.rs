@@ -157,7 +157,10 @@ mod tests {
     #[test]
     fn covered_space_is_alias_free_and_a_small_cap_still_aliases() {
         let rt = |log2| {
-            let cfg = TxConfig::builder().orec_log2(log2).build().unwrap();
+            let cfg = TxConfig {
+                orec_log2: log2,
+                ..TxConfig::default()
+            };
             StmRuntime::new(MemConfig::small(), cfg)
         };
         // Sized to the space's lines (576 KiB -> 2^14), not to the 2^20 cap.

@@ -54,32 +54,36 @@ struct TidPool {
 impl StmRuntime {
     /// Build a runtime over fresh simulated memory: resolves the barrier
     /// dispatch table for `config` once, here. A durable configuration
-    /// needs a disk — use [`StmRuntime::new_durable`].
+    /// needs a disk — use [`StmRuntime::new_durable`]. Panics if
+    /// [`TxConfig::validate`] rejects `config`.
     pub fn new(mem_cfg: MemConfig, config: TxConfig) -> StmRuntime {
-        assert!(
-            !config.durable,
-            "durable configurations need a SimDisk; use StmRuntime::new_durable"
-        );
         StmRuntime::build(mem_cfg, config, None)
     }
 
     /// Build a *durable* runtime (`config.durable` must be set) whose
     /// workers append redo records to per-worker logs on `disk`. Pair
     /// with [`crate::recover`] to rebuild from that disk after a crash.
+    /// Panics if [`TxConfig::validate`] rejects `config`.
     pub fn new_durable(mem_cfg: MemConfig, config: TxConfig, disk: Arc<SimDisk>) -> StmRuntime {
-        assert!(
-            config.durable,
-            "new_durable requires a configuration with durable mode on"
-        );
-        let ds = Arc::new(DurableState::new(disk, mem_cfg.max_threads));
-        StmRuntime::build(mem_cfg, config, Some(ds))
+        StmRuntime::build(mem_cfg, config, Some(disk))
     }
 
-    fn build(
-        mem_cfg: MemConfig,
-        config: TxConfig,
-        durable: Option<Arc<DurableState>>,
-    ) -> StmRuntime {
+    /// The one door every runtime goes through: the configuration is
+    /// validated here, so no constructor can run a combination whose
+    /// fields would be silently ignored.
+    fn build(mem_cfg: MemConfig, config: TxConfig, disk: Option<Arc<SimDisk>>) -> StmRuntime {
+        if let Err(e) = config.validate() {
+            panic!("invalid TxConfig: {e}");
+        }
+        assert!(
+            config.durable || disk.is_none(),
+            "new_durable requires a configuration with durable mode on"
+        );
+        assert!(
+            !config.durable || disk.is_some(),
+            "durable configurations need a SimDisk; use StmRuntime::new_durable"
+        );
+        let durable = disk.map(|d| Arc::new(DurableState::new(d, mem_cfg.max_threads)));
         let mem = Arc::new(SharedMem::new(mem_cfg));
         let heap = TxHeap::new(mem.clone());
         StmRuntime {
@@ -275,5 +279,27 @@ mod tests {
     fn clock_starts_at_zero() {
         let rt = StmRuntime::new(MemConfig::small(), TxConfig::default());
         assert_eq!(rt.clock_value(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chaos plan period must be at least 1")]
+    fn new_rejects_a_chaos_plan_that_never_fires() {
+        let cfg = TxConfig {
+            chaos: Some(crate::ChaosPlan::all(7, 0)),
+            ..TxConfig::default()
+        };
+        StmRuntime::new(MemConfig::small(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "karma_threshold 64 must be below serialize_threshold 8")]
+    fn recover_rejects_unordered_escalation_thresholds() {
+        let cfg = TxConfig {
+            durable: true,
+            karma_threshold: 64,
+            serialize_threshold: 8,
+            ..TxConfig::runtime_tree_nursery()
+        };
+        crate::recover(MemConfig::small(), cfg, SimDisk::new());
     }
 }

@@ -2,8 +2,8 @@
 //! barrier core.
 //!
 //! The runtime's hot paths speak raw word addresses: `tx.read(&SITE,
-//! addr)? -> u64`, hand-computed `addr.word(3)` offsets, per-type method
-//! triplets, and manually balanced `stack_push`/`stack_pop`. That is the
+//! addr)? -> u64`, hand-computed `addr.word(3)` offsets, hand-written bit
+//! casts, and manually balanced `stack_push`/`stack_pop`. That is the
 //! right *lowest* layer — it is what the paper's barriers operate on — but
 //! real programs (the STAMP data structures, the examples) want to talk
 //! about typed objects with named fields. This module adds that layer
@@ -12,6 +12,7 @@
 //! * [`TxWord`] — a codec between a Rust value and the one simulated
 //!   machine word that stores it (`u64`, `i64`, `f64`, `bool`, [`Addr`],
 //!   typed pointers, small enums via [`tx_word_enum!`](crate::tx_word_enum)).
+//!   [`Tx::read_as`] / [`Tx::write_as`] are the one typed word access.
 //! * [`TxObject`] — a word-counted object layout. Implemented by the
 //!   [`tx_object!`](crate::tx_object) macro, which turns a struct-like
 //!   declaration into a layout marker type plus one [`Field`] projection
@@ -19,7 +20,10 @@
 //! * [`TxPtr<O>`] — a typed, copyable handle over an [`Addr`] that points
 //!   at an `O`-shaped object; `p.field(O::name)` replaces `addr.word(3)`.
 //! * [`TxBuf<V>`] — a typed handle over a contiguous run of `V`-encoded
-//!   words (the backing arrays of queue/vector-like structures).
+//!   words (the backing arrays of queue/vector-like structures). Bulk
+//!   access goes through the ranged barriers over [`TxBuf::addr`]
+//!   ([`Tx::read_range`], [`Tx::write_range`], [`Tx::copy_range`],
+//!   [`Tx::fill_range`]).
 //! * [`StackFrame`] — an RAII guard for a transaction-local stack frame
 //!   shaped like an object; the frame pops itself on drop, so the stack
 //!   capture window of paper Fig. 3 can never be left unbalanced.
@@ -389,252 +393,6 @@ impl<V> TxWord for TxBuf<V> {
 }
 
 // ---------------------------------------------------------------------------
-// TxSlice: length-carrying buffer handle
-// ---------------------------------------------------------------------------
-
-/// A length-carrying typed buffer handle: a [`TxBuf`] plus the element
-/// count, validated once at construction.
-///
-/// Where [`TxBuf`] deliberately stays one word wide (storable in object
-/// fields, length kept in an adjacent header like the C originals), a
-/// `TxSlice` is the *local* working handle a bulk operation builds after
-/// reading that header: construction runs the checked words-to-bytes
-/// conversion once, so per-element access ([`TxSlice::elem`]) and the
-/// slice-style bulk entry points ([`Tx::read_elems`] /
-/// [`Tx::write_elems`]) are left with a single bounds compare.
-pub struct TxSlice<V> {
-    addr: Addr,
-    len: u64,
-    _elem: PhantomData<fn() -> V>,
-}
-
-impl<V> TxSlice<V> {
-    /// Wrap `len` `V`-encoded words starting at `addr`. The byte length is
-    /// checked here (overflow panics), hoisting the validation out of every
-    /// subsequent access.
-    #[inline]
-    pub const fn new(addr: Addr, len: u64) -> TxSlice<V> {
-        // Evaluated for the overflow check alone.
-        let _bytes = words_to_bytes(len);
-        TxSlice {
-            addr,
-            len,
-            _elem: PhantomData,
-        }
-    }
-
-    /// View of a [`TxBuf`] whose length the caller has just read from the
-    /// structure's header field.
-    #[inline]
-    pub const fn of(buf: TxBuf<V>, len: u64) -> TxSlice<V> {
-        TxSlice::new(buf.addr(), len)
-    }
-
-    /// The slice's base address.
-    #[inline]
-    pub const fn addr(self) -> Addr {
-        self.addr
-    }
-
-    /// Element count.
-    #[inline]
-    pub const fn len(self) -> u64 {
-        self.len
-    }
-
-    /// True if the slice holds no elements.
-    #[inline]
-    pub const fn is_empty(self) -> bool {
-        self.len == 0
-    }
-
-    /// The length-less handle (e.g. to store back into a header field).
-    #[inline]
-    pub const fn buf(self) -> TxBuf<V> {
-        TxBuf::from_addr(self.addr)
-    }
-
-    /// Address of element `i` — one bounds compare, then the same
-    /// base-plus-offset arithmetic as raw `addr.word(i)`.
-    #[inline]
-    pub fn elem(self, i: u64) -> Addr {
-        assert!(
-            i < self.len,
-            "TxSlice index {i} out of bounds ({})",
-            self.len
-        );
-        self.addr.word(i)
-    }
-
-    /// Sub-slice `[start, start + len)`; bounds-checked once, like the
-    /// construction it replaces.
-    #[inline]
-    pub fn slice(self, start: u64, len: u64) -> TxSlice<V> {
-        assert!(
-            start <= self.len && len <= self.len - start,
-            "TxSlice range {start}+{len} out of bounds ({})",
-            self.len
-        );
-        TxSlice {
-            addr: self.addr.word(start),
-            len,
-            _elem: PhantomData,
-        }
-    }
-}
-
-impl<V> Clone for TxSlice<V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<V> Copy for TxSlice<V> {}
-impl<V> std::fmt::Debug for TxSlice<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TxSlice({:#x}, len {})", self.addr.raw(), self.len)
-    }
-}
-
-/// Words staged per ranged call by the chunked bulk operations
-/// ([`Tx::read_elems`], [`Tx::write_elems`], the cursors): big enough that
-/// a ≥64-word span amortizes classification to nothing, small enough to
-/// live on the real stack.
-const CHUNK_WORDS: usize = 128;
-
-// ---------------------------------------------------------------------------
-// Cursors: iterator-analog sequential access
-// ---------------------------------------------------------------------------
-
-/// A buffered forward *read* cursor over a [`TxSlice`] — the typed
-/// iterator analog for sequential scans.
-///
-/// Each refill pulls up to a 128-word chunk of elements through one
-/// [`Tx::read_range`] call, so a full scan classifies capture once per
-/// chunk instead of once per element. The cursor holds no borrow of the
-/// transaction; pass `tx` to [`TxCursor::next`], which keeps user loops
-/// free to interleave other transactional work.
-pub struct TxCursor<V> {
-    slice: TxSlice<V>,
-    /// Index of the next element to hand out.
-    pos: u64,
-    buf: [u64; CHUNK_WORDS],
-    /// Element index of `buf[0]`.
-    buf_base: u64,
-    /// Valid prefix of `buf`.
-    buf_len: usize,
-}
-
-impl<V: TxWord> TxCursor<V> {
-    /// A cursor positioned at element 0 of `slice`.
-    pub fn new(slice: TxSlice<V>) -> TxCursor<V> {
-        TxCursor {
-            slice,
-            pos: 0,
-            buf: [0; CHUNK_WORDS],
-            buf_base: 0,
-            buf_len: 0,
-        }
-    }
-
-    /// Index of the next element [`TxCursor::next`] would return.
-    #[inline]
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    /// The next element, or `None` past the end of the slice.
-    #[inline]
-    pub fn next(&mut self, tx: &mut Tx<'_, '_>, site: &'static Site) -> TxResult<Option<V>> {
-        if self.pos >= self.slice.len() {
-            return Ok(None);
-        }
-        let rel = self.pos.wrapping_sub(self.buf_base);
-        if rel >= self.buf_len as u64 {
-            self.refill(tx, site)?;
-        }
-        let w = self.buf[(self.pos - self.buf_base) as usize];
-        self.pos += 1;
-        Ok(Some(V::from_word(w)))
-    }
-
-    #[cold]
-    fn refill(&mut self, tx: &mut Tx<'_, '_>, site: &'static Site) -> TxResult<()> {
-        let n = (self.slice.len() - self.pos).min(CHUNK_WORDS as u64) as usize;
-        tx.read_range(site, self.slice.addr().word(self.pos), &mut self.buf[..n])?;
-        self.buf_base = self.pos;
-        self.buf_len = n;
-        Ok(())
-    }
-}
-
-/// A buffered forward *write* cursor over a [`TxSlice`]: elements pushed
-/// with [`TxWriter::push`] are staged and lowered through one
-/// [`Tx::write_range`] per 128-word chunk.
-///
-/// The staging buffer must be drained with an explicit [`TxWriter::flush`]
-/// (the cursor cannot flush on drop — it holds no transaction borrow).
-/// Dropping a writer with staged elements simply discards them, which is
-/// exactly the right behavior on an abort propagating out of the writing
-/// loop with `?`.
-pub struct TxWriter<V> {
-    slice: TxSlice<V>,
-    /// Index the staged prefix starts at (i.e. where the next flush
-    /// writes).
-    pos: u64,
-    buf: [u64; CHUNK_WORDS],
-    buf_len: usize,
-}
-
-impl<V: TxWord> TxWriter<V> {
-    /// A writer positioned at element 0 of `slice`.
-    pub fn new(slice: TxSlice<V>) -> TxWriter<V> {
-        TxWriter {
-            slice,
-            pos: 0,
-            buf: [0; CHUNK_WORDS],
-            buf_len: 0,
-        }
-    }
-
-    /// Index the next pushed element will land at.
-    #[inline]
-    pub fn pos(&self) -> u64 {
-        self.pos + self.buf_len as u64
-    }
-
-    /// Stage one element, flushing automatically when the buffer fills.
-    /// Panics (via the slice bound) if pushed past the end of the slice.
-    #[inline]
-    pub fn push(&mut self, tx: &mut Tx<'_, '_>, site: &'static Site, val: V) -> TxResult<()> {
-        assert!(
-            self.pos() < self.slice.len(),
-            "TxWriter pushed past the end of the slice ({})",
-            self.slice.len()
-        );
-        self.buf[self.buf_len] = val.to_word();
-        self.buf_len += 1;
-        if self.buf_len == CHUNK_WORDS {
-            self.flush(tx, site)?;
-        }
-        Ok(())
-    }
-
-    /// Write all staged elements through one ranged barrier call.
-    pub fn flush(&mut self, tx: &mut Tx<'_, '_>, site: &'static Site) -> TxResult<()> {
-        if self.buf_len > 0 {
-            tx.write_range(
-                site,
-                self.slice.addr().word(self.pos),
-                &self.buf[..self.buf_len],
-            )?;
-            self.pos += self.buf_len as u64;
-            self.buf_len = 0;
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Declarative layout macros
 // ---------------------------------------------------------------------------
 
@@ -774,19 +532,15 @@ macro_rules! tx_word_enum {
 // ---------------------------------------------------------------------------
 
 impl<'a, 'rt> Tx<'a, 'rt> {
-    /// Transactional read of one word, decoded as `V` — the generic entry
-    /// point the `read`/`read_addr`/`read_f64` triplet lowers to.
-    #[doc(alias = "read_addr")]
-    #[doc(alias = "read_f64")]
+    /// Transactional read of one word, decoded as `V`: the one typed
+    /// word access (`tx.read(site, a)` is `read_as::<u64>`).
     #[inline]
     pub fn read_as<V: TxWord>(&mut self, site: &'static Site, addr: Addr) -> TxResult<V> {
         Ok(V::from_word(self.0.read_word(site, addr)?))
     }
 
-    /// Transactional write of one word, encoded from `V` — the generic
-    /// entry point the `write`/`write_addr`/`write_f64` triplet lowers to.
-    #[doc(alias = "write_addr")]
-    #[doc(alias = "write_f64")]
+    /// Transactional write of one word, encoded from `V`; see
+    /// [`Tx::read_as`].
     #[inline]
     pub fn write_as<V: TxWord>(&mut self, site: &'static Site, addr: Addr, val: V) -> TxResult<()> {
         self.0.write_word(site, addr, val.to_word())
@@ -865,73 +619,6 @@ impl<'a, 'rt> Tx<'a, 'rt> {
     #[inline]
     pub fn free_buf<V>(&mut self, buf: TxBuf<V>) {
         self.0.tx_free(buf.addr())
-    }
-
-    /// Transactionally allocate a length-carrying slice of `len`
-    /// `V`-encoded words; [`Tx::alloc_buf`] plus the hoisted length check.
-    #[inline]
-    pub fn alloc_slice<V: TxWord>(&mut self, len: u64) -> TxResult<TxSlice<V>> {
-        Ok(TxSlice::new(self.0.tx_alloc(words_to_bytes(len))?, len))
-    }
-
-    /// Bulk read of `out.len()` elements starting at element `start` of
-    /// the slice: one bounds compare up front, then chunked
-    /// [`Tx::read_range`] calls with the [`TxWord`] decode applied per
-    /// element. Observationally identical to a [`Tx::read_elem`] loop.
-    pub fn read_elems<V: TxWord>(
-        &mut self,
-        site: &'static Site,
-        s: TxSlice<V>,
-        start: u64,
-        out: &mut [V],
-    ) -> TxResult<()> {
-        let n = out.len() as u64;
-        assert!(
-            start <= s.len() && n <= s.len() - start,
-            "read_elems range {start}+{n} out of bounds ({})",
-            s.len()
-        );
-        let mut chunk = [0u64; CHUNK_WORDS];
-        let mut done = 0usize;
-        while done < out.len() {
-            let k = (out.len() - done).min(CHUNK_WORDS);
-            self.0
-                .read_range(site, s.addr().word(start + done as u64), &mut chunk[..k])?;
-            for (v, &w) in out[done..done + k].iter_mut().zip(&chunk[..k]) {
-                *v = V::from_word(w);
-            }
-            done += k;
-        }
-        Ok(())
-    }
-
-    /// Bulk write of `vals` starting at element `start` of the slice; see
-    /// [`Tx::read_elems`].
-    pub fn write_elems<V: TxWord>(
-        &mut self,
-        site: &'static Site,
-        s: TxSlice<V>,
-        start: u64,
-        vals: &[V],
-    ) -> TxResult<()> {
-        let n = vals.len() as u64;
-        assert!(
-            start <= s.len() && n <= s.len() - start,
-            "write_elems range {start}+{n} out of bounds ({})",
-            s.len()
-        );
-        let mut chunk = [0u64; CHUNK_WORDS];
-        let mut done = 0usize;
-        while done < vals.len() {
-            let k = (vals.len() - done).min(CHUNK_WORDS);
-            for (w, &v) in chunk[..k].iter_mut().zip(&vals[done..done + k]) {
-                *w = v.to_word();
-            }
-            self.0
-                .write_range(site, s.addr().word(start + done as u64), &chunk[..k])?;
-            done += k;
-        }
-        Ok(())
     }
 
     /// Push an `O`-shaped transaction-local stack frame guarded by RAII:
@@ -1128,56 +815,6 @@ mod tests {
         assert_eq!(w.stats.writes.full, 0);
         assert_eq!(w.stats.reads.full, 0);
         assert!(w.stats.writes.elided_heap >= 4);
-    }
-
-    #[test]
-    fn slices_bulk_ops_and_cursors_round_trip() {
-        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_full());
-        let mut w = rt.spawn_worker();
-        w.txn(|tx| {
-            let s = tx.alloc_slice::<f64>(300)?;
-            let vals: Vec<f64> = (0..300).map(|i| i as f64 * 0.5).collect();
-            tx.write_elems(&S, s, 0, &vals)?;
-            let mut back = vec![0.0f64; 300];
-            tx.read_elems(&S, s, 0, &mut back)?;
-            assert_eq!(back, vals);
-
-            // Sub-slice bulk ops hit the same words.
-            let mid = s.slice(100, 50);
-            let mut part = vec![0.0f64; 50];
-            tx.read_elems(&S, mid, 0, &mut part)?;
-            assert_eq!(part, &vals[100..150]);
-
-            // Writer then cursor: sequential typed streaming.
-            let mut wr = TxWriter::new(s);
-            for i in 0..300 {
-                wr.push(tx, &S, i as f64)?;
-            }
-            wr.flush(tx, &S)?;
-            let mut cur = TxCursor::new(s);
-            let mut i = 0u64;
-            while let Some(v) = cur.next(tx, &S)? {
-                assert_eq!(v, i as f64);
-                i += 1;
-            }
-            assert_eq!(i, 300);
-            tx.free_buf(s.buf());
-            Ok(())
-        });
-        // All spans sat in freshly captured memory: nothing took the full
-        // barrier, and the spans were processed as runs.
-        assert_eq!(w.stats.reads.full, 0);
-        assert_eq!(w.stats.writes.full, 0);
-        assert!(w.stats.ranged_reads >= 3);
-        assert!(w.stats.ranged_writes >= 3);
-        assert!(w.stats.ranged_spans >= 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn slice_elem_is_bounds_checked() {
-        let s = TxSlice::<u64>::new(Addr(0x100), 4);
-        let _ = s.elem(4);
     }
 
     #[test]

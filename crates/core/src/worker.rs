@@ -101,7 +101,7 @@ impl FastFlags {
         if cfg.classify || cfg.reference_dispatch {
             return FastFlags::default();
         }
-        let nursery = cfg.nursery_active();
+        let nursery = cfg.nursery;
         FastFlags {
             read_stack: scope.reads && scope.stack,
             read_heap: scope.reads && scope.heap,
@@ -218,7 +218,7 @@ pub struct WorkerCtx<'rt> {
     /// [`TxConfig::nursery`] is active; empty (and never consulted by the
     /// fast flags) otherwise.
     pub(crate) nur: NurseryLog,
-    /// `cfg.nursery_active()`, hoisted for the allocation path.
+    /// `cfg.nursery`, hoisted for the allocation path.
     pub(crate) nursery_on: bool,
     /// Usable bytes of live (not yet freed) blocks in nursery regions; an
     /// abort settles the heap's live-byte telemetry with one subtraction
@@ -329,7 +329,7 @@ impl<'rt> WorkerCtx<'rt> {
             nur_inner: 0,
             nur_wlen: 0,
             nur: NurseryLog::new(),
-            nursery_on: cfg.nursery_active(),
+            nursery_on: cfg.nursery,
             nursery_live: 0,
             nursery_reclaim: Vec::with_capacity(8),
             nursery_spare: (0, 0),
@@ -640,10 +640,7 @@ impl<'rt> WorkerCtx<'rt> {
         self.mem.store(addr, val);
     }
 
-    /// Direct load decoded as any word-codec type (the generic entry
-    /// point the `load_addr`/`load_f64` variants lower to).
-    #[doc(alias = "load_addr")]
-    #[doc(alias = "load_f64")]
+    /// Direct load decoded as any word-codec type.
     #[inline]
     pub fn load_as<V: crate::TxWord>(&self, addr: Addr) -> V {
         V::from_word(self.load(addr))
@@ -651,31 +648,9 @@ impl<'rt> WorkerCtx<'rt> {
 
     /// Direct store encoded from any word-codec type; see
     /// [`WorkerCtx::load_as`].
-    #[doc(alias = "store_f64")]
     #[inline]
     pub fn store_as<V: crate::TxWord>(&self, addr: Addr, val: V) {
         self.store(addr, val.to_word())
-    }
-
-    /// Direct pointer-typed load; wrapper over [`WorkerCtx::load_as`].
-    #[doc(alias = "load_as")]
-    #[inline]
-    pub fn load_addr(&self, addr: Addr) -> Addr {
-        self.load_as(addr)
-    }
-
-    /// Direct float-typed load; wrapper over [`WorkerCtx::load_as`].
-    #[doc(alias = "load_as")]
-    #[inline]
-    pub fn load_f64(&self, addr: Addr) -> f64 {
-        self.load_as(addr)
-    }
-
-    /// Direct float-typed store; wrapper over [`WorkerCtx::store_as`].
-    #[doc(alias = "store_as")]
-    #[inline]
-    pub fn store_f64(&self, addr: Addr, val: f64) {
-        self.store_as(addr, val)
     }
 
     /// Non-transactional allocation (never enters any capture log).
@@ -830,35 +805,6 @@ impl<'a, 'rt> Tx<'a, 'rt> {
             done += n as u64;
         }
         Ok(())
-    }
-
-    /// Read a pointer-typed word. Thin wrapper over the generic
-    /// [`Tx::read_as`] (kept so no call site breaks).
-    #[doc(alias = "read_as")]
-    #[inline]
-    pub fn read_addr(&mut self, site: &'static Site, addr: Addr) -> TxResult<Addr> {
-        self.read_as(site, addr)
-    }
-
-    /// Write a pointer-typed word; wrapper over [`Tx::write_as`].
-    #[doc(alias = "write_as")]
-    #[inline]
-    pub fn write_addr(&mut self, site: &'static Site, addr: Addr, val: Addr) -> TxResult<()> {
-        self.write_as(site, addr, val)
-    }
-
-    /// Read a float-typed word; wrapper over [`Tx::read_as`].
-    #[doc(alias = "read_as")]
-    #[inline]
-    pub fn read_f64(&mut self, site: &'static Site, addr: Addr) -> TxResult<f64> {
-        self.read_as(site, addr)
-    }
-
-    /// Write a float-typed word; wrapper over [`Tx::write_as`].
-    #[doc(alias = "write_as")]
-    #[inline]
-    pub fn write_f64(&mut self, site: &'static Site, addr: Addr, val: f64) -> TxResult<()> {
-        self.write_as(site, addr, val)
     }
 
     /// Transactional allocation (paper §3.1.2): the block is recorded in

@@ -137,18 +137,16 @@ fn fault() -> impl Strategy<Value = Option<FaultPlan>> {
 }
 
 fn config(oc: &OracleCfg) -> TxConfig {
-    let mut cfg = TxConfig::builder()
-        .mode(Mode::Runtime {
+    TxConfig {
+        nursery: oc.nursery,
+        durable: true,
+        durable_flush_batch: oc.flush_batch,
+        orec_log2: 12, // small orec table; single-threaded workload
+        ..TxConfig::with_mode(Mode::Runtime {
             log: oc.log,
             scope: CheckScope::FULL,
         })
-        .nursery(oc.nursery)
-        .durable(true)
-        .durable_flush_batch(oc.flush_batch)
-        .build()
-        .unwrap();
-    cfg.orec_log2 = 12; // small orec table; single-threaded workload
-    cfg
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -668,15 +666,10 @@ fn durable_mode_is_transparent_to_the_workload() {
         assert!(!durable.killed);
 
         // Transient run: same config minus durability.
-        let mut cfg = TxConfig::builder()
-            .mode(Mode::Runtime {
-                log: oc.log,
-                scope: CheckScope::FULL,
-            })
-            .nursery(nursery)
-            .build()
-            .unwrap();
-        cfg.orec_log2 = 12;
+        let cfg = TxConfig {
+            durable: false,
+            ..config(&oc)
+        };
         let rt = StmRuntime::new(MemConfig::small(), cfg);
         let cells = rt.alloc_global(CELLS * 8);
         let slots = rt.alloc_global(SLOTS * 8);

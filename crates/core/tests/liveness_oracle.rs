@@ -107,20 +107,15 @@ fn attempt_bound(cfg: &TxConfig, threads: usize) -> u64 {
 }
 
 fn ladder_cfg(chaos: Option<ChaosPlan>) -> TxConfig {
-    let mut b = TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
+    TxConfig {
         // Aggressively low thresholds: the point of the oracle is to drive
         // the full ladder (karma, then token), not to avoid it.
-        .spin_tries(4)
-        .karma_threshold(3)
-        .serialize_threshold(10);
-    if let Some(plan) = chaos {
-        b = b.chaos(plan);
+        spin_tries: 4,
+        karma_threshold: 3,
+        serialize_threshold: 10,
+        chaos,
+        ..TxConfig::runtime_tree_full()
     }
-    b.build().unwrap()
 }
 
 /// Hot-word counters: `threads` workers × `incrs` increments over `words`
@@ -506,14 +501,14 @@ fn ladder_accounts_for_every_abort() {
 fn chaos_has_no_semantic_footprint() {
     fn run_script(chaos: Option<ChaosPlan>) -> (Vec<u64>, String) {
         const WORDS: u64 = 8;
-        let mut b = TxConfig::builder().mode(Mode::Runtime {
-            log: LogKind::Array,
-            scope: CheckScope::FULL,
-        });
-        if let Some(plan) = chaos {
-            b = b.chaos(plan);
-        }
-        let rt = StmRuntime::new(mem_cfg(1), b.build().unwrap());
+        let cfg = TxConfig {
+            chaos,
+            ..TxConfig::with_mode(Mode::Runtime {
+                log: LogKind::Array,
+                scope: CheckScope::FULL,
+            })
+        };
+        let rt = StmRuntime::new(mem_cfg(1), cfg);
         let base = rt.alloc_global(WORDS * 8);
         let mut w = rt.spawn_worker();
         let mut rng = Rng(0xD6E8_FEB8_6659_FD93);
@@ -552,13 +547,10 @@ fn chaos_has_no_semantic_footprint() {
 #[test]
 fn nested_partial_abort_does_not_poison_parent_reads() {
     for log in LogKind::ALL {
-        let cfg = TxConfig::builder()
-            .mode(Mode::Runtime {
-                log,
-                scope: CheckScope::FULL,
-            })
-            .build()
-            .unwrap();
+        let cfg = TxConfig::with_mode(Mode::Runtime {
+            log,
+            scope: CheckScope::FULL,
+        });
         let rt = StmRuntime::new(mem_cfg(1), cfg);
         let a = rt.alloc_global(8);
         let mut w = rt.spawn_worker();
@@ -591,20 +583,19 @@ fn nested_partial_abort_does_not_poison_parent_reads() {
 fn run_starvation(log: LogKind, nursery: bool) {
     const THREADS: usize = 8;
     const INCRS: usize = 400;
-    let cfg = TxConfig::builder()
-        .mode(Mode::Runtime {
+    let cfg = TxConfig {
+        nursery,
+        spin_tries: 2,
+        karma_threshold: 1,
+        serialize_threshold: 2,
+        chaos: Some(preemptive_chaos(
+            0x5EED ^ (nursery as u64) << 8 ^ log as u64,
+        )),
+        ..TxConfig::with_mode(Mode::Runtime {
             log,
             scope: CheckScope::FULL,
         })
-        .nursery(nursery)
-        .spin_tries(2)
-        .karma_threshold(1)
-        .serialize_threshold(2)
-        .chaos(preemptive_chaos(
-            0x5EED ^ (nursery as u64) << 8 ^ log as u64,
-        ))
-        .build()
-        .unwrap();
+    };
     let rt = StmRuntime::new(mem_cfg(THREADS), cfg);
     let hot = rt.alloc_global(8);
     let start = std::sync::Barrier::new(THREADS);

@@ -364,7 +364,7 @@ fn run(script: &[Txn], c: Config, ranged: bool, reference: bool) -> (Vec<u64>, S
     cfg.classify = c.classify;
     cfg.annotations = c.annotations;
     cfg.reference_dispatch = reference;
-    let nursery_on = cfg.nursery_active();
+    let nursery_on = cfg.nursery;
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let base = rt.alloc_global(CELLS * 8);
     let mut w = rt.spawn_worker();

@@ -628,10 +628,10 @@ fn stale_writer_cannot_restore_over_a_recycled_block() {
     let (head, x) = published_block(&rt, &mut b);
     let mut first = true;
     a.txn(|ta| {
-        let p = ta.read_addr(&S, head)?;
+        let p = ta.read_as::<Addr>(&S, head)?;
         if std::mem::take(&mut first) {
             b.txn(|tb| {
-                tb.write_addr(&S, head, Addr(0))?;
+                tb.write_as(&S, head, Addr(0))?;
                 tb.free(p);
                 Ok(())
             });
@@ -640,7 +640,7 @@ fn stale_writer_cannot_restore_over_a_recycled_block() {
                 let y = tb.alloc(64)?;
                 assert_eq!(y, p, "the freed block comes back LIFO");
                 tb.write(&S_ESC, y, 222)?;
-                tb.write_addr(&S, head, y)
+                tb.write_as(&S, head, y)
             });
             stale?;
         }
@@ -667,10 +667,10 @@ fn read_only_commit_never_returns_a_recycled_block() {
     let parked = rt.alloc_global(8);
     let mut first = true;
     let seen = a.txn(|ta| {
-        let p = ta.read_addr(&S, head)?;
+        let p = ta.read_as::<Addr>(&S, head)?;
         if std::mem::take(&mut first) {
             b.txn(|tb| {
-                tb.write_addr(&S, head, Addr(0))?;
+                tb.write_as(&S, head, Addr(0))?;
                 tb.free(p);
                 Ok(())
             });
@@ -678,7 +678,7 @@ fn read_only_commit_never_returns_a_recycled_block() {
                 let y = tb.alloc(64)?;
                 assert_eq!(y, p, "the freed block comes back LIFO");
                 tb.write(&S_ESC, y, 999)?;
-                tb.write_addr(&S, parked, y)
+                tb.write_as(&S, parked, y)
             });
         }
         if p.is_null() {

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use stm::{log_file_name, recover, CheckScope, LogKind, Mode, SimDisk, Site, StmRuntime, TxConfig};
+use stm::{log_file_name, recover, SimDisk, Site, StmRuntime, TxConfig};
 use txmem::{Addr, MemConfig};
 
 static S_SHARED: Site = Site::shared("torn.shared");
@@ -28,17 +28,11 @@ const BLK_WORDS: u64 = 3;
 const N: usize = 6;
 
 fn cfg() -> TxConfig {
-    let mut cfg = TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
-        .durable(true)
-        .durable_flush_batch(1)
-        .build()
-        .unwrap();
-    cfg.orec_log2 = 12;
-    cfg
+    TxConfig {
+        durable: true,
+        orec_log2: 12,
+        ..TxConfig::runtime_tree_full()
+    }
 }
 
 /// The pure shadow of `n` committed transactions.

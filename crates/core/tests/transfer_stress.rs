@@ -202,18 +202,14 @@ fn nested_partial_abort_transfers_preserve_sum_filter() {
 #[test]
 fn hot_word_contention_backs_off_and_stays_correct() {
     const INCRS: usize = 4_000;
-    let cfg = TxConfig::builder()
-        .mode(Mode::Runtime {
-            log: LogKind::Tree,
-            scope: CheckScope::FULL,
-        })
-        .chaos(stm::ChaosPlan {
+    let cfg = TxConfig {
+        chaos: Some(stm::ChaosPlan {
             yield_share: 40,
             preempt_share: 10,
             ..stm::ChaosPlan::all(0xB0B, 4)
-        })
-        .build()
-        .unwrap();
+        }),
+        ..TxConfig::runtime_tree_full()
+    };
     let rt = StmRuntime::new(
         MemConfig {
             max_threads: THREADS,

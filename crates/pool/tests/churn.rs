@@ -185,11 +185,10 @@ fn churn_under_nursery_exercises_regions() {
 /// reuse races surfaced (`vacation.rs`'s `expect("still present")`).
 #[test]
 fn churn_under_compiler_mode_and_chaos_keeps_indices_consistent() {
-    let cfg = TxConfig::builder()
-        .mode(Mode::Compiler)
-        .chaos(ChaosPlan::all(0x5747, 11))
-        .build()
-        .expect("static churn config");
+    let cfg = TxConfig {
+        chaos: Some(ChaosPlan::all(0x5747, 11)),
+        ..TxConfig::with_mode(Mode::Compiler)
+    };
     let s = churn(cfg, 0x5747, 0);
     assert!(s.commits >= THREADS * ROUNDS as u64);
     assert!(s.writes.elided_static > 0, "no static elision: {s:?}");

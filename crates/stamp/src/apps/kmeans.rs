@@ -77,13 +77,13 @@ pub fn run(cfg: &Config, txcfg: TxConfig, threads: usize) -> RunOutcome {
         let w = rt.spawn_worker();
         let mut rng = SplitMix64::new(cfg.seed);
         for i in 0..cfg.points * d {
-            w.store_f64(points.word(i), rng.next_f64() * 100.0);
+            w.store_as(points.word(i), rng.next_f64() * 100.0);
         }
         // Initial centers: first k points (standard Forgy-ish seeding).
         for c in 0..cfg.clusters {
             for j in 0..d {
-                let v = w.load_f64(points.word(c * d + j));
-                w.store_f64(centers.word(c * d + j), v);
+                let v = w.load_as::<f64>(points.word(c * d + j));
+                w.store_as(centers.word(c * d + j), v);
             }
         }
         for i in 0..cfg.clusters * (d + 1) {
@@ -148,8 +148,8 @@ pub fn run(cfg: &Config, txcfg: TxConfig, threads: usize) -> RunOutcome {
             let count = w.load(accums.word(c * (d + 1)));
             if count > 0 {
                 for j in 0..d {
-                    let s = w.load_f64(accums.word(c * (d + 1) + 1 + j));
-                    w.store_f64(centers.word(c * d + j), s / count as f64);
+                    let s = w.load_as::<f64>(accums.word(c * (d + 1) + 1 + j));
+                    w.store_as(centers.word(c * d + j), s / count as f64);
                 }
             }
             for j in 0..=d {
@@ -164,7 +164,7 @@ pub fn run(cfg: &Config, txcfg: TxConfig, threads: usize) -> RunOutcome {
     let w = rt.spawn_worker();
     let mut verified = stats.commits == cfg.points * cfg.iterations;
     for c in 0..cfg.clusters * d {
-        if !w.load_f64(centers.word(c)).is_finite() {
+        if !w.load_as::<f64>(centers.word(c)).is_finite() {
             verified = false;
         }
     }

@@ -60,18 +60,18 @@ impl TxHashtable {
     /// Insert `(key, val)`; `false` if the key already exists.
     pub fn insert(&self, tx: &mut Tx<'_, '_>, key: u64, val: u64) -> TxResult<bool> {
         let slot = self.bucket_slot(tx, key)?;
-        let head = tx.read_addr(&S_BUCKET_R, slot)?;
+        let head = tx.read_as::<Addr>(&S_BUCKET_R, slot)?;
         let mut cur = head;
         while !cur.is_null() {
             if tx.read(&S_NODE_R, cur.word(KEY))? == key {
                 return Ok(false);
             }
-            cur = tx.read_addr(&S_NODE_R, cur.word(NEXT))?;
+            cur = tx.read_as::<Addr>(&S_NODE_R, cur.word(NEXT))?;
         }
         let node = tx.alloc(NODE_WORDS * 8)?;
         // One ranged write initializes the whole (captured) node.
         tx.write_range(&S_INIT_W, node.word(NEXT), &[head.raw(), key, val])?;
-        tx.write_addr(&S_BUCKET_W, slot, node)?;
+        tx.write_as(&S_BUCKET_W, slot, node)?;
         let sz = tx.read(&S_SIZE_R, self.handle.word(SIZE))?;
         tx.write(&S_SIZE_W, self.handle.word(SIZE), sz + 1)?;
         Ok(true)
@@ -79,12 +79,12 @@ impl TxHashtable {
 
     pub fn find(&self, tx: &mut Tx<'_, '_>, key: u64) -> TxResult<Option<u64>> {
         let slot = self.bucket_slot(tx, key)?;
-        let mut cur = tx.read_addr(&S_BUCKET_R, slot)?;
+        let mut cur = tx.read_as::<Addr>(&S_BUCKET_R, slot)?;
         while !cur.is_null() {
             if tx.read(&S_NODE_R, cur.word(KEY))? == key {
                 return Ok(Some(tx.read(&S_NODE_R, cur.word(VAL))?));
             }
-            cur = tx.read_addr(&S_NODE_R, cur.word(NEXT))?;
+            cur = tx.read_as::<Addr>(&S_NODE_R, cur.word(NEXT))?;
         }
         Ok(None)
     }
@@ -92,13 +92,13 @@ impl TxHashtable {
     /// Overwrite an existing key's value; `false` if absent.
     pub fn update(&self, tx: &mut Tx<'_, '_>, key: u64, val: u64) -> TxResult<bool> {
         let slot = self.bucket_slot(tx, key)?;
-        let mut cur = tx.read_addr(&S_BUCKET_R, slot)?;
+        let mut cur = tx.read_as::<Addr>(&S_BUCKET_R, slot)?;
         while !cur.is_null() {
             if tx.read(&S_NODE_R, cur.word(KEY))? == key {
                 tx.write(&S_LINK_W, cur.word(VAL), val)?;
                 return Ok(true);
             }
-            cur = tx.read_addr(&S_NODE_R, cur.word(NEXT))?;
+            cur = tx.read_as::<Addr>(&S_NODE_R, cur.word(NEXT))?;
         }
         Ok(false)
     }
@@ -106,19 +106,19 @@ impl TxHashtable {
     pub fn remove(&self, tx: &mut Tx<'_, '_>, key: u64) -> TxResult<Option<u64>> {
         let slot = self.bucket_slot(tx, key)?;
         let mut prev_next = slot;
-        let mut cur = tx.read_addr(&S_BUCKET_R, slot)?;
+        let mut cur = tx.read_as::<Addr>(&S_BUCKET_R, slot)?;
         while !cur.is_null() {
             if tx.read(&S_NODE_R, cur.word(KEY))? == key {
                 let val = tx.read(&S_NODE_R, cur.word(VAL))?;
-                let next = tx.read_addr(&S_NODE_R, cur.word(NEXT))?;
-                tx.write_addr(&S_LINK_W, prev_next, next)?;
+                let next = tx.read_as::<Addr>(&S_NODE_R, cur.word(NEXT))?;
+                tx.write_as(&S_LINK_W, prev_next, next)?;
                 let sz = tx.read(&S_SIZE_R, self.handle.word(SIZE))?;
                 tx.write(&S_SIZE_W, self.handle.word(SIZE), sz - 1)?;
                 tx.free(cur);
                 return Ok(Some(val));
             }
             prev_next = cur.word(NEXT);
-            cur = tx.read_addr(&S_NODE_R, prev_next)?;
+            cur = tx.read_as::<Addr>(&S_NODE_R, prev_next)?;
         }
         Ok(None)
     }
@@ -136,10 +136,10 @@ impl TxHashtable {
         let n = w.load(self.handle.word(NBUCKETS));
         let mut out = Vec::new();
         for b in 0..n {
-            let mut cur = w.load_addr(self.handle.word(BUCKET0 + b));
+            let mut cur = w.load_as::<Addr>(self.handle.word(BUCKET0 + b));
             while !cur.is_null() {
                 out.push((w.load(cur.word(KEY)), w.load(cur.word(VAL))));
-                cur = w.load_addr(cur.word(NEXT));
+                cur = w.load_as::<Addr>(cur.word(NEXT));
             }
         }
         out

@@ -36,7 +36,7 @@ impl TxHeapQueue {
     pub fn push(&self, tx: &mut Tx<'_, '_>, val: u64) -> TxResult<()> {
         let cap = tx.read(&S_META_R, self.handle.word(CAP))?;
         let size = tx.read(&S_META_R, self.handle.word(SIZE))?;
-        let mut data = tx.read_addr(&S_META_R, self.handle.word(DATA))?;
+        let mut data = tx.read_as::<Addr>(&S_META_R, self.handle.word(DATA))?;
         if size == cap {
             let new_cap = cap * 2;
             let new_data = tx.alloc(new_cap * 8)?;
@@ -46,7 +46,7 @@ impl TxHeapQueue {
             }
             tx.free(data);
             tx.write(&S_META_W, self.handle.word(CAP), new_cap)?;
-            tx.write_addr(&S_META_W, self.handle.word(DATA), new_data)?;
+            tx.write_as(&S_META_W, self.handle.word(DATA), new_data)?;
             data = new_data;
         }
         // Sift up.
@@ -72,7 +72,7 @@ impl TxHeapQueue {
         if size == 0 {
             return Ok(None);
         }
-        let data = tx.read_addr(&S_META_R, self.handle.word(DATA))?;
+        let data = tx.read_as::<Addr>(&S_META_R, self.handle.word(DATA))?;
         let top = tx.read(&S_DATA_R, data.word(0))?;
         let last = tx.read(&S_DATA_R, data.word(size - 1))?;
         let size = size - 1;
@@ -125,7 +125,7 @@ impl TxHeapQueue {
         let cap = w.load(self.handle.word(CAP));
         let size = w.load(self.handle.word(SIZE));
         assert!(size < cap, "seq_push into full heap (size it for setup)");
-        let data = w.load_addr(self.handle.word(DATA));
+        let data = w.load_as::<Addr>(self.handle.word(DATA));
         let mut i = size;
         w.store(data.word(i), val);
         while i > 0 {

@@ -51,7 +51,7 @@ impl TxVector {
     /// Total bytes spanned by handle + backing store (for annotations).
     pub fn annotate(&self, w: &mut WorkerCtx<'_>) {
         let cap = w.load(self.handle.word(CAP));
-        let data = w.load_addr(self.handle.word(DATA));
+        let data = w.load_as::<Addr>(self.handle.word(DATA));
         w.add_private_memory_block(self.handle, 3 * 8);
         w.add_private_memory_block(data, cap * 8);
     }
@@ -60,18 +60,18 @@ impl TxVector {
         let cap = tx.read(&S_META_R, self.handle.word(CAP))?;
         let size = tx.read(&S_META_R, self.handle.word(SIZE))?;
         assert!(size < cap, "TxVector overflow: created with capacity {cap}");
-        let data = tx.read_addr(&S_META_R, self.handle.word(DATA))?;
+        let data = tx.read_as::<Addr>(&S_META_R, self.handle.word(DATA))?;
         tx.write(&S_DATA_W, data.word(size), val)?;
         tx.write(&S_META_W, self.handle.word(SIZE), size + 1)
     }
 
     pub fn get(&self, tx: &mut Tx<'_, '_>, i: u64) -> TxResult<u64> {
-        let data = tx.read_addr(&S_META_R, self.handle.word(DATA))?;
+        let data = tx.read_as::<Addr>(&S_META_R, self.handle.word(DATA))?;
         tx.read(&S_DATA_R, data.word(i))
     }
 
     pub fn set(&self, tx: &mut Tx<'_, '_>, i: u64, val: u64) -> TxResult<()> {
-        let data = tx.read_addr(&S_META_R, self.handle.word(DATA))?;
+        let data = tx.read_as::<Addr>(&S_META_R, self.handle.word(DATA))?;
         tx.write(&S_DATA_W, data.word(i), val)
     }
 
@@ -88,7 +88,7 @@ impl TxVector {
     }
 
     pub fn seq_get(&self, w: &WorkerCtx<'_>, i: u64) -> u64 {
-        let data = w.load_addr(self.handle.word(DATA));
+        let data = w.load_as::<Addr>(self.handle.word(DATA));
         w.load(data.word(i))
     }
 

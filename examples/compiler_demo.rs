@@ -84,10 +84,10 @@ fn run(opt: OptLevel) -> (u64, u64, txcc::vm::VmStats) {
     let total = vm.run(&mut w, "sum", &[head.raw()]);
     // Count list length sequentially for the check.
     let mut len = 0;
-    let mut cur = w.load_addr(head);
+    let mut cur: txmem::Addr = w.load_as(head);
     while !cur.is_null() {
         len += 1;
-        cur = w.load_addr(cur.word(2));
+        cur = w.load_as(cur.word(2));
     }
     let barrier_stats = *total_barriers.lock().unwrap();
     (total, len, barrier_stats)

@@ -31,38 +31,22 @@ fn parse_benchmark(s: &str) -> Option<Benchmark> {
 }
 
 fn parse_mode(s: &str) -> Option<TxConfig> {
-    // Assemble through the validating builder: the mode/nursery
-    // combination is checked once here, at the CLI boundary, instead of
-    // being silently ignored deep in the runtime.
-    let b = TxConfig::builder();
-    let b = match s {
-        "baseline" => b.mode(Mode::Baseline),
-        "compiler" => b.mode(Mode::Compiler),
-        "compiler-interproc" => b.mode(Mode::CompilerInterproc),
-        "tree" => b.mode(Mode::Runtime {
-            log: LogKind::Tree,
+    let runtime = |log| {
+        TxConfig::with_mode(Mode::Runtime {
+            log,
             scope: CheckScope::FULL,
-        }),
-        "nursery" => b
-            .mode(Mode::Runtime {
-                log: LogKind::Tree,
-                scope: CheckScope::FULL,
-            })
-            .nursery(true),
-        "array" => b.mode(Mode::Runtime {
-            log: LogKind::Array,
-            scope: CheckScope::FULL,
-        }),
-        "filter" => b.mode(Mode::Runtime {
-            log: LogKind::Filter,
-            scope: CheckScope::FULL,
-        }),
-        _ => return None,
+        })
     };
-    Some(b.build().unwrap_or_else(|e| {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }))
+    Some(match s {
+        "baseline" => TxConfig::with_mode(Mode::Baseline),
+        "compiler" => TxConfig::with_mode(Mode::Compiler),
+        "compiler-interproc" => TxConfig::with_mode(Mode::CompilerInterproc),
+        "tree" => TxConfig::runtime_tree_full(),
+        "nursery" => TxConfig::runtime_tree_nursery(),
+        "array" => runtime(LogKind::Array),
+        "filter" => runtime(LogKind::Filter),
+        _ => return None,
+    })
 }
 
 fn run_one(b: Benchmark, threads: usize, cfg: TxConfig) {
