@@ -13,11 +13,10 @@
 //!   so it is logged once as a single coalesced content range), and the
 //!   reported `skip_ratio` shows the dividend.
 //!
-//! Each driver runs at three durability modes: `off` (transient
-//!   baseline), `strict` (`durable_flush_batch = 1`, a disk append inside
-//!   every commit), and `group8` (`durable_flush_batch = 8`, buffered
-//!   group commit). The tax of a durable row is its wall time over the
-//!   same driver's `off` row.
+//! Each driver runs at two durability modes: `off` (transient baseline)
+//! and `strict` (a disk append inside every commit, before it publishes).
+//! The tax of the `strict` row is its wall time over the same driver's
+//! `off` row.
 //!
 //! Emits `BENCH_durability.json` (committed snapshot) so future PRs that
 //! touch the commit spine or the redo-log encoder have a durability
@@ -37,7 +36,7 @@ use crate::{median, repeat, share, ExptOpts};
 
 /// The durability-mode axis, in row order. `off` must come first: it
 /// seeds the tax baseline of the durable rows.
-pub const MODES: [&str; 3] = ["off", "strict", "group8"];
+pub const MODES: [&str; 2] = ["off", "strict"];
 
 /// The drivers, in row order.
 pub const DRIVERS: [&str; 2] = ["shared", "captured"];
@@ -62,38 +61,22 @@ fn per_thread(scale: Scale) -> usize {
     }
 }
 
-/// `flush_batch` of a mode name; `None` = durability off.
-fn mode_flush_batch(mode: &str) -> Option<u32> {
-    match mode {
-        "off" => None,
-        "strict" => Some(1),
-        "group8" => Some(8),
-        other => panic!("unknown durability mode {other}"),
-    }
-}
-
-fn durability_cfg(mode: &str) -> TxConfig {
-    let base = TxConfig::runtime_tree_full();
-    match mode_flush_batch(mode) {
-        Some(batch) => TxConfig {
-            durable: true,
-            durable_flush_batch: batch,
-            ..base
-        },
-        None => base,
-    }
-}
-
 /// Build the runtime for a mode: transient, or durable over a fresh
 /// in-memory [`SimDisk`]. Returns the disk so callers can report the log
 /// footprint.
 fn build_runtime(mode: &str, mem: MemConfig) -> (StmRuntime, Option<std::sync::Arc<SimDisk>>) {
-    let cfg = durability_cfg(mode);
-    if mode_flush_batch(mode).is_some() {
-        let disk = SimDisk::new();
-        (StmRuntime::new_durable(mem, cfg, disk.clone()), Some(disk))
-    } else {
-        (StmRuntime::new(mem, cfg), None)
+    let cfg = TxConfig::runtime_tree_full();
+    match mode {
+        "off" => (StmRuntime::new(mem, cfg), None),
+        "strict" => {
+            let disk = SimDisk::new();
+            let cfg = TxConfig {
+                durable: true,
+                ..cfg
+            };
+            (StmRuntime::new_durable(mem, cfg, disk.clone()), Some(disk))
+        }
+        other => panic!("unknown durability mode {other}"),
     }
 }
 
@@ -322,22 +305,16 @@ mod tests {
         // coalesced range, which itself counts toward `durable_words`, so
         // the ratio is bounded below 0.5 by construction), and the shared
         // driver (which captures nothing) must skip none.
-        for mode in ["strict", "group8"] {
-            let skip = v("captured", mode, "skip_ratio");
-            assert!(
-                skip > 0.3,
-                "captured fills must drive the skip ratio: {skip}"
-            );
-            assert_eq!(v("shared", mode, "durable_skipped"), 0.0);
-        }
-        // Group commit amortizes appends.
-        let (strict, group) = (
-            v("shared", "strict", "durable_flushes"),
-            v("shared", "group8", "durable_flushes"),
-        );
+        let skip = v("captured", "strict", "skip_ratio");
         assert!(
-            group < strict,
-            "group commit must batch appends: {group} vs {strict}"
+            skip > 0.3,
+            "captured fills must drive the skip ratio: {skip}"
+        );
+        assert_eq!(v("shared", "strict", "durable_skipped"), 0.0);
+        // One append per writing commit: every shared transfer writes.
+        assert_eq!(
+            v("shared", "strict", "durable_flushes"),
+            v("shared", "strict", "commits")
         );
     }
 

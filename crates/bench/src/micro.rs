@@ -457,4 +457,34 @@ mod tests {
         // ratios meaningless outside `--release` runs; the gated ratios
         // are `expt`'s RATIOS.
     }
+
+    /// README's "Barrier cost trajectory" table is `BENCH_barriers.json`
+    /// at two decimals: each `barrier_dispatch` row beside its `before`
+    /// (parent) row.
+    #[test]
+    fn readme_barrier_table_matches_the_snapshot() {
+        // `(path, ns_per_access)` of every row, one per line, the `before`
+        // block's first.
+        let rows: Vec<(&str, f64)> = include_str!("../../../BENCH_barriers.json")
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("{\"path\": \""))
+            .map(|l| {
+                let (path, ns) = l.split_once("\", \"ns_per_access\": ").unwrap();
+                (path, ns.trim_end_matches([',', '}']).parse().unwrap())
+            })
+            .collect();
+        let (parent, now) = rows.split_at(rows.len() / 2);
+        let readme = include_str!("../../../README.md");
+        let header = "| path | ns/access | parent |\n|---|---:|---:|\n";
+        let at = readme.find(header).expect("README barrier table") + header.len();
+        let table: Vec<&str> = readme[at..]
+            .lines()
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        assert_eq!(table.len(), now.len(), "README rows vs snapshot rows");
+        for ((line, (path, ns)), (ppath, pns)) in table.iter().zip(now).zip(parent) {
+            assert_eq!(path, ppath, "snapshot and before disagree on row order");
+            assert_eq!(*line, format!("| {path} | {ns:.2} | {pns:.2} |"));
+        }
+    }
 }

@@ -17,7 +17,7 @@
 //!   exactly the captured-memory fast path the paper is about). This arm
 //!   is the one `expt pool --min-pool-throughput` gates.
 //! - `durable` — one transaction per op with the redo-log commit mode on
-//!   (`--durable`, group flush batch 8), reporting the log footprint.
+//!   (`--durable`), reporting the log footprint.
 //!
 //! Every op is drawn from `--seed` *before* the clock starts (per-thread
 //! streams, generated up front), so the reported ops/s times the pool and
@@ -287,18 +287,6 @@ fn arms(popts: &PoolOpts) -> Vec<String> {
     v
 }
 
-fn pool_cfg(arm: &str) -> TxConfig {
-    let cfg = TxConfig::runtime_tree_nursery();
-    if arm == "durable" {
-        return TxConfig {
-            durable: true,
-            durable_flush_batch: 8,
-            ..cfg
-        };
-    }
-    cfg
-}
-
 /// Heap sizing: the pool's global structures, the full live-item budget
 /// with allocator headroom, and per-thread nursery slack.
 fn mem_cfg(popts: &PoolOpts, threads: usize) -> MemConfig {
@@ -344,10 +332,14 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
     let ops = popts.ops;
     assert!(ops > 0 && popts.budget > 0, "resolve() the PoolOpts first");
     let per_thread = (ops as usize).div_ceil(threads);
-    let cfg = pool_cfg(arm);
+    let cfg = TxConfig::runtime_tree_nursery();
     let mem = mem_cfg(popts, threads);
     let (rt, disk) = if arm == "durable" {
         let disk = SimDisk::new();
+        let cfg = TxConfig {
+            durable: true,
+            ..cfg
+        };
         (StmRuntime::new_durable(mem, cfg, disk.clone()), Some(disk))
     } else {
         (StmRuntime::new(mem, cfg), None)

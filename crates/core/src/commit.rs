@@ -195,10 +195,10 @@ impl<'rt> WorkerCtx<'rt> {
             return false;
         }
         self.chaos(crate::contention::ChaosPoint::Commit);
-        // Durable record *before* publication: with a strict flush batch
-        // the record is on disk before any other transaction can observe
-        // (and depend on) these writes, so the on-disk record set at any
-        // crash instant is dependency-closed.
+        // Durable record *before* publication: the record is on disk
+        // before any other transaction can observe (and depend on) these
+        // writes, so the on-disk record set at any crash instant is
+        // dependency-closed.
         self.durable_prepare(Some(ticket.wv));
         self.publish(ticket.wv);
         self.finish_commit();
@@ -228,7 +228,7 @@ impl<'rt> WorkerCtx<'rt> {
         if PANIC_IN_COMMIT_TAIL.with(|p| p.replace(false)) {
             panic!("injected panic in the commit tail");
         }
-        // Deferred frees execute now that the transaction is durable.
+        // Deferred frees execute now that the transaction is published.
         let n_frees = self.frees.len();
         for i in 0..n_frees {
             let addr = self.frees[i];
@@ -260,7 +260,6 @@ impl<'rt> WorkerCtx<'rt> {
             self.stats.absorb(&delta);
         }
         if self.durable_on {
-            self.durable_flush(false);
             self.rt.durable.as_ref().unwrap().exit_active();
         }
         self.committed = false;
@@ -462,8 +461,8 @@ impl<'rt> WorkerCtx<'rt> {
         }
     }
 
-    /// Encode this commit's redo record into the worker's durable
-    /// buffer (no-op on non-durable runtimes). Must run *while the write
+    /// Encode this commit's redo record and append it to the worker's log
+    /// (no-op on non-durable runtimes). Must run *while the write
     /// locks are still held*, before publication: in an in-place-update STM
     /// current memory *is* the committed value, and the locks keep every
     /// logged word race-free.
@@ -556,8 +555,7 @@ impl<'rt> WorkerCtx<'rt> {
                 t.wv
             }
         };
-        // Encoded where it is flushed from: straight into `dur_buf`, behind
-        // any records group commit is still holding there.
+        // Encoded where it is flushed from: straight into `dur_buf`.
         let head = [ds.next_seq(self.tid()), wv, self.rt.heap.frontier(), total];
         let mut enc = RecordEncoder::new(&mut self.dur_buf, head);
         let mut words = puts.len() as u64;
@@ -574,29 +572,9 @@ impl<'rt> WorkerCtx<'rt> {
         enc.finish();
         self.dur_ranges = ranges;
         self.dur_puts = puts;
-        self.dur_records += 1;
         self.stats.durable_words += words;
-        if self.cfg.durable_flush_batch == 1 {
-            // Strict mode: on disk before the caller publishes the locks.
-            self.durable_flush(true);
-        }
-    }
-
-    /// Append the buffered redo records to this worker's log. `force`
-    /// flushes unconditionally (strict-ordering commits, worker drop);
-    /// otherwise the buffer flushes once it holds a full group-commit
-    /// batch (`TxConfig::durable_flush_batch`).
-    pub(crate) fn durable_flush(&mut self, force: bool) {
-        if !self.durable_on || self.dur_records == 0 {
-            return;
-        }
-        if !force && self.dur_records < self.cfg.durable_flush_batch {
-            return;
-        }
-        let ds = self.rt.durable.as_ref().unwrap();
+        // On disk before the caller publishes the locks.
         ds.disk.append_log(self.tid(), &self.dur_buf);
-        self.dur_buf.clear();
-        self.dur_records = 0;
         self.stats.durable_flushes += 1;
     }
 

@@ -146,21 +146,14 @@ pub struct TxConfig {
     /// Durable commit mode: every commit appends its write set to
     /// a per-worker append-only redo log on the runtime's simulated disk
     /// (see `stm::SimDisk`), from which [`crate::recover`] can rebuild the
-    /// heap after a crash. Captured writes — stack, in-transaction heap
-    /// blocks, nursery — are *not* logged per word: a surviving block is
-    /// logged once as a coalesced final-content range at commit, and stack
-    /// scratch is not logged at all. Requires
+    /// heap after a crash. The record is on disk *before* the commit
+    /// publishes its locks, so no transaction can observe unlogged state.
+    /// Captured writes — stack, in-transaction heap blocks, nursery — are
+    /// *not* logged per word: a surviving block is logged once as a
+    /// coalesced final-content range at commit, and stack scratch is not
+    /// logged at all. Requires
     /// [`StmRuntime::new_durable`](crate::StmRuntime::new_durable).
     pub durable: bool,
-    /// Group-commit factor for the durable redo log: how many commits a
-    /// worker buffers before appending them to its log in one
-    /// disk operation. `1` (the default) is strict durability — the record
-    /// is on disk *before* the commit publishes its locks, so no
-    /// transaction can observe unlogged state. Values above 1 trade the
-    /// last `durable_flush_batch - 1` commits on a crash for fewer disk
-    /// operations (relaxed durability; recovery still yields a consistent
-    /// committed prefix). Must be in `1..=DURABLE_FLUSH_BATCH_LIMIT`.
-    pub durable_flush_batch: u32,
     /// Consecutive aborts after which the contention ladder (backoff →
     /// karma patience → a global serialization token; see
     /// `stm::contention`) enters its karma tier: the transaction's
@@ -181,11 +174,6 @@ pub struct TxConfig {
     pub chaos: Option<ChaosPlan>,
 }
 
-/// Upper bound for [`TxConfig::durable_flush_batch`]: the group-commit
-/// buffer holds every unflushed record in worker memory, and a crash loses
-/// up to `durable_flush_batch - 1` commits, so the factor bounds both.
-pub const DURABLE_FLUSH_BATCH_LIMIT: u32 = 1024;
-
 impl Default for TxConfig {
     fn default() -> Self {
         TxConfig {
@@ -197,7 +185,6 @@ impl Default for TxConfig {
             spin_tries: 64,
             reference_dispatch: false,
             durable: false,
-            durable_flush_batch: 1,
             karma_threshold: 8,
             serialize_threshold: 64,
             chaos: None,
@@ -226,13 +213,6 @@ pub enum ConfigError {
     /// (ticket draws for allocating read-only commits, pre-publish log
     /// appends) that the oracle's stats are compared against.
     DurableWithReferenceDispatch,
-    /// `durable_flush_batch` of zero: a flush must cover at least one
-    /// commit (`1` is strict per-commit durability).
-    ZeroDurableFlushBatch,
-    /// `durable_flush_batch` above [`DURABLE_FLUSH_BATCH_LIMIT`]: the
-    /// group-commit buffer and the crash-loss window both grow with the
-    /// factor, so it is bounded.
-    DurableFlushBatchTooLarge(u32),
     /// `karma_threshold` of zero: the karma tier would escalate before the
     /// first abort, skipping plain backoff entirely.
     ZeroKarmaThreshold,
@@ -268,16 +248,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "durable commit mode is incompatible with the \
                  reference_dispatch differential oracle"
-            ),
-            ConfigError::ZeroDurableFlushBatch => write!(
-                f,
-                "durable_flush_batch must be at least 1 (1 is strict \
-                 per-commit durability)"
-            ),
-            ConfigError::DurableFlushBatchTooLarge(v) => write!(
-                f,
-                "durable_flush_batch {v} exceeds the supported maximum of \
-                 {DURABLE_FLUSH_BATCH_LIMIT}"
             ),
             ConfigError::ZeroKarmaThreshold => {
                 write!(f, "karma_threshold must be at least 1")
@@ -330,14 +300,6 @@ impl TxConfig {
         }
         if c.durable && c.reference_dispatch {
             return Err(ConfigError::DurableWithReferenceDispatch);
-        }
-        if c.durable_flush_batch == 0 {
-            return Err(ConfigError::ZeroDurableFlushBatch);
-        }
-        if c.durable_flush_batch > DURABLE_FLUSH_BATCH_LIMIT {
-            return Err(ConfigError::DurableFlushBatchTooLarge(
-                c.durable_flush_batch,
-            ));
         }
         if c.karma_threshold == 0 {
             return Err(ConfigError::ZeroKarmaThreshold);
@@ -479,9 +441,8 @@ mod tests {
         };
         assert_eq!(c.validate(), Ok(()));
 
-        // Durable knobs: the reference-dispatch oracle cannot run with the
-        // durable commit hook, and the flush-batch factor is bounded on
-        // both sides.
+        // Durable mode: the reference-dispatch oracle cannot run with the
+        // durable commit hook; durable composes with the nursery.
         let c = TxConfig {
             durable: true,
             reference_dispatch: true,
@@ -489,35 +450,10 @@ mod tests {
         };
         assert_eq!(c.validate(), Err(ConfigError::DurableWithReferenceDispatch));
         let c = TxConfig {
-            durable_flush_batch: 0,
-            ..d
-        };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroDurableFlushBatch));
-        let c = TxConfig {
-            durable_flush_batch: DURABLE_FLUSH_BATCH_LIMIT + 1,
-            ..d
-        };
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::DurableFlushBatchTooLarge(
-                DURABLE_FLUSH_BATCH_LIMIT + 1
-            ))
-        );
-        // Durable composes with the nursery, the flush batch is accepted
-        // at its limit, and a flush batch without durable mode is an inert
-        // knob. The default is strict per-commit flushing.
-        let c = TxConfig {
             durable: true,
-            durable_flush_batch: DURABLE_FLUSH_BATCH_LIMIT,
             ..TxConfig::runtime_tree_nursery()
         };
         assert_eq!(c.validate(), Ok(()));
-        let c = TxConfig {
-            durable_flush_batch: 4,
-            ..d
-        };
-        assert_eq!(c.validate(), Ok(()));
-        assert_eq!(d.durable_flush_batch, 1);
         assert!(!d.durable);
 
         // Contention-manager knobs: zero budgets are rejected, and the
@@ -581,10 +517,6 @@ mod tests {
         assert!(msg.contains("backing allocation log"), "{msg}");
         let msg = format!("{}", ConfigError::DurableWithReferenceDispatch);
         assert!(msg.contains("reference_dispatch"), "{msg}");
-        let msg = format!("{}", ConfigError::ZeroDurableFlushBatch);
-        assert!(msg.contains("at least 1"), "{msg}");
-        let msg = format!("{}", ConfigError::DurableFlushBatchTooLarge(9999));
-        assert!(msg.contains("9999"), "{msg}");
         let msg = format!("{}", ConfigError::UnorderedEscalationThresholds(9, 3));
         assert!(
             msg.contains("karma_threshold 9") && msg.contains("serialize_threshold 3"),

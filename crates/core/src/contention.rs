@@ -321,7 +321,6 @@ impl WorkerCtx<'_> {
         let spins = BASE + self.next_rand() % (hi - BASE);
         self.backoff_prev = spins;
         self.stats.backoff_waits += 1;
-        self.stats.record_backoff_spins(spins);
         for _ in 0..spins {
             std::hint::spin_loop();
         }

@@ -36,14 +36,14 @@
 //!
 //! ## Ordering invariant
 //!
-//! A record's `wv` is its commit timestamp (the GV4 ticket). With the
-//! default `durable_flush_batch = 1` the append happens *before* the
-//! commit publishes its orec locks, so any transaction that observed the
-//! writes flushes strictly after them (the disk serializes appends) —
-//! the set of records on disk at a crash is dependency-closed, and replay
-//! sorted by `wv` reconstructs exactly the committed prefix. Equal `wv`s
-//! come only from GV4 adoption, whose write sets are disjoint by
-//! construction, so their mutual order is irrelevant.
+//! A record's `wv` is its commit timestamp (the GV4 ticket). The append
+//! happens *before* the commit publishes its orec locks, so any
+//! transaction that observed the writes flushes strictly after them (the
+//! disk serializes appends) — the set of records on disk at a crash is
+//! dependency-closed, and replay sorted by `wv` reconstructs exactly the
+//! committed prefix. Equal `wv`s come only from GV4 adoption, whose write
+//! sets are disjoint by construction, so their mutual order is
+//! irrelevant.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -481,20 +481,18 @@ const REC_NPUTS_OFF: usize = 32;
 /// Incremental builder for one framed record, written where it will be
 /// flushed from: it borrows the worker's flush buffer, reserves the frame
 /// header, appends the payload behind it, and [`RecordEncoder::finish`]
-/// patches counts, length and checksum in place. Records already in the
-/// buffer (group commit) are left untouched.
+/// patches counts, length and checksum in place.
 pub(crate) struct RecordEncoder<'a> {
     buf: &'a mut Vec<u8>,
-    /// Offset of this record's frame header in `buf`.
-    start: usize,
     n_puts: u32,
     n_ranges: u32,
 }
 
 impl<'a> RecordEncoder<'a> {
-    /// Open a record behind whatever `buf` holds.
+    /// Open a record in `buf`, replacing whatever it held (the previous
+    /// record, already on disk).
     pub(crate) fn new(buf: &'a mut Vec<u8>, head: RecordHead) -> RecordEncoder<'a> {
-        let start = buf.len();
+        buf.clear();
         buf.extend_from_slice(&[0; FRAME_HDR]);
         for v in head {
             put_u64(buf, v);
@@ -502,7 +500,6 @@ impl<'a> RecordEncoder<'a> {
         put_u64(buf, 0); // n_puts | n_ranges, patched in finish()
         RecordEncoder {
             buf,
-            start,
             n_puts: 0,
             n_ranges: 0,
         }
@@ -532,7 +529,7 @@ impl<'a> RecordEncoder<'a> {
 
     /// Patch the counts and seal the frame.
     pub(crate) fn finish(self) {
-        let frame = &mut self.buf[self.start..];
+        let frame = &mut self.buf[..];
         let counts = FRAME_HDR + REC_NPUTS_OFF;
         frame[counts..counts + 4].copy_from_slice(&self.n_puts.to_le_bytes());
         frame[counts + 4..counts + 8].copy_from_slice(&self.n_ranges.to_le_bytes());
@@ -627,10 +624,7 @@ fn unframe(bytes: &[u8]) -> Result<&[u8], ()> {
 ///
 /// A crash before step 3 recovers from the old snapshot + full logs; a
 /// crash after it recovers from the new snapshot, skipping any not-yet
-/// truncated records as stale (`wv ≤` snapshot clock). Workers may hold
-/// *buffered* unflushed records during the quiesce (group commit); their
-/// effects are in the snapshot, and their eventual flush is skipped by
-/// the same staleness rule.
+/// truncated records as stale (`wv ≤` snapshot clock).
 pub(crate) fn checkpoint(rt: &StmRuntime) {
     let ds = rt
         .durable
@@ -874,10 +868,10 @@ mod tests {
         assert!(unframe(&f[..f.len() - 1]).is_err(), "truncation caught");
     }
 
-    /// Encode the fixed test record `k` behind whatever `buf` holds, and
-    /// return its frame built the old way: the payload spelled out as
-    /// little-endian u32 halves (every u64 here fits its low half), then
-    /// `[len][crc]` (bytewise) in front.
+    /// Encode the fixed test record `k` into `buf`, and return its frame
+    /// built the old way: the payload spelled out as little-endian u32
+    /// halves (every u64 here fits its low half), then `[len][crc]`
+    /// (bytewise) in front.
     fn encode_fixture(buf: &mut Vec<u8>, k: u32) -> Vec<u8> {
         let k64 = k as u64;
         let mut enc = RecordEncoder::new(buf, [7 + k64, 42 + k64, 0x1000, 13 + k64]);
@@ -902,21 +896,23 @@ mod tests {
 
     #[test]
     fn in_place_encoder_emits_the_golden_bytes() {
-        // Into an empty buffer (strict) and behind a buffered record
-        // (group commit): the bytes are the old two-step framing's.
+        // Into an empty buffer, then into the same buffer again (the
+        // worker reuses it): the bytes are the old two-step framing's.
         let mut buf = Vec::new();
         let first = encode_fixture(&mut buf, 0);
         assert_eq!(buf, first);
         let second = encode_fixture(&mut buf, 5);
-        assert_eq!(buf, [first.clone(), second].concat());
+        assert_eq!(buf, second);
         // The header the pre-rewrite encoder wrote for this record.
         assert_eq!(&first[..8], [0x78, 0, 0, 0, 0x42, 0xed, 0x63, 0xb3]);
 
-        // Both records split and decode back to the originals.
+        // Both records, appended to one log, split and decode back to the
+        // originals.
+        let log = [first, second].concat();
         let mut off = 0;
         for k in [0u64, 5] {
-            let (_, payload, end) = split_frame(&buf, off).unwrap();
-            assert_eq!(unframe(&buf[off..end]).unwrap(), payload);
+            let (_, payload, end) = split_frame(&log, off).unwrap();
+            assert_eq!(unframe(&log[off..end]).unwrap(), payload);
             let (mut puts, mut ranges) = (Vec::new(), Vec::new());
             let put = |a, v| puts.push((a, v));
             let head = decode_record(payload, put, |s, c| ranges.push((s, c.to_vec()))).unwrap();
@@ -926,7 +922,7 @@ mod tests {
             assert_eq!(ranges, [(0x200, content), (0x300, vec![])]);
             off = end;
         }
-        assert_eq!(off, buf.len());
+        assert_eq!(off, log.len());
     }
 
     #[test]
@@ -1084,11 +1080,10 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_counts_a_read_only_txn_into_the_next_record() {
+    fn read_only_txn_counts_into_the_next_record() {
         static S: crate::Site = crate::Site::shared("durable.logical");
         let cfg = TxConfig {
             durable: true,
-            durable_flush_batch: 8,
             ..TxConfig::default()
         };
         let disk = SimDisk::new();
@@ -1098,8 +1093,10 @@ mod tests {
         w.txn(|tx| tx.write(&S, cell, 1));
         w.txn(|tx| tx.read(&S, cell).map(drop)); // counted, never logged
         w.txn(|tx| tx.write(&S, cell, 2));
+        // Both records are on disk before the worker drops: nothing is
+        // buffered past its commit.
+        assert_eq!(disk.append_count(), 2, "one append per writing commit");
         drop(w);
-        assert_eq!(disk.append_count(), 1, "both records flushed at drop");
         let log = disk.read_file("log-0").unwrap();
         let (_, first, mid) = split_frame(&log, 0).unwrap();
         let (_, second, end) = split_frame(&log, mid).unwrap();

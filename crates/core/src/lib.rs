@@ -80,12 +80,12 @@ mod typed;
 mod worker;
 
 pub use capture::{Capture, CapturePolicy, LogKind};
-pub use config::{CheckScope, ConfigError, Mode, TxConfig, DURABLE_FLUSH_BATCH_LIMIT};
+pub use config::{CheckScope, ConfigError, Mode, TxConfig};
 pub use contention::{ChaosPlan, ChaosPoint};
 pub use durable::{log_file_name, recover, FaultPhase, FaultPlan, RecoveryReport, SimDisk};
 pub use orec::OrecTable;
 pub use runtime::StmRuntime;
 pub use site::Site;
-pub use stats::{BarrierStats, TxStats, BACKOFF_BUCKETS, LATENCY_BUCKETS};
+pub use stats::{BarrierStats, TxStats, LATENCY_BUCKETS};
 pub use typed::{Field, StackFrame, TxBuf, TxObject, TxPtr, TxWord};
 pub use worker::{Abort, Tx, TxResult, WorkerCtx};

@@ -157,12 +157,6 @@ impl BarrierStats {
     }
 }
 
-/// Buckets of [`TxStats::backoff_hist`]: bucket `i` counts backoff waits
-/// of `[2^(i+4), 2^(i+5))` spin iterations (the decorrelated-jitter
-/// schedule starts at 16 spins), with the last bucket absorbing everything
-/// longer.
-pub const BACKOFF_BUCKETS: usize = 8;
-
 /// Buckets of [`TxStats::latency_hist`]: bucket `i` counts top-level
 /// commits whose wall-clock latency fell in `[2^(i+7), 2^(i+8))`
 /// nanoseconds (bucket 0 additionally absorbs everything faster), with the
@@ -253,9 +247,6 @@ pub struct TxStats {
     /// Schedule faults injected by the configured `ChaosPlan` (0 without
     /// one).
     pub chaos_injections: u64,
-    /// Log2 histogram of backoff-wait lengths in spin iterations; see
-    /// [`BACKOFF_BUCKETS`].
-    pub backoff_hist: [u64; BACKOFF_BUCKETS],
     /// Log2 histogram of top-level commit latencies in nanoseconds
     /// (wall-clock from retry-loop entry to commit, aborted attempts
     /// included); see [`LATENCY_BUCKETS`] and [`TxStats::latency_pct_ns`].
@@ -274,9 +265,8 @@ pub struct TxStats {
     /// extended to durability. The skip ratio is
     /// `durable_skipped / (durable_words + durable_skipped)`.
     pub durable_skipped: u64,
-    /// Durable mode: redo-log disk appends. With `durable_flush_batch = 1`
-    /// this equals the number of commits that produced a record; group
-    /// commit makes it smaller.
+    /// Durable mode: redo-log disk appends, one per commit that produced
+    /// a record.
     pub durable_flushes: u64,
     /// Read-barrier counters.
     pub reads: BarrierStats,
@@ -325,9 +315,6 @@ impl TxStats {
         // over individual transactions, whichever worker ran them.
         self.attempts_max = self.attempts_max.max(o.attempts_max);
         self.chaos_injections += o.chaos_injections;
-        for (a, b) in self.backoff_hist.iter_mut().zip(&o.backoff_hist) {
-            *a += b;
-        }
         for (a, b) in self.latency_hist.iter_mut().zip(&o.latency_hist) {
             *a += b;
         }
@@ -336,13 +323,6 @@ impl TxStats {
         self.durable_flushes += o.durable_flushes;
         self.reads.merge(&o.reads);
         self.writes.merge(&o.writes);
-    }
-
-    /// Bucket a decorrelated-jitter wait of `spins` iterations into
-    /// [`TxStats::backoff_hist`].
-    pub(crate) fn record_backoff_spins(&mut self, spins: u64) {
-        let log2 = (63 - (spins | 1).leading_zeros()) as usize;
-        self.backoff_hist[log2.saturating_sub(4).min(BACKOFF_BUCKETS - 1)] += 1;
     }
 
     /// Bucket one committed top-level transaction's wall-clock latency
@@ -430,8 +410,6 @@ mod tests {
         b.cm_karma_escalations = 2;
         b.cm_serializations = 1;
         b.chaos_injections = 9;
-        b.backoff_hist[0] = 3;
-        b.backoff_hist[7] = 1;
         b.latency_hist[2] = 5;
         b.durable_words = 11;
         b.durable_skipped = 13;
@@ -456,7 +434,6 @@ mod tests {
         assert_eq!(a.cm_karma_escalations, 2);
         assert_eq!(a.cm_serializations, 1);
         assert_eq!(a.chaos_injections, 9);
-        assert_eq!(a.backoff_hist, [3, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(a.latency_hist[2], 6);
         assert_eq!(
             a.attempts_max, 9,
@@ -470,17 +447,7 @@ mod tests {
     #[test]
     fn histograms_bucket_by_log2() {
         let mut s = TxStats::default();
-        // Backoff: 16 spins is the schedule's base → bucket 0; the cap at
-        // 2^14 spins and anything past it land in the last bucket.
-        s.record_backoff_spins(16);
-        s.record_backoff_spins(31);
-        s.record_backoff_spins(32);
-        s.record_backoff_spins(1 << 14);
-        s.record_backoff_spins(u64::MAX);
-        assert_eq!(s.backoff_hist[0], 2);
-        assert_eq!(s.backoff_hist[1], 1);
-        assert_eq!(s.backoff_hist[BACKOFF_BUCKETS - 1], 2);
-        // Latency: sub-256ns commits share bucket 0; multi-ms ones pile
+        // Sub-256ns commits share bucket 0; multi-ms ones pile
         // into the last bucket.
         s.record_latency_ns(0);
         s.record_latency_ns(255);

@@ -267,11 +267,9 @@ pub struct WorkerCtx<'rt> {
     /// `rt.durable.is_some()`, hoisted for the commit path (the barrier
     /// hot paths never consult it).
     pub(crate) durable_on: bool,
-    /// Framed redo records awaiting a flush to this worker's log file
-    /// (group commit buffers `cfg.durable_flush_batch` of them).
+    /// The framed redo record of the latest durable commit, encoded in
+    /// place and appended to this worker's log file; reused across commits.
     pub(crate) dur_buf: Vec<u8>,
-    /// Records currently buffered in `dur_buf`.
-    pub(crate) dur_records: u32,
     /// Scratch for `durable_prepare`'s bulk copy of one content range out
     /// of simulated memory, reused across ranges and commits.
     pub(crate) dur_words: Vec<u64>,
@@ -344,7 +342,6 @@ impl<'rt> WorkerCtx<'rt> {
             committed: false,
             durable_on: rt.durable.is_some(),
             dur_buf: Vec::new(),
-            dur_records: 0,
             dur_words: Vec::new(),
             dur_puts: Vec::new(),
             dur_ranges: Vec::new(),
@@ -702,9 +699,6 @@ impl Drop for WorkerCtx<'_> {
         // by unwinding (`AttemptGuard`): no locks, token or active flag
         // are left to release here.
         debug_assert_eq!(self.depth, 0, "worker dropped inside a transaction");
-        // Flush any group-commit-buffered redo records before the tid
-        // (and with it the log file) can be reused by another worker.
-        self.durable_flush(true);
         // Return the carried-over nursery tail to the shared pool.
         let (lo, hi) = self.nursery_spare;
         if hi > lo {

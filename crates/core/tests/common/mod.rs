@@ -57,7 +57,6 @@ pub fn redacted_debug(stats: &TxStats, redact: &[Redact]) -> String {
                 s.cm_serializations = 0;
                 s.attempts_max = 0;
                 s.chaos_injections = 0;
-                s.backoff_hist = [0; stm::BACKOFF_BUCKETS];
                 s.latency_hist = [0; stm::LATENCY_BUCKETS];
             }
         }

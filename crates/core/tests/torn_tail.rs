@@ -1,12 +1,11 @@
 //! Deterministic torn-tail recovery sweep (ISSUE 8, satellite 3).
 //!
-//! A fixed strict-mode (`durable_flush_batch = 1`) workload of `N`
-//! committing transactions produces one log record per commit. By running
-//! the identical `N-1`- and `N`-transaction workloads on fresh disks we
-//! learn the byte range `[len0, len1)` the final record occupies. Then,
-//! for **every** byte offset in that range, a fresh identical run has its
-//! log either truncated at the offset or corrupted at that byte, and
-//! recovery must:
+//! A fixed durable workload of `N` committing transactions produces one
+//! log record per commit. By running the identical `N-1`- and
+//! `N`-transaction workloads on fresh disks we learn the byte range
+//! `[len0, len1)` the final record occupies. Then, for **every** byte
+//! offset in that range, a fresh identical run has its log either
+//! truncated at the offset or corrupted at that byte, and recovery must:
 //!
 //! * drop exactly the final transaction (`logical_committed == N-1`) —
 //!   never a partial application, never an earlier record;
