@@ -423,10 +423,12 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
 }
 
 /// The `barriers` report: [`barrier_dispatch`] under its Markdown
-/// preamble.
+/// preamble. Its schema names the one table it holds; `expt bench-json`
+/// extends it into the `bench_barriers/v2` snapshot
+/// ([`crate::report::bench_report`]).
 pub fn report(opts: &ExptOpts, micro: &MicroOpts) -> Report {
     let mut r = Report::new(
-        "bench_barriers/v2",
+        "bench_barrier_dispatch/v1",
         "barrier_dispatch — per-access barrier cost (ns, lower is better)",
         opts,
     );

@@ -419,7 +419,8 @@ pub fn stamp_table(opts: &ExptOpts, benchmarks: Option<&[Benchmark]>) -> Table {
     t
 }
 
-/// The `bench-json` report: the `barrier_dispatch` microbenchmark, then
+/// The `bench-json` report (schema `bench_barriers/v2`, the committed
+/// `BENCH_barriers.json`): the `barrier_dispatch` microbenchmark, then
 /// [`stamp_table`].
 pub fn bench_report(
     opts: &ExptOpts,
@@ -427,6 +428,7 @@ pub fn bench_report(
     benchmarks: Option<&[Benchmark]>,
 ) -> Report {
     let mut r = crate::micro::report(opts, micro);
+    r.schema = "bench_barriers/v2";
     r.tables.push(stamp_table(opts, benchmarks));
     r
 }
@@ -434,6 +436,22 @@ pub fn bench_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn barriers_and_bench_json_reports_have_distinct_schemas() {
+        // Same first table, different table sets: the schema must say
+        // which shape a file has.
+        let (opts, micro) = (ExptOpts::default(), MicroOpts::smoke());
+        let barriers = crate::micro::report(&opts, &micro);
+        let bench = bench_report(&opts, &micro, Some(&[]));
+        assert_ne!(barriers.schema, bench.schema);
+        assert_eq!(barriers.tables.len() + 1, bench.tables.len());
+        let snapshot = include_str!("../../../BENCH_barriers.json");
+        assert!(
+            snapshot.contains(&format!("\"schema\": \"{}\"", bench.schema)),
+            "bench-json keeps the committed snapshot's schema"
+        );
+    }
 
     #[test]
     fn report_is_parseable_shape() {

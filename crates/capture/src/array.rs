@@ -1,4 +1,4 @@
-use crate::log::{AllocLog, LogKind};
+use crate::policy::{precise_run, CapturePolicy};
 
 /// The paper's array allocation log (Fig. 6): an unsorted, fixed-capacity
 /// array of `(start, end)` ranges sized to fit one cache line, so a capture
@@ -34,12 +34,12 @@ impl<const N: usize> RangeArray<N> {
         }
     }
 
-    /// Capacity in ranges (cache-line derived).
-    pub const fn capacity(&self) -> usize {
-        N
+    /// Number of ranges currently held (diagnostics).
+    pub fn entries(&self) -> usize {
+        self.live as usize
     }
 
-    /// Like [`AllocLog::query`], but returning the containing range
+    /// Like [`CapturePolicy::query`], but returning the containing range
     /// `(start, end, level)` for the STM's inline capture cache. A range
     /// that made it into the array stays queryable until removed or
     /// cleared (only *inserts* are lossy), so a returned range is a valid
@@ -79,7 +79,7 @@ impl<const N: usize> Default for RangeArray<N> {
     }
 }
 
-impl<const N: usize> AllocLog for RangeArray<N> {
+impl<const N: usize> CapturePolicy for RangeArray<N> {
     fn insert(&mut self, start: u64, len: u64, level: u32) {
         debug_assert!(len > 0);
         for i in 0..N {
@@ -115,12 +115,11 @@ impl<const N: usize> AllocLog for RangeArray<N> {
         self.live = 0;
     }
 
-    fn entries(&self) -> usize {
-        self.live as usize
-    }
-
-    fn kind(&self) -> LogKind {
-        LogKind::Array
+    #[inline]
+    fn query_run(&self, addr: u64, limit: u64) -> (Option<u32>, Option<(u64, u64)>) {
+        precise_run(self.query_range(addr), addr, limit, || {
+            self.next_start_after(addr)
+        })
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::log::{AllocLog, LogKind};
+use crate::CapturePolicy;
 
 const WORD: u64 = 8;
 
@@ -77,13 +77,19 @@ impl AddrFilter {
         (w.wrapping_add(window) & self.mask) as usize
     }
 
+    /// Words marked since the last clear (diagnostics; collisions make it
+    /// an upper bound on the marks still present).
+    pub fn entries(&self) -> usize {
+        self.live_hint
+    }
+
     /// Number of slots.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 }
 
-impl AllocLog for AddrFilter {
+impl CapturePolicy for AddrFilter {
     fn insert(&mut self, start: u64, len: u64, level: u32) {
         debug_assert!(len > 0 && start.is_multiple_of(WORD));
         // Consecutive words occupy consecutive slots (see `slot`), and the
@@ -151,14 +157,6 @@ impl AllocLog for AddrFilter {
             self.epoch = 1;
         }
         self.live_hint = 0;
-    }
-
-    fn entries(&self) -> usize {
-        self.live_hint
-    }
-
-    fn kind(&self) -> LogKind {
-        LogKind::Filter
     }
 }
 

@@ -33,10 +33,9 @@
 //! cleared at transaction end.
 
 //! The [`CapturePolicy`] trait is the seam the STM's barrier pipeline is
-//! monomorphized over: every structure above implements it (via
-//! [`AllocLog`]), and [`LogImpl`] provides the enum-dispatch *reference*
-//! implementation used only at spawn-time selection and in differential
-//! tests.
+//! monomorphized over: the three logs implement it, and [`LogImpl`] is the
+//! enum-dispatch implementation the STM's *reference* pipeline queries per
+//! access, kept for differential tests and the dispatch microbenchmark.
 
 #![warn(missing_docs)]
 
@@ -50,8 +49,8 @@ mod tree;
 
 pub use array::RangeArray;
 pub use filter::{AddrFilter, DEFAULT_FILTER_LOG2};
-pub use log::{AllocLog, LogImpl, LogKind};
+pub use log::{LogImpl, LogKind};
 pub use nursery::NurseryLog;
-pub use policy::{Capture, CapturePolicy};
+pub use policy::CapturePolicy;
 pub use private::PrivateLog;
 pub use tree::RangeTree;

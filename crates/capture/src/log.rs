@@ -1,6 +1,7 @@
 use crate::array::RangeArray;
 use crate::filter::AddrFilter;
 use crate::tree::RangeTree;
+use crate::CapturePolicy;
 
 /// Which allocation-log implementation a transaction uses (paper §3.1.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -27,29 +28,6 @@ impl LogKind {
     }
 }
 
-/// Common interface of the allocation-log data structures.
-///
-/// `level` is the transaction nesting depth that performed the allocation
-/// (1 = outermost). A barrier that finds the accessed address captured at a
-/// level *shallower* than the current one must still undo-log the access
-/// (paper §2.2.1: memory local to a parent transaction is live-in for the
-/// child and needs undo logging to support partial abort), which is why the
-/// query returns the level rather than a boolean.
-pub trait AllocLog {
-    /// Record that `[start, start+len)` was allocated at nesting `level`.
-    fn insert(&mut self, start: u64, len: u64, level: u32);
-    /// Remove a previously inserted block (exact `start`).
-    fn remove(&mut self, start: u64, len: u64);
-    /// If a word access at `addr` hits a logged block, return its level.
-    fn query(&self, addr: u64) -> Option<u32>;
-    /// Forget everything (transaction end: commit or abort).
-    fn clear(&mut self);
-    /// Number of live entries currently representable (diagnostics).
-    fn entries(&self) -> usize;
-    /// Which implementation this is.
-    fn kind(&self) -> LogKind;
-}
-
 /// Enum dispatch over the three implementations, so the hot barrier path
 /// pays a predictable branch instead of a virtual call.
 pub enum LogImpl {
@@ -74,7 +52,7 @@ impl LogImpl {
         }
     }
 
-    /// See [`AllocLog::insert`].
+    /// See [`CapturePolicy::insert`].
     #[inline]
     pub fn insert(&mut self, start: u64, len: u64, level: u32) {
         match self {
@@ -84,7 +62,7 @@ impl LogImpl {
         }
     }
 
-    /// See [`AllocLog::remove`].
+    /// See [`CapturePolicy::remove`].
     #[inline]
     pub fn remove(&mut self, start: u64, len: u64) {
         match self {
@@ -94,7 +72,7 @@ impl LogImpl {
         }
     }
 
-    /// See [`AllocLog::query`].
+    /// See [`CapturePolicy::query`].
     #[inline]
     pub fn query(&self, addr: u64) -> Option<u32> {
         match self {
@@ -104,7 +82,7 @@ impl LogImpl {
         }
     }
 
-    /// See [`AllocLog::clear`].
+    /// See [`CapturePolicy::clear`].
     #[inline]
     pub fn clear(&mut self) {
         match self {
@@ -114,7 +92,7 @@ impl LogImpl {
         }
     }
 
-    /// See [`AllocLog::entries`].
+    /// Number of live entries currently representable (diagnostics).
     pub fn entries(&self) -> usize {
         match self {
             LogImpl::Tree(t) => t.entries(),

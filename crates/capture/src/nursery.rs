@@ -22,7 +22,7 @@
 //! current-level  ⇔  addr >= marks[depth - 1]
 //! ```
 //!
-//! distinguishes `Capture::Level(depth)` (plain access) from an
+//! distinguishes a current-level hit, `Some(depth)` (plain access), from an
 //! ancestor-level hit (reads plain, writes undo-logged), exactly mirroring
 //! the `sp_inner` compare of the stack check.
 //!
@@ -31,8 +31,8 @@
 //! cannot represent — blocks in regions the nursery chained away from,
 //! blocks survived past a hole punched by an in-transaction free, large
 //! blocks — is *demoted* to one of the three paper logs (tree / array /
-//! filter), which the caller keeps alongside. [`NurseryLog::classify_with`]
-//! is that composition: scalar range first, fallback log second.
+//! filter), which the caller keeps alongside and queries when the scalar
+//! range misses.
 //!
 //! # Invariants
 //!
@@ -45,8 +45,6 @@
 //! * The regions list records every byte range carved for this transaction
 //!   (the active one last), so an abort can return *whole regions* to the
 //!   allocator in O(1) per region instead of walking per-block free lists.
-
-use crate::policy::{Capture, CapturePolicy};
 
 /// Bump-region capture state for one transaction. See the module docs for
 /// the classification scheme; the owning transaction descriptor drives the
@@ -115,12 +113,6 @@ impl NurseryLog {
     #[inline]
     pub fn hi(&self) -> u64 {
         self.hi
-    }
-
-    /// Unused bytes remaining in the active region.
-    #[inline]
-    pub fn room(&self) -> u64 {
-        self.hi - self.bump
     }
 
     /// True once a region has been carved and not yet retired.
@@ -268,29 +260,19 @@ impl NurseryLog {
 
     /// Scalar-range classification alone (no fallback): captured iff the
     /// address lies in `[lo, bump)`, at the deepest open level whose
-    /// watermark it reaches.
+    /// watermark it reaches — the level, as
+    /// [`CapturePolicy::query`](crate::CapturePolicy::query) returns it.
     #[inline]
-    pub fn classify(&self, addr: u64) -> Capture {
+    pub fn classify(&self, addr: u64) -> Option<u32> {
         if addr >= self.lo && addr < self.bump {
             // Level = number of watermarks at or below the address. Marks
             // are non-decreasing, so this is an upper-bound search; the
             // vector is as deep as the nesting, i.e. tiny.
             let level = self.marks.iter().take_while(|&&m| m <= addr).count() as u32;
             debug_assert!(level >= 1, "address in scalar range below every mark");
-            Capture::Level(level)
+            Some(level)
         } else {
-            Capture::No
-        }
-    }
-
-    /// The composed nursery policy (module docs): the scalar range test
-    /// first, the fallback paper log — which holds demoted, overflow and
-    /// large blocks — second.
-    #[inline]
-    pub fn classify_with<F: CapturePolicy>(&self, fallback: &F, addr: u64) -> Capture {
-        match self.classify(addr) {
-            Capture::No => fallback.classify(addr),
-            hit => hit,
+            None
         }
     }
 }
@@ -303,8 +285,8 @@ mod tests {
     #[test]
     fn empty_nursery_captures_nothing() {
         let n = NurseryLog::new();
-        assert_eq!(n.classify(0), Capture::No);
-        assert_eq!(n.classify(4096), Capture::No);
+        assert_eq!(n.classify(0), None);
+        assert_eq!(n.classify(4096), None);
         assert!(!n.has_region());
     }
 
@@ -314,24 +296,20 @@ mod tests {
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
         assert_eq!(a, 4096);
-        assert_eq!(n.classify(a), Capture::Level(1));
-        assert_eq!(n.classify(a + 56), Capture::Level(1));
+        assert_eq!(n.classify(a), Some(1));
+        assert_eq!(n.classify(a + 56), Some(1));
         n.push_level();
         let b = n.try_alloc(64).unwrap();
-        assert_eq!(n.classify(b), Capture::Level(2));
-        assert_eq!(
-            n.classify(a),
-            Capture::Level(1),
-            "parent block stays level 1"
-        );
+        assert_eq!(n.classify(b), Some(2));
+        assert_eq!(n.classify(a), Some(1), "parent block stays level 1");
         // Child commits: its block demotes to the parent automatically.
         n.pop_level();
-        assert_eq!(n.classify(b), Capture::Level(1));
+        assert_eq!(n.classify(b), Some(1));
         // A later sibling sees the first child's block as ancestor-level.
         n.push_level();
-        assert_eq!(n.classify(b), Capture::Level(1));
+        assert_eq!(n.classify(b), Some(1));
         let c = n.try_alloc(32).unwrap();
-        assert_eq!(n.classify(c), Capture::Level(2));
+        assert_eq!(n.classify(c), Some(2));
         n.pop_level();
     }
 
@@ -343,8 +321,8 @@ mod tests {
         n.push_level();
         let b = n.try_alloc(64).unwrap();
         n.abort_level();
-        assert_eq!(n.classify(b), Capture::No, "aborted child block");
-        assert_eq!(n.classify(a), Capture::Level(1));
+        assert_eq!(n.classify(b), None, "aborted child block");
+        assert_eq!(n.classify(a), Some(1));
         assert_eq!(n.try_alloc(64).unwrap(), b, "bump space reclaimed");
     }
 
@@ -355,8 +333,8 @@ mod tests {
         let a = n.try_alloc(64).unwrap();
         let b = n.try_alloc(32).unwrap();
         n.bump_back(b);
-        assert_eq!(n.classify(b), Capture::No);
-        assert_eq!(n.classify(a), Capture::Level(1));
+        assert_eq!(n.classify(b), None);
+        assert_eq!(n.classify(a), Some(1));
         assert_eq!(n.try_alloc(16).unwrap(), b);
     }
 
@@ -368,17 +346,17 @@ mod tests {
         let freed = n.try_alloc(64).unwrap();
         let c = n.try_alloc(64).unwrap();
         n.punch_hole(freed, freed + 64);
-        assert_eq!(n.classify(freed), Capture::No);
-        assert_eq!(n.classify(freed + 32), Capture::No);
+        assert_eq!(n.classify(freed), None);
+        assert_eq!(n.classify(freed + 32), None);
         assert_eq!(
             n.classify(a),
-            Capture::No,
+            None,
             "below-hole block left the scalar range"
         );
-        assert_eq!(n.classify(c), Capture::Level(1), "above-hole block stays");
+        assert_eq!(n.classify(c), Some(1), "above-hole block stays");
         // Future allocations continue on the scalar path.
         let d = n.try_alloc(16).unwrap();
-        assert_eq!(n.classify(d), Capture::Level(1));
+        assert_eq!(n.classify(d), Some(1));
     }
 
     #[test]
@@ -391,14 +369,16 @@ mod tests {
         let c = n.try_alloc(64).unwrap();
         // Free `f` mid-range: the below-hole block `a` is demoted to the
         // fallback log (as the runtime does), then the hole is punched.
-        use crate::AllocLog;
+        use crate::CapturePolicy;
         tree.insert(a, 64, 1);
         n.punch_hole(f, f + 64);
-        assert_eq!(n.classify(a), Capture::No);
-        assert_eq!(n.classify_with(&tree, a), Capture::Level(1));
-        assert_eq!(n.classify_with(&tree, f), Capture::No, "freed block");
-        assert_eq!(n.classify_with(&tree, c), Capture::Level(1), "scalar hit");
-        assert_eq!(n.classify_with(&tree, 9000), Capture::No);
+        assert_eq!(n.classify(a), None);
+        // Scalar range first, the fallback log second.
+        let composed = |addr| n.classify(addr).or_else(|| tree.query(addr));
+        assert_eq!(composed(a), Some(1));
+        assert_eq!(composed(f), None, "freed block");
+        assert_eq!(composed(c), Some(1), "scalar hit");
+        assert_eq!(composed(9000), None);
     }
 
     #[test]
@@ -414,10 +394,10 @@ mod tests {
         let b = n.try_alloc(64).unwrap();
         assert_eq!(b, 16384);
         // Everything in the new region postdates both open levels.
-        assert_eq!(n.classify(b), Capture::Level(2));
+        assert_eq!(n.classify(b), Some(2));
         assert_eq!(n.region_count(), 2);
         n.pop_level();
-        assert_eq!(n.classify(b), Capture::Level(1));
+        assert_eq!(n.classify(b), Some(1));
     }
 
     #[test]
@@ -430,7 +410,7 @@ mod tests {
         assert_eq!(n.regions(), &[(4096, 128)]);
         let b = n.try_alloc(64).unwrap();
         assert_eq!(b, 4096 + 64);
-        assert_eq!(n.classify(b), Capture::Level(1));
+        assert_eq!(n.classify(b), Some(1));
     }
 
     #[test]
@@ -444,12 +424,8 @@ mod tests {
         n.marks.pop(); // abort path pops the level around clear_active
         n.inner = *n.marks.last().unwrap();
         n.clear_active(1);
-        assert_eq!(
-            n.classify(a),
-            Capture::No,
-            "demoted earlier; scalar is empty"
-        );
-        assert_eq!(n.classify(16384), Capture::No);
+        assert_eq!(n.classify(a), None, "demoted earlier; scalar is empty");
+        assert_eq!(n.classify(16384), None);
         assert_eq!(n.region_count(), 1);
         assert!(!n.has_region());
     }

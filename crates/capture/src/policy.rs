@@ -3,272 +3,175 @@
 //!
 //! The barriers of "Optimizing Transactions for Captured Memory" ask a
 //! single question per access — *was this address allocated by the current
-//! transaction?* — and record allocations/frees as the transaction runs.
-//! `CapturePolicy` captures exactly that contract so the STM core can be
-//! **monomorphized** over the concrete structure: the runtime selects the
-//! policy once (at runtime construction / worker spawn) and the barrier hot
-//! path compiles down to direct, inlineable calls with no per-access
-//! dispatch on [`LogKind`].
+//! transaction, and at which nesting level?* — and record allocations and
+//! frees as the transaction runs. `CapturePolicy` captures exactly that
+//! contract so the STM core can be **monomorphized** over the concrete
+//! structure: the runtime selects the policy once (at runtime construction /
+//! worker spawn) and the barrier hot path compiles down to direct,
+//! inlineable calls with no per-access dispatch on [`LogKind`].
 //!
-//! Every [`AllocLog`] implementation is a `CapturePolicy` via the blanket
-//! impl below, so [`RangeTree`], [`RangeArray`] and [`AddrFilter`] plug in
-//! directly. [`LogImpl`] also implements the trait — through its per-call
-//! `match` — which is precisely the *enum-dispatch reference path* the STM
-//! keeps around (behind `TxConfig::reference_dispatch`) for differential
-//! testing of the monomorphized pipeline.
+//! [`RangeTree`], [`RangeArray`] and [`AddrFilter`] implement it directly.
+//! [`LogImpl`] implements it through its per-call `match` — precisely the
+//! *enum-dispatch reference path* the STM keeps around (behind
+//! `TxConfig::reference_dispatch`) for differential testing of the
+//! monomorphized pipeline.
+//!
+//! [`RangeTree`]: crate::RangeTree
+//! [`RangeArray`]: crate::RangeArray
+//! [`AddrFilter`]: crate::AddrFilter
+//! [`LogImpl`]: crate::LogImpl
+//! [`LogKind`]: crate::LogKind
 
-use crate::log::{AllocLog, LogImpl, LogKind};
+use crate::log::LogImpl;
 
-/// Verdict of a capture classification for one word address.
+/// What a barrier pipeline needs from a capture-analysis structure: the
+/// paper's allocation log (§3.1.2).
 ///
-/// Carries the allocating nesting level (1 = outermost) rather than a
-/// boolean, with the same semantics as [`AllocLog::query`]: a barrier that
-/// finds the address captured at a level *shallower* than the current one
-/// must still undo-log writes (paper §2.2.1, partial abort).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Capture {
-    /// Not captured — the full STM barrier must run.
-    No,
-    /// Captured: allocated at the given nesting level.
-    Level(u32),
-}
-
-impl Capture {
-    /// Translate an [`AllocLog::query`] result.
-    #[inline]
-    pub fn from_query(q: Option<u32>) -> Capture {
-        match q {
-            Some(level) => Capture::Level(level),
-            None => Capture::No,
-        }
-    }
-
-    /// Was the address captured at *any* nesting level?
-    #[inline]
-    pub fn is_captured(self) -> bool {
-        matches!(self, Capture::Level(_))
-    }
-}
-
-/// What a barrier pipeline needs from a capture-analysis structure.
+/// `level` is the transaction nesting depth that performed the allocation
+/// (1 = outermost). A barrier that finds the accessed address captured at a
+/// level *shallower* than the current one must still undo-log the access
+/// (paper §2.2.1: memory local to a parent transaction is live-in for the
+/// child and needs undo logging to support partial abort), which is why the
+/// queries return the level rather than a boolean.
 ///
-/// `classify` is the per-access hot call; `on_alloc`/`on_free` run per
-/// transactional allocation event; `reset` runs once per transaction end.
-/// Implementations must stay **conservative**: `classify` may miss captured
-/// memory (costing only a redundant full barrier) but must never report
-/// capture for memory the transaction did not allocate.
+/// `query`/`query_run` are the per-access hot calls; `insert`/`remove` run
+/// per transactional allocation event; `clear` runs once per transaction
+/// end. Implementations must stay **conservative**: a query may miss
+/// captured memory (costing only a redundant full barrier) but must never
+/// report capture for memory the transaction did not allocate.
 pub trait CapturePolicy {
-    /// A transactional allocation of `[start, start+len)` at nesting
-    /// `level` (1 = outermost).
-    fn on_alloc(&mut self, start: u64, len: u64, level: u32);
+    /// Record that `[start, start+len)` was allocated at nesting `level`.
+    fn insert(&mut self, start: u64, len: u64, level: u32);
 
     /// The block at `start` left the transaction's captured set (freed
     /// in-transaction, or its allocation was rolled back).
-    fn on_free(&mut self, start: u64, len: u64);
+    fn remove(&mut self, start: u64, len: u64);
 
-    /// Was a word access at `addr` captured, and at which nesting level?
-    fn classify(&self, addr: u64) -> Capture;
+    /// If a word access at `addr` hits a logged block, return its level.
+    fn query(&self, addr: u64) -> Option<u32>;
 
-    /// Transaction end (commit or abort): forget everything.
-    fn reset(&mut self);
+    /// Forget everything (transaction end: commit or abort).
+    fn clear(&mut self);
 
-    /// Live entries currently representable (diagnostics).
-    fn live_entries(&self) -> usize;
-
-    /// Which allocation-log structure backs this policy.
-    fn policy_kind(&self) -> LogKind;
-
-    /// Like [`CapturePolicy::classify`], additionally returning a
-    /// *cacheable* residency range on a hit: a `[start, end)` the caller
-    /// may keep checking inline (skipping this policy entirely) until the
-    /// next `on_free`/`reset`/level change, because the policy guarantees
-    /// every address in it stays captured at the returned level until
-    /// then. **Lossy structures must return `None`** for the range: the
-    /// [`AddrFilter`](crate::AddrFilter) can silently lose marks to later
-    /// collisions, so a cached hit could claim capture the filter itself
-    /// would no longer report. Precise structures (tree, array) return
-    /// the containing block.
-    #[inline]
-    fn classify_cacheable(&self, addr: u64) -> (Capture, Option<(u64, u64)>) {
-        (self.classify(addr), None)
-    }
-
-    /// Classify `addr` and return the exclusive end of the longest run
-    /// `[addr, end)` sharing that verdict, clamped to `limit` (the caller's
-    /// span end). One call covers a whole contiguous run, which is what lets
-    /// ranged barriers classify once per run instead of once per word.
+    /// [`query`](CapturePolicy::query) for the run of words starting at
+    /// `addr`, plus a range `[start, end)` over which that verdict holds.
+    /// `limit` is the exclusive end of the caller's access and only bounds
+    /// how far a miss looks ahead.
     ///
-    /// The contract mirrors the conservatism of [`classify`]: every word of
-    /// a returned *captured* run must be inside one logged block, and every
-    /// word of a returned *not-captured* run must miss the log (holes from
-    /// in-transaction frees bound the run). A policy that cannot prove more
-    /// may always return `addr + 8` — a one-word run degenerates to the
-    /// per-word barrier, never to a wrong answer. That is the default here,
-    /// kept by the lossy [`AddrFilter`](crate::AddrFilter) (no range
-    /// guarantee on hits, no enumerable boundaries on misses) and by the
-    /// enum-dispatch reference [`LogImpl`].
+    /// * On a hit the range is the whole logged block holding `addr`
+    ///   (`start <= addr < end`, not clamped to `limit`). Every word of it
+    ///   stays captured at the returned level until the next
+    ///   `remove`/`clear`, so the caller may cache it.
+    /// * On a miss the range is `[addr, end)` with `end <= limit`, and every
+    ///   word of it misses: the next logged block's start bounds it. A
+    ///   one-word `limit` returns without looking for that block, so a
+    ///   per-word access costs exactly one lookup.
     ///
-    /// [`classify`]: CapturePolicy::classify
+    /// `None` gives no range beyond the word at `addr`. That is the default
+    /// here, kept by the lossy [`AddrFilter`](crate::AddrFilter) (a later
+    /// insert can overwrite a mark, so no residency guarantee on hits and no
+    /// enumerable boundaries on misses) and by the enum-dispatch reference
+    /// [`LogImpl`], which models one lookup per word.
     #[inline]
-    fn classify_run(&self, addr: u64, limit: u64) -> (Capture, u64) {
+    fn query_run(&self, addr: u64, limit: u64) -> (Option<u32>, Option<(u64, u64)>) {
         debug_assert!(limit > addr);
-        (self.classify(addr), addr + 8)
+        (self.query(addr), None)
     }
 }
 
-/// Delegation from the [`AllocLog`] vocabulary; used by the per-structure
-/// impls below (a blanket impl would forbid overriding
-/// `classify_cacheable` per structure).
-macro_rules! policy_via_alloc_log {
-    () => {
-        #[inline]
-        fn on_alloc(&mut self, start: u64, len: u64, level: u32) {
-            self.insert(start, len, level);
-        }
-
-        #[inline]
-        fn on_free(&mut self, start: u64, len: u64) {
-            self.remove(start, len);
-        }
-
-        #[inline]
-        fn classify(&self, addr: u64) -> Capture {
-            Capture::from_query(self.query(addr))
-        }
-
-        #[inline]
-        fn reset(&mut self) {
-            self.clear();
-        }
-
-        fn live_entries(&self) -> usize {
-            self.entries()
-        }
-
-        fn policy_kind(&self) -> LogKind {
-            self.kind()
-        }
-    };
-}
-
-impl CapturePolicy for crate::RangeTree {
-    policy_via_alloc_log!();
-
-    #[inline]
-    fn classify_cacheable(&self, addr: u64) -> (Capture, Option<(u64, u64)>) {
-        match self.query_range(addr) {
-            Some((start, end, level)) => (Capture::Level(level), Some((start, end))),
-            None => (Capture::No, None),
-        }
+/// `query_run` for the precise structures (tree and array), from their
+/// containing-block lookup `hit` and their successor-start walk `next`.
+#[inline(always)]
+pub(crate) fn precise_run(
+    hit: Option<(u64, u64, u32)>,
+    addr: u64,
+    limit: u64,
+    next: impl FnOnce() -> Option<u64>,
+) -> (Option<u32>, Option<(u64, u64)>) {
+    debug_assert!(limit > addr);
+    match hit {
+        Some((start, end, level)) => (Some(level), Some((start, end))),
+        None if limit - addr <= 8 => (None, Some((addr, limit))),
+        None => (None, Some((addr, next().map_or(limit, |s| s.min(limit))))),
     }
-
-    #[inline]
-    fn classify_run(&self, addr: u64, limit: u64) -> (Capture, u64) {
-        debug_assert!(limit > addr);
-        match self.query_range(addr) {
-            // Hit: the containing block bounds the captured run.
-            Some((_, end, level)) => (Capture::Level(level), end.min(limit)),
-            // Miss: the successor block's start bounds the shared run.
-            None => {
-                let end = self.next_start_after(addr).map_or(limit, |s| s.min(limit));
-                (Capture::No, end)
-            }
-        }
-    }
-}
-
-impl<const N: usize> CapturePolicy for crate::RangeArray<N> {
-    policy_via_alloc_log!();
-
-    #[inline]
-    fn classify_cacheable(&self, addr: u64) -> (Capture, Option<(u64, u64)>) {
-        match self.query_range(addr) {
-            Some((start, end, level)) => (Capture::Level(level), Some((start, end))),
-            None => (Capture::No, None),
-        }
-    }
-
-    #[inline]
-    fn classify_run(&self, addr: u64, limit: u64) -> (Capture, u64) {
-        debug_assert!(limit > addr);
-        match self.query_range(addr) {
-            Some((_, end, level)) => (Capture::Level(level), end.min(limit)),
-            None => {
-                let end = self.next_start_after(addr).map_or(limit, |s| s.min(limit));
-                (Capture::No, end)
-            }
-        }
-    }
-}
-
-/// The filter keeps the default `classify_cacheable` (no range): it is
-/// lossy under collisions, so no residency guarantee can be given.
-impl CapturePolicy for crate::AddrFilter {
-    policy_via_alloc_log!();
 }
 
 /// The enum-dispatch reference policy: one runtime `match` per call, i.e.
 /// the shape of the pre-monomorphization barrier pipeline. Kept for
-/// differential tests (`TxConfig::reference_dispatch`) and as the
-/// spawn-time selector's storage when a caller genuinely needs a
-/// runtime-chosen log.
+/// differential tests (`TxConfig::reference_dispatch`). It forwards to the
+/// inherent methods and keeps the one-word default `query_run`.
 impl CapturePolicy for LogImpl {
-    // Inherent methods, same vocabulary; keeps the default (cacheless)
-    // `classify_cacheable`, as befits an oracle modeling per-call dispatch.
-    policy_via_alloc_log!();
+    #[inline]
+    fn insert(&mut self, start: u64, len: u64, level: u32) {
+        LogImpl::insert(self, start, len, level)
+    }
+
+    #[inline]
+    fn remove(&mut self, start: u64, len: u64) {
+        LogImpl::remove(self, start, len)
+    }
+
+    #[inline]
+    fn query(&self, addr: u64) -> Option<u32> {
+        LogImpl::query(self, addr)
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        LogImpl::clear(self)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AddrFilter, RangeArray, RangeTree};
+    use crate::{AddrFilter, LogKind, RangeArray, RangeTree};
 
-    fn policy_roundtrip<P: CapturePolicy>(p: &mut P, kind: LogKind) {
-        assert_eq!(p.policy_kind(), kind);
-        assert_eq!(p.classify(4096), Capture::No);
-        p.on_alloc(4096, 64, 2);
-        assert_eq!(p.classify(4096), Capture::Level(2));
-        assert_eq!(p.classify(4096 + 56), Capture::Level(2));
-        assert_eq!(p.classify(4096 + 64), Capture::No);
-        p.on_free(4096, 64);
-        assert_eq!(p.classify(4096), Capture::No);
-        p.on_alloc(8192, 8, 1);
-        p.reset();
-        assert_eq!(p.classify(8192), Capture::No);
-        assert_eq!(p.live_entries(), 0);
+    fn policy_roundtrip<P: CapturePolicy>(p: &mut P) {
+        assert_eq!(p.query(4096), None);
+        p.insert(4096, 64, 2);
+        assert_eq!(p.query(4096), Some(2));
+        assert_eq!(p.query(4096 + 56), Some(2));
+        assert_eq!(p.query(4096 + 64), None);
+        p.remove(4096, 64);
+        assert_eq!(p.query(4096), None);
+        p.insert(8192, 8, 1);
+        p.clear();
+        assert_eq!(p.query(8192), None);
     }
 
     #[test]
     fn all_structures_satisfy_the_policy_contract() {
-        policy_roundtrip(&mut RangeTree::new(), LogKind::Tree);
-        policy_roundtrip(&mut RangeArray::<4>::new(), LogKind::Array);
-        policy_roundtrip(&mut AddrFilter::with_log2_entries(12), LogKind::Filter);
+        policy_roundtrip(&mut RangeTree::new());
+        policy_roundtrip(&mut RangeArray::<4>::new());
+        policy_roundtrip(&mut AddrFilter::with_log2_entries(12));
         for kind in LogKind::ALL {
-            policy_roundtrip(&mut LogImpl::new(kind), kind);
+            policy_roundtrip(&mut LogImpl::new(kind));
         }
     }
 
     fn run_roundtrip<P: CapturePolicy>(p: &mut P, precise: bool) {
-        p.on_alloc(4096, 64, 2);
-        p.on_alloc(4224, 32, 1);
+        p.insert(4096, 64, 2);
+        p.insert(4224, 32, 1);
         let limit = 8192;
-        let (cap, end) = p.classify_run(4096, limit);
-        assert_eq!(cap, Capture::Level(2));
         if precise {
-            assert_eq!(end, 4160, "captured run spans the whole block");
+            // A hit returns the whole block, whatever the limit.
+            assert_eq!(p.query_run(4104, limit), (Some(2), Some((4096, 4160))));
+            assert_eq!(p.query_run(4104, 4112), (Some(2), Some((4096, 4160))));
             // Miss between the blocks: the shared run stops at the next
             // block's start (hole detection).
-            assert_eq!(p.classify_run(4160, limit), (Capture::No, 4224));
+            assert_eq!(p.query_run(4160, limit), (None, Some((4160, 4224))));
             // Miss after the last block: the shared run reaches the limit.
-            assert_eq!(p.classify_run(4256, limit), (Capture::No, limit));
-            // The caller's span end clamps both kinds of run.
-            assert_eq!(p.classify_run(4096, 4128), (Capture::Level(2), 4128));
-            assert_eq!(p.classify_run(4160, 4200), (Capture::No, 4200));
+            assert_eq!(p.query_run(4256, limit), (None, Some((4256, limit))));
+            // The caller's span end clamps a miss, and a one-word limit
+            // is a one-word run.
+            assert_eq!(p.query_run(4160, 4200), (None, Some((4160, 4200))));
+            assert_eq!(p.query_run(4160, 4168), (None, Some((4160, 4168))));
         } else {
-            assert_eq!(end, 4104, "lossy policy degenerates to one word");
-            assert_eq!(p.classify_run(4160, limit), (Capture::No, 4168));
+            assert_eq!(p.query_run(4104, limit), (Some(2), None));
+            assert_eq!(p.query_run(4160, limit), (None, None));
         }
-        p.reset();
+        p.clear();
     }
 
     #[test]
@@ -279,13 +182,5 @@ mod tests {
         for kind in LogKind::ALL {
             run_roundtrip(&mut LogImpl::new(kind), false);
         }
-    }
-
-    #[test]
-    fn capture_helpers() {
-        assert_eq!(Capture::from_query(None), Capture::No);
-        assert_eq!(Capture::from_query(Some(3)), Capture::Level(3));
-        assert!(Capture::Level(1).is_captured());
-        assert!(!Capture::No.is_captured());
     }
 }

@@ -1,4 +1,4 @@
-use crate::log::{LogImpl, LogKind};
+use crate::{CapturePolicy, RangeTree};
 
 /// Log of programmer-annotated private (thread-local or read-only) memory
 /// (paper §3.1.3 and Fig. 7).
@@ -15,37 +15,26 @@ use crate::log::{LogImpl, LogKind};
 /// this simulated runtime they cannot corrupt Rust memory, but they can make
 /// a workload's results wrong, which integration tests exercise).
 pub struct PrivateLog {
-    log: LogImpl,
-    adds: u64,
-    removes: u64,
+    log: RangeTree,
 }
 
 impl PrivateLog {
-    /// The default uses the precise tree, which the paper's design favours
-    /// for long-lived annotations (no capacity limit, exact removal).
-    /// An empty annotation log backed by the precise tree.
+    /// An empty annotation log, backed by the precise tree, which the
+    /// paper's design favours for long-lived annotations (no capacity
+    /// limit, exact removal).
     pub fn new() -> PrivateLog {
-        PrivateLog::with_kind(LogKind::Tree)
-    }
-
-    /// An empty annotation log over the chosen log structure.
-    pub fn with_kind(kind: LogKind) -> PrivateLog {
         PrivateLog {
-            log: LogImpl::new(kind),
-            adds: 0,
-            removes: 0,
+            log: RangeTree::new(),
         }
     }
 
     /// Paper API: `void addPrivateMemoryBlock(void *addr, size_t size)`.
     pub fn add_private_memory_block(&mut self, addr: u64, size: u64) {
-        self.adds += 1;
         self.log.insert(addr, size, 0);
     }
 
     /// Paper API: `void removePrivateMemoryBlock(void *addr, size_t size)`.
     pub fn remove_private_memory_block(&mut self, addr: u64, size: u64) {
-        self.removes += 1;
         self.log.remove(addr, size);
     }
 
@@ -53,16 +42,6 @@ impl PrivateLog {
     #[inline]
     pub fn is_private(&self, addr: u64) -> bool {
         self.log.query(addr).is_some()
-    }
-
-    /// Number of annotated blocks currently live (tree/array exact).
-    pub fn blocks(&self) -> usize {
-        self.log.entries()
-    }
-
-    /// (adds, removes) counters for diagnostics.
-    pub fn churn(&self) -> (u64, u64) {
-        (self.adds, self.removes)
     }
 }
 
@@ -85,7 +64,6 @@ mod tests {
         assert!(!p.is_private(4096 + 128));
         p.remove_private_memory_block(4096, 128);
         assert!(!p.is_private(4096));
-        assert_eq!(p.churn(), (1, 1));
     }
 
     #[test]
@@ -94,7 +72,7 @@ mod tests {
         for i in 0..100u64 {
             p.add_private_memory_block(i * 1000, 500);
         }
-        assert_eq!(p.blocks(), 100);
+        assert_eq!(p.log.entries(), 100);
         assert!(p.is_private(42 * 1000 + 499));
         assert!(!p.is_private(42 * 1000 + 500));
     }
@@ -110,16 +88,5 @@ mod tests {
         assert!(!p.is_private((1 << 20) + 8));
         p.add_private_memory_block(1 << 20, 4096); // re-privatized
         assert!(p.is_private((1 << 20) + 8));
-    }
-
-    #[test]
-    fn alternative_backing_structures() {
-        for kind in LogKind::ALL {
-            let mut p = PrivateLog::with_kind(kind);
-            p.add_private_memory_block(8192, 64);
-            assert!(p.is_private(8192), "{kind:?}");
-            p.remove_private_memory_block(8192, 64);
-            assert!(!p.is_private(8192), "{kind:?}");
-        }
     }
 }

@@ -1,4 +1,4 @@
-use crate::log::{AllocLog, LogKind};
+use crate::policy::{precise_run, CapturePolicy};
 
 /// The paper's search-tree allocation log (Fig. 5), realized as an AVL tree
 /// of disjoint ranges keyed by start address.
@@ -175,12 +175,17 @@ impl RangeTree {
         }
     }
 
+    /// Number of logged ranges (diagnostics; O(1)).
+    pub fn entries(&self) -> usize {
+        self.len
+    }
+
     /// Height of the tree (diagnostics; O(1)).
     pub fn height(&self) -> usize {
         height(&self.root) as usize
     }
 
-    /// Like [`AllocLog::query`], but returning the containing range
+    /// Like [`CapturePolicy::query`], but returning the containing range
     /// `(start, end, level)` — the basis of the STM's inline capture cache
     /// (the tree is precise, so the range stays valid until it is removed
     /// or the tree is cleared).
@@ -252,7 +257,7 @@ impl Default for RangeTree {
     }
 }
 
-impl AllocLog for RangeTree {
+impl CapturePolicy for RangeTree {
     fn insert(&mut self, start: u64, len: u64, level: u32) {
         debug_assert!(len > 0);
         let leaf = Node::leaf(start, start + len, level);
@@ -294,12 +299,11 @@ impl AllocLog for RangeTree {
         self.len = 0;
     }
 
-    fn entries(&self) -> usize {
-        self.len
-    }
-
-    fn kind(&self) -> LogKind {
-        LogKind::Tree
+    #[inline]
+    fn query_run(&self, addr: u64, limit: u64) -> (Option<u32>, Option<(u64, u64)>) {
+        precise_run(self.query_range(addr), addr, limit, || {
+            self.next_start_after(addr)
+        })
     }
 }
 

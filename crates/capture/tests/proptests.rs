@@ -5,9 +5,11 @@
 //! miss captured memory (false negatives, costing only performance) but must
 //! never claim capture for memory that was not allocated by the transaction
 //! (false positives, which would elide necessary barriers and break
-//! isolation). The tree must additionally be *precise*.
+//! isolation). The tree must additionally be *precise*. Every structure is
+//! driven through `dyn CapturePolicy`, the one seam the barriers use, and
+//! its range query is checked against the same model.
 
-use capture::{AddrFilter, AllocLog, LogImpl, LogKind, RangeArray, RangeTree};
+use capture::{AddrFilter, CapturePolicy, LogImpl, LogKind, RangeArray, RangeTree};
 use proptest::prelude::*;
 
 const WORD: u64 = 8;
@@ -25,11 +27,22 @@ impl Model {
     fn remove(&mut self, start: u64) {
         self.ranges.retain(|&(s, _, _)| s != start);
     }
-    fn query(&self, addr: u64) -> Option<u32> {
+    fn block(&self, addr: u64) -> Option<(u64, u64, u32)> {
         self.ranges
             .iter()
-            .find(|&&(s, e, _)| addr >= s && addr < e)
-            .map(|&(_, _, l)| l)
+            .copied()
+            .find(|&(s, e, _)| addr >= s && addr < e)
+    }
+    fn query(&self, addr: u64) -> Option<u32> {
+        self.block(addr).map(|(_, _, l)| l)
+    }
+    /// Smallest live block start strictly above `addr`.
+    fn next_start_after(&self, addr: u64) -> Option<u64> {
+        self.ranges
+            .iter()
+            .map(|&(s, _, _)| s)
+            .filter(|&s| s > addr)
+            .min()
     }
 }
 
@@ -61,7 +74,7 @@ fn slot_base(slot: u8) -> u64 {
     4096 + slot as u64 * 4096
 }
 
-fn run_ops(log: &mut dyn AllocLog, model: &mut Model, ops: &[Op], live: &mut [bool; 256]) {
+fn run_ops(log: &mut dyn CapturePolicy, model: &mut Model, ops: &[Op], live: &mut [bool; 256]) {
     for op in ops {
         match *op {
             Op::Insert { slot, words, level } => {
@@ -99,6 +112,45 @@ fn probe_addrs() -> Vec<u64> {
     v.push(0);
     v.push(u64::MAX / 2 / WORD * WORD);
     v
+}
+
+/// Check `log.query_run` at every probe address and three limits (one
+/// word, one slot, several slots) against the model: a captured run lies
+/// in one live block at the returned level, every word of a shared run
+/// misses the log, only `cacheable` structures offer a range on a hit, and
+/// `precise` ones return exactly the block or the gap before the next one.
+fn check_runs(log: &dyn CapturePolicy, m: &Model, cacheable: bool, precise: bool) {
+    for a in probe_addrs() {
+        for limit in [a + WORD, a + 16 * WORD, a + 3 * 4096] {
+            let (level, range) = log.query_run(a, limit);
+            prop_assert_eq!(level, log.query(a), "query_run vs query at {}", a);
+            prop_assert!(range.is_some() || !precise, "no range at {}", a);
+            match (level, range) {
+                (Some(level), Some((s, e))) => {
+                    prop_assert!(cacheable, "lossy structure offered a range at {}", a);
+                    let block = m
+                        .block(a)
+                        .filter(|&(bs, be, bl)| bs <= s && e <= be && bl == level);
+                    prop_assert!(s <= a && block.is_some(), "[{}, {}) not in a block", s, e);
+                    prop_assert!(!precise || block == Some((s, e, level)));
+                }
+                (Some(level), None) => prop_assert_eq!(m.query(a), Some(level)),
+                (None, Some((s, e))) => {
+                    prop_assert!(s == a && a < e && e <= limit, "bad run [{}, {})", s, e);
+                    // Words outside every live block miss any conservative
+                    // log, so only the overlapping blocks need probing.
+                    for &(bs, be, _) in &m.ranges {
+                        for w in (bs.max(s)..be.min(e)).step_by(WORD as usize) {
+                            prop_assert_eq!(log.query(w), None, "[{}, {}) hits {}", s, e, w);
+                        }
+                    }
+                    let next = m.next_start_after(a).map_or(limit, |n| n.min(limit));
+                    prop_assert!(!precise || e == next, "run from {} not maximal", a);
+                }
+                (None, None) => {}
+            }
+        }
+    }
 }
 
 proptest! {
@@ -140,6 +192,26 @@ proptest! {
             if let Some(level) = f.query(a) {
                 prop_assert_eq!(m.query(a), Some(level), "false positive at {}", a);
             }
+        }
+    }
+
+    #[test]
+    fn range_queries_match_the_model(ops in ops()) {
+        // (structure, offers cacheable ranges, precise)
+        let mut logs: Vec<(Box<dyn CapturePolicy>, bool, bool)> = vec![
+            (Box::new(RangeTree::new()), true, true),
+            (Box::new(RangeArray::<4>::new()), true, false),
+            (Box::new(AddrFilter::with_log2_entries(8)), false, false),
+        ];
+        for kind in LogKind::ALL {
+            // The enum-dispatch reference models one lookup per word.
+            logs.push((Box::new(LogImpl::new(kind)), false, false));
+        }
+        for (log, cacheable, precise) in &mut logs {
+            let mut m = Model::default();
+            let mut live = [false; 256];
+            run_ops(log.as_mut(), &mut m, &ops, &mut live);
+            check_runs(log.as_ref(), &m, *cacheable, *precise);
         }
     }
 

@@ -1,10 +1,10 @@
-//! The capture fast paths shared by every barrier: the pipeline's static
-//! verdict, the nursery window and stack range compares (paper Fig. 3/4),
-//! the heap policy lookup (paper §3.1.2, generic over the monomorphized
-//! [`PolicySlot`]), the §3.1.3 annotation check, and the Figure-8
-//! classification bookkeeping.
+//! The capture fast paths shared by every barrier: one run classifier
+//! holding the pipeline's static verdict, the nursery window and stack
+//! range compares (paper Fig. 3/4) and the heap policy lookup (paper
+//! §3.1.2, generic over the monomorphized [`PolicySlot`]); the §3.1.3
+//! annotation check; and the Figure-8 classification bookkeeping.
 
-use capture::{Capture, CapturePolicy};
+use capture::CapturePolicy;
 use txmem::{Addr, WORD_BYTES};
 
 use super::{CaptureHit, Pipeline, PolicySlot};
@@ -54,9 +54,10 @@ impl Elided {
     }
 }
 
-/// Verdict for the longest homogeneous prefix `[addr, end)` of a ranged
-/// access — the ranged barriers' unit of work. `end` is exclusive, word
-/// aligned, `> addr`, and clamped to the caller's span end.
+/// Verdict for the longest homogeneous prefix `[addr, end)` of an access —
+/// the barriers' unit of work (one word for the per-word barriers). `end`
+/// is exclusive, word aligned, `> addr`, and clamped to the caller's span
+/// end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RunVerdict {
     /// Captured (for writes: at the current level) — lower to a bulk
@@ -105,176 +106,47 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Nursery scalar-range classification (the tentpole fast path): the
-    /// same two-compare shape as [`WorkerCtx::stack_capture`], plus one
-    /// watermark compare for the `Current`-vs-`Ancestor` split that
-    /// partial abort needs (§2.2.1). Exact by construction — the scalar
-    /// range `[lo, bump)` only ever covers blocks this transaction
-    /// bump-allocated and has neither freed nor demoted, and bump order is
-    /// address order, so `addr >= inner` (the innermost level's watermark)
-    /// is precisely "allocated by the current level".
-    #[inline]
-    pub(crate) fn nursery_capture(&self, addr: Addr) -> Option<CaptureHit> {
-        let a = addr.raw();
-        if a >= self.nur.lo() && a < self.nur.bump() {
-            Some(if a >= self.nur.inner() {
-                CaptureHit::Current
-            } else {
-                CaptureHit::Ancestor
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Allocation-log lookup through the monomorphized policy, translated
-    /// to current/ancestor. A current-level hit on a policy that can give
-    /// a residency guarantee also primes the worker's one-entry capture
-    /// cache, so subsequent accesses to the same block stay inline in
-    /// [`WorkerCtx::read_word`]/[`WorkerCtx::write_word`].
-    #[inline]
-    pub(crate) fn heap_capture<P: PolicySlot>(&mut self, addr: Addr) -> Option<CaptureHit> {
-        let (cap, range) = P::of(&self.logs).classify_cacheable(addr.raw());
-        match cap {
-            Capture::No => None,
-            Capture::Level(level) => {
-                if level >= self.depth {
-                    // The cache only ever holds current-level ranges: the
-                    // lifecycle clears it on nested entry / demotion, so
-                    // the inline check needs no level compare.
-                    if let Some((start, end)) = range {
-                        self.cap_start = start;
-                        self.cap_len = end - start;
-                    }
-                    Some(CaptureHit::Current)
-                } else {
-                    Some(CaptureHit::Ancestor)
-                }
-            }
-        }
-    }
-
-    /// Pipeline `L`'s elision verdict for one word, in barrier order: the
-    /// compiler's static verdict, then — runtime pipelines, direction in
-    /// `scope` — nursery window, stack range, allocation log. `None` leaves
-    /// the annotation check and the full barrier. The nursery window is
+    /// Pipeline `L`'s verdict for the longest homogeneous run `[addr, end)`
+    /// of a `WRITE` (or read) access ending at `limit` — the one capture
+    /// classifier of every barrier shape. Check order: the compiler's
+    /// static verdict, then — runtime pipelines, direction in `scope` —
+    /// nursery window, stack range, allocation log, so every shape charges
+    /// exactly the counters a per-word loop would. The nursery window is
     /// empty whenever the nursery is inactive, so the same order is exact
     /// for the plain runtime configurations.
+    ///
+    /// The per-word barriers pass a one-word `limit`: the run is then that
+    /// word, and the log does one lookup, hit or miss. Reads elide at any
+    /// captured level and never see [`RunVerdict::Ancestor`]; writes split
+    /// at the innermost level's watermark (`nur.inner()` / `sp_inner`), and
+    /// a heap run is level-homogeneous because one logged block has one
+    /// level. A static verdict or a pipeline without runtime checks covers
+    /// the whole span.
     #[inline(always)]
-    pub(crate) fn word_verdict<L: Pipeline>(
+    pub(crate) fn run_verdict<L: Pipeline, const WRITE: bool>(
         &mut self,
         site: &'static Site,
         addr: Addr,
-        is_write: bool,
-    ) -> Option<(CaptureHit, Elided)> {
+        limit: u64,
+    ) -> RunVerdict {
         if let Some(via) = Elided::of_site::<L>(site) {
-            return Some((CaptureHit::Current, via));
+            return RunVerdict::Captured { end: limit, via };
         }
-        let in_scope = if is_write {
+        let a = addr.raw();
+        let in_scope = if WRITE {
             self.scope.writes
         } else {
             self.scope.reads
         };
         if !L::RUNTIME || !in_scope {
-            return None;
-        }
-        if self.scope.heap {
-            if let Some(hit) = self.nursery_capture(addr) {
-                return Some((hit, Elided::Nursery));
-            }
-        }
-        if self.scope.stack {
-            if let Some(hit) = self.stack_capture(addr) {
-                return Some((hit, Elided::Stack));
-            }
-        }
-        if self.scope.heap {
-            if let Some(hit) = self.heap_capture::<L::Log>(addr) {
-                return Some((hit, Elided::Heap));
-            }
-        }
-        None
-    }
-
-    /// Classify the longest homogeneous *read* run starting at `addr`,
-    /// bounded by `limit` (the span's exclusive byte end). Check order
-    /// mirrors [`WorkerCtx::word_verdict`] — static verdict, nursery,
-    /// stack, heap — so a ranged read charges exactly the counters a
-    /// per-word loop would; a static verdict or a pipeline without runtime
-    /// checks covers the whole span. Reads elide at any captured level, so
-    /// this never returns [`RunVerdict::Ancestor`].
-    #[inline]
-    pub(crate) fn classify_read_run<L: Pipeline>(
-        &mut self,
-        site: &'static Site,
-        addr: Addr,
-        limit: u64,
-    ) -> RunVerdict {
-        if let Some(via) = Elided::of_site::<L>(site) {
-            return RunVerdict::Captured { end: limit, via };
-        }
-        let a = addr.raw();
-        if !L::RUNTIME || !self.scope.reads {
             return RunVerdict::Shared { end: limit };
         }
+        // Nursery: exact by construction — the scalar range `[lo, bump)`
+        // only ever covers blocks this transaction bump-allocated and has
+        // neither freed nor demoted, and bump order is address order, so
+        // `a >= inner` is precisely "allocated by the current level".
         if self.scope.heap && a >= self.nur.lo() && a < self.nur.bump() {
-            return RunVerdict::Captured {
-                end: self.nur.bump().min(limit),
-                via: Elided::Nursery,
-            };
-        }
-        if self.scope.stack && a >= self.stack.sp() && a < self.sp_outer {
-            return RunVerdict::Captured {
-                end: self.sp_outer.min(limit),
-                via: Elided::Stack,
-            };
-        }
-        let end = if self.scope.heap {
-            let (cap, end) = L::Log::of(&self.logs).classify_run(a, limit);
-            if let Capture::Level(level) = cap {
-                if level >= self.depth {
-                    // Prime the one-entry capture cache (same contract as
-                    // `heap_capture`: current-level ranges only), so the
-                    // next span over this block takes the two-compare
-                    // whole-span check in `WorkerCtx::read_range`.
-                    self.cap_start = a;
-                    self.cap_len = end - a;
-                }
-                return RunVerdict::Captured {
-                    end,
-                    via: Elided::Heap,
-                };
-            }
-            end
-        } else {
-            limit
-        };
-        RunVerdict::Shared {
-            end: self.clamp_shared_run(a, end),
-        }
-    }
-
-    /// Classify the longest homogeneous *write* run starting at `addr`.
-    /// Same check order as the read classifier, with the additional
-    /// current-vs-ancestor split: nursery and stack runs split at their
-    /// innermost-level watermark (`nur.inner()` / `sp_inner`), heap runs
-    /// are level-homogeneous because one logged block has one level.
-    #[inline]
-    pub(crate) fn classify_write_run<L: Pipeline>(
-        &mut self,
-        site: &'static Site,
-        addr: Addr,
-        limit: u64,
-    ) -> RunVerdict {
-        if let Some(via) = Elided::of_site::<L>(site) {
-            return RunVerdict::Captured { end: limit, via };
-        }
-        let a = addr.raw();
-        if !L::RUNTIME || !self.scope.writes {
-            return RunVerdict::Shared { end: limit };
-        }
-        if self.scope.heap && a >= self.nur.lo() && a < self.nur.bump() {
-            return if a >= self.nur.inner() {
+            return if !WRITE || a >= self.nur.inner() {
                 RunVerdict::Captured {
                     end: self.nur.bump().min(limit),
                     via: Elided::Nursery,
@@ -285,55 +157,47 @@ impl WorkerCtx<'_> {
                 }
             };
         }
+        // The stack grows down: the current level is `[sp, sp_inner)`.
         if self.scope.stack && a >= self.stack.sp() && a < self.sp_outer {
-            return if a < self.sp_inner {
-                RunVerdict::Captured {
-                    end: self.sp_inner.min(limit),
-                    via: Elided::Stack,
-                }
-            } else {
+            return if WRITE && a >= self.sp_inner {
                 RunVerdict::Ancestor {
                     end: self.sp_outer.min(limit),
                 }
+            } else {
+                RunVerdict::Captured {
+                    end: if WRITE { self.sp_inner } else { self.sp_outer }.min(limit),
+                    via: Elided::Stack,
+                }
             };
         }
-        let end = if self.scope.heap {
-            let (cap, end) = L::Log::of(&self.logs).classify_run(a, limit);
-            if let Capture::Level(level) = cap {
-                return if level >= self.depth {
-                    // See `classify_read_run`: prime the capture cache so
-                    // follow-up spans over this block stay inline.
-                    self.cap_start = a;
-                    self.cap_len = end - a;
-                    RunVerdict::Captured {
-                        end,
-                        via: Elided::Heap,
-                    }
-                } else {
-                    RunVerdict::Ancestor { end }
+        // A shared run is clamped below every capture region ahead whose
+        // check is in scope, so the verdict for its head covers every word.
+        let mut end = limit;
+        if self.scope.heap {
+            let (level, range) = L::Log::of(&self.logs).query_run(a, limit);
+            let (start, stop) = range.unwrap_or((a, a + WORD_BYTES));
+            end = stop.min(limit);
+            if let Some(level) = level {
+                if WRITE && level < self.depth {
+                    return RunVerdict::Ancestor { end };
+                }
+                // A current-level hit primes the one-entry capture cache
+                // with the whole block, whatever the access shape, so the
+                // inline checks in `WorkerCtx::{read,write}_{word,range}`
+                // take the block's later accesses. The cache only ever
+                // holds current-level ranges (the lifecycle clears it on
+                // nested entry / demotion, so the inline check needs no
+                // level compare), and only ranges the policy guarantees
+                // resident (`query_run` offers none for the lossy filter).
+                if level >= self.depth && range.is_some() {
+                    self.cap_start = start;
+                    self.cap_len = stop - start;
+                }
+                return RunVerdict::Captured {
+                    end,
+                    via: Elided::Heap,
                 };
             }
-            end
-        } else {
-            limit
-        };
-        RunVerdict::Shared {
-            end: self.clamp_shared_run(a, end),
-        }
-    }
-
-    /// Clamp a shared run's end below the capture regions ahead of `addr`,
-    /// so a not-captured verdict for the run's head covers every word of
-    /// the run. `end` already carries the heap-log bound (from
-    /// `classify_run`); this adds the two scalar regions. The gates mirror
-    /// the classifiers above: a region whose check is scope-disabled does
-    /// not clamp, because the per-word pipeline would not have consulted it
-    /// either. Splitting at these boundaries (rather than falling back to
-    /// the per-word loop for any mixed span) keeps every homogeneous piece
-    /// on its cheap lowering.
-    #[inline]
-    fn clamp_shared_run(&self, a: u64, mut end: u64) -> u64 {
-        if self.scope.heap {
             let lo = self.nur.lo();
             if a < lo && lo < end {
                 end = lo;
@@ -345,7 +209,7 @@ impl WorkerCtx<'_> {
                 end = sp;
             }
         }
-        end
+        RunVerdict::Shared { end }
     }
 
     /// Annotated private memory (paper §3.1.3): consulted by every pipeline
@@ -366,7 +230,7 @@ impl WorkerCtx<'_> {
             && self
                 .classify_log
                 .as_ref()
-                .is_some_and(|t| t.classify(a).is_captured());
+                .is_some_and(|t| t.query(a).is_some());
         (stack_hit, heap_hit)
     }
 
@@ -411,5 +275,43 @@ impl WorkerCtx<'_> {
         }
         let (stack_hit, heap_hit) = self.ground_truth(addr.raw());
         Some(stack_hit || heap_hit)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Site, StmRuntime, TxConfig};
+
+    #[test]
+    fn a_ranged_heap_hit_primes_the_cache_with_the_whole_block() {
+        static S: Site = Site::shared("fastpath.prime");
+        let rt = StmRuntime::new(txmem::MemConfig::small(), TxConfig::runtime_tree_full());
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| {
+            let a = tx.alloc(16 * 8)?;
+            let words = tx.0.rt.heap.usable_size(a) / 8;
+            let half = words / 2;
+            assert_eq!(tx.0.cap_len, 0, "an allocation does not prime");
+            // The upper half misses the cache and is classified through
+            // the tree, which primes it with the block, not the span.
+            let mut upper = vec![0; (words - half) as usize];
+            tx.read_range(&S, a.word(half), &mut upper)?;
+            assert_eq!(
+                (tx.0.cap_start, tx.0.cap_len),
+                (a.raw(), words * 8),
+                "the whole block is cached"
+            );
+            assert_eq!(tx.0.pending.reads.elided_heap, words - half);
+            // So the lower half's per-word reads are inline cache hits,
+            // charged exactly as the classifier would charge them.
+            for k in 0..half {
+                let x = a.word(k).raw();
+                assert!(x.wrapping_sub(tx.0.cap_start) < tx.0.cap_len);
+                tx.read(&S, a.word(k))?;
+            }
+            assert_eq!(tx.0.pending.reads.elided_heap, words);
+            assert_eq!(tx.0.pending.reads.full, 0);
+            Ok(())
+        });
     }
 }

@@ -6,8 +6,10 @@
 //! 2. **capture fast paths**, as the pipeline's consts enable them:
 //!    compiler-elided sites (static), then the runtime checks — the
 //!    nursery window and the transaction-local stack (a range compare
-//!    each), the transaction-local heap (a [`CapturePolicy::classify`]
-//!    call) — then annotated private memory;
+//!    each), the transaction-local heap (a [`CapturePolicy::query_run`]
+//!    call) — then annotated private memory. One classifier answers for
+//!    every access shape: the per-word barriers ask it about a one-word
+//!    run;
 //! 3. the **full STM barrier** (`slowpath`): optimistic versioned read with
 //!    snapshot extension, or encounter-time lock acquisition + undo log +
 //!    in-place store.
@@ -57,9 +59,9 @@ pub(crate) enum CaptureHit {
 /// monomorphized over.
 ///
 /// Exactly one member is *active* — the one the spawn-time-selected
-/// [`DispatchTable`] routes `on_alloc`/`classify`/`reset` to — so the
-/// inactive members stay empty and cost only their inline size (the filter
-/// is sized down to one slot unless selected). Holding all members as plain
+/// [`DispatchTable`] routes `on_alloc`/`on_free`/`reset` and the barriers'
+/// queries to — so the inactive members stay empty and cost only their
+/// inline size (the filter is sized down to one slot unless selected). Holding all members as plain
 /// fields is what lets [`PolicySlot`] hand the monomorphized barrier its
 /// policy with a field projection instead of an enum `match`.
 pub(crate) struct CaptureLogs {
@@ -237,32 +239,32 @@ impl<P: PolicySlot> Pipeline for Runtime<P> {
 
 fn on_alloc<L: Pipeline>(logs: &mut CaptureLogs, start: u64, len: u64, level: u32) {
     if L::RUNTIME {
-        L::Log::of_mut(logs).on_alloc(start, len, level);
+        L::Log::of_mut(logs).insert(start, len, level);
     }
 }
 
 fn on_free<L: Pipeline>(logs: &mut CaptureLogs, start: u64, len: u64) {
     if L::RUNTIME {
-        L::Log::of_mut(logs).on_free(start, len);
+        L::Log::of_mut(logs).remove(start, len);
     }
 }
 
 fn reset<L: Pipeline>(logs: &mut CaptureLogs) {
     if L::RUNTIME {
-        L::Log::of_mut(logs).reset();
+        L::Log::of_mut(logs).clear();
     }
 }
 
 fn reference_on_alloc(logs: &mut CaptureLogs, start: u64, len: u64, level: u32) {
-    logs.reference_log_mut().on_alloc(start, len, level);
+    logs.reference_log_mut().insert(start, len, level);
 }
 
 fn reference_on_free(logs: &mut CaptureLogs, start: u64, len: u64) {
-    logs.reference_log_mut().on_free(start, len);
+    logs.reference_log_mut().remove(start, len);
 }
 
 fn reference_reset(logs: &mut CaptureLogs) {
-    logs.reference_log_mut().reset();
+    logs.reference_log_mut().clear();
 }
 
 /// The enum-dispatch oracle: per-access `match` on mode and log kind.
@@ -302,7 +304,6 @@ impl DispatchTable {
 mod tests {
     use super::*;
     use crate::config::CheckScope;
-    use capture::Capture;
 
     fn runtime_cfg(log: LogKind) -> TxConfig {
         TxConfig::with_mode(Mode::Runtime {
@@ -342,33 +343,25 @@ mod tests {
             assert_eq!(static_elisions(cfg, table), elided, "{mode:?}");
             let mut logs = CaptureLogs::new(&cfg);
             (table.on_alloc)(&mut logs, 64, 64, 1);
-            assert_eq!(RangeTree::of(&logs).classify(64), Capture::No, "{mode:?}");
-            assert_eq!(RangeArray::<4>::of(&logs).classify(64), Capture::No);
-            assert_eq!(AddrFilter::of(&logs).classify(64), Capture::No);
+            assert_eq!(RangeTree::of(&logs).query(64), None, "{mode:?}");
+            assert_eq!(RangeArray::<4>::of(&logs).query(64), None);
+            assert_eq!(AddrFilter::of(&logs).query(64), None);
         }
         // Each runtime log kind selects the table that logs into, and
         // classifies through, exactly its own member of `CaptureLogs`.
-        type Classify = fn(&CaptureLogs, u64) -> Capture;
-        let members: [(LogKind, Classify); 3] = [
-            (LogKind::Tree, |l, a| RangeTree::of(l).classify(a)),
-            (LogKind::Array, |l, a| RangeArray::<4>::of(l).classify(a)),
-            (LogKind::Filter, |l, a| AddrFilter::of(l).classify(a)),
+        type Query = fn(&CaptureLogs, u64) -> Option<u32>;
+        let members: [(LogKind, Query); 3] = [
+            (LogKind::Tree, |l, a| RangeTree::of(l).query(a)),
+            (LogKind::Array, |l, a| RangeArray::<4>::of(l).query(a)),
+            (LogKind::Filter, |l, a| AddrFilter::of(l).query(a)),
         ];
         for (log, _) in members {
             let cfg = runtime_cfg(log);
             let mut logs = CaptureLogs::new(&cfg);
             (DispatchTable::select(&cfg).on_alloc)(&mut logs, 64, 64, 1);
-            for (member, classify) in members {
-                let want = if member == log {
-                    Capture::Level(1)
-                } else {
-                    Capture::No
-                };
-                assert_eq!(
-                    classify(&logs, 64),
-                    want,
-                    "{log:?} table, {member:?} member"
-                );
+            for (member, query) in members {
+                let want = (member == log).then_some(1);
+                assert_eq!(query(&logs, 64), want, "{log:?} table, {member:?} member");
             }
         }
         let tables = [
@@ -434,9 +427,9 @@ mod tests {
         let cfg = runtime_cfg(LogKind::Tree);
         let mut logs = CaptureLogs::new(&cfg);
         use capture::CapturePolicy;
-        RangeTree::of_mut(&mut logs).on_alloc(64, 8, 1);
-        assert!(RangeTree::of(&logs).classify(64).is_captured());
-        assert!(!RangeArray::<4>::of(&logs).classify(64).is_captured());
-        assert!(!AddrFilter::of(&logs).classify(64).is_captured());
+        RangeTree::of_mut(&mut logs).insert(64, 8, 1);
+        assert!(RangeTree::of(&logs).query(64).is_some());
+        assert!(RangeArray::<4>::of(&logs).query(64).is_none());
+        assert!(AddrFilter::of(&logs).query(64).is_none());
     }
 }

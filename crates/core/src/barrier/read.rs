@@ -9,9 +9,10 @@ use super::Pipeline;
 use crate::site::Site;
 use crate::worker::{TxResult, WorkerCtx};
 
-/// The per-word read barrier: the pipeline's elision verdict, then the
-/// annotation check, then the full STM read. Reads elide at any captured
-/// level, so the `Current`/`Ancestor` split is irrelevant here.
+/// The per-word read barrier: the pipeline's elision verdict for a
+/// one-word run, then the annotation check, then the full STM read. Reads
+/// elide at any captured level, so the classifier never answers
+/// [`RunVerdict::Ancestor`] here.
 pub(super) fn read<L: Pipeline>(
     w: &mut WorkerCtx<'_>,
     site: &'static Site,
@@ -21,7 +22,9 @@ pub(super) fn read<L: Pipeline>(
     if w.cfg.classify {
         w.classify_access(site, addr, false);
     }
-    if let Some((_, via)) = w.word_verdict::<L>(site, addr, false) {
+    if let RunVerdict::Captured { via, .. } =
+        w.run_verdict::<L, false>(site, addr, addr.word(1).raw())
+    {
         *via.counter(&mut w.pending.reads) += 1;
         return Ok(w.mem.load_private(addr));
     }
@@ -59,7 +62,7 @@ pub(super) fn read_range<L: Pipeline>(
     let mut i = 0usize;
     while i < dst.len() {
         let a = addr.word(i as u64);
-        let verdict = w.classify_read_run::<L>(site, a, limit);
+        let verdict = w.run_verdict::<L, false>(site, a, limit);
         let n = verdict.words(a);
         w.bump_ranged_run(n);
         match verdict {

@@ -16,7 +16,6 @@
 //! variants, including statistics, so both pipelines count through the
 //! same per-transaction delta.
 
-use capture::{Capture, CapturePolicy};
 use txmem::Addr;
 
 use super::CaptureHit;
@@ -27,15 +26,13 @@ use crate::worker::{TxResult, UndoEntry, WorkerCtx};
 impl WorkerCtx<'_> {
     /// Allocation-log lookup through the enum-dispatched reference log.
     #[inline]
-    fn heap_capture_reference(&self, addr: Addr) -> Option<CaptureHit> {
-        match self.logs.reference_log().classify(addr.raw()) {
-            Capture::No => None,
-            Capture::Level(level) => Some(if level >= self.depth {
-                CaptureHit::Current
-            } else {
-                CaptureHit::Ancestor
-            }),
-        }
+    fn log_capture_reference(&self, addr: Addr) -> Option<CaptureHit> {
+        let level = self.logs.reference_log().query(addr.raw())?;
+        Some(if level >= self.depth {
+            CaptureHit::Current
+        } else {
+            CaptureHit::Ancestor
+        })
     }
 
     /// Nursery classification through [`capture::NurseryLog::classify`] —
@@ -48,14 +45,12 @@ impl WorkerCtx<'_> {
         if !self.nursery_on {
             return None;
         }
-        match self.nur.classify(addr.raw()) {
-            Capture::No => None,
-            Capture::Level(level) => Some(if level >= self.depth {
-                CaptureHit::Current
-            } else {
-                CaptureHit::Ancestor
-            }),
-        }
+        let level = self.nur.classify(addr.raw())?;
+        Some(if level >= self.depth {
+            CaptureHit::Current
+        } else {
+            CaptureHit::Ancestor
+        })
     }
 }
 
@@ -92,7 +87,7 @@ pub(super) fn read_reference(
                 w.pending.reads.elided_stack += 1;
                 return Ok(w.mem.load_private(addr));
             }
-            if scope.heap && w.heap_capture_reference(addr).is_some() {
+            if scope.heap && w.log_capture_reference(addr).is_some() {
                 w.pending.reads.elided_heap += 1;
                 return Ok(w.mem.load_private(addr));
             }
@@ -175,7 +170,7 @@ pub(super) fn write_reference(
                 }
             }
             if scope.heap {
-                match w.heap_capture_reference(addr) {
+                match w.log_capture_reference(addr) {
                     Some(CaptureHit::Current) => {
                         w.pending.writes.elided_heap += 1;
                         w.mem.store_private(addr, val);

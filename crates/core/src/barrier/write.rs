@@ -6,13 +6,13 @@
 use txmem::Addr;
 
 use super::fastpath::RunVerdict;
-use super::{CaptureHit, Pipeline};
+use super::Pipeline;
 use crate::site::Site;
 use crate::worker::{TxResult, UndoEntry, WorkerCtx};
 
-/// The per-word write barrier: the pipeline's elision verdict (a
-/// current-level hit stores in place, an ancestor hit is undo-logged
-/// first), then the annotation check, then the full STM write.
+/// The per-word write barrier: the pipeline's elision verdict for a
+/// one-word run (a current-level hit stores in place, an ancestor hit is
+/// undo-logged first), then the annotation check, then the full STM write.
 pub(super) fn write<L: Pipeline>(
     w: &mut WorkerCtx<'_>,
     site: &'static Site,
@@ -23,30 +23,28 @@ pub(super) fn write<L: Pipeline>(
     if w.cfg.classify {
         w.classify_access(site, addr, true);
     }
-    if let Some((hit, via)) = w.word_verdict::<L>(site, addr, true) {
-        match hit {
-            CaptureHit::Current => *via.counter(&mut w.pending.writes) += 1,
-            CaptureHit::Ancestor => {
-                w.pending.writes.parent_captured += 1;
-                w.undo.push(UndoEntry {
-                    addr,
-                    old: w.mem.load_private(addr),
-                });
-            }
+    match w.run_verdict::<L, true>(site, addr, addr.word(1).raw()) {
+        RunVerdict::Captured { via, .. } => *via.counter(&mut w.pending.writes) += 1,
+        RunVerdict::Ancestor { .. } => {
+            w.pending.writes.parent_captured += 1;
+            w.undo.push(UndoEntry {
+                addr,
+                old: w.mem.load_private(addr),
+            });
         }
-        w.mem.store_private(addr, val);
-        return Ok(());
+        RunVerdict::Shared { .. } if w.annotation_hit(addr) => {
+            // Paper §3.1.3: annotated memory is accessed directly — the
+            // programmer asserts no other transaction can observe it, and
+            // (like the paper) we do not undo-log it.
+            w.pending.writes.elided_annotation += 1;
+        }
+        RunVerdict::Shared { .. } => {
+            w.pending.writes.full += 1;
+            return w.write_full(addr, val);
+        }
     }
-    if w.annotation_hit(addr) {
-        w.pending.writes.elided_annotation += 1;
-        // Paper §3.1.3: annotated memory is accessed directly — the
-        // programmer asserts no other transaction can observe it, and
-        // (like the paper) we do not undo-log it.
-        w.mem.store_private(addr, val);
-        return Ok(());
-    }
-    w.pending.writes.full += 1;
-    w.write_full(addr, val)
+    w.mem.store_private(addr, val);
+    Ok(())
 }
 
 /// The ranged write barrier; see [`super::read::read_range`] — this is its
@@ -73,7 +71,7 @@ pub(super) fn write_range<L: Pipeline>(
     let mut i = 0usize;
     while i < src.len() {
         let a = addr.word(i as u64);
-        let verdict = w.classify_write_run::<L>(site, a, limit);
+        let verdict = w.run_verdict::<L, true>(site, a, limit);
         let n = verdict.words(a);
         w.bump_ranged_run(n);
         match verdict {

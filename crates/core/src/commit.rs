@@ -247,7 +247,7 @@ impl<'rt> WorkerCtx<'rt> {
             (self.table.reset)(&mut self.logs);
             self.clear_capture_cache();
             if let Some(t) = self.classify_log.as_mut() {
-                t.reset();
+                t.clear();
             }
         }
         self.reads.clear();
@@ -281,7 +281,7 @@ impl<'rt> WorkerCtx<'rt> {
         (self.table.reset)(&mut self.logs);
         self.clear_capture_cache();
         if let Some(t) = self.classify_log.as_mut() {
-            t.reset();
+            t.clear();
         }
         self.frees.clear();
         self.nursery_forget();
@@ -351,7 +351,7 @@ impl<'rt> WorkerCtx<'rt> {
         (self.table.reset)(&mut self.logs);
         self.clear_capture_cache();
         if let Some(t) = self.classify_log.as_mut() {
-            t.reset();
+            t.clear();
         }
         self.frees.clear(); // deferred frees are cancelled
         self.free_conflict = false;
@@ -616,7 +616,7 @@ impl<'rt> WorkerCtx<'rt> {
         while self.allocs.len() > cp.allocs {
             let rec = self.allocs.pop().unwrap();
             if let Some(t) = self.classify_log.as_mut() {
-                t.on_free(rec.addr.raw(), rec.usable);
+                t.remove(rec.addr.raw(), rec.usable);
             }
             match rec.home {
                 AllocHome::Heap => {

@@ -79,7 +79,7 @@ mod txalloc;
 mod typed;
 mod worker;
 
-pub use capture::{Capture, CapturePolicy, LogKind};
+pub use capture::{CapturePolicy, LogKind};
 pub use config::{CheckScope, ConfigError, Mode, TxConfig};
 pub use contention::{ChaosPlan, ChaosPoint};
 pub use durable::{log_file_name, recover, FaultPhase, FaultPlan, RecoveryReport, SimDisk};

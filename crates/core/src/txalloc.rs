@@ -47,7 +47,7 @@ impl WorkerCtx<'_> {
                         });
                         // No policy logging: the scalar range covers it.
                         if let Some(t) = self.classify_log.as_mut() {
-                            t.on_alloc(addr.raw(), total - HEADER_BYTES, self.depth);
+                            t.insert(addr.raw(), total - HEADER_BYTES, self.depth);
                         }
                         self.stats.tx_allocs += 1;
                         return Ok(addr);
@@ -72,7 +72,7 @@ impl WorkerCtx<'_> {
         });
         (self.table.on_alloc)(&mut self.logs, addr.raw(), usable, self.depth);
         if let Some(t) = self.classify_log.as_mut() {
-            t.on_alloc(addr.raw(), usable, self.depth);
+            t.insert(addr.raw(), usable, self.depth);
         }
         self.stats.tx_allocs += 1;
         Ok(addr)
@@ -102,7 +102,7 @@ impl WorkerCtx<'_> {
                     AllocHome::NurseryLogged => self.nursery_free_logged(i),
                 }
                 if let Some(t) = self.classify_log.as_mut() {
-                    t.on_free(addr.raw(), usable);
+                    t.remove(addr.raw(), usable);
                 }
                 self.stats.tx_frees += 1;
                 return;

@@ -193,10 +193,10 @@ pub struct WorkerCtx<'rt> {
     /// nested-transaction entry / transaction end (those all call
     /// [`WorkerCtx::clear_capture_cache`], which is what upholds the
     /// level invariant without a per-access level compare). `cap_len == 0`
-    /// means empty. Populated only from policies whose
-    /// `classify_cacheable` gives a residency guarantee (tree, array —
-    /// never the lossy filter), so an inline hit is always a hit the
-    /// policy itself would report.
+    /// means empty. Populated with the whole block on any current-level
+    /// heap hit, only from policies whose `query_run` gives a residency
+    /// guarantee (tree, array — never the lossy filter), so an inline hit
+    /// is always a hit the policy itself would report.
     pub(crate) cap_start: u64,
     pub(crate) cap_len: u64,
     /// Inline mirror of the nursery's scalar window, in the exact shape of
