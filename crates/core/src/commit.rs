@@ -474,13 +474,17 @@ impl<'rt> WorkerCtx<'rt> {
     /// What gets logged (DESIGN.md §11):
     /// * **puts** — undo-log entries *outside* every in-transaction
     ///   allocation: the genuinely shared writes. Values are read back
-    ///   from memory, deduplicated per address.
+    ///   from memory; each address ships once, in first-write order,
+    ///   deduplicated in O(n) by a seen-set ([`PutSet`](crate::durable::PutSet)).
     /// * **content ranges** — one coalesced range per *surviving*
     ///   allocation, header word included, covering every write the
     ///   capture machinery elided into it.
     /// * **nothing** for stack/nursery-dead/freed memory — that is the
     ///   paper's capture dividend extended to durability, accounted in
     ///   `TxStats::durable_skipped`.
+    ///
+    /// The record is sealed with [`crc32`](crate::durable::crc32), which
+    /// folds by carry-less multiply where the CPU has it.
     ///
     /// Transactions with an empty payload (pure reads) write no record;
     /// their logical count is folded into the *next* record's cumulative
@@ -521,19 +525,19 @@ impl<'rt> WorkerCtx<'rt> {
         }
         // Shared puts: undo entries not inside *any* in-transaction
         // allocation (live ones are covered by their range; dead ones are
-        // not recoverable state). Sorted + deduplicated so re-written
-        // words are logged once.
+        // not recoverable state), each address once so re-written words
+        // are logged once, in first-write order.
         let mut puts = std::mem::take(&mut self.dur_puts);
-        puts.clear();
-        puts.extend(self.undo.iter().map(|u| u.addr.raw()).filter(|&a| {
-            !self
-                .allocs
+        let allocs = &self.allocs;
+        // `a - start < usable`, wrapping: `start <= a < start + usable` in
+        // one compare.
+        let shared = self.undo.iter().map(|u| u.addr.raw()).filter(|&a| {
+            !allocs
                 .iter()
-                .any(|r| a >= r.addr.raw() && a < r.addr.raw() + r.usable)
-        }));
-        puts.sort_unstable();
-        puts.dedup();
-        if puts.is_empty() && ranges.is_empty() {
+                .any(|r| a.wrapping_sub(r.addr.raw()) < r.usable)
+        });
+        puts.gather(self.undo.len(), shared);
+        if puts.addrs().is_empty() && ranges.is_empty() {
             self.dur_ranges = ranges;
             self.dur_puts = puts;
             return;
@@ -558,8 +562,8 @@ impl<'rt> WorkerCtx<'rt> {
         // Encoded where it is flushed from: straight into `dur_buf`.
         let head = [ds.next_seq(self.tid()), wv, self.rt.heap.frontier(), total];
         let mut enc = RecordEncoder::new(&mut self.dur_buf, head);
-        let mut words = puts.len() as u64;
-        for &a in &puts {
+        let mut words = puts.addrs().len() as u64;
+        for &a in puts.addrs() {
             enc.put(a, self.mem.load_private(Addr(a)));
         }
         for &(start, n) in &ranges {

@@ -87,9 +87,19 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
+/// CRC-32 (IEEE) of `bytes`: whole 16-byte blocks of an input of 64 bytes
+/// or more by carry-less multiplication where the CPU has it
+/// ([`clmul`]), everything else by the slicing-by-8 tables. Both kernels
+/// compute the same function; the frame format depends on nothing else.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let (c, tail) = clmul::update(0xFFFF_FFFF, bytes);
+    crc32_sliced(c, tail) ^ 0xFFFF_FFFF
+}
+
+/// Advance the (pre-inverted) CRC state `c` over `bytes` with the
+/// slicing-by-8 tables.
+fn crc32_sliced(mut c: u32, bytes: &[u8]) -> u32 {
     const T: &[[u32; 256]; 8] = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for ch in &mut chunks {
         let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
@@ -105,7 +115,114 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = T[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 by carry-less multiplication (x86-64 `PCLMULQDQ`): the folding
+/// scheme of Intel's "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction" (Gopal et al., 2009) with the bit-reflected
+/// IEEE constants the Linux (`crc32-pclmul_asm.S`) and zlib kernels use.
+/// Four 128-bit accumulators fold 64 input bytes per step, are folded
+/// into one, and a Barrett reduction takes the last 64 bits to 32.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// `x^(4·128+32) mod P` and `x^(4·128−32) mod P`, each shifted up 32,
+    /// bit-reflected and shifted left one: fold an accumulator forward
+    /// over four blocks.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// The same over one block (`x^(128+32)`, `x^(128−32)`).
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// The same for `x^64`: folds the last 64 bits into 32 plus a carry.
+    const K5: i64 = 0x1_63cd_6124;
+    /// The reflected polynomial `P'` and Barrett constant `µ' = ⌊x^64 / P⌋'`.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Advance the (pre-inverted) CRC state `crc` over the longest prefix
+    /// of `bytes` made of whole 16-byte blocks, if `bytes` is at least 64
+    /// bytes long and the CPU has `pclmulqdq` and `sse4.1`; returns the
+    /// new state and the bytes left for the table kernel.
+    pub(super) fn update(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        if bytes.len() < 64
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return (crc, bytes);
+        }
+        let (body, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: both target features `fold` is compiled for were just
+        // detected on this CPU.
+        (unsafe { fold(crc, body) }, tail)
+    }
+
+    fn load(block: &[u8]) -> __m128i {
+        let block: &[u8; 16] = block.try_into().expect("a 16-byte block");
+        // SAFETY: `block` is 16 readable bytes, and `loadu` has no
+        // alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// `x` carried forward by the distance `k` encodes (low half times
+    /// `k`'s low constant, high half times its high one), plus `y`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(x: __m128i, k: __m128i, y: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), y)
+    }
+
+    /// The CRC state after `bytes`, whose length must be a multiple of
+    /// 16 and at least 64 (`update` guarantees both; any other length
+    /// panics or drops bytes, it never reads out of bounds).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(crc: u32, bytes: &[u8]) -> u32 {
+        debug_assert!(bytes.len() >= 64 && bytes.len().is_multiple_of(16));
+        let mut x = [0, 16, 32, 48].map(|o| load(&bytes[o..o + 16]));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        let k = _mm_set_epi64x(K2, K1);
+        let mut lines = bytes[64..].chunks_exact(64);
+        for line in &mut lines {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = fold_into(*xi, k, load(&line[16 * i..16 * i + 16]));
+            }
+        }
+        let k = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(x[0], k, x[1]);
+        acc = fold_into(acc, k, x[2]);
+        acc = fold_into(acc, k, x[3]);
+        for block in lines.remainder().chunks_exact(16) {
+            acc = fold_into(acc, k, load(block));
+        }
+        // 128 → 64 bits: the low half times K4 into the high half (this
+        // also appends the 32 zero bits the CRC definition asks for).
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x01>(k, acc),
+            _mm_srli_si128::<8>(acc),
+        );
+        // 64 → 32 bits (plus a carry the reduction absorbs).
+        let mask32 = _mm_set_epi32(0, 0, 0, -1);
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, mask32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett reduction: q = ⌊acc·µ'⌋ (low 32 bits), crc = acc ⊕ q·P'.
+        let pm = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, mask32), pm);
+        let r = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, mask32), pm);
+        _mm_extract_epi32::<1>(_mm_xor_si128(r, acc)) as u32
+    }
+}
+
+/// Other targets: no carry-less kernel, the tables do all of it.
+#[cfg(not(target_arch = "x86_64"))]
+mod clmul {
+    pub(super) fn update(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        (crc, bytes)
+    }
 }
 
 /// Name of worker `tid`'s redo-log file on the [`SimDisk`] (exposed so the
@@ -537,6 +654,60 @@ impl<'a> RecordEncoder<'a> {
     }
 }
 
+/// One record's shared-write addresses, each once, in first-write order:
+/// the put gather's worker-owned scratch. Repeats are caught by an
+/// open-addressed seen-set (linear probing, at most half full) sized to
+/// the undo log and cleared per record, so the gather is O(n) and
+/// allocates only when a transaction writes more words than any earlier
+/// one on its worker. Replay does not depend on put order within a record
+/// (the addresses are distinct), so the order is free to be the writes'.
+#[derive(Default)]
+pub(crate) struct PutSet {
+    order: Vec<u64>,
+    seen: Vec<u64>,
+}
+
+/// An empty `PutSet::seen` slot: addresses are word-aligned, so no put
+/// has this value.
+const NO_ADDR: u64 = u64::MAX;
+
+impl PutSet {
+    /// Replace the set's contents with the distinct values `addrs`
+    /// yields, in first-occurrence order. `addrs` yields at most `max`
+    /// values.
+    pub(crate) fn gather(&mut self, max: usize, addrs: impl Iterator<Item = u64>) {
+        let slots = (2 * max).next_power_of_two().max(16);
+        let (order, seen) = (&mut self.order, &mut self.seen);
+        order.clear();
+        seen.clear();
+        seen.resize(slots, NO_ADDR);
+        // Fibonacci hashing: the product's top bits index the table.
+        let shift = 64 - slots.trailing_zeros();
+        for addr in addrs {
+            // Past `max` the table could fill and the probe not end.
+            assert!(2 * order.len() < slots, "PutSet::gather over its bound");
+            debug_assert_ne!(addr, NO_ADDR);
+            let mut i = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            loop {
+                match seen[i] {
+                    NO_ADDR => {
+                        seen[i] = addr;
+                        order.push(addr);
+                        break;
+                    }
+                    a if a == addr => break,
+                    _ => i = (i + 1) & (slots - 1),
+                }
+            }
+        }
+    }
+
+    /// The distinct addresses of the last `gather`, in order.
+    pub(crate) fn addrs(&self) -> &[u64] {
+        &self.order
+    }
+}
+
 /// Decode one record payload in place, in log order: `put(addr, val)` per
 /// shared write, then `range(start, le_words)` per content range — no-op
 /// closures validate, storing closures replay. `Err` on a malformed
@@ -833,8 +1004,8 @@ mod tests {
         }
     }
 
-    /// The bytewise table CRC the sliced [`crc32`] replaced, kept as the
-    /// reference it is diffed against.
+    /// The bytewise table CRC, kept as the reference both [`crc32`]
+    /// kernels are diffed against.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let step = |c: u32, &b: &u8| CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         bytes.iter().fold(0xFFFF_FFFF, step) ^ 0xFFFF_FFFF
@@ -845,13 +1016,22 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-        let buf: Vec<u8> = (0..308u32)
+        // Both kernels against the reference: the dispatching `crc32`
+        // (carry-less multiply from 64 bytes on CPUs that have it) and the
+        // table kernel alone (what every other CPU and every tail runs).
+        // Every length through 300, then a stride to 4096, each at 16
+        // start offsets.
+        let buf: Vec<u8> = (0..4096 + 16u32)
             .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
             .collect();
-        for start in 0..8 {
-            for len in 0..=300 {
+        let lens = (0..=300).chain((301..4096).step_by(37)).chain([4096]);
+        for len in lens {
+            for start in 0..16 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+                let want = crc32_bytewise(s);
+                assert_eq!(crc32(s), want, "start {start} len {len}");
+                let sliced = crc32_sliced(0xFFFF_FFFF, s) ^ 0xFFFF_FFFF;
+                assert_eq!(sliced, want, "table kernel, start {start} len {len}");
             }
         }
     }
@@ -1077,6 +1257,70 @@ mod tests {
             b2.raw() >= blk.raw() + 64 || b2.raw() + 64 <= blk.raw(),
             "fresh allocation {b2:?} collides with recovered {blk:?}"
         );
+    }
+
+    #[test]
+    fn put_gather_ships_each_shared_word_once_and_blocks_as_ranges() {
+        static S: crate::Site = crate::Site::shared("durable.dedup");
+        fn cfg() -> TxConfig {
+            TxConfig {
+                durable: true,
+                ..TxConfig::runtime_tree_full()
+            }
+        }
+        let mem_cfg = MemConfig::small();
+        let disk = SimDisk::new();
+        let rt = StmRuntime::new_durable(mem_cfg, cfg(), disk.clone());
+        // Two words of one 64-byte line: one orec, so the second word's
+        // write takes no lock of its own. `a` sits above `b`, so
+        // first-write order is not address order.
+        let line = Addr((rt.alloc_global(128).raw() + 63) & !63);
+        let (a, b) = (line.word(1), line);
+        let mut w = rt.spawn_worker();
+        let blk = w.txn(|tx| {
+            for v in [1, 2, 3] {
+                tx.write(&S, a, v)?;
+            }
+            tx.write(&S, b, 9)?;
+            let blk = tx.alloc(64)?;
+            for j in 0..8 {
+                tx.write(&S, blk.word(j), 100 + j)?;
+            }
+            Ok(blk)
+        });
+        drop(w);
+        assert_eq!(rt.collect_stats().durable_flushes, 1);
+
+        let log = disk.read_file(&log_file_name(0)).unwrap();
+        let (_, payload, end) = split_frame(&log, 0).unwrap();
+        assert_eq!(end, log.len(), "one commit, one record");
+        let (mut puts, mut ranges) = (Vec::new(), Vec::new());
+        let put = |addr, val| puts.push((addr, val));
+        decode_record(payload, put, |start, c| ranges.push((start, c.to_vec()))).unwrap();
+        // Each shared address once, with its final value, in first-write
+        // order — three writes of `a` are one put.
+        assert_eq!(puts, [(a.raw(), 3), (b.raw(), 9)]);
+        // The block ships once, as a range from its header word; none of
+        // its words is a put.
+        let start = blk.raw() - txmem::HEADER_BYTES;
+        assert_eq!(ranges.len(), 1);
+        assert_eq!(ranges[0].0, start);
+        let content: Vec<u64> = ranges[0]
+            .1
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(content[1..9], [100, 101, 102, 103, 104, 105, 106, 107]);
+        let end = start + 8 * content.len() as u64;
+        assert!(puts.iter().all(|&(p, _)| p < start || p >= end));
+
+        let (rt2, report) = recover(mem_cfg, cfg(), disk);
+        assert_eq!(report.records_applied, 1);
+        assert_eq!(rt2.mem().load_private(a), 3);
+        assert_eq!(rt2.mem().load_private(b), 9);
+        for j in 0..8 {
+            assert_eq!(rt2.mem().load_private(blk.word(j)), 100 + j);
+        }
     }
 
     #[test]

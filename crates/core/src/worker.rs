@@ -6,6 +6,7 @@ use txmem::{words_to_bytes, Addr, ThreadAlloc, ThreadStack};
 use crate::barrier::{CaptureLogs, DispatchTable};
 use crate::commit::AttemptGuard;
 use crate::config::{CheckScope, Mode, TxConfig};
+use crate::durable::PutSet;
 use crate::orec::line_index;
 use crate::runtime::StmRuntime;
 use crate::site::Site;
@@ -273,9 +274,9 @@ pub struct WorkerCtx<'rt> {
     /// Scratch for `durable_prepare`'s bulk copy of one content range out
     /// of simulated memory, reused across ranges and commits.
     pub(crate) dur_words: Vec<u64>,
-    /// Scratch for `durable_prepare`'s shared-write address list, reused
+    /// Scratch for `durable_prepare`'s shared-write address set, reused
     /// across commits.
-    pub(crate) dur_puts: Vec<u64>,
+    pub(crate) dur_puts: PutSet,
     /// Scratch for `durable_prepare`'s surviving-allocation ranges
     /// (`(start, words)`), reused across commits.
     pub(crate) dur_ranges: Vec<(u64, u64)>,
@@ -343,7 +344,7 @@ impl<'rt> WorkerCtx<'rt> {
             durable_on: rt.durable.is_some(),
             dur_buf: Vec::new(),
             dur_words: Vec::new(),
-            dur_puts: Vec::new(),
+            dur_puts: PutSet::default(),
             dur_ranges: Vec::new(),
             rng: 0x9E3779B97F4A7C15 ^ (tid as u64 + 1).wrapping_mul(0xA24BAED4963EE407),
         }
