@@ -65,7 +65,7 @@ fn bench_alloc_log(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("insert_nursery", n), &n, |b, &n| {
             let mut nur = NurseryLog::new();
             b.iter(|| {
-                nur.reset();
+                nur.abort();
                 nur.switch_region(0x10000, 1 << 20);
                 for _ in 0..n {
                     std::hint::black_box(nur.try_alloc(64));

@@ -393,6 +393,7 @@ fn run_once(opts: &ExptOpts, popts: &PoolOpts, arm: &str) -> (f64, ArmOutcome) {
         "pool {arm} arm: header telemetry vs the threads' tallies"
     );
     drop(w);
+    eprintln!("# pool {arm}: heap {:?}", rt.heap().census());
     let stats = rt.collect_stats();
     // The workload must actually exercise the machinery it claims to:
     // a run with zero evictions, zero duplicate traffic or no nursery

@@ -50,7 +50,7 @@ mod tree;
 pub use array::RangeArray;
 pub use filter::{AddrFilter, DEFAULT_FILTER_LOG2};
 pub use log::{LogImpl, LogKind};
-pub use nursery::NurseryLog;
+pub use nursery::{NurseryLog, NurseryMark};
 pub use policy::CapturePolicy;
 pub use private::PrivateLog;
 pub use tree::RangeTree;

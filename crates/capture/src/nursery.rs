@@ -4,8 +4,8 @@
 //! The paper's cheapest runtime check is the stack one, because stack
 //! capture is a *contiguous-region* property: two register compares against
 //! `[sp, start_sp)` answer it. [`NurseryLog`] buys the heap the same
-//! property. The STM carves the transaction a contiguous bump region on its
-//! first transactional allocation and bump-allocates small blocks inside
+//! property. The STM hands each worker a contiguous bump region of the
+//! heap, held across transactions, and bump-allocates small blocks inside
 //! it, so "did the current transaction allocate this heap address?" becomes
 //! the same two-compare range test:
 //!
@@ -28,7 +28,7 @@
 //!
 //! `NurseryLog` is a *policy component*, not a standalone
 //! [`CapturePolicy`](crate::CapturePolicy): everything the scalar range
-//! cannot represent — blocks in regions the nursery chained away from,
+//! cannot represent — blocks in regions the nursery switched away from,
 //! blocks survived past a hole punched by an in-transaction free, large
 //! blocks — is *demoted* to one of the three paper logs (tree / array /
 //! filter), which the caller keeps alongside and queries when the scalar
@@ -42,14 +42,29 @@
 //!   clamping never changes a verdict, because every address that survives
 //!   in the scalar range is `>= lo`, and a mark below `lo` was below every
 //!   surviving address already.
-//! * The regions list records every byte range carved for this transaction
-//!   (the active one last), so an abort can return *whole regions* to the
-//!   allocator in O(1) per region instead of walking per-block free lists.
+//! * Between transactions the scalar range is empty (`lo == bump`) and the
+//!   region stays: a commit keeps the bump position, an abort rewinds it
+//!   to where the transaction began. Every region the transaction switched
+//!   away from is listed with the bump it was left at, so the owner can
+//!   let go of it.
 
-/// Bump-region capture state for one transaction. See the module docs for
-/// the classification scheme; the owning transaction descriptor drives the
-/// region lifecycle (carve / extend / chain / trim / recycle) because only
-/// it can talk to the allocator.
+/// A nursery position, taken at transaction and nested-level begin; an
+/// abort returns to it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NurseryMark {
+    /// Start of the active region (0 when there is none).
+    pub start: u64,
+    /// One past its end (0 when there is none).
+    pub end: u64,
+    /// The bump pointer inside it.
+    pub bump: u64,
+    /// How many regions the transaction had switched away from.
+    pub left: usize,
+}
+
+/// Bump-region capture state for one worker. See the module docs for the
+/// classification scheme; the owning transaction descriptor takes and
+/// lets go of regions because only it can talk to the allocator.
 #[derive(Debug)]
 pub struct NurseryLog {
     /// Lowest address still classified by the scalar range (raised past
@@ -60,16 +75,19 @@ pub struct NurseryLog {
     bump: u64,
     /// One past the end of the active region (`bump == hi` means full).
     hi: u64,
+    /// Start of the active region.
+    start: u64,
     /// Cached `marks.last()` so the hot current-level compare never touches
     /// the vector.
     inner: u64,
     /// Per-nesting-level high-watermarks: `marks[d-1]` is the bump value
     /// when the depth-`d` transaction began (non-decreasing).
     marks: Vec<u64>,
-    /// Every `(start, len)` region carved for this transaction, active one
-    /// last. `len` is shrunk to the used prefix when the nursery chains
-    /// away from a region (its tail is recycled immediately).
-    regions: Vec<(u64, u64)>,
+    /// Every region `(start, end, bump)` this transaction switched away
+    /// from, with the bump it was left at.
+    left: Vec<(u64, u64, u64)>,
+    /// Where the running transaction began.
+    origin: NurseryMark,
 }
 
 impl Default for NurseryLog {
@@ -78,9 +96,11 @@ impl Default for NurseryLog {
             lo: 0,
             bump: 0,
             hi: 0,
+            start: 0,
             inner: 0,
             marks: vec![0],
-            regions: Vec::new(),
+            left: Vec::new(),
+            origin: NurseryMark::default(),
         }
     }
 }
@@ -109,41 +129,25 @@ impl NurseryLog {
         self.inner
     }
 
-    /// End of the active region.
-    #[inline]
-    pub fn hi(&self) -> u64 {
-        self.hi
+    /// Regions `(start, end, bump)` switched away from in this
+    /// transaction, with the bump each was left at.
+    pub fn left(&self) -> &[(u64, u64, u64)] {
+        &self.left
     }
 
-    /// True once a region has been carved and not yet retired.
-    #[inline]
-    pub fn has_region(&self) -> bool {
-        self.hi != 0
+    /// Where the running transaction began.
+    pub fn origin(&self) -> NurseryMark {
+        self.origin
     }
 
-    /// Number of regions carved so far this transaction.
-    #[inline]
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The carved regions, active one last.
-    pub fn regions(&self) -> &[(u64, u64)] {
-        &self.regions
-    }
-
-    /// Forget all state and reopen nesting level 1 (transaction end; the
-    /// caller has already recycled or published the regions). The next
-    /// transaction starts from exactly this state, so its begin does no
-    /// nursery work at all.
-    pub fn reset(&mut self) {
-        self.lo = 0;
-        self.bump = 0;
-        self.hi = 0;
-        self.inner = 0;
-        self.marks.clear();
-        self.marks.push(0);
-        self.regions.clear();
+    /// The current position, for a nested level's checkpoint.
+    pub fn mark(&self) -> NurseryMark {
+        NurseryMark {
+            start: self.start,
+            end: self.hi,
+            bump: self.bump,
+            left: self.left.len(),
+        }
     }
 
     /// Enter a nested level: snapshot the bump as its watermark.
@@ -161,7 +165,7 @@ impl NurseryLog {
     }
 
     /// Bump-allocate `total` bytes in the active region; `None` when it
-    /// does not fit (caller extends, chains, or falls back).
+    /// does not fit (caller switches regions or falls back).
     #[inline]
     pub fn try_alloc(&mut self, total: u64) -> Option<u64> {
         if self.hi - self.bump >= total {
@@ -173,40 +177,27 @@ impl NurseryLog {
         }
     }
 
-    /// Start allocating from a freshly carved region `[start, start+len)`.
-    /// All existing watermarks clamp to `start`: everything allocated in
-    /// the new region postdates every open level, so every open level sees
-    /// it as current-or-deeper.
+    /// Start allocating from the fresh region `[start, start+len)`. The
+    /// caller must first demote the live scalar blocks to the fallback
+    /// log. All watermarks clamp to `start`: everything allocated in the
+    /// new region postdates every open level, so every open level sees it
+    /// as current-or-deeper.
     pub fn switch_region(&mut self, start: u64, len: u64) {
-        self.regions.push((start, len));
-        self.lo = start;
-        self.bump = start;
-        self.hi = start + len;
-        for m in &mut self.marks {
-            *m = start;
+        if self.hi != 0 {
+            self.left.push((self.start, self.hi, self.bump));
         }
-        self.inner = start;
+        self.set_position(start, start + len, start);
     }
 
-    /// The active region was extended in place by `bytes` (contiguous
-    /// frontier carve): the scalar range simply grows.
-    pub fn extend_active(&mut self, bytes: u64) {
-        debug_assert!(self.has_region());
-        self.hi += bytes;
-        self.regions.last_mut().expect("active region").1 += bytes;
-    }
-
-    /// Chain away from the active region: shrink its record to the used
-    /// prefix and return the unused tail `(start, len)` for immediate
-    /// recycling. The caller must demote the live scalar blocks to the
-    /// fallback log *before* calling [`NurseryLog::switch_region`].
-    pub fn retire_active(&mut self) -> (u64, u64) {
-        debug_assert!(self.has_region());
-        let tail = (self.bump, self.hi - self.bump);
-        let last = self.regions.last_mut().expect("active region");
-        last.1 = self.bump - last.0;
-        self.hi = self.bump;
-        tail
+    fn set_position(&mut self, start: u64, end: u64, bump: u64) {
+        self.start = start;
+        self.hi = end;
+        self.lo = bump;
+        self.bump = bump;
+        for m in &mut self.marks {
+            *m = bump;
+        }
+        self.inner = bump;
     }
 
     /// LIFO free: the block `[start, bump)` was the most recent allocation;
@@ -232,30 +223,44 @@ impl NurseryLog {
         self.inner = *self.marks.last().expect("outermost nursery mark");
     }
 
-    /// Partial abort of the innermost level when its region set is
-    /// unchanged: every scalar block it allocated sits in `[mark, bump)`;
-    /// reset the bump to reclaim them all at once. `lo` may exceed the
-    /// popped mark when the aborted level punched a hole; the scalar range
-    /// is then empty, which is exact (everything below was demoted).
-    pub fn abort_level(&mut self) {
+    /// Partial abort of the innermost level, which began at `at`. If it
+    /// switched regions, return to the region and bump it began with, with
+    /// an empty scalar range (everything still live below was demoted at
+    /// the switch); the caller first lets go of the regions the level
+    /// switched to (the active one, and `left()[at.left..]` but `at`'s).
+    /// Otherwise reset the bump to the level's watermark, reclaiming its
+    /// blocks at once. `lo` may exceed the popped mark when the aborted
+    /// level punched a hole; the scalar range is then empty, which is exact
+    /// (everything below was demoted).
+    pub fn abort_level(&mut self, at: NurseryMark) {
         let mark = self.marks.pop().expect("abort_level without push");
-        self.bump = mark.max(self.lo);
+        if self.start != at.start {
+            self.left.truncate(at.left);
+            self.set_position(at.start, at.end, at.bump);
+        } else {
+            self.bump = mark.max(self.lo);
+        }
         self.inner = *self.marks.last().expect("outermost nursery mark");
     }
 
-    /// Drop the active region without touching the marks stack (partial
-    /// abort that has to discard regions carved by the aborted level). The
-    /// scalar range empties; the next allocation carves afresh. Marks clamp
-    /// to zero to keep the ordering invariant.
-    pub fn clear_active(&mut self, keep_regions: usize) {
-        self.regions.truncate(keep_regions);
-        self.lo = 0;
-        self.bump = 0;
-        self.hi = 0;
-        for m in &mut self.marks {
-            *m = 0;
-        }
-        self.inner = 0;
+    /// End of a committed transaction: the region and bump stay for the
+    /// next one, with an empty scalar range. The caller lets go of the
+    /// regions in `left()` first.
+    pub fn commit(&mut self) {
+        self.left.clear();
+        self.marks.truncate(1);
+        self.set_position(self.start, self.hi, self.bump);
+        self.origin = self.mark();
+    }
+
+    /// End of an aborted transaction: back to where it began. The caller
+    /// first lets go of the regions the transaction switched to (the
+    /// active one, and `left()`'s but the origin's).
+    pub fn abort(&mut self) {
+        self.left.clear();
+        self.marks.truncate(1);
+        let o = self.origin;
+        self.set_position(o.start, o.end, o.bump);
     }
 
     /// Scalar-range classification alone (no fallback): captured iff the
@@ -287,7 +292,7 @@ mod tests {
         let n = NurseryLog::new();
         assert_eq!(n.classify(0), None);
         assert_eq!(n.classify(4096), None);
-        assert!(!n.has_region());
+        assert_eq!(n.mark().end, 0, "no region");
     }
 
     #[test]
@@ -318,9 +323,10 @@ mod tests {
         let mut n = NurseryLog::new();
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
+        let at = n.mark();
         n.push_level();
         let b = n.try_alloc(64).unwrap();
-        n.abort_level();
+        n.abort_level(at);
         assert_eq!(n.classify(b), None, "aborted child block");
         assert_eq!(n.classify(a), Some(1));
         assert_eq!(n.try_alloc(64).unwrap(), b, "bump space reclaimed");
@@ -387,30 +393,36 @@ mod tests {
         n.switch_region(4096, 256);
         n.try_alloc(64).unwrap();
         n.push_level();
-        let (tail_start, tail_len) = n.retire_active();
-        assert_eq!((tail_start, tail_len), (4096 + 64, 192));
-        assert_eq!(n.regions(), &[(4096, 64)]);
         n.switch_region(16384, 256);
         let b = n.try_alloc(64).unwrap();
         assert_eq!(b, 16384);
         // Everything in the new region postdates both open levels.
         assert_eq!(n.classify(b), Some(2));
-        assert_eq!(n.region_count(), 2);
+        assert_eq!(n.classify(4096), None, "the old region left the range");
+        assert_eq!(n.left(), &[(4096, 4096 + 256, 4096 + 64)]);
         n.pop_level();
         assert_eq!(n.classify(b), Some(1));
     }
 
     #[test]
-    fn extend_active_grows_in_place() {
+    fn commit_keeps_the_bump_and_abort_rewinds_it() {
         let mut n = NurseryLog::new();
-        n.switch_region(4096, 64);
-        n.try_alloc(64).unwrap();
-        assert_eq!(n.try_alloc(16), None);
-        n.extend_active(64);
-        assert_eq!(n.regions(), &[(4096, 128)]);
+        n.switch_region(4096, 1024);
+        let a = n.try_alloc(64).unwrap();
+        n.commit();
+        assert_eq!(n.classify(a), None, "published: out of the next range");
+        assert!(n.left().is_empty());
+        assert_eq!(n.origin().bump, a + 64);
         let b = n.try_alloc(64).unwrap();
-        assert_eq!(b, 4096 + 64);
+        assert_eq!(b, a + 64, "the next transaction bumps on");
         assert_eq!(n.classify(b), Some(1));
+        n.switch_region(16384, 1024);
+        n.try_alloc(64).unwrap();
+        assert_eq!(n.left(), &[(4096, 4096 + 1024, b + 64)]);
+        n.abort();
+        assert!(n.left().is_empty());
+        assert_eq!(n.classify(b), None);
+        assert_eq!(n.try_alloc(64), Some(b), "rewound to the origin");
     }
 
     #[test]
@@ -418,15 +430,20 @@ mod tests {
         let mut n = NurseryLog::new();
         n.switch_region(4096, 256);
         let a = n.try_alloc(64).unwrap();
+        let at = n.mark();
         n.push_level();
-        n.switch_region(16384, 256); // child chained
+        n.switch_region(16384, 256); // child switched
         n.try_alloc(64).unwrap();
-        n.marks.pop(); // abort path pops the level around clear_active
-        n.inner = *n.marks.last().unwrap();
-        n.clear_active(1);
-        assert_eq!(n.classify(a), None, "demoted earlier; scalar is empty");
+        assert_eq!(&n.left()[at.left..], &[(4096, 4096 + 256, a + 64)]);
+        n.abort_level(at);
+        assert_eq!(
+            n.classify(a),
+            None,
+            "demoted at the switch; scalar is empty"
+        );
         assert_eq!(n.classify(16384), None);
-        assert_eq!(n.region_count(), 1);
-        assert!(!n.has_region());
+        assert!(n.left().is_empty());
+        assert_eq!(n.try_alloc(64), Some(a + 64), "back on the first region");
+        assert_eq!(n.classify(a + 64), Some(1));
     }
 }

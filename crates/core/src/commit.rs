@@ -14,7 +14,6 @@ use capture::CapturePolicy;
 use txmem::{Addr, HEADER_BYTES, WORD_BYTES};
 
 use crate::durable::RecordEncoder;
-use crate::nursery::NurseryCp;
 use crate::orec::{is_locked, owner_of};
 use crate::stats::TxnDelta;
 use crate::worker::{AllocHome, Tx, TxResult, WorkerCtx};
@@ -28,7 +27,7 @@ pub(crate) struct Checkpoint {
     allocs: usize,
     frees: usize,
     sp: u64,
-    nur: NurseryCp,
+    nur: capture::NurseryMark,
 }
 
 /// Unwinding out of a transaction is a rollback. [`WorkerCtx::txn_result`]
@@ -126,9 +125,9 @@ impl<'rt> WorkerCtx<'rt> {
         self.sp_inner = sp;
         debug_assert_eq!(self.cap_len, 0, "stale capture cache at begin");
         debug_assert_eq!(self.nursery_live, 0, "stale nursery bytes at begin");
-        debug_assert!(self.nursery_reclaim.is_empty(), "stale reclaims at begin");
-        // The nursery and its inline window were reset at transaction end.
-        debug_assert!(self.nur.region_count() == 0 && (self.nur_rlen | self.nur_wlen) == 0);
+        // The nursery's scalar range and inline window were emptied at
+        // transaction end.
+        debug_assert!(self.nur.left().is_empty() && (self.nur_rlen | self.nur_wlen) == 0);
     }
 
     /// Validate the whole read set against the *current* record versions.
@@ -178,6 +177,7 @@ impl<'rt> WorkerCtx<'rt> {
             // the commit is clock-silent.
             self.stats.commits_ro += 1;
             self.durable_prepare(None);
+            self.nursery_publish();
             self.finish_commit();
             return true;
         }
@@ -200,6 +200,7 @@ impl<'rt> WorkerCtx<'rt> {
         // writes, so the on-disk record set at any crash instant is
         // dependency-closed.
         self.durable_prepare(Some(ticket.wv));
+        self.nursery_publish();
         self.publish(ticket.wv);
         self.finish_commit();
         true
@@ -232,12 +233,11 @@ impl<'rt> WorkerCtx<'rt> {
         let n_frees = self.frees.len();
         for i in 0..n_frees {
             let addr = self.frees[i];
-            self.rt.heap.free(&mut self.talloc, addr);
+            self.stats.nursery_bytes_recycled += self.rt.heap.free(addr);
         }
         self.frees.clear();
         self.stats.tx_frees += n_frees as u64;
-        // Publish the nursery as ordinary heap memory: trim the unused
-        // region tail back to the shards, flush deferred hole reclaims.
+        // Keep the nursery region and its bump; let go of the others.
         self.nursery_commit();
         // Allocations survive; the allocation log empties at transaction
         // end (paper §3.1.3: "allocation log gets emptied on every
@@ -271,8 +271,8 @@ impl<'rt> WorkerCtx<'rt> {
     /// say in a deferred free): the writes are visible, so nothing is
     /// restored and no block the transaction allocated is freed. The
     /// worker is reset to its between-transactions state instead; the
-    /// deferred frees and nursery regions the tail had not handed back yet
-    /// leak, which is never worse than handing them back twice.
+    /// deferred frees the tail had not handed back yet and the nursery
+    /// regions leak, which is never worse than handing them back twice.
     fn abandon_commit(&mut self) {
         self.committed = false;
         self.reads.clear();
@@ -336,16 +336,14 @@ impl<'rt> WorkerCtx<'rt> {
         }
         self.reads.clear();
         // Undo allocations: blocks this transaction allocated vanish.
-        // Classic-path blocks are freed individually; nursery-resident
-        // blocks (scalar or demoted) are reclaimed wholesale with their
-        // regions below — O(1) per region, not per block.
-        let allocs = std::mem::take(&mut self.allocs);
-        for rec in &allocs {
+        // Classic-path blocks are freed individually; nursery blocks
+        // (scalar or demoted) were never counted on their pages, and the
+        // bump rewind below reclaims them all at once.
+        for rec in &self.allocs {
             if !rec.freed && rec.home == AllocHome::Heap {
-                self.rt.heap.free(&mut self.talloc, rec.addr);
+                self.rt.heap.free(rec.addr);
             }
         }
-        self.allocs = allocs;
         self.allocs.clear();
         self.nursery_abort();
         (self.table.reset)(&mut self.logs);
@@ -379,7 +377,7 @@ impl<'rt> WorkerCtx<'rt> {
             allocs: self.allocs.len(),
             frees: self.frees.len(),
             sp: self.stack.sp(),
-            nur: self.nursery_checkpoint(),
+            nur: self.nur.mark(),
         }
     }
 
@@ -626,27 +624,18 @@ impl<'rt> WorkerCtx<'rt> {
                 AllocHome::Heap => {
                     (self.table.on_free)(&mut self.logs, rec.addr.raw(), rec.usable);
                     if !rec.freed {
-                        self.rt.heap.free(&mut self.talloc, rec.addr);
+                        self.rt.heap.free(rec.addr);
                     }
                 }
-                AllocHome::NurseryScalar => {
-                    // Classified by the scalar range only; its space comes
-                    // back with the bump rewind / region recycle below.
+                AllocHome::NurseryScalar | AllocHome::NurseryLogged => {
+                    if rec.home == AllocHome::NurseryLogged {
+                        (self.table.on_free)(&mut self.logs, rec.addr.raw(), rec.usable);
+                    }
+                    // Never counted on its page: its space comes back with
+                    // the bump rewind below, or dies in place.
                     if !rec.freed {
                         self.rt.heap.forget_live_bytes(rec.usable);
                         self.nursery_live -= rec.usable;
-                    }
-                }
-                AllocHome::NurseryLogged => {
-                    (self.table.on_free)(&mut self.logs, rec.addr.raw(), rec.usable);
-                    if !rec.freed {
-                        self.rt.heap.forget_live_bytes(rec.usable);
-                        self.nursery_live -= rec.usable;
-                        // Dead memory inside a region that survives this
-                        // partial abort: defer to commit like a hole (if
-                        // its region is being recycled below, the entry is
-                        // filtered out with it).
-                        self.nursery_reclaim.push(rec.addr);
                     }
                 }
             }

@@ -113,13 +113,13 @@ pub struct TxConfig {
     /// paper's Figure-8 categories (tx-local heap / tx-local stack /
     /// not-required-other / required). Adds overhead; used by the harness.
     pub classify: bool,
-    /// Serve small transactional allocations from a per-transaction
-    /// *nursery* — a contiguous bump region carved from the heap's
-    /// frontier/shards — so the captured-heap check in [`Mode::Runtime`]
+    /// Serve small transactional allocations from a per-worker
+    /// *nursery* — a contiguous bump region of the heap, held across
+    /// transactions — so the captured-heap check in [`Mode::Runtime`]
     /// barriers becomes a two-compare range test (the same shape as the
     /// stack check) and an abort reclaims the whole nursery in O(1) by
-    /// recycling regions instead of walking per-block free lists. Blocks
-    /// the scalar range cannot represent (overflow past a chained region,
+    /// rewinding the bump instead of walking per-block free lists. Blocks
+    /// the scalar range cannot represent (overflow past a switched region,
     /// holes punched by in-transaction frees, large blocks) fall back to
     /// the configured allocation log. Requires `Mode::Runtime` (the other
     /// modes keep no runtime capture state; see

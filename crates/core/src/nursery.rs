@@ -1,43 +1,39 @@
 //! Transaction-local nursery management (the region lifecycle behind
 //! [`capture::NurseryLog`]'s scalar classification).
 //!
-//! With [`crate::TxConfig::nursery`] active, a top-level transaction's
-//! first small allocation carves a contiguous region from the heap's
-//! existing lock-free frontier / recycled shards, and subsequent small
-//! allocations bump inside it (class-rounded, ordinary headers — so a
-//! published nursery block is indistinguishable from a free-list block).
-//! The payoffs:
+//! With [`crate::TxConfig::nursery`] active, a worker holds one bump
+//! region of the heap across transactions — a free page, or the longest
+//! free run on a page — and small transactional allocations bump inside
+//! it (class-rounded, ordinary headers — so a published nursery block is
+//! indistinguishable from any other block). The payoffs:
 //!
 //! * **O(1) capture checks** — the barrier classifies captured heap memory
 //!   with the same two-compare range test as the stack check (see
 //!   `barrier::fastpath` and the inline paths in `WorkerCtx::read_word`).
-//! * **O(1) abort reclamation** — rollback returns *whole regions* to the
-//!   recycled shards instead of walking per-block free lists.
-//! * **Cheap commit publication** — blocks already live in `SharedMem`;
-//!   commit is bookkeeping: trim the unused tail back to the shards.
+//! * **O(1) abort** — rollback rewinds the bump pointer to where the
+//!   transaction began and lets go of the regions it took.
+//! * **Cheap commit** — blocks already live in `SharedMem`; commit counts
+//!   each published block on its page and keeps the bump position.
+//!
+//! One rule decides when a page returns to the heap's pool: a published
+//! block keeps its page live, a held region keeps it live, and a block
+//! that dies inside its transaction (a hole, an abort) is never counted.
 //!
 //! Everything the scalar range cannot represent *demotes* to the
 //! configured allocation log (the paper's tree / array / filter), which
 //! stays exact/conservative as before:
 //!
-//! * chaining to a non-contiguous region demotes the old region's live
-//!   blocks (the nursery first tries a frontier CAS to extend in place);
+//! * switching to a new region when the held one is full demotes the live
+//!   blocks this transaction bumped in the old one;
 //! * an in-transaction free that is not the top of the bump (a *hole*)
 //!   demotes the live blocks below the hole and shrinks the scalar range
 //!   to `[hole_end, bump)`, so future allocations stay scalar;
 //! * large blocks never enter the nursery (classic path, logged).
 
-use txmem::{Addr, HEADER_BYTES, NURSERY_REGION_BYTES};
+use capture::NurseryMark;
+use txmem::{Addr, HEADER_BYTES};
 
 use crate::worker::{AllocHome, WorkerCtx};
-
-/// Nursery positions snapshotted at nested-transaction begin (stored in the
-/// lifecycle `Checkpoint`); partial abort restores to these.
-#[derive(Clone, Copy)]
-pub(crate) struct NurseryCp {
-    /// Regions carved when the level began; later ones belong to it.
-    pub regions: usize,
-}
 
 impl WorkerCtx<'_> {
     /// Re-derive the inline scalar-window mirrors (`nur_lo`/`nur_rlen`/
@@ -49,6 +45,8 @@ impl WorkerCtx<'_> {
     /// which ends with this call. The lengths stay zero unless the
     /// corresponding fast-path gate is on, so the inline checks are
     /// self-disabling in every other configuration.
+    ///
+    /// [`NurseryLog`]: capture::NurseryLog
     #[inline]
     fn refresh_nursery_window(&mut self) {
         self.nur_lo = self.nur.lo();
@@ -78,68 +76,26 @@ impl WorkerCtx<'_> {
     }
 
     /// Bump-allocate a class-rounded `total` (header included) in the
-    /// nursery, carving / extending / chaining regions as needed. `None`
-    /// when the heap cannot supply a region (caller falls back to the
-    /// classic path, which can still serve from smaller classes).
+    /// nursery, switching to a new region when the held one is full.
+    /// `None` when no free run fits `total` (caller falls back to the
+    /// classic path).
     pub(crate) fn nursery_alloc(&mut self, total: u64) -> Option<Addr> {
-        if let Some(block) = self.nur.try_alloc(total) {
-            return Some(self.nursery_finish(block, total));
-        }
-        // Active region full (or none yet). Prefer growing it in place —
-        // one frontier CAS — so the scalar range survives intact.
-        if self.nur.has_region() && self.rt.heap.try_extend_region(self.nur.hi()) {
-            self.nur.extend_active(NURSERY_REGION_BYTES);
-            self.stats.nursery_regions += 1;
-            let block = self.nur.try_alloc(total).expect("extended region fits");
-            return Some(self.nursery_finish(block, total));
-        }
-        // Chain to a fresh region: recycle the old tail, demote the old
-        // region's live blocks to the fallback log, switch the scalar over.
-        let (region, len) = self.next_region(total)?;
-        self.stats.nursery_regions += 1;
-        if self.nur.has_region() {
-            let (tail, tail_len) = self.nur.retire_active();
-            if tail_len > 0 {
-                self.stats.nursery_bytes_recycled +=
-                    self.rt
-                        .heap
-                        .recycle_region_range(&mut self.talloc, tail, tail_len);
+        let block = match self.nur.try_alloc(total) {
+            Some(block) => block,
+            None => {
+                // The old region stays held until the transaction ends:
+                // an abort returns to it.
+                let (start, end) = self.rt.heap.take_nursery_region(total)?;
+                self.stats.nursery_regions += 1;
+                self.demote_scalar_blocks(u64::MAX);
+                self.nur.switch_region(start, end - start);
+                self.nur.try_alloc(total).expect("the region fits")
             }
-            self.demote_scalar_blocks(u64::MAX);
-        }
-        self.nur.switch_region(region, len);
-        let block = self.nur.try_alloc(total).expect("fresh region fits");
-        Some(self.nursery_finish(block, total))
-    }
-
-    /// Supply the next nursery region: the tail carried over from the last
-    /// commit when it fits `total` (no allocator traffic at all), else a
-    /// fresh [`NURSERY_REGION_BYTES`] carve. A too-small spare is recycled
-    /// so nothing is ever stranded.
-    fn next_region(&mut self, total: u64) -> Option<(u64, u64)> {
-        let (lo, hi) = self.nursery_spare;
-        if hi - lo >= total {
-            self.nursery_spare = (0, 0);
-            return Some((lo, hi - lo));
-        }
-        let region = self.rt.heap.carve_region(&mut self.talloc)?;
-        if hi > lo {
-            self.rt
-                .heap
-                .recycle_region_range(&mut self.talloc, lo, hi - lo);
-            self.nursery_spare = (0, 0);
-        }
-        Some((region, NURSERY_REGION_BYTES))
-    }
-
-    fn nursery_finish(&mut self, block: u64, total: u64) -> Addr {
-        let payload = self
-            .rt
-            .heap
-            .init_nursery_block(&mut self.talloc, block, total);
+        };
+        let payload = self.rt.heap.init_nursery_block(block, total);
         self.nursery_live += total - HEADER_BYTES;
         self.refresh_nursery_window();
-        payload
+        Some(payload)
     }
 
     /// Move every live scalar-resident block whose block start is below
@@ -158,167 +114,126 @@ impl WorkerCtx<'_> {
         }
     }
 
+    /// A current-level nursery block `allocs[i]` dies inside its
+    /// transaction: it is never counted on its page, so only the live-byte
+    /// telemetry moves.
+    fn nursery_forget_block(&mut self, i: usize) {
+        self.allocs[i].freed = true;
+        self.rt.heap.forget_live_bytes(self.allocs[i].usable);
+        self.nursery_live -= self.allocs[i].usable;
+    }
+
     /// Immediate free of the current level's scalar-resident block
     /// `allocs[i]`: a LIFO free hands the space straight back to the bump
     /// pointer; anything else punches a hole — the scalar range shrinks to
-    /// above the hole, the blocks below demote to the fallback log, and
-    /// the block's space is deferred to commit (at abort its region is
-    /// recycled wholesale). Never touches any allocator lock.
+    /// above the hole and the blocks below demote to the fallback log.
     pub(crate) fn nursery_free_current(&mut self, i: usize) {
         let rec = self.allocs[i];
         debug_assert_eq!(rec.home, AllocHome::NurseryScalar);
         let block = rec.addr.raw() - HEADER_BYTES;
-        let total = rec.usable + HEADER_BYTES;
-        self.allocs[i].freed = true;
-        if block + total == self.nur.bump() {
+        let end = block + rec.usable + HEADER_BYTES;
+        if end == self.nur.bump() {
             self.nur.bump_back(block);
         } else {
             self.demote_scalar_blocks(block);
-            self.nur.punch_hole(block, block + total);
-            self.nursery_reclaim.push(rec.addr);
+            self.nur.punch_hole(block, end);
         }
-        self.rt.heap.forget_live_bytes(rec.usable);
-        self.talloc.free_count += 1;
-        self.nursery_live -= rec.usable;
+        self.nursery_forget_block(i);
         self.refresh_nursery_window();
     }
 
     /// Immediate free of a current-level block that was demoted to the
-    /// fallback log: remove it from the log; its space is deferred like a
-    /// hole (commit recycles it to the class lists, abort recycles its
-    /// region wholesale).
+    /// fallback log: remove it from the log.
     pub(crate) fn nursery_free_logged(&mut self, i: usize) {
         let rec = self.allocs[i];
         debug_assert_eq!(rec.home, AllocHome::NurseryLogged);
-        self.allocs[i].freed = true;
         (self.table.on_free)(&mut self.logs, rec.addr.raw(), rec.usable);
         self.clear_capture_cache(); // the freed block may be cached
-        self.nursery_reclaim.push(rec.addr);
-        self.rt.heap.forget_live_bytes(rec.usable);
-        self.talloc.free_count += 1;
-        self.nursery_live -= rec.usable;
+        self.nursery_forget_block(i);
     }
 
-    /// Commit-time publication: the used prefixes of all regions simply
-    /// *are* ordinary heap memory now (blocks carry standard headers), so
-    /// publishing means trimming the active region's unused tail back to
-    /// the shards and flushing the deferred hole reclaims to the thread's
-    /// class free lists.
-    pub(crate) fn nursery_commit(&mut self) {
-        if self.nur.region_count() == 0 {
-            return; // nothing carved (or its level partially aborted): still reset
+    /// Count every nursery block the commit publishes on its page. Runs
+    /// before the commit's locks are released, so no other thread can
+    /// reach (and free) a block before it is counted.
+    #[inline]
+    pub(crate) fn nursery_publish(&mut self) {
+        if self.nursery_live == 0 {
+            return;
         }
-        if self.nur.has_region() {
-            let (tail, tail_len) = self.nur.retire_active();
-            if tail_len > 0 {
-                // Carry the tail over as the next transaction's region
-                // instead of splintering it into class blocks — regions
-                // are only consumed as fast as blocks are published.
-                debug_assert_eq!(self.nursery_spare, (0, 0), "spare not consumed");
-                self.nursery_spare = (tail, tail + tail_len);
+        for rec in &self.allocs {
+            if rec.home != AllocHome::Heap && !rec.freed {
+                self.rt.heap.publish_nursery_block(rec.addr, rec.usable);
             }
         }
-        for i in 0..self.nursery_reclaim.len() {
-            let addr = self.nursery_reclaim[i];
-            self.rt.heap.recycle_block(&mut self.talloc, addr);
+    }
+
+    pub(crate) fn release_nursery_region(&mut self, (start, end, bump): (u64, u64, u64)) {
+        self.stats.nursery_bytes_recycled += self.rt.heap.release_nursery_region(start, bump, end);
+    }
+
+    /// Commit tail: keep the active region and its bump position, let go
+    /// of every region the transaction switched away from.
+    pub(crate) fn nursery_commit(&mut self) {
+        if self.nur.left().is_empty() && self.nur.bump() == self.nur.origin().bump {
+            // Nothing moved since begin: the range is empty at the origin.
+            debug_assert_eq!(self.nursery_live, 0);
+            return;
         }
-        self.nursery_reclaim.clear();
+        for i in 0..self.nur.left().len() {
+            self.release_nursery_region(self.nur.left()[i]);
+        }
         self.nursery_live = 0;
-        self.nur.reset();
+        self.nur.commit();
         self.refresh_nursery_window();
     }
 
-    /// Top-level abort: un-publish the whole nursery in O(1) per region —
-    /// chained-away regions go back to the recycled shards wholesale (no
-    /// per-block free-list walk), the *active* region is retained as the
-    /// next transaction's spare, and one subtraction settles the live-byte
-    /// telemetry for every block at once.
-    ///
-    /// Retaining the active region (rather than recycling it) matters for
-    /// more than speed. A region that started life as a commit-trimmed
-    /// spare is no longer region-class-sized, so `recycle_region_range`
-    /// would splinter it into mid-size class blocks; if the workload never
-    /// allocates those classes, each commit→abort cycle then permanently
-    /// converts ~one region of frontier into unreachable free-list blocks
-    /// and a retry storm bleeds the heap dry (the liveness oracle's
-    /// starvation stress found exactly this under injected chaos). Kept as
-    /// the spare, the abort→retry cycle reuses the same bytes with zero
-    /// allocator traffic.
+    /// Top-level abort: one subtraction settles the live-byte telemetry
+    /// for every nursery block, the regions taken since begin go back, and
+    /// the bump returns to where the transaction began.
     pub(crate) fn nursery_abort(&mut self) {
         if self.nursery_live > 0 {
             self.rt.heap.forget_live_bytes(self.nursery_live);
             self.nursery_live = 0;
         }
-        let n = self.nur.region_count();
-        for i in 0..n {
-            let (start, len) = self.nur.regions()[i];
-            if len == 0 {
-                continue;
-            }
-            if i == n - 1 && self.nursery_spare == (0, 0) {
-                self.nursery_spare = (start, start + len);
-            } else {
-                self.stats.nursery_bytes_recycled +=
-                    self.rt
-                        .heap
-                        .recycle_region_range(&mut self.talloc, start, len);
+        self.release_switched_to(self.nur.origin());
+        self.nur.abort();
+        self.refresh_nursery_window();
+    }
+
+    /// Let go of every region taken since the nursery was at `at`: the
+    /// active one and those left since, but `at`'s own. Nothing bumped in
+    /// them was published, so each comes back whole.
+    fn release_switched_to(&mut self, at: NurseryMark) {
+        let active = self.nur.mark();
+        if active.start == at.start {
+            return;
+        }
+        for i in at.left..active.left {
+            let (start, end, _) = self.nur.left()[i];
+            if start != at.start {
+                self.release_nursery_region((start, end, start));
             }
         }
-        self.nursery_reclaim.clear();
-        self.nur.reset();
-        self.refresh_nursery_window();
+        self.release_nursery_region((active.start, active.end, active.start));
     }
 
     /// Drop the nursery's bookkeeping without handing anything back, for a
     /// commit whose tail panicked (`WorkerCtx::abandon_commit`): the
-    /// committed blocks stay allocated; the unused region tail and the
-    /// deferred hole reclaims leak.
+    /// committed blocks stay allocated; every region the worker held leaks.
     pub(crate) fn nursery_forget(&mut self) {
-        self.nursery_reclaim.clear();
         self.nursery_live = 0;
-        self.nur.reset();
+        self.nur = capture::NurseryLog::new();
         self.refresh_nursery_window();
     }
 
-    /// Snapshot for a nested level's checkpoint.
-    pub(crate) fn nursery_checkpoint(&self) -> NurseryCp {
-        NurseryCp {
-            regions: self.nur.region_count(),
-        }
-    }
-
     /// Partial abort of the innermost level (runs *after* the per-record
-    /// rollback loop has settled log entries, accounting, and pushed
-    /// orphaned demoted blocks onto the reclaim list). Regions the aborted
-    /// level carved are recycled wholesale; otherwise the bump pointer
-    /// rewinds to the level's watermark, reclaiming its scalar blocks in
-    /// one move.
-    pub(crate) fn nursery_partial_abort(&mut self, cp: NurseryCp) {
-        if self.nur.region_count() > cp.regions {
-            for i in cp.regions..self.nur.region_count() {
-                let (start, len) = self.nur.regions()[i];
-                if len > 0 {
-                    self.stats.nursery_bytes_recycled +=
-                        self.rt
-                            .heap
-                            .recycle_region_range(&mut self.talloc, start, len);
-                }
-            }
-            // Reclaim entries inside recycled regions went back with them.
-            let regions = self.nur.regions();
-            let recycled = &regions[cp.regions..];
-            self.nursery_reclaim.retain(|a| {
-                let b = a.raw() - HEADER_BYTES;
-                !recycled.iter().any(|&(s, l)| b >= s && b < s + l)
-            });
-            self.nur.abort_level();
-            // The scalar range moved to a region that no longer exists;
-            // empty it (everything still live was demoted to the log when
-            // the level chained away).
-            self.nur.clear_active(cp.regions);
-        } else {
-            self.nur.abort_level();
-        }
+    /// rollback loop has settled log entries and accounting). Pages the
+    /// aborted level took go back and the nursery returns to the region and
+    /// bump the level began with; otherwise the bump pointer rewinds to
+    /// the level's watermark, reclaiming its scalar blocks in one move.
+    pub(crate) fn nursery_partial_abort(&mut self, cp: NurseryMark) {
+        self.release_switched_to(cp);
+        self.nur.abort_level(cp);
         self.refresh_nursery_window();
     }
 }

@@ -1,7 +1,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use txmem::{Addr, CachePadded, MemConfig, SharedMem, ThreadAlloc, TxHeap};
+use txmem::{Addr, CachePadded, MemConfig, SharedMem, TxHeap};
 
 use crate::barrier::DispatchTable;
 use crate::clock::CommitClock;
@@ -42,7 +42,6 @@ pub struct StmRuntime {
     /// `Some` exactly when `config.durable`.
     pub(crate) durable: Option<Arc<DurableState>>,
     tids: Mutex<TidPool>,
-    setup_alloc: Mutex<ThreadAlloc>,
 }
 
 struct TidPool {
@@ -101,7 +100,6 @@ impl StmRuntime {
                 free: Vec::new(),
                 max: mem_cfg.max_threads,
             }),
-            setup_alloc: Mutex::new(ThreadAlloc::new()),
         }
     }
 
@@ -170,16 +168,21 @@ impl StmRuntime {
     /// Non-transactional allocation for setup phases (shared structures
     /// built before the workers start). Never logged in any capture log.
     pub fn alloc_global(&self, size: u64) -> Addr {
-        let mut ta = self.setup_alloc.lock().unwrap();
-        self.heap
-            .alloc(&mut ta, size)
-            .expect("simulated heap exhausted during setup")
+        self.alloc_or_panic(size, " during setup")
     }
 
     /// Free a block allocated with [`StmRuntime::alloc_global`].
     pub fn free_global(&self, addr: Addr) {
-        let mut ta = self.setup_alloc.lock().unwrap();
-        self.heap.free(&mut ta, addr);
+        self.heap.free(addr);
+    }
+
+    /// Allocate `size` bytes from the heap, or panic on an exhausted heap
+    /// with the heap's census in the message, which says where the memory
+    /// went.
+    pub(crate) fn alloc_or_panic(&self, size: u64, during: &str) -> Addr {
+        self.heap
+            .alloc(size)
+            .unwrap_or_else(|e| panic!("{e}{during}; {:?}", self.heap.census()))
     }
 
     /// The simulated disk of a durable runtime (`None` otherwise).

@@ -22,8 +22,8 @@
 //! With [`crate::TxConfig::nursery`] active, small allocations are instead
 //! bump-allocated in the transaction's nursery (see `crate::nursery`) and
 //! classified by the scalar range test — no per-block policy logging at
-//! all. Large blocks (and small ones when the heap cannot supply a region)
-//! take the classic path below and fall back to the configured log.
+//! all. Large blocks take the classic path below and fall back to the
+//! configured log.
 
 use capture::CapturePolicy;
 use txmem::{small_block_total, Addr, HEADER_BYTES, NURSERY_MAX_BLOCK_BYTES};
@@ -52,16 +52,12 @@ impl WorkerCtx<'_> {
                         self.stats.tx_allocs += 1;
                         return Ok(addr);
                     }
-                    // Heap too fragmented for a region: classic path below
-                    // (smaller classes may still have blocks).
+                    // No free run fits it anywhere: the classic path
+                    // below reports the exhausted heap.
                 }
             }
         }
-        let addr = self
-            .rt
-            .heap
-            .alloc(&mut self.talloc, size)
-            .expect("simulated heap exhausted inside transaction");
+        let addr = self.rt.alloc_or_panic(size, " inside a transaction");
         let usable = self.rt.heap.usable_size(addr);
         self.allocs.push(AllocRec {
             addr,
@@ -83,11 +79,9 @@ impl WorkerCtx<'_> {
         // A block allocated by the *current* nesting level can be freed
         // immediately: nobody else can hold a reference (it is captured),
         // and a later abort of this level would have discarded it anyway.
-        // This is McRT-Malloc's balanced alloc/free optimization. The
-        // block returns to the allocating transaction's own bookkeeping —
-        // the nursery bump pointer / deferred reclaim list, or the
-        // thread's class free lists — never the global large-block lock
-        // (small blocks are class-rounded by construction).
+        // This is McRT-Malloc's balanced alloc/free optimization. A
+        // nursery block goes back to the bump pointer or dies in place,
+        // uncounted; a classic block goes back to its page.
         if let Some(i) = self.allocs.iter().rposition(|r| r.addr == addr && !r.freed) {
             if self.allocs[i].level >= self.depth {
                 let usable = self.allocs[i].usable;
@@ -96,7 +90,7 @@ impl WorkerCtx<'_> {
                         self.allocs[i].freed = true;
                         (self.table.on_free)(&mut self.logs, addr.raw(), usable);
                         self.clear_capture_cache(); // the freed block may be cached
-                        self.rt.heap.free(&mut self.talloc, addr);
+                        self.rt.heap.free(addr);
                     }
                     AllocHome::NurseryScalar => self.nursery_free_current(i),
                     AllocHome::NurseryLogged => self.nursery_free_logged(i),

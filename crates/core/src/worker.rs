@@ -1,7 +1,7 @@
 use std::sync::atomic::AtomicU64;
 
 use capture::{NurseryLog, PrivateLog, RangeTree};
-use txmem::{words_to_bytes, Addr, ThreadAlloc, ThreadStack};
+use txmem::{words_to_bytes, Addr, ThreadStack};
 
 use crate::barrier::{CaptureLogs, DispatchTable};
 use crate::commit::AttemptGuard;
@@ -142,7 +142,6 @@ pub struct WorkerCtx<'rt> {
     pub(crate) scope: CheckScope,
     tid: usize,
     pub(crate) stack: ThreadStack,
-    pub(crate) talloc: ThreadAlloc,
     /// Storage for the capture policies a pipeline projects into (only
     /// the spawn-time-selected one is ever populated).
     pub(crate) logs: CaptureLogs,
@@ -221,20 +220,10 @@ pub struct WorkerCtx<'rt> {
     pub(crate) nur: NurseryLog,
     /// `cfg.nursery`, hoisted for the allocation path.
     pub(crate) nursery_on: bool,
-    /// Usable bytes of live (not yet freed) blocks in nursery regions; an
-    /// abort settles the heap's live-byte telemetry with one subtraction
-    /// instead of walking the blocks.
+    /// Usable bytes of this transaction's live (not yet freed) nursery
+    /// blocks; an abort settles the heap's live-byte telemetry with one
+    /// subtraction instead of walking the blocks.
     pub(crate) nursery_live: u64,
-    /// Nursery blocks freed in-transaction whose space could not be
-    /// reclaimed by a bump-back (holes): recycled to the thread's class
-    /// free lists at commit, dropped at abort (their regions are recycled
-    /// wholesale).
-    pub(crate) nursery_reclaim: Vec<Addr>,
-    /// Unused region tail carried over from the last commit, `[start,
-    /// end)`: the next transaction's nursery starts here instead of
-    /// carving, so steady-state region consumption is the published bytes
-    /// — not a region per transaction. Recycled on worker drop.
-    pub(crate) nursery_spare: (u64, u64),
     /// Consecutive aborts of the currently-retried transaction.
     pub(crate) attempts: u64,
     /// Previous decorrelated-jitter backoff spin count (the `prev` of
@@ -300,10 +289,6 @@ impl<'rt> WorkerCtx<'rt> {
             scope,
             tid,
             stack: ThreadStack::new(&rt.mem, tid),
-            // Stripe the allocator by thread id: concurrent workers refill
-            // and spill against different heap shards (deterministic per
-            // tid, which the differential dispatch tests rely on).
-            talloc: ThreadAlloc::with_stripe(tid),
             logs: CaptureLogs::new(&cfg),
             classify_log: cfg.classify.then(RangeTree::new),
             private_log: PrivateLog::new(),
@@ -330,8 +315,6 @@ impl<'rt> WorkerCtx<'rt> {
             nur: NurseryLog::new(),
             nursery_on: cfg.nursery,
             nursery_live: 0,
-            nursery_reclaim: Vec::with_capacity(8),
-            nursery_spare: (0, 0),
             attempts: 0,
             backoff_prev: 0,
             holds_token: false,
@@ -350,8 +333,7 @@ impl<'rt> WorkerCtx<'rt> {
         }
     }
 
-    /// The worker's thread id (also selects its stack region and heap
-    /// stripe).
+    /// The worker's thread id (also selects its stack region).
     #[inline]
     pub fn tid(&self) -> usize {
         self.tid
@@ -653,15 +635,12 @@ impl<'rt> WorkerCtx<'rt> {
 
     /// Non-transactional allocation (never enters any capture log).
     pub fn alloc_raw(&mut self, size: u64) -> Addr {
-        self.rt
-            .heap
-            .alloc(&mut self.talloc, size)
-            .expect("simulated heap exhausted")
+        self.rt.alloc_or_panic(size, "")
     }
 
     /// Non-transactional free.
     pub fn free_raw(&mut self, addr: Addr) {
-        self.rt.heap.free(&mut self.talloc, addr);
+        self.stats.nursery_bytes_recycled += self.rt.heap.free(addr);
     }
 
     /// Push a stack frame outside a transaction (live-in data).
@@ -700,17 +679,10 @@ impl Drop for WorkerCtx<'_> {
         // by unwinding (`AttemptGuard`): no locks, token or active flag
         // are left to release here.
         debug_assert_eq!(self.depth, 0, "worker dropped inside a transaction");
-        // Return the carried-over nursery tail to the shared pool.
-        let (lo, hi) = self.nursery_spare;
-        if hi > lo {
-            self.rt
-                .heap
-                .recycle_region_range(&mut self.talloc, lo, hi - lo);
-            self.nursery_spare = (0, 0);
+        let at = self.nur.mark(); // let go of the held nursery region
+        if at.end != 0 {
+            self.release_nursery_region((at.start, at.end, at.bump));
         }
-        // And the thread cache itself: blocks left in the private free
-        // lists would be stranded once this worker is gone.
-        self.rt.heap.release(&mut self.talloc);
         self.flush_stats();
         self.rt.release_tid(self.tid);
     }

@@ -790,16 +790,15 @@ fn nursery_rt(log: LogKind) -> StmRuntime {
 }
 
 /// In-transaction alloc/free churn across nesting levels: every small
-/// block freed within its allocating transaction must return to the
-/// transaction's own bookkeeping (the nursery bump pointer / deferred
-/// reclaim, or the thread class lists) — the global large-block lock must
-/// never be touched, and no byte may leak across commits or aborts.
+/// block freed within its allocating transaction dies on its nursery page
+/// uncounted (or goes back to the bump pointer) — no large run is ever
+/// taken, no byte leaks across commits or aborts, and every page the
+/// nursery let go of went back to the pool.
 #[test]
 fn nursery_churn_frees_within_txn_across_levels() {
     for log in LogKind::ALL {
         let rt = nursery_rt(log);
         let baseline = rt.heap().bytes_allocated();
-        let large_baseline = rt.heap().large_free_blocks();
         let mut w = rt.spawn_worker();
         for round in 0..20u64 {
             let commit = round % 3 != 2;
@@ -868,9 +867,9 @@ fn nursery_churn_frees_within_txn_across_levels() {
             });
             assert_eq!(r.is_ok(), commit);
             assert_eq!(
-                rt.heap().large_free_blocks(),
-                large_baseline,
-                "small-block churn must never touch the large-block lock ({log:?})"
+                rt.heap().census().large_pages,
+                0,
+                "small-block churn must never take a large run ({log:?})"
             );
             assert_eq!(
                 rt.heap().bytes_allocated(),
@@ -880,20 +879,22 @@ fn nursery_churn_frees_within_txn_across_levels() {
         }
         let stats = w.stats;
         assert!(stats.nursery_hits > 0, "churn must exercise the nursery");
-        // Single-region churn never splinters: commits carry the tail over
-        // as the next transaction's spare and aborts retain the active
-        // region the same way (see `nursery_abort`), so the recycler is
-        // never involved — each round reuses the same bytes wholesale.
+        // Nothing published survives, so every page the nursery took but
+        // the one it holds came back whole.
+        assert!(stats.nursery_regions > 1, "churn must switch pages");
         assert_eq!(
-            stats.nursery_bytes_recycled, 0,
-            "single-region churn must retain the spare, not splinter it"
+            stats.nursery_bytes_recycled,
+            (stats.nursery_regions - 1) * txmem::PAGE_BYTES,
+            "churn returns every page it let go of ({log:?})"
         );
+        drop(w);
+        assert_eq!(rt.heap().census().nursery_pages, 0, "and the held one");
     }
 }
 
 /// Commit publishes nursery blocks as ordinary heap memory: they survive
-/// the transaction, `free` recycles them through the class shards, and the
-/// next transaction's nursery reuses the space.
+/// the transaction, `free` counts them off their page, and the next
+/// transaction's nursery bumps on in the same page.
 #[test]
 fn nursery_blocks_survive_commit_and_free_normally() {
     let rt = nursery_rt(LogKind::Tree);
@@ -924,18 +925,16 @@ fn nursery_blocks_survive_commit_and_free_normally() {
     );
 }
 
-/// Aborted transactions leave no trace: the whole nursery (several chained
-/// regions' worth) is un-published wholesale.
+/// Aborted transactions leave no trace: the whole nursery (several pages'
+/// worth) is un-published wholesale.
 #[test]
 fn nursery_abort_reclaims_chained_regions() {
     let rt = nursery_rt(LogKind::Tree);
     let baseline = rt.heap().bytes_allocated();
     let mut w = rt.spawn_worker();
     let r: Result<(), u64> = w.txn_result(|tx| {
-        // 8 region-filling blocks, with a large (non-nursery) allocation
-        // interleaved so the frontier moves between carves: in-place
-        // region extension fails and the nursery must chain *distinct*
-        // regions rather than grow one contiguous extent.
+        // 8 page-filling blocks, with a large (non-nursery) allocation
+        // interleaved: the nursery switches to a fresh page for each.
         for _ in 0..8 {
             let p = tx.alloc(4000)?;
             tx.write(&S_ESC, p, 9)?;
@@ -952,12 +951,47 @@ fn nursery_abort_reclaims_chained_regions() {
     );
     let stats = w.stats;
     assert!(stats.nursery_regions >= 4, "chaining expected: {stats:?}");
-    // The abort recycles every chained-away region wholesale; the active
-    // region is retained as the next transaction's spare instead (see
-    // `nursery_abort`), so exactly one region's worth stays out of the
-    // recycler.
-    assert!(
-        stats.nursery_bytes_recycled >= (stats.nursery_regions - 1) * 4096,
-        "all but the retained spare must come back: {stats:?}"
+    // The worker held no page when the transaction began, so the abort
+    // lets go of every page it took, and each goes back to the pool.
+    assert_eq!(
+        stats.nursery_bytes_recycled,
+        stats.nursery_regions * txmem::PAGE_BYTES,
+        "every page must come back: {stats:?}"
     );
+    let c = rt.heap().census();
+    assert_eq!((c.nursery_pages, c.large_pages), (0, 0), "{c:?}");
+}
+
+/// Memory freed by transactions serves a larger class: small nursery
+/// blocks fill nearly the whole heap, all of them are freed, and then
+/// 264-byte blocks must still be served. A heap whose pages turn into
+/// small-class blocks for good runs out here with almost nothing live.
+#[test]
+fn pages_freed_in_transactions_serve_a_larger_class() {
+    let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
+    let heap_end = rt.mem().layout().heap_end;
+    let mut w = rt.spawn_worker();
+    let mut blocks = Vec::new();
+    while heap_end - rt.heap().frontier() >= 8192 + 64 {
+        let got = w.txn(|tx| (0..16).map(|_| tx.alloc(24)).collect::<Result<Vec<_>, _>>());
+        blocks.extend(got);
+    }
+    assert!(blocks.len() > 10_000, "{} blocks", blocks.len());
+    for chunk in blocks.chunks(16) {
+        w.txn(|tx| {
+            for &b in chunk {
+                tx.free(b);
+            }
+            Ok(())
+        });
+    }
+    assert_eq!(rt.heap().bytes_allocated(), 0, "everything was freed");
+    for i in 0..64u64 {
+        let p = w.txn(|tx| {
+            let p = tx.alloc(264)?;
+            tx.write(&S_ESC, p, i)?;
+            Ok(p)
+        });
+        assert_eq!(w.load(p), i);
+    }
 }

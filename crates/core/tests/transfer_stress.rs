@@ -5,7 +5,7 @@
 //!
 //! This is the regression net for the scalability refactor: 8 workers
 //! hammer the GV4 commit clock (winners, adopters, clock-silent read-only
-//! audits) and the sharded allocator (every transfer allocates and frees a
+//! audits) and the page heap (every transfer allocates and frees a
 //! scratch block) at once, while the invariant check catches any lost or
 //! double-applied update.
 
@@ -67,8 +67,8 @@ fn run_stress(cfg: TxConfig, nested: bool) {
                     let amount = 1 + rng.next() % 9;
                     let abort_child = rng.next().is_multiple_of(2);
                     w.txn(|tx| {
-                        // Captured scratch block: exercises the sharded
-                        // allocator and the capture fast paths from every
+                        // Captured scratch block: exercises the page
+                        // heap and the capture fast paths from every
                         // thread at once.
                         let scratch = tx.alloc(4 * 8)?;
                         tx.write(&S_SCRATCH, scratch, amount)?;

@@ -12,60 +12,33 @@ pub const SIZE_CLASSES: [u64; 16] = [
     16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 4096, 8192,
 ];
 
-/// Largest payload served from the size-class fast path.
+/// Largest payload served from a block page.
 pub const MAX_SMALL_BYTES: u64 = SIZE_CLASSES[SIZE_CLASSES.len() - 1] - HEADER_BYTES;
 
-/// Every block (size-class or nursery-bump) starts with one word holding
-/// its total byte count; the payload address is `block + HEADER_BYTES`.
+/// Every block (small, nursery or large) starts with one word holding its
+/// total byte count; the payload address is `block + HEADER_BYTES`.
 pub const HEADER_BYTES: u64 = WORD_BYTES;
 const NCLASSES: usize = SIZE_CLASSES.len();
-/// Bytes per nursery region: one largest-size-class block, so regions are
-/// carved from and recycled to the very same lock-free frontier /
-/// recycled-block shards that back ordinary allocations.
-pub const NURSERY_REGION_BYTES: u64 = SIZE_CLASSES[NCLASSES - 1];
-const REGION_CLASS: usize = NCLASSES - 1;
+/// The heap is cut into pages of this size (the largest class). A page is
+/// free, a block page, or part of a large run.
+pub const PAGE_BYTES: u64 = SIZE_CLASSES[NCLASSES - 1];
 /// Largest *total* block size (header included) served from a nursery
-/// region; bigger blocks take the classic allocation path. Half a region,
-/// so a region always fits at least two of the biggest nursery blocks.
-pub const NURSERY_MAX_BLOCK_BYTES: u64 = NURSERY_REGION_BYTES / 2;
+/// region; bigger blocks take the classic path. Half a page, so a free
+/// page always fits at least two of the biggest nursery blocks.
+pub const NURSERY_MAX_BLOCK_BYTES: u64 = PAGE_BYTES / 2;
+/// One nursery region held on a page, in the page's count.
+const HELD: u64 = 1 << 32;
 
 /// Round a payload request up to the size-class block total (header
 /// included) the allocator would serve it with; `None` for large blocks.
 /// Nursery bump allocation uses the same rounding so a nursery block is
-/// byte-for-byte identical to a free-list block: `usable_size` and `free`
-/// work on it unchanged, and a post-commit `free` recycles it into the
-/// ordinary class shards.
+/// byte-for-byte identical to any other small block: `usable_size` and
+/// `free` work on it unchanged.
 #[inline]
 pub fn small_block_total(payload: u64) -> Option<u64> {
     let total = (payload.max(1) + HEADER_BYTES).div_ceil(WORD_BYTES) * WORD_BYTES;
     size_to_class(total).map(|c| SIZE_CLASSES[c])
 }
-/// How many blocks a thread pulls from / spills to a shard pool at once.
-const BATCH: usize = 16;
-/// Byte cap on one frontier carve: a refill takes `BATCH` blocks for small
-/// classes but never more than this many bytes, so a thread refilling a
-/// large class (worst case the 8 KiB nursery-region class) cannot hoard
-/// `BATCH × 8 KiB = 128 KiB` in its private cache — on a small heap a few
-/// concurrently-refilling threads would exhaust the frontier with almost
-/// all of the carved memory sitting idle in per-thread lists.
-const BATCH_BYTES_MAX: u64 = 8192;
-/// Largest block a thread keeps *recycled* copies of privately. A private
-/// list is invisible to every other thread until it outgrows
-/// [`SPILL_AT`], so what it holds is stranded: harmless for the small,
-/// hot classes the cache exists for, but a class that sees few requests
-/// never reaches the spill threshold, and on an exhausted frontier its
-/// blocks sit in the freeing threads' caches while the allocating thread
-/// finds none (a pool whose items are level-sized asks for 256- and
-/// 384-byte blocks once in 128 and 2048 inserts). Bigger blocks are
-/// therefore freed straight to the home shard and taken back one at a
-/// time — an uncontended lock per call on the classes where calls are
-/// rare and hoarding costs most (one region-class block is 8 KiB).
-const CACHED_BLOCK_MAX: u64 = 128;
-/// A thread free list longer than this spills half back to its home shard.
-const SPILL_AT: usize = 64;
-/// Recycled-block pool shards (power of two). Threads stripe over shards by
-/// id, so with up to `NSHARDS` allocating threads no two convoy on one lock.
-pub const NSHARDS: usize = 8;
 
 /// Allocation failure: the simulated heap is exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,70 +62,150 @@ fn size_to_class(total: u64) -> Option<usize> {
     SIZE_CLASSES.iter().position(|&c| c >= total)
 }
 
-/// Does a thread keep recycled blocks of `class` in its private cache?
-fn cached(class: usize) -> bool {
-    SIZE_CLASSES[class] <= CACHED_BLOCK_MAX
+/// The largest class a free extent of `len` bytes fits.
+fn largest_class(len: u64) -> Option<usize> {
+    SIZE_CLASSES.iter().rposition(|&c| c <= len)
 }
 
-/// One stripe of the recycled-block pool: per-class free lists behind its
-/// own (cache-line-padded) lock.
-struct Shard {
-    free: [Vec<u64>; NCLASSES],
-}
+/// A set of pages, one bit each, lowest first.
+struct PageSet(Vec<u64>);
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            free: std::array::from_fn(|_| Vec::new()),
-        }
+impl PageSet {
+    fn insert(&mut self, p: usize) {
+        self.0[p / 64] |= 1 << (p % 64);
+    }
+
+    fn remove(&mut self, p: usize) {
+        self.0[p / 64] &= !(1 << (p % 64));
+    }
+
+    fn first(&self) -> Option<usize> {
+        let w = self.0.iter().position(|&w| w != 0)?;
+        Some(w * 64 + self.0[w].trailing_zeros() as usize)
     }
 }
 
-/// Per-thread allocator state: segregated free lists that serve allocations
-/// without any locking, refilled from the shared [`TxHeap`] pool in batches.
-pub struct ThreadAlloc {
-    free: Vec<Vec<u64>>,
-    /// Which pool shard this thread refills from / spills to
-    /// (`stripe % NSHARDS`); workers use their thread id.
-    stripe: usize,
-    /// Number of blocks this thread allocated (for tests/telemetry).
-    pub alloc_count: u64,
-    /// Number of blocks this thread freed.
-    pub free_count: u64,
-}
+/// Free space on a block page is tracked in granules of the smallest
+/// class: every block starts on one, and a page has 512 of them.
+const GRANULE: u64 = SIZE_CLASSES[0];
+const GRANULES: usize = (PAGE_BYTES / GRANULE) as usize;
 
-impl Default for ThreadAlloc {
-    fn default() -> Self {
-        ThreadAlloc::new()
-    }
-}
+/// One page's free granules, one bit each. Runs of set bits are the free
+/// extents, so freed neighbours merge by construction.
+#[derive(Clone, Copy, Default)]
+struct Granules([u64; GRANULES / 64]);
 
-impl ThreadAlloc {
-    pub fn new() -> ThreadAlloc {
-        ThreadAlloc::with_stripe(0)
-    }
-
-    /// A thread allocator striped to pool shard `stripe % NSHARDS`. Using
-    /// the worker's thread id keeps shard choice deterministic (important
-    /// for the differential dispatch tests, where allocation addresses feed
-    /// the lossy capture filter) while spreading concurrent workers over
-    /// all shards.
-    pub fn with_stripe(stripe: usize) -> ThreadAlloc {
-        ThreadAlloc {
-            free: (0..NCLASSES).map(|_| Vec::new()).collect(),
-            stripe: stripe % NSHARDS,
-            alloc_count: 0,
-            free_count: 0,
+impl Granules {
+    /// Mark granules `a..b` free or used.
+    fn mark(&mut self, a: usize, b: usize, free: bool) {
+        for w in a / 64..b.div_ceil(64) {
+            let (lo, hi) = (a.max(w * 64) - w * 64, b.min(w * 64 + 64) - w * 64);
+            let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+            if free {
+                self.0[w] |= mask;
+            } else {
+                self.0[w] &= !mask;
+            }
         }
     }
 
-    pub fn stripe(&self) -> usize {
-        self.stripe
+    /// The first granule at or after `i` that is free (`free`) or used;
+    /// `GRANULES` if none.
+    fn next(&self, mut i: usize, free: bool) -> usize {
+        while i < GRANULES {
+            let w = (self.0[i / 64] ^ if free { 0 } else { u64::MAX }) >> (i % 64);
+            if w != 0 {
+                return i + w.trailing_zeros() as usize;
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        GRANULES
+    }
+
+    /// One past the last used granule below `i`; 0 if none.
+    fn run_start(&self, mut i: usize) -> usize {
+        while i > 0 {
+            let w = (i - 1) / 64;
+            let used = !self.0[w] & (u64::MAX >> (63 - (i - 1) % 64));
+            if used != 0 {
+                return w * 64 + 64 - used.leading_zeros() as usize;
+            }
+            i = w * 64;
+        }
+        0
+    }
+
+    /// The free runs `(first, end)`, lowest first.
+    fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            let a = self.next(i, true);
+            i = self.next(a, false);
+            (a < GRANULES).then_some((a, i))
+        })
     }
 }
 
-/// The shared heap: a McRT-Malloc-style size-class allocator over the heap
-/// region of the simulated memory.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// Small blocks of any class, and the regions nurseries bump in; a
+    /// block page with no block and no region on it is a free page.
+    Blocks,
+    Large,
+    /// Below a frontier restored after a crash: holds replayed blocks and
+    /// never returns to the pool.
+    Recovered,
+}
+
+/// One page's state, behind the heap lock (its count is in
+/// [`TxHeap::count`]).
+#[derive(Clone, Copy)]
+struct Page {
+    kind: Kind,
+    /// A nursery took a region here (its return counts as nursery bytes).
+    nursery: bool,
+    /// Free space of a block page.
+    free: Granules,
+    /// At least the bytes in the longest free run, and in the same class:
+    /// carving below that class recomputes it, a free past it raises it.
+    longest: u64,
+}
+
+/// Everything behind the heap lock.
+struct Pages {
+    page: Vec<Page>,
+    /// Block pages with free space, by the largest class their longest
+    /// free run fits, lowest first. The last set holds the free pages.
+    fits: [PageSet; NCLASSES],
+    /// Pages below this index have been handed out at least once.
+    fresh: usize,
+}
+
+/// What the heap holds, for diagnosing exhaustion ([`TxHeap::census`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Census {
+    /// Live bytes per size class (published nursery blocks included).
+    pub class_live: [u64; NCLASSES],
+    /// Free bytes on block pages, by the largest class each free extent
+    /// can serve.
+    pub class_free: [u64; NCLASSES],
+    /// Pages below the frontier, by state: free, block pages no nursery
+    /// holds a region on, block pages one does, large runs, recovered.
+    pub free_pages: u64,
+    pub block_pages: u64,
+    pub nursery_pages: u64,
+    pub large_pages: u64,
+    pub recovered_pages: u64,
+    /// Block pages no nursery holds that one or two live blocks keep out
+    /// of the pool.
+    pub pinned_pages: u64,
+    /// Bytes above the frontier, never handed out.
+    pub frontier_left: u64,
+}
+
+/// The shared heap: size-class blocks on 8 KiB pages over the heap region
+/// of the simulated memory, after McRT-Malloc's segregated classes and
+/// mimalloc's pages that own their free lists.
 ///
 /// The allocator itself is *not* transactional: the STM layer on top logs
 /// transactional allocations and frees, undoing allocations on abort and
@@ -160,46 +213,50 @@ impl ThreadAlloc {
 /// transactional memory allocator wraps a scalable malloc (ref \[11\]) and the
 /// allocation log lives in the transaction descriptor.
 ///
-/// Concurrency structure (no single global lock):
-/// * the bump frontier is an atomic — fresh batches are carved with one CAS;
-/// * recycled blocks live in [`NSHARDS`] thread-striped shards, each behind
-///   its own cache-line-padded lock, so refill/spill traffic from different
-///   threads never contends on one mutex;
-/// * only the (rare) large-block free list keeps a single lock.
+/// Every page is free, a block page that counts its live blocks and keeps
+/// its free space as merging runs, or part of a large run; a page whose
+/// last block dies goes back to the pool (DESIGN §5.2). Choices are lowest
+/// page first, so addresses are deterministic for a single thread. All of
+/// it sits behind one lock, except bumping in a nursery region and counting
+/// the blocks a commit publishes.
 pub struct TxHeap {
     mem: Arc<SharedMem>,
-    /// Next unused byte of the heap region; carved lock-free by CAS.
-    bump: CachePadded<AtomicU64>,
-    /// One past the last heap byte.
-    end: u64,
-    /// Recycled size-class blocks, striped by thread id.
-    shards: Box<[CachePadded<Mutex<Shard>>]>,
-    /// Blocks per class currently held by all shards together, moved
-    /// under the owning shard's lock with every push and drain — so a
-    /// refill of a class no shard holds is one load, not [`NSHARDS`]
-    /// lock round-trips (the nursery retries its region carve on every
-    /// allocation once the frontier is gone). The `Release` updates pair
-    /// with the `Acquire` load in [`TxHeap::pooled`]: a thread that
-    /// learns of a push by any synchronizing route also sees the count.
-    pooled: [AtomicU64; NCLASSES],
-    /// Free large blocks: (block start, total bytes). Rare path, one lock.
-    large_free: Mutex<Vec<(u64, u64)>>,
-    /// Total bytes handed out (telemetry; relaxed).
+    /// First heap byte; page `p` starts at `start + p * PAGE_BYTES`.
+    start: u64,
+    /// One past the highest page ever handed out.
+    frontier: CachePadded<AtomicU64>,
+    pages: CachePadded<Mutex<Pages>>,
+    /// Per page: live blocks, plus [`HELD`] per nursery region on it.
+    /// Changed under the heap lock, except that a commit counts the
+    /// nursery blocks it publishes without it.
+    count: Box<[AtomicU64]>,
+    /// Live blocks per class (census).
+    live: [AtomicU64; NCLASSES],
+    /// Live payload bytes (telemetry; relaxed).
     bytes_allocated: CachePadded<AtomicU64>,
 }
 
 impl TxHeap {
     pub fn new(mem: Arc<SharedMem>) -> TxHeap {
         let l = *mem.layout();
+        let npages = ((l.heap_end - l.heap_start) / PAGE_BYTES) as usize;
+        let free = Page {
+            kind: Kind::Blocks,
+            nursery: false,
+            free: Granules::default(),
+            longest: 0,
+        };
         TxHeap {
             mem,
-            bump: CachePadded::new(AtomicU64::new(l.heap_start)),
-            end: l.heap_end,
-            shards: (0..NSHARDS)
-                .map(|_| CachePadded::new(Mutex::new(Shard::new())))
-                .collect(),
-            pooled: std::array::from_fn(|_| AtomicU64::new(0)),
-            large_free: Mutex::new(Vec::new()),
+            start: l.heap_start,
+            frontier: CachePadded::new(AtomicU64::new(l.heap_start)),
+            pages: CachePadded::new(Mutex::new(Pages {
+                page: vec![free; npages],
+                fits: std::array::from_fn(|_| PageSet(vec![0; npages.div_ceil(64)])),
+                fresh: 0,
+            })),
+            count: (0..npages).map(|_| AtomicU64::new(0)).collect(),
+            live: std::array::from_fn(|_| AtomicU64::new(0)),
             bytes_allocated: CachePadded::new(AtomicU64::new(0)),
         }
     }
@@ -209,193 +266,238 @@ impl TxHeap {
         &self.mem
     }
 
-    /// Carve up to `want` contiguous blocks of `block_bytes` from the bump
-    /// frontier with a single CAS; returns (first block, count). Fewer
-    /// blocks (down to one) when the heap is nearly full.
-    fn carve_chunk(&self, block_bytes: u64, want: usize) -> Option<(u64, usize)> {
-        let mut b = self.bump.load(Ordering::Relaxed);
-        loop {
-            let take = (((self.end - b) / block_bytes) as usize).min(want);
-            if take == 0 {
-                return None;
+    fn lock(&self) -> std::sync::MutexGuard<'_, Pages> {
+        self.pages
+            .lock()
+            .expect("heap lock poisoned: a panic inside the allocator")
+    }
+
+    #[inline]
+    fn page_of(&self, addr: u64) -> usize {
+        ((addr - self.start) / PAGE_BYTES) as usize
+    }
+
+    #[inline]
+    fn page_addr(&self, p: usize) -> u64 {
+        self.start + p as u64 * PAGE_BYTES
+    }
+
+    /// Take the lowest run of `n` free pages, counting the never-used
+    /// pages above the frontier as free, all of them in use as `kind`.
+    fn take_run(&self, pg: &mut Pages, n: usize, kind: Kind) -> Option<usize> {
+        let first = if n == 1 {
+            pg.fits[NCLASSES - 1].first().unwrap_or(pg.fresh)
+        } else {
+            let free = |p: usize| p >= pg.fresh || pg.page[p].longest == PAGE_BYTES;
+            (0..pg.page.len()).find(|&p| (p..p + n).all(free))?
+        };
+        if first + n > pg.page.len() {
+            return None;
+        }
+        for p in first..first + n {
+            pg.page[p].free = Granules::default();
+            pg.page[p].kind = kind;
+            self.refile(pg, p, 0);
+        }
+        if first + n > pg.fresh {
+            pg.fresh = first + n;
+            self.frontier
+                .store(self.page_addr(pg.fresh), Ordering::Release);
+        }
+        Some(first)
+    }
+
+    /// Send page `p`, on which no block is live and no nursery holds a
+    /// region, back to the pool: all of it free.
+    fn return_page(&self, pg: &mut Pages, p: usize) {
+        let page = &mut pg.page[p];
+        page.kind = Kind::Blocks;
+        page.nursery = false;
+        page.free.mark(0, GRANULES, true);
+        self.refile(pg, p, PAGE_BYTES);
+    }
+
+    /// Set page `p`'s longest free run and file it in `fits` by its class.
+    fn refile(&self, pg: &mut Pages, p: usize, longest: u64) {
+        let old = largest_class(pg.page[p].longest);
+        pg.page[p].longest = longest;
+        let new = largest_class(longest);
+        if old != new {
+            if let Some(k) = old {
+                pg.fits[k].remove(p);
             }
-            let next = b + take as u64 * block_bytes;
-            match self
-                .bump
-                .compare_exchange_weak(b, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some((b, take)),
-                Err(cur) => b = cur,
+            if let Some(k) = new {
+                pg.fits[k].insert(p);
             }
         }
+    }
+
+    /// Take `bytes` from the start of page `p`'s lowest free run that fits
+    /// them; returns their address.
+    fn take_extent(&self, pg: &mut Pages, p: usize, bytes: u64) -> u64 {
+        let page = &mut pg.page[p];
+        let want = (bytes / GRANULE) as usize;
+        let run = page.free.runs().find(|&(a, b)| b - a >= want);
+        let (a, end) = run.expect("the page's longest run fits");
+        let (run, rest) = (end - a, end - a - want);
+        page.free.mark(a, a + want, false);
+        // Only a run that reached the page's class can move it to another.
+        let top = SIZE_CLASSES[largest_class(page.longest).expect("a page with room")];
+        if run as u64 * GRANULE >= top && (rest as u64 * GRANULE) < top {
+            let longest = page.free.runs().map(|(a, b)| b - a).max().unwrap_or(0);
+            self.refile(pg, p, longest as u64 * GRANULE);
+        }
+        self.page_addr(p) + a as u64 * GRANULE
     }
 
     /// Allocate `size` payload bytes; returns the payload address (header is
     /// at `addr - 8`). The payload is zeroed.
-    pub fn alloc(&self, ta: &mut ThreadAlloc, size: u64) -> Result<Addr, AllocError> {
+    pub fn alloc(&self, size: u64) -> Result<Addr, AllocError> {
         let size = size.max(1);
-        let total = (size + HEADER_BYTES).div_ceil(WORD_BYTES) * WORD_BYTES;
+        let mut total = (size + HEADER_BYTES).div_ceil(WORD_BYTES) * WORD_BYTES;
+        let mut pg = self.lock();
         let block = match size_to_class(total) {
-            Some(class) => {
-                let cls_total = SIZE_CLASSES[class];
-                let block = match ta.free[class].pop() {
-                    Some(b) => b,
-                    None => self
-                        .refill(ta, class)
-                        .ok_or(AllocError { requested: size })?,
-                };
-                self.mem.store_private(Addr(block), cls_total);
-                block
+            Some(c) => {
+                total = SIZE_CLASSES[c];
+                self.small_block(&mut pg, c)
             }
             None => self
-                .alloc_large(total)
-                .ok_or(AllocError { requested: size })?,
+                .take_run(&mut pg, total.div_ceil(PAGE_BYTES) as usize, Kind::Large)
+                .map(|p| self.page_addr(p)),
         };
-        ta.alloc_count += 1;
+        drop(pg);
+        let block = block.ok_or(AllocError { requested: size })?;
+        self.mem.store_private(Addr(block), total);
         let payload = Addr(block + HEADER_BYTES);
-        let usable = self.usable_size(payload);
-        self.mem.zero_range(payload, usable);
-        self.bytes_allocated.fetch_add(usable, Ordering::Relaxed);
+        self.mem.zero_range(payload, total - HEADER_BYTES);
+        self.bytes_allocated
+            .fetch_add(total - HEADER_BYTES, Ordering::Relaxed);
         Ok(payload)
     }
 
-    /// Drain up to [`BATCH`] recycled blocks of `class` (just one of an
-    /// uncached class) from `shard` into the thread cache; returns one of
-    /// them if the shard had any.
-    fn take_batch(&self, ta: &mut ThreadAlloc, shard: usize, class: usize) -> Option<u64> {
-        let mut s = self.shards[shard].lock().unwrap();
-        let want = if cached(class) { BATCH } else { 1 };
-        let take = s.free[class].len().min(want);
-        if take == 0 {
-            return None;
-        }
-        let at = s.free[class].len() - take;
-        ta.free[class].extend(s.free[class].drain(at..));
-        self.pooled[class].fetch_sub(take as u64, Ordering::Release);
-        ta.free[class].pop()
-    }
-
-    /// Does any shard hold a recycled block of `class`?
-    #[inline]
-    fn pooled(&self, class: usize) -> bool {
-        self.pooled[class].load(Ordering::Acquire) > 0
-    }
-
-    fn refill(&self, ta: &mut ThreadAlloc, class: usize) -> Option<u64> {
-        let cls_total = SIZE_CLASSES[class];
-        // Prefer recycled blocks from the home shard.
-        let home = ta.stripe;
-        if self.pooled(class) {
-            if let Some(b) = self.take_batch(ta, home, class) {
-                return Some(b);
+    /// A block of class `c`: from the lowest page among those whose
+    /// longest extent fits the smallest class that still fits `c`, at its
+    /// lowest extent that fits; else from a fresh page.
+    fn small_block(&self, pg: &mut Pages, c: usize) -> Option<u64> {
+        let class = SIZE_CLASSES[c];
+        let p = match (c..NCLASSES).find_map(|k| pg.fits[k].first()) {
+            Some(p) => p,
+            None => {
+                let p = self.take_run(pg, 1, Kind::Blocks)?;
+                self.return_page(pg, p); // a fresh page, all of it free
+                p
             }
-        }
-        // Carve a fresh batch from the bump frontier — one CAS, no lock,
-        // byte-capped so large classes refill a block or two at a time.
-        let want = BATCH.min((BATCH_BYTES_MAX / cls_total).max(1) as usize);
-        if let Some((start, n)) = self.carve_chunk(cls_total, want) {
-            for i in 0..n {
-                ta.free[class].push(start + i as u64 * cls_total);
-            }
-            return ta.free[class].pop();
-        }
-        // Frontier exhausted: steal recycled blocks from the other shards,
-        // if any shard has one.
-        if !self.pooled(class) {
-            return None;
-        }
-        (1..NSHARDS).find_map(|d| self.take_batch(ta, (home + d) % NSHARDS, class))
+        };
+        let block = self.take_extent(pg, p, class);
+        self.count[p].fetch_add(1, Ordering::Relaxed);
+        self.live[c].fetch_add(1, Ordering::Relaxed);
+        Some(block)
     }
 
-    fn alloc_large(&self, total: u64) -> Option<u64> {
-        // First fit over the large free list.
-        {
-            let mut large = self.large_free.lock().unwrap();
-            if let Some(i) = large.iter().position(|&(_, sz)| sz >= total) {
-                let (a, sz) = large.swap_remove(i);
-                self.mem.store_private(Addr(a), sz);
-                return Some(a);
-            }
-        }
-        let (a, _) = self.carve_chunk(total, 1)?;
-        self.mem.store_private(Addr(a), total);
-        Some(a)
-    }
-
-    /// Free a block previously returned by [`TxHeap::alloc`].
-    pub fn free(&self, ta: &mut ThreadAlloc, addr: Addr) {
+    /// Free a block previously returned by [`TxHeap::alloc`], or a
+    /// published nursery block. Returns the bytes of a nursery page this
+    /// free sent back to the pool (0 or [`PAGE_BYTES`]; telemetry).
+    pub fn free(&self, addr: Addr) -> u64 {
         assert!(!addr.is_null(), "free(NULL)");
         let block = addr.0 - HEADER_BYTES;
         let total = self.mem.load_private(Addr(block));
-        ta.free_count += 1;
+        let p = self.page_of(block);
+        let mut pg = self.lock();
+        let kind = pg.page[p].kind;
+        if kind == Kind::Recovered {
+            return 0; // a replayed block: never counted, it leaks
+        }
         self.bytes_allocated
             .fetch_sub(total - HEADER_BYTES, Ordering::Relaxed);
-        match size_to_class(total) {
-            Some(class) if SIZE_CLASSES[class] == total => {
-                self.push_block(ta, class, block);
+        if kind == Kind::Large {
+            for q in p..p + total.div_ceil(PAGE_BYTES) as usize {
+                self.return_page(&mut pg, q);
             }
-            _ => {
-                self.large_free.lock().unwrap().push((block, total));
+            return 0;
+        }
+        debug_assert_eq!(kind, Kind::Blocks);
+        self.live[size_to_class(total).expect("a small block")].fetch_sub(1, Ordering::Relaxed);
+        self.drop_count(&mut pg, p, 1, (block, block + total))
+    }
+
+    /// Take `by` off page `p`'s count and free `[s, e)`: the whole page
+    /// goes back to the pool if the count reaches zero. Returns the nursery
+    /// bytes sent back.
+    fn drop_count(&self, pg: &mut Pages, p: usize, by: u64, (s, e): (u64, u64)) -> u64 {
+        if self.count[p].fetch_sub(by, Ordering::AcqRel) != by {
+            if s < e {
+                let granule = |addr| ((addr - self.page_addr(p)) / GRANULE) as usize;
+                let (a, b, free) = (granule(s), granule(e), &mut pg.page[p].free);
+                free.mark(a, b, true);
+                // The merged run is the only one that grew.
+                let run = (free.next(b, false) - free.run_start(a)) as u64 * GRANULE;
+                if run > pg.page[p].longest {
+                    self.refile(pg, p, run);
+                }
             }
+            return 0;
         }
+        let bytes = PAGE_BYTES * u64::from(pg.page[p].nursery);
+        self.return_page(pg, p);
+        bytes
     }
 
-    /// Return a class-sized block to the thread's free list, spilling half
-    /// to the home shard when the list grows past [`SPILL_AT`] — or all of
-    /// it at once for a class too big to cache ([`CACHED_BLOCK_MAX`]).
-    fn push_block(&self, ta: &mut ThreadAlloc, class: usize, block: u64) {
-        ta.free[class].push(block);
-        let keep = cached(class);
-        if !keep || ta.free[class].len() > SPILL_AT {
-            let spill_at = if keep { ta.free[class].len() / 2 } else { 0 };
-            let mut s = self.shards[ta.stripe].lock().unwrap();
-            let spilled = ta.free[class].drain(spill_at..);
-            self.pooled[class].fetch_add(spilled.len() as u64, Ordering::Release);
-            s.free[class].extend(spilled);
-        }
+    // Nursery regions: a worker bumps class-rounded blocks (with ordinary
+    // headers) in one across transactions. A block counts on its page
+    // once a commit publishes it; blocks that die inside their
+    // transaction are never counted.
+
+    /// Take a nursery region for a block of `total` bytes: the lowest free
+    /// page, or else the largest class-sized piece of the longest free run
+    /// on any block page. Returns `[start, end)`; `None` when nothing fits.
+    pub fn take_nursery_region(&self, total: u64) -> Option<(u64, u64)> {
+        let mut pg = self.lock();
+        let (p, start, len) = match self.take_run(&mut pg, 1, Kind::Blocks) {
+            Some(p) => (p, self.page_addr(p), PAGE_BYTES),
+            None => {
+                let c = size_to_class(total)?;
+                let (k, p) = (c..NCLASSES)
+                    .rev()
+                    .find_map(|k| Some((k, pg.fits[k].first()?)))?;
+                (
+                    p,
+                    self.take_extent(&mut pg, p, SIZE_CLASSES[k]),
+                    SIZE_CLASSES[k],
+                )
+            }
+        };
+        pg.page[p].nursery = true;
+        self.count[p].fetch_add(HELD, Ordering::Relaxed);
+        Some((start, start + len))
     }
 
-    // ------------------------------------------------------------------
-    // Nursery regions (transaction-local bump allocation).
-    //
-    // A nursery region is one largest-size-class block used as raw space:
-    // the transaction bump-allocates class-rounded blocks (with ordinary
-    // headers) inside it. Because regions are just class blocks, carving
-    // comes from — and whole-region recycling returns to — the existing
-    // frontier/shard machinery, with no new allocator state.
-    // ------------------------------------------------------------------
-
-    /// Carve one [`NURSERY_REGION_BYTES`] region for a transaction's
-    /// nursery; `None` when the simulated heap is exhausted.
-    pub fn carve_region(&self, ta: &mut ThreadAlloc) -> Option<u64> {
-        match ta.free[REGION_CLASS].pop() {
-            Some(b) => Some(b),
-            None => self.refill(ta, REGION_CLASS),
-        }
+    /// Count a nursery block a commit is about to publish. Must happen
+    /// before any other thread can reach the block (and free it); its
+    /// region is held, so the page cannot go back to the pool meanwhile.
+    #[inline]
+    pub fn publish_nursery_block(&self, addr: Addr, usable: u64) {
+        self.count[self.page_of(addr.0)].fetch_add(1, Ordering::Relaxed);
+        let c = size_to_class(usable + HEADER_BYTES).expect("a small block");
+        self.live[c].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Try to grow a region whose end is exactly the current bump frontier
-    /// by [`NURSERY_REGION_BYTES`] in place — one CAS, succeeding only if
-    /// no other thread carved in between (the contiguity the nursery's
-    /// scalar range test needs).
-    pub fn try_extend_region(&self, hi: u64) -> bool {
-        let next = hi + NURSERY_REGION_BYTES;
-        if next > self.end {
-            return false;
-        }
-        self.bump
-            .compare_exchange(hi, next, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
+    /// Let go of the nursery region `[start, end)` taken with
+    /// [`TxHeap::take_nursery_region`], whose bump stopped at `bump`: the
+    /// space above it is free again. Returns the bytes sent back to the
+    /// pool: the page if no block on it is live and no other region is
+    /// held on it, else 0.
+    pub fn release_nursery_region(&self, start: u64, bump: u64, end: u64) -> u64 {
+        let mut pg = self.lock();
+        self.drop_count(&mut pg, self.page_of(start), HELD, (bump, end))
     }
 
     /// Initialize a nursery bump block at `block` (a class-rounded `total`
     /// from [`small_block_total`]): write the header, zero the payload,
     /// account the bytes. The result is indistinguishable from a block
     /// returned by [`TxHeap::alloc`].
-    pub fn init_nursery_block(&self, ta: &mut ThreadAlloc, block: u64, total: u64) -> Addr {
+    pub fn init_nursery_block(&self, block: u64, total: u64) -> Addr {
         debug_assert_eq!(size_to_class(total).map(|c| SIZE_CLASSES[c]), Some(total));
         self.mem.store_private(Addr(block), total);
-        ta.alloc_count += 1;
         let payload = Addr(block + HEADER_BYTES);
         let usable = total - HEADER_BYTES;
         self.mem.zero_range(payload, usable);
@@ -403,70 +505,13 @@ impl TxHeap {
         payload
     }
 
-    /// Drop `usable` bytes from the live-byte telemetry without touching
-    /// any free list — used when nursery memory is reclaimed wholesale
-    /// (bump-back, hole punch, abort-time region recycling), where the
-    /// space returns via the region itself rather than `free`. An abort
-    /// settles all of a transaction's nursery blocks with one call.
+    /// Drop `usable` bytes from the live-byte telemetry for nursery blocks
+    /// that die inside their transaction (bump-back, hole, abort): they
+    /// were never counted on their page, so they never pass through
+    /// `free`. An abort settles all of a transaction's nursery blocks with
+    /// one call.
     pub fn forget_live_bytes(&self, usable: u64) {
         self.bytes_allocated.fetch_sub(usable, Ordering::Relaxed);
-    }
-
-    /// Recycle a headered class block (e.g. a nursery block whose free was
-    /// deferred to commit) straight onto the thread's class free list —
-    /// never the large-block lock. Byte accounting must already have been
-    /// settled via [`TxHeap::forget_live_bytes`].
-    pub fn recycle_block(&self, ta: &mut ThreadAlloc, addr: Addr) {
-        let block = addr.0 - HEADER_BYTES;
-        let total = self.mem.load_private(Addr(block));
-        let class = size_to_class(total).expect("nursery blocks are class-sized");
-        debug_assert_eq!(SIZE_CLASSES[class], total);
-        self.push_block(ta, class, block);
-    }
-
-    /// Return an arbitrary (16-byte-granular) byte range — a whole aborted
-    /// nursery region, or the unused tail trimmed at commit — to the
-    /// recycled shards, splitting it greedily into size-class blocks.
-    /// A full region is a single push (O(1) per region); partial tails
-    /// split into at most a handful of pieces. Returns the bytes recycled.
-    pub fn recycle_region_range(&self, ta: &mut ThreadAlloc, start: u64, len: u64) -> u64 {
-        debug_assert!(start.is_multiple_of(WORD_BYTES) && len.is_multiple_of(WORD_BYTES));
-        let mut a = start;
-        let end = start + len;
-        while end - a >= SIZE_CLASSES[0] {
-            let rem = end - a;
-            let class = SIZE_CLASSES
-                .iter()
-                .rposition(|&c| c <= rem)
-                .expect("rem >= smallest class");
-            self.push_block(ta, class, a);
-            a += SIZE_CLASSES[class];
-        }
-        a - start
-    }
-
-    /// Return every cached block of a retiring thread allocator to its
-    /// home shard. A [`ThreadAlloc`] dropped with a populated cache
-    /// strands those blocks — no other thread can reach a private free
-    /// list — so a workload that cycles workers (or scoped threads that
-    /// exit while others still run) would slowly bleed the heap dry.
-    /// Workers call this on drop.
-    pub fn release(&self, ta: &mut ThreadAlloc) {
-        if ta.free.iter().all(|l| l.is_empty()) {
-            return;
-        }
-        let mut s = self.shards[ta.stripe].lock().unwrap();
-        for (class, list) in ta.free.iter_mut().enumerate() {
-            self.pooled[class].fetch_add(list.len() as u64, Ordering::Release);
-            s.free[class].append(list);
-        }
-    }
-
-    /// Free large blocks currently parked behind the single large-block
-    /// lock (diagnostics; lets tests assert small-block churn never takes
-    /// the global lock path).
-    pub fn large_free_blocks(&self) -> usize {
-        self.large_free.lock().unwrap().len()
     }
 
     /// Usable payload bytes of an allocated block. The capture log records
@@ -482,22 +527,59 @@ impl TxHeap {
         self.bytes_allocated.load(Ordering::Relaxed)
     }
 
-    /// Current bump frontier (byte address one past the highest carved
-    /// block). The durable checkpointer snapshots `[heap_start, frontier)`;
-    /// everything above the frontier has never been allocated and is
-    /// guaranteed zero.
+    /// One past the highest page ever handed out. The durable checkpointer
+    /// snapshots `[heap_start, frontier)`; everything above the frontier
+    /// has never been allocated and is guaranteed zero.
     pub fn frontier(&self) -> u64 {
-        self.bump.load(Ordering::Acquire)
+        self.frontier.load(Ordering::Acquire)
     }
 
-    /// Restore the bump frontier after crash recovery, so that new
-    /// allocations are carved strictly above every replayed block. Only
-    /// moves the frontier forward; free-list state is *not* recovered
-    /// (recycled blocks that were on a free list at the crash leak, which
-    /// costs space, never correctness).
+    /// Restore the frontier after crash recovery, so that new allocations
+    /// land strictly above every replayed block. Only moves the frontier
+    /// forward; the pages below it stay out of the pool for good (what was
+    /// free at the crash leaks, which costs space, never correctness).
     pub fn restore_frontier(&self, v: u64) {
-        debug_assert!(v >= self.mem.layout().heap_start && v <= self.mem.layout().heap_end);
-        self.bump.fetch_max(v, Ordering::AcqRel);
+        let l = self.mem.layout();
+        debug_assert!(v >= l.heap_start && v <= l.heap_end);
+        let mut pg = self.lock();
+        let p = (v.saturating_sub(self.start).div_ceil(PAGE_BYTES) as usize).min(pg.page.len());
+        if p > pg.fresh {
+            for q in pg.fresh..p {
+                pg.page[q].kind = Kind::Recovered;
+            }
+            pg.fresh = p;
+            self.frontier.store(self.page_addr(p), Ordering::Release);
+        }
+    }
+
+    /// What the heap holds now: bytes per class, pages by state, pages
+    /// one or two live blocks pin, and what is left above the frontier.
+    pub fn census(&self) -> Census {
+        let pg = self.lock();
+        let mut c = Census {
+            frontier_left: self.mem.layout().heap_end - self.frontier(),
+            ..Census::default()
+        };
+        c.class_live =
+            std::array::from_fn(|k| self.live[k].load(Ordering::Relaxed) * SIZE_CLASSES[k]);
+        for (p, page) in pg.page[..pg.fresh].iter().enumerate() {
+            let count = self.count[p].load(Ordering::Relaxed);
+            match page.kind {
+                _ if page.longest == PAGE_BYTES => c.free_pages += 1,
+                Kind::Large => c.large_pages += 1,
+                Kind::Recovered => c.recovered_pages += 1,
+                Kind::Blocks if count >= HELD => c.nursery_pages += 1,
+                Kind::Blocks => c.block_pages += 1,
+            }
+            if matches!(count, 1 | 2) {
+                c.pinned_pages += 1;
+            }
+            for (a, b) in page.free.runs() {
+                let bytes = (b - a) as u64 * GRANULE;
+                c.class_free[largest_class(bytes).expect("a run holds a block")] += bytes;
+            }
+        }
+        c
     }
 }
 
@@ -506,17 +588,50 @@ mod tests {
     use super::*;
     use crate::mem::MemConfig;
 
-    fn mk() -> (Arc<SharedMem>, TxHeap, ThreadAlloc) {
+    fn mk() -> (Arc<SharedMem>, TxHeap) {
         let mem = Arc::new(SharedMem::new(MemConfig::small()));
         let heap = TxHeap::new(mem.clone());
-        (mem, heap, ThreadAlloc::new())
+        (mem, heap)
+    }
+
+    /// Allocate 8-byte blocks until the heap is exhausted.
+    fn burn(heap: &TxHeap) {
+        while heap.alloc(8).is_ok() {}
+    }
+
+    /// Take a whole free page as a nursery region.
+    fn nursery_page(heap: &TxHeap) -> Option<u64> {
+        heap.take_nursery_region(PAGE_BYTES).map(|(s, _)| s)
+    }
+
+    fn small_class(payload: u64) -> usize {
+        size_to_class(small_block_total(payload).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn granule_runs_cross_words_and_merge() {
+        let mut g = Granules::default();
+        g.mark(60, 70, true);
+        g.mark(130, 200, true);
+        assert_eq!(g.runs().collect::<Vec<_>>(), [(60, 70), (130, 200)]);
+        g.mark(70, 130, true);
+        assert_eq!(
+            g.runs().collect::<Vec<_>>(),
+            [(60, 200)],
+            "neighbours merge"
+        );
+        g.mark(100, 101, false);
+        assert_eq!(g.runs().collect::<Vec<_>>(), [(60, 100), (101, 200)]);
+        g.mark(0, GRANULES, true);
+        assert_eq!(g.runs().collect::<Vec<_>>(), [(0, GRANULES)]);
+        assert_eq!((g.run_start(GRANULES), g.next(0, false)), (0, GRANULES));
     }
 
     #[test]
     fn alloc_returns_zeroed_disjoint_blocks() {
-        let (mem, heap, mut ta) = mk();
-        let a = heap.alloc(&mut ta, 24).unwrap();
-        let b = heap.alloc(&mut ta, 24).unwrap();
+        let (mem, heap) = mk();
+        let a = heap.alloc(24).unwrap();
+        let b = heap.alloc(24).unwrap();
         assert_ne!(a, b);
         for i in 0..3 {
             assert_eq!(mem.load(a.word(i)), 0);
@@ -527,40 +642,44 @@ mod tests {
 
     #[test]
     fn usable_size_covers_request() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         for req in [1u64, 8, 16, 24, 100, 1000, 4000] {
-            let a = heap.alloc(&mut ta, req).unwrap();
+            let a = heap.alloc(req).unwrap();
             assert!(heap.usable_size(a) >= req, "req={req}");
         }
     }
 
     #[test]
     fn free_then_alloc_reuses_memory() {
-        let (_, heap, mut ta) = mk();
-        let a = heap.alloc(&mut ta, 32).unwrap();
-        heap.free(&mut ta, a);
-        let b = heap.alloc(&mut ta, 32).unwrap();
-        assert_eq!(a, b, "size-class free list should recycle LIFO");
+        let (_, heap) = mk();
+        let keep = heap.alloc(32).unwrap();
+        let a = heap.alloc(32).unwrap();
+        heap.free(a);
+        let b = heap.alloc(32).unwrap();
+        assert_eq!(a, b, "a page's free list recycles LIFO");
+        assert_ne!(keep, b);
     }
 
     #[test]
     fn large_allocations_roundtrip() {
-        let (mem, heap, mut ta) = mk();
+        let (mem, heap) = mk();
         let big = MAX_SMALL_BYTES + 1000;
-        let a = heap.alloc(&mut ta, big).unwrap();
+        let a = heap.alloc(big).unwrap();
         assert!(heap.usable_size(a) >= big);
         mem.store(a.word(1000), 5);
-        heap.free(&mut ta, a);
-        let b = heap.alloc(&mut ta, big).unwrap();
-        assert_eq!(a, b, "large free list should recycle");
+        assert_eq!(heap.census().large_pages, 2, "a run of whole pages");
+        heap.free(a);
+        assert_eq!(heap.census().free_pages, 2, "the run's pages go back");
+        let b = heap.alloc(big).unwrap();
+        assert_eq!(a, b, "the lowest free run serves the next large block");
     }
 
     #[test]
     fn exhaustion_reports_error_not_panic() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         let mut n = 0u64;
         loop {
-            match heap.alloc(&mut ta, 4096) {
+            match heap.alloc(4096) {
                 Ok(_) => n += 1,
                 Err(e) => {
                     assert_eq!(e.requested, 4096);
@@ -570,178 +689,178 @@ mod tests {
             assert!(n < 1 << 20, "heap never exhausted?");
         }
         assert!(n > 10);
+        assert_eq!(heap.census().frontier_left, 0);
     }
 
     #[test]
     fn bytes_allocated_tracks_live_data() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         let before = heap.bytes_allocated();
-        let a = heap.alloc(&mut ta, 100).unwrap();
+        let a = heap.alloc(100).unwrap();
         assert!(heap.bytes_allocated() > before);
-        heap.free(&mut ta, a);
+        heap.free(a);
         assert_eq!(heap.bytes_allocated(), before);
     }
 
     #[test]
     fn frontier_tracks_carves_and_restores_forward_only() {
-        let (mem, heap, mut ta) = mk();
+        let (mem, heap) = mk();
         let start = heap.frontier();
         assert_eq!(start, mem.layout().heap_start);
-        let a = heap.alloc(&mut ta, 100).unwrap();
+        let a = heap.alloc(100).unwrap();
         let after = heap.frontier();
-        assert!(after > start, "carving a batch moves the frontier");
+        assert_eq!(after, start + PAGE_BYTES, "one class page taken");
         assert!(a.0 < after, "blocks live below the frontier");
         heap.restore_frontier(start); // backward restore is a no-op
         assert_eq!(heap.frontier(), after);
+        // A restore rounds up to a page: the partly covered page is pinned.
         heap.restore_frontier(after + 4096);
-        assert_eq!(heap.frontier(), after + 4096);
-        // New allocations land above the restored frontier once the
-        // pre-carved batch is used up.
-        let mut last = a;
-        for _ in 0..64 {
-            last = heap.alloc(&mut ta, 100).unwrap();
-        }
-        assert!(heap.frontier() >= after + 4096);
-        assert!(!last.is_null());
+        assert_eq!(heap.frontier(), after + PAGE_BYTES);
+        assert_eq!(heap.census().recovered_pages, 1);
+        // A replayed block there was never counted: its free leaks it.
+        let replayed = Addr(after + HEADER_BYTES);
+        heap.mem().store_private(Addr(after), 64);
+        let live = heap.bytes_allocated();
+        assert_eq!(heap.free(replayed), 0);
+        assert_eq!(heap.bytes_allocated(), live);
+        // New pages land above the restored frontier.
+        let p = nursery_page(&heap).unwrap();
+        assert_eq!(p, after + PAGE_BYTES);
+        assert_eq!(heap.frontier(), after + 2 * PAGE_BYTES);
     }
 
     #[test]
     fn refill_carves_are_byte_capped_for_large_classes() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         let start = heap.frontier();
-        // First region-class carve: exactly one region's worth, not a
-        // BATCH × region hoard.
-        let r = heap.carve_region(&mut ta).expect("fresh heap has a region");
-        assert_eq!(r, start, "regions carve from the frontier");
-        assert_eq!(
-            heap.frontier() - start,
-            NURSERY_REGION_BYTES,
-            "one region-class refill must carve one region"
-        );
-        // A small class still batches (BATCH blocks fit under the cap).
+        // A nursery page is one page, never a hoard of them.
+        let r = nursery_page(&heap).expect("fresh heap has a page");
+        assert_eq!(r, start, "pages come lowest first");
+        assert_eq!(heap.frontier() - start, PAGE_BYTES);
+        // A small block takes one page, and blocks of any class that fit
+        // come from the same page; one that does not fit takes one more.
         let before = heap.frontier();
-        let a = heap.alloc(&mut ta, 8).unwrap();
-        assert!(!a.is_null());
+        heap.alloc(8).unwrap();
+        assert_eq!(heap.frontier() - before, PAGE_BYTES);
+        heap.alloc(4000).unwrap();
+        heap.alloc(1000).unwrap();
         assert_eq!(
             heap.frontier() - before,
-            BATCH as u64 * SIZE_CLASSES[0],
-            "small classes keep the full batch"
+            PAGE_BYTES,
+            "the page serves again"
         );
+        heap.alloc(MAX_SMALL_BYTES).unwrap();
+        assert_eq!(heap.frontier() - before, 2 * PAGE_BYTES);
     }
 
     #[test]
     fn released_thread_cache_is_reachable_by_successors() {
-        let (_, heap, mut ta1) = mk();
-        // Fill ta1's private cache: a freed block goes to the thread list,
-        // not the shard (below SPILL_AT nothing spills).
-        let a = heap.alloc(&mut ta1, 56).unwrap();
-        heap.free(&mut ta1, a);
+        let (_, heap) = mk();
+        let keep = heap.alloc(56).unwrap();
+        // A thread frees a block and exits; nothing of it is private.
+        let a = std::thread::scope(|s| {
+            s.spawn(|| {
+                let a = heap.alloc(56).unwrap();
+                heap.free(a);
+                a
+            })
+            .join()
+            .unwrap()
+        });
         let frontier = heap.frontier();
-        // Without release, a successor on the same stripe would re-carve.
-        heap.release(&mut ta1);
-        let mut ta2 = ThreadAlloc::new();
-        assert_eq!(ta1.stripe(), ta2.stripe());
-        let b = heap.alloc(&mut ta2, 56).unwrap();
-        assert_eq!(a, b, "the released block must be recycled first");
-        assert_eq!(heap.frontier(), frontier, "no fresh carve needed");
+        let b = heap.alloc(56).unwrap();
+        assert_eq!(a, b, "the freed block is recycled first");
+        assert_eq!(heap.frontier(), frontier, "no fresh page needed");
+        assert_ne!(keep, b);
     }
 
     #[test]
     fn cross_thread_recycling_via_shared_shard() {
-        let (_, heap, mut ta1) = mk();
-        let mut ta2 = ThreadAlloc::new();
-        assert_eq!(ta1.stripe(), ta2.stripe(), "same stripe shares a shard");
-        // Thread 1 allocates and frees enough to spill to its home shard.
-        let blocks: Vec<_> = (0..SPILL_AT + 10)
-            .map(|_| heap.alloc(&mut ta1, 56).unwrap())
-            .collect();
-        for b in blocks {
-            heap.free(&mut ta1, b);
-        }
-        // Thread 2 (same stripe) should be able to pull recycled blocks.
-        let x = heap.alloc(&mut ta2, 56).unwrap();
-        assert!(!x.is_null());
+        let (_, heap) = mk();
+        // Thread 1 allocates two pages' worth of one class and frees all
+        // but one block: the first page stays open, the second goes back.
+        let per_page = (PAGE_BYTES / 64) as usize;
+        let blocks: Vec<_> = (0..2 * per_page).map(|_| heap.alloc(56).unwrap()).collect();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for &b in &blocks[1..] {
+                    heap.free(b);
+                }
+            });
+        });
+        let c = heap.census();
+        assert_eq!((c.block_pages, c.free_pages, c.pinned_pages), (1, 1, 1));
+        // Thread 2 gets those blocks back without a fresh page.
+        let frontier = heap.frontier();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 1..2 * per_page {
+                    let x = heap.alloc(56).unwrap();
+                    assert!(blocks.contains(&x));
+                }
+            });
+        });
+        assert_eq!(heap.frontier(), frontier);
     }
 
     #[test]
     fn cross_shard_stealing_on_exhaustion() {
-        let (_, heap, mut ta1) = mk();
-        // Fill thread 1's home shard with recycled blocks, then burn the
-        // bump frontier down below one smallest-class block, so a 56-byte
-        // refill can neither use its (empty) home shard nor carve.
-        let blocks: Vec<_> = (0..SPILL_AT + 10)
-            .map(|_| heap.alloc(&mut ta1, 56).unwrap())
-            .collect();
-        for &b in &blocks {
-            heap.free(&mut ta1, b);
+        let (_, heap) = mk();
+        // Exhaust the heap, then free blocks on a page: another thread's
+        // 56-byte request is served from them rather than reported as
+        // exhaustion.
+        let blocks: Vec<_> = (0..10).map(|_| heap.alloc(56).unwrap()).collect();
+        burn(&heap);
+        for &b in &blocks[1..] {
+            heap.free(b);
         }
-        while heap.alloc(&mut ta1, 8).is_ok() {}
-        // A thread striped to a *different* shard must steal thread 1's
-        // recycled blocks rather than report exhaustion.
-        let mut ta2 = ThreadAlloc::with_stripe(ta1.stripe() + 1);
-        assert_ne!(ta1.stripe(), ta2.stripe());
-        let x = heap
-            .alloc(&mut ta2, 56)
-            .expect("exhausted frontier must fall back to stealing");
-        assert!(
-            blocks.contains(&x),
-            "steal must return one of the blocks thread 1 recycled"
-        );
+        let x = std::thread::scope(|s| s.spawn(|| heap.alloc(56)).join().unwrap())
+            .expect("an exhausted frontier must fall back to free blocks");
+        assert!(blocks.contains(&x));
     }
 
     #[test]
     fn failed_region_carve_succeeds_as_soon_as_a_region_is_recycled() {
-        let (_, heap, mut ta1) = mk();
-        // Hold every region the frontier can supply.
+        let (_, heap) = mk();
+        // Hold every page the heap has.
         let mut held = Vec::new();
-        while let Some(r) = heap.carve_region(&mut ta1) {
+        while let Some(r) = nursery_page(&heap) {
             held.push(r);
         }
-        // A second thread on another stripe finds nothing — and keeps
-        // finding nothing, without the empty answer going stale.
-        let mut ta2 = ThreadAlloc::with_stripe(ta1.stripe() + 1);
-        assert_eq!(heap.carve_region(&mut ta2), None);
-        assert_eq!(heap.carve_region(&mut ta2), None);
-        // Thread 1 recycles one region (to its home shard — regions are
-        // too big to cache): the very next carve anywhere must see it.
+        assert_eq!(nursery_page(&heap), None);
+        assert_eq!(nursery_page(&heap), None);
+        // A page let go of with nothing published on it is free at once.
         let region = held.pop().unwrap();
         assert_eq!(
-            heap.recycle_region_range(&mut ta1, region, NURSERY_REGION_BYTES),
-            NURSERY_REGION_BYTES
+            heap.release_nursery_region(region, region, region + PAGE_BYTES),
+            PAGE_BYTES
         );
-        assert_eq!(heap.carve_region(&mut ta2), Some(region));
-        assert_eq!(heap.carve_region(&mut ta2), None, "and the count drains");
+        assert_eq!(nursery_page(&heap), Some(region));
+        assert_eq!(nursery_page(&heap), None, "and it is taken");
     }
 
     #[test]
     fn big_blocks_are_never_stranded_in_a_private_cache() {
-        let (_, heap, mut ta1) = mk();
-        // Thread 1 owns every 200-byte block there will ever be (its
-        // frontier batch); the frontier is then burnt.
-        let a = heap.alloc(&mut ta1, 200).unwrap();
-        while heap.alloc(&mut ta1, 8).is_ok() {}
-        let mut ta2 = ThreadAlloc::with_stripe(ta1.stripe() + 1);
-        assert!(heap.alloc(&mut ta2, 200).is_err(), "nothing to serve it");
-        // Thread 1 frees one block — far below any spill threshold — and
-        // thread 2 can have it at once.
-        heap.free(&mut ta1, a);
-        assert_eq!(heap.alloc(&mut ta2, 200), Ok(a));
-    }
-
-    #[test]
-    fn stripes_wrap_over_shards() {
-        assert_eq!(ThreadAlloc::with_stripe(0).stripe(), 0);
-        assert_eq!(ThreadAlloc::with_stripe(NSHARDS).stripe(), 0);
-        assert_eq!(ThreadAlloc::with_stripe(NSHARDS + 3).stripe(), 3);
+        let (_, heap) = mk();
+        // Fill one 256-byte class page, then burn the frontier.
+        let blocks: Vec<_> = (0..PAGE_BYTES / 256)
+            .map(|_| heap.alloc(200).unwrap())
+            .collect();
+        burn(&heap);
+        assert!(heap.alloc(200).is_err(), "nothing to serve it");
+        // One free, and another thread can have the block at once.
+        heap.free(blocks[3]);
+        let b = std::thread::scope(|s| s.spawn(|| heap.alloc(200)).join().unwrap());
+        assert_eq!(b, Ok(blocks[3]));
     }
 
     #[test]
     fn small_block_total_matches_alloc_rounding() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         for req in [1u64, 7, 8, 24, 100, 1000, 4000] {
             let total = small_block_total(req).unwrap();
             assert!(total - HEADER_BYTES >= req);
-            let a = heap.alloc(&mut ta, req).unwrap();
+            let a = heap.alloc(req).unwrap();
             assert_eq!(heap.usable_size(a), total - HEADER_BYTES, "req={req}");
         }
         assert_eq!(small_block_total(MAX_SMALL_BYTES + 1), None);
@@ -749,82 +868,224 @@ mod tests {
 
     #[test]
     fn nursery_blocks_are_ordinary_blocks() {
-        // A bump block initialized inside a carved region must satisfy
-        // usable_size and free exactly like a free-list block.
-        let (mem, heap, mut ta) = mk();
-        let region = heap.carve_region(&mut ta).expect("region");
+        // A bump block initialized on a nursery page satisfies usable_size
+        // and free exactly like a class block.
+        let (mem, heap) = mk();
+        let page = nursery_page(&heap).expect("page");
         let total = small_block_total(100).unwrap();
-        let a = heap.init_nursery_block(&mut ta, region, total);
+        let a = heap.init_nursery_block(page, total);
         assert_eq!(heap.usable_size(a), total - HEADER_BYTES);
         for i in 0..(total - HEADER_BYTES) / 8 {
             assert_eq!(mem.load(a.word(i)), 0, "payload zeroed");
         }
-        // Publish-then-free: the block recycles into the class shards, not
-        // the large-block lock.
-        let large_before = heap.large_free_blocks();
-        heap.free(&mut ta, a);
-        assert_eq!(heap.large_free_blocks(), large_before);
-        let b = heap.alloc(&mut ta, 100).unwrap();
-        assert_eq!(a, b, "freed nursery block is LIFO-recycled");
+        // Published, the block keeps its page out of the pool after the
+        // worker lets go; its free sends the whole page back.
+        heap.publish_nursery_block(a, total - HEADER_BYTES);
+        assert_eq!(heap.census().nursery_pages, 1);
+        assert_eq!(
+            heap.release_nursery_region(page, page + total, page + PAGE_BYTES),
+            0
+        );
+        assert_eq!(heap.census().block_pages, 1);
+        assert_eq!(heap.free(a), PAGE_BYTES);
+        assert_eq!(heap.bytes_allocated(), 0);
+        assert_eq!(heap.alloc(100).unwrap().0, page + HEADER_BYTES);
+    }
+
+    #[test]
+    fn freed_nursery_blocks_serve_their_class() {
+        let (_, heap) = mk();
+        let page = nursery_page(&heap).expect("page");
+        let total = small_block_total(100).unwrap();
+        let a = heap.init_nursery_block(page, total);
+        let b = heap.init_nursery_block(page + total, total);
+        heap.publish_nursery_block(a, total - HEADER_BYTES);
+        heap.publish_nursery_block(b, total - HEADER_BYTES);
+        // Let go with the bump after b: the rest of the page is free.
+        assert_eq!(
+            heap.release_nursery_region(page, page + 2 * total, page + PAGE_BYTES),
+            0
+        );
+        // A dead published block is free space of its page too: a request
+        // it fits reuses it before taking a page.
+        assert_eq!(heap.free(a), 0);
+        let frontier = heap.frontier();
+        assert_eq!(heap.alloc(100), Ok(a));
+        assert_eq!(heap.alloc(40).unwrap().0 - HEADER_BYTES, page + 2 * total);
+        assert_eq!(heap.frontier(), frontier);
+        assert_eq!(heap.census().class_live[small_class(100)], 2 * total);
+    }
+
+    #[test]
+    fn freed_neighbours_merge_for_a_larger_class() {
+        let (_, heap) = mk();
+        // Fill one page with 64-byte blocks, then free eight neighbours.
+        let blocks: Vec<_> = (0..PAGE_BYTES / 64)
+            .map(|_| heap.alloc(56).unwrap())
+            .collect();
+        for &b in &blocks[10..18] {
+            heap.free(b);
+        }
+        assert_eq!(heap.census().class_free[small_class(500)], 512);
+        let frontier = heap.frontier();
+        assert_eq!(heap.alloc(500), Ok(blocks[10]), "one merged extent");
+        assert_eq!(heap.frontier(), frontier);
     }
 
     #[test]
     fn region_recycling_roundtrips() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         let before = heap.bytes_allocated();
-        let region = heap.carve_region(&mut ta).expect("region");
-        // Whole-region recycle is a single class push.
+        let page = nursery_page(&heap).expect("page");
+        // Two published blocks: the page waits for both, held or not.
+        let total = small_block_total(40).unwrap();
+        let a = heap.init_nursery_block(page, total);
+        let b = heap.init_nursery_block(page + total, total);
+        heap.publish_nursery_block(a, total - HEADER_BYTES);
+        heap.publish_nursery_block(b, total - HEADER_BYTES);
+        assert_eq!(heap.free(a), 0, "the worker still holds the page");
         assert_eq!(
-            heap.recycle_region_range(&mut ta, region, NURSERY_REGION_BYTES),
-            NURSERY_REGION_BYTES
+            heap.release_nursery_region(page, page + 2 * total, page + PAGE_BYTES),
+            0,
+            "b is live"
         );
-        // A 16-byte-granular tail splits with nothing left over.
-        let region2 = heap.carve_region(&mut ta).expect("region");
-        let tail = NURSERY_REGION_BYTES - 4096 - 48;
-        assert_eq!(
-            heap.recycle_region_range(&mut ta, region2 + 4096 + 48, tail),
-            tail
-        );
-        assert_eq!(
-            heap.bytes_allocated(),
-            before,
-            "regions never count as live"
-        );
-    }
-
-    #[test]
-    fn try_extend_region_needs_the_frontier() {
-        let (_, heap, mut ta) = mk();
-        // Burn the thread cache so carving hits the frontier, then carve a
-        // fresh batch: the *last* block of the carved batch ends at the
-        // frontier and can extend; earlier ones cannot.
-        let mut regions = Vec::new();
-        for _ in 0..BATCH + 1 {
-            regions.push(heap.carve_region(&mut ta).expect("region"));
-        }
-        regions.sort_unstable();
-        let last_end = regions.last().unwrap() + NURSERY_REGION_BYTES;
-        assert!(!heap.try_extend_region(regions[0] + NURSERY_REGION_BYTES));
-        assert!(heap.try_extend_region(last_end));
-        assert!(
-            !heap.try_extend_region(last_end),
-            "the frontier moved; the same edge cannot extend twice"
-        );
+        assert_eq!(heap.census().pinned_pages, 1);
+        assert_eq!(heap.free(b), PAGE_BYTES);
+        assert_eq!(heap.bytes_allocated(), before, "no byte leaks");
+        // Back in the pool, the page serves as anything again.
+        assert_eq!(nursery_page(&heap), Some(page));
     }
 
     #[test]
     fn forget_and_recycle_block_settle_accounting() {
-        let (_, heap, mut ta) = mk();
+        let (_, heap) = mk();
         let before = heap.bytes_allocated();
-        let region = heap.carve_region(&mut ta).expect("region");
+        let page = nursery_page(&heap).expect("page");
         let total = small_block_total(40).unwrap();
-        let a = heap.init_nursery_block(&mut ta, region, total);
+        heap.init_nursery_block(page, total);
         assert_eq!(heap.bytes_allocated(), before + total - HEADER_BYTES);
+        // The block dies unpublished: forgetting its bytes is all it takes,
+        // and the page comes back whole.
         heap.forget_live_bytes(total - HEADER_BYTES);
         assert_eq!(heap.bytes_allocated(), before);
-        heap.recycle_block(&mut ta, a);
-        let b = heap.alloc(&mut ta, 40).unwrap();
-        assert_eq!(a, b, "recycled block is on the class free list");
+        assert_eq!(
+            heap.release_nursery_region(page, page + total, page + PAGE_BYTES),
+            PAGE_BYTES
+        );
+        assert_eq!(heap.alloc(40).unwrap().0, page + HEADER_BYTES);
+    }
+
+    #[test]
+    fn pages_emptied_by_another_thread_serve_a_different_class() {
+        let (_, heap) = mk();
+        // One thread allocates 64-byte blocks until every page it took is
+        // full; a second thread frees them all.
+        let per_page = (PAGE_BYTES / 64) as usize;
+        let blocks: Vec<_> = (0..4 * per_page).map(|_| heap.alloc(56).unwrap()).collect();
+        let frontier = heap.frontier();
+        assert_eq!(heap.census().block_pages, 4);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for &b in &blocks {
+                    heap.free(b);
+                }
+            });
+        });
+        assert_eq!(heap.census().free_pages, 4, "every page came back");
+        // A different class and a nursery page come from those pages.
+        let lo = heap.mem().layout().heap_start;
+        for _ in 0..3 * (PAGE_BYTES / 512) {
+            let x = heap.alloc(500).unwrap();
+            assert!(x.0 < frontier);
+        }
+        let n = nursery_page(&heap).unwrap();
+        assert!(n >= lo && n < frontier);
+        assert_eq!(heap.frontier(), frontier, "the frontier did not move");
+    }
+
+    /// Random small and large allocations and frees, with nursery regions
+    /// taken and let go of in between: after every step each page sits in
+    /// the `fits` set of its longest free run's class, and no live block
+    /// overlaps free space.
+    #[test]
+    fn page_bookkeeping_holds_under_random_churn() {
+        let (_, heap) = mk();
+        let check = |heap: &TxHeap, live: &[Addr]| {
+            let pg = heap.lock();
+            for (p, page) in pg.page.iter().enumerate() {
+                let truth = page.free.runs().map(|(a, b)| b - a).max().unwrap_or(0);
+                let k = largest_class(truth as u64 * GRANULE);
+                assert_eq!(largest_class(page.longest), k, "page {p}");
+                for (c, set) in pg.fits.iter().enumerate() {
+                    assert_eq!(set.0[p / 64] >> (p % 64) & 1 == 1, k == Some(c));
+                }
+            }
+            for &a in live {
+                let block = a.0 - HEADER_BYTES;
+                let p = heap.page_of(block);
+                let g = ((block - heap.page_addr(p)) / GRANULE) as usize;
+                if pg.page[p].kind == Kind::Blocks {
+                    assert!(
+                        pg.page[p].free.next(g, true) > g,
+                        "live block on free space"
+                    );
+                }
+            }
+        };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rnd = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut live = Vec::new();
+        let mut region: Option<(u64, u64, u64)> = None;
+        for step in 0..3000 {
+            match rnd(10) {
+                0..=5 => {
+                    let size = if rnd(50) == 0 { 9000 } else { 1 + rnd(700) };
+                    if let Ok(a) = heap.alloc(size) {
+                        live.push(a);
+                    }
+                }
+                6..=8 if !live.is_empty() => {
+                    let a = live.swap_remove(rnd(live.len() as u64) as usize);
+                    heap.free(a);
+                }
+                _ => match region.take() {
+                    Some((s, b, e)) => {
+                        heap.release_nursery_region(s, b, e);
+                    }
+                    None => {
+                        if let Some((s, e)) = heap.take_nursery_region(256) {
+                            // Publish one block at the start of it.
+                            let a = heap.init_nursery_block(s, 256);
+                            heap.publish_nursery_block(a, 256 - HEADER_BYTES);
+                            live.push(a);
+                            region = Some((s, s + 256, e));
+                        }
+                    }
+                },
+            }
+            if step % 7 == 0 {
+                check(&heap, &live);
+            }
+        }
+        if let Some((s, b, e)) = region {
+            heap.release_nursery_region(s, b, e);
+        }
+        for a in live.drain(..) {
+            heap.free(a);
+        }
+        check(&heap, &live);
+        let c = heap.census();
+        assert_eq!(heap.bytes_allocated(), 0);
+        assert_eq!(
+            (c.block_pages, c.nursery_pages, c.large_pages),
+            (0, 0, 0),
+            "{c:?}"
+        );
     }
 
     #[test]
@@ -836,13 +1097,12 @@ mod tests {
         }));
         let heap = Arc::new(TxHeap::new(mem));
         let mut handles = Vec::new();
-        for t in 0..4 {
+        for _ in 0..4 {
             let heap = heap.clone();
             handles.push(std::thread::spawn(move || {
-                let mut ta = ThreadAlloc::with_stripe(t);
                 let mut addrs = Vec::new();
                 for i in 0..500 {
-                    addrs.push(heap.alloc(&mut ta, 16 + (i % 5) * 24).unwrap());
+                    addrs.push(heap.alloc(16 + (i % 5) * 24).unwrap());
                 }
                 addrs
             }));
@@ -859,8 +1119,9 @@ mod tests {
 
     #[test]
     fn concurrent_alloc_free_churn_across_shards() {
-        // Alloc/free churn from every stripe at once: spills, refills and
-        // steals must never hand out an address twice concurrently.
+        // Alloc/free churn from several threads at once, nursery pages
+        // included: no address is handed out twice concurrently, and once
+        // everything is freed every page is back in the pool.
         let mem = Arc::new(SharedMem::new(MemConfig {
             max_threads: 8,
             stack_words: 1 << 10,
@@ -868,30 +1129,56 @@ mod tests {
         }));
         let heap = Arc::new(TxHeap::new(mem));
         std::thread::scope(|s| {
-            for t in 0..NSHARDS {
+            for t in 0..4u64 {
                 let heap = heap.clone();
                 s.spawn(move || {
-                    let mut ta = ThreadAlloc::with_stripe(t);
                     let mut live = Vec::new();
+                    let mut page = nursery_page(&heap).unwrap();
+                    let mut bump = page;
                     for i in 0..2000u64 {
-                        live.push(heap.alloc(&mut ta, 8 + (i % 7) * 16).unwrap());
+                        let total = small_block_total(8 + (i % 7) * 16).unwrap();
+                        if i % 4 == 0 {
+                            if bump + total > page + PAGE_BYTES {
+                                heap.release_nursery_region(page, bump, page + PAGE_BYTES);
+                                page = nursery_page(&heap).unwrap();
+                                bump = page;
+                            }
+                            let a = heap.init_nursery_block(bump, total);
+                            heap.publish_nursery_block(a, total - HEADER_BYTES);
+                            bump += total;
+                            live.push(a);
+                        } else {
+                            live.push(heap.alloc(total - HEADER_BYTES).unwrap());
+                        }
                         if i % 3 != 0 {
-                            let idx = (i as usize * 7 + t) % live.len();
+                            let idx = (i as usize * 7 + t as usize) % live.len();
                             let a = live.swap_remove(idx);
-                            heap.mem().store(a, t as u64 + 1);
-                            heap.free(&mut ta, a);
+                            heap.mem().store(a, t + 1);
+                            heap.free(a);
                         }
                     }
                     // Every still-live block is private to this thread:
                     // write a tag and verify nobody else scribbled on it.
                     for (i, &a) in live.iter().enumerate() {
-                        heap.mem().store(a, (t as u64) << 32 | i as u64);
+                        heap.mem().store(a, t << 32 | i as u64);
                     }
                     for (i, &a) in live.iter().enumerate() {
-                        assert_eq!(heap.mem().load(a), (t as u64) << 32 | i as u64);
+                        assert_eq!(heap.mem().load(a), t << 32 | i as u64);
+                    }
+                    heap.release_nursery_region(page, bump, page + PAGE_BYTES);
+                    for a in live {
+                        heap.free(a);
                     }
                 });
             }
         });
+        let c = heap.census();
+        assert_eq!(heap.bytes_allocated(), 0, "no byte leaks");
+        assert_eq!(
+            (c.block_pages, c.nursery_pages, c.large_pages),
+            (0, 0, 0),
+            "churn returns every page: {c:?}"
+        );
+        assert_eq!(c.class_live, [0; NCLASSES]);
     }
 }

@@ -13,9 +13,12 @@
 //!   shared address space, with an explicit stack pointer exactly like the
 //!   paper's Figure 3 (`start_sp` is recorded by the STM at transaction
 //!   begin; `sp` is the live stack top).
-//! * [`TxHeap`]/[`ThreadAlloc`] — a size-class allocator with per-thread free
-//!   lists, a lock-free bump frontier, and thread-striped recycled-block
-//!   shards, mirroring McRT-Malloc (paper ref \[11\]) without any global lock.
+//! * [`TxHeap`] — a size-class allocator over 8 KiB pages, after
+//!   McRT-Malloc (paper ref \[11\]) and mimalloc: each page is free, a block
+//!   page that counts its live blocks and keeps its free space as merging
+//!   runs (nursery regions included), or part of a large run, and a page
+//!   whose last block dies goes back to the pool, where it can serve
+//!   anything.
 //!
 //! All transactional workloads (the STAMP-like suite, the `txcc` VM) store
 //! their data in this address space, which is what makes the paper's capture
@@ -30,8 +33,8 @@ mod stack;
 
 pub use addr::{words_to_bytes, Addr, NULL, WORD_BYTES};
 pub use alloc::{
-    small_block_total, AllocError, ThreadAlloc, TxHeap, HEADER_BYTES, MAX_SMALL_BYTES, NSHARDS,
-    NURSERY_MAX_BLOCK_BYTES, NURSERY_REGION_BYTES, SIZE_CLASSES,
+    small_block_total, AllocError, Census, TxHeap, HEADER_BYTES, MAX_SMALL_BYTES,
+    NURSERY_MAX_BLOCK_BYTES, PAGE_BYTES, SIZE_CLASSES,
 };
 pub use mem::{MemConfig, MemLayout, SharedMem};
 pub use pad::CachePadded;

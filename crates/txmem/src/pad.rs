@@ -1,7 +1,7 @@
 //! Cache-line padding for hot shared state.
 //!
 //! Fields that different threads hammer concurrently (the commit clock, the
-//! allocator's bump frontier, per-shard locks, global statistics) must not
+//! allocator's frontier and lock, global statistics) must not
 //! share a cache line, or every update by one thread invalidates the line
 //! under every other thread — false sharing that serializes otherwise
 //! independent work. [`CachePadded`] aligns (and therefore pads) its
