@@ -107,14 +107,7 @@ impl<'rt> WorkerCtx<'rt> {
                 && self.frees.is_empty(),
             "stale transaction logs at begin"
         );
-        self.cm_enter(); // before the quiesce gate, see its docs
-        if self.durable_on {
-            // Join the checkpointer's quiesce protocol: the checkpoint
-            // reads the clock with no transaction active, so every ticket
-            // of a transaction admitted later exceeds the snapshot clock
-            // (DESIGN §11.3).
-            self.rt.durable.as_ref().unwrap().enter_active();
-        }
+        self.cm_enter();
         // `rv` is the snapshot this worker carried over, a clock value it
         // already observed (`clock.rs` module docs).
         self.depth = 1;
@@ -174,7 +167,14 @@ impl<'rt> WorkerCtx<'rt> {
         if self.locks.is_empty() {
             // Read-only (or fully-elided) transaction: incremental
             // validation already guaranteed a consistent snapshot at `rv`;
-            // the commit is clock-silent.
+            // the commit is clock-silent. A durable one with something to
+            // log may still append a record: it announces, so a checkpoint
+            // drains it or turns it away before it counts (DESIGN.md §11.3).
+            let appends = self.durable_on && !(self.undo.is_empty() && self.allocs.is_empty());
+            if appends && self.cm_announce().is_err() {
+                self.rollback_top();
+                return false;
+            }
             self.stats.commits_ro += 1;
             self.durable_prepare(None);
             self.nursery_publish();
@@ -259,9 +259,6 @@ impl<'rt> WorkerCtx<'rt> {
             let delta = std::mem::take(&mut self.pending);
             self.stats.absorb(&delta);
         }
-        if self.durable_on {
-            self.rt.durable.as_ref().unwrap().exit_active();
-        }
         self.committed = false;
         self.cm_exit();
     }
@@ -287,11 +284,6 @@ impl<'rt> WorkerCtx<'rt> {
         self.nursery_forget();
         self.sp_marks.clear();
         self.depth = 0;
-        if self.durable_on {
-            // Nothing after `exit_active` in the tail can panic, so the
-            // panic came before it: the quiesce gate is still held.
-            self.rt.durable.as_ref().unwrap().exit_active();
-        }
         self.cm_exit();
     }
 
@@ -359,11 +351,6 @@ impl<'rt> WorkerCtx<'rt> {
         self.stats.aborts += 1;
         let delta = std::mem::take(&mut self.pending);
         self.stats.absorb(&delta);
-        if self.durable_on {
-            // Aborts wrote nothing to the redo buffer (records are encoded
-            // only on the commit path), so only the quiesce gate unwinds.
-            self.rt.durable.as_ref().unwrap().exit_active();
-        }
         self.cm_exit();
     }
 

@@ -25,6 +25,9 @@
 //!    chronic aborters serialize instead of livelocking, and no retry
 //!    count is fatal.
 //!
+//! The token is also the one way to stop the world: a durable runtime's
+//! checkpointer takes it and runs the same drain (DESIGN.md §11.3).
+//!
 //! The soundness argument for the token (why "solo ⇒ commits") and the
 //! liveness bound it yields are laid out in DESIGN.md §12; the
 //! `liveness_oracle` integration test exercises both under injected
@@ -149,13 +152,14 @@ impl ChaosPlan {
 /// Shared contention-manager state on the runtime: the serialization token
 /// and the per-thread active flags its drain protocol scans.
 ///
-/// `token` holds `0` when free and `tid + 1` while thread `tid` serializes.
-/// `active[t]` is set from thread `t`'s first orec lock acquisition to the
-/// end of that (non-token) transaction; readers and captured-only
-/// writers never raise it. Both sides of the announce/acquire race use
-/// `SeqCst` so the classic Dekker argument applies: a writer stores its
-/// flag *then* loads the token, an acquirer CASes the token *then* scans
-/// the flags — in the single total order one of them must see the other.
+/// `token` holds `0` when free, `tid + 1` while thread `tid` serializes,
+/// `u64::MAX` during a checkpoint. `active[t]` is set from thread `t`'s
+/// first orec lock acquisition (or durable lock-free record) to the end of
+/// that (non-token) transaction; readers and captured-only writers never
+/// raise it. Both sides of the announce/acquire race use `SeqCst` so the
+/// classic Dekker argument applies: a writer stores its flag *then* loads
+/// the token, an acquirer CASes the token *then* scans the flags — in the
+/// single total order one of them must see the other.
 ///
 /// Per-thread cache-padded flags (not a shared counter) keep writers from
 /// bouncing one global cache line across every worker.
@@ -173,15 +177,54 @@ impl ContentionState {
                 .collect(),
         }
     }
+
+    /// Take the token for `holder` if it is free, then drain every other
+    /// announced transaction: the one drain of a solo worker and of a
+    /// checkpoint. Fails (without waiting) while anyone holds the token.
+    fn try_take(&self, holder: u64) -> bool {
+        let won = self
+            .token
+            .compare_exchange(0, holder, Ordering::SeqCst, Ordering::Relaxed);
+        if won.is_err() {
+            return false;
+        }
+        // Every announced transaction either commits or aborts in bounded
+        // time (lock holders progress, spinners exhaust their budget), and
+        // the token keeps new ones from announcing.
+        for (t, flag) in self.active.iter().enumerate() {
+            while t as u64 + 1 != holder && flag.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+
+    /// Stop the world for a checkpoint: take the token as `u64::MAX` (no
+    /// worker's `tid + 1`), waiting out any other holder, and drain.
+    pub(crate) fn checkpoint_token(&self) -> CheckpointToken<'_> {
+        while !self.try_take(u64::MAX) {
+            std::thread::yield_now();
+        }
+        CheckpointToken(self)
+    }
+}
+
+/// The token, held by a checkpoint until this guard drops (on unwinding too).
+pub(crate) struct CheckpointToken<'a>(&'a ContentionState);
+
+impl Drop for CheckpointToken<'_> {
+    fn drop(&mut self) {
+        self.0.token.store(0, Ordering::SeqCst);
+    }
 }
 
 impl WorkerCtx<'_> {
     /// Contention-manager gate at top-level transaction begin: stand down
-    /// while a serialization-token holder runs solo. A plain load, nothing
-    /// announced — an invisible reader holds no orec lock and bumps no
-    /// version, so the holder need not drain it; the wait only spares a
-    /// writer the abort `cm_announce` would hand it. Called before the
-    /// durable quiesce gate, which the holder may itself be waiting at.
+    /// while the token is held (a solo worker or a checkpoint). A plain
+    /// load, nothing announced — an invisible reader holds no orec lock
+    /// and bumps no version, so the holder need not drain it; the wait only
+    /// spares a writer the abort `cm_announce` would hand it.
     #[inline]
     pub(crate) fn cm_enter(&mut self) {
         while self.rt.cm.token.load(Ordering::Acquire) != 0 && !self.holds_token {
@@ -189,12 +232,12 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Raise the active flag ahead of the transaction's *first* orec lock —
-    /// the enterer's half of the Dekker pair (flag store, then token load).
-    /// A writer that finds the token taken holds no lock yet: it retracts
-    /// the flag and conflict-aborts, to park at its next `cm_enter`. A
-    /// token holder needs no flag — the token itself excludes every other
-    /// writer.
+    /// Raise the active flag ahead of the transaction's *first* orec lock
+    /// (or a durable lock-free commit's record) — the enterer's half of
+    /// the Dekker pair (flag store, then token load). A writer that finds
+    /// the token taken holds no lock yet: it retracts the flag and
+    /// conflict-aborts, to park at its next `cm_enter`. A token holder
+    /// needs no flag — the token itself excludes every other writer.
     #[inline]
     pub(crate) fn cm_announce(&mut self) -> TxResult<()> {
         if self.cm_announced || self.holds_token {
@@ -274,33 +317,15 @@ impl WorkerCtx<'_> {
 
     /// Try to take the global serialization token; on success, drain every
     /// other announced (lock-holding) transaction so the next attempt runs
-    /// solo among writers. Fails
-    /// (without waiting) when another thread is already serializing — the
-    /// caller backs off and stands down at its next `cm_enter`.
+    /// solo among writers. Fails (without waiting) when another thread is
+    /// already serializing or a checkpoint runs — the caller backs off and
+    /// stands down at its next `cm_enter`.
     fn cm_acquire_token(&mut self) -> bool {
-        let cm = &self.rt.cm;
-        let me = self.tid();
-        if cm
-            .token
-            .compare_exchange(0, me as u64 + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
+        if !self.rt.cm.try_take(self.tid() as u64 + 1) {
             return false;
         }
         self.holds_token = true;
         self.stats.cm_serializations += 1;
-        // Drain: every announced transaction either commits or aborts in
-        // bounded time (lock holders progress, spinners exhaust their
-        // budget), and the token keeps new ones from taking a first lock.
-        for (t, flag) in cm.active.iter().enumerate() {
-            if t == me {
-                continue;
-            }
-            while flag.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
-        }
         true
     }
 
@@ -377,8 +402,17 @@ impl WorkerCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StmRuntime, TxConfig};
+    use crate::{SimDisk, StmRuntime, Tx, TxConfig};
+    use std::sync::Arc;
     use txmem::MemConfig;
+
+    fn durable_runtime(disk: &Arc<SimDisk>) -> StmRuntime {
+        let cfg = TxConfig {
+            durable: true,
+            ..TxConfig::runtime_tree_nursery()
+        };
+        StmRuntime::new_durable(MemConfig::small(), cfg, disk.clone())
+    }
 
     #[test]
     fn chaos_rng_streams_are_distinct_and_stable() {
@@ -602,5 +636,117 @@ mod tests {
         });
         assert!(panicked && rt.cm.active.iter().all(|f| !f.load(Ordering::SeqCst)));
         assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_checkpoint_drains_an_announced_writer_and_parks_a_new_one() {
+        let rt = durable_runtime(&SimDisk::new());
+        let (a, b) = (rt.alloc_global(64), rt.alloc_global(64));
+        static S: crate::Site = crate::Site::shared("ckpt-drain");
+        // A writer in flight with one lock: announced.
+        let mut w = rt.spawn_worker();
+        w.begin_top();
+        Tx(&mut w).write(&S, a, 1).unwrap();
+        assert!(w.cm_announced);
+        let [taken, release, committed] = [0; 3].map(|_| AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _world = rt.cm.checkpoint_token();
+                taken.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+            // Once the token is the checkpoint's, it is draining, and the
+            // drain cannot end while the writer's flag is up.
+            while rt.cm.token.load(Ordering::SeqCst) != u64::MAX {
+                std::thread::yield_now();
+            }
+            assert!(
+                !taken.load(Ordering::SeqCst),
+                "the checkpoint must wait for the writer"
+            );
+            assert!(w.try_commit());
+            while !taken.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // A writer that begins under the token parks at `cm_enter`:
+            // it neither commits nor aborts until the token comes back.
+            // (The sleep only gives it time to get there; nothing it could
+            // do in that time may commit.)
+            let parked = s.spawn(|| {
+                let mut w2 = rt.spawn_worker();
+                w2.txn(|tx| tx.write(&S, b, 2));
+                committed.store(true, Ordering::SeqCst);
+                w2.stats.aborts
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!committed.load(Ordering::SeqCst) && rt.mem().load(b) == 0);
+            release.store(true, Ordering::SeqCst);
+            assert_eq!(parked.join().unwrap(), 0, "a parked writer never aborts");
+        });
+        assert_eq!((rt.mem().load(a), rt.mem().load(b)), (1, 2));
+    }
+
+    #[test]
+    fn a_lock_free_durable_commit_appends_nothing_under_a_checkpoint() {
+        let disk = SimDisk::new();
+        let rt = durable_runtime(&disk);
+        static S: crate::Site = crate::Site::shared("ckpt-lock-free");
+        let fill = |tx: &mut Tx<'_, '_>| {
+            let p = tx.alloc(64)?;
+            tx.write(&S, p, 7)
+        };
+        // Allocate and fill before the checkpoint takes the token: a
+        // captured-only transaction, no lock, no flag.
+        let mut w = rt.spawn_worker();
+        w.begin_top();
+        fill(&mut Tx(&mut w)).unwrap();
+        assert!(w.locks.is_empty() && !w.cm_announced);
+        let world = rt.cm.checkpoint_token();
+        assert!(!w.try_commit(), "the commit must be turned away");
+        assert_eq!(disk.append_count(), 0, "no record while the token is held");
+        let s = &w.stats;
+        assert_eq!((s.aborts, s.commits, s.commits_ro), (1, 0, 0));
+        assert_eq!(s.conflict_write_locked, 1);
+        assert!(!rt.cm.active[w.tid()].load(Ordering::SeqCst));
+        drop(world);
+        w.txn(fill);
+        assert_eq!(disk.append_count(), 1);
+    }
+
+    #[test]
+    fn a_solo_worker_and_a_checkpoint_exclude_each_other() {
+        let rt = durable_runtime(&SimDisk::new());
+        let mut w = rt.spawn_worker();
+        w.attempts = rt.config().serialize_threshold;
+        assert!(w.cm_acquire_token());
+        assert!(!rt.cm.try_take(u64::MAX), "no checkpoint in a solo episode");
+        w.cm_exit();
+        let world = rt.cm.checkpoint_token();
+        assert!(!w.cm_acquire_token(), "no solo episode in a checkpoint");
+        assert!(!rt.cm.try_take(u64::MAX), "no second checkpoint");
+        assert_eq!(w.stats.cm_serializations, 1);
+        drop(world);
+        assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+        assert!(w.cm_acquire_token());
+        w.cm_exit();
+    }
+
+    #[test]
+    fn a_panicking_checkpoint_hands_the_token_back() {
+        let disk = SimDisk::new();
+        let rt = durable_runtime(&disk);
+        let cell = rt.alloc_global(8);
+        static S: crate::Site = crate::Site::shared("ckpt-panic");
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| tx.write(&S, cell, 1));
+        rt.checkpoint_now();
+        disk.corrupt_byte("MANIFEST", 12);
+        let panicked = std::panic::catch_unwind(|| rt.checkpoint_now()).is_err();
+        assert!(panicked, "a corrupt manifest must fail the checkpoint");
+        assert_eq!(rt.cm.token.load(Ordering::SeqCst), 0);
+        w.txn(|tx| tx.write(&S, cell, 2));
+        assert_eq!((rt.mem().load(cell), w.stats.aborts), (2, 0));
     }
 }

@@ -11,8 +11,9 @@
 //! the transaction and is not logged at all.
 //!
 //! The module also carries the other three quarters of the durability
-//! story: a quiescent checkpointer that compacts logs into a heap
-//! snapshot ([`StmRuntime::checkpoint_now`](crate::StmRuntime::checkpoint_now)),
+//! story: a checkpointer that compacts logs into a heap snapshot
+//! ([`StmRuntime::checkpoint_now`](crate::StmRuntime::checkpoint_now)),
+//! stopping the world with the contention manager's serialization token,
 //! a crash-recovery path ([`recover`]) that replays snapshot + logs into
 //! a fresh runtime, and the fault-injection seam ([`FaultPlan`]) the
 //! kill-and-recover oracle (`tests/crash_oracle.rs`) drives.
@@ -300,13 +301,6 @@ impl DiskState {
             None => self.named.get_mut(name),
         }
     }
-
-    fn log_mut(&mut self, log: usize) -> &mut Vec<u8> {
-        if log >= self.logs.len() {
-            self.logs.resize_with(log + 1, Vec::new);
-        }
-        &mut self.logs[log]
-    }
 }
 
 /// The simulated persistent medium behind a durable runtime: a set of
@@ -374,23 +368,23 @@ impl SimDisk {
             // No plan, or a checkpoint-phase plan: not this path's fault.
             _ => (bytes.len(), false),
         };
-        st.log_mut(log).extend_from_slice(&bytes[..keep]);
+        if log >= st.logs.len() {
+            st.logs.resize_with(log + 1, Vec::new);
+        }
+        st.logs[log].extend_from_slice(&bytes[..keep]);
         if dies {
             self.kill();
         }
         !dies
     }
 
-    /// Atomically replace `name`'s contents (shadow-paging model: whole
-    /// files are written out of place and swapped in one step).
+    /// Atomically replace the named (non-log) file `name`'s contents
+    /// (shadow-paging model: whole files are written out of place and
+    /// swapped in one step).
     pub(crate) fn write_file(&self, name: &str, bytes: &[u8]) {
         let mut st = self.state.lock().unwrap();
-        if self.is_killed() {
-            return;
-        }
-        match log_index(name) {
-            Some(i) => *st.log_mut(i) = bytes.to_vec(),
-            None => drop(st.named.insert(name.to_string(), bytes.to_vec())),
+        if !self.is_killed() {
+            st.named.insert(name.to_string(), bytes.to_vec());
         }
     }
 
@@ -398,14 +392,20 @@ impl SimDisk {
         self.state.lock().unwrap().file(name).cloned()
     }
 
+    /// Delete the named (non-log) file `name`.
     pub(crate) fn remove(&self, name: &str) {
         let mut st = self.state.lock().unwrap();
-        if self.is_killed() {
-            return;
+        if !self.is_killed() {
+            st.named.remove(name);
         }
-        match log_index(name) {
-            Some(i) => st.log_mut(i).clear(),
-            None => drop(st.named.remove(name)),
+    }
+
+    /// Empty every redo log under one lock. A log keeps its memory, so the
+    /// appends after a checkpoint write to pages already mapped.
+    pub(crate) fn clear_logs(&self) {
+        let mut st = self.state.lock().unwrap();
+        if !self.is_killed() {
+            st.logs.iter_mut().for_each(Vec::clear);
         }
     }
 
@@ -456,16 +456,12 @@ impl SimDisk {
     }
 }
 
-/// Shared durable-mode state hanging off a runtime: the disk, the
-/// checkpoint quiesce gate, and per-tid counters that must survive worker
-/// respawns (log sequence numbers, cumulative logical commits).
+/// Shared durable-mode state hanging off a runtime: the disk and per-tid
+/// counters that must survive worker respawns (log sequence numbers,
+/// cumulative logical commits). A checkpoint stops the world with the
+/// runtime's serialization token, not with anything here.
 pub(crate) struct DurableState {
     pub(crate) disk: Arc<SimDisk>,
-    /// Checkpointer wants the world stopped.
-    ckpt_pending: AtomicBool,
-    /// Top-level transactions currently running (between `begin_top` and
-    /// the commit/rollback).
-    active: AtomicU64,
     /// Per-tid next record sequence number.
     seqs: Box<[AtomicU64]>,
     /// Per-tid cumulative logical commits recorded durably.
@@ -478,40 +474,16 @@ impl DurableState {
     pub(crate) fn new(disk: Arc<SimDisk>, max_threads: usize) -> DurableState {
         DurableState {
             disk,
-            ckpt_pending: AtomicBool::new(false),
-            active: AtomicU64::new(0),
             seqs: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
             logicals: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
             ckpts: AtomicU64::new(0),
         }
     }
 
-    /// Enter the active set (top-level transaction begin). Blocks while a
-    /// checkpoint is quiescing — the checkpointer needs a moment with no
-    /// transaction in flight, because an in-place-update STM's heap is
-    /// only consistent between transactions.
-    pub(crate) fn enter_active(&self) {
-        loop {
-            while self.ckpt_pending.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            self.active.fetch_add(1, Ordering::AcqRel);
-            if !self.ckpt_pending.load(Ordering::Acquire) {
-                return;
-            }
-            // A checkpoint slipped in between the check and the
-            // increment; back out and wait it out.
-            self.active.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    pub(crate) fn exit_active(&self) {
-        self.active.fetch_sub(1, Ordering::AcqRel);
-    }
-
     /// Take tid's next record sequence number. Only the owning worker
     /// writes a `seqs`/`logicals` slot between recoveries, so load + store
-    /// suffices; the checkpointer reads `logicals` behind the quiesce gate.
+    /// suffices. A checkpoint reads `logicals` under the token, where only
+    /// a commit that logs nothing can still count (either value recovers).
     pub(crate) fn next_seq(&self, tid: usize) -> u64 {
         let seq = self.seqs[tid].load(Ordering::Relaxed);
         self.seqs[tid].store(seq + 1, Ordering::Release);
@@ -780,18 +752,20 @@ fn unframe(bytes: &[u8]) -> Result<&[u8], ()> {
     Ok(payload)
 }
 
-/// Quiesce the runtime and compact the logs into a fresh heap snapshot.
+/// Stop the world and compact the logs into a fresh heap snapshot.
 ///
 /// Protocol (each step is atomic on the simulated disk, and the two fault
 /// points between them are exactly the [`FaultPhase::MidSnapshot`] /
 /// [`FaultPhase::PreTruncate`] seams):
 ///
-/// 1. stop new top-level transactions and wait for in-flight ones;
+/// 1. take the serialization token, which drains every transaction that
+///    holds a lock or is appending a record and turns new ones away
+///    (DESIGN.md §11.3), and keeps any other checkpoint out;
 /// 2. write the whole live heap `[heap_start, frontier)` plus the clock
 ///    to a *new* snapshot file `snap-(g+1)` (shadow paging: the old
 ///    snapshot is untouched);
 /// 3. atomically point the manifest at the new generation;
-/// 4. truncate the per-worker logs and delete the old snapshot.
+/// 4. empty the per-worker logs and delete the old snapshot.
 ///
 /// A crash before step 3 recovers from the old snapshot + full logs; a
 /// crash after it recovers from the new snapshot, skipping any not-yet
@@ -805,10 +779,7 @@ pub(crate) fn checkpoint(rt: &StmRuntime) {
     if disk.is_killed() {
         return;
     }
-    ds.ckpt_pending.store(true, Ordering::Release);
-    while ds.active.load(Ordering::Acquire) != 0 {
-        std::thread::yield_now();
-    }
+    let _world = rt.cm.checkpoint_token();
     let idx = ds.ckpts.fetch_add(1, Ordering::AcqRel);
     let layout = *rt.mem.layout();
     let clock = rt.clock.read();
@@ -838,13 +809,10 @@ pub(crate) fn checkpoint(rt: &StmRuntime) {
     disk.write_file(MANIFEST, &frame(&mp));
     disk.checkpoint_fault(FaultPhase::PreTruncate, idx);
 
-    for tid in 0..layout.max_threads {
-        disk.write_file(&log_file_name(tid), &[]);
-    }
+    disk.clear_logs();
     if generation > 0 {
         disk.remove(&snap_file_name(generation - 1));
     }
-    ds.ckpt_pending.store(false, Ordering::Release);
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,38 +1124,55 @@ mod tests {
         d.append("log-3", &[0u8; 5]);
         d.write_file("MANIFEST", &[0u8; 100]);
         assert_eq!(d.log_bytes(), 15, "manifest is not a log");
-        d.write_file("log-0", &[]);
-        assert_eq!(d.log_bytes(), 5);
         d.corrupt_byte("log-3", 2);
         assert_eq!(d.read_file("log-3").unwrap()[2], 0xA5);
         d.truncate_file("log-3", 1);
         assert_eq!(d.file_len("log-3"), 1);
-        d.remove("log-3");
-        assert_eq!(d.file_len("log-3"), 0);
+        d.clear_logs();
+        assert_eq!((d.file_len("log-0"), d.file_len("log-3")), (0, 0));
+        assert_eq!(
+            d.file_len("MANIFEST"),
+            100,
+            "clearing the logs keeps the rest"
+        );
+        d.remove("MANIFEST");
+        assert!(d.read_file("MANIFEST").is_none());
         assert_eq!(d.append_count(), 2);
     }
 
     #[test]
-    fn quiesce_gate_blocks_and_releases() {
-        let ds = DurableState::new(SimDisk::new(), 2);
-        ds.enter_active();
-        ds.exit_active();
-        ds.ckpt_pending.store(true, Ordering::Release);
-        let entered = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                ds.enter_active();
-                entered.store(true, Ordering::Release);
-                ds.exit_active();
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert!(
-                !entered.load(Ordering::Acquire),
-                "begin must wait while a checkpoint is pending"
-            );
-            ds.ckpt_pending.store(false, Ordering::Release);
-        });
-        assert!(entered.load(Ordering::Acquire));
+    fn a_checkpoint_keeps_the_log_pages_and_later_records_recover() {
+        static S: crate::Site = crate::Site::shared("durable.truncate");
+        let cfg = TxConfig {
+            durable: true,
+            ..TxConfig::default()
+        };
+        let disk = SimDisk::new();
+        let rt = StmRuntime::new_durable(MemConfig::small(), cfg, disk.clone());
+        let cell = rt.alloc_global(8);
+        let capacity = || disk.state.lock().unwrap().logs[0].capacity();
+        let mut w = rt.spawn_worker();
+        for v in 1..=20 {
+            w.txn(|tx| tx.write(&S, cell, v));
+        }
+        let before = capacity();
+        assert!(before > 0);
+        rt.checkpoint_now();
+        assert_eq!(
+            disk.file_len(&log_file_name(0)),
+            0,
+            "the checkpoint empties the log"
+        );
+        assert_eq!(capacity(), before, "an emptied log keeps its memory");
+        for v in 21..=25 {
+            w.txn(|tx| tx.write(&S, cell, v));
+        }
+        drop(w);
+        let (rt2, report) = recover(MemConfig::small(), cfg, disk.clone());
+        assert!(report.snapshot_clock > 0, "recovery must use the snapshot");
+        assert_eq!((report.records_applied, report.stale_skipped), (5, 0));
+        assert_eq!(report.logical_committed, 25);
+        assert_eq!(rt2.mem().load_private(cell), 25);
     }
 
     #[test]

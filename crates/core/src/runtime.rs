@@ -38,8 +38,8 @@ pub struct StmRuntime {
     /// token and the per-thread active flags its drain protocol scans (see
     /// `stm::contention`).
     pub(crate) cm: ContentionState,
-    /// Durable-mode state (disk, quiesce gate, per-tid log counters);
-    /// `Some` exactly when `config.durable`.
+    /// Durable-mode state (disk, per-tid log counters); `Some` exactly
+    /// when `config.durable`. Checkpoints stop the world with `cm`.
     pub(crate) durable: Option<Arc<DurableState>>,
     tids: Mutex<TidPool>,
 }
@@ -190,10 +190,11 @@ impl StmRuntime {
         self.durable.as_ref().map(|d| &d.disk)
     }
 
-    /// Run one checkpoint now: quiesce every worker, compact the redo
-    /// logs into a fresh heap snapshot, and truncate them. Panics on a
-    /// non-durable runtime. Must be called from a thread that is *not*
-    /// inside a transaction (the quiesce would deadlock against itself).
+    /// Run one checkpoint now: stop the world with the serialization token
+    /// (a second checkpoint waits for the first), compact the redo logs
+    /// into a fresh heap snapshot, and empty them. Panics on a non-durable
+    /// runtime. Must be called from a thread that is *not* inside a
+    /// transaction (the token's drain would wait for it forever).
     pub fn checkpoint_now(&self) {
         crate::durable::checkpoint(self);
     }

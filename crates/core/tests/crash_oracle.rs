@@ -25,6 +25,8 @@
 //! plus optional mid-run checkpoints. Deterministic companions pin each
 //! fault phase at every append index (single worker, and two dependent
 //! workers), the checkpoint crash windows, the background checkpointer,
+//! checkpoints racing each other and two workers (one of them committing
+//! captured-only blocks, whose records are appended with no lock held),
 //! and durable-mode transparency (durable vs. transient runs are observably identical,
 //! durable telemetry redacted via `tests/common`).
 
@@ -52,9 +54,12 @@ const BLK_WORDS: u64 = 4;
 /// One logical transaction, fully determined by its fields and its index:
 /// a shared-cell RMW, optionally an allocate-fill-publish (the captured →
 /// coalesced-range path), optionally a nested child (partial abort),
-/// optionally a user abort (no effects, no commit).
+/// optionally a user abort (no effects, no commit). A `captured_only`
+/// transaction does none of that: it allocates and fills a block it never
+/// publishes, a commit that takes no lock yet appends a record.
 #[derive(Clone, Debug)]
 struct TxnSpec {
+    captured_only: bool,
     cell: u8,
     val: u64,
     alloc: bool,
@@ -77,6 +82,7 @@ fn txn_spec() -> impl Strategy<Value = TxnSpec> {
     )
         .prop_map(
             |((cell, val, alloc, slot), (free_old, nested, abort_nested, user_abort))| TxnSpec {
+                captured_only: false,
                 cell,
                 val,
                 alloc,
@@ -152,6 +158,9 @@ struct SimState {
     /// Per slot: the publishing transaction's index and the block contents
     /// it committed (`None` = never published).
     slots: Vec<Option<(usize, Vec<u64>)>>,
+    /// Indices of the committed `captured_only` transactions: each left
+    /// `blk_content(i)` in a block nothing points at.
+    unpublished: Vec<usize>,
 }
 
 fn blk_content(i: usize) -> Vec<u64> {
@@ -162,6 +171,10 @@ fn blk_content(i: usize) -> Vec<u64> {
 }
 
 fn sim_apply(st: &mut SimState, t: &TxnSpec, i: usize) {
+    if t.captured_only {
+        st.unpublished.push(i);
+        return;
+    }
     let c = t.cell as usize % CELLS as usize;
     st.cells[c] = st.cells[c].wrapping_mul(3).wrapping_add(t.val ^ i as u64);
     if t.alloc {
@@ -180,6 +193,7 @@ fn simulate(script: &[TxnSpec], upto_commits: u64) -> SimState {
     let mut st = SimState {
         cells: vec![0; CELLS as usize],
         slots: vec![None; SLOTS as usize],
+        unpublished: Vec::new(),
     };
     let mut committed = 0u64;
     for (i, t) in script.iter().enumerate() {
@@ -226,6 +240,14 @@ fn body(
     ptrs: &RefCell<Vec<u64>>,
 ) -> TxResult<()> {
     let iu = i as u64;
+    if t.captured_only {
+        let p = tx.alloc(BLK_WORDS * 8)?;
+        for (j, w) in blk_content(i).into_iter().enumerate() {
+            tx.write(&S_LOCAL, p.word(j as u64), w)?;
+        }
+        ptrs.borrow_mut()[i] = p.raw();
+        return Ok(());
+    }
     let c = cells.word(u64::from(t.cell) % CELLS);
     let v = tx.read(&S_SHARED, c)?;
     tx.write(&S_SHARED, c, v.wrapping_mul(3).wrapping_add(t.val ^ iu))?;
@@ -340,33 +362,64 @@ fn verify_recovery(
         "recovered {l} of {} commits",
         crashed.committed
     );
-    let sim = simulate(script, l);
-    for c in 0..CELLS as usize {
-        assert_eq!(
-            rt2.mem().load_private(crashed.cells.word(c as u64)),
-            sim.cells[c],
-            "cell {c} diverged after recovering {l} commits"
-        );
+    if let Err(e) = diff_prefix(&rt2, script, crashed, l) {
+        panic!("{e}");
     }
+    report
+}
+
+/// Diff recovered memory word for word against the shadow simulation of
+/// the first `l` commits of `script`, as run into `crashed`'s cells, slots
+/// and block ledger; the first divergence is the error.
+fn diff_prefix(
+    rt2: &StmRuntime,
+    script: &[TxnSpec],
+    crashed: &Crashed,
+    l: u64,
+) -> Result<(), String> {
+    let sim = simulate(script, l);
+    let load = |a: Addr| rt2.mem().load_private(a);
+    for c in 0..CELLS as usize {
+        let got = load(crashed.cells.word(c as u64));
+        if got != sim.cells[c] {
+            return Err(format!(
+                "cell {c} diverged after recovering {l} commits: {got} != {}",
+                sim.cells[c]
+            ));
+        }
+    }
+    let block = |i: usize, content: &[u64], what: &str| {
+        let ptr = crashed.ptrs[i];
+        if ptr == 0 {
+            return Err(format!("ledger lost the block of txn {i} ({what})"));
+        }
+        for (j, &want) in content.iter().enumerate() {
+            let got = load(Addr(ptr).word(j as u64));
+            if got != want {
+                return Err(format!(
+                    "block word {j} of txn {i} ({what}) diverged: {got} != {want}"
+                ));
+            }
+        }
+        Ok(ptr)
+    };
     for s in 0..SLOTS as usize {
-        let got = rt2.mem().load_private(crashed.slots.word(s as u64));
+        let got = load(crashed.slots.word(s as u64));
         match &sim.slots[s] {
-            None => assert_eq!(got, 0, "slot {s} must be unpublished"),
+            None if got != 0 => return Err(format!("slot {s} must be unpublished")),
+            None => {}
             Some((i, content)) => {
-                let ptr = crashed.ptrs[*i];
-                assert_ne!(ptr, 0, "ledger lost the publisher of slot {s}");
-                assert_eq!(got, ptr, "slot {s} points at the wrong block");
-                for (j, &want) in content.iter().enumerate() {
-                    assert_eq!(
-                        rt2.mem().load_private(Addr(ptr).word(j as u64)),
-                        want,
-                        "block word {j} of slot {s} (publisher txn {i}) diverged"
-                    );
+                let ptr = block(*i, content, &format!("published in slot {s}"))?;
+                if got != ptr {
+                    return Err(format!("slot {s} points at the wrong block"));
                 }
             }
         }
     }
-    report
+    for &i in &sim.unpublished {
+        block(i, &blk_content(i), "captured only")?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +458,7 @@ proptest! {
 fn fixed_script(n: usize) -> Vec<TxnSpec> {
     (0..n)
         .map(|i| TxnSpec {
+            captured_only: false,
             cell: i as u8,
             val: 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1),
             alloc: i % 2 == 0,
@@ -612,6 +666,173 @@ fn background_checkpointer_compacts_logs_under_load() {
         report.snapshot_clock > 0,
         "64 allocating transactions must have tripped the 2 KiB threshold"
     );
+}
+
+/// Run each script on its own worker thread, with its own cells, slots
+/// and block ledger, on one durable runtime over `disk`, while
+/// `checkpointers` threads run `checkpointer` until every worker has
+/// finished its script or stopped at the kill.
+fn run_beside_checkpoints(
+    scripts: &[Vec<TxnSpec>],
+    disk: &Arc<SimDisk>,
+    checkpointers: usize,
+    checkpointer: impl Fn(&StmRuntime, &AtomicBool) + Sync,
+) -> Vec<Crashed> {
+    let rt = StmRuntime::new_durable(MemConfig::small(), config(&DET_CFG), disk.clone());
+    // Every region before the first commit: a setup allocation is not
+    // logged, so one made later could reuse a logged block's space.
+    let regions: Vec<_> = scripts
+        .iter()
+        .map(|_| (rt.alloc_global(CELLS * 8), rt.alloc_global(SLOTS * 8)))
+        .collect();
+    let stop = AtomicBool::new(false);
+    let runs = std::thread::scope(|s| {
+        for _ in 0..checkpointers {
+            s.spawn(|| checkpointer(&rt, &stop));
+        }
+        let workers: Vec<_> = scripts
+            .iter()
+            .zip(regions)
+            .map(|(script, (cells, slots))| {
+                let rt = &rt;
+                s.spawn(move || {
+                    let ptrs = RefCell::new(vec![0u64; script.len()]);
+                    let mut w = rt.spawn_worker();
+                    let mut committed = 0u64;
+                    for (i, t) in script.iter().enumerate() {
+                        if disk.is_killed() {
+                            break;
+                        }
+                        let r = w.txn_result(|tx| body(tx, t, i, cells, slots, false, &ptrs));
+                        committed += u64::from(r.is_ok());
+                    }
+                    (cells, slots, committed, ptrs.into_inner())
+                })
+            })
+            .collect();
+        // Stop the checkpointers before a worker's panic propagates, or
+        // the scope would wait for them forever.
+        let joined: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
+        stop.store(true, Ordering::Release);
+        joined
+    });
+    let (killed, stats) = (disk.is_killed(), rt.collect_stats());
+    runs.into_iter()
+        .map(|r| {
+            let (cells, slots, committed, ptrs) = r.unwrap();
+            Crashed {
+                cells,
+                slots,
+                committed,
+                ptrs,
+                killed,
+                stats,
+            }
+        })
+        .collect()
+}
+
+/// Two threads loop `checkpoint_now` beside one committing worker. Only
+/// the serialization token keeps the two checkpoints apart: overlapping,
+/// one could swap in a manifest naming a snapshot the other has deleted,
+/// or the other's snapshot under its own clock. A `PostFlush` kill at
+/// each append index of the range must recover the committed prefix.
+#[test]
+fn concurrent_checkpoints_exclude_each_other() {
+    let script = fixed_script(600);
+    let mut snapshots = 0;
+    for at in 50..450u64 {
+        let disk = SimDisk::new();
+        disk.arm(FaultPlan {
+            phase: FaultPhase::PostFlush,
+            at,
+            torn_keep: 0,
+        });
+        let crashed =
+            run_beside_checkpoints(std::slice::from_ref(&script), &disk, 2, |rt, stop| {
+                while !stop.load(Ordering::Acquire) && !rt.disk().unwrap().is_killed() {
+                    rt.checkpoint_now();
+                    // Back to back, two checkpointers would hand the token to
+                    // each other and starve the worker.
+                    std::thread::sleep(std::time::Duration::from_micros(20));
+                }
+            });
+        assert!(crashed[0].killed, "PostFlush@{at} never fired");
+        let report = verify_recovery(&script, &DET_CFG, &disk, &crashed[0]);
+        snapshots += u64::from(report.snapshot_clock > 0);
+    }
+    assert!(snapshots > 0, "no recovery started from a snapshot");
+}
+
+/// The background checkpointer racing two committing workers on disjoint
+/// cells and slots. The second worker's odd transactions are captured
+/// only: they allocate and fill a block and write nothing shared, so they
+/// append a record while holding no lock. Recovery must hold, word for
+/// word, a committed prefix of each worker's script: all of it, or after
+/// a kill possibly all but the one commit whose append failed.
+#[test]
+fn background_checkpoints_race_two_committing_workers() {
+    const N: usize = 3000;
+    let scripts = [
+        fixed_script(N),
+        fixed_script(N)
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| TxnSpec {
+                captured_only: i % 2 == 1,
+                ..t
+            })
+            .collect(),
+    ];
+    let kills = (0..24u64).map(|k| Some(300 + 229 * k));
+    let mut snapshots = 0;
+    for kill in std::iter::once(None).chain(kills) {
+        let disk = SimDisk::new();
+        if let Some(at) = kill {
+            disk.arm(FaultPlan {
+                phase: FaultPhase::PostFlush,
+                at,
+                torn_keep: 0,
+            });
+        }
+        let crashed = run_beside_checkpoints(&scripts, &disk, 1, |rt, stop| {
+            rt.checkpoint_loop(1024, stop)
+        });
+        let (rt2, report) = recover(MemConfig::small(), config(&DET_CFG), disk);
+        snapshots += u64::from(report.snapshot_clock > 0);
+        let prefixes = |c: &Crashed| {
+            let lost = u64::from(c.killed).min(c.committed);
+            (c.committed - lost)..=c.committed
+        };
+        // Per worker, the prefixes its cells, slots and blocks match; their
+        // counts must add up to what recovery reports.
+        let mut misses = Vec::new();
+        let fitting: Vec<Vec<u64>> = (0..2)
+            .map(|w| {
+                prefixes(&crashed[w])
+                    .filter(|&l| match diff_prefix(&rt2, &scripts[w], &crashed[w], l) {
+                        Ok(()) => true,
+                        Err(e) => {
+                            misses.push(format!("worker {w} at {l}: {e}"));
+                            false
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let l = report.logical_committed;
+        assert!(
+            fitting[0]
+                .iter()
+                .any(|l0| fitting[1].iter().any(|l1| l0 + l1 == l)),
+            "kill {kill:?}: recovered {l} commits of ({}, {}); the workers match \
+             the prefixes {fitting:?}:\n{}",
+            crashed[0].committed,
+            crashed[1].committed,
+            misses.join("\n")
+        );
+    }
+    assert!(snapshots > 0, "no recovery started from a snapshot");
 }
 
 /// Durable mode is observably transparent: the same script on a transient
