@@ -170,8 +170,7 @@ impl<'rt> WorkerCtx<'rt> {
             // the commit is clock-silent. A durable one with something to
             // log may still append a record: it announces, so a checkpoint
             // drains it or turns it away before it counts (DESIGN.md §11.3).
-            let appends = self.durable_on && !(self.undo.is_empty() && self.allocs.is_empty());
-            if appends && self.cm_announce().is_err() {
+            if self.durable_on && self.logs_something() && self.cm_announce().is_err() {
                 self.rollback_top();
                 return false;
             }
@@ -446,6 +445,13 @@ impl<'rt> WorkerCtx<'rt> {
         }
     }
 
+    /// Whether a durable commit of this transaction appends a record: it
+    /// has an undo entry or an allocation. The one test both for the
+    /// announce of a lock-free commit and for `durable_prepare`'s gather.
+    fn logs_something(&self) -> bool {
+        !(self.undo.is_empty() && self.allocs.is_empty())
+    }
+
     /// Encode this commit's redo record and append it to the worker's log
     /// (no-op on non-durable runtimes). Must run *while the write
     /// locks are still held*, before publication: in an in-place-update STM
@@ -490,7 +496,7 @@ impl<'rt> WorkerCtx<'rt> {
             + w.elided_static_interproc
             + w.elided_annotation
             + w.parent_captured;
-        if self.undo.is_empty() && self.allocs.is_empty() {
+        if !self.logs_something() {
             return; // read-only: nothing to gather, the count rides the next record
         }
         // Surviving allocations → coalesced content ranges. The header

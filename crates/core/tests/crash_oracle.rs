@@ -625,7 +625,7 @@ fn commit_from_a_pre_checkpoint_snapshot_is_not_stale() {
 }
 
 /// The background checkpointer compacting logs concurrently with a live
-/// worker (the quiesce gate under real contention): recovery still
+/// worker (the serialization token under real contention): recovery still
 /// reconstructs every commit, from a snapshot plus a short log suffix.
 #[test]
 fn background_checkpointer_compacts_logs_under_load() {
@@ -752,8 +752,11 @@ fn concurrent_checkpoints_exclude_each_other() {
             run_beside_checkpoints(std::slice::from_ref(&script), &disk, 2, |rt, stop| {
                 while !stop.load(Ordering::Acquire) && !rt.disk().unwrap().is_killed() {
                     rt.checkpoint_now();
-                    // Back to back, two checkpointers would hand the token to
-                    // each other and starve the worker.
+                    // Known liveness gap: the token is not fair, and two
+                    // checkpointers looping back to back hand it to each
+                    // other while the worker, parked at `cm_enter`, never
+                    // sees it free. Nothing in the runtime bounds that wait
+                    // yet; the pause keeps this test about exclusion.
                     std::thread::sleep(std::time::Duration::from_micros(20));
                 }
             });

@@ -169,17 +169,19 @@ impl SharedMem {
     /// Bulk load of `dst.len()` consecutive words starting at `start` —
     /// the captured-run lowering of the ranged barriers. One bounds check
     /// up front, then a real `memcpy`: "private" is the caller's promise
-    /// that no other thread accesses these words concurrently (captured
+    /// that no other thread writes these words concurrently (captured
     /// memory is thread-private by definition), which is exactly what
     /// lets a captured run skip the per-word atomic loop the compiler
-    /// cannot vectorize.
+    /// cannot vectorize. Other threads may *load* them meanwhile (the
+    /// durable checkpointer's [`SharedMem::snapshot_range`] does): two
+    /// loads never race.
     #[inline]
     pub fn load_range_private(&self, start: Addr, dst: &mut [u64]) {
         debug_assert!(start.is_aligned() && !start.is_null());
         let base = start.word_index();
         let words = &self.words[base..base + dst.len()];
         // SAFETY: `AtomicU64` has the same size and bit validity as `u64`,
-        // and the private contract rules out concurrent accessors.
+        // and the private contract rules out concurrent writers.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 words.as_ptr() as *const u64,
@@ -189,34 +191,37 @@ impl SharedMem {
         }
     }
 
-    /// Bulk store of `src` starting at `start`; see
-    /// [`SharedMem::load_range_private`] for the private-memcpy contract.
+    /// Bulk store of `src` starting at `start`, one relaxed store per
+    /// word. Unlike the load it is no `memcpy`: a captured-only writer
+    /// fills its blocks while the durable checkpointer copies the heap
+    /// with atomic loads (DESIGN.md §11.3), and a non-atomic write beside
+    /// them would be a data race.
     #[inline]
     pub fn store_range_private(&self, start: Addr, src: &[u64]) {
         debug_assert!(start.is_aligned() && !start.is_null());
         let base = start.word_index();
-        let words = &self.words[base..base + src.len()];
-        // SAFETY: as in `load_range_private` — same layout, no concurrent
-        // accessors on captured memory.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), words.as_ptr() as *mut u64, src.len());
+        for (w, &v) in self.words[base..base + src.len()].iter().zip(src) {
+            w.store(v, Ordering::Relaxed);
         }
     }
 
-    /// Snapshot a byte range into a fresh vector of words. Used by the
-    /// durable checkpointer, which quiesces all transactions first — the
-    /// private-memcpy contract of [`SharedMem::load_range_private`] then
-    /// holds for the whole heap.
+    /// Snapshot a byte range into a fresh vector of words, one relaxed
+    /// load per word. Used by the durable checkpointer, which drains every
+    /// lock holder but lets readers and captured-only writers run beside
+    /// the copy (DESIGN.md §11.3): a word a captured-only writer stores
+    /// meanwhile is copied old or new, and its record, ticketed after the
+    /// snapshot clock, rewrites it on recovery.
     pub fn snapshot_range(&self, start: Addr, bytes: u64) -> Vec<u64> {
-        debug_assert!(bytes.is_multiple_of(WORD_BYTES));
-        let mut out = vec![0u64; (bytes / WORD_BYTES) as usize];
-        self.load_range_private(start, &mut out);
-        out
+        debug_assert!(start.is_aligned() && bytes.is_multiple_of(WORD_BYTES));
+        let base = start.word_index();
+        self.words[base..base + (bytes / WORD_BYTES) as usize]
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Restore a snapshot taken with [`SharedMem::snapshot_range`]. Used by
-    /// crash recovery before any transaction runs, so the private contract
-    /// holds trivially.
+    /// crash recovery before any transaction runs.
     pub fn restore_range(&self, start: Addr, words: &[u64]) {
         self.store_range_private(start, words);
     }
