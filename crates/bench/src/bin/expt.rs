@@ -447,7 +447,7 @@ mod tests {
     fn ci_expt_invocations_parse() {
         let ci = include_str!("../../../../.github/workflows/ci.yml");
         let calls = expt_invocations(ci);
-        assert_eq!(calls.len(), 7, "{calls:#?}");
+        assert_eq!(calls.len(), 8, "{calls:#?}");
         let mut gated = 0;
         for call in &calls {
             let cli = parse_str(call).unwrap_or_else(|e| panic!("ci.yml `expt {call}`: {e}"));

@@ -16,12 +16,13 @@
 //! * [`AddrFilter`] — a direct-mapped hash filter of exact word addresses
 //!   (paper §3.1.2 "Filtering"): false negatives allowed, never false
 //!   positives.
-//! * [`NurseryLog`] — the transaction-local *bump-region* classifier: when
-//!   the runtime serves small transactional allocations from a contiguous
-//!   nursery region, heap capture collapses to the same two-compare range
-//!   test as the stack check (plus one watermark compare for nesting).
-//!   Blocks the scalar range cannot represent — overflow, demotions past a
-//!   freed hole, large blocks — compose with any of the three logs above.
+//! * [`NurseryLog`] — the transaction-local *bump-region* classifier: the
+//!   runtime serves small transactional allocations from a contiguous
+//!   nursery region, so heap capture collapses to the same two-compare
+//!   range test as the stack check (plus one watermark compare for
+//!   nesting). Blocks the scalar range cannot represent — those in a
+//!   region the nursery switched away from, large blocks — compose with
+//!   any of the three logs above.
 //!
 //! All are conservative: a miss only means a full STM barrier is executed, so
 //! lossiness costs performance, never correctness (valid for in-place-update

@@ -29,24 +29,25 @@
 //! `NurseryLog` is a *policy component*, not a standalone
 //! [`CapturePolicy`](crate::CapturePolicy): everything the scalar range
 //! cannot represent — blocks in regions the nursery switched away from,
-//! blocks survived past a hole punched by an in-transaction free, large
-//! blocks — is *demoted* to one of the three paper logs (tree / array /
-//! filter), which the caller keeps alongside and queries when the scalar
-//! range misses.
+//! large blocks — is *demoted* to one of the three paper logs (tree /
+//! array / filter), which the caller keeps alongside and queries when the
+//! scalar range misses.
+//!
+//! An in-transaction free ([`NurseryLog::free`]) of the block at the top of
+//! the bump hands its bytes back; any other freed block dies in place and
+//! stays inside the scalar range. No other transaction can reach a block
+//! this one bumped, and nothing reuses the space before the transaction
+//! ends, so a dead block in the range is never misread.
 //!
 //! # Invariants
 //!
-//! * `lo <= marks[0] <= marks[1] <= ... <= bump <= hi` whenever a region is
-//!   active; all zero when empty.
-//! * Every mark is clamped up to `lo` when a hole punch raises `lo`:
-//!   clamping never changes a verdict, because every address that survives
-//!   in the scalar range is `>= lo`, and a mark below `lo` was below every
-//!   surviving address already.
-//! * Between transactions the scalar range is empty (`lo == bump`) and the
-//!   region stays: a commit keeps the bump position, an abort rewinds it
-//!   to where the transaction began. Every region the transaction switched
-//!   away from is listed with the bump it was left at, so the owner can
-//!   let go of it.
+//! * `marks[0] <= marks[1] <= ... <= bump <= hi` whenever a region is
+//!   active; all zero when empty. The scalar range is `[marks[0], bump)`.
+//! * Between transactions the scalar range is empty (`marks[0] == bump`)
+//!   and the region stays: a commit keeps the bump position, an abort
+//!   rewinds it to where the transaction began. Every region the
+//!   transaction switched away from is listed with the bump it was left
+//!   at, so the owner can let go of it.
 
 /// A nursery position, taken at transaction and nested-level begin; an
 /// abort returns to it.
@@ -67,11 +68,8 @@ pub struct NurseryMark {
 /// lets go of regions because only it can talk to the allocator.
 #[derive(Debug)]
 pub struct NurseryLog {
-    /// Lowest address still classified by the scalar range (raised past
-    /// holes punched by in-transaction frees).
-    lo: u64,
     /// Bump pointer: next allocation position, one past the last captured
-    /// byte. `lo == bump` means the scalar range is empty.
+    /// byte. `marks[0] == bump` means the scalar range is empty.
     bump: u64,
     /// One past the end of the active region (`bump == hi` means full).
     hi: u64,
@@ -81,7 +79,8 @@ pub struct NurseryLog {
     /// the vector.
     inner: u64,
     /// Per-nesting-level high-watermarks: `marks[d-1]` is the bump value
-    /// when the depth-`d` transaction began (non-decreasing).
+    /// when the depth-`d` transaction began (non-decreasing); `marks[0]`
+    /// is the scalar range's start.
     marks: Vec<u64>,
     /// Every region `(start, end, bump)` this transaction switched away
     /// from, with the bump it was left at.
@@ -93,7 +92,6 @@ pub struct NurseryLog {
 impl Default for NurseryLog {
     fn default() -> NurseryLog {
         NurseryLog {
-            lo: 0,
             bump: 0,
             hi: 0,
             start: 0,
@@ -114,7 +112,7 @@ impl NurseryLog {
     /// Scalar range start (for the inline two-compare check).
     #[inline]
     pub fn lo(&self) -> u64 {
-        self.lo
+        self.marks[0]
     }
 
     /// Scalar range end == bump pointer.
@@ -192,7 +190,6 @@ impl NurseryLog {
     fn set_position(&mut self, start: u64, end: u64, bump: u64) {
         self.start = start;
         self.hi = end;
-        self.lo = bump;
         self.bump = bump;
         for m in &mut self.marks {
             *m = bump;
@@ -200,27 +197,14 @@ impl NurseryLog {
         self.inner = bump;
     }
 
-    /// LIFO free: the block `[start, bump)` was the most recent allocation;
-    /// hand its bytes straight back to the bump pointer.
-    pub fn bump_back(&mut self, start: u64) {
-        debug_assert!(start >= self.inner && start < self.bump);
-        self.bump = start;
-    }
-
-    /// An in-transaction free punched the hole `[hole_lo, hole_hi)` out of
-    /// the scalar range. The range shrinks to `[hole_hi, bump)` so future
-    /// allocations stay on the scalar path; the caller demotes the live
-    /// blocks of `[lo, hole_lo)` to the fallback log. Watermarks clamp up
-    /// to the new `lo` (verdict-preserving, see module invariants).
-    pub fn punch_hole(&mut self, hole_lo: u64, hole_hi: u64) {
-        debug_assert!(self.lo <= hole_lo && hole_lo < hole_hi && hole_hi <= self.bump);
-        self.lo = hole_hi;
-        for m in &mut self.marks {
-            if *m < hole_hi {
-                *m = hole_hi;
-            }
+    /// An in-transaction free of the current level's block `[start, end)`.
+    /// The block at the top of the bump hands its bytes straight back; any
+    /// other block dies in place, and the scalar range and the marks stay
+    /// as they are (see the module docs).
+    pub fn free(&mut self, start: u64, end: u64) {
+        if end == self.bump && start >= self.inner {
+            self.bump = start;
         }
-        self.inner = *self.marks.last().expect("outermost nursery mark");
     }
 
     /// Partial abort of the innermost level, which began at `at`. If it
@@ -229,16 +213,14 @@ impl NurseryLog {
     /// the switch); the caller first lets go of the regions the level
     /// switched to (the active one, and `left()[at.left..]` but `at`'s).
     /// Otherwise reset the bump to the level's watermark, reclaiming its
-    /// blocks at once. `lo` may exceed the popped mark when the aborted
-    /// level punched a hole; the scalar range is then empty, which is exact
-    /// (everything below was demoted).
+    /// blocks at once.
     pub fn abort_level(&mut self, at: NurseryMark) {
         let mark = self.marks.pop().expect("abort_level without push");
         if self.start != at.start {
             self.left.truncate(at.left);
             self.set_position(at.start, at.end, at.bump);
         } else {
-            self.bump = mark.max(self.lo);
+            self.bump = mark;
         }
         self.inner = *self.marks.last().expect("outermost nursery mark");
     }
@@ -264,12 +246,12 @@ impl NurseryLog {
     }
 
     /// Scalar-range classification alone (no fallback): captured iff the
-    /// address lies in `[lo, bump)`, at the deepest open level whose
+    /// address lies in `[marks[0], bump)`, at the deepest open level whose
     /// watermark it reaches — the level, as
     /// [`CapturePolicy::query`](crate::CapturePolicy::query) returns it.
     #[inline]
     pub fn classify(&self, addr: u64) -> Option<u32> {
-        if addr >= self.lo && addr < self.bump {
+        if addr >= self.lo() && addr < self.bump {
             // Level = number of watermarks at or below the address. Marks
             // are non-decreasing, so this is an upper-bound search; the
             // vector is as deep as the nesting, i.e. tiny.
@@ -338,51 +320,71 @@ mod tests {
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
         let b = n.try_alloc(32).unwrap();
-        n.bump_back(b);
+        n.free(b, b + 32);
         assert_eq!(n.classify(b), None);
         assert_eq!(n.classify(a), Some(1));
         assert_eq!(n.try_alloc(16).unwrap(), b);
+        // Then `a` is the top, and goes back too.
+        n.free(b, b + 16);
+        n.free(a, a + 64);
+        assert_eq!(n.try_alloc(64).unwrap(), a);
     }
 
     #[test]
-    fn hole_punch_keeps_the_upper_half_scalar() {
+    fn a_middle_free_dies_in_place() {
         let mut n = NurseryLog::new();
         n.switch_region(4096, 1024);
         let a = n.try_alloc(64).unwrap();
+        n.push_level();
         let freed = n.try_alloc(64).unwrap();
         let c = n.try_alloc(64).unwrap();
-        n.punch_hole(freed, freed + 64);
-        assert_eq!(n.classify(freed), None);
-        assert_eq!(n.classify(freed + 32), None);
+        let before = (n.lo(), n.bump(), n.inner(), n.marks.clone());
+        n.free(freed, freed + 64);
         assert_eq!(
-            n.classify(a),
-            None,
-            "below-hole block left the scalar range"
+            (n.lo(), n.bump(), n.inner(), n.marks.clone()),
+            before,
+            "the range and the marks stay"
         );
-        assert_eq!(n.classify(c), Some(1), "above-hole block stays");
-        // Future allocations continue on the scalar path.
-        let d = n.try_alloc(16).unwrap();
-        assert_eq!(n.classify(d), Some(1));
+        assert_eq!(n.classify(a), Some(1));
+        assert_eq!(n.classify(freed), Some(2), "dead in place, still in range");
+        assert_eq!(n.classify(c), Some(2));
+        // Future allocations bump on above it.
+        assert_eq!(n.try_alloc(16), Some(c + 64));
+    }
+
+    #[test]
+    fn a_block_below_the_region_never_moves_the_bump() {
+        // The old region ends where the new one starts: the last block of
+        // the old one ends at the new bump, but lies below the watermark.
+        let mut n = NurseryLog::new();
+        n.switch_region(4096, 64);
+        let a = n.try_alloc(64).unwrap();
+        n.switch_region(4096 + 64, 1024);
+        assert_eq!(n.bump(), a + 64);
+        n.free(a, a + 64);
+        assert_eq!(n.bump(), a + 64);
     }
 
     #[test]
     fn composition_falls_back_to_the_paper_log() {
+        use crate::CapturePolicy;
         let mut n = NurseryLog::new();
         let mut tree = RangeTree::new();
-        n.switch_region(4096, 256);
+        n.switch_region(4096, 128);
         let a = n.try_alloc(64).unwrap();
-        let f = n.try_alloc(64).unwrap();
-        let c = n.try_alloc(64).unwrap();
-        // Free `f` mid-range: the below-hole block `a` is demoted to the
-        // fallback log (as the runtime does), then the hole is punched.
-        use crate::CapturePolicy;
+        let b = n.try_alloc(64).unwrap();
+        // The region is full: the live blocks `a` and `b` demote to the
+        // fallback log (as the runtime does), then the nursery switches.
+        assert_eq!(n.try_alloc(64), None);
         tree.insert(a, 64, 1);
-        n.punch_hole(f, f + 64);
+        tree.insert(b, 64, 1);
+        n.switch_region(16384, 128);
+        let c = n.try_alloc(64).unwrap();
         assert_eq!(n.classify(a), None);
         // Scalar range first, the fallback log second.
         let composed = |addr| n.classify(addr).or_else(|| tree.query(addr));
         assert_eq!(composed(a), Some(1));
-        assert_eq!(composed(f), None, "freed block");
+        assert_eq!(composed(b + 8), Some(1));
         assert_eq!(composed(c), Some(1), "scalar hit");
         assert_eq!(composed(9000), None);
     }

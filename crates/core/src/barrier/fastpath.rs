@@ -112,13 +112,13 @@ impl WorkerCtx<'_> {
     /// static verdict, then — runtime pipelines, direction in `scope` —
     /// nursery window, stack range, allocation log, so every shape charges
     /// exactly the counters a per-word loop would. The nursery window is
-    /// empty whenever the nursery is inactive, so the same order is exact
-    /// for the plain runtime configurations.
+    /// empty whenever the nursery is off (its bump blocks are logged), so
+    /// the same order is exact for the plain runtime configurations.
     ///
     /// The per-word barriers pass a one-word `limit`: the run is then that
     /// word, and the log does one lookup, hit or miss. Reads elide at any
     /// captured level and never see [`RunVerdict::Ancestor`]; writes split
-    /// at the innermost level's watermark (`nur.inner()` / `sp_inner`), and
+    /// at the innermost level's watermark (`nur_inner` / `sp_inner`), and
     /// a heap run is level-homogeneous because one logged block has one
     /// level. A static verdict or a pipeline without runtime checks covers
     /// the whole span.
@@ -143,17 +143,18 @@ impl WorkerCtx<'_> {
         }
         // Nursery: exact by construction — the scalar range `[lo, bump)`
         // only ever covers blocks this transaction bump-allocated and has
-        // neither freed nor demoted, and bump order is address order, so
-        // `a >= inner` is precisely "allocated by the current level".
-        if self.scope.heap && a >= self.nur.lo() && a < self.nur.bump() {
-            return if !WRITE || a >= self.nur.inner() {
+        // not demoted (a freed one dies in place, unreachable), and bump
+        // order is address order, so `a >= inner` is precisely "allocated
+        // by the current level". The window is empty with the nursery off.
+        if self.scope.heap && a.wrapping_sub(self.nur_lo) < self.nur_len {
+            return if !WRITE || a >= self.nur_inner {
                 RunVerdict::Captured {
-                    end: self.nur.bump().min(limit),
+                    end: (self.nur_lo + self.nur_len).min(limit),
                     via: Elided::Nursery,
                 }
             } else {
                 RunVerdict::Ancestor {
-                    end: self.nur.inner().min(limit),
+                    end: self.nur_inner.min(limit),
                 }
             };
         }
@@ -198,7 +199,7 @@ impl WorkerCtx<'_> {
                     via: Elided::Heap,
                 };
             }
-            let lo = self.nur.lo();
+            let lo = self.nur_lo;
             if a < lo && lo < end {
                 end = lo;
             }

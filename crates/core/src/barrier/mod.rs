@@ -282,7 +282,10 @@ impl DispatchTable {
     /// Resolve the barrier pipeline for a configuration. This is the single
     /// place where `Mode` and `LogKind` are matched — it runs once, at
     /// [`crate::StmRuntime::new`], never inside a barrier. The nursery
-    /// flag is not an input: it chooses allocation behaviour only.
+    /// flag is not an input: every pipeline allocates the same way, and
+    /// the flag only decides whether a bump block is logged at birth or
+    /// classified by the worker's scalar window, which stays empty with
+    /// the flag off.
     pub(crate) fn select(cfg: &TxConfig) -> &'static DispatchTable {
         if cfg.reference_dispatch {
             return &REFERENCE;

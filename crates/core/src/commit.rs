@@ -120,7 +120,7 @@ impl<'rt> WorkerCtx<'rt> {
         debug_assert_eq!(self.nursery_live, 0, "stale nursery bytes at begin");
         // The nursery's scalar range and inline window were emptied at
         // transaction end.
-        debug_assert!(self.nur.left().is_empty() && (self.nur_rlen | self.nur_wlen) == 0);
+        debug_assert!(self.nur.left().is_empty() && (self.nur_len | self.nur_wlen) == 0);
     }
 
     /// Validate the whole read set against the *current* record versions.
@@ -327,9 +327,9 @@ impl<'rt> WorkerCtx<'rt> {
         }
         self.reads.clear();
         // Undo allocations: blocks this transaction allocated vanish.
-        // Classic-path blocks are freed individually; nursery blocks
-        // (scalar or demoted) were never counted on their pages, and the
-        // bump rewind below reclaims them all at once.
+        // Heap blocks are freed individually; bump blocks (scalar or
+        // logged) were never counted on their pages, and the bump rewind
+        // below reclaims them all at once.
         for rec in &self.allocs {
             if !rec.freed && rec.home == AllocHome::Heap {
                 self.rt.heap.free(rec.addr);
@@ -446,10 +446,12 @@ impl<'rt> WorkerCtx<'rt> {
     }
 
     /// Whether a durable commit of this transaction appends a record: it
-    /// has an undo entry or an allocation. The one test both for the
-    /// announce of a lock-free commit and for `durable_prepare`'s gather.
+    /// has an allocation, or an undo entry outside the worker's own stack
+    /// (a nested child's write to a frame its parent pushed is undo-logged
+    /// but is no shared state). The one test both for the announce of a
+    /// lock-free commit and for `durable_prepare`'s gather.
     fn logs_something(&self) -> bool {
-        !(self.undo.is_empty() && self.allocs.is_empty())
+        !self.allocs.is_empty() || self.undo.iter().any(|u| !self.stack.contains(u.addr))
     }
 
     /// Encode this commit's redo record and append it to the worker's log
@@ -470,7 +472,7 @@ impl<'rt> WorkerCtx<'rt> {
     /// * **content ranges** — one coalesced range per *surviving*
     ///   allocation, header word included, covering every write the
     ///   capture machinery elided into it.
-    /// * **nothing** for stack/nursery-dead/freed memory — that is the
+    /// * **nothing** for stack/dead/freed memory — that is the
     ///   paper's capture dividend extended to durability, accounted in
     ///   `TxStats::durable_skipped`.
     ///
@@ -514,18 +516,19 @@ impl<'rt> WorkerCtx<'rt> {
                 ranges.push((start, total_bytes / WORD_BYTES));
             }
         }
-        // Shared puts: undo entries not inside *any* in-transaction
-        // allocation (live ones are covered by their range; dead ones are
-        // not recoverable state), each address once so re-written words
-        // are logged once, in first-write order.
+        // Shared puts: undo entries neither on the worker's stack nor
+        // inside *any* in-transaction allocation (live ones are covered by
+        // their range; dead ones are not recoverable state), each address
+        // once so re-written words are logged once, in first-write order.
         let mut puts = std::mem::take(&mut self.dur_puts);
-        let allocs = &self.allocs;
+        let (allocs, stack) = (&self.allocs, &self.stack);
         // `a - start < usable`, wrapping: `start <= a < start + usable` in
         // one compare.
         let shared = self.undo.iter().map(|u| u.addr.raw()).filter(|&a| {
-            !allocs
-                .iter()
-                .any(|r| a.wrapping_sub(r.addr.raw()) < r.usable)
+            !stack.contains(Addr(a))
+                && !allocs
+                    .iter()
+                    .any(|r| a.wrapping_sub(r.addr.raw()) < r.usable)
         });
         puts.gather(self.undo.len(), shared);
         if puts.addrs().is_empty() && ranges.is_empty() {

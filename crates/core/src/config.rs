@@ -113,16 +113,18 @@ pub struct TxConfig {
     /// paper's Figure-8 categories (tx-local heap / tx-local stack /
     /// not-required-other / required). Adds overhead; used by the harness.
     pub classify: bool,
-    /// Serve small transactional allocations from a per-worker
-    /// *nursery* — a contiguous bump region of the heap, held across
-    /// transactions — so the captured-heap check in [`Mode::Runtime`]
-    /// barriers becomes a two-compare range test (the same shape as the
-    /// stack check) and an abort reclaims the whole nursery in O(1) by
-    /// rewinding the bump instead of walking per-block free lists. Blocks
-    /// the scalar range cannot represent (overflow past a switched region,
-    /// holes punched by in-transaction frees, large blocks) fall back to
-    /// the configured allocation log. Requires `Mode::Runtime` (the other
-    /// modes keep no runtime capture state; see
+    /// Classify the blocks of the worker's *nursery* by range. Every
+    /// arm bump-allocates small transactional blocks in a per-worker
+    /// nursery — a contiguous bump region of the heap, held across
+    /// transactions — and an abort reclaims it in O(1) by rewinding the
+    /// bump. This flag picks only the capture check: on, the
+    /// captured-heap check in [`Mode::Runtime`] barriers becomes a
+    /// two-compare range test (the same shape as the stack check) and a
+    /// bump block enters no log; off, every block is recorded in the
+    /// configured allocation log at birth. Blocks the scalar range cannot
+    /// represent (those in a region the nursery switched away from, large
+    /// blocks) fall back to the configured log. Requires `Mode::Runtime`
+    /// (the other modes keep no runtime capture state; see
     /// [`ConfigError::NurseryWithoutBackingLog`]).
     pub nursery: bool,
     /// log2 of the transaction-record table size — an upper bound: the
@@ -196,9 +198,10 @@ impl Default for TxConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `nursery` without runtime capture analysis: the nursery's
-    /// scalar range cannot represent every block (overflow, holes, large
-    /// blocks), so it *requires* a backing allocation log to demote to —
-    /// and only [`Mode::Runtime`] carries one.
+    /// scalar range cannot represent every block (those in a region it
+    /// switched away from, large blocks), so it *requires* a backing
+    /// allocation log to demote to — and only [`Mode::Runtime`] carries
+    /// one.
     NurseryWithoutBackingLog,
     /// `orec_log2` outside the supported 4..=26 range (the table is at
     /// most `2^orec_log2` words; below 16 entries every address collides,

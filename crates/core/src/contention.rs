@@ -715,6 +715,30 @@ mod tests {
         assert_eq!(disk.append_count(), 1);
     }
 
+    /// A nested child's write to its parent's stack frame is undo-logged
+    /// with no lock, but it is no shared state: a commit whose only undo
+    /// entries are stack words neither announces nor appends, so a
+    /// checkpoint holding the token does not turn it away.
+    #[test]
+    fn a_commit_whose_only_undo_is_a_stack_word_does_not_announce() {
+        let disk = SimDisk::new();
+        let rt = durable_runtime(&disk);
+        static S: crate::Site = crate::Site::shared("ckpt-stack");
+        let mut w = rt.spawn_worker();
+        w.begin_top();
+        let mut tx = Tx(&mut w);
+        let f = tx.stack_push(2);
+        tx.write(&S, f, 1).unwrap();
+        tx.nested(|n| n.write(&S, f, 2)).unwrap().unwrap();
+        tx.stack_pop(2);
+        assert!(w.locks.is_empty() && w.undo.len() == 1);
+        let world = rt.cm.checkpoint_token();
+        assert!(w.try_commit(), "nothing to log: nothing to announce");
+        drop(world);
+        assert_eq!((disk.append_count(), disk.log_bytes()), (0, 0));
+        assert_eq!((w.stats.aborts, w.stats.durable_flushes), (0, 0));
+    }
+
     #[test]
     fn a_solo_worker_and_a_checkpoint_exclude_each_other() {
         let rt = durable_runtime(&SimDisk::new());

@@ -848,9 +848,10 @@ pub struct RecoveryReport {
 /// `mem_cfg` and `config` must match the crashed runtime's — the log
 /// records address the simulated memory by absolute word address.
 ///
-/// Recovered free-list state is intentionally *not* reconstructed:
-/// blocks that sat on a free list at the crash leak (the frontier is
-/// restored past them), which costs space but never correctness.
+/// The allocator's page state is intentionally *not* reconstructed: every
+/// page below the restored frontier is marked `Recovered`, so free space
+/// on those pages and the replayed blocks leak (a free of one leaks it),
+/// which costs space but never correctness.
 pub fn recover(
     mem_cfg: MemConfig,
     config: TxConfig,

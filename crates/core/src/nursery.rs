@@ -1,15 +1,18 @@
 //! Transaction-local nursery management (the region lifecycle behind
 //! [`capture::NurseryLog`]'s scalar classification).
 //!
-//! With [`crate::TxConfig::nursery`] active, a worker holds one bump
-//! region of the heap across transactions — a free page, or the longest
-//! free run on a page — and small transactional allocations bump inside
-//! it (class-rounded, ordinary headers — so a published nursery block is
-//! indistinguishable from any other block). The payoffs:
+//! Every worker holds one bump region of the heap across transactions — a
+//! free page, or the longest free run on a page — and every small
+//! transactional allocation bumps inside it (class-rounded, ordinary
+//! headers — so a published nursery block is indistinguishable from any
+//! other block). [`crate::TxConfig::nursery`] picks only how a bump block is
+//! classified: by the scalar range test when it is on, by the configured
+//! allocation log (from birth) when it is off. The payoffs:
 //!
-//! * **O(1) capture checks** — the barrier classifies captured heap memory
-//!   with the same two-compare range test as the stack check (see
-//!   `barrier::fastpath` and the inline paths in `WorkerCtx::read_word`).
+//! * **O(1) capture checks** (nursery on) — the barrier classifies
+//!   captured heap memory with the same two-compare range test as the
+//!   stack check (see `barrier::fastpath` and the inline paths in
+//!   `WorkerCtx::read_word`).
 //! * **O(1) abort** — rollback rewinds the bump pointer to where the
 //!   transaction began and lets go of the regions it took.
 //! * **Cheap commit** — blocks already live in `SharedMem`; commit counts
@@ -17,18 +20,17 @@
 //!
 //! One rule decides when a page returns to the heap's pool: a published
 //! block keeps its page live, a held region keeps it live, and a block
-//! that dies inside its transaction (a hole, an abort) is never counted.
+//! that dies inside its transaction (freed, aborted) is never counted. An
+//! in-transaction free gives the top of the bump back and leaves any other
+//! block dead in place.
 //!
-//! Everything the scalar range cannot represent *demotes* to the
-//! configured allocation log (the paper's tree / array / filter), which
-//! stays exact/conservative as before:
+//! With the nursery on, what the scalar range cannot represent *demotes*
+//! to the configured allocation log (the paper's tree / array / filter):
 //!
 //! * switching to a new region when the held one is full demotes the live
 //!   blocks this transaction bumped in the old one;
-//! * an in-transaction free that is not the top of the bump (a *hole*)
-//!   demotes the live blocks below the hole and shrinks the scalar range
-//!   to `[hole_end, bump)`, so future allocations stay scalar;
-//! * large blocks never enter the nursery (classic path, logged).
+//! * large blocks never enter the nursery (the heap's own allocator,
+//!   logged).
 
 use capture::NurseryMark;
 use txmem::{Addr, HEADER_BYTES};
@@ -36,23 +38,29 @@ use txmem::{Addr, HEADER_BYTES};
 use crate::worker::{AllocHome, WorkerCtx};
 
 impl WorkerCtx<'_> {
-    /// Re-derive the inline scalar-window mirrors (`nur_lo`/`nur_rlen`/
+    /// Re-derive the scalar-window mirrors (`nur_lo`/`nur_len`/`nur_rlen`/
     /// `nur_inner`/`nur_wlen`) from the authoritative [`NurseryLog`].
     /// Must run after *every* mutation of the nursery's scalar state —
     /// a stale window would elide a barrier for memory that is no longer
     /// captured (or skip an undo entry). Every mutation site lives in
     /// this module or goes through the level wrappers below, each of
-    /// which ends with this call. The lengths stay zero unless the
-    /// corresponding fast-path gate is on, so the inline checks are
-    /// self-disabling in every other configuration.
+    /// which ends with this call. With the nursery off every mirror stays
+    /// zero, so no pipeline reads the range; with it on, `nur_rlen`/
+    /// `nur_wlen` stay zero unless the corresponding fast-path gate is on,
+    /// so the inline checks are self-disabling in every other
+    /// configuration.
     ///
     /// [`NurseryLog`]: capture::NurseryLog
     #[inline]
     fn refresh_nursery_window(&mut self) {
+        if !self.nursery_on {
+            return; // every bump block is logged: the range is never read
+        }
         self.nur_lo = self.nur.lo();
         self.nur_inner = self.nur.inner();
+        self.nur_len = self.nur.bump() - self.nur.lo();
         self.nur_rlen = if self.fast.read_nursery {
-            self.nur.bump() - self.nur.lo()
+            self.nur_len
         } else {
             0
         };
@@ -78,7 +86,7 @@ impl WorkerCtx<'_> {
     /// Bump-allocate a class-rounded `total` (header included) in the
     /// nursery, switching to a new region when the held one is full.
     /// `None` when no free run fits `total` (caller falls back to the
-    /// classic path).
+    /// heap's own allocator).
     pub(crate) fn nursery_alloc(&mut self, total: u64) -> Option<Addr> {
         let block = match self.nur.try_alloc(total) {
             Some(block) => block,
@@ -87,7 +95,7 @@ impl WorkerCtx<'_> {
                 // an abort returns to it.
                 let (start, end) = self.rt.heap.take_nursery_region(total)?;
                 self.stats.nursery_regions += 1;
-                self.demote_scalar_blocks(u64::MAX);
+                self.demote_scalar_blocks();
                 self.nur.switch_region(start, end - start);
                 self.nur.try_alloc(total).expect("the region fits")
             }
@@ -98,58 +106,35 @@ impl WorkerCtx<'_> {
         Some(payload)
     }
 
-    /// Move every live scalar-resident block whose block start is below
-    /// `below` into the fallback policy log (demotion is verdict-neutral:
-    /// the log reports the same level the scalar range did).
-    fn demote_scalar_blocks(&mut self, below: u64) {
+    /// Move every live scalar-resident block into the fallback policy log
+    /// (demotion is verdict-neutral: the log reports the same level the
+    /// scalar range did).
+    fn demote_scalar_blocks(&mut self) {
         for i in 0..self.allocs.len() {
             let rec = self.allocs[i];
-            if rec.home == AllocHome::NurseryScalar
-                && !rec.freed
-                && rec.addr.raw() - HEADER_BYTES < below
-            {
+            if rec.home == AllocHome::NurseryScalar && !rec.freed {
                 self.allocs[i].home = AllocHome::NurseryLogged;
                 (self.table.on_alloc)(&mut self.logs, rec.addr.raw(), rec.usable, rec.level);
             }
         }
     }
 
-    /// A current-level nursery block `allocs[i]` dies inside its
-    /// transaction: it is never counted on its page, so only the live-byte
-    /// telemetry moves.
-    fn nursery_forget_block(&mut self, i: usize) {
-        self.allocs[i].freed = true;
-        self.rt.heap.forget_live_bytes(self.allocs[i].usable);
-        self.nursery_live -= self.allocs[i].usable;
-    }
-
-    /// Immediate free of the current level's scalar-resident block
-    /// `allocs[i]`: a LIFO free hands the space straight back to the bump
-    /// pointer; anything else punches a hole — the scalar range shrinks to
-    /// above the hole and the blocks below demote to the fallback log.
-    pub(crate) fn nursery_free_current(&mut self, i: usize) {
+    /// Immediate free of the current level's bump block `allocs[i]`: a
+    /// logged block leaves its log, the top of the bump goes back to the
+    /// bump pointer, and any other block dies in place. It is never
+    /// counted on its page, so only the live-byte telemetry moves.
+    pub(crate) fn nursery_free(&mut self, i: usize) {
         let rec = self.allocs[i];
-        debug_assert_eq!(rec.home, AllocHome::NurseryScalar);
-        let block = rec.addr.raw() - HEADER_BYTES;
-        let end = block + rec.usable + HEADER_BYTES;
-        if end == self.nur.bump() {
-            self.nur.bump_back(block);
-        } else {
-            self.demote_scalar_blocks(block);
-            self.nur.punch_hole(block, end);
+        if rec.home == AllocHome::NurseryLogged {
+            (self.table.on_free)(&mut self.logs, rec.addr.raw(), rec.usable);
+            self.clear_capture_cache(); // the freed block may be cached
         }
-        self.nursery_forget_block(i);
+        self.nur
+            .free(rec.addr.raw() - HEADER_BYTES, rec.addr.raw() + rec.usable);
+        self.allocs[i].freed = true;
+        self.rt.heap.forget_live_bytes(rec.usable);
+        self.nursery_live -= rec.usable;
         self.refresh_nursery_window();
-    }
-
-    /// Immediate free of a current-level block that was demoted to the
-    /// fallback log: remove it from the log.
-    pub(crate) fn nursery_free_logged(&mut self, i: usize) {
-        let rec = self.allocs[i];
-        debug_assert_eq!(rec.home, AllocHome::NurseryLogged);
-        (self.table.on_free)(&mut self.logs, rec.addr.raw(), rec.usable);
-        self.clear_capture_cache(); // the freed block may be cached
-        self.nursery_forget_block(i);
     }
 
     /// Count every nursery block the commit publishes on its page. Runs
@@ -235,5 +220,67 @@ impl WorkerCtx<'_> {
         self.release_switched_to(cp);
         self.nur.abort_level(cp);
         self.refresh_nursery_window();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use capture::{CapturePolicy, RangeTree};
+    use txmem::MemConfig;
+
+    use crate::barrier::PolicySlot;
+    use crate::worker::AllocHome;
+    use crate::{StmRuntime, TxConfig};
+
+    /// With the nursery off, bump blocks are logged from birth and the
+    /// scalar window stays empty, and a free of the top block still moves
+    /// the bump back.
+    #[test]
+    fn a_lifo_free_moves_the_bump_back_with_the_nursery_off() {
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_full());
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| {
+            tx.alloc(40)?;
+            let bump = tx.0.nur.bump();
+            let b = tx.alloc(40)?;
+            assert!(tx
+                .0
+                .allocs
+                .iter()
+                .all(|r| r.home == AllocHome::NurseryLogged));
+            assert_eq!(RangeTree::of(&tx.0.logs).query(b.raw()), Some(1));
+            assert_eq!((tx.0.nur_lo, tx.0.nur_len), (0, 0), "no window");
+            tx.free(b);
+            assert_eq!(tx.0.nur.bump(), bump);
+            assert_eq!(RangeTree::of(&tx.0.logs).query(b.raw()), None);
+            assert_eq!(tx.alloc(40)?, b, "the space comes back");
+            Ok(())
+        });
+    }
+
+    /// With the nursery on, a free below the top leaves the block dead in
+    /// place: the window and the watermark stay, and nothing demotes to
+    /// the fallback log.
+    #[test]
+    fn a_middle_free_adds_nothing_to_the_fallback_log() {
+        let rt = StmRuntime::new(MemConfig::small(), TxConfig::runtime_tree_nursery());
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| {
+            let blocks = (0..3)
+                .map(|_| tx.alloc(40))
+                .collect::<Result<Vec<_>, _>>()?;
+            let window = (tx.0.nur_lo, tx.0.nur_len, tx.0.nur_inner);
+            tx.free(blocks[1]);
+            assert_eq!((tx.0.nur_lo, tx.0.nur_len, tx.0.nur_inner), window);
+            assert!(tx
+                .0
+                .allocs
+                .iter()
+                .all(|r| r.home == AllocHome::NurseryScalar));
+            for b in blocks {
+                assert_eq!(RangeTree::of(&tx.0.logs).query(b.raw()), None);
+            }
+            Ok(())
+        });
     }
 }

@@ -19,11 +19,12 @@
 //! invisible to every older snapshot, and readers pay nothing (DESIGN.md
 //! §13.6).
 //!
-//! With [`crate::TxConfig::nursery`] active, small allocations are instead
-//! bump-allocated in the transaction's nursery (see `crate::nursery`) and
-//! classified by the scalar range test — no per-block policy logging at
-//! all. Large blocks take the classic path below and fall back to the
-//! configured log.
+//! Every small block is bump-allocated in the worker's nursery region (see
+//! `crate::nursery`). [`crate::TxConfig::nursery`] picks only its capture
+//! check: the scalar range test when on (no per-block policy logging at
+//! all), the configured log when off. Large blocks, and small ones on a
+//! heap with no region left to give, take the heap's own allocator and
+//! the configured log.
 
 use capture::CapturePolicy;
 use txmem::{small_block_total, Addr, HEADER_BYTES, NURSERY_MAX_BLOCK_BYTES};
@@ -34,39 +35,33 @@ use crate::worker::{AllocHome, AllocRec, TxResult, WorkerCtx};
 impl WorkerCtx<'_> {
     pub(crate) fn tx_alloc(&mut self, size: u64) -> TxResult<Addr> {
         debug_assert!(self.depth > 0);
-        if self.nursery_on {
-            if let Some(total) = small_block_total(size) {
-                if total <= NURSERY_MAX_BLOCK_BYTES {
-                    if let Some(addr) = self.nursery_alloc(total) {
-                        self.allocs.push(AllocRec {
-                            addr,
-                            usable: total - HEADER_BYTES,
-                            level: self.depth,
-                            freed: false,
-                            home: AllocHome::NurseryScalar,
-                        });
-                        // No policy logging: the scalar range covers it.
-                        if let Some(t) = self.classify_log.as_mut() {
-                            t.insert(addr.raw(), total - HEADER_BYTES, self.depth);
-                        }
-                        self.stats.tx_allocs += 1;
-                        return Ok(addr);
-                    }
-                    // No free run fits it anywhere: the classic path
-                    // below reports the exhausted heap.
-                }
+        let bumped = match small_block_total(size) {
+            Some(total) if total <= NURSERY_MAX_BLOCK_BYTES => self
+                .nursery_alloc(total)
+                .map(|addr| (addr, total - HEADER_BYTES)),
+            _ => None,
+        };
+        let (addr, usable, home) = match bumped {
+            Some((addr, usable)) if self.nursery_on => (addr, usable, AllocHome::NurseryScalar),
+            Some((addr, usable)) => (addr, usable, AllocHome::NurseryLogged),
+            // Large, or no free run fits it anywhere: the heap's allocator
+            // serves it or reports the exhausted heap.
+            None => {
+                let addr = self.rt.alloc_or_panic(size, " inside a transaction");
+                (addr, self.rt.heap.usable_size(addr), AllocHome::Heap)
             }
-        }
-        let addr = self.rt.alloc_or_panic(size, " inside a transaction");
-        let usable = self.rt.heap.usable_size(addr);
+        };
         self.allocs.push(AllocRec {
             addr,
             usable,
             level: self.depth,
             freed: false,
-            home: AllocHome::Heap,
+            home,
         });
-        (self.table.on_alloc)(&mut self.logs, addr.raw(), usable, self.depth);
+        // A scalar block needs no policy logging: the range covers it.
+        if home != AllocHome::NurseryScalar {
+            (self.table.on_alloc)(&mut self.logs, addr.raw(), usable, self.depth);
+        }
         if let Some(t) = self.classify_log.as_mut() {
             t.insert(addr.raw(), usable, self.depth);
         }
@@ -79,21 +74,19 @@ impl WorkerCtx<'_> {
         // A block allocated by the *current* nesting level can be freed
         // immediately: nobody else can hold a reference (it is captured),
         // and a later abort of this level would have discarded it anyway.
-        // This is McRT-Malloc's balanced alloc/free optimization. A
-        // nursery block goes back to the bump pointer or dies in place,
-        // uncounted; a classic block goes back to its page.
+        // This is McRT-Malloc's balanced alloc/free optimization. A bump
+        // block goes back to the bump pointer or dies in place, uncounted;
+        // a heap block goes back to its page.
         if let Some(i) = self.allocs.iter().rposition(|r| r.addr == addr && !r.freed) {
             if self.allocs[i].level >= self.depth {
                 let usable = self.allocs[i].usable;
-                match self.allocs[i].home {
-                    AllocHome::Heap => {
-                        self.allocs[i].freed = true;
-                        (self.table.on_free)(&mut self.logs, addr.raw(), usable);
-                        self.clear_capture_cache(); // the freed block may be cached
-                        self.rt.heap.free(addr);
-                    }
-                    AllocHome::NurseryScalar => self.nursery_free_current(i),
-                    AllocHome::NurseryLogged => self.nursery_free_logged(i),
+                if self.allocs[i].home == AllocHome::Heap {
+                    self.allocs[i].freed = true;
+                    (self.table.on_free)(&mut self.logs, addr.raw(), usable);
+                    self.clear_capture_cache(); // the freed block may be cached
+                    self.rt.heap.free(addr);
+                } else {
+                    self.nursery_free(i);
                 }
                 if let Some(t) = self.classify_log.as_mut() {
                     t.remove(addr.raw(), usable);

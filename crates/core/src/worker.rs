@@ -48,18 +48,18 @@ pub(crate) struct UndoEntry {
 /// Where a transactional allocation's memory and classification live.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum AllocHome {
-    /// Classic allocator block (size-class free list or large list),
-    /// recorded in the active capture policy log; rollback frees it
-    /// individually.
+    /// A block from the heap's own allocator — a large run, or a small
+    /// block when the heap had no nursery region left to give — recorded
+    /// in the active capture policy log; rollback frees it individually.
     Heap,
     /// Nursery bump block covered by the scalar range test; in no log.
     /// Rollback reclaims it wholesale with its region.
     NurseryScalar,
-    /// Nursery bump block demoted to the fallback log: its region was
-    /// chained away from, or it sits below a hole punched by an
-    /// in-transaction free. Classified by the log, but its memory still
-    /// lives in a nursery region, so rollback must *not* free it
-    /// individually.
+    /// Nursery bump block classified by the active capture policy log:
+    /// every bump block when [`TxConfig::nursery`] is off, and, when it is
+    /// on, the blocks of a region the nursery switched away from. Its
+    /// memory still lives in a nursery region, so rollback must *not* free
+    /// it individually.
     NurseryLogged,
 }
 
@@ -88,7 +88,8 @@ pub(crate) struct FastFlags {
     pub write_heap: bool,
     /// Nursery scalar-range checks (two compares, like the stack check).
     /// Exact by construction: the scalar range only ever holds blocks the
-    /// current transaction bump-allocated and has not freed or demoted.
+    /// current transaction bump-allocated and has not demoted (a block it
+    /// freed dies in place, where nothing else can reach it).
     pub read_nursery: bool,
     pub write_nursery: bool,
 }
@@ -114,8 +115,8 @@ impl FastFlags {
     }
 }
 
-/// A registered worker thread: owns a simulated stack region, allocator
-/// caches, the capture logs, and the (reusable) transaction logs. This is
+/// A registered worker thread: owns a simulated stack region, a nursery
+/// region, the capture logs, and the (reusable) transaction logs. This is
 /// the paper's *transaction descriptor* plus per-thread runtime state.
 pub struct WorkerCtx<'rt> {
     pub(crate) rt: &'rt StmRuntime,
@@ -199,26 +200,29 @@ pub struct WorkerCtx<'rt> {
     /// is always a hit the policy itself would report.
     pub(crate) cap_start: u64,
     pub(crate) cap_len: u64,
-    /// Inline mirror of the nursery's scalar window, in the exact shape of
-    /// the capture cache above: reads elide when `addr - nur_lo <
-    /// nur_rlen` (any captured level), writes when `addr - nur_inner <
-    /// nur_wlen` (current level only — ancestor hits need the undo-logged
-    /// barrier path). The lengths stay 0 whenever the corresponding
-    /// [`FastFlags`] gate is off (wrong mode, classify, reference
-    /// dispatch, scope), so the checks need no separate flag test.
-    /// Refreshed by [`WorkerCtx::refresh_nursery_window`] after every
+    /// Mirror of the nursery's scalar window `[nur_lo, nur_lo + nur_len)`,
+    /// the range the runtime pipelines' classifier tests. The inline
+    /// checks use it in the exact shape of the capture cache above: reads
+    /// elide when `addr - nur_lo < nur_rlen` (any captured level), writes
+    /// when `addr - nur_inner < nur_wlen` (current level only — ancestor
+    /// hits need the undo-logged barrier path). Every field stays 0 with
+    /// the nursery off, and the two inline lengths whenever the
+    /// corresponding [`FastFlags`] gate is off (wrong mode, classify,
+    /// reference dispatch, scope), so the checks need no separate flag
+    /// test. Refreshed by [`WorkerCtx::refresh_nursery_window`] after every
     /// nursery mutation.
     pub(crate) nur_lo: u64,
+    pub(crate) nur_len: u64,
     pub(crate) nur_rlen: u64,
     pub(crate) nur_inner: u64,
     pub(crate) nur_wlen: u64,
-    /// The transaction-local nursery (see `crate::nursery`): bump-region
-    /// state whose `[lo, bump)` scalar range plus per-level watermark give
-    /// the two-compare captured-heap check. Only populated when
-    /// [`TxConfig::nursery`] is active; empty (and never consulted by the
-    /// fast flags) otherwise.
+    /// The worker's nursery (see `crate::nursery`): the bump region every
+    /// small transactional block comes from, whose `[lo, bump)` scalar
+    /// range plus per-level watermark give the two-compare captured-heap
+    /// check when [`TxConfig::nursery`] is on.
     pub(crate) nur: NurseryLog,
-    /// `cfg.nursery`, hoisted for the allocation path.
+    /// `cfg.nursery`, hoisted: it picks a bump block's home (scalar range
+    /// or log).
     pub(crate) nursery_on: bool,
     /// Usable bytes of this transaction's live (not yet freed) nursery
     /// blocks; an abort settles the heap's live-byte telemetry with one
@@ -309,6 +313,7 @@ impl<'rt> WorkerCtx<'rt> {
             cap_start: 0,
             cap_len: 0,
             nur_lo: 0,
+            nur_len: 0,
             nur_rlen: 0,
             nur_inner: 0,
             nur_wlen: 0,

@@ -54,7 +54,9 @@ const BLK_WORDS: u64 = 4;
 /// One logical transaction, fully determined by its fields and its index:
 /// a shared-cell RMW, optionally an allocate-fill-publish (the captured →
 /// coalesced-range path), optionally a nested child (partial abort),
-/// optionally a user abort (no effects, no commit). A `captured_only`
+/// optionally a stack frame a nested child writes (an undo-logged write
+/// that is no shared state), optionally a user abort (no effects, no
+/// commit). A `captured_only`
 /// transaction does none of that: it allocates and fills a block it never
 /// publishes, a commit that takes no lock yet appends a record.
 #[derive(Clone, Debug)]
@@ -67,6 +69,7 @@ struct TxnSpec {
     free_old: bool,
     nested: bool,
     abort_nested: bool,
+    stack_frame: bool,
     user_abort: bool,
 }
 
@@ -77,11 +80,15 @@ fn txn_spec() -> impl Strategy<Value = TxnSpec> {
             any::<bool>(),
             any::<bool>(),
             any::<bool>(),
+            any::<bool>(),
             prop_oneof![4 => Just(false), 1 => Just(true)],
         ),
     )
         .prop_map(
-            |((cell, val, alloc, slot), (free_old, nested, abort_nested, user_abort))| TxnSpec {
+            |(
+                (cell, val, alloc, slot),
+                (free_old, nested, abort_nested, stack_frame, user_abort),
+            )| TxnSpec {
                 captured_only: false,
                 cell,
                 val,
@@ -90,6 +97,7 @@ fn txn_spec() -> impl Strategy<Value = TxnSpec> {
                 free_old,
                 nested,
                 abort_nested,
+                stack_frame,
                 user_abort,
             },
         )
@@ -289,6 +297,15 @@ fn body(
             }
         })?;
     }
+    if t.stack_frame {
+        // The child's write to its parent's frame has the ancestor verdict:
+        // undo-logged, with no lock. It is still no shared state.
+        let f = tx.stack_push(2);
+        tx.write(&S_CAP, f, iu + 1)?;
+        tx.nested(|n| n.write(&S_CAP, f, !iu))?
+            .expect("the child commits");
+        tx.stack_pop(2);
+    }
     if t.user_abort {
         return Err(Abort::User(iu + 1));
     }
@@ -419,6 +436,14 @@ fn diff_prefix(
     for &i in &sim.unpublished {
         block(i, &blk_content(i), "captured only")?;
     }
+    // Stack words are no shared state: recovery leaves every one as a
+    // fresh runtime has it.
+    let layout = rt2.mem().layout();
+    for a in (layout.stacks_start..layout.heap_start).step_by(8) {
+        if load(Addr(a)) != 0 {
+            return Err(format!("recovery wrote the stack word {a:#x}"));
+        }
+    }
     Ok(())
 }
 
@@ -466,6 +491,7 @@ fn fixed_script(n: usize) -> Vec<TxnSpec> {
             free_old: i % 4 == 0,
             nested: i % 3 == 0,
             abort_nested: i % 6 == 0,
+            stack_frame: i % 5 == 1,
             user_abort: false,
         })
         .collect()
@@ -514,6 +540,44 @@ fn every_flush_phase_at_every_append_recovers_the_exact_prefix() {
             );
         }
     }
+}
+
+/// The redo log holds shared state only. A durable `runtime_tree_full`
+/// transaction whose one write outside its own level is a nested child's
+/// write to the frame its parent pushed (an undo entry, no lock) appends
+/// nothing, and a recovery after it leaves the memory image, stacks and
+/// heap, as it was before the transaction.
+#[test]
+fn a_nested_write_to_a_parent_stack_frame_appends_nothing() {
+    let disk = SimDisk::new();
+    let cfg = TxConfig {
+        durable: true,
+        ..TxConfig::runtime_tree_full()
+    };
+    let image = |rt: &StmRuntime| -> Vec<u64> {
+        let l = rt.mem().layout();
+        (l.stacks_start..l.heap_end)
+            .step_by(8)
+            .map(|a| rt.mem().load_private(Addr(a)))
+            .collect()
+    };
+    let rt = StmRuntime::new_durable(MemConfig::small(), cfg, disk.clone());
+    let before = image(&rt);
+    let mut w = rt.spawn_worker();
+    w.txn(|tx| {
+        let f = tx.stack_push(2);
+        tx.write(&S_CAP, f, 1)?;
+        tx.nested(|n| n.write(&S_CAP, f, 2))?
+            .expect("the child commits");
+        tx.stack_pop(2);
+        Ok(())
+    });
+    assert_eq!((disk.append_count(), disk.log_bytes()), (0, 0));
+    assert_eq!(w.stats.durable_flushes, 0);
+    drop(w);
+    let (rt2, report) = recover(MemConfig::small(), cfg, disk);
+    assert_eq!(report.records_applied, 0);
+    assert!(image(&rt2) == before, "recovery changed the memory image");
 }
 
 /// Crash after the new snapshot is written but before the manifest points

@@ -1,19 +1,23 @@
-//! Exactness oracle for the nursery classification (ISSUE 4, satellite):
-//! the nursery's scalar range compares + per-level watermarks, composed
-//! with the tree fallback for overflow/demoted blocks, must agree with the
-//! precise [`capture::RangeTree`] *exactly* — not just conservatively — on
-//! every access.
+//! Exactness oracle for the nursery classification: the nursery's scalar
+//! range compares + per-level watermarks, composed with the tree fallback
+//! for switched-away and large blocks, must agree with the precise
+//! [`capture::RangeTree`] *exactly* — not just conservatively — on every
+//! access.
 //!
 //! The proof is differential: random transaction scripts run under
-//! `runtime-tree` with the nursery ON and OFF. If any access ever
-//! classified differently (captured vs not, current- vs ancestor-level),
-//! the runs would diverge in the barrier counters (`elided_heap`,
-//! `parent_captured`, `full`) or — because ancestor misclassification
-//! skips undo entries — in committed memory. The scripts drive every
-//! nursery transition: bump allocation, region chaining via
-//! region-filling allocations (overflow spills demote to the tree), LIFO
-//! frees, hole-punching frees, large blocks on the classic path, nesting
-//! with partial abort, and whole-transaction aborts.
+//! `runtime-tree` with the nursery ON and OFF. Both arms bump every small
+//! block from the same held region, so they allocate at the same addresses;
+//! only the capture check differs (scalar range vs the tree, which logs
+//! every bump block from birth when the nursery is off). If any access
+//! ever classified differently (captured vs not, current- vs
+//! ancestor-level), the runs would diverge in the barrier counters
+//! (`elided_heap`, `parent_captured`, `full`) or — because ancestor
+//! misclassification skips undo entries — in committed memory. The
+//! scripts drive every nursery transition: bump allocation, region
+//! switching via region-filling allocations (overflow demotes to the
+//! tree), frees of the top block (bump-back) and below it (dies in
+//! place), large blocks on the heap's own allocator, nesting with partial
+//! abort, and whole-transaction aborts.
 
 mod common;
 
@@ -34,15 +38,16 @@ enum Op {
     /// Region-filling allocation (rounds to the largest nursery class, so
     /// three of these force a chain and the demotion path).
     AllocBig { words: u16 },
-    /// Past-nursery-limit allocation: classic path, fallback-logged.
+    /// Past-nursery-limit allocation: the heap's own allocator, logged.
     AllocHuge,
     /// Write through a live scratch block (scalar / fallback / ancestor
     /// undo paths, depending on where the block lives).
     WriteScratch { idx: u8, word: u8, val: u64 },
     /// Read a scratch word and publish it to a shared cell.
     PublishScratch { idx: u8, word: u8, cell: u8 },
-    /// Free a live scratch block in-transaction: LIFO bump-back or hole
-    /// punch (with demotion of the blocks below) for nursery blocks.
+    /// Free a live scratch block in-transaction: the top of the bump goes
+    /// back to the bump pointer, any other bump block dies in place (and,
+    /// with the nursery off, leaves the tree).
     Free { idx: u8 },
     /// Full-barrier traffic on shared cells.
     WriteShared { cell: u8, val: u64 },
@@ -114,7 +119,7 @@ fn run_ops(
             }
             Op::AllocHuge => {
                 // 600 words -> 4800 B payload -> 8192 class: past the
-                // nursery block limit, classic path + fallback log.
+                // nursery block limit, the heap's own allocator + the log.
                 let p = tx.alloc(600 * 8)?;
                 tx.write(&S_LOCAL, p, 0x4065)?;
                 scratch.push((p, 600));
@@ -246,8 +251,8 @@ fn nursery_transitions_all_fire() {
                 Op::AllocBig { words: 400 }, // chains (demotes the first two)
                 Op::Alloc { words: 4 },
                 Op::Alloc { words: 4 },
-                Op::Free { idx: 3 }, // hole punch below the top block
-                Op::AllocHuge,       // classic path
+                Op::Free { idx: 3 }, // dies in place below the top block
+                Op::AllocHuge,       // the heap's own allocator
                 Op::WriteScratch {
                     idx: 0,
                     word: 0,
@@ -271,11 +276,10 @@ fn nursery_transitions_all_fire() {
             commit: true,
         },
         Txn {
-            // Two 4096-class blocks fill a region; the huge classic-path
-            // carve then breaks frontier contiguity so the third block
-            // *chains* (extension CAS fails) instead of extending. The
-            // abort recycles the chained-away region in O(1) and retains
-            // the active one as the next transaction's spare.
+            // Two 4096-class blocks fill a region, so the third switches
+            // to a new one past the huge block's page. The abort lets go
+            // of the region it switched to and rewinds the one the worker
+            // held.
             ops: vec![
                 Op::AllocBig { words: 400 },
                 Op::AllocBig { words: 400 },

@@ -9,8 +9,9 @@
 //! The traces stress every run-classification edge: spans over shared
 //! memory crossing many orec stripes, spans wholly inside captured scratch
 //! blocks, spans straddling the stack capture boundary (words below `sp`
-//! shared, the frame captured), spans across nursery holes punched by
-//! in-transaction frees (captured → shared → captured splits), nested
+//! shared, the frame captured), spans across a bump block freed in its
+//! transaction (it dies in place: one captured run with the nursery on,
+//! captured → shared → captured splits with it off), nested
 //! transactions whose ancestor-captured runs need per-word undo, and
 //! partial aborts that must restore bit-identically.
 //!
@@ -66,10 +67,11 @@ enum Op {
         seed: u64,
         cell: u8,
     },
-    /// Nursery-only: allocate three adjacent blocks, free the middle one
-    /// (punching a hole), then span all three — captured → shared →
-    /// captured run splits over contiguous nursery memory.
-    HoleSpan { a: u8, c: u8, seed: u64, cell: u8 },
+    /// Allocate three adjacent bump blocks, free the middle one (it dies
+    /// in place), then span all three: one captured run over contiguous
+    /// nursery memory with the nursery on, captured → shared → captured
+    /// with it off (the freed block left the log).
+    DeadSpan { a: u8, c: u8, seed: u64, cell: u8 },
 }
 
 #[derive(Clone, Debug)]
@@ -125,7 +127,7 @@ fn op() -> impl Strategy<Value = Op> {
                 cell
             }
         ),
-        (2..8u8, 2..8u8, any::<u64>(), any::<u8>()).prop_map(|(a, c, seed, cell)| Op::HoleSpan {
+        (2..8u8, 2..8u8, any::<u64>(), any::<u8>()).prop_map(|(a, c, seed, cell)| Op::DeadSpan {
             a,
             c,
             seed,
@@ -202,7 +204,6 @@ fn run_ops(
     ops: &[Op],
     scratch: &mut Scratch,
     ranged: bool,
-    nursery: bool,
 ) -> TxResult<()> {
     for op in ops {
         match *op {
@@ -308,14 +309,9 @@ fn run_ops(
                 tx.write(&S_SHARED, base.word(u64::from(cell) % CELLS), folded)?;
                 tx.stack_pop(words as usize);
             }
-            Op::HoleSpan { a, c, seed, cell } => {
-                // Only meaningful (and only memory-safe) with the nursery:
-                // freed-block memory stays in the bump region, so spanning
-                // the hole touches no allocator metadata. Gated on the
-                // *configuration*, so both APIs execute the same trace.
-                if !nursery {
-                    continue;
-                }
+            Op::DeadSpan { a, c, seed, cell } => {
+                // A freed bump block stays in the bump region, so spanning
+                // it touches no allocator metadata.
                 let wa = u64::from(a);
                 let wc = u64::from(c);
                 let pa = tx.alloc(wa * 8)?;
@@ -330,10 +326,8 @@ fn run_ops(
                     let vc: Vec<u64> = (0..wc).map(|k| pat(seed, 100 + k)).collect();
                     span_write(tx, &S_CAP, pc, &vc, ranged)?;
                     tx.free(pb);
-                    // Read-only span across the hole: writes would trample
-                    // the freed block's inline header, which commit still
-                    // reads to recycle it — reads split captured → shared
-                    // → captured without touching allocator metadata.
+                    // Read-only span across the dead block: a write through
+                    // it would be a use after free.
                     let mut dst = vec![0u64; span_words as usize];
                     span_read(tx, &S_CAP, pa, &mut dst, ranged)?;
                     let folded = dst.iter().fold(0u64, |acc, &v| acc ^ v);
@@ -364,7 +358,6 @@ fn run(script: &[Txn], c: Config, ranged: bool, reference: bool) -> (Vec<u64>, S
     cfg.classify = c.classify;
     cfg.annotations = c.annotations;
     cfg.reference_dispatch = reference;
-    let nursery_on = cfg.nursery;
     let rt = StmRuntime::new(MemConfig::small(), cfg);
     let base = rt.alloc_global(CELLS * 8);
     let mut w = rt.spawn_worker();
@@ -379,13 +372,13 @@ fn run(script: &[Txn], c: Config, ranged: bool, reference: bool) -> (Vec<u64>, S
         let mut committed_scratch: Scratch = Vec::new();
         let r: Result<(), u64> = w.txn_result(|tx| {
             let mut scratch: Scratch = Vec::new();
-            run_ops(tx, base, &t.ops, &mut scratch, ranged, nursery_on)?;
+            run_ops(tx, base, &t.ops, &mut scratch, ranged)?;
             if !t.nested.is_empty() || t.abort_nested {
                 let checkpoint = scratch.len();
                 let abort_nested = t.abort_nested;
                 let nested_ops = &t.nested;
                 let res = tx.nested(|ntx| {
-                    run_ops(ntx, base, nested_ops, &mut scratch, ranged, nursery_on)?;
+                    run_ops(ntx, base, nested_ops, &mut scratch, ranged)?;
                     if abort_nested {
                         Err(Abort::User(9))
                     } else {
@@ -530,14 +523,15 @@ proptest! {
     }
 }
 
-/// Deterministic spot-check that ranged runs split where they must: a
-/// nursery hole span charges captured *and* full counters, and stack
-/// boundary spans split at `sp`.
+/// Deterministic spot-check that ranged runs split where they must: with
+/// the nursery off, a span over a dead bump block charges captured *and*
+/// full counters; with it on, the dead block stays in the scalar range;
+/// and stack boundary spans split at `sp`.
 #[test]
 fn hole_and_stack_spans_split_runs() {
     let script = vec![Txn {
         ops: vec![
-            Op::HoleSpan {
+            Op::DeadSpan {
                 a: 4,
                 c: 4,
                 seed: 11,
@@ -559,11 +553,11 @@ fn hole_and_stack_spans_split_runs() {
         log: LogKind::Tree,
         scope: CheckScope::FULL,
     };
-    let (_, stats, ranged_sum) = run(&script, plain(mode, true), true, false);
-    assert!(ranged_sum > 0);
-    // The hole span must have split into captured and shared (full) runs,
-    // and the stack span into shared-below-sp and captured-frame runs.
-    assert!(stats.contains("elided_stack"), "sanity: debug format shape");
-    let (_, stats_pw, _) = run(&script, plain(mode, true), false, false);
-    assert_eq!(stats, stats_pw, "split runs must charge per-word counters");
+    for nursery in [false, true] {
+        let (_, stats, ranged_sum) = run(&script, plain(mode, nursery), true, false);
+        assert!(ranged_sum > 0);
+        assert!(stats.contains("elided_stack"), "sanity: debug format shape");
+        let (_, stats_pw, _) = run(&script, plain(mode, nursery), false, false);
+        assert_eq!(stats, stats_pw, "split runs must charge per-word counters");
+    }
 }

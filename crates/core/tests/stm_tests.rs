@@ -603,12 +603,16 @@ fn stale_snapshot_reader_sees_sequential_commits_in_real_time_order() {
     assert_eq!((a.stats.commits_ro, a.stats.aborts), (2, 0));
 }
 
-/// `head → X`, X a 64-byte block whose first word is 5 and which sits in
-/// `b`'s heap cache shape, so that once `b` frees it, `b`'s next 64-byte
-/// allocation hands it back (LIFO).
+/// Payload size of X: past the nursery's block limit, so a transaction
+/// allocates it from the heap's own allocator, which hands a freed page
+/// straight back (LIFO); small blocks bump in a nursery region instead.
+const X_BYTES: u64 = txmem::NURSERY_MAX_BLOCK_BYTES;
+
+/// `head → X`, X a block of `X_BYTES` whose first word is 5, so that once
+/// `b` frees it, `b`'s next allocation of that size hands it back.
 fn published_block(rt: &StmRuntime, b: &mut stm::WorkerCtx<'_>) -> (Addr, Addr) {
     let head = rt.alloc_global(8);
-    let x = b.alloc_raw(64);
+    let x = b.alloc_raw(X_BYTES);
     b.store(x, 5);
     b.store_as(head, x);
     (head, x)
@@ -637,7 +641,7 @@ fn stale_writer_cannot_restore_over_a_recycled_block() {
             });
             let stale = ta.write(&S, p, 111);
             b.txn(|tb| {
-                let y = tb.alloc(64)?;
+                let y = tb.alloc(X_BYTES)?;
                 assert_eq!(y, p, "the freed block comes back LIFO");
                 tb.write(&S_ESC, y, 222)?;
                 tb.write_as(&S, head, y)
@@ -675,7 +679,7 @@ fn read_only_commit_never_returns_a_recycled_block() {
                 Ok(())
             });
             b.txn(|tb| {
-                let y = tb.alloc(64)?;
+                let y = tb.alloc(X_BYTES)?;
                 assert_eq!(y, p, "the freed block comes back LIFO");
                 tb.write(&S_ESC, y, 999)?;
                 tb.write_as(&S, parked, y)
@@ -789,6 +793,53 @@ fn nursery_rt(log: LogKind) -> StmRuntime {
     StmRuntime::new(MemConfig::small(), cfg)
 }
 
+/// Every arm bumps small blocks from the page its worker holds: with the
+/// nursery off (baseline, runtime-tree), 64 small blocks take one nursery
+/// region and no block page from the heap's own allocator, and an abort
+/// gives every byte back.
+#[test]
+fn every_arm_bumps_small_blocks_from_one_region() {
+    for cfg in [
+        TxConfig::with_mode(Mode::Baseline),
+        TxConfig::runtime_tree_full(),
+    ] {
+        let rt = StmRuntime::new(MemConfig::small(), cfg);
+        let mut w = rt.spawn_worker();
+        let live = rt.heap().bytes_allocated();
+        let before = rt.heap().census();
+        let alloc64 = |tx: &mut stm::Tx<'_, '_>| -> stm::TxResult<()> {
+            for i in 0..64u64 {
+                let p = tx.alloc(40 + i % 3 * 8)?;
+                tx.write(&S_ESC, p, i)?;
+            }
+            Ok(())
+        };
+        let r = w.txn_result(|tx| {
+            alloc64(tx)?;
+            Err::<(), _>(Abort::User(1))
+        });
+        assert_eq!(r, Err(1));
+        assert_eq!(
+            rt.heap().bytes_allocated(),
+            live,
+            "{cfg:?}: the abort leaked"
+        );
+        assert_eq!(w.stats.nursery_regions, 1, "{cfg:?}");
+        let c = rt.heap().census();
+        assert_eq!((c.nursery_pages, c.free_pages), (0, 1), "its page is free");
+        w.txn(alloc64);
+        let after = rt.heap().census();
+        assert_eq!(w.stats.nursery_regions, 2, "{cfg:?}: one per transaction");
+        assert_eq!(after.block_pages, before.block_pages, "{cfg:?}");
+        assert_eq!(
+            (before.nursery_pages, after.nursery_pages),
+            (0, 1),
+            "{cfg:?}"
+        );
+        assert_eq!(w.stats.tx_allocs, 128);
+    }
+}
+
 /// In-transaction alloc/free churn across nesting levels: every small
 /// block freed within its allocating transaction dies on its nursery page
 /// uncounted (or goes back to the bump pointer) — no large run is ever
@@ -809,13 +860,13 @@ fn nursery_churn_frees_within_txn_across_levels() {
                     tx.write(&S_ESC, p, i)?;
                     live.push(p);
                 }
-                // LIFO frees (bump-back) and mid-list frees (hole punch +
-                // demotion) at the top level.
+                // LIFO frees (bump-back) and mid-list frees (dead in
+                // place) at the top level.
                 let top = live.pop().unwrap();
                 tx.free(top);
                 let mid = live.remove(3);
                 tx.free(mid);
-                // Nested level: alloc, free-own (LIFO + hole), free parent
+                // Nested level: alloc, free-own (LIFO + middle), free parent
                 // blocks (deferred), then either commit or partial-abort.
                 let parent_victim = live.remove(0);
                 let abort_child = round % 2 == 0;
@@ -827,7 +878,7 @@ fn nursery_churn_frees_within_txn_across_levels() {
                         child.push(q);
                     }
                     ntx.free(child.pop().unwrap()); // LIFO
-                    ntx.free(child.remove(1)); // hole
+                    ntx.free(child.remove(1)); // dies in place
                     ntx.free(parent_victim); // ancestor: deferred
                     for (j, &q) in child.iter().enumerate() {
                         let v = ntx.read(&S_ESC, q)?;

@@ -506,7 +506,7 @@ impl TxHeap {
     }
 
     /// Drop `usable` bytes from the live-byte telemetry for nursery blocks
-    /// that die inside their transaction (bump-back, hole, abort): they
+    /// that die inside their transaction (freed, or aborted): they
     /// were never counted on their page, so they never pass through
     /// `free`. An abort settles all of a transaction's nursery blocks with
     /// one call.
@@ -730,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn refill_carves_are_byte_capped_for_large_classes() {
+    fn a_page_serves_one_region_or_small_blocks_of_any_class() {
         let (_, heap) = mk();
         let start = heap.frontier();
         // A nursery page is one page, never a hoard of them.
@@ -754,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn released_thread_cache_is_reachable_by_successors() {
+    fn a_block_freed_by_an_exited_thread_is_recycled_first() {
         let (_, heap) = mk();
         let keep = heap.alloc(56).unwrap();
         // A thread frees a block and exits; nothing of it is private.
@@ -775,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_recycling_via_shared_shard() {
+    fn blocks_freed_by_another_thread_serve_without_a_fresh_page() {
         let (_, heap) = mk();
         // Thread 1 allocates two pages' worth of one class and frees all
         // but one block: the first page stays open, the second goes back.
@@ -804,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_stealing_on_exhaustion() {
+    fn an_exhausted_frontier_falls_back_to_freed_blocks() {
         let (_, heap) = mk();
         // Exhaust the heap, then free blocks on a page: another thread's
         // 56-byte request is served from them rather than reported as
@@ -840,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn big_blocks_are_never_stranded_in_a_private_cache() {
+    fn a_freed_block_serves_another_thread_on_an_exhausted_heap() {
         let (_, heap) = mk();
         // Fill one 256-byte class page, then burn the frontier.
         let blocks: Vec<_> = (0..PAGE_BYTES / 256)
@@ -1118,7 +1118,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_alloc_free_churn_across_shards() {
+    fn concurrent_alloc_free_churn_returns_every_page() {
         // Alloc/free churn from several threads at once, nursery pages
         // included: no address is handed out twice concurrently, and once
         // everything is freed every page is back in the pool.
