@@ -1,13 +1,20 @@
-//! The `barrier_dispatch` microbenchmark: per-access cost of every barrier
-//! path, pinned against the uninstrumented `load_direct`/`store_direct`
-//! floor.
+//! The barrier microbenchmark (`expt barriers`), two tables measured in
+//! the same interleaved rounds.
 //!
-//! This is the measurement behind the dispatch refactor's acceptance
-//! criterion: with mode/log dispatch hoisted to runtime construction, the
-//! captured-access fast path must sit within a small constant of a raw
-//! access — and measurably below the enum-dispatch reference pipeline
+//! `barrier_dispatch` is the per-access cost of every barrier path, pinned
+//! against the uninstrumented `load_direct`/`store_direct` floor. It is the
+//! measurement behind the dispatch refactor's acceptance bar: with
+//! mode/log dispatch hoisted to runtime construction, the captured-access
+//! fast path must sit within a small constant of a raw access — and
+//! measurably below the enum-dispatch reference pipeline
 //! (`TxConfig::reference_dispatch`), which re-decides the mode per access
 //! the way the pre-refactor barriers did.
+//!
+//! `log_costs` prices the runtime capture analysis per log the way paper
+//! §3.1 accounts for it: a *keep* per allocated block (`on_alloc`,
+//! `on_free`, `reset`), a *hit* per captured access (the barrier it
+//! skips), and a *miss* per shared access (the failed check in front of
+//! the full barrier), beside Baseline's keep and full barrier.
 
 use std::time::Instant;
 
@@ -15,8 +22,8 @@ use crate::report::{Cell, Report, Table};
 use crate::{median, ExptOpts};
 
 use stamp::SplitMix64;
-use stm::{CheckScope, LogKind, Mode, Site, StmRuntime, TxConfig};
-use txmem::MemConfig;
+use stm::{CheckScope, LogKind, Mode, Site, StmRuntime, Tx, TxConfig, TxResult};
+use txmem::{Addr, MemConfig};
 
 static S_SHARED: Site = Site::shared("micro.shared");
 static S_CAP: Site = Site::captured_escaped("micro.captured");
@@ -27,6 +34,13 @@ const WORDS: u64 = 256;
 /// Every measured loop body performs one write and one read per word, so
 /// per-access numbers divide by twice the word count.
 const ACCESSES_PER_TXN: u64 = WORDS * 2;
+
+/// Blocks a `log_costs` transaction holds at once: past the array log's
+/// four inline slots, so every log keeps more than it can inline.
+const LIVE_BLOCKS: u64 = 16;
+
+/// Payload bytes of each of those blocks: one 64-byte size class.
+const BLOCK_BYTES: u64 = 56;
 
 /// Reads per transaction in the `full read, scattered` rows.
 const SCATTER_READS: u64 = 64;
@@ -86,7 +100,7 @@ struct Row {
 /// that skews cross-row *ratios*, which are exactly what the acceptance
 /// gates consume. With interleaving, a slow period inflates every row of
 /// that round together and the medians stay comparable.
-fn measure_interleaved(opts: &MicroOpts, mut rows: Vec<Row>) -> Table {
+fn measure_interleaved(opts: &MicroOpts, mut rows: Vec<Row>) -> Vec<(String, f64)> {
     // Warm-up: fill allocator caches, fault memory, train the predictor.
     for row in &mut rows {
         for _ in 0..opts.txns_per_sample {
@@ -106,14 +120,10 @@ fn measure_interleaved(opts: &MicroOpts, mut rows: Vec<Row>) -> Table {
             );
         }
     }
-    let mut t = Table::new("barrier_dispatch", "");
-    for (r, samples) in rows.into_iter().zip(samples) {
-        t.push(vec![
-            ("path", r.name.into()),
-            ("ns_per_access", Cell::Float(median(samples), 3)),
-        ]);
-    }
-    t
+    rows.into_iter()
+        .zip(samples)
+        .map(|(r, samples)| (r.name, median(samples)))
+        .collect()
 }
 
 fn runtime_cfg(log: LogKind, reference: bool) -> TxConfig {
@@ -136,8 +146,46 @@ fn nursery_cfg(reference: bool) -> TxConfig {
     }
 }
 
-/// Measure every barrier path, one row each in display order.
-pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
+/// The `full barrier (shared)` body: one write and one read of each of the
+/// `WORDS` shared words at `buf`.
+fn shared_loop(tx: &mut Tx<'_, '_>, buf: Addr) -> TxResult<u64> {
+    let mut acc = 0u64;
+    for i in 0..WORDS {
+        tx.write(&S_SHARED, buf.word(i), i)?;
+        acc = acc.wrapping_add(tx.read(&S_SHARED, buf.word(i))?);
+    }
+    Ok(std::hint::black_box(acc))
+}
+
+/// Run `body` while the transaction holds `LIVE_BLOCKS` blocks it
+/// allocated, then free them newest first.
+fn holding_blocks(
+    tx: &mut Tx<'_, '_>,
+    body: impl FnOnce(&mut Tx<'_, '_>) -> TxResult<u64>,
+) -> TxResult<u64> {
+    let mut blocks = [Addr(0); LIVE_BLOCKS as usize];
+    for b in &mut blocks {
+        *b = tx.alloc(BLOCK_BYTES)?;
+    }
+    let acc = body(tx)?;
+    for &b in blocks.iter().rev() {
+        tx.free(b);
+    }
+    Ok(acc)
+}
+
+/// The `log_costs` arms: Baseline, each runtime log with the nursery off,
+/// and the nursery preset.
+fn cost_arms() -> impl Iterator<Item = (&'static str, TxConfig)> {
+    std::iter::once(("baseline", TxConfig::default()))
+        .chain(LogKind::ALL.map(|log| (log.name(), runtime_cfg(log, false))))
+        .chain([("nursery", nursery_cfg(false))])
+}
+
+/// Measure every row, interleaved, and return the `barrier_dispatch`
+/// table (one row per barrier path, in display order) and the
+/// `log_costs` table (one row per arm: Baseline, each log, the nursery).
+pub fn tables(opts: &MicroOpts) -> [Table; 2] {
     let mut rows: Vec<Row> = Vec::new();
     // Each row leaks its runtime so the worker (and the closure that owns
     // it) can borrow it for 'static; a handful of small simulated heaps
@@ -276,14 +324,7 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
         rows.push(Row {
             name: "full barrier (shared)".into(),
             run: Box::new(move || {
-                w.txn(|tx| {
-                    let mut acc = 0u64;
-                    for i in 0..WORDS {
-                        tx.write(&S_SHARED, buf.word(i), i)?;
-                        acc = acc.wrapping_add(tx.read(&S_SHARED, buf.word(i))?);
-                    }
-                    Ok(std::hint::black_box(acc))
-                });
+                w.txn(|tx| shared_loop(tx, buf));
             }),
             accesses: ACCESSES_PER_TXN,
         });
@@ -417,15 +458,78 @@ pub fn barrier_dispatch(opts: &MicroOpts) -> Table {
         });
     }
 
+    // --- the runtime analysis' prices: keep per block, miss per access ---
+    // Measured in the same rounds as the rows above, reported in their own
+    // table; the hits are the `captured heap hit/*` rows.
+    let dispatch_rows = rows.len();
+    for (arm, cfg) in cost_arms() {
+        let (_, mut w) = spawn(cfg);
+        rows.push(Row {
+            name: format!("keep/{arm}"),
+            run: Box::new(move || {
+                w.txn(|tx| holding_blocks(tx, |_| Ok(0)));
+            }),
+            accesses: LIVE_BLOCKS,
+        });
+        if arm != "baseline" {
+            let (rt, mut w) = spawn(cfg);
+            let buf = rt.alloc_global(WORDS * 8);
+            rows.push(Row {
+                name: format!("miss/{arm}"),
+                run: Box::new(move || {
+                    w.txn(|tx| holding_blocks(tx, |tx| shared_loop(tx, buf)));
+                }),
+                accesses: ACCESSES_PER_TXN,
+            });
+        }
+    }
+
     // Display order == declaration order; interleaving only affects when
     // each row's batches execute.
-    measure_interleaved(opts, rows)
+    let mut dispatch = measure_interleaved(opts, rows);
+    let costs = dispatch.split_off(dispatch_rows);
+    let ns = |rows: &[(String, f64)], name: &str| {
+        rows.iter().find(|r| r.0 == name).expect("a measured row").1
+    };
+    let full = ns(&dispatch, "full barrier (shared)");
+    let mut log_costs = Table::new(
+        "log_costs",
+        "Runtime capture analysis: keep per block, hit and miss per access (ns)",
+    );
+    for (arm, _) in cost_arms() {
+        let keep = ns(&costs, &format!("keep/{arm}"));
+        // Baseline checks nothing: captured and shared accesses alike take
+        // the full barrier. A miss row's transaction is the keep row's plus
+        // the shared loop, so the keep transaction's time comes out.
+        let (hit, miss) = if arm == "baseline" {
+            (full, full)
+        } else {
+            (
+                ns(&dispatch, &format!("captured heap hit/{arm}")),
+                ns(&costs, &format!("miss/{arm}"))
+                    - keep * LIVE_BLOCKS as f64 / ACCESSES_PER_TXN as f64,
+            )
+        };
+        log_costs.push(vec![
+            ("arm", arm.into()),
+            ("keep_ns_per_block", Cell::Float(keep, 3)),
+            ("hit_ns_per_access", Cell::Float(hit, 3)),
+            ("miss_ns_per_access", Cell::Float(miss, 3)),
+        ]);
+    }
+    let mut barrier_dispatch = Table::new("barrier_dispatch", "");
+    for (path, ns) in dispatch {
+        barrier_dispatch.push(vec![
+            ("path", path.into()),
+            ("ns_per_access", Cell::Float(ns, 3)),
+        ]);
+    }
+    [barrier_dispatch, log_costs]
 }
 
-/// The `barriers` report: [`barrier_dispatch`] under its Markdown
-/// preamble. Its schema names the one table it holds; `expt bench-json`
-/// extends it into the `bench_barriers/v2` snapshot
-/// ([`crate::report::bench_report`]).
+/// The `barriers` report: the two [`tables`] under their Markdown
+/// preamble. `expt bench-json` extends it into the `bench_barriers/v2`
+/// snapshot ([`crate::report::bench_report`]).
 pub fn report(opts: &ExptOpts, micro: &MicroOpts) -> Report {
     let mut r = Report::new(
         "bench_barrier_dispatch/v1",
@@ -436,10 +540,16 @@ pub fn report(opts: &ExptOpts, micro: &MicroOpts) -> Report {
         "{WORDS} words per txn, one write + one read each; median of {} samples x {} txns.\n\n\
          `txn_*` rows are ns per whole transaction (begin + commit included).\n\
          `full read, scattered` rows are ns per read: {SCATTER_READS} dependent random \
-         line-granular reads per read-only transaction over that much shared memory.",
+         line-granular reads per read-only transaction over that much shared memory.\n\n\
+         `log_costs`: keep is ns per block of a transaction that allocates {LIVE_BLOCKS} \
+         blocks of {BLOCK_BYTES} bytes and frees them newest first (Baseline's is the bump \
+         alone); hit is the arm's `captured heap hit` row; miss is ns per access of the \
+         `full barrier (shared)` loop run while the transaction holds those {LIVE_BLOCKS} \
+         blocks, past the array log's four inline slots, with the keep transaction taken \
+         out. Baseline checks nothing, so its hit and miss are its full barrier.",
         micro.samples, micro.txns_per_sample
     );
-    r.tables.push(barrier_dispatch(micro));
+    r.tables.extend(tables(micro));
     r
 }
 
@@ -449,12 +559,26 @@ mod tests {
 
     #[test]
     fn smoke_run_measures_every_path() {
-        let t = barrier_dispatch(&MicroOpts::smoke());
-        assert_eq!(t.rows.len(), 23);
-        assert!(t
+        let [dispatch, costs] = tables(&MicroOpts::smoke());
+        assert_eq!(dispatch.rows.len(), 23);
+        assert!(dispatch
             .rows
             .iter()
             .all(|r| r[1].value().is_some_and(|ns| ns > 0.0)));
+        // Keep, hit and miss for every log and the nursery, beside
+        // Baseline's keep and full barrier.
+        let arms = ["baseline", "tree", "array", "filtering", "nursery"];
+        assert_eq!(costs.rows.len(), arms.len());
+        for arm in arms {
+            for col in [
+                "keep_ns_per_block",
+                "hit_ns_per_access",
+                "miss_ns_per_access",
+            ] {
+                let ns = costs.value(&[("arm", arm)], col);
+                assert!(ns.is_some_and(|ns| ns > 0.0), "{arm} {col}: {ns:?}");
+            }
+        }
         // No timing assertion here: debug builds and CI noise make absolute
         // ratios meaningless outside `--release` runs; the gated ratios
         // are `expt`'s RATIOS.

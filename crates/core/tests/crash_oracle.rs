@@ -21,8 +21,8 @@
 //!   when no fault fired.
 //!
 //! The property runs the script across the paper's whole configuration
-//! matrix — allocation-log kinds × nursery × the typed object layer —
-//! plus optional mid-run checkpoints. Deterministic companions pin each
+//! matrix — Baseline and the allocation-log kinds × nursery × the typed
+//! object layer — plus optional mid-run checkpoints. Deterministic companions pin each
 //! fault phase at every append index (single worker, and two dependent
 //! workers), the checkpoint crash windows, the background checkpointer,
 //! checkpoints racing each other and two workers (one of them committing
@@ -106,7 +106,10 @@ fn txn_spec() -> impl Strategy<Value = TxnSpec> {
 /// Configuration axes one oracle case exercises.
 #[derive(Clone, Copy, Debug)]
 struct OracleCfg {
-    log: LogKind,
+    /// The runtime arm's log; `None` is Baseline, which checks no capture,
+    /// so every block fill and stack-frame write takes a line lock and
+    /// reaches the put gather (Baseline runs with the nursery off).
+    log: Option<LogKind>,
     nursery: bool,
     /// Drive the block fill/publish through the typed layer
     /// (`alloc_buf`/`write_elem`) instead of raw word barriers.
@@ -117,15 +120,15 @@ struct OracleCfg {
 
 fn oracle_cfg() -> impl Strategy<Value = OracleCfg> {
     (
-        (0..LogKind::ALL.len(), any::<bool>()),
+        (0..LogKind::ALL.len() + 1, any::<bool>()),
         (
             any::<bool>(),
             prop_oneof![2 => Just(None), 1 => (1..6usize).prop_map(Some)],
         ),
     )
         .prop_map(|((log_idx, nursery), (typed, ckpt_after))| OracleCfg {
-            log: LogKind::ALL[log_idx],
-            nursery,
+            log: LogKind::ALL.get(log_idx).copied(),
+            nursery: nursery && log_idx < LogKind::ALL.len(),
             typed,
             ckpt_after,
         })
@@ -145,14 +148,15 @@ fn fault() -> impl Strategy<Value = Option<FaultPlan>> {
 }
 
 fn config(oc: &OracleCfg) -> TxConfig {
+    let mode = oc.log.map_or(Mode::Baseline, |log| Mode::Runtime {
+        log,
+        scope: CheckScope::FULL,
+    });
     TxConfig {
         nursery: oc.nursery,
         durable: true,
         orec_log2: 12, // small orec table; single-threaded workload
-        ..TxConfig::with_mode(Mode::Runtime {
-            log: oc.log,
-            scope: CheckScope::FULL,
-        })
+        ..TxConfig::with_mode(mode)
     }
 }
 
@@ -498,7 +502,7 @@ fn fixed_script(n: usize) -> Vec<TxnSpec> {
 }
 
 const DET_CFG: OracleCfg = OracleCfg {
-    log: LogKind::Tree,
+    log: Some(LogKind::Tree),
     nursery: false,
     typed: false,
     ckpt_after: None,
@@ -578,6 +582,45 @@ fn a_nested_write_to_a_parent_stack_frame_appends_nothing() {
     let (rt2, report) = recover(MemConfig::small(), cfg, disk);
     assert_eq!(report.records_applied, 0);
     assert!(image(&rt2) == before, "recovery changed the memory image");
+}
+
+/// A put is an undo entry whose write took a line lock, but not every such
+/// entry is a put. Under Baseline, and under the compiler arm at `shared`
+/// sites, a write to a block the transaction allocated and a write to a
+/// frame it pushed each take a line lock; the runtime arm elides both. The
+/// put gather's allocation and stack filters keep those entries out of the
+/// record, so all three arms append the same record: the block as one
+/// content range and the publishing write as one put.
+#[test]
+fn locked_captured_writes_append_what_the_runtime_arm_appends() {
+    let run = |mode: Mode| {
+        let disk = SimDisk::new();
+        let cfg = TxConfig {
+            durable: true,
+            ..TxConfig::with_mode(mode)
+        };
+        let rt = StmRuntime::new_durable(MemConfig::small(), cfg, disk.clone());
+        let slot = rt.alloc_global(8);
+        let mut w = rt.spawn_worker();
+        w.txn(|tx| {
+            let p = tx.alloc(BLK_WORDS * 8)?;
+            for j in 0..BLK_WORDS {
+                tx.write(&S_SHARED, p.word(j), j + 1)?;
+            }
+            let f = tx.stack_push(2);
+            tx.write(&S_SHARED, f, 7)?;
+            tx.stack_pop(2);
+            tx.write(&S_SHARED, slot, p.raw())
+        });
+        (disk.log_bytes(), w.stats.durable_words, w.stats.writes.full)
+    };
+    let (bytes, words, full) = run(TxConfig::runtime_tree_full().mode);
+    assert_eq!(full, 1, "the runtime arm locks only the publishing write");
+    for mode in [Mode::Baseline, Mode::Compiler] {
+        let locked = run(mode);
+        assert_eq!(locked.2, BLK_WORDS + 2, "{mode:?} locks every write");
+        assert_eq!((locked.0, locked.1), (bytes, words), "{mode:?}'s record");
+    }
 }
 
 /// Crash after the new snapshot is written but before the manifest points

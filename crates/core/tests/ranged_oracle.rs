@@ -523,28 +523,46 @@ proptest! {
     }
 }
 
+/// The statistics of one committed `runtime_tree_full` transaction that
+/// runs `ops` through the ranged API, with the nursery on or off.
+fn ranged_stats(ops: &[Op], nursery: bool) -> TxStats {
+    let cfg = TxConfig {
+        nursery,
+        orec_log2: 12,
+        ..TxConfig::runtime_tree_full()
+    };
+    let rt = StmRuntime::new(MemConfig::small(), cfg);
+    let base = rt.alloc_global(CELLS * 8);
+    let mut w = rt.spawn_worker();
+    w.txn(|tx| run_ops(tx, base, ops, &mut Vec::new(), true));
+    w.stats
+}
+
 /// Deterministic spot-check that ranged runs split where they must: with
 /// the nursery off, a span over a dead bump block charges captured *and*
 /// full counters; with it on, the dead block stays in the scalar range;
 /// and stack boundary spans split at `sp`.
 #[test]
 fn hole_and_stack_spans_split_runs() {
+    // Three 4-word blocks, each a 48-byte class (a header and 5 usable
+    // words), the middle one freed: the read spans 16 words, A's 5, the
+    // dead run of B's header, B's 5 and C's header, then C's first 4.
+    let dead = Op::DeadSpan {
+        a: 4,
+        c: 4,
+        seed: 11,
+        cell: 0,
+    };
+    // 4 words below `sp`, then the 6-word frame.
+    let stack = Op::StackSpan {
+        words: 6,
+        below: 4,
+        len: 10,
+        seed: 7,
+        cell: 1,
+    };
     let script = vec![Txn {
-        ops: vec![
-            Op::DeadSpan {
-                a: 4,
-                c: 4,
-                seed: 11,
-                cell: 0,
-            },
-            Op::StackSpan {
-                words: 6,
-                below: 4,
-                len: 10,
-                seed: 7,
-                cell: 1,
-            },
-        ],
+        ops: vec![dead.clone(), stack.clone()],
         nested: vec![],
         abort_nested: false,
         commit: true,
@@ -559,5 +577,28 @@ fn hole_and_stack_spans_split_runs() {
         assert!(stats.contains("elided_stack"), "sanity: debug format shape");
         let (_, stats_pw, _) = run(&script, plain(mode, nursery), false, false);
         assert_eq!(stats, stats_pw, "split runs must charge per-word counters");
+
+        // The read is the op's only read; its fills of A and C are one
+        // captured run each.
+        let s = ranged_stats(std::slice::from_ref(&dead), nursery);
+        let (full, captured, read_runs) = (s.reads.full, s.reads.elided_heap, s.ranged_spans - 2);
+        if nursery {
+            assert_eq!((full, captured, read_runs), (0, 16, 1), "one captured run");
+        } else {
+            // Freeing B took it out of the tree: its words take full
+            // barriers between the captured runs of A and C.
+            assert_eq!(
+                (full, captured, read_runs),
+                (7, 9, 3),
+                "captured, full, captured"
+            );
+        }
+
+        // Written, then read: each direction splits at `sp` into a full
+        // run below it and a captured run over the frame.
+        let s = ranged_stats(std::slice::from_ref(&stack), nursery);
+        assert_eq!((s.reads.full, s.reads.elided_stack), (4, 6));
+        assert_eq!((s.writes.full, s.writes.elided_stack), (4 + 1, 6));
+        assert_eq!((s.ranged_spans, s.ranged_fallbacks), (4, 0));
     }
 }
