@@ -305,7 +305,7 @@ fn report(cli: &Cli) -> Report {
     }
     let micro = MicroOpts::default();
     match cli.cmd.as_str() {
-        "barriers" => ratios(bench::micro::report(opts, &micro)),
+        "barriers" => ratios(bench::micro::report(&micro)),
         "bench-json" => ratios(bench::report::bench_report(
             opts,
             &micro,
@@ -458,10 +458,7 @@ mod tests {
 
     #[test]
     fn ratios_cover_the_measured_paths() {
-        let r = ratios(bench::micro::report(
-            &ExptOpts::default(),
-            &MicroOpts::smoke(),
-        ));
+        let r = ratios(bench::micro::report(&MicroOpts::smoke()));
         let t = r.table("ratios").unwrap();
         assert_eq!(t.rows.len(), RATIOS.len());
         for (name, _, _) in RATIOS {

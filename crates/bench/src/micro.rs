@@ -18,8 +18,8 @@
 
 use std::time::Instant;
 
+use crate::median;
 use crate::report::{Cell, Report, Table};
-use crate::{median, ExptOpts};
 
 use stamp::SplitMix64;
 use stm::{CheckScope, LogKind, Mode, Site, StmRuntime, Tx, TxConfig, TxResult};
@@ -73,6 +73,14 @@ impl Default for MicroOpts {
 }
 
 impl MicroOpts {
+    /// The sampling fields of a report header.
+    pub(crate) fn sampling(&self) -> [(&'static str, Cell); 2] {
+        [
+            ("samples", self.samples.into()),
+            ("txns_per_sample", self.txns_per_sample.into()),
+        ]
+    }
+
     /// Tiny run for smoke tests.
     pub fn smoke() -> MicroOpts {
         MicroOpts {
@@ -530,11 +538,14 @@ pub fn tables(opts: &MicroOpts) -> [Table; 2] {
 /// The `barriers` report: the two [`tables`] under their Markdown
 /// preamble. `expt bench-json` extends it into the `bench_barriers/v2`
 /// snapshot ([`crate::report::bench_report`]).
-pub fn report(opts: &ExptOpts, micro: &MicroOpts) -> Report {
-    let mut r = Report::new(
+pub fn report(micro: &MicroOpts) -> Report {
+    // One worker, whatever `--threads` says.
+    let mut header = vec![("threads", 1u64.into())];
+    header.extend(micro.sampling());
+    let mut r = Report::with_header(
         "bench_barrier_dispatch/v1",
         "barrier_dispatch — per-access barrier cost (ns, lower is better)",
-        opts,
+        header,
     );
     r.intro = format!(
         "{WORDS} words per txn, one write + one read each; median of {} samples x {} txns.\n\n\

@@ -215,9 +215,9 @@ impl Table {
     }
 }
 
-/// One experiment's output: a schema string, the run header every report
-/// shares (`scale`, `runs`, `threads`, `debug_build`, `machine`), optional
-/// top-level scalar params, and its tables.
+/// One experiment's output: a schema string, the run header (what the run
+/// was, then `debug_build` and `machine`), optional top-level scalar
+/// params, and its tables.
 #[derive(Clone, Debug)]
 pub struct Report {
     pub schema: &'static str,
@@ -225,18 +225,31 @@ pub struct Report {
     pub title: String,
     /// Markdown paragraph under the heading (none when empty).
     pub intro: String,
-    pub opts: ExptOpts,
+    /// What the run was: `scale`, `runs` and `threads` for an experiment
+    /// ([`Report::new`]); the microbenchmark's own options for `expt
+    /// barriers` (`crate::micro::report`).
+    pub header: Vec<(&'static str, Cell)>,
     pub params: Vec<(&'static str, Cell)>,
     pub tables: Vec<Table>,
 }
 
 impl Report {
+    /// A report of an experiment run under `opts`.
     pub fn new(schema: &'static str, title: impl Into<String>, opts: &ExptOpts) -> Report {
+        Report::with_header(schema, title, expt_header(opts))
+    }
+
+    /// A report whose run header is `header`.
+    pub fn with_header(
+        schema: &'static str,
+        title: impl Into<String>,
+        header: Vec<(&'static str, Cell)>,
+    ) -> Report {
         Report {
             schema,
             title: title.into(),
             intro: String::new(),
-            opts: *opts,
+            header,
             params: Vec::new(),
             tables: Vec::new(),
         }
@@ -266,23 +279,24 @@ impl Report {
     }
 
     pub fn json(&self) -> String {
-        let o = &self.opts;
-        let mut entries = vec![
-            format!("  \"schema\": \"{}\"", self.schema),
-            format!("  \"scale\": \"{}\"", scale_name(o.scale)),
-            format!("  \"runs\": {}", o.runs),
-            format!("  \"threads\": {}", o.threads),
-            format!("  \"debug_build\": {}", cfg!(debug_assertions)),
-            format!("  \"machine\": {}", machine_json()),
-        ];
-        entries.extend(
-            self.params
-                .iter()
-                .map(|(k, v)| format!("  \"{k}\": {}", v.json())),
-        );
+        let kv = |(k, v): &(&str, Cell)| format!("  \"{k}\": {}", v.json());
+        let mut entries = vec![format!("  \"schema\": \"{}\"", self.schema)];
+        entries.extend(self.header.iter().map(kv));
+        entries.push(format!("  \"debug_build\": {}", cfg!(debug_assertions)));
+        entries.push(format!("  \"machine\": {}", machine_json()));
+        entries.extend(self.params.iter().map(kv));
         entries.extend(self.tables.iter().map(Table::json));
         format!("{{\n{}\n}}\n", entries.join(",\n"))
     }
+}
+
+/// The run header of an experiment: its scale, repetitions and threads.
+fn expt_header(opts: &ExptOpts) -> Vec<(&'static str, Cell)> {
+    vec![
+        ("scale", scale_name(opts.scale).into()),
+        ("runs", opts.runs.into()),
+        ("threads", opts.threads.into()),
+    ]
 }
 
 fn esc(s: &str) -> String {
@@ -427,8 +441,12 @@ pub fn bench_report(
     micro: &MicroOpts,
     benchmarks: Option<&[Benchmark]>,
 ) -> Report {
-    let mut r = crate::micro::report(opts, micro);
+    let mut r = crate::micro::report(micro);
     r.schema = "bench_barriers/v2";
+    // The STAMP table runs under `opts`, the microbenchmark's rows at
+    // its own sampling.
+    r.header = expt_header(opts);
+    r.header.extend(micro.sampling());
     r.tables.push(stamp_table(opts, benchmarks));
     r
 }
@@ -442,10 +460,17 @@ mod tests {
         // Same first table, different table sets: the schema must say
         // which shape a file has.
         let (opts, micro) = (ExptOpts::default(), MicroOpts::smoke());
-        let barriers = crate::micro::report(&opts, &micro);
+        let barriers = crate::micro::report(&micro);
         let bench = bench_report(&opts, &micro, Some(&[]));
         assert_ne!(barriers.schema, bench.schema);
         assert_eq!(barriers.tables.len() + 1, bench.tables.len());
+        // The STAMP table's run, then the microbenchmark's sampling.
+        let keys = |r: &Report| r.header.iter().map(|h| h.0).collect::<Vec<_>>();
+        assert_eq!(keys(&barriers), ["threads", "samples", "txns_per_sample"]);
+        assert_eq!(
+            keys(&bench),
+            ["scale", "runs", "threads", "samples", "txns_per_sample"]
+        );
         let snapshot = include_str!("../../../BENCH_barriers.json");
         assert!(
             snapshot.contains(&format!("\"schema\": \"{}\"", bench.schema)),

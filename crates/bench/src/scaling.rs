@@ -38,7 +38,7 @@ pub fn scaling_modes() -> Vec<(&'static str, TxConfig)> {
 /// `commits_per_sec` is the throughput axis.
 pub fn report(opts: &ExptOpts) -> Report {
     let mut r = Report::new(
-        "bench_scaling/v2",
+        "bench_scaling/v3",
         format!(
             "Thread scaling — speedup vs. 1 thread (scale {}, median of {} runs, {} hw threads)",
             scale_name(opts.scale),
@@ -72,6 +72,7 @@ pub fn report(opts: &ExptOpts) -> Report {
                     ("commits_ro", s.commits_ro.into()),
                     ("aborts", s.aborts.into()),
                     ("clock_adopts", s.clock_adopts.into()),
+                    ("clock_advances", s.clock_advances.into()),
                     ("extensions", s.extensions.into()),
                 ]);
             }
@@ -107,16 +108,17 @@ mod tests {
         R.get_or_init(|| report(&ExptOpts::test(2)))
     }
 
-    // The rows keep the keys, in order, of `bench_scaling/v1`.
+    // `bench_scaling/v3`: the keys, in order, of v2, plus
+    // `clock_advances` beside the adoptions it replaced.
     #[test]
     fn json_has_rows_for_the_full_matrix() {
         assert!(matrix()
             .json()
-            .starts_with("{\n  \"schema\": \"bench_scaling/v2\",\n"));
+            .starts_with("{\n  \"schema\": \"bench_scaling/v3\",\n"));
         assert_eq!(
             matrix().tables[0].columns.join(" "),
             "benchmark mode threads seconds commits_per_sec speedup_vs_1t commits commits_ro \
-             aborts clock_adopts extensions"
+             aborts clock_adopts clock_advances extensions"
         );
     }
 

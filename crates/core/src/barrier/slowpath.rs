@@ -48,7 +48,7 @@ impl WorkerCtx<'_> {
                 continue;
             }
             if v1 > self.rv {
-                if !self.extend() {
+                if !self.extend(v1) {
                     self.stats.conflict_validation += 1;
                     return Err(Abort::Conflict);
                 }
@@ -59,11 +59,25 @@ impl WorkerCtx<'_> {
                 // value would hand the caller data that is stale at the
                 // new `rv` — and if the record's version has meanwhile
                 // caught up with the extended snapshot, nothing downstream
-                // (write-lock acquisition, GV4 skip-validation) can tell.
+                // (write-lock acquisition, a read-only commit) can tell.
                 continue;
             }
-            self.reads.push(ReadEntry { idx, version: v1 });
+            self.push_read(idx, v1);
             return Ok(val);
+        }
+    }
+
+    /// Log a successful versioned read, unless it repeats the last entry:
+    /// the same record at the same version validates the same way, and
+    /// every writing commit validates the whole read set.
+    #[inline(always)]
+    fn push_read(&mut self, idx: u32, version: u64) {
+        if !self
+            .reads
+            .last()
+            .is_some_and(|r| r.idx == idx && r.version == version)
+        {
+            self.reads.push(ReadEntry { idx, version });
         }
     }
 
@@ -92,7 +106,7 @@ impl WorkerCtx<'_> {
                 std::hint::spin_loop();
                 continue;
             }
-            if v > self.rv && !self.extend() {
+            if v > self.rv && !self.extend(v) {
                 self.stats.conflict_validation += 1;
                 return Err(Abort::Conflict);
             }
@@ -100,6 +114,17 @@ impl WorkerCtx<'_> {
             match orec.compare_exchange_weak(v, lock_value(me), Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
+                    // The reads of this record that end the read set are
+                    // valid from now on (`validate`), and at the top level
+                    // only commit or a full rollback releases the lock:
+                    // drop them. A nested level keeps them, since a
+                    // partial abort releases the lock and may leave an
+                    // ancestor's read of the record behind.
+                    if self.depth == 1 {
+                        while self.reads.last().is_some_and(|r| r.idx == idx) {
+                            self.reads.pop();
+                        }
+                    }
                     self.locks.push(LockEntry { idx, prev: v });
                     return Ok(());
                 }
@@ -194,7 +219,7 @@ impl WorkerCtx<'_> {
                 continue;
             }
             if v1 > self.rv {
-                if !self.extend() {
+                if !self.extend(v1) {
                     self.stats.conflict_validation += 1;
                     return Err(Abort::Conflict);
                 }
@@ -203,7 +228,7 @@ impl WorkerCtx<'_> {
                 // extended snapshot.
                 continue;
             }
-            self.reads.push(ReadEntry { idx, version: v1 });
+            self.push_read(idx, v1);
             return Ok(());
         }
     }

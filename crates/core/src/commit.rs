@@ -2,11 +2,11 @@
 //! closed nesting with partial abort.
 //!
 //! Writing commits draw their version from the [`crate::clock::CommitClock`]
-//! GV4 scheme: one CAS from the snapshot, and a lost race adopts the
-//! winner's timestamp instead of retrying, so the clock line changes once
-//! per *batch* of concurrent committers. Begin does not read the clock —
-//! the snapshot carries over from the worker's last ticket or extension —
-//! and read-only commits never touch it at all.
+//! GV5 scheme: one load after the last lock, `wv` the clock plus 2, and
+//! no write. The clock moves only when an extension meets a version above
+//! it. Begin does not read the clock (the snapshot carries over from the
+//! clock value the worker's last ticket or extension observed), and
+//! read-only commits never touch it at all.
 
 use std::sync::atomic::Ordering;
 
@@ -14,7 +14,7 @@ use capture::CapturePolicy;
 use txmem::{Addr, HEADER_BYTES, WORD_BYTES};
 
 use crate::durable::RecordEncoder;
-use crate::orec::{is_locked, owner_of};
+use crate::orec::lock_value;
 use crate::stats::TxnDelta;
 use crate::worker::{AllocHome, Tx, TxResult, WorkerCtx};
 
@@ -123,31 +123,34 @@ impl<'rt> WorkerCtx<'rt> {
         debug_assert!(self.nur.left().is_empty() && (self.nur_len | self.nur_wlen) == 0);
     }
 
-    /// Validate the whole read set against the *current* record versions.
-    /// A record we have since locked ourselves is consistent iff its
-    /// pre-lock version equals the version we observed at read time.
+    /// Validate the whole read set against the *current* record versions,
+    /// one load per entry. A record this transaction has since locked is
+    /// always consistent: `acquire` took it at a version `prev ≤ rv`,
+    /// extending first when it met a newer one, and a change between an
+    /// earlier read and that lock would have failed the extension (DESIGN
+    /// §5.1), so every read entry of it saw `prev`.
     pub(crate) fn validate(&self) -> bool {
+        let mine = lock_value(self.tid() as u64);
         self.reads.iter().all(|r| {
             let cur = self.orecs[r.idx as usize].load(Ordering::Acquire);
-            cur == r.version
-                || (is_locked(cur)
-                    && owner_of(cur) == self.tid() as u64
-                    && self
-                        .locks
-                        .iter()
-                        .find(|l| l.idx == r.idx)
-                        .is_some_and(|l| l.prev == r.version))
+            cur == r.version || cur == mine
         })
     }
 
-    /// Timestamp extension: re-read the clock, validate, and adopt the new
-    /// snapshot on success (TinySTM-style; keeps optimistic readers
-    /// consistent without visible-reader locking). The only place a
-    /// transaction reads the clock.
-    pub(crate) fn extend(&mut self) -> bool {
+    /// Timestamp extension for an access that met version `seen > rv`:
+    /// bring the clock to at least `seen` (one `fetch_max`, only when it
+    /// is below), validate, and adopt that clock value as the snapshot on
+    /// success (TinySTM-style; keeps optimistic readers consistent without
+    /// visible-reader locking). Under GV5 a commit publishes above the
+    /// clock, so a reader meeting its version is what moves the clock.
+    pub(crate) fn extend(&mut self, seen: u64) -> bool {
         self.chaos(crate::contention::ChaosPoint::Validation);
         self.stats.extensions += 1;
-        let new_rv = self.rt.clock.read();
+        let mut new_rv = self.rt.clock.read();
+        if new_rv < seen {
+            new_rv = self.rt.clock.advance_to(seen);
+            self.stats.clock_advances += 1;
+        }
         if self.validate() {
             self.rv = new_rv;
             true
@@ -180,15 +183,13 @@ impl<'rt> WorkerCtx<'rt> {
             self.finish_commit();
             return true;
         }
-        // All locks are held, so the GV4 ticket is safe to draw now (the
-        // adoption soundness argument in clock.rs requires lock-then-sample
-        // order).
-        let ticket = self.rt.clock.writer_ticket(self.rv);
-        if ticket.adopted {
-            self.stats.clock_adopts += 1;
-        }
+        // All locks are held, so the ticket is safe to draw now (the
+        // invariant in clock.rs requires lock-then-load order). Another
+        // writer can publish at `wv` without moving the clock, so the read
+        // set is always validated.
+        let ticket = self.rt.clock.writer_ticket();
         self.chaos(crate::contention::ChaosPoint::Validation);
-        if ticket.need_validate && !self.validate() {
+        if !self.validate() {
             self.stats.conflict_validation += 1;
             self.rollback_top();
             return false;
@@ -198,9 +199,12 @@ impl<'rt> WorkerCtx<'rt> {
         // before any other transaction can observe (and depend on) these
         // writes, so the on-disk record set at any crash instant is
         // dependency-closed.
-        self.durable_prepare(Some(ticket.wv));
+        self.durable_prepare(Some(ticket.wv()));
         self.nursery_publish();
-        self.publish(ticket.wv);
+        self.publish(ticket.wv());
+        // The next transaction's snapshot: the value this worker loaded,
+        // not `wv`, which another writer may still publish at.
+        self.rv = ticket.seen;
         self.finish_commit();
         true
     }
@@ -215,8 +219,6 @@ impl<'rt> WorkerCtx<'rt> {
             self.orecs[l.idx as usize].store(wv, Ordering::Release);
         }
         self.locks.clear();
-        // The next transaction's snapshot: a value this worker observed.
-        self.rv = wv;
     }
 
     /// The tail of every commit, after publication (a read-only commit is
@@ -227,6 +229,16 @@ impl<'rt> WorkerCtx<'rt> {
         #[cfg(test)]
         if PANIC_IN_COMMIT_TAIL.with(|p| p.replace(false)) {
             panic!("injected panic in the commit tail");
+        }
+        if self.durable_on && !self.frees.is_empty() {
+            // A record that logs this space once it is reused must replay
+            // after every record that logged it before: this commit's own,
+            // locking or lock-free, and earlier ones. Each of those drew
+            // its version from a clock value this worker can already see,
+            // so moving the clock 2 past the value it loads now puts the
+            // reuser's ticket above them all (DESIGN §11.1).
+            self.rt.clock.advance_to(self.rt.clock.read() + 2);
+            self.stats.clock_advances += 1;
         }
         // Deferred frees execute now that the transaction is published.
         let n_frees = self.frees.len();
@@ -286,21 +298,9 @@ impl<'rt> WorkerCtx<'rt> {
         self.cm_exit();
     }
 
-    /// Version at which an abort releases the locks it holds: a regular
-    /// commit-clock ticket, drawn once per rollback that actually holds
-    /// locks. Monotonicity gives `wv > prev` for every lock in the set
-    /// whether the CAS wins or adopts, which is what kills the
-    /// lock/rollback version ABA; semantically the release just republishes
-    /// the restored (last-committed) values at a later timestamp, so
-    /// concurrent readers conservatively re-read or abort instead of
-    /// trusting a sandwich that spanned our dirty window.
-    fn abort_release_wv(&self) -> u64 {
-        self.rt.clock.writer_ticket(self.rv).wv
-    }
-
     /// Roll back the whole transaction: restore undo values (newest first),
-    /// release locks at a fresh version (see [`WorkerCtx::abort_release_wv`]),
-    /// undo allocations, cancel deferred frees, reset the stack pointer.
+    /// release locks at a fresh ticket (see the comment inside), undo
+    /// allocations, cancel deferred frees, reset the stack pointer.
     pub(crate) fn rollback_top(&mut self) {
         debug_assert!(self.depth >= 1);
         while let Some(u) = self.undo.pop() {
@@ -312,18 +312,19 @@ impl<'rt> WorkerCtx<'rt> {
         // transient in-place value as if it were the committed one — an
         // ABA the read validation can never detect, because the restored
         // version lies about the word having been (briefly) dirty. A
-        // ticket is strictly greater than every pre-lock version in the
-        // set (adoption included), so such sandwiches and validations
-        // fail instead; the value they then re-read is the restored
-        // (committed) one. See `abort_release_wv`.
+        // ticket drawn with the locks held is strictly greater than every
+        // pre-lock version in the set (clock.rs), so such sandwiches and
+        // validations fail instead; the value they then re-read is the
+        // restored (committed) one. The release republishes the restored
+        // values at the ticket, like a commit.
         if !self.locks.is_empty() {
-            let wv = self.abort_release_wv();
+            let t = self.rt.clock.writer_ticket();
             for l in self.locks.drain(..) {
-                self.orecs[l.idx as usize].store(wv, Ordering::Release);
+                self.orecs[l.idx as usize].store(t.wv(), Ordering::Release);
             }
-            // The read set is gone, so the retry may start from the
-            // ticket, which it would otherwise extend to.
-            self.rv = wv;
+            // The read set is gone, so the retry may start from the value
+            // loaded (not `wv`, for the reason a commit does not).
+            self.rv = t.seen;
         }
         self.reads.clear();
         // Undo allocations: blocks this transaction allocated vanish.
@@ -541,16 +542,15 @@ impl<'rt> WorkerCtx<'rt> {
             None => {
                 // Lock-free commit with surviving allocations: draw a real
                 // ticket so the record orders strictly after any earlier
-                // writer (or freer) of recycled space. Pure-put records
+                // writer (or freer) of recycled space. A durable freer
+                // advanced the clock past its version before the space
+                // came back, so this load is at or above it. Pure-put records
                 // can't reach here — an undo entry outside the allocation
                 // set implies a lock.
                 debug_assert!(!ranges.is_empty());
-                let t = self.rt.clock.writer_ticket(self.rv);
-                if t.adopted {
-                    self.stats.clock_adopts += 1;
-                }
-                self.rv = t.wv;
-                t.wv
+                let t = self.rt.clock.writer_ticket();
+                self.rv = t.seen;
+                t.wv()
             }
         };
         // Encoded where it is flushed from: straight into `dur_buf`.
@@ -596,7 +596,7 @@ impl<'rt> WorkerCtx<'rt> {
         // lock's `prev` so they expect the republished version instead.
         self.reads.truncate(cp.reads);
         if self.locks.len() > cp.locks {
-            let wv = self.abort_release_wv();
+            let wv = self.rt.clock.writer_ticket().wv();
             let released: Vec<(u32, u64)> = self.locks[cp.locks..]
                 .iter()
                 .map(|l| (l.idx, l.prev))

@@ -37,14 +37,17 @@
 //!
 //! ## Ordering invariant
 //!
-//! A record's `wv` is its commit timestamp (the GV4 ticket). The append
-//! happens *before* the commit publishes its orec locks, so any
-//! transaction that observed the writes flushes strictly after them (the
-//! disk serializes appends) — the set of records on disk at a crash is
-//! dependency-closed, and replay sorted by `wv` reconstructs exactly the
-//! committed prefix. Equal `wv`s come only from GV4 adoption, whose write
-//! sets are disjoint by construction, so their mutual order is
-//! irrelevant.
+//! A record's `wv` is its commit timestamp (the clock its commit loaded
+//! plus 2). The append happens *before* the commit publishes its orec
+//! locks, so any transaction that observed the writes flushes strictly
+//! after them (the disk serializes appends) — the set of records on disk
+//! at a crash is dependency-closed, and replay sorted by `wv`
+//! reconstructs exactly the committed prefix. Equal `wv`s come from
+//! commits that loaded the same clock: their write sets are disjoint (a
+//! transaction that read another's writes extended past its version
+//! first), and a record that logs recycled space lies above its freer's,
+//! which advanced the clock past its own `wv` before the space came back.
+//! So their mutual order is irrelevant.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -761,9 +764,9 @@ fn unframe(bytes: &[u8]) -> Result<&[u8], ()> {
 /// 1. take the serialization token, which drains every transaction that
 ///    holds a lock or is appending a record and turns new ones away
 ///    (DESIGN.md §11.3), and keeps any other checkpoint out;
-/// 2. write the whole live heap `[heap_start, frontier)` plus the clock
-///    to a *new* snapshot file `snap-(g+1)` (shadow paging: the old
-///    snapshot is untouched);
+/// 2. advance the clock by 2, then write the whole live heap
+///    `[heap_start, frontier)` plus that clock to a *new* snapshot file
+///    `snap-(g+1)` (shadow paging: the old snapshot is untouched);
 /// 3. atomically point the manifest at the new generation;
 /// 4. empty the per-worker logs and delete the old snapshot.
 ///
@@ -782,7 +785,12 @@ pub(crate) fn checkpoint(rt: &StmRuntime) {
     let _world = rt.cm.checkpoint_token();
     let idx = ds.ckpts.fetch_add(1, Ordering::AcqRel);
     let layout = *rt.mem.layout();
-    let clock = rt.clock.read();
+    // A commit publishes at the clock it loaded plus 2, so a drained
+    // commit's record may carry the current clock plus 2. Advancing by 2
+    // puts the snapshot clock at or above every drained record's `wv`
+    // (recovery skips them all), and every later ticket above it.
+    let clock = rt.clock.advance_to(rt.clock.read() + 2);
+    rt.global_stats.lock().unwrap().clock_advances += 1;
     let frontier = rt.heap.frontier();
     let words = rt
         .mem
@@ -928,8 +936,10 @@ pub fn recover(
     }
 
     // Replay in commit order, straight from the validated payloads. Equal
-    // wvs (GV4 adoption) have disjoint write sets, so the stable
-    // file-order tiebreak is arbitrary but harmless.
+    // wvs (commits that loaded the same clock) have disjoint write sets,
+    // and a record that logs recycled space lies above its freer's
+    // (DESIGN.md §11.1), so the stable file-order tiebreak is arbitrary
+    // but harmless.
     index.sort_by_key(|e| e.0);
     let mut max_wv = 0u64;
     for &(wv, tid, off) in &index {

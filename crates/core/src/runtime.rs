@@ -17,7 +17,7 @@ use crate::worker::WorkerCtx;
 /// resolved barrier pipeline, and aggregated statistics.
 ///
 /// The commit clock and the merged statistics are cache-line-padded so a
-/// clock CAS never invalidates a neighbour's line and a worker draining
+/// clock advance never invalidates a neighbour's line and a worker draining
 /// its stats never stalls committers. The orec table's header needs no
 /// padding: workers take its record slice and mask at spawn
 /// ([`WorkerCtx`]) and never read it again.
@@ -25,8 +25,8 @@ pub struct StmRuntime {
     pub(crate) mem: Arc<SharedMem>,
     pub(crate) heap: TxHeap,
     pub(crate) orecs: OrecTable,
-    /// Global version clock (GV4 pass-on-failure tickets; see
-    /// [`CommitClock`]). Even values only — bit 0 is the orec lock bit.
+    /// Global version clock (GV5: commits load it, extensions advance it;
+    /// see [`CommitClock`]). Even values only — bit 0 is the orec lock bit.
     pub(crate) clock: CachePadded<CommitClock>,
     pub(crate) config: TxConfig,
     /// The barrier pipeline for `config`, resolved exactly once here: every

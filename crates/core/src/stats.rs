@@ -169,12 +169,18 @@ pub struct TxStats {
     /// Committed top-level transactions.
     pub commits: u64,
     /// Commits with an empty write set (a subset of `commits`): these are
-    /// clock-silent — they neither CAS nor read-modify the global clock.
+    /// clock-silent — they never write the global clock, and only a
+    /// durable one that logs an allocation loads it (for its record).
     pub commits_ro: u64,
-    /// Writing commits whose clock CAS lost the race and adopted the
-    /// winner's timestamp instead of retrying (GV4 pass-on-failure). Each
-    /// adoption is one clock-line invalidation that did *not* happen.
+    /// Always 0: writing commits no longer race on the clock, so none
+    /// adopts another's timestamp. Kept for readers of the old count; the
+    /// clock's writes are [`TxStats::clock_advances`].
     pub clock_adopts: u64,
+    /// Read-modify-writes of the global clock: an extension that met a
+    /// version above the clock, a durable commit with deferred frees, and
+    /// a checkpoint (counted in the runtime's merged statistics). Writing
+    /// commits only load the clock, so on disjoint data this stays near 0.
+    pub clock_advances: u64,
     /// Snapshot extensions (`extend()` calls, successful or not): an access
     /// met a version above the snapshot. Begin reads no clock, so a stale
     /// carried-over snapshot shows up here, as one clock read each.
@@ -292,6 +298,7 @@ impl TxStats {
         self.commits += o.commits;
         self.commits_ro += o.commits_ro;
         self.clock_adopts += o.clock_adopts;
+        self.clock_advances += o.clock_advances;
         self.extensions += o.extensions;
         self.aborts += o.aborts;
         self.user_aborts += o.user_aborts;

@@ -153,7 +153,9 @@ mod tests {
             assert_eq!(tx.0.locks.len(), lines.len());
             Ok(())
         });
-        let wv = rt.clock.read();
+        // The commit published at the clock it loaded plus 2, and left
+        // the clock where it was.
+        let wv = rt.clock.read() + 2;
         for l in lines {
             let orec = rt.orecs.at(rt.orecs.index_of(Addr(l)));
             assert_eq!(orec.load(Ordering::Relaxed), wv, "line {l:#x}");

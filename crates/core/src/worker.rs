@@ -170,8 +170,8 @@ pub struct WorkerCtx<'rt> {
     /// it: a partial one leaves it set, and the whole transaction retries.
     pub(crate) free_conflict: bool,
     /// Read-snapshot version: the last clock value this worker observed —
-    /// the `wv` of its last commit or full-rollback ticket, its last
-    /// extension's clock read, or 0 at spawn. It carries over from one
+    /// the clock its last commit or full-rollback ticket loaded (never that
+    /// ticket's `wv`), its last extension's value, or 0 at spawn. It carries over from one
     /// transaction to the next; begin does not read the clock (`clock.rs`
     /// module docs).
     pub(crate) rv: u64,

@@ -696,10 +696,9 @@ fn checkpoint_then_more_commits_replays_only_the_suffix() {
 }
 
 /// A worker whose snapshot predates a checkpoint commits after it. Its
-/// ticket starts from that old snapshot, yet lands above the snapshot
-/// clock — the first CAS fails on a clock at least as new, and the ticket
-/// is drawn above the value it failed on — so after a kill recovery
-/// replays the record instead of skipping it as stale.
+/// ticket is the clock it loads after its locks plus 2, not its old
+/// snapshot, so it lands above the snapshot clock, and after a kill
+/// recovery replays the record instead of skipping it as stale.
 #[test]
 fn commit_from_a_pre_checkpoint_snapshot_is_not_stale() {
     static S_X: Site = Site::shared("crash.carry.x");
@@ -729,6 +728,169 @@ fn commit_from_a_pre_checkpoint_snapshot_is_not_stale() {
     assert_eq!(report.stale_skipped, 0);
     assert_eq!(rt2.mem().load_private(x), 77);
     assert_eq!(rt2.mem().load_private(y), 102);
+}
+
+/// Commits publish at the clock they load plus 2 and leave the clock
+/// behind, so records at `clock + 2` sit in the logs when a checkpoint
+/// starts. The checkpoint advances the clock by 2 before it reads the
+/// snapshot clock: killed after the manifest flips but before the logs
+/// truncate, recovery finds every record at or below the snapshot clock
+/// and replays none of them over the snapshot.
+#[test]
+fn a_checkpoint_between_commits_that_leave_the_clock_covers_their_records() {
+    static S_L: Site = Site::shared("crash.gv5.line");
+    let disk = SimDisk::new();
+    let rt = StmRuntime::new_durable(MemConfig::small(), config(&DET_CFG), disk.clone());
+    let lines = rt.alloc_global(8 * 64);
+    let line = |i: u64| Addr(lines.raw() + i * 64);
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    for i in 0..4 {
+        let w = if i % 2 == 0 { &mut a } else { &mut b };
+        w.txn(|tx| tx.write(&S_L, line(i), 10 + i));
+    }
+    assert_eq!(rt.clock_value(), 0, "the commits left the clock at 0");
+    disk.arm(FaultPlan {
+        phase: FaultPhase::PreTruncate,
+        at: 0,
+        torn_keep: 0,
+    });
+    rt.checkpoint_now();
+    assert!(disk.is_killed(), "the checkpoint fault never fired");
+    drop((a, b));
+    drop(rt);
+    let (rt2, report) = recover(MemConfig::small(), config(&DET_CFG), disk);
+    assert_eq!(
+        report.snapshot_clock, 2,
+        "the checkpoint advanced the clock"
+    );
+    assert_eq!(
+        (report.records_applied, report.stale_skipped),
+        (0, 4),
+        "a record at the snapshot clock was replayed over the snapshot"
+    );
+    for i in 0..4 {
+        assert_eq!(rt2.mem().load_private(line(i)), 10 + i);
+    }
+    assert_eq!(rt2.clock_value(), 2);
+}
+
+/// Recycled space orders after its freer. `f` (the higher tid) writes a
+/// heap block and frees it; `a` (the lower tid) allocates the same space
+/// and fills it with a captured write, a commit that loads an unchanged
+/// clock. Recovery replays equal versions in log order, `a`'s log first,
+/// so were both records at one version `f`'s stale put would land on
+/// `a`'s block. The freeing commit advanced the clock past its version
+/// before the block went back to the heap, so `a`'s record lies above
+/// `f`'s and recovery holds `a`'s contents.
+#[test]
+fn reused_space_replays_after_the_commit_that_freed_it() {
+    static S_F: Site = Site::shared("crash.gv5.freed");
+    const BYTES: u64 = txmem::NURSERY_MAX_BLOCK_BYTES;
+    let disk = SimDisk::new();
+    let rt = StmRuntime::new_durable(MemConfig::small(), config(&DET_CFG), disk.clone());
+    let (slot_f, slot_a) = (rt.alloc_global(64), rt.alloc_global(64));
+    let mut a = rt.spawn_worker();
+    let mut f = rt.spawn_worker();
+    assert!(a.tid() < f.tid());
+    let x = f.alloc_raw(BYTES);
+    f.store_as(slot_f, x);
+    f.txn(|tx| {
+        tx.write(&S_F, x, 0xF)?;
+        tx.write_as(&S_F, slot_f, Addr(0))?;
+        tx.free(x);
+        Ok(())
+    });
+    assert_eq!(
+        f.stats.clock_advances, 1,
+        "the freeing commit advances the clock"
+    );
+    disk.arm(FaultPlan {
+        phase: FaultPhase::PostFlush,
+        at: disk.append_count(),
+        torn_keep: 0,
+    });
+    let y = a.txn(|tx| {
+        let y = tx.alloc(BYTES)?;
+        tx.write(&S_CAP, y, 0xA)?;
+        tx.write_as(&S_F, slot_a, y)?;
+        Ok(y)
+    });
+    assert_eq!(y, x, "the freed block was not handed back");
+    assert!(disk.is_killed(), "the reusing commit never flushed");
+    drop((a, f));
+    drop(rt);
+    let (rt2, report) = recover(MemConfig::small(), config(&DET_CFG), disk);
+    assert_eq!(report.records_applied, 2);
+    assert_eq!(rt2.mem().load_private(slot_a), x.raw());
+    assert_eq!(
+        rt2.mem().load_private(x),
+        0xA,
+        "the freer's put replayed over the block's new contents"
+    );
+}
+
+/// The same order for a freer that takes no lock. `f` (the higher tid)
+/// allocates a heap block, fills it and frees it in a nested child: a
+/// block of an ancestor level is freed at commit, without a lock, and is
+/// still logged as a range under the commit's lock-free ticket. `a` (the
+/// lower tid) then reuses the space with a captured fill. The freeing
+/// commit's advance is what puts `a`'s record above `f`'s, so recovery
+/// holds `a`'s contents.
+#[test]
+fn reused_space_replays_after_a_lock_free_commit_that_freed_it() {
+    static S_F: Site = Site::shared("crash.gv5.freed_lock_free");
+    const BYTES: u64 = txmem::NURSERY_MAX_BLOCK_BYTES;
+    let disk = SimDisk::new();
+    let rt = StmRuntime::new_durable(MemConfig::small(), config(&DET_CFG), disk.clone());
+    let slot_a = rt.alloc_global(64);
+    let mut a = rt.spawn_worker();
+    let mut f = rt.spawn_worker();
+    assert!(a.tid() < f.tid());
+    let appends = disk.append_count();
+    let x = f.txn(|tx| {
+        let x = tx.alloc(BYTES)?;
+        tx.write(&S_CAP, x, 0xF)?;
+        tx.nested(|tx| {
+            tx.free(x);
+            Ok(())
+        })?
+        .expect("the child commits");
+        Ok(x)
+    });
+    assert_eq!(f.stats.commits_ro, 1, "the freeing commit took a lock");
+    assert_eq!(
+        disk.append_count(),
+        appends + 1,
+        "the freer logged no record"
+    );
+    assert_eq!(
+        f.stats.clock_advances, 1,
+        "the freeing commit advances the clock"
+    );
+    disk.arm(FaultPlan {
+        phase: FaultPhase::PostFlush,
+        at: disk.append_count(),
+        torn_keep: 0,
+    });
+    let y = a.txn(|tx| {
+        let y = tx.alloc(BYTES)?;
+        tx.write(&S_CAP, y, 0xA)?;
+        tx.write_as(&S_F, slot_a, y)?;
+        Ok(y)
+    });
+    assert_eq!(y, x, "the freed block was not handed back");
+    assert!(disk.is_killed(), "the reusing commit never flushed");
+    drop((a, f));
+    drop(rt);
+    let (rt2, report) = recover(MemConfig::small(), config(&DET_CFG), disk);
+    assert_eq!(report.records_applied, 2);
+    assert_eq!(rt2.mem().load_private(slot_a), x.raw());
+    assert_eq!(
+        rt2.mem().load_private(x),
+        0xA,
+        "the freer's range replayed over the block's new contents"
+    );
 }
 
 /// The background checkpointer compacting logs concurrently with a live

@@ -331,22 +331,3 @@ fn nursery_transitions_all_fire() {
         "no tail trim or abort recycle: {s:?}"
     );
 }
-
-#[test]
-#[ignore]
-fn debug_find_failing_case() {
-    for case in 0..64 {
-        let mut rng = proptest::TestRng::for_case(
-            "nursery_oracle::nursery_classification_matches_the_tree_oracle",
-            case,
-        );
-        let s = proptest::Strategy::generate(&script(), &mut rng);
-        let (mem_off, stats_off) = run(&s, false);
-        let (mem_on, stats_on) = run(&s, true);
-        if mem_on != mem_off || stats_on != stats_off {
-            println!("case {case} FAILS:\n{s:#?}");
-            return;
-        }
-    }
-    println!("no failing case");
-}

@@ -554,10 +554,11 @@ fn neighbouring_lines_do_not_conflict() {
 }
 
 /// A worker's snapshot carries over from its own last commit; begin reads
-/// no clock. Another worker's later commit still reaches it: the first
-/// read of that commit's words meets a version above the snapshot and
-/// extends once, and the second word then lies inside the extended
-/// snapshot.
+/// no clock. The snapshot is the clock the commit loaded, below the
+/// version it published at, so re-reading its own commit extends once.
+/// Another worker's later commit still reaches it: the first read of that
+/// commit's words meets a version above the snapshot and extends once,
+/// and the second word then lies inside the extended snapshot.
 #[test]
 fn carried_over_snapshot_sees_a_later_commit_and_extends_once() {
     let rt = rt_with(Mode::Baseline);
@@ -566,9 +567,8 @@ fn carried_over_snapshot_sees_a_later_commit_and_extends_once() {
     let mut a = rt.spawn_worker();
     let mut b = rt.spawn_worker();
     a.txn(|tx| tx.write(&S, x, 1));
-    // Its own commit lies inside the snapshot it carried out of it.
     assert_eq!(a.txn(|tx| tx.read(&S, x)), 1);
-    assert_eq!(a.stats.extensions, 0);
+    assert_eq!(a.stats.extensions, 1);
     b.txn(|tx| {
         tx.write(&S, x, 10)?;
         tx.write(&S, y, 20)
@@ -601,6 +601,91 @@ fn stale_snapshot_reader_sees_sequential_commits_in_real_time_order() {
     assert_eq!(seen, (2, 1), "a commit finished before begin was missed");
     assert_eq!(a.stats.extensions - before, 1);
     assert_eq!((a.stats.commits_ro, a.stats.aborts), (2, 0));
+}
+
+/// Commit-time validation checks each read entry once and trusts every
+/// record the transaction locked itself; what keeps that sound is the
+/// acquire. `a` reads x, `b` — run on the same thread inside `a`'s closure
+/// — commits x, then `a` writes x: the acquire meets a version above `a`'s
+/// snapshot, extends, and the extension fails on the read of x, so the
+/// write itself conflicts. The retry reads `b`'s value.
+#[test]
+fn a_write_after_a_foreign_commit_of_its_read_conflicts_at_acquire() {
+    let rt = rt_with(Mode::Baseline);
+    let x = rt.alloc_global(8);
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    let mut first = true;
+    a.txn(|ta| {
+        let v = ta.read(&S, x)?;
+        let racing = std::mem::take(&mut first);
+        if racing {
+            b.txn(|tb| tb.write(&S, x, 10));
+        }
+        let w = ta.write(&S, x, v + 1);
+        assert_eq!(w.is_err(), racing, "the acquire of a stale read");
+        w
+    });
+    assert_eq!(a.load(x), 11, "the retry lost b's commit");
+    assert_eq!((a.stats.commits, a.stats.aborts), (1, 1));
+    assert_eq!(a.stats.conflict_validation, 1);
+    // The failed one at the acquire, then the retry's first read.
+    assert_eq!(a.stats.extensions, 2);
+}
+
+/// A top-level acquire drops the read entries of the record it locks; a
+/// nested one must not. `a` reads x, then a child writes x and aborts, so
+/// the partial rollback releases x while `a`'s read of it stays in the
+/// read set. `b` commits x, and `a`'s writing commit (of y) fails its
+/// validation on that read. The retry copies `b`'s value.
+#[test]
+fn a_read_survives_a_child_that_locked_and_released_its_record() {
+    let rt = rt_with(Mode::Baseline);
+    let (x, y) = (rt.alloc_global(64), rt.alloc_global(64));
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    let mut first = true;
+    a.txn(|ta| {
+        let v = ta.read(&S, x)?;
+        let r: Result<(), u64> = ta.nested(|tc| {
+            tc.write(&S, x, 99)?;
+            Err(Abort::User(1))
+        })?;
+        assert_eq!(r, Err(1));
+        if std::mem::take(&mut first) {
+            b.txn(|tb| tb.write(&S, x, 10));
+        }
+        ta.write(&S, y, v)
+    });
+    assert_eq!(a.load(y), 10, "a committed a read that b overwrote");
+    assert_eq!((a.stats.commits, a.stats.aborts), (1, 1));
+    assert_eq!(a.stats.conflict_validation, 1);
+}
+
+/// Writing commits only load the clock. Two workers alternating commits,
+/// each on a line nobody wrote before, never write it: 40 commits, no
+/// clock advance, and every commit published at 2. The first read of
+/// those lines meets a version above the clock and advances it once.
+#[test]
+fn alternating_writers_on_disjoint_lines_never_write_the_clock() {
+    let rt = rt_with(Mode::Baseline);
+    let lines = rt.alloc_global(40 * 64 + 64);
+    let line = |i: u64| txmem::Addr(((lines.raw() + 63) & !63) + i * 64);
+    let mut a = rt.spawn_worker();
+    let mut b = rt.spawn_worker();
+    for i in 0..20 {
+        a.txn(|tx| tx.write(&S, line(2 * i), 1));
+        b.txn(|tx| tx.write(&S, line(2 * i + 1), 1));
+    }
+    assert_eq!(rt.clock_value(), 0);
+    for w in [&a, &b] {
+        assert_eq!((w.stats.commits, w.stats.clock_advances), (20, 0));
+        assert_eq!(w.stats.extensions, 0);
+    }
+    let sum = a.txn(|tx| (0..40).try_fold(0, |s, i| Ok(s + tx.read(&S, line(i))?)));
+    assert_eq!(sum, 40);
+    assert_eq!((a.stats.extensions, a.stats.clock_advances), (1, 1));
+    assert_eq!(rt.clock_value(), 2);
 }
 
 /// Payload size of X: past the nursery's block limit, so a transaction
